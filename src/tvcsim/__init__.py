@@ -27,7 +27,6 @@ from .envelope import (
     EnvelopeConstraint,
     EnvelopeInfeasibleError,
     EnvelopePoint,
-    Strategy,
     SweepPoint,
     envelope_sweep,
     max_pitch_torque_dt,

@@ -11,7 +11,8 @@ Angles are degrees at this boundary, SI units otherwise. Exit codes: 0 ok,
 2 config/usage error, 3 infeasible geometry, 4 simulation divergence. Every
 run writes a manifest naming its outputs and their hashes; outputs are
 written atomically (temp file + rename) and contain no timestamps, so a
-rerun with identical inputs is byte-identical.
+rerun with identical inputs is byte-identical. Every command resolves its
+robot from the config file through scenario_from_config.
 """
 
 from __future__ import annotations
@@ -22,32 +23,32 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
+from dataclasses import asdict, replace
+from enum import Enum
+from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import (
     ConfigError,
     envelope_settings_from_config,
     load_config,
-    posture_from_config,
     scenario_from_config,
 )
 from .controller import ControlMode
 from .envelope import (
+    ENVELOPE_CSV_HEADER,
     EnvelopeConstraint,
     EnvelopeInfeasibleError,
+    envelope_rows,
     envelope_sweep,
     tvc_dt_ratio,
     write_envelope_csv,
 )
-from .robot import (
-    FanLimits,
-    Posture,
-    UnknownPostureError,
-    builtin_posture,
-    geometry_from_posture,
-)
-from .sim import DivergenceError, run_scenario
+from .sim import DivergenceError, ScenarioConfig, run_scenario
 from .trim import NoTrimError, hover_trim
 from .wrench import FanState, total_wrench
 
@@ -64,13 +65,10 @@ def main(argv=None) -> int:
         values = load_config(args.config) if args.config else {}
         os.makedirs(args.out, exist_ok=True)
         return args.func(args, values)
-    except (ConfigError, UnknownPostureError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and UnknownPostureError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except EnvelopeInfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NoTrimError as exc:
+    except (EnvelopeInfeasibleError, NoTrimError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
@@ -116,11 +114,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _atomic_write(path: str, data: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+def _atomic_write(path: str, write) -> None:
+    """Publish path atomically: write(tmp) fills a unique temp file beside it.
+
+    The temp file is removed if writing or the rename fails.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".")
+    os.close(fd)
+    try:
+        os.chmod(tmp, 0o644)  # mkstemp's 0600 would make outputs private
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _sha256(path: str) -> str:
@@ -130,12 +138,22 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir, name, config_path, resolved, outputs, started):
+def _json_value(obj):
+    """Arrays and enums inside a dumped ScenarioConfig."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, Enum):
+        return obj.value
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _write_manifest(out_dir, name, config_path, cfgs, extra, outputs, started):
+    """Manifest with the resolved scenario of every posture the command ran."""
     manifest = {
         "tool": "tvcsim",
         "version": __version__,
         "command": name,
-        "resolved_config": resolved,
+        "resolved_config": {"scenarios": [asdict(cfg) for cfg in cfgs]} | extra,
         "input_hashes": {
             "config": _sha256(config_path) if config_path else None,
         },
@@ -143,28 +161,20 @@ def _write_manifest(out_dir, name, config_path, resolved, outputs, started):
         "wall_clock_s": round(time.monotonic() - started, 3),
     }
     path = os.path.join(out_dir, f"{name}_manifest.json")
-    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_value)
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text + "\n"))
     return path
 
 
 def _rows_as_json(header, rows) -> str:
     return json.dumps({"header": list(header), "rows": [list(r) for r in rows]},
-                      indent=2) + "\n"
+                      indent=2, allow_nan=False) + "\n"
 
 
-def _resolve_posture(label: str, values) -> Posture:
-    return posture_from_config(values, label) or builtin_posture(label)
-
-
-def _resolve_geometry(label: str, values, settings):
-    return geometry_from_posture(
-        _resolve_posture(label, values),
-        mass_total=settings["mass_total"],
-        fan_spacing_waist=settings["fan_spacing_waist"],
-        fan_spacing_feet=settings["fan_spacing_feet"],
-        fan_mass=settings["fan_mass"],
-        com_y=settings["com_y"],
-    )
+def _scenario(values, label: str) -> ScenarioConfig:
+    """The scenario of the config file with the posture label from the CLI."""
+    return scenario_from_config(values | {"posture": label})
 
 
 def cmd_envelope(args, values) -> int:
@@ -173,42 +183,25 @@ def cmd_envelope(args, values) -> int:
     postures = [p.strip() for p in args.postures.split(",") if p.strip()]
     if not postures:
         raise ConfigError("no postures given")
-    limits = FanLimits(thrust_max_per_fan=settings["thrust_max_per_fan"])
+    cfgs = [_scenario(values, name) for name in postures]
     outputs = []
     reports = []
-    for name in postures:
-        posture = _resolve_posture(name, values)
-        geo = _resolve_geometry(name, values, settings)
-        constraint = EnvelopeConstraint.hover(geo, posture, limits)
+    for cfg in cfgs:
+        name = cfg.posture.name
+        geo = cfg.geometry()
+        constraint = EnvelopeConstraint.hover(geo, cfg.posture, cfg.limits)
         if settings["min_vertical_force"] is not None:
-            constraint = EnvelopeConstraint(
-                min_vertical_force=settings["min_vertical_force"],
-                per_fan_max=constraint.per_fan_max,
-                foot_angle_range=constraint.foot_angle_range,
-            )
+            constraint = replace(constraint, min_vertical_force=settings["min_vertical_force"])
         # the comparison is meaningless if the robot cannot even hover level
         ratio_max, ratio_min = tvc_dt_ratio(geo, constraint, theta_pitch=0.0)
-        points = envelope_sweep(
-            geo, constraint,
-            theta_pitch_range=(settings["theta_min"], settings["theta_max"]),
-            n_points=settings["n_points"],
-        )
+        points = envelope_sweep(geo, constraint, settings["theta_pitch_range"],
+                                settings["n_points"])
         path = os.path.join(args.out, f"envelope_{name}.{args.format}")
         if args.format == "csv":
-            tmp = path + ".tmp"
-            write_envelope_csv(points, tmp)
-            os.replace(tmp, path)
+            _atomic_write(path, lambda tmp: write_envelope_csv(points, tmp))
         else:
-            from .envelope import ENVELOPE_CSV_HEADER
-            rows = []
-            for p in points:
-                row = [math.degrees(p.theta_pitch)]
-                for point in (p.dt, p.tvc):
-                    row.extend([math.nan, math.nan] if point is None
-                               else [point.tau_min, point.tau_max])
-                row.append(1 if (p.dt and p.tvc) else 0)
-                rows.append(row)
-            _atomic_write(path, _rows_as_json(ENVELOPE_CSV_HEADER, rows))
+            text = _rows_as_json(ENVELOPE_CSV_HEADER, envelope_rows(points))
+            _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
         outputs.append(path)
         reports.append((name, geo, ratio_max, ratio_min))
 
@@ -217,9 +210,9 @@ def cmd_envelope(args, values) -> int:
               f"L_f={geo.fan_spacing_feet} m com=({geo.com_body[0]:.3f}, "
               f"{geo.com_body[2]:.3f}) m feet=({geo.fan_foot_x:.3f}, {geo.fan_foot_z:.3f}) m")
         print(f"{name}: tvc/dt ratio @0deg: tau_max {ratio_max:.2f}, |tau_min| {ratio_min:.2f}")
-    manifest = _write_manifest(args.out, "envelope", args.config,
-                               {"settings": {k: v for k, v in settings.items()},
-                                "postures": postures}, outputs, started)
+    manifest = _write_manifest(args.out, "envelope", args.config, cfgs,
+                               {"envelope": settings, "postures": postures},
+                               outputs, started)
     print(f"wrote {len(outputs)} envelope file(s) + {os.path.basename(manifest)}")
     return EXIT_OK
 
@@ -242,14 +235,13 @@ def cmd_takeoff(args, values) -> int:
 
     log_path = os.path.join(args.out, f"takeoff_log.{args.format}")
     if args.format == "csv":
-        tmp = log_path + ".tmp"
-        log.write_csv(tmp)
-        os.replace(tmp, log_path)
+        _atomic_write(log_path, log.write_csv)
     else:
-        _atomic_write(log_path, _rows_as_json(log.header, log.rows))
+        text = _rows_as_json(log.header, log.rows)
+        _atomic_write(log_path, lambda tmp: Path(tmp).write_text(text))
     events_path = os.path.join(args.out, "takeoff_events.json")
-    _atomic_write(events_path, log.events_json() + "\n")
-    _write_manifest(args.out, "takeoff", args.config, log.events["config"],
+    _atomic_write(events_path, log.write_events_json)
+    _write_manifest(args.out, "takeoff", args.config, [cfg], {},
                     [log_path, events_path], started)
 
     ev = log.events
@@ -266,11 +258,10 @@ def cmd_takeoff(args, values) -> int:
 
 def cmd_trim(args, values) -> int:
     started = time.monotonic()
-    settings = envelope_settings_from_config(values)
-    geo = _resolve_geometry(args.posture, values, settings)
-    limits = FanLimits(thrust_max_per_fan=settings["thrust_max_per_fan"])
+    cfg = _scenario(values, args.posture)
+    geo = cfg.geometry()
     fs, theta_pitch = hover_trim(geo, equal_thrust=not args.waist_differential,
-                                 limits=limits)
+                                 limits=cfg.limits)
     w = total_wrench(fs, geo, theta_pitch)
     residual = math.sqrt(float(w.force_world @ w.force_world)
                          + float(w.torque_world @ w.torque_world))
@@ -283,17 +274,16 @@ def cmd_trim(args, values) -> int:
     print(f"foot_angle_right_deg={math.degrees(fs.theta_right):.6f}")
     print(f"theta_pitch_deg={math.degrees(theta_pitch):.6f}")
     print(f"residual_wrench_norm={residual:.3e}")
-    _write_manifest(args.out, "trim", args.config,
+    _write_manifest(args.out, "trim", args.config, [cfg],
                     {"posture": args.posture,
-                     "waist_differential": args.waist_differential,
-                     "settings": settings}, [], started)
+                     "waist_differential": args.waist_differential}, [], started)
     return EXIT_OK
 
 
 def cmd_wrench_eval(args, values) -> int:
     started = time.monotonic()
-    settings = envelope_settings_from_config(values)
-    geo = _resolve_geometry(args.posture, values, settings)
+    cfg = _scenario(values, args.posture)
+    geo = cfg.geometry()
     fs = FanState(
         f_front=args.thrust_ff, f_back=args.thrust_fb,
         f_left=args.thrust_fl, f_right=args.thrust_fr,
@@ -310,7 +300,7 @@ def cmd_wrench_eval(args, values) -> int:
     print(f"ty1={w.t_y1:.6f}")
     print(f"ty2={w.t_y2:.6f}")
     print(f"ty3={w.t_y3:.6f}")
-    _write_manifest(args.out, "wrench_eval", args.config,
+    _write_manifest(args.out, "wrench_eval", args.config, [cfg],
                     {"posture": args.posture,
                      "fan_state": {"f_front": args.thrust_ff, "f_back": args.thrust_fb,
                                    "f_left": args.thrust_fl, "f_right": args.thrust_fr,

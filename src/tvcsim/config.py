@@ -7,30 +7,27 @@ keys are hard errors so typos cannot silently fall back to defaults.
 
 Every key is optional; the builtin postures and defaults work with no file
 at all. The full schema is documented in the README and in SCHEMA below.
+
+This module holds no default values: a key that is absent leaves the default
+of the dataclass that consumes it (ScenarioConfig, FanLimits, ThrustRamp,
+Perturbation, ControllerGains, the builtin posture) or of envelope_sweep.
+Every command resolves its robot through scenario_from_config, so the same
+file describes the same robot to all of them.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from dataclasses import MISSING, replace
 
 from .controller import ControlMode, ControllerGains, ThrustRamp
+from .envelope import SWEEP_PITCH_RANGE, SWEEP_POINTS
 from .robot import FanLimits, Posture, builtin_posture
 from .sim import Perturbation, ScenarioConfig
-from .spatial import EulerAngles
 
 
 class ConfigError(ValueError):
     """Malformed config file, unknown key, or invalid value."""
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes", "on"):
-        return True
-    if text.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 # key -> (type, help)
@@ -89,7 +86,10 @@ SCHEMA: dict[str, tuple] = {
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse dotted-key lines into a typed mapping, rejecting unknown keys."""
+    """Parse dotted-key lines into a typed mapping.
+
+    Unknown keys, duplicate keys and non-finite numbers are rejected.
+    """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,11 +104,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        typ = SCHEMA[key][0]
         try:
-            values[key] = _parse_bool(value) if typ is bool else typ(value)
+            values[key] = SCHEMA[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from None
+        if isinstance(values[key], float) and not math.isfinite(values[key]):
+            raise ConfigError(f"{source}:{lineno}: bad value for {key}: {value!r} is not finite")
     return values
 
 
@@ -121,139 +122,142 @@ def load_config(path) -> dict:
     return parse_config_text(text, source=str(path))
 
 
-def scenario_from_config(values: dict, **overrides) -> ScenarioConfig:
-    """Build a ScenarioConfig from parsed values plus keyword overrides."""
-    gains = None
-    gain_keys = ["controller.kp_pitch", "controller.kd_pitch",
-                 "controller.kp_yaw", "controller.kd_yaw"]
-    present = [k for k in gain_keys if k in values]
-    if present:
-        if len(present) != len(gain_keys):
-            missing = sorted(set(gain_keys) - set(present))
-            raise ConfigError(f"explicit gains need all of {gain_keys}; missing {missing}")
-        gains = ControllerGains(
-            kp_pitch=values["controller.kp_pitch"],
-            kd_pitch=values["controller.kd_pitch"],
-            kp_yaw=values["controller.kp_yaw"],
-            kd_yaw=values["controller.kd_yaw"],
-            ki_pitch=values.get("controller.ki_pitch", 0.0),
-            ki_yaw=values.get("controller.ki_yaw", 0.0),
-        )
+# config key -> keyword argument of the dataclass that consumes it
+_SCENARIO_ARGS = {
+    "mode": "mode",
+    "sim.duration_s": "duration",
+    "sim.dt_s": "dt",
+    "sim.sample_rate_hz": "sample_rate",
+    "sim.seed": "seed",
+    "sim.integrator": "integrator",
+    "sim.sensor_noise_std": "sensor_noise_std",
+    "controller.rate_hz": "controller_rate",
+    "controller.damping_ratio": "zeta",
+    "controller.natural_freq_pitch_rad_s": "omega_n_pitch",
+    "controller.natural_freq_yaw_rad_s": "omega_n_yaw",
+    "geometry.mass_kg": "mass_total",
+    "geometry.waist_fan_spacing_m": "fan_spacing_waist",
+    "geometry.foot_fan_spacing_m": "fan_spacing_feet",
+    "geometry.fan_mass_kg": "fan_mass",
+    "geometry.com_y_m": "com_y",
+}
+_LIMIT_ARGS = {
+    "limits.thrust_max_per_fan_n": "thrust_max_per_fan",
+    "limits.thrust_min_n": "thrust_min",
+    "limits.foot_pitch_rate_max_rad_s": "foot_pitch_rate_max",
+    "limits.thrust_time_constant_s": "thrust_time_constant",
+}
+_RAMP_ARGS = {
+    "thrust.target_per_fan_n": "target_per_fan",
+    "thrust.ramp_time_s": "ramp_time",
+}
+_GAIN_ARGS = {
+    "controller.kp_pitch": "kp_pitch",
+    "controller.kd_pitch": "kd_pitch",
+    "controller.kp_yaw": "kp_yaw",
+    "controller.kd_yaw": "kd_yaw",
+    "controller.ki_pitch": "ki_pitch",
+    "controller.ki_yaw": "ki_yaw",
+}
+_REQUIRED_GAINS = ["controller.kp_pitch", "controller.kd_pitch",
+                   "controller.kp_yaw", "controller.kd_yaw"]
 
-    kwargs = dict(
-        posture=values.get("posture", "P1"),
-        custom_posture=posture_from_config(values, values.get("posture", "P1")),
-        mode=ControlMode.parse(values.get("mode", "both-on")),
-        gains=gains,
-        ramp=ThrustRamp(
-            target_per_fan=values.get("thrust.target_per_fan_n", 48.0),
-            ramp_time=values.get("thrust.ramp_time_s", 0.5),
-        ),
-        perturbation=_perturbation_from(values),
-        duration=values.get("sim.duration_s", 2.5),
-        dt=values.get("sim.dt_s", 1e-3),
-        sample_rate=values.get("sim.sample_rate_hz", 250.0),
-        controller_rate=values.get("controller.rate_hz", 250.0),
-        seed=values.get("sim.seed", 0),
-        integrator=values.get("sim.integrator", "euler"),
-        sensor_noise_std=values.get("sim.sensor_noise_std", 0.0),
-        setpoint=EulerAngles(
-            0.0,
-            math.radians(values.get("controller.setpoint_pitch_deg", 0.0)),
-            math.radians(values.get("controller.setpoint_yaw_deg", 0.0)),
-        ),
-        limits=_limits_from(values),
-        mass_total=values.get("geometry.mass_kg", 17.0),
-        fan_spacing_waist=values.get("geometry.waist_fan_spacing_m", 0.30),
-        fan_spacing_feet=values.get("geometry.foot_fan_spacing_m", 0.25),
-        fan_mass=values.get("geometry.fan_mass_kg", 0.488),
-        com_y=values.get("geometry.com_y_m", 0.0),
-        zeta=values.get("controller.damping_ratio", 0.7),
-        omega_n_pitch=values.get("controller.natural_freq_pitch_rad_s", 12.0),
-        omega_n_yaw=values.get("controller.natural_freq_yaw_rad_s", 12.0),
-    )
-    kwargs.update(overrides)
+
+def _present(values: dict, args: dict) -> dict:
+    """Keyword arguments for the keys that are set; the rest keep their defaults."""
+    return {arg: values[key] for key, arg in args.items() if key in values}
+
+
+def _radians(values: dict, key: str, default: float) -> float:
+    return math.radians(values[key]) if key in values else default
+
+
+def _default(cls, name: str):
+    """The dataclass default of one field of cls."""
+    f = cls.__dataclass_fields__[name]
+    return f.default if f.default_factory is MISSING else f.default_factory()
+
+
+def scenario_from_config(values: dict, **overrides) -> ScenarioConfig:
+    """The one resolver from parsed values (plus keyword overrides) to a scenario.
+
+    Every command builds its posture, geometry and limits from the result.
+    Invalid values raise ConfigError.
+    """
     try:
+        kwargs = _present(values, _SCENARIO_ARGS)
+        if "mode" in kwargs:
+            kwargs["mode"] = ControlMode.parse(kwargs["mode"])
+        gains = _present(values, _GAIN_ARGS)
+        if gains:
+            missing = [k for k in _REQUIRED_GAINS if k not in values]
+            if missing:
+                raise ConfigError(
+                    f"explicit gains need all of {_REQUIRED_GAINS}; missing {missing}")
+            kwargs["gains"] = ControllerGains(**gains)
+        if any(key.startswith("perturbation.") for key in values):
+            kwargs["perturbation"] = _perturbation_from(values)
+        setpoint = _default(ScenarioConfig, "setpoint")
+        kwargs.update(
+            posture=posture_from_config(values),
+            ramp=ThrustRamp(**_present(values, _RAMP_ARGS)),
+            limits=FanLimits(**_present(values, _LIMIT_ARGS)),
+            setpoint=replace(
+                setpoint,
+                pitch=_radians(values, "controller.setpoint_pitch_deg", setpoint.pitch),
+                yaw=_radians(values, "controller.setpoint_yaw_deg", setpoint.yaw),
+            ),
+        )
+        kwargs.update(overrides)
         return ScenarioConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def posture_from_config(values: dict, label: str) -> Posture | None:
-    """Selected builtin posture with any posture.* fields overridden.
-
-    Returns None when no posture.* key is present, letting callers fall back
-    to the plain builtin lookup.
-    """
-    keys = [k for k in values if k.startswith("posture.")]
-    if not keys:
-        return None
-    try:
-        base = builtin_posture(label)
-        return Posture(
-            name=label,
-            com_sagittal=(values.get("posture.com_x_m", base.com_sagittal[0]),
-                          values.get("posture.com_z_m", base.com_sagittal[1])),
-            foot_fan=(values.get("posture.foot_x_m", base.foot_fan[0]),
-                      values.get("posture.foot_z_m", base.foot_fan[1])),
-            foot_pitch_range_deg=(
-                values.get("posture.foot_pitch_min_deg", base.foot_pitch_range_deg[0]),
-                values.get("posture.foot_pitch_max_deg", base.foot_pitch_range_deg[1])),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def posture_from_config(values: dict) -> Posture:
+    """The posture labelled in values, with any posture.* fields overridden."""
+    base = (builtin_posture(values["posture"]) if "posture" in values
+            else _default(ScenarioConfig, "posture"))
+    (com_x, com_z), (foot_x, foot_z) = base.com_sagittal, base.foot_fan
+    pitch_min, pitch_max = base.foot_pitch_range_deg
+    return replace(
+        base,
+        com_sagittal=(values.get("posture.com_x_m", com_x),
+                      values.get("posture.com_z_m", com_z)),
+        foot_fan=(values.get("posture.foot_x_m", foot_x),
+                  values.get("posture.foot_z_m", foot_z)),
+        foot_pitch_range_deg=(values.get("posture.foot_pitch_min_deg", pitch_min),
+                              values.get("posture.foot_pitch_max_deg", pitch_max)),
+    )
 
 
 def _perturbation_from(values: dict) -> Perturbation:
-    default = Perturbation.standard()
-    keys = [k for k in values if k.startswith("perturbation.")]
-    if not keys:
-        return default
-    try:
-        return Perturbation(
-            com_offset=np.array([
-                values.get("perturbation.com_offset_x_m", 0.0),
-                values.get("perturbation.com_offset_y_m", 0.0),
-                values.get("perturbation.com_offset_z_m", 0.0),
-            ]),
-            foot_axis_misalignment_left=math.radians(
-                values.get("perturbation.foot_misalignment_left_deg", 0.0)),
-            foot_axis_misalignment_right=math.radians(
-                values.get("perturbation.foot_misalignment_right_deg", 0.0)),
-            thrust_scale=np.array([
-                values.get("perturbation.thrust_scale_front", 1.0),
-                values.get("perturbation.thrust_scale_back", 1.0),
-                values.get("perturbation.thrust_scale_left", 1.0),
-                values.get("perturbation.thrust_scale_right", 1.0),
-            ]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    """Perturbations when any perturbation.* key is set.
 
-
-def _limits_from(values: dict) -> FanLimits:
-    try:
-        return FanLimits(
-            thrust_max_per_fan=values.get("limits.thrust_max_per_fan_n", 50.0),
-            thrust_min=values.get("limits.thrust_min_n", 0.0),
-            foot_pitch_rate_max=values.get("limits.foot_pitch_rate_max_rad_s", 8.0),
-            thrust_time_constant=values.get("limits.thrust_time_constant_s", 0.1),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    They replace the standard set; unset fields keep Perturbation()'s zeros.
+    """
+    base = Perturbation()
+    return Perturbation(
+        com_offset=[values.get(f"perturbation.com_offset_{axis}_m", v)
+                    for axis, v in zip("xyz", base.com_offset)],
+        foot_axis_misalignment_left=_radians(
+            values, "perturbation.foot_misalignment_left_deg",
+            base.foot_axis_misalignment_left),
+        foot_axis_misalignment_right=_radians(
+            values, "perturbation.foot_misalignment_right_deg",
+            base.foot_axis_misalignment_right),
+        thrust_scale=[values.get(f"perturbation.thrust_scale_{fan}", v)
+                      for fan, v in zip(("front", "back", "left", "right"),
+                                        base.thrust_scale)],
+    )
 
 
 def envelope_settings_from_config(values: dict) -> dict:
-    """Geometry overrides and sweep parameters for the envelope command."""
+    """envelope_sweep arguments and the vertical-force floor (None: M g)."""
+    lo, hi = SWEEP_PITCH_RANGE
     return {
-        "mass_total": values.get("geometry.mass_kg", 17.0),
-        "fan_spacing_waist": values.get("geometry.waist_fan_spacing_m", 0.30),
-        "fan_spacing_feet": values.get("geometry.foot_fan_spacing_m", 0.25),
-        "fan_mass": values.get("geometry.fan_mass_kg", 0.488),
-        "com_y": values.get("geometry.com_y_m", 0.0),
-        "thrust_max_per_fan": values.get("limits.thrust_max_per_fan_n", 50.0),
-        "theta_min": math.radians(values.get("envelope.theta_pitch_min_deg", -30.0)),
-        "theta_max": math.radians(values.get("envelope.theta_pitch_max_deg", 30.0)),
-        "n_points": values.get("envelope.n_points", 61),
-        "min_vertical_force": values.get("envelope.min_vertical_force_n", None),
+        "theta_pitch_range": (_radians(values, "envelope.theta_pitch_min_deg", lo),
+                              _radians(values, "envelope.theta_pitch_max_deg", hi)),
+        "n_points": values.get("envelope.n_points", SWEEP_POINTS),
+        "min_vertical_force": values.get("envelope.min_vertical_force_n"),
     }

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +29,8 @@ from .wrench import FanState
 
 SCAN_STEP_RAD = math.radians(0.1)  # TVC foot-angle scan resolution before refinement
 _FEAS_TOL = 1e-9
-
-
-class Strategy(Enum):
-    DT = "dt"
-    TVC = "tvc"
+SWEEP_PITCH_RANGE = (-math.pi / 6.0, math.pi / 6.0)  # rad, the default sweep
+SWEEP_POINTS = 61
 
 
 class EnvelopeInfeasibleError(Exception):
@@ -48,7 +44,6 @@ class EnvelopeConstraint:
     min_vertical_force: float
     per_fan_max: float
     foot_angle_range: tuple[float, float]
-    strategy: Strategy = Strategy.TVC
 
     def __post_init__(self):
         if self.min_vertical_force <= 0.0:
@@ -65,15 +60,22 @@ class EnvelopeConstraint:
         geo: RobotGeometry,
         posture: Posture,
         limits: FanLimits | None = None,
-        strategy: Strategy = Strategy.TVC,
     ) -> "EnvelopeConstraint":
-        """Constraint for holding weight: vertical thrust >= M g."""
+        """Constraint for holding weight: vertical thrust >= M g.
+
+        The thrust LP's per-fan floor is fixed at 0 N, so limits with a
+        nonzero thrust_min are rejected rather than silently ignored.
+        """
         limits = limits or FanLimits()
+        if limits.thrust_min != 0.0:
+            raise ValueError(
+                f"the envelope search fixes the per-fan thrust floor at 0 N; "
+                f"got thrust_min {limits.thrust_min} N"
+            )
         return cls(
             min_vertical_force=geo.weight,
             per_fan_max=limits.thrust_max_per_fan,
             foot_angle_range=posture.foot_pitch_range,
-            strategy=strategy,
         )
 
 
@@ -263,19 +265,11 @@ def max_pitch_torque_tvc(
                          out[True][1], out[False][1])
 
 
-def envelope_point(
-    geo: RobotGeometry, theta_pitch: float, constraint: EnvelopeConstraint
-) -> EnvelopePoint:
-    if constraint.strategy is Strategy.DT:
-        return max_pitch_torque_dt(geo, theta_pitch, constraint)
-    return max_pitch_torque_tvc(geo, theta_pitch, constraint)
-
-
 def envelope_sweep(
     geo: RobotGeometry,
     constraint: EnvelopeConstraint,
-    theta_pitch_range: tuple[float, float] = (-math.pi / 6.0, math.pi / 6.0),
-    n_points: int = 61,
+    theta_pitch_range: tuple[float, float] = SWEEP_PITCH_RANGE,
+    n_points: int = SWEEP_POINTS,
 ) -> list[SweepPoint]:
     """Evaluate DT and TVC extrema over an evenly spaced pitch-angle sweep.
 
@@ -292,11 +286,11 @@ def envelope_sweep(
     for th in thetas:
         th = float(th)
         try:
-            dt = max_pitch_torque_dt(geo, th, replace(constraint, strategy=Strategy.DT))
+            dt = max_pitch_torque_dt(geo, th, constraint)
         except EnvelopeInfeasibleError:
             dt = None
         try:
-            tvc = max_pitch_torque_tvc(geo, th, replace(constraint, strategy=Strategy.TVC))
+            tvc = max_pitch_torque_tvc(geo, th, constraint)
         except EnvelopeInfeasibleError:
             tvc = None
         points.append(SweepPoint(theta_pitch=th, dt=dt, tvc=tvc))
@@ -313,20 +307,30 @@ ENVELOPE_CSV_HEADER = [
 ]
 
 
+def envelope_rows(points: list[SweepPoint]) -> list[list]:
+    """One row per sweep point in ENVELOPE_CSV_HEADER order, pitch in degrees.
+
+    None marks the torques of an infeasible strategy.
+    """
+    rows = []
+    for p in points:
+        row = [math.degrees(p.theta_pitch)]
+        for point in (p.dt, p.tvc):
+            row.extend([None, None] if point is None else [point.tau_min, point.tau_max])
+        row.append(1 if (p.dt is not None and p.tvc is not None) else 0)
+        rows.append(row)
+    return rows
+
+
 def write_envelope_csv(points: list[SweepPoint], path) -> None:
     """One row per sweep point; nan marks an infeasible strategy."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ENVELOPE_CSV_HEADER)
-        for p in points:
-            row = [f"{math.degrees(p.theta_pitch):.6g}"]
-            for point in (p.dt, p.tvc):
-                if point is None:
-                    row.extend(["nan", "nan"])
-                else:
-                    row.extend([f"{point.tau_min:.10g}", f"{point.tau_max:.10g}"])
-            row.append("1" if (p.dt is not None and p.tvc is not None) else "0")
-            writer.writerow(row)
+        for theta, *taus, flag in envelope_rows(points):
+            writer.writerow([f"{theta:.6g}",
+                             *("nan" if tau is None else f"{tau:.10g}" for tau in taus),
+                             str(flag)])
 
 
 def tvc_dt_ratio(

@@ -35,7 +35,17 @@ from .controller import (
     thrust_schedule,
     tune_gains,
 )
-from .robot import FanLimits, Posture, RobotGeometry, builtin_posture, geometry_from_posture
+from .robot import (
+    DEFAULT_FAN_MASS,
+    DEFAULT_FOOT_FAN_SPACING,
+    DEFAULT_MASS,
+    DEFAULT_WAIST_FAN_SPACING,
+    FanLimits,
+    Posture,
+    RobotGeometry,
+    builtin_posture,
+    geometry_from_posture,
+)
 from .spatial import (
     EulerAngles,
     Quat,
@@ -126,8 +136,7 @@ class Perturbation:
 
 @dataclass
 class ScenarioConfig:
-    posture: str = "P1"
-    custom_posture: Posture | None = None  # overrides the builtin lookup
+    posture: Posture = builtin_posture("P1")
     mode: ControlMode = ControlMode.BOTH_ON
     gains: ControllerGains | None = None  # None -> tuned at scenario start
     ramp: ThrustRamp = field(default_factory=ThrustRamp)
@@ -141,10 +150,10 @@ class ScenarioConfig:
     sensor_noise_std: float = 0.0  # rad / rad-per-s, 0 disables the hook
     setpoint: EulerAngles = field(default_factory=lambda: EulerAngles(0.0, 0.0, 0.0))
     limits: FanLimits = field(default_factory=FanLimits)
-    mass_total: float = 17.0
-    fan_spacing_waist: float = 0.30
-    fan_spacing_feet: float = 0.25
-    fan_mass: float = 0.488
+    mass_total: float = DEFAULT_MASS
+    fan_spacing_waist: float = DEFAULT_WAIST_FAN_SPACING
+    fan_spacing_feet: float = DEFAULT_FOOT_FAN_SPACING
+    fan_mass: float = DEFAULT_FAN_MASS
     com_y: float = 0.0
     zeta: float = 0.7
     omega_n_pitch: float = 12.0
@@ -157,22 +166,12 @@ class ScenarioConfig:
             raise ValueError("duration must be >= dt")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError("integrator must be 'euler' or 'rk4'")
-        self._controller_substeps = _substeps(1.0 / self.controller_rate, self.dt,
-                                              "controller period")
-        self._sample_substeps = _substeps(1.0 / self.sample_rate, self.dt,
-                                          "sample period")
-        if self.ramp.target_per_fan > self.limits.thrust_max_per_fan:
-            raise ValueError(
-                f"thrust ramp target {self.ramp.target_per_fan} N exceeds the "
-                f"{self.limits.thrust_max_per_fan} N per-fan limit"
-            )
-
-    def resolve_posture(self) -> Posture:
-        return self.custom_posture or builtin_posture(self.posture)
+        self._controller_substeps = _substeps(self.controller_rate, self.dt, "controller")
+        self._sample_substeps = _substeps(self.sample_rate, self.dt, "sample")
 
     def geometry(self) -> RobotGeometry:
         return geometry_from_posture(
-            self.resolve_posture(),
+            self.posture,
             mass_total=self.mass_total,
             fan_spacing_waist=self.fan_spacing_waist,
             fan_spacing_feet=self.fan_spacing_feet,
@@ -181,9 +180,9 @@ class ScenarioConfig:
         )
 
     def echo(self) -> dict:
-        """Resolved configuration for log headers and manifests."""
+        """Resolved configuration echoed into the events JSON."""
         return {
-            "posture": self.posture,
+            "posture": self.posture.name,
             "mode": self.mode.value,
             "gains": None if self.gains is None else vars(self.gains) | {},
             "ramp_target_per_fan_n": self.ramp.target_per_fan,
@@ -213,10 +212,13 @@ class ScenarioConfig:
         }
 
 
-def _substeps(period: float, dt: float, what: str) -> int:
+def _substeps(rate: float, dt: float, what: str) -> int:
+    if not rate > 0.0:
+        raise ValueError(f"{what} rate must be positive, got {rate} Hz")
+    period = 1.0 / rate
     n = period / dt
     if abs(n - round(n)) > 1e-9 or round(n) < 1:
-        raise ValueError(f"{what} {period} s must be an integer multiple of dt {dt} s")
+        raise ValueError(f"{what} period {period} s must be an integer multiple of dt {dt} s")
     return int(round(n))
 
 
@@ -242,7 +244,7 @@ class SimLog:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
     def events_json(self) -> str:
-        return json.dumps(self.events, indent=2, sort_keys=True)
+        return json.dumps(self.events, indent=2, sort_keys=True, allow_nan=False)
 
     def write_events_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -352,10 +354,16 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
 
     The trim and controller gains come from the nominal geometry; the
     dynamics see the perturbed one. Raises DivergenceError (with the partial
-    log attached) if the guard trips.
+    log attached) if the guard trips, ValueError if the thrust ramp exceeds
+    the per-fan cap.
     """
+    # checked here, not in ScenarioConfig: the ramp is the takeoff run's alone
+    if cfg.ramp.target_per_fan > cfg.limits.thrust_max_per_fan:
+        raise ValueError(
+            f"thrust ramp target {cfg.ramp.target_per_fan} N exceeds the "
+            f"{cfg.limits.thrust_max_per_fan} N per-fan limit"
+        )
     geo = cfg.geometry()
-    posture = cfg.resolve_posture()
     trim_state, _trim_pitch = hover_trim(geo, equal_thrust=True, limits=cfg.limits)
     trim_angle = trim_state.theta_left
     gains = cfg.gains or tune_gains(
@@ -367,7 +375,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
         omega_n_yaw=cfg.omega_n_yaw,
     )
     controller = AttitudeController(
-        gains, cfg.mode, posture, cfg.limits, trim_angle, setpoint=cfg.setpoint
+        gains, cfg.mode, cfg.posture, cfg.limits, trim_angle, setpoint=cfg.setpoint
     )
     rng = np.random.default_rng(cfg.seed)
 

@@ -38,20 +38,10 @@ class EulerAngles:
     gimbal_lock: bool = False
 
 
-def rot_x(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 def rot_y(theta: float) -> np.ndarray:
     """Right-handed rotation about the body y-axis."""
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def is_rotation(mat: np.ndarray, tol: float = 1e-9) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .robot import GRAVITY, FanLimits, RobotGeometry
+from .robot import GRAVITY, RobotGeometry
 from .spatial import Quat, Vec3, quat_to_matrix, rot_y
 
 
@@ -50,12 +50,6 @@ class FanState:
     def thrusts(self) -> np.ndarray:
         """Order matches RobotGeometry.fan_positions(): front, back, left, right."""
         return np.array([self.f_front, self.f_back, self.f_left, self.f_right])
-
-    def within_limits(self, limits: FanLimits) -> bool:
-        return bool(
-            (self.thrusts() >= limits.thrust_min - 1e-12).all()
-            and (self.thrusts() <= limits.thrust_max_per_fan + 1e-12).all()
-        )
 
 
 @dataclass

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from tvcsim.cli import main
+from tvcsim.cli import _atomic_write, main
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -195,3 +196,116 @@ def test_degree_radian_boundary_round_trip(tmp_path, capsys):
     assert all(-90.0 <= c <= 90.0 for c in cmds)
     trims = json.loads((tmp_path / "takeoff_events.json").read_text())
     assert trims["config"]["trim_foot_angle_deg"] == pytest.approx(4.686, abs=0.01)
+
+
+COMMANDS = {
+    "envelope": ["envelope", "--postures", "P1"],
+    "takeoff": ["takeoff"],
+    "trim": ["trim"],
+    "wrench-eval": ["wrench-eval", "--thrust-fl", "40"],
+}
+
+
+def run_with_config(tmp_path, capsys, text, command, name="run.cfg"):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    out_dir = tmp_path / command
+    return run_cli(["--config", str(cfg), "--out", str(out_dir), *COMMANDS[command]],
+                   capsys)
+
+
+@pytest.mark.parametrize("text", [
+    "geometry.mass_kg = nan\n",
+    "perturbation.com_offset_x_m = inf\n",
+    "sim.dt_s = 0.01\n",
+    "geometry.mass_kg = -1\n",
+    "controller.kp_pitch = 1.0\n",
+    "geometry.mass_kgs = 17.0\n",
+])
+def test_every_command_rejects_a_bad_file_alike(tmp_path, capsys, text):
+    results = {command: run_with_config(tmp_path, capsys, text, command)
+               for command in COMMANDS}
+    for code, out, err in results.values():
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len({err for _, _, err in results.values()}) == 1
+
+
+def test_thrust_floor_reaches_trim_and_takeoff(tmp_path, capsys):
+    text = "limits.thrust_min_n = 45\n"
+    for command in ("trim", "takeoff"):
+        code, _, err = run_with_config(tmp_path, capsys, text, command)
+        assert code == 3
+        assert "outside [45.0, 50.0] N" in err
+    # the envelope LP's floor is fixed at 0 N, so the key is refused there
+    code, _, err = run_with_config(tmp_path, capsys, text, "envelope")
+    assert code == 2
+    assert "thrust floor" in err and len(err.splitlines()) == 1
+
+
+def test_thrust_cap_below_ramp_fails_only_takeoff(tmp_path, capsys):
+    text = "limits.thrust_max_per_fan_n = 47\nenvelope.n_points = 3\n"
+    for command in ("envelope", "trim", "wrench-eval"):
+        code, _, _ = run_with_config(tmp_path, capsys, text, command)
+        assert code == 0
+    code, _, err = run_with_config(tmp_path, capsys, text, "takeoff")
+    assert code == 2
+    assert err == "error: thrust ramp target 48.0 N exceeds the 47.0 N per-fan limit\n"
+
+
+def test_manifests_echo_one_resolved_scenario(tmp_path, capsys):
+    text = "\n".join(["posture.com_x_m = 0.03", "geometry.mass_kg = 16.5",
+                      "limits.thrust_max_per_fan_n = 49", "sim.duration_s = 0.1",
+                      "envelope.n_points = 3", ""])
+    scenarios = []
+    for command in COMMANDS:
+        code, _, _ = run_with_config(tmp_path, capsys, text, command)
+        assert code == 0
+        name = command.replace("-", "_")
+        manifest = json.loads((tmp_path / command / f"{name}_manifest.json").read_text())
+        scenarios.append(manifest["resolved_config"]["scenarios"])
+    assert all(s == scenarios[0] for s in scenarios)
+    (scenario,) = scenarios[0]
+    assert scenario["posture"]["com_sagittal"] == [0.03, -0.243]
+    assert scenario["mass_total"] == 16.5
+    assert scenario["limits"]["thrust_max_per_fan"] == 49.0
+
+
+def test_envelope_json_marks_infeasible_cells_null(tmp_path, capsys):
+    # 4 x 43 N holds 17 kg level but not at +-30 deg pitch
+    cfg = tmp_path / "weak.cfg"
+    cfg.write_text("limits.thrust_max_per_fan_n = 43\nenvelope.n_points = 3\n")
+    code, _, _ = run_cli(["--config", str(cfg), "--out", str(tmp_path),
+                          "--format", "json", "envelope", "--postures", "P1"], capsys)
+    assert code == 0
+    text = (tmp_path / "envelope_P1.json").read_text()
+    rows = json.loads(text, parse_constant=pytest.fail)["rows"]
+    assert [row[-1] for row in rows] == [0, 1, 0]
+    assert rows[0][1:5] == [None, None, None, None]
+    assert all(v is not None for v in rows[1])
+
+
+def test_outputs_ignore_a_stale_temp_path(tmp_path, capsys):
+    # a fixed temp name would collide with this directory
+    (tmp_path / "takeoff_log.csv.tmp").mkdir()
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("sim.duration_s = 0.1\n")
+    code, _, _ = run_cli(["--config", str(cfg), "--out", str(tmp_path), "takeoff"],
+                         capsys)
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "short.cfg", "takeoff_events.json", "takeoff_log.csv", "takeoff_log.csv.tmp",
+        "takeoff_manifest.json"]
+
+
+def test_atomic_write_removes_its_temp_file_on_failure(tmp_path):
+    def fail(path):
+        with open(path, "w") as fh:
+            fh.write("partial")
+        raise OSError("disk full")
+
+    target = tmp_path / "out.csv"
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write(str(target), fail)
+    assert list(tmp_path.iterdir()) == []

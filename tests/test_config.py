@@ -2,16 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from tvcsim.config import (
+    SCHEMA,
     ConfigError,
     envelope_settings_from_config,
     load_config,
     parse_config_text,
+    posture_from_config,
     scenario_from_config,
 )
-from tvcsim.controller import ControlMode
+from tvcsim.controller import ControlMode, ThrustRamp
+from tvcsim.robot import FanLimits, builtin_posture, geometry_from_posture
+from tvcsim.sim import run_scenario
 
 SAMPLE = """
 # takeoff experiment
@@ -30,7 +35,7 @@ perturbation.foot_misalignment_right_deg = -1.0
 def test_parse_and_build_scenario():
     values = parse_config_text(SAMPLE)
     cfg = scenario_from_config(values)
-    assert cfg.posture == "P2"
+    assert cfg.posture == builtin_posture("P2")
     assert cfg.mode is ControlMode.PITCH_ONLY
     assert cfg.ramp.target_per_fan == 45.0
     assert cfg.duration == 3.0
@@ -42,8 +47,14 @@ def test_parse_and_build_scenario():
 
 def test_defaults_without_file():
     cfg = scenario_from_config({})
-    assert cfg.posture == "P1"
+    assert cfg.posture == builtin_posture("P1")
     assert cfg.mode is ControlMode.BOTH_ON
+    # absent keys keep the consuming dataclasses' defaults
+    assert cfg.limits == FanLimits()
+    assert cfg.ramp == ThrustRamp()
+    default_geo = geometry_from_posture(builtin_posture("P1"))
+    np.testing.assert_array_equal(cfg.geometry().inertia_body, default_geo.inertia_body)
+    assert cfg.geometry().mass_total == default_geo.mass_total
     # standard perturbation applies when the section is absent
     assert cfg.perturbation.com_offset[0] == 0.010
     assert cfg.perturbation.foot_axis_misalignment_left == pytest.approx(math.radians(2.0))
@@ -71,15 +82,25 @@ def test_bad_value_rejected():
         parse_config_text("sim.seed = soon")
 
 
+FLOAT_KEYS = sorted(k for k, (typ, _) in SCHEMA.items() if typ is float)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_value_rejected(key, text):
+    with pytest.raises(ConfigError, match=f"{key}: .* is not finite"):
+        parse_config_text(f"{key} = {text}")
+
+
 def test_missing_equals_rejected():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("posture P1")
 
 
 def test_partial_gains_rejected():
-    values = parse_config_text("controller.kp_pitch = 1.0")
-    with pytest.raises(ConfigError, match="missing"):
-        scenario_from_config(values)
+    for text in ("controller.kp_pitch = 1.0", "controller.ki_yaw = 0.1"):
+        with pytest.raises(ConfigError, match="missing"):
+            scenario_from_config(parse_config_text(text))
 
 
 def test_full_gains_accepted():
@@ -98,24 +119,25 @@ def test_full_gains_accepted():
 def test_invalid_scenario_value_maps_to_config_error():
     with pytest.raises(ConfigError):
         scenario_from_config(parse_config_text("sim.dt_s = 0.01"))
-    with pytest.raises(ConfigError):
-        scenario_from_config(parse_config_text("thrust.target_per_fan_n = 99.0"))
+    # a ramp above the cap is a takeoff error only, raised by the run itself
+    cfg = scenario_from_config(parse_config_text("thrust.target_per_fan_n = 99.0"))
+    with pytest.raises(ValueError, match="exceeds the 50.0 N per-fan limit"):
+        run_scenario(cfg)
 
 
 def test_envelope_settings():
     settings = envelope_settings_from_config(
         parse_config_text("envelope.n_points = 21\nenvelope.theta_pitch_max_deg = 10"))
     assert settings["n_points"] == 21
-    assert settings["theta_max"] == pytest.approx(math.radians(10.0))
+    assert settings["theta_pitch_range"] == (-math.pi / 6.0, pytest.approx(math.radians(10.0)))
     assert settings["min_vertical_force"] is None
 
 
 def test_posture_field_overrides():
-    from tvcsim.config import posture_from_config
-
-    assert posture_from_config({}, "P1") is None
+    assert posture_from_config({}) == builtin_posture("P1")
+    assert posture_from_config({"posture": "P3"}) == builtin_posture("P3")
     values = parse_config_text("posture.com_x_m = 0.0\nposture.foot_x_m = 0.0")
-    posture = posture_from_config(values, "P1")
+    posture = posture_from_config(values)
     assert posture.com_sagittal == (0.0, -0.243)  # z kept from the builtin
     assert posture.foot_fan == (0.0, -0.610)
     cfg = scenario_from_config(values)

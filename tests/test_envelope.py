@@ -10,7 +10,6 @@ from tvcsim.envelope import (
     ENVELOPE_CSV_HEADER,
     EnvelopeConstraint,
     EnvelopeInfeasibleError,
-    Strategy,
     _lp_max_covering,
     envelope_sweep,
     max_pitch_torque_dt,
@@ -19,7 +18,7 @@ from tvcsim.envelope import (
     write_envelope_csv,
 )
 from tvcsim.oracles import envelope_extrema_grid
-from tvcsim.robot import GRAVITY, Posture, builtin_posture, geometry_from_posture
+from tvcsim.robot import GRAVITY, FanLimits, Posture, builtin_posture, geometry_from_posture
 from tvcsim.wrench import force_world
 
 P1_POSTURE = builtin_posture("P1")
@@ -227,14 +226,6 @@ def test_constraint_validation():
     with pytest.raises(ValueError):
         EnvelopeConstraint(min_vertical_force=100.0, per_fan_max=50.0,
                            foot_angle_range=(1.0, -1.0))
-
-
-def test_strategy_field_dispatch():
-    from tvcsim.envelope import envelope_point
-
-    c_dt = EnvelopeConstraint(min_vertical_force=P1.weight, per_fan_max=50.0,
-                              foot_angle_range=P1_POSTURE.foot_pitch_range,
-                              strategy=Strategy.DT)
-    point = envelope_point(P1, 0.0, c_dt)
-    ref = max_pitch_torque_dt(P1, 0.0, c_dt)
-    assert point.tau_max == ref.tau_max
+    with pytest.raises(ValueError, match="thrust floor"):
+        # the LP's per-fan floor is 0 N; a nonzero one is refused, not ignored
+        EnvelopeConstraint.hover(P1, P1_POSTURE, FanLimits(thrust_min=1.0))

@@ -181,7 +181,7 @@ def test_rows_strictly_increasing_fixed_period():
 
 
 def test_symmetric_unperturbed_run_stays_planar():
-    cfg = ScenarioConfig(custom_posture=SYMMETRIC, mode=ControlMode.ALL_OFF,
+    cfg = ScenarioConfig(posture=SYMMETRIC, mode=ControlMode.ALL_OFF,
                          perturbation=no_perturbation(), duration=2.0)
     log = run_scenario(cfg)
     assert np.abs(log.column("yaw_deg").astype(float)).max() < math.degrees(1e-9)
@@ -289,8 +289,11 @@ def test_scenario_config_validation():
         ScenarioConfig(duration=1e-4)
     with pytest.raises(ValueError):
         ScenarioConfig(controller_rate=333.0)  # not a multiple of dt
-    with pytest.raises(ValueError):
-        ScenarioConfig(ramp=ThrustRamp(target_per_fan=60.0))
+    with pytest.raises(ValueError, match="rate must be positive"):
+        ScenarioConfig(controller_rate=0.0)
+    # the ramp is checked by its one consumer, the takeoff run
+    with pytest.raises(ValueError, match="per-fan limit"):
+        run_scenario(ScenarioConfig(ramp=ThrustRamp(target_per_fan=60.0)))
     with pytest.raises(ValueError):
         ScenarioConfig(integrator="verlet")
 

@@ -56,8 +56,8 @@ from .sim import (
     dynamics_step,
     run_scenario,
 )
-from .spatial import EulerAngles, euler_to_quat, quat_integrate, quat_to_euler, rot_y
+from .spatial import EulerAngles, euler_to_quat, quat_integrate, quat_to_euler
 from .trim import NoTrimError, hover_trim
-from .wrench import FanState, Wrench, force_world, generalized_wrench_3d, pitch_torque_terms, total_wrench
+from .wrench import FanState, Wrench, generalized_wrench_3d, total_wrench
 
 __version__ = "0.1.0"

@@ -161,6 +161,8 @@ _GAIN_ARGS = {
 }
 _REQUIRED_GAINS = ["controller.kp_pitch", "controller.kd_pitch",
                    "controller.kp_yaw", "controller.kd_yaw"]
+_TUNING_KEYS = ["controller.damping_ratio", "controller.natural_freq_pitch_rad_s",
+                "controller.natural_freq_yaw_rad_s"]
 
 
 def _present(values: dict, args: dict) -> dict:
@@ -194,6 +196,10 @@ def scenario_from_config(values: dict, **overrides) -> ScenarioConfig:
             if missing:
                 raise ConfigError(
                     f"explicit gains need all of {_REQUIRED_GAINS}; missing {missing}")
+            tuning = [k for k in _TUNING_KEYS if k in values]
+            if tuning:
+                raise ConfigError(
+                    f"explicit gains are used as given; remove the tuning keys {tuning}")
             kwargs["gains"] = ControllerGains(**gains)
         if any(key.startswith("perturbation.") for key in values):
             kwargs["perturbation"] = _perturbation_from(values)

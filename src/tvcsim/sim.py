@@ -55,7 +55,7 @@ from .spatial import (
     quat_multiply,
     quat_normalize,
     quat_to_euler,
-    quat_to_matrix,
+    quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through sim
 )
 from .trim import hover_trim
 from .wrench import FanState, Wrench, generalized_wrench_3d
@@ -164,6 +164,9 @@ class ScenarioConfig:
             raise ValueError(f"physics dt must be in (0, {MAX_PHYSICS_DT}] s")
         if self.duration < self.dt:
             raise ValueError("duration must be >= dt")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValueError(
+                f"duration {self.duration} s is not a finite number of {self.dt} s steps")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError("integrator must be 'euler' or 'rk4'")
         self._controller_substeps = _substeps(self.controller_rate, self.dt, "controller")
@@ -286,11 +289,12 @@ def dynamics_step(
     else:
         raise ValueError("integrator must be 'euler' or 'rk4'")
 
-    if np.linalg.norm(new.position_world) > POSITION_GUARD_M:
+    # "not <=" so that a NaN state trips the guards too
+    if not np.linalg.norm(new.position_world) <= POSITION_GUARD_M:
         raise DivergenceError(
             f"position {new.position_world} left the {POSITION_GUARD_M} m guard at t={new.time:.3f} s"
         )
-    if np.linalg.norm(new.angular_velocity_body) > RATE_GUARD_RAD_S:
+    if not np.linalg.norm(new.angular_velocity_body) <= RATE_GUARD_RAD_S:
         raise DivergenceError(
             f"body rate {new.angular_velocity_body} exceeded {RATE_GUARD_RAD_S} rad/s at t={new.time:.3f} s"
         )
@@ -300,11 +304,9 @@ def dynamics_step(
 def _accels(state, fan_state, geo, perturbation):
     w = generalized_wrench_3d(fan_state, geo, state.orientation, perturbation)
     acc = w.force_world / geo.mass_total
-    rot = quat_to_matrix(state.orientation)
-    torque_body = rot.T @ w.torque_world
     inertia = geo.inertia_body
     omega = state.angular_velocity_body
-    omega_dot = np.linalg.solve(inertia, torque_body - np.cross(omega, inertia @ omega))
+    omega_dot = np.linalg.solve(inertia, w.torque_body - np.cross(omega, inertia @ omega))
     return acc, omega_dot
 
 
@@ -397,6 +399,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     }
 
     state = RigidBodyState()
+    euler = quat_to_euler(state.orientation)
     phase = PHASE_GROUND
     foot_left = trim_angle
     foot_right = trim_angle
@@ -414,8 +417,6 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     try:
         for i in range(n_steps + 1):
             t = i * cfg.dt
-            euler = quat_to_euler(state.orientation)
-
             if i % cfg._controller_substeps == 0:
                 meas_euler, meas_rates = _measure(state, euler, cfg, rng)
                 command = controller.step(
@@ -428,10 +429,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
                 f_left=thrusts[2], f_right=thrusts[3],
                 theta_left=foot_left, theta_right=foot_right,
             )
-            wrench = generalized_wrench_3d(fan_state, geo, state.orientation,
-                                           cfg.perturbation)
-
-            if phase == PHASE_GROUND and detect_liftoff(wrench):
+            # the wrench is evaluated here on the ground only; aloft, dynamics_step does it
+            if phase == PHASE_GROUND and detect_liftoff(generalized_wrench_3d(
+                    fan_state, geo, state.orientation, cfg.perturbation)):
                 phase = PHASE_AIRBORNE
                 log.events["liftoff_time_s"] = t
                 log.events["never_lifted"] = False
@@ -463,7 +463,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
             if phase == PHASE_AIRBORNE:
                 state = dynamics_step(state, fan_state, geo, cfg.dt,
                                       cfg.perturbation, cfg.integrator)
+                euler = quat_to_euler(state.orientation)
             else:
+                # held on the ground: the attitude, and so euler, is unchanged
                 state = state.copy()
                 state.time = t + cfg.dt
     except DivergenceError as err:

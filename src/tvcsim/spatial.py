@@ -7,7 +7,7 @@ Conventions used across the package:
 * Quaternions are scalar-first ``[w, x, y, z]`` numpy arrays and map body
   vectors into the world: ``v_w = R(q) @ v_b``.
 * Euler angles are Z-Y-X intrinsic (yaw, then pitch, then roll), so "pitch"
-  equals the single rotation angle of ``rot_y`` when roll = yaw = 0.
+  equals the single rotation angle about body y when roll = yaw = 0.
   Positive pitch tips the body x-axis downward (a forward dive).
 * Angles are radians everywhere inside the package; degrees appear only at
   CLI/CSV boundaries.
@@ -36,12 +36,6 @@ class EulerAngles:
     pitch: float
     yaw: float
     gimbal_lock: bool = False
-
-
-def rot_y(theta: float) -> np.ndarray:
-    """Right-handed rotation about the body y-axis."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def is_rotation(mat: np.ndarray, tol: float = 1e-9) -> bool:
@@ -104,7 +98,7 @@ def quat_from_axis_angle(axis: Vec3, angle: float) -> Quat:
 
 
 def quat_from_pitch(theta: float) -> Quat:
-    """Pure pitch attitude: R(q) == rot_y(theta)."""
+    """Pure pitch attitude: R(q) rotates by theta about body y."""
     half = 0.5 * theta
     return np.array([math.cos(half), 0.0, math.sin(half), 0.0])
 

@@ -14,6 +14,13 @@ Force and torque conventions:
     t_y3: foot thrust horizontal component on the -(z_c - p_fz) arm
   t_y3 is the thrust-vectoring term: the feet sit far below the CoM, so a
   small horizontal thrust component makes a large pitch moment.
+* The roll and yaw rows are the left/right foot thrust differences on the
+  L_f/2 arm plus the lateral CoM arm y_c: the whole vertical thrust rolls
+  the body about an off-center CoM, the whole horizontal thrust yaws it.
+
+generalized_wrench_3d is the one evaluator of these rows; total_wrench is
+its pitch-only case. fan_layout lists the per-fan forces for the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .robot import GRAVITY, RobotGeometry
-from .spatial import Quat, Vec3, quat_to_matrix, rot_y
+from .spatial import Quat, Vec3, quat_from_pitch, quat_to_matrix
 
 
 @dataclass
@@ -54,71 +61,19 @@ class FanState:
 
 @dataclass
 class Wrench:
-    """World-frame net force/torque plus the body-frame pitch decomposition."""
+    """Net force/torque in {W}, the torque in {B} and its pitch decomposition."""
 
     force_world: Vec3
     torque_world: Vec3
+    torque_body: Vec3
     t_y1: float
     t_y2: float
     t_y3: float
 
 
-def body_thrust_sum(fs: FanState) -> tuple[float, float]:
-    """(horizontal, vertical) components of the total thrust in {B}."""
-    h = fs.f_left * math.sin(fs.theta_left) + fs.f_right * math.sin(fs.theta_right)
-    v = (
-        fs.f_back
-        + fs.f_front
-        + fs.f_left * math.cos(fs.theta_left)
-        + fs.f_right * math.cos(fs.theta_right)
-    )
-    return h, v
-
-
-def force_world(fs: FanState, geo: RobotGeometry, theta_pitch: float) -> Vec3:
-    """Net world-frame force at a pitch-only attitude, gravity included."""
-    h, v = body_thrust_sum(fs)
-    f = rot_y(theta_pitch) @ np.array([h, 0.0, v])
-    f[2] -= geo.mass_total * GRAVITY
-    return f
-
-
-def pitch_torque_terms(fs: FanState, geo: RobotGeometry) -> tuple[float, float, float]:
-    """Body-frame pitch torque decomposition (t_y1, t_y2, t_y3)."""
-    x_c = geo.com_body[0]
-    z_c = geo.com_body[2]
-    half_l = 0.5 * geo.fan_spacing_waist
-    cl, cr = math.cos(fs.theta_left), math.cos(fs.theta_right)
-    sl, sr = math.sin(fs.theta_left), math.sin(fs.theta_right)
-    t_y1 = fs.f_back * (half_l + x_c) - fs.f_front * (half_l - x_c)
-    t_y2 = (fs.f_left * cl + fs.f_right * cr) * (x_c - geo.fan_foot_x)
-    t_y3 = -(fs.f_left * sl + fs.f_right * sr) * (z_c - geo.fan_foot_z)
-    return t_y1, t_y2, t_y3
-
-
 def total_wrench(fs: FanState, geo: RobotGeometry, theta_pitch: float) -> Wrench:
-    """Full wrench at a pitch-only attitude.
-
-    The roll row is driven by the left/right vertical thrust difference and
-    the yaw row by the left/right horizontal thrust difference, both on the
-    L_f/2 arm.
-    """
-    t_y1, t_y2, t_y3 = pitch_torque_terms(fs, geo)
-    half_lf = 0.5 * geo.fan_spacing_feet
-    roll = half_lf * (
-        fs.f_left * math.cos(fs.theta_left) - fs.f_right * math.cos(fs.theta_right)
-    )
-    yaw = half_lf * (
-        fs.f_right * math.sin(fs.theta_right) - fs.f_left * math.sin(fs.theta_left)
-    )
-    tau = rot_y(theta_pitch) @ np.array([roll, t_y1 + t_y2 + t_y3, yaw])
-    return Wrench(
-        force_world=force_world(fs, geo, theta_pitch),
-        torque_world=tau,
-        t_y1=t_y1,
-        t_y2=t_y2,
-        t_y3=t_y3,
-    )
+    """Full wrench at a pitch-only attitude."""
+    return generalized_wrench_3d(fs, geo, quat_from_pitch(theta_pitch))
 
 
 def fan_layout(
@@ -126,7 +81,7 @@ def fan_layout(
     geo: RobotGeometry,
     perturbation=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-fan body-frame forces for the generalized wrench.
+    """Per-fan body-frame forces, the input of the brute-force wrench oracle.
 
     Returns (positions (4,3), forces (4,3), com (3,)). A perturbation shifts
     the effective CoM and biases each foot's thrust-axis pitch, the minimal
@@ -157,22 +112,43 @@ def generalized_wrench_3d(
     orientation: Quat,
     perturbation=None,
 ) -> Wrench:
-    """Wrench at an arbitrary attitude.
+    """Wrench at an arbitrary attitude, the one fan force/torque model.
 
-    Reduces exactly to total_wrench on the pitch-only submanifold. The
-    t_y* fields keep the body-frame decomposition, evaluated with the
-    effective CoM and foot angles when a perturbation is active.
+    With the foot thrusts split into horizontal h = f sin(theta) and
+    vertical v = f cos(theta) components, the body-frame rows are
+
+        force   (h_L + h_R, 0, f_F + f_B + v_L + v_R)
+        roll    L_f/2 (v_L - v_R) - y_c F_z
+        pitch   t_y1 + t_y2 + t_y3
+        yaw     L_f/2 (h_R - h_L) + y_c F_x
+
+    A perturbation shifts the CoM and biases each foot's thrust axis; the
+    t_y* fields use the effective CoM and foot angles. R(q) is built once and
+    rotates both force and torque into {W}.
     """
-    positions, forces, com = fan_layout(fs, geo, perturbation)
-    rot = quat_to_matrix(orientation)
-    force_w = rot @ forces.sum(axis=0)
-    force_w[2] -= geo.mass_total * GRAVITY
-    torque_body = np.cross(positions - com, forces).sum(axis=0)
-    torque_w = rot @ torque_body
+    x_c, y_c, z_c = geo.com_body.tolist()
+    theta_l = fs.theta_left
+    theta_r = fs.theta_right
+    if perturbation is not None:
+        dx, dy, dz = perturbation.com_offset.tolist()
+        x_c, y_c, z_c = x_c + dx, y_c + dy, z_c + dz
+        theta_l += perturbation.foot_axis_misalignment_left
+        theta_r += perturbation.foot_axis_misalignment_right
+    h_l, v_l = fs.f_left * math.sin(theta_l), fs.f_left * math.cos(theta_l)
+    h_r, v_r = fs.f_right * math.sin(theta_r), fs.f_right * math.cos(theta_r)
+    f_x = h_l + h_r
+    f_z = fs.f_front + fs.f_back + v_l + v_r
 
-    x_c, z_c = com[0], com[2]
     half_l = 0.5 * geo.fan_spacing_waist
+    half_lf = 0.5 * geo.fan_spacing_feet
     t_y1 = fs.f_back * (half_l + x_c) - fs.f_front * (half_l - x_c)
-    t_y2 = (forces[2, 2] + forces[3, 2]) * (x_c - geo.fan_foot_x)
-    t_y3 = -(forces[2, 0] + forces[3, 0]) * (z_c - geo.fan_foot_z)
-    return Wrench(force_world=force_w, torque_world=torque_w, t_y1=t_y1, t_y2=t_y2, t_y3=t_y3)
+    t_y2 = (v_l + v_r) * (x_c - geo.fan_foot_x)
+    t_y3 = -f_x * (z_c - geo.fan_foot_z)
+    torque_body = np.array([half_lf * (v_l - v_r) - y_c * f_z,
+                            t_y1 + t_y2 + t_y3,
+                            half_lf * (h_r - h_l) + y_c * f_x])
+
+    rot = quat_to_matrix(orientation)
+    force_w = rot @ np.array([f_x, 0.0, f_z])
+    force_w[2] -= geo.mass_total * GRAVITY
+    return Wrench(force_w, rot @ torque_body, torque_body, t_y1, t_y2, t_y3)

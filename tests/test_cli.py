@@ -4,9 +4,14 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tvcsim.cli import _atomic_write, main
+from tvcsim.config import load_config, scenario_from_config
+from tvcsim.oracles import wrench_brute_force
+from tvcsim.spatial import quat_from_pitch
+from tvcsim.wrench import FanState, total_wrench
 
 
 def run_cli(args, capsys):
@@ -184,6 +189,27 @@ def test_wrench_eval_hand_value(tmp_path, capsys):
     values = dict(line.split("=", 1) for line in out.strip().splitlines())
     assert float(values["ty3"]) == pytest.approx(
         -80.0 * math.sin(math.radians(10.0)) * 0.367, abs=1e-6)
+
+
+def test_wrench_eval_lateral_com_matches_oracle(tmp_path, capsys):
+    # with com_y != 0 the roll and yaw rows carry the lateral CoM arm
+    cfg = tmp_path / "com_y.cfg"
+    cfg.write_text("geometry.com_y_m = 0.02\n")
+    code, out, _ = run_cli([
+        "--config", str(cfg), "--out", str(tmp_path), "wrench-eval",
+        "--thrust-ff", "30", "--thrust-fb", "20", "--thrust-fl", "40", "--thrust-fr", "35",
+        "--theta-l", "10", "--theta-r", "-5", "--theta-pitch", "7",
+    ], capsys)
+    assert code == 0
+    values = dict(line.split("=", 1) for line in out.strip().splitlines())
+    geo = scenario_from_config(load_config(cfg)).geometry()
+    fs = FanState(30.0, 20.0, 40.0, 35.0, math.radians(10.0), math.radians(-5.0))
+    theta = math.radians(7.0)
+    w = total_wrench(fs, geo, theta)
+    _, torque_ref = wrench_brute_force(fs, geo, quat_from_pitch(theta))
+    np.testing.assert_allclose(w.torque_world, torque_ref, rtol=0.0, atol=1e-9)
+    for name, ref in zip(("tx", "ty", "tz"), torque_ref):
+        assert values[name] == f"{ref:.6f}"
 
 
 def test_degree_radian_boundary_round_trip(tmp_path, capsys):

@@ -98,8 +98,13 @@ def test_missing_equals_rejected():
 
 
 def test_partial_gains_rejected():
-    for text in ("controller.kp_pitch = 1.0", "controller.ki_yaw = 0.1"):
-        with pytest.raises(ConfigError, match="missing"):
+    full = ("controller.kp_pitch = 1.0\ncontroller.kd_pitch = 0.1\n"
+            "controller.kp_yaw = 0.5\ncontroller.kd_yaw = 0.05\n")
+    for text, match in (("controller.kp_pitch = 1.0", "missing"),
+                        ("controller.ki_yaw = 0.1", "missing"),
+                        # explicit gains are not tuned, so a tuning key would be ignored
+                        (full + "controller.damping_ratio = 0.9", "damping_ratio")):
+        with pytest.raises(ConfigError, match=match):
             scenario_from_config(parse_config_text(text))
 
 

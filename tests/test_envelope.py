@@ -19,7 +19,7 @@ from tvcsim.envelope import (
 )
 from tvcsim.oracles import envelope_extrema_grid
 from tvcsim.robot import GRAVITY, FanLimits, Posture, builtin_posture, geometry_from_posture
-from tvcsim.wrench import force_world
+from tvcsim.wrench import total_wrench
 
 P1_POSTURE = builtin_posture("P1")
 P1 = geometry_from_posture(P1_POSTURE)
@@ -159,7 +159,7 @@ def test_argmax_state_feasible_with_complementary_slackness():
             if point is None:
                 continue
             for state in (point.argmax_state, point.argmin_state):
-                vertical = force_world(state, P1, p.theta_pitch)[2] + P1.weight
+                vertical = total_wrench(state, P1, p.theta_pitch).force_world[2] + P1.weight
                 assert vertical >= HOVER.min_vertical_force - 1e-6
                 at_bounds = all(
                     min(abs(f), abs(f - 50.0)) < 1e-9 for f in state.thrusts()

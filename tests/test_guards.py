@@ -1,10 +1,12 @@
-"""Guards on contracts kept outside the package: bench trace targets, README."""
+"""Guards on contracts kept outside the package (bench trace targets, README)
+and on the takeoff loop's cost per step."""
 
 import ast
 import importlib
 import pathlib
 import re
 
+from tvcsim import sim
 from tvcsim.config import SCHEMA
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -31,3 +33,22 @@ def test_readme_config_table_lists_exactly_the_schema():
     keys = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
     assert len(keys) == len(set(keys))
     assert set(keys) == set(SCHEMA)
+
+
+def test_takeoff_loop_evaluates_the_wrench_once_per_step(monkeypatch):
+    calls = 0
+    kernel = sim.generalized_wrench_3d
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "generalized_wrench_3d", counted)
+    cfg = sim.ScenarioConfig(duration=0.8, integrator="euler")
+    log = sim.run_scenario(cfg)
+    assert 0.0 < log.events["liftoff_time_s"] < cfg.duration  # both phases run
+    # the liftoff check runs on the ground only and the euler step once aloft;
+    # the liftoff step makes both calls and the last step, aloft, makes none
+    loop_steps = round(cfg.duration / cfg.dt) + 1
+    assert calls == loop_steps

@@ -103,6 +103,14 @@ def test_divergence_guards():
     with pytest.raises(DivergenceError):
         for _ in range(100):
             spinning = dynamics_step(spinning, fs, P1, 1e-3)
+    # a NaN state fails every "> limit" test, so the guards must catch it otherwise
+    nan_rate = RigidBodyState(angular_velocity_body=np.array([math.nan, 0.0, 0.0]))
+    for integrator in ("euler", "rk4"):
+        with pytest.raises(DivergenceError, match="position"):
+            dynamics_step(RigidBodyState(), FanState(math.nan, 40.0, 40.0, 40.0), P1, 1e-3,
+                          integrator=integrator)
+        with pytest.raises(DivergenceError):
+            dynamics_step(nan_rate, ZERO_THRUST, P1, 1e-3, integrator=integrator)
 
 
 def test_integrator_order_under_dt_halving():
@@ -291,6 +299,8 @@ def test_scenario_config_validation():
         ScenarioConfig(controller_rate=333.0)  # not a multiple of dt
     with pytest.raises(ValueError, match="rate must be positive"):
         ScenarioConfig(controller_rate=0.0)
+    with pytest.raises(ValueError, match="not a finite number"):
+        ScenarioConfig(duration=1e308)  # finite, but duration / dt overflows
     # the ramp is checked by its one consumer, the takeoff run
     with pytest.raises(ValueError, match="per-fan limit"):
         run_scenario(ScenarioConfig(ramp=ThrustRamp(target_per_fan=60.0)))

@@ -17,9 +17,13 @@ from tvcsim.spatial import (
     quat_normalize,
     quat_to_euler,
     quat_to_matrix,
-    rot_y,
     wrap_angle,
 )
+
+
+def rot_y(theta):
+    """The pitch rotation matrix, built the way the wrench kernel builds it."""
+    return quat_to_matrix(quat_from_pitch(theta))
 
 
 def random_quat(rng):
@@ -124,8 +128,9 @@ def test_quat_to_euler_pure_pitch():
 
 def test_quat_from_pitch_matches_rot_y():
     for theta in (-1.2, -0.3, 0.0, 0.4, 1.5):
+        c, s = math.cos(theta), math.sin(theta)
         np.testing.assert_allclose(quat_to_matrix(quat_from_pitch(theta)),
-                                   rot_y(theta), atol=1e-15)
+                                   [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]], atol=1e-15)
 
 
 def test_euler_round_trip_property():

@@ -9,13 +9,7 @@ from tvcsim.oracles import wrench_brute_force
 from tvcsim.robot import GRAVITY, Posture, builtin_posture, geometry_from_posture
 from tvcsim.sim import Perturbation
 from tvcsim.spatial import quat_from_pitch, quat_normalize
-from tvcsim.wrench import (
-    FanState,
-    force_world,
-    generalized_wrench_3d,
-    pitch_torque_terms,
-    total_wrench,
-)
+from tvcsim.wrench import FanState, generalized_wrench_3d, total_wrench
 
 P1 = geometry_from_posture(builtin_posture("P1"))
 HOVER_THRUST = 17.0 * GRAVITY / 4.0  # 41.6925 N
@@ -36,18 +30,18 @@ def random_fan_state(rng):
 def test_hover_balance_zero_force():
     geo = symmetric_geometry()
     fs = FanState.uniform(HOVER_THRUST)
-    np.testing.assert_allclose(force_world(fs, geo, 0.0), np.zeros(3), atol=1e-12)
+    np.testing.assert_allclose(total_wrench(fs, geo, 0.0).force_world, np.zeros(3), atol=1e-12)
 
 
 def test_full_thrust_net_lift():
     fs = FanState.uniform(50.0)
-    f = force_world(fs, P1, 0.0)
+    f = total_wrench(fs, P1, 0.0).force_world
     np.testing.assert_allclose(f, [0.0, 0.0, 200.0 - 17.0 * GRAVITY], atol=1e-12)
 
 
 def test_horizontal_feet_give_no_lift():
     fs = FanState(0.0, 0.0, 50.0, 50.0, math.pi / 2.0, math.pi / 2.0)
-    f = force_world(fs, P1, 0.0)
+    f = total_wrench(fs, P1, 0.0).force_world
     np.testing.assert_allclose(f, [100.0, 0.0, -17.0 * GRAVITY], atol=1e-12)
 
 
@@ -55,14 +49,14 @@ def test_waist_pair_torque_independent_of_spacing():
     fs = FanState(50.0, 50.0, 0.0, 0.0)
     for spacing in (0.2, 0.3, 0.5):
         geo = geometry_from_posture(builtin_posture("P1"), fan_spacing_waist=spacing)
-        t_y1, _, _ = pitch_torque_terms(fs, geo)
+        t_y1 = total_wrench(fs, geo, 0.0).t_y1
         assert t_y1 == pytest.approx(2.0 * 50.0 * 0.025, abs=1e-12)
 
 
 def test_foot_tilt_torque_hand_value():
     # two feet at 40 N tilted 10 deg on the 0.367 m arm
     fs = FanState(0.0, 0.0, 40.0, 40.0, math.radians(10.0), math.radians(10.0))
-    _, _, t_y3 = pitch_torque_terms(fs, P1)
+    t_y3 = total_wrench(fs, P1, 0.0).t_y3
     assert t_y3 == pytest.approx(-80.0 * math.sin(math.radians(10.0)) * 0.367, abs=1e-12)
     assert t_y3 == pytest.approx(-5.0983, abs=5e-4)
 
@@ -72,7 +66,7 @@ def test_zero_lever_arm_kills_ty2():
                       foot_pitch_range_deg=(-74.0, 90.0))
     geo = geometry_from_posture(posture)
     fs = FanState(0.0, 0.0, 37.0, 12.0, 0.0, 0.0)
-    _, t_y2, _ = pitch_torque_terms(fs, geo)
+    t_y2 = total_wrench(fs, geo, 0.0).t_y2
     assert t_y2 == 0.0
 
 
@@ -97,7 +91,7 @@ def test_single_foot_within_ankle_budget():
     # one foot at full thrust, 30 deg: the vectoring torque stays inside the
     # 24 N*m the ankle drivetrain was sized for
     fs = FanState(0.0, 0.0, 50.0, 0.0, math.radians(30.0), 0.0)
-    _, _, t_y3 = pitch_torque_terms(fs, P1)
+    t_y3 = total_wrench(fs, P1, 0.0).t_y3
     assert abs(t_y3) == pytest.approx(50.0 * 0.5 * 0.367, abs=1e-12)
     assert abs(t_y3) <= 24.0
 
@@ -106,12 +100,15 @@ def test_vertical_force_linear_in_thrusts():
     # finite differences of the z row: slope 1 for waist fans, cos(theta) for feet
     theta = math.radians(25.0)
     base = FanState(10.0, 12.0, 14.0, 16.0, theta, theta)
-    f0 = force_world(base, P1, 0.0)[2]
+    def f_z(fs):
+        return total_wrench(fs, P1, 0.0).force_world[2]
+
+    f0 = f_z(base)
     step = 1.0
     waist = FanState(11.0, 12.0, 14.0, 16.0, theta, theta)
-    assert force_world(waist, P1, 0.0)[2] - f0 == pytest.approx(step, abs=1e-12)
+    assert f_z(waist) - f0 == pytest.approx(step, abs=1e-12)
     foot = FanState(10.0, 12.0, 15.0, 16.0, theta, theta)
-    assert force_world(foot, P1, 0.0)[2] - f0 == pytest.approx(step * math.cos(theta), abs=1e-12)
+    assert f_z(foot) - f0 == pytest.approx(step * math.cos(theta), abs=1e-12)
 
 
 def test_ty3_sensitivity_to_com_height():
@@ -122,7 +119,7 @@ def test_ty3_sensitivity_to_com_height():
         Posture("A", (0.025, -0.243 + h), (0.020, -0.610), (-74.0, 90.0)))
     geo_lo = geometry_from_posture(
         Posture("B", (0.025, -0.243 - h), (0.020, -0.610), (-74.0, 90.0)))
-    slope = (pitch_torque_terms(fs, geo_hi)[2] - pitch_torque_terms(fs, geo_lo)[2]) / (2 * h)
+    slope = (total_wrench(fs, geo_hi, 0.0).t_y3 - total_wrench(fs, geo_lo, 0.0).t_y3) / (2 * h)
     expected = -(20.0 * math.sin(math.radians(12.0)) + 30.0 * math.sin(math.radians(-5.0)))
     assert slope == pytest.approx(expected, rel=1e-6)
 
@@ -171,8 +168,10 @@ def test_generalized_identity_hover_zero():
 def test_generalized_matches_brute_force():
     rng = np.random.default_rng(42)
     geos = [geometry_from_posture(builtin_posture(n)) for n in ("P1", "P2", "P3")]
+    # an off-center CoM puts its y arm into the roll and yaw rows
+    geos.append(geometry_from_posture(builtin_posture("P2"), com_y=0.02))
     for i in range(1000):
-        geo = geos[i % 3]
+        geo = geos[i % len(geos)]
         fs = random_fan_state(rng)
         q = quat_normalize(rng.normal(size=4))
         w = generalized_wrench_3d(fs, geo, q)

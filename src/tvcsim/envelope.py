@@ -7,10 +7,14 @@ thrust component on the long lever arm between the feet and the CoM.
 
 Both searches run under the takeoff constraint that the world-frame vertical
 thrust component must at least cancel weight, so neither strategy can simply
-saturate every actuator. For a fixed foot angle the extremum over thrusts is
-a linear program with box bounds and one covering constraint, which is solved
-exactly by a parametric greedy; TVC adds a 1-D scan plus local refinement
-over the foot angle. The independent cross-check lives in tvcsim.oracles.
+saturate every actuator. At a fixed foot angle the extremum over thrusts is a
+linear program with box bounds and one covering constraint (Durham's
+attainable-moment problem), solved exactly by the greedy lp_max_covering runs
+on whole arrays of LPs; a minimum is the maximum of the negated torque. DT is
+the LP at foot angle 0. TVC scans the foot range (plus the angle 0, so the DT
+slice is a candidate) in one call per pitch and direction, then polishes each
+winner by golden-section search, every lane of a sweep stepping together.
+The independent cross-check lives in tvcsim.oracles.
 
 Legs are assumed parallel: both feet share one thrust value and one pitch
 angle throughout the search.
@@ -29,6 +33,8 @@ from .wrench import FanState
 
 SCAN_STEP_RAD = math.radians(0.1)  # TVC foot-angle scan resolution before refinement
 _FEAS_TOL = 1e-9
+_GOLDEN_STEPS = 40
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 SWEEP_PITCH_RANGE = (-math.pi / 6.0, math.pi / 6.0)  # rad, the default sweep
 SWEEP_POINTS = 61
 
@@ -99,170 +105,166 @@ class SweepPoint:
     tvc: EnvelopePoint | None
 
 
-def _lp_max_covering(c, a, r, upper):
-    """Maximize c.x s.t. a.x >= r, 0 <= x_i <= upper_i. Exact.
+def lp_max_covering(c, a, r, upper):
+    """Maximize c.x s.t. a.x >= r, 0 <= x_i <= upper_i, for each row. Exact.
 
-    Returns (value, x) or None when infeasible. With a single covering
-    constraint the optimum is reached by starting from the unconstrained
-    box optimum and buying constraint slack from the variables with the
-    best objective-per-slack ratio; at most one variable ends up strictly
-    between its bounds.
+    c and a are (n, k) float arrays holding one LP per row; r and upper
+    broadcast against the rows and against (n, k). Returns (value, x):
+    value is -inf on infeasible rows, whose x means nothing. With a single
+    covering constraint the optimum is reached by starting from the
+    unconstrained box optimum and buying constraint slack from the variables
+    with the best objective-per-slack ratio, ties to the lower index; at
+    most one variable ends up strictly between its bounds. Every row takes
+    the greedy's steps in the order a row-by-row loop would.
     """
-    n = len(c)
-    cap = sum(a[i] * upper[i] for i in range(n) if a[i] > 0.0)
-    if cap < r - _FEAS_TOL:
-        return None
-    x = [0.0] * n
-    for i in range(n):
-        if c[i] > 0.0 or (c[i] == 0.0 and a[i] > 0.0):
-            x[i] = upper[i]
-    gap = r - sum(a[i] * x[i] for i in range(n))
-    if gap <= _FEAS_TOL:
-        return (sum(c[i] * x[i] for i in range(n)), x)
+    u = np.broadcast_to(np.asarray(upper, dtype=float), c.shape)
+    cols = range(c.shape[1])
+
+    def row_sum(v):  # left to right, as a loop over the variables adds
+        return sum(v[:, i] for i in cols)
+
+    x = np.where((c > 0.0) | ((c == 0.0) & (a > 0.0)), u, 0.0)
+    cap = row_sum(np.where(a > 0.0, a * u, 0.0))
+    gap = r - row_sum(a * x)
 
     # moves that raise a.x, cheapest objective loss per unit of slack first
-    moves = []
-    for i in range(n):
-        if x[i] == 0.0 and a[i] > 0.0:
-            moves.append((c[i] / a[i], i, 1.0))
-        elif x[i] == upper[i] and a[i] < 0.0:
-            moves.append((c[i] / a[i], i, -1.0))
-    moves.sort(key=lambda m: (-m[0], m[1]))
-    for _, i, direction in moves:
-        gain = abs(a[i]) * upper[i]
-        if gain >= gap - _FEAS_TOL:
-            span = max(0.0, gap / abs(a[i]))
-            x[i] = span if direction > 0.0 else upper[i] - span
-            gap = 0.0
-            break
-        x[i] = upper[i] if direction > 0.0 else 0.0
-        gap -= gain
-    if gap > _FEAS_TOL:
-        return None
-    return (sum(c[i] * x[i] for i in range(n)), x)
+    up = (x == 0.0) & (a > 0.0)
+    movable = up | ((x == u) & (a < 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        order = np.argsort(np.where(movable, -(c / a), np.inf), axis=1, kind="stable")
+        by_cost = (np.arange(len(c))[:, None], order)
+        a_s, u_s, x_s, up_s, movable_s = (v[by_cost] for v in (a, u, x, up, movable))
+        buying = gap > _FEAS_TOL
+        for k in cols:
+            move = buying & movable_s[:, k]
+            slope, bound = np.abs(a_s[:, k]), u_s[:, k]
+            gain = slope * bound
+            last = move & (gain >= gap - _FEAS_TOL)
+            span = gap / slope  # > 0: only rows still buying (gap > tol) use it
+            full = np.where(up_s[:, k], bound, 0.0)
+            part = np.where(up_s[:, k], span, bound - span)
+            x_s[:, k] = np.where(last, part, np.where(move, full, x_s[:, k]))
+            gap = np.where(last, 0.0, np.where(move, gap - gain, gap))
+            buying &= ~last
+    x[by_cost] = x_s
+    value = row_sum(c * x)
+    feasible = ~(cap < r - _FEAS_TOL) & ~(gap > _FEAS_TOL)
+    return np.where(feasible, value, -np.inf), x
 
 
-def _coefficients(geo: RobotGeometry, theta_pitch: float, theta_feet: float):
-    """Objective/constraint coefficients over (f_front, f_back, f_feet).
-
-    Objective is the body pitch torque; the constraint row is the world
-    vertical thrust component. The foot variable drives both feet, hence
-    the factors of two.
-    """
+def _torque(geo: RobotGeometry, theta_feet, sign):
+    """Objective rows over (f_front, f_back, f_feet), one per foot angle: sign *
+    body pitch torque. The foot variable drives both feet, hence the twos."""
     x_c = geo.com_body[0]
     z_c = geo.com_body[2]
     half_l = 0.5 * geo.fan_spacing_waist
-    ct, st = math.cos(theta_feet), math.sin(theta_feet)
-    c = [
-        -(half_l - x_c),
-        half_l + x_c,
-        2.0 * (ct * (x_c - geo.fan_foot_x) - st * (z_c - geo.fan_foot_z)),
-    ]
-    cp = math.cos(theta_pitch)
-    a = [cp, cp, 2.0 * math.cos(theta_pitch + theta_feet)]
-    return c, a
+    return np.stack(np.broadcast_arrays(
+        sign * -(half_l - x_c),
+        sign * (half_l + x_c),
+        sign * (2.0 * (np.cos(theta_feet) * (x_c - geo.fan_foot_x)
+                       - np.sin(theta_feet) * (z_c - geo.fan_foot_z))),
+    ), axis=-1)
 
 
-def _solve_at_angle(geo, theta_pitch, theta_feet, constraint, maximize):
-    c, a = _coefficients(geo, theta_pitch, theta_feet)
-    if not maximize:
-        c = [-v for v in c]
-    res = _lp_max_covering(c, a, constraint.min_vertical_force,
-                           [constraint.per_fan_max] * 3)
-    if res is None:
-        return None
-    value, x = res
-    if not maximize:
-        value = -value
-    fs = FanState(f_front=x[0], f_back=x[1], f_left=x[2], f_right=x[2],
-                  theta_left=theta_feet, theta_right=theta_feet)
-    return value, fs
+def _vertical(theta_pitch, theta_feet):
+    """Constraint rows: world vertical thrust per unit of each variable."""
+    cp = np.cos(theta_pitch)
+    return np.stack(np.broadcast_arrays(cp, cp, 2.0 * np.cos(theta_pitch + theta_feet)), axis=-1)
+
+
+def _solve(geo, constraint, theta_pitch, theta_feet, sign):
+    """Best sign * pitch torque per row (-inf if infeasible) and its thrusts."""
+    return lp_max_covering(_torque(geo, theta_feet, sign), _vertical(theta_pitch, theta_feet),
+                           constraint.min_vertical_force, constraint.per_fan_max)
+
+
+def _points(pitches, feet, value, x) -> list[EnvelopePoint | None]:
+    """EnvelopePoints from lane results; None where a direction is infeasible."""
+    n = len(pitches)
+
+    def state(lane):  # both feet share one thrust and one angle
+        f_front, f_back, f_feet = map(float, x[lane])
+        th = float(feet[lane])
+        return FanState(f_front, f_back, f_feet, f_feet, th, th)
+
+    return [None if value[j] == -math.inf or value[n + j] == -math.inf
+            else EnvelopePoint(float(pitches[j]), float(value[j]), float(-value[n + j]),
+                               state(j), state(n + j))
+            for j in range(n)]
+
+
+def _dt_points(geo, pitches, constraint) -> list[EnvelopePoint | None]:
+    lane_pitch, sign = np.tile(pitches, 2), np.repeat([1.0, -1.0], len(pitches))
+    feet = np.zeros_like(lane_pitch)
+    return _points(pitches, feet, *_solve(geo, constraint, lane_pitch, feet, sign))
+
+
+def _tvc_points(geo, pitches, constraint) -> list[EnvelopePoint | None]:
+    lo_r, hi_r = constraint.foot_angle_range
+    n = max(2, int(math.ceil((hi_r - lo_r) / SCAN_STEP_RAD)) + 1)
+    scan = np.linspace(lo_r, hi_r, n)
+    if lo_r <= 0.0 <= hi_r:
+        scan = np.append(scan, 0.0)  # keep the DT slice in the scan
+    lane_pitch, sign = np.tile(pitches, 2), np.repeat([1.0, -1.0], len(pitches))
+
+    # scan: the first best angle of each lane, one call per lane
+    best, best_th = np.empty((2, len(lane_pitch)))
+    best_x = np.empty((len(lane_pitch), 3))
+    torque = {s: _torque(geo, scan, s) for s in (1.0, -1.0)}  # the same at every pitch
+    for lane, (theta_pitch, s) in enumerate(zip(lane_pitch, sign)):
+        value, x = lp_max_covering(torque[s], _vertical(theta_pitch, scan),
+                                   constraint.min_vertical_force, constraint.per_fan_max)
+        k = np.argmax(value)
+        best[lane], best_th[lane], best_x[lane] = value[k], scan[k], x[k]
+
+    # golden-section polish of every lane at once, within one scan step of its winner
+    def value_at(th):
+        return _solve(geo, constraint, lane_pitch, th, sign)
+
+    step = (hi_r - lo_r) / (n - 1)
+    a = np.maximum(lo_r, best_th - step)
+    b = np.minimum(hi_r, best_th + step)
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = value_at(x1)[0], value_at(x2)[0]
+    for _ in range(_GOLDEN_STEPS):
+        left = f1 > f2
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        x1, x2 = (np.where(left, b - _INVPHI * (b - a), x2),
+                  np.where(left, x1, a + _INVPHI * (b - a)))
+        f = value_at(np.where(left, x1, x2))[0]
+        f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
+    th = np.where(f1 > f2, x1, x2)
+    value, x = value_at(th)
+    lost = value < best  # refinement never loses to the scan winner
+    value, th = np.where(lost, best, value), np.where(lost, best_th, th)
+    x = np.where(lost[:, None], best_x, x)
+    return _points(pitches, th, value, x)
+
+
+def _one_point(points, geo, theta_pitch, constraint, search) -> EnvelopePoint:
+    """The single-pitch call: a one-lane sweep that raises where infeasible."""
+    (point,) = points(geo, [theta_pitch], constraint)
+    if point is None:
+        raise EnvelopeInfeasibleError(
+            f"vertical force floor {constraint.min_vertical_force:.2f} N unreachable "
+            f"at theta_pitch={math.degrees(theta_pitch):.2f} deg {search}"
+        )
+    return point
 
 
 def max_pitch_torque_dt(
     geo: RobotGeometry, theta_pitch: float, constraint: EnvelopeConstraint
 ) -> EnvelopePoint:
     """Extremal pitch torque with feet locked thrust-up (DT strategy)."""
-    hi = _solve_at_angle(geo, theta_pitch, 0.0, constraint, maximize=True)
-    lo = _solve_at_angle(geo, theta_pitch, 0.0, constraint, maximize=False)
-    if hi is None or lo is None:
-        raise EnvelopeInfeasibleError(
-            f"vertical force floor {constraint.min_vertical_force:.2f} N unreachable "
-            f"at theta_pitch={math.degrees(theta_pitch):.2f} deg with feet up"
-        )
-    return EnvelopePoint(theta_pitch, hi[0], lo[0], hi[1], lo[1])
-
-
-def _refine_angle(geo, theta_pitch, constraint, theta0, step, maximize):
-    """Golden-section polish of the foot angle around a scan winner."""
-    lo_r, hi_r = constraint.foot_angle_range
-    a = max(lo_r, theta0 - step)
-    b = min(hi_r, theta0 + step)
-
-    def value(th):
-        res = _solve_at_angle(geo, theta_pitch, th, constraint, maximize)
-        if res is None:
-            return -math.inf if maximize else math.inf
-        return res[0]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = value(x1), value(x2)
-    better = (lambda p, q: p > q) if maximize else (lambda p, q: p < q)
-    for _ in range(40):
-        if better(f1, f2):
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = value(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = value(x2)
-    best_th = x1 if better(f1, f2) else x2
-    res = _solve_at_angle(geo, theta_pitch, best_th, constraint, maximize)
-    return res, best_th
+    return _one_point(_dt_points, geo, theta_pitch, constraint, "with feet up")
 
 
 def max_pitch_torque_tvc(
     geo: RobotGeometry, theta_pitch: float, constraint: EnvelopeConstraint
 ) -> EnvelopePoint:
     """Extremal pitch torque with the foot pitch angle free in its range."""
-    lo_r, hi_r = constraint.foot_angle_range
-    n = max(2, int(math.ceil((hi_r - lo_r) / SCAN_STEP_RAD)) + 1)
-    thetas = np.linspace(lo_r, hi_r, n)
-    if lo_r <= 0.0 <= hi_r:
-        thetas = np.append(thetas, 0.0)  # keep the DT slice in the scan
-
-    best = {True: None, False: None}  # maximize -> (value, fs, theta)
-    for th in thetas:
-        for maximize in (True, False):
-            res = _solve_at_angle(geo, theta_pitch, float(th), constraint, maximize)
-            if res is None:
-                continue
-            cur = best[maximize]
-            if cur is None or (res[0] > cur[0] if maximize else res[0] < cur[0]):
-                best[maximize] = (res[0], res[1], float(th))
-    if best[True] is None or best[False] is None:
-        raise EnvelopeInfeasibleError(
-            f"vertical force floor {constraint.min_vertical_force:.2f} N unreachable "
-            f"at theta_pitch={math.degrees(theta_pitch):.2f} deg over the foot range"
-        )
-
-    step = (hi_r - lo_r) / (n - 1) if n > 1 else 0.0
-    out = {}
-    for maximize in (True, False):
-        _, _, th0 = best[maximize]
-        if step > 0.0:
-            res, _ = _refine_angle(geo, theta_pitch, constraint, th0, step, maximize)
-        else:
-            res = _solve_at_angle(geo, theta_pitch, th0, constraint, maximize)
-        # refinement never loses to the scan winner
-        if res is None or (res[0] < best[maximize][0] if maximize else res[0] > best[maximize][0]):
-            res = (best[maximize][0], best[maximize][1])
-        out[maximize] = res
-    return EnvelopePoint(theta_pitch, out[True][0], out[False][0],
-                         out[True][1], out[False][1])
+    return _one_point(_tvc_points, geo, theta_pitch, constraint, "over the foot range")
 
 
 def envelope_sweep(
@@ -281,20 +283,10 @@ def envelope_sweep(
     lo, hi = theta_pitch_range
     if lo > hi:
         raise ValueError("theta_pitch_range must be ordered (min, max)")
-    thetas = [lo] if lo == hi else list(np.linspace(lo, hi, n_points))
-    points = []
-    for th in thetas:
-        th = float(th)
-        try:
-            dt = max_pitch_torque_dt(geo, th, constraint)
-        except EnvelopeInfeasibleError:
-            dt = None
-        try:
-            tvc = max_pitch_torque_tvc(geo, th, constraint)
-        except EnvelopeInfeasibleError:
-            tvc = None
-        points.append(SweepPoint(theta_pitch=th, dt=dt, tvc=tvc))
-    return points
+    thetas = np.array([lo]) if lo == hi else np.linspace(lo, hi, n_points)
+    return [SweepPoint(theta_pitch=float(th), dt=dt, tvc=tvc)
+            for th, dt, tvc in zip(thetas, _dt_points(geo, thetas, constraint),
+                                   _tvc_points(geo, thetas, constraint))]
 
 
 ENVELOPE_CSV_HEADER = [

@@ -61,8 +61,8 @@ def envelope_extrema_grid(
     For each foot angle on the grid the feasible thrust set is a box cut by
     one half-space, so every candidate optimum is either a feasible box
     corner or the point where the constraint plane crosses a box edge; both
-    families are enumerated exhaustively. DT restricts the grid to the
-    single angle zero.
+    families are enumerated exhaustively, each candidate at every grid angle
+    at once. DT restricts the grid to the single angle zero.
     """
     if dt_strategy:
         thetas = np.array([0.0])
@@ -76,42 +76,39 @@ def envelope_extrema_grid(
     u = constraint.per_fan_max
     r = constraint.min_vertical_force
     cp = math.cos(theta_pitch)
+    # objective and constraint columns over (f_front, f_back, f_feet), one row per angle
+    c = np.broadcast_arrays(
+        -(half_l - x_c),
+        half_l + x_c,
+        2.0 * (np.cos(thetas) * (x_c - geo.fan_foot_x) - np.sin(thetas) * (z_c - geo.fan_foot_z)),
+    )
+    a = np.broadcast_arrays(cp, cp, 2.0 * np.cos(theta_pitch + thetas))
 
     tau_min = math.inf
     tau_max = -math.inf
-    for th in thetas:
-        ct, st = math.cos(th), math.sin(th)
-        c = np.array([
-            -(half_l - x_c),
-            half_l + x_c,
-            2.0 * (ct * (x_c - geo.fan_foot_x) - st * (z_c - geo.fan_foot_z)),
-        ])
-        a = np.array([cp, cp, 2.0 * math.cos(theta_pitch + th)])
 
-        candidates = []
-        corners = np.array(
-            [[fa, fb, ft] for fa in (0.0, u) for fb in (0.0, u) for ft in (0.0, u)]
-        )
-        for corner in corners:
-            candidates.append(corner)
-        # box edges: two coordinates pinned, solve the third on the plane
-        for free in range(3):
-            if a[free] == 0.0:
-                continue
-            for b1 in (0.0, u):
-                for b2 in (0.0, u):
-                    point = np.zeros(3)
-                    others = [k for k in range(3) if k != free]
-                    point[others[0]] = b1
-                    point[others[1]] = b2
-                    point[free] = (r - a[others[0]] * b1 - a[others[1]] * b2) / a[free]
-                    if -1e-9 <= point[free] <= u + 1e-9:
-                        candidates.append(np.clip(point, 0.0, u))
-        for point in candidates:
-            if a @ point >= r - 1e-9:
-                tau = float(c @ point)
-                tau_min = min(tau_min, tau)
-                tau_max = max(tau_max, tau)
+    def consider(point, valid=True):
+        """Fold one candidate vertex, at every grid angle, into the extrema."""
+        nonlocal tau_min, tau_max
+        feasible = valid & (a[0] * point[0] + a[1] * point[1] + a[2] * point[2] >= r - 1e-9)
+        if feasible.any():
+            tau = (c[0] * point[0] + c[1] * point[1] + c[2] * point[2])[feasible]
+            tau_min = min(tau_min, float(tau.min()))
+            tau_max = max(tau_max, float(tau.max()))
+
+    for corner in ((fa, fb, ft) for fa in (0.0, u) for fb in (0.0, u) for ft in (0.0, u)):
+        consider(corner)
+    # box edges: two coordinates pinned, solve the third on the plane
+    for free in range(3):
+        others = [k for k in range(3) if k != free]
+        for b1 in (0.0, u):
+            for b2 in (0.0, u):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    solved = (r - a[others[0]] * b1 - a[others[1]] * b2) / a[free]
+                point = [0.0, 0.0, 0.0]
+                point[others[0]], point[others[1]] = b1, b2
+                point[free] = np.clip(solved, 0.0, u)
+                consider(point, (a[free] != 0.0) & (-1e-9 <= solved) & (solved <= u + 1e-9))
     if tau_max == -math.inf:
         return None
     return tau_min, tau_max

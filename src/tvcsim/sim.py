@@ -186,6 +186,9 @@ class ScenarioConfig:
         """Resolved configuration echoed into the events JSON."""
         return {
             "posture": self.posture.name,
+            "posture_com_sagittal_m": self.posture.com_sagittal,
+            "posture_foot_fan_m": self.posture.foot_fan,
+            "posture_foot_pitch_range_deg": self.posture.foot_pitch_range_deg,
             "mode": self.mode.value,
             "gains": None if self.gains is None else vars(self.gains) | {},
             "ramp_target_per_fan_n": self.ramp.target_per_fan,
@@ -211,6 +214,11 @@ class ScenarioConfig:
             "mass_total_kg": self.mass_total,
             "fan_spacing_waist_m": self.fan_spacing_waist,
             "fan_spacing_feet_m": self.fan_spacing_feet,
+            "fan_mass_kg": self.fan_mass,
+            "com_y_m": self.com_y,
+            "thrust_max_per_fan_n": self.limits.thrust_max_per_fan,
+            "thrust_min_n": self.limits.thrust_min,
+            "foot_pitch_rate_max_rad_s": self.limits.foot_pitch_rate_max,
             "thrust_time_constant_s": self.limits.thrust_time_constant,
         }
 

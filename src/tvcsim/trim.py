@@ -80,7 +80,7 @@ def _solve_equal_thrust(geo: RobotGeometry, tol: float, max_iter: int):
         norm = float(np.linalg.norm(r))
         if norm <= tol:
             break
-        jac = _jacobian(geo, x)
+        jac = _jacobian(geo, x, r)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -100,9 +100,9 @@ def _solve_equal_thrust(geo: RobotGeometry, tol: float, max_iter: int):
     return FanState.uniform(f, theta), float(theta_pitch), r
 
 
-def _jacobian(geo: RobotGeometry, x: np.ndarray) -> np.ndarray:
+def _jacobian(geo: RobotGeometry, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    # central differences; one-sided from r0, the residual at x, where a probe has f < 0
     jac = np.zeros((3, 3))
-    r0 = _equal_thrust_residual(geo, x)
     for j in range(3):
         h = 1e-7 * max(1.0, abs(x[j]))
         xp, xm = x.copy(), x.copy()

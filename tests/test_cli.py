@@ -280,6 +280,25 @@ def test_thrust_cap_below_ramp_fails_only_takeoff(tmp_path, capsys):
     assert err == "error: thrust ramp target 48.0 N exceeds the 47.0 N per-fan limit\n"
 
 
+def test_events_echo_the_thrust_cap(tmp_path, capsys):
+    echoes = []
+    for cap in ("50", "52"):
+        code, _, _ = run_with_config(
+            tmp_path, capsys, f"limits.thrust_max_per_fan_n = {cap}\nsim.duration_s = 0.01\n",
+            "takeoff", name=f"cap{cap}.cfg")
+        assert code == 0
+        events = json.loads((tmp_path / "takeoff" / "takeoff_events.json").read_text())
+        echoes.append(events["config"])
+    differ = {k for k in echoes[0] if echoes[0][k] != echoes[1][k]}
+    assert differ == {"thrust_max_per_fan_n"}
+    assert echoes[1]["thrust_max_per_fan_n"] == 52.0
+    for key in ("thrust_min_n", "foot_pitch_rate_max_rad_s", "fan_mass_kg", "com_y_m"):
+        assert key in echoes[0]
+    assert echoes[0]["posture_com_sagittal_m"] == [0.025, -0.243]
+    assert echoes[0]["posture_foot_fan_m"] == [0.02, -0.61]
+    assert echoes[0]["posture_foot_pitch_range_deg"] == [-74.0, 90.0]
+
+
 def test_manifests_echo_one_resolved_scenario(tmp_path, capsys):
     text = "\n".join(["posture.com_x_m = 0.03", "geometry.mass_kg = 16.5",
                       "limits.thrust_max_per_fan_n = 49", "sim.duration_s = 0.1",

@@ -10,8 +10,8 @@ from tvcsim.envelope import (
     ENVELOPE_CSV_HEADER,
     EnvelopeConstraint,
     EnvelopeInfeasibleError,
-    _lp_max_covering,
     envelope_sweep,
+    lp_max_covering,
     max_pitch_torque_dt,
     max_pitch_torque_tvc,
     tvc_dt_ratio,
@@ -52,20 +52,78 @@ def lp_oracle(c, a, r, upper):
     return best
 
 
+def greedy_reference(c, a, r, upper):
+    """The greedy one row at a time in plain floats: (value, x) or None."""
+    n = len(c)
+    cap = sum(a[i] * upper[i] for i in range(n) if a[i] > 0.0)
+    if cap < r - 1e-9:
+        return None
+    x = [upper[i] if c[i] > 0.0 or (c[i] == 0.0 and a[i] > 0.0) else 0.0 for i in range(n)]
+    gap = r - sum(a[i] * x[i] for i in range(n))
+    moves = sorted((-(c[i] / a[i]), i, 1.0 if x[i] == 0.0 else -1.0) for i in range(n)
+                   if (x[i] == 0.0 and a[i] > 0.0) or (x[i] == upper[i] and a[i] < 0.0))
+    for _, i, direction in moves if gap > 1e-9 else ():
+        gain = abs(a[i]) * upper[i]
+        if gain >= gap - 1e-9:
+            span = max(0.0, gap / abs(a[i]))
+            x[i] = span if direction > 0.0 else upper[i] - span
+            gap = 0.0
+            break
+        x[i] = upper[i] if direction > 0.0 else 0.0
+        gap -= gain
+    if gap > 1e-9:
+        return None
+    return sum(c[i] * x[i] for i in range(n)), x
+
+
+# (c, a, r, upper) rows the random draw almost never produces
+DEGENERATE_LPS = [
+    ([0.5, -0.3, 0.2], [1.0, 0.0, 0.5], 30.0, [40.0, 40.0, 40.0]),  # a_i = 0
+    ([-0.4, 0.0, 0.3], [2.0, 0.0, -1.0], 10.0, [40.0, 40.0, 40.0]),  # a_i = 0 with c_i = 0
+    ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 50.0, [40.0, 40.0, 40.0]),  # c = 0: every point ties
+    ([0.0, -0.2, 0.4], [-1.0, 0.5, 1.0], 20.0, [40.0, 40.0, 40.0]),  # c_i = 0, a_i < 0
+    ([-0.5, -0.5, -1.0], [1.0, 1.0, 2.0], 30.0, [40.0, 40.0, 40.0]),  # equal ratios
+    ([-1.0, 1.0, -0.5], [1.0, 1.0, 1.0], 0.0, [40.0, 40.0, 40.0]),  # r = 0
+    ([-1.0, 1.0, -0.5], [-1.0, 1.0, 1.0], -5.0, [40.0, 40.0, 40.0]),  # r < 0
+    ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 121.0, [40.0, 40.0, 40.0]),  # above the box
+    ([1.0, 0.0, 0.0], [-1.0, -1.0, -0.5], 1.0, [40.0, 40.0, 40.0]),  # no a_i > 0
+    ([0.3, 0.3, 0.3], [0.0, 0.0, 0.0], 1.0, [40.0, 40.0, 40.0]),  # a = 0, r > 0
+]
+
+
 def test_lp_against_vertex_enumeration():
+    # one kernel call solves every row, each checked against the scalar oracle
     rng = np.random.default_rng(21)
-    for _ in range(500):
-        c = list(rng.uniform(-1.0, 1.0, 3))
-        a = list(rng.uniform(-1.0, 2.0, 3))
-        upper = list(rng.uniform(0.5, 60.0, 3))
-        r = rng.uniform(-20.0, 120.0)
-        got = _lp_max_covering(c, a, r, upper)
-        want = lp_oracle(c, a, r, upper)
-        if want is None:
-            assert got is None
+    c = rng.uniform(-1.0, 1.0, (500, 3))
+    a = rng.uniform(-1.0, 2.0, (500, 3))
+    upper = rng.uniform(0.5, 60.0, (500, 3))
+    r = rng.uniform(-20.0, 120.0, 500)
+    extra_c, extra_a, extra_r, extra_upper = (np.array(col) for col in zip(*DEGENERATE_LPS))
+    c, a = np.vstack([c, extra_c]), np.vstack([a, extra_a])
+    r, upper = np.concatenate([r, extra_r]), np.vstack([upper, extra_upper])
+    value, x = lp_max_covering(c, a, r, upper)
+    assert value.shape == (len(r),) and x.shape == c.shape
+    infeasible = 0
+    for i in range(len(r)):
+        # bit-identical to the greedy run on this row alone
+        ref = greedy_reference(*(list(map(float, v)) for v in (c[i], a[i])), float(r[i]),
+                               list(map(float, upper[i])))
+        if ref is None:
+            assert value[i] == -math.inf
         else:
-            assert got is not None
-            assert got[0] == pytest.approx(want, abs=1e-7)
+            assert value[i] == ref[0] and x[i].tolist() == ref[1]
+        want = lp_oracle(c[i], a[i], r[i], upper[i])
+        if want is None:
+            assert value[i] == -math.inf
+            infeasible += 1
+            continue
+        assert value[i] == pytest.approx(want, abs=1e-7)
+        assert c[i] @ x[i] == pytest.approx(value[i], abs=1e-9)
+        assert a[i] @ x[i] >= r[i] - 1e-7
+        assert np.all(x[i] >= -1e-9) and np.all(x[i] <= upper[i] + 1e-9)
+    assert infeasible >= 3  # the three degenerate infeasible rows, at least
+    # equal objective-per-slack ratios go to the lower index
+    np.testing.assert_array_equal(x[500 + 4], [30.0, 0.0, 0.0])
 
 
 def test_dt_extrema_hand_arithmetic():

@@ -1,13 +1,14 @@
-"""Guards on contracts kept outside the package (bench trace targets, README)
-and on the takeoff loop's cost per step."""
+"""Guards on contracts kept outside the package (bench trace targets, README),
+on the takeoff loop's cost per step and on the envelope solver's batching."""
 
 import ast
 import importlib
 import pathlib
 import re
 
-from tvcsim import sim
+from tvcsim import envelope, sim
 from tvcsim.config import SCHEMA
+from tvcsim.robot import builtin_posture, geometry_from_posture
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -52,3 +53,27 @@ def test_takeoff_loop_evaluates_the_wrench_once_per_step(monkeypatch):
     # the liftoff step makes both calls and the last step, aloft, makes none
     loop_steps = round(cfg.duration / cfg.dt) + 1
     assert calls == loop_steps
+
+
+def test_envelope_kernel_calls_do_not_grow_with_the_scan_resolution(monkeypatch):
+    calls = 0
+    kernel = envelope.lp_max_covering
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(envelope, "lp_max_covering", counted)
+    posture = builtin_posture("P1")
+    geo = geometry_from_posture(posture)
+    constraint = envelope.EnvelopeConstraint.hover(geo, posture)
+    n_points = 5
+    envelope.envelope_sweep(geo, constraint, n_points=n_points)
+    coarse, calls = calls, 0
+    monkeypatch.setattr(envelope, "SCAN_STEP_RAD", envelope.SCAN_STEP_RAD / 2.0)
+    envelope.envelope_sweep(geo, constraint, n_points=n_points)
+    assert calls == coarse
+    # one DT call, one scan call per pitch and direction, and the golden-section
+    # search's two starting probes, 40 steps and final solve for all lanes together
+    assert coarse == 1 + 2 * n_points + 2 + 40 + 1

@@ -44,8 +44,7 @@ from .envelope import (
     EnvelopeConstraint,
     EnvelopeInfeasibleError,
     envelope_rows,
-    envelope_sweep,
-    tvc_dt_ratio,
+    envelope_sweep_and_level_ratio,
     write_envelope_csv,
 )
 from .sim import DivergenceError, ScenarioConfig, run_scenario
@@ -193,9 +192,8 @@ def cmd_envelope(args, values) -> int:
         if settings["min_vertical_force"] is not None:
             constraint = replace(constraint, min_vertical_force=settings["min_vertical_force"])
         # the comparison is meaningless if the robot cannot even hover level
-        ratio_max, ratio_min = tvc_dt_ratio(geo, constraint, theta_pitch=0.0)
-        points = envelope_sweep(geo, constraint, settings["theta_pitch_range"],
-                                settings["n_points"])
+        points, (ratio_max, ratio_min) = envelope_sweep_and_level_ratio(
+            geo, constraint, settings["theta_pitch_range"], settings["n_points"])
         path = os.path.join(args.out, f"envelope_{name}.{args.format}")
         if args.format == "csv":
             _atomic_write(path, lambda tmp: write_envelope_csv(points, tmp))

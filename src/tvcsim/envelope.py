@@ -242,15 +242,20 @@ def _tvc_points(geo, pitches, constraint) -> list[EnvelopePoint | None]:
     return _points(pitches, th, value, x)
 
 
-def _one_point(points, geo, theta_pitch, constraint, search) -> EnvelopePoint:
-    """The single-pitch call: a one-lane sweep that raises where infeasible."""
-    (point,) = points(geo, [theta_pitch], constraint)
+def _require(point, constraint, theta_pitch, search) -> EnvelopePoint:
+    """The point, or EnvelopeInfeasibleError where a direction is infeasible."""
     if point is None:
         raise EnvelopeInfeasibleError(
             f"vertical force floor {constraint.min_vertical_force:.2f} N unreachable "
             f"at theta_pitch={math.degrees(theta_pitch):.2f} deg {search}"
         )
     return point
+
+
+def _one_point(points, geo, theta_pitch, constraint, search) -> EnvelopePoint:
+    """The single-pitch call: a one-lane sweep that raises where infeasible."""
+    (point,) = points(geo, [theta_pitch], constraint)
+    return _require(point, constraint, theta_pitch, search)
 
 
 def max_pitch_torque_dt(
@@ -278,12 +283,41 @@ def envelope_sweep(
     Infeasible points are kept in the output with the affected strategy set
     to None rather than aborting the sweep.
     """
+    return _sweep(geo, constraint, _abscissae(theta_pitch_range, n_points))
+
+
+def envelope_sweep_and_level_ratio(
+    geo: RobotGeometry,
+    constraint: EnvelopeConstraint,
+    theta_pitch_range: tuple[float, float] = SWEEP_PITCH_RANGE,
+    n_points: int = SWEEP_POINTS,
+) -> tuple[list[SweepPoint], tuple[float, float]]:
+    """envelope_sweep and tvc_dt_ratio at level attitude, from one batched solve.
+
+    The ratio comes from the sweep's pitch-0 point, or from one extra lane
+    when pitch 0 is not an abscissa; like tvc_dt_ratio, it raises
+    EnvelopeInfeasibleError if the robot cannot hover level.
+    """
+    try:
+        thetas = _abscissae(theta_pitch_range, n_points)
+    except ValueError:
+        tvc_dt_ratio(geo, constraint)  # an infeasible level hover is reported first
+        raise
+    zero = np.flatnonzero((thetas == 0.0) & ~np.signbit(thetas))  # +0.0, as tvc_dt_ratio uses
+    points = _sweep(geo, constraint, thetas if zero.size else np.append(thetas, 0.0))
+    return points[:len(thetas)], _ratio(points[zero[0] if zero.size else -1], constraint)
+
+
+def _abscissae(theta_pitch_range, n_points) -> np.ndarray:
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     lo, hi = theta_pitch_range
     if lo > hi:
         raise ValueError("theta_pitch_range must be ordered (min, max)")
-    thetas = np.array([lo]) if lo == hi else np.linspace(lo, hi, n_points)
+    return np.array([lo]) if lo == hi else np.linspace(lo, hi, n_points)
+
+
+def _sweep(geo, constraint, thetas) -> list[SweepPoint]:
     return [SweepPoint(theta_pitch=float(th), dt=dt, tvc=tvc)
             for th, dt, tvc in zip(thetas, _dt_points(geo, thetas, constraint),
                                    _tvc_points(geo, thetas, constraint))]
@@ -329,8 +363,14 @@ def tvc_dt_ratio(
     geo: RobotGeometry, constraint: EnvelopeConstraint, theta_pitch: float = 0.0
 ) -> tuple[float, float]:
     """(tau_max ratio, |tau_min| ratio) of TVC over DT at one pitch angle."""
-    dt = max_pitch_torque_dt(geo, theta_pitch, constraint)
-    tvc = max_pitch_torque_tvc(geo, theta_pitch, constraint)
+    (point,) = _sweep(geo, constraint, np.array([theta_pitch]))
+    return _ratio(point, constraint)
+
+
+def _ratio(point: SweepPoint, constraint: EnvelopeConstraint) -> tuple[float, float]:
+    """The TVC/DT ratios at a sweep point; raises where a strategy is infeasible."""
+    dt = _require(point.dt, constraint, point.theta_pitch, "with feet up")
+    tvc = _require(point.tvc, constraint, point.theta_pitch, "over the foot range")
     ratio_max = math.inf if dt.tau_max <= 0.0 else tvc.tau_max / dt.tau_max
     ratio_min = math.inf if dt.tau_min >= 0.0 else tvc.tau_min / dt.tau_min
     return ratio_max, ratio_min

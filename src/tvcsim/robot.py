@@ -12,7 +12,7 @@ only at file/CLI boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -125,6 +125,10 @@ class RobotGeometry:
     fan_foot_z: float = 0.0  # p_fz
     fan_spacing_feet: float = DEFAULT_FOOT_FAN_SPACING  # L_f
     inertia_body: np.ndarray | None = None  # 3x3 about the CoM, in {B}
+    # inertia_body and its inverse as row-major float 9-tuples, for the
+    # float rigid-body step of the takeoff loop
+    inertia_rows: tuple = field(init=False, repr=False, compare=False)
+    inertia_inverse_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.com_body = np.asarray(self.com_body, dtype=float).reshape(3)
@@ -141,6 +145,8 @@ class RobotGeometry:
             raise ValueError("inertia_body must be positive-definite")
         self.com_body.setflags(write=False)
         self.inertia_body.setflags(write=False)
+        self.inertia_rows = tuple(self.inertia_body.ravel().tolist())
+        self.inertia_inverse_rows = _inverse_rows(self.inertia_rows)
 
     @property
     def fan_waist_front_x(self) -> float:
@@ -165,6 +171,19 @@ class RobotGeometry:
                 [self.fan_foot_x, -half_lf, self.fan_foot_z],
             ]
         )
+
+
+def _inverse_rows(m: tuple) -> tuple:
+    """Row-major inverse of a row-major 3x3 matrix: adjugate over determinant.
+
+    Closed form rather than np.linalg.inv, whose LAPACK code would add about
+    0.4 MiB to the peak RSS of every command that builds a geometry.
+    """
+    a, b, c, d, e, f, g, h, i = m
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return tuple(x / det for x in (e * i - f * h, c * h - b * i, b * f - c * e,
+                                   f * g - d * i, a * i - c * g, c * d - a * f,
+                                   d * h - e * g, b * g - a * h, a * e - b * d))
 
 
 def point_mass_inertia(geo: RobotGeometry, fan_mass: float = DEFAULT_FAN_MASS) -> np.ndarray:
@@ -214,8 +233,8 @@ def geometry_from_posture(
         inertia_body=inertia_body,
     )
     if inertia_body is None:
-        geo.inertia_body = point_mass_inertia(geo, fan_mass=fan_mass)
-        geo.inertia_body.setflags(write=False)
+        # a new geometry, not a reassigned field: __post_init__ derives the float rows
+        geo = replace(geo, inertia_body=point_mass_inertia(geo, fan_mass=fan_mass))
     return geo
 
 

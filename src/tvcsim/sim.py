@@ -40,6 +40,7 @@ from .robot import (
     DEFAULT_FOOT_FAN_SPACING,
     DEFAULT_MASS,
     DEFAULT_WAIST_FAN_SPACING,
+    GRAVITY,
     FanLimits,
     Posture,
     RobotGeometry,
@@ -48,14 +49,12 @@ from .robot import (
 )
 from .spatial import (
     EulerAngles,
-    Quat,
-    Vec3,
-    quat_identity,
-    quat_integrate,
-    quat_multiply,
-    quat_normalize,
-    quat_to_euler,
+    quat_euler,
+    quat_product,
+    quat_rotate,
+    quat_step,
     quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through sim
+    quat_unit,
 )
 from .trim import hover_trim
 from .wrench import FanState, Wrench, generalized_wrench_3d
@@ -89,20 +88,17 @@ class DivergenceError(Exception):
 
 @dataclass
 class RigidBodyState:
-    position_world: Vec3 = field(default_factory=lambda: np.zeros(3))
-    velocity_world: Vec3 = field(default_factory=lambda: np.zeros(3))
-    orientation: Quat = field(default_factory=quat_identity)
-    angular_velocity_body: Vec3 = field(default_factory=lambda: np.zeros(3))
-    time: float = 0.0
+    """Position and velocity in {W}, attitude {B} -> {W}, body rate in {B}.
 
-    def copy(self) -> "RigidBodyState":
-        return RigidBodyState(
-            self.position_world.copy(),
-            self.velocity_world.copy(),
-            self.orientation.copy(),
-            self.angular_velocity_body.copy(),
-            self.time,
-        )
+    Fields accept any float sequences (numpy arrays too); dynamics_step
+    returns float tuples.
+    """
+
+    position_world: tuple = (0.0, 0.0, 0.0)
+    velocity_world: tuple = (0.0, 0.0, 0.0)
+    orientation: tuple = (1.0, 0.0, 0.0, 0.0)  # unit quaternion [w, x, y, z]
+    angular_velocity_body: tuple = (0.0, 0.0, 0.0)
+    time: float = 0.0
 
 
 @dataclass
@@ -287,76 +283,92 @@ def dynamics_step(
     velocity midpoint, which integrates constant accelerations exactly;
     attitude uses the exponential map with the updated body rate. 'rk4'
     selects a classic fourth-order step for high-accuracy checks.
+
+    The fans hold their state over the step, so the body-frame wrench is
+    evaluated once; every stage rotates its force by the stage attitude.
+    The rest is plain float arithmetic.
     """
     if dt <= 0.0 or dt > MAX_PHYSICS_DT:
         raise ValueError(f"dt must be in (0, {MAX_PHYSICS_DT}] s")
-    if integrator == "euler":
-        new = _step_semi_implicit(state, fan_state, geo, dt, perturbation)
-    elif integrator == "rk4":
-        new = _step_rk4(state, fan_state, geo, dt, perturbation)
-    else:
+    if integrator not in ("euler", "rk4"):
         raise ValueError("integrator must be 'euler' or 'rk4'")
+    w = generalized_wrench_3d(fan_state, geo, state.orientation, perturbation)
+    accels = _accelerations(w.force_body, w.torque_body, geo)
+    p, v, omega = state.position_world, state.velocity_world, state.angular_velocity_body
+    q = quat_unit(state.orientation)
+    if integrator == "euler":
+        ax, ay, az, bx, by, bz = accels(q, omega)
+        v_new = (v[0] + ax * dt, v[1] + ay * dt, v[2] + az * dt)
+        p_new = (p[0] + 0.5 * (v[0] + v_new[0]) * dt,
+                 p[1] + 0.5 * (v[1] + v_new[1]) * dt,
+                 p[2] + 0.5 * (v[2] + v_new[2]) * dt)
+        omega_new = (omega[0] + bx * dt, omega[1] + by * dt, omega[2] + bz * dt)
+        q_new = quat_step(q, omega_new, dt)
+    else:
+        p_new, v_new, q_new, omega_new = _rk4((*p, *v, *omega, *q), dt, accels)
+    t = state.time + dt
 
     # "not <=" so that a NaN state trips the guards too
-    if not np.linalg.norm(new.position_world) <= POSITION_GUARD_M:
+    px, py, pz = p_new
+    if not math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:
         raise DivergenceError(
-            f"position {new.position_world} left the {POSITION_GUARD_M} m guard at t={new.time:.3f} s"
+            f"position {np.array(p_new)} left the {POSITION_GUARD_M} m guard at t={t:.3f} s"
         )
-    if not np.linalg.norm(new.angular_velocity_body) <= RATE_GUARD_RAD_S:
+    wx, wy, wz = omega_new
+    if not math.sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S:
         raise DivergenceError(
-            f"body rate {new.angular_velocity_body} exceeded {RATE_GUARD_RAD_S} rad/s at t={new.time:.3f} s"
+            f"body rate {np.array(omega_new)} exceeded {RATE_GUARD_RAD_S} rad/s at t={t:.3f} s"
         )
-    return new
+    return RigidBodyState(p_new, v_new, q_new, omega_new, t)
 
 
-def _accels(state, fan_state, geo, perturbation):
-    w = generalized_wrench_3d(fan_state, geo, state.orientation, perturbation)
-    acc = w.force_world / geo.mass_total
-    inertia = geo.inertia_body
-    omega = state.angular_velocity_body
-    omega_dot = np.linalg.solve(inertia, w.torque_body - np.cross(omega, inertia @ omega))
-    return acc, omega_dot
+def _accelerations(force_body, torque_body, geo):
+    """f(q, omega) -> (a_x, a_y, a_z, alpha_x, alpha_y, alpha_z): the acceleration
+    R(q) F / m - g in {W} and the angular acceleration I^-1 (tau - omega x I omega)
+    in {B}, under a body-frame wrench (F, tau) held fixed. The inverse of the
+    (general, symmetric) inertia is precomputed by the geometry."""
+    tx, ty, tz = torque_body
+    m = geo.mass_total
+    weight = m * GRAVITY
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = geo.inertia_rows
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = geo.inertia_inverse_rows
+
+    def accels(q, omega):
+        fx, fy, fz = quat_rotate(q, force_body)
+        wx, wy, wz = omega
+        hx = i00 * wx + i01 * wy + i02 * wz  # angular momentum I omega
+        hy = i10 * wx + i11 * wy + i12 * wz
+        hz = i20 * wx + i21 * wy + i22 * wz
+        rx = tx - (wy * hz - wz * hy)
+        ry = ty - (wz * hx - wx * hz)
+        rz = tz - (wx * hy - wy * hx)
+        return (fx / m, fy / m, (fz - weight) / m,
+                j00 * rx + j01 * ry + j02 * rz,
+                j10 * rx + j11 * ry + j12 * rz,
+                j20 * rx + j21 * ry + j22 * rz)
+
+    return accels
 
 
-def _step_semi_implicit(state, fan_state, geo, dt, perturbation):
-    acc, omega_dot = _accels(state, fan_state, geo, perturbation)
-    v_new = state.velocity_world + acc * dt
-    p_new = state.position_world + 0.5 * (state.velocity_world + v_new) * dt
-    omega_new = state.angular_velocity_body + omega_dot * dt
-    q_new = quat_integrate(state.orientation, omega_new, dt)
-    return RigidBodyState(p_new, v_new, q_new, omega_new, state.time + dt)
+def _rk4(y0, dt, accels):
+    """Classic RK4 on the flat state y = (p, v, omega, q); each stage's
+    quaternion is renormalized. Returns (p, v, q, omega)."""
+    def deriv(y):
+        q, omega = y[9:], y[6:9]
+        dw, dx, dy, dz = quat_product(q, (0.0, *omega))
+        return (*y[3:6], *accels(q, omega), 0.5 * dw, 0.5 * dx, 0.5 * dy, 0.5 * dz)
 
+    def stage(h, k):
+        y = [a + h * b for a, b in zip(y0, k)]
+        return (*y[:9], *quat_unit(y[9:]))
 
-def _quat_derivative(q, omega):
-    return 0.5 * quat_multiply(q, np.array([0.0, omega[0], omega[1], omega[2]]))
-
-
-def _step_rk4(state, fan_state, geo, dt, perturbation):
-    def deriv(p, v, q, omega):
-        s = RigidBodyState(p, v, q, omega, state.time)
-        acc, omega_dot = _accels(s, fan_state, geo, perturbation)
-        return v, acc, _quat_derivative(q, omega), omega_dot
-
-    p0, v0 = state.position_world, state.velocity_world
-    q0, w0 = state.orientation, state.angular_velocity_body
-    k1 = deriv(p0, v0, q0, w0)
-    k2 = deriv(p0 + 0.5 * dt * k1[0], v0 + 0.5 * dt * k1[1],
-               quat_normalize(q0 + 0.5 * dt * k1[2]), w0 + 0.5 * dt * k1[3])
-    k3 = deriv(p0 + 0.5 * dt * k2[0], v0 + 0.5 * dt * k2[1],
-               quat_normalize(q0 + 0.5 * dt * k2[2]), w0 + 0.5 * dt * k2[3])
-    k4 = deriv(p0 + dt * k3[0], v0 + dt * k3[1],
-               quat_normalize(q0 + dt * k3[2]), w0 + dt * k3[3])
-
-    def blend(i):
-        return (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0
-
-    return RigidBodyState(
-        p0 + dt * blend(0),
-        v0 + dt * blend(1),
-        quat_normalize(q0 + dt * blend(2)),
-        w0 + dt * blend(3),
-        state.time + dt,
-    )
+    h = 0.5 * dt
+    k1 = deriv(y0)
+    k2 = deriv(stage(h, k1))
+    k3 = deriv(stage(h, k2))
+    k4 = deriv(stage(dt, k3))
+    y = stage(dt, [(a + 2.0 * b + 2.0 * c + d) / 6.0 for a, b, c, d in zip(k1, k2, k3, k4)])
+    return y[0:3], y[3:6], y[9:], y[6:9]
 
 
 def run_scenario(cfg: ScenarioConfig) -> SimLog:
@@ -406,30 +418,36 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
         "final_time_s": 0.0,
     }
 
+    # the loop carries plain floats: state tuples, thrust lists, hoisted constants
     state = RigidBodyState()
-    euler = quat_to_euler(state.orientation)
+    euler = quat_euler(state.orientation)
     phase = PHASE_GROUND
     foot_left = trim_angle
     foot_right = trim_angle
+    dt = cfg.dt
+    control_every, sample_every = cfg._controller_substeps, cfg._sample_substeps
+    foot_step = cfg.limits.foot_pitch_rate_max * dt
+    scale = cfg.perturbation.thrust_scale.tolist()
+    tau = cfg.limits.thrust_time_constant
     # an ideal actuator already sits on the schedule at t = 0
-    if cfg.limits.thrust_time_constant == 0.0:
-        thrusts = thrust_schedule(0.0, cfg.ramp) * cfg.perturbation.thrust_scale
+    if tau == 0.0:
+        thrusts = [thrust_schedule(0.0, cfg.ramp) * k for k in scale]
     else:
-        thrusts = np.zeros(4)
+        thrusts = [0.0] * 4
+        alpha = 1.0 - math.exp(-dt / tau)  # spool lag per step
     command = FootCommand(trim_angle, trim_angle, 0.0)
-    n_steps = int(round(cfg.duration / cfg.dt))
-    i_2s = int(round(2.0 / cfg.dt)) if cfg.duration >= 2.0 else None
+    n_steps = int(round(cfg.duration / dt))
+    i_2s = int(round(2.0 / dt)) if cfg.duration >= 2.0 else None
     pitch_key = f"pitch_exceeds_{PITCH_EVENT_DEG:.0f}deg_time_s"
     yaw_key = f"yaw_exceeds_{YAW_EVENT_DEG:.0f}deg_time_s"
 
     try:
         for i in range(n_steps + 1):
-            t = i * cfg.dt
-            if i % cfg._controller_substeps == 0:
+            t = i * dt
+            if i % control_every == 0:
                 meas_euler, meas_rates = _measure(state, euler, cfg, rng)
                 command = controller.step(
-                    meas_euler, meas_rates, thrust_schedule(t, cfg.ramp),
-                    cfg._controller_substeps * cfg.dt,
+                    meas_euler, meas_rates, thrust_schedule(t, cfg.ramp), control_every * dt,
                 )
 
             fan_state = FanState(
@@ -449,7 +467,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
                 log.events["altitude_at_2s_m"] = float(state.position_world[2])
             log.events["final_time_s"] = t
 
-            if i % cfg._sample_substeps == 0:
+            if i % sample_every == 0:
                 log.append(_log_row(t, state, euler, command, fan_state, phase))
 
             if i == n_steps:
@@ -457,25 +475,21 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
 
             # advance actuators toward the commands over (t, t + dt]
             if phase == PHASE_AIRBORNE:
-                max_step = cfg.limits.foot_pitch_rate_max * cfg.dt
-                foot_left = _toward(foot_left, command.theta_left_cmd, max_step)
-                foot_right = _toward(foot_right, command.theta_right_cmd, max_step)
-            sched = thrust_schedule(t + cfg.dt, cfg.ramp)
-            targets = sched * cfg.perturbation.thrust_scale
-            if cfg.limits.thrust_time_constant > 0.0:
-                alpha = 1.0 - math.exp(-cfg.dt / cfg.limits.thrust_time_constant)
-                thrusts = thrusts + alpha * (targets - thrusts)
+                foot_left = _toward(foot_left, command.theta_left_cmd, foot_step)
+                foot_right = _toward(foot_right, command.theta_right_cmd, foot_step)
+            sched = thrust_schedule(t + dt, cfg.ramp)
+            if tau > 0.0:
+                thrusts = [f + alpha * (sched * k - f) for f, k in zip(thrusts, scale)]
             else:
-                thrusts = targets.copy()
+                thrusts = [sched * k for k in scale]
 
             if phase == PHASE_AIRBORNE:
-                state = dynamics_step(state, fan_state, geo, cfg.dt,
+                state = dynamics_step(state, fan_state, geo, dt,
                                       cfg.perturbation, cfg.integrator)
-                euler = quat_to_euler(state.orientation)
+                euler = quat_euler(state.orientation)
             else:
                 # held on the ground: the attitude, and so euler, is unchanged
-                state = state.copy()
-                state.time = t + cfg.dt
+                state.time = t + dt
     except DivergenceError as err:
         log.events["diverged"] = True
         log.events["divergence_reason"] = str(err)
@@ -488,10 +502,10 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
 def _measure(state, euler, cfg, rng):
     rates = state.angular_velocity_body
     if cfg.sensor_noise_std > 0.0:
-        noise = rng.normal(0.0, cfg.sensor_noise_std, 6)
+        noise = rng.normal(0.0, cfg.sensor_noise_std, 6).tolist()
         euler = EulerAngles(euler.roll + noise[0], euler.pitch + noise[1],
                             euler.yaw + noise[2], euler.gimbal_lock)
-        rates = rates + noise[3:]
+        rates = tuple(r + n for r, n in zip(rates, noise[3:]))
     return euler, rates
 
 
@@ -514,12 +528,9 @@ def _update_events(events, t, euler, pitch_key, yaw_key):
 
 def _log_row(t, state, euler, command: FootCommand, fan_state: FanState, phase):
     return (
-        t,
-        state.position_world[0], state.position_world[1], state.position_world[2],
-        state.velocity_world[0], state.velocity_world[1], state.velocity_world[2],
+        t, *state.position_world, *state.velocity_world,
         math.degrees(euler.roll), math.degrees(euler.pitch), math.degrees(euler.yaw),
-        state.angular_velocity_body[0], state.angular_velocity_body[1],
-        state.angular_velocity_body[2],
+        *state.angular_velocity_body,
         math.degrees(command.theta_left_cmd), math.degrees(command.theta_right_cmd),
         math.degrees(fan_state.theta_left), math.degrees(fan_state.theta_right),
         fan_state.f_front, fan_state.f_back, fan_state.f_left, fan_state.f_right,

@@ -4,8 +4,9 @@ Conventions used across the package:
 
 * World frame {W}: z up, x forward (the robot's facing direction), y left.
   The body frame {B} coincides with {W} at zero attitude.
-* Quaternions are scalar-first ``[w, x, y, z]`` numpy arrays and map body
-  vectors into the world: ``v_w = R(q) @ v_b``.
+* Quaternions are scalar-first ``[w, x, y, z]`` numpy arrays (float tuples
+  in the float kernels at the end) and map body vectors into the world:
+  ``v_w = R(q) @ v_b``.
 * Euler angles are Z-Y-X intrinsic (yaw, then pitch, then roll), so "pitch"
   equals the single rotation angle about body y when roll = yaw = 0.
   Positive pitch tips the body x-axis downward (a forward dive).
@@ -73,16 +74,7 @@ def quat_normalize(q: Quat) -> Quat:
 
 def quat_multiply(q1: Quat, q2: Quat) -> Quat:
     """Hamilton product q1 * q2 (composition: R(q1*q2) = R(q1) @ R(q2))."""
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
+    return np.array(quat_product(q1, q2))
 
 
 def quat_from_axis_angle(axis: Vec3, angle: float) -> Quat:
@@ -104,14 +96,7 @@ def quat_from_pitch(theta: float) -> Quat:
 
 
 def quat_to_matrix(q: Quat) -> np.ndarray:
-    w, x, y, z = quat_normalize(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return np.array(quat_rotation_rows(quat_normalize(q).tolist())).reshape(3, 3)
 
 
 def quat_integrate(q: Quat, omega: Vec3, dt: float) -> Quat:
@@ -121,16 +106,7 @@ def quat_integrate(q: Quat, omega: Vec3, dt: float) -> Quat:
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    wx, wy, wz = (omega[0] * dt, omega[1] * dt, omega[2] * dt)
-    angle = math.sqrt(wx * wx + wy * wy + wz * wz)
-    if angle < 1e-12:
-        # first-order small-angle increment
-        dq = np.array([1.0, 0.5 * wx, 0.5 * wy, 0.5 * wz])
-    else:
-        half = 0.5 * angle
-        s = math.sin(half) / angle
-        dq = np.array([math.cos(half), wx * s, wy * s, wz * s])
-    return quat_normalize(quat_multiply(q, dq))
+    return np.array(quat_step(q, omega, dt))
 
 
 def euler_to_quat(angles: EulerAngles) -> Quat:
@@ -154,14 +130,82 @@ def quat_to_euler(q: Quat) -> EulerAngles:
     Within gimbal-lock margin of |pitch| = pi/2 the yaw/roll split is not
     unique; roll is set to zero there and the result is flagged.
     """
-    r = quat_to_matrix(q)
-    sp = -r[2, 0]
+    return _euler_from_rows(quat_to_matrix(q).ravel().tolist())
+
+
+def _euler_from_rows(r) -> EulerAngles:
+    """Z-Y-X angles of a rotation given as its row-major 9 entries."""
+    sp = -r[6]
     sp = min(1.0, max(-1.0, sp))
     pitch = math.asin(sp)
     if abs(pitch) > 0.5 * math.pi - GIMBAL_LOCK_MARGIN:
         # fold the degenerate rotation into yaw
-        yaw = math.atan2(-r[0, 1], r[1, 1])
+        yaw = math.atan2(-r[1], r[4])
         return EulerAngles(roll=0.0, pitch=pitch, yaw=yaw, gimbal_lock=True)
-    roll = math.atan2(r[2, 1], r[2, 2])
-    yaw = math.atan2(r[1, 0], r[0, 0])
+    roll = math.atan2(r[7], r[8])
+    yaw = math.atan2(r[3], r[0])
     return EulerAngles(roll=roll, pitch=pitch, yaw=yaw)
+
+
+# ---------------------------------------------------------------------------
+# Float kernels: the same operations on plain float tuples, for the
+# per-step rigid-body integrator, where numpy's call overhead dominates.
+# ---------------------------------------------------------------------------
+
+def quat_product(q1, q2) -> tuple[float, float, float, float]:
+    """Hamilton product q1 * q2 as a float tuple."""
+    w1, x1, y1, z1 = q1
+    w2, x2, y2, z2 = q2
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def quat_unit(q) -> tuple[float, float, float, float]:
+    """quat_normalize as a float tuple; a NaN quaternion stays NaN."""
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n < 1e-300:
+        raise ValueError("cannot normalize a zero quaternion")
+    return (w / n, x / n, y / n, z / n)
+
+
+def quat_step(q, omega, dt: float) -> tuple[float, float, float, float]:
+    """quat_integrate as a float tuple, for dt > 0."""
+    wx, wy, wz = (omega[0] * dt, omega[1] * dt, omega[2] * dt)
+    angle = math.sqrt(wx * wx + wy * wy + wz * wz)
+    if angle < 1e-12:
+        # first-order small-angle increment
+        dq = (1.0, 0.5 * wx, 0.5 * wy, 0.5 * wz)
+    else:
+        half = 0.5 * angle
+        s = math.sin(half) / angle
+        dq = (math.cos(half), wx * s, wy * s, wz * s)
+    return quat_unit(quat_product(q, dq))
+
+
+def quat_rotation_rows(q) -> tuple[float, ...]:
+    """R(q) as its row-major 9 entries, for a unit quaternion q."""
+    w, x, y, z = q
+    return (
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    )
+
+
+def quat_rotate(q, v) -> tuple[float, float, float]:
+    """R(q) @ v as a float tuple, for a unit quaternion q."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_rotation_rows(q)
+    vx, vy, vz = v
+    return (r00 * vx + r01 * vy + r02 * vz,
+            r10 * vx + r11 * vy + r12 * vz,
+            r20 * vx + r21 * vy + r22 * vz)
+
+
+def quat_euler(q) -> EulerAngles:
+    """quat_to_euler for a unit quaternion, on floats."""
+    return _euler_from_rows(quat_rotation_rows(q))

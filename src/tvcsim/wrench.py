@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .robot import GRAVITY, RobotGeometry
-from .spatial import Quat, Vec3, quat_from_pitch, quat_to_matrix
+from .spatial import Quat, quat_from_pitch, quat_to_matrix
 
 
 @dataclass
@@ -61,14 +61,31 @@ class FanState:
 
 @dataclass
 class Wrench:
-    """Net force/torque in {W}, the torque in {B} and its pitch decomposition."""
+    """The fan force/torque in {B} with the pitch decomposition, and the net
+    force_world/torque_world in {W} at the attitude, built on first access.
 
-    force_world: Vec3
-    torque_world: Vec3
-    torque_body: Vec3
+    force_body excludes gravity; like torque_body it does not depend on the
+    attitude, so the takeoff step reads only these two float 3-tuples.
+    """
+
+    force_body: tuple[float, float, float]
+    torque_body: tuple[float, float, float]
     t_y1: float
     t_y2: float
     t_y3: float
+    orientation: Quat
+    weight: float  # M g, subtracted from the world-frame force
+
+    def __getattr__(self, name):
+        # only reached while force_world/torque_world are unset: R(q) is
+        # built once for both, then they are plain attributes
+        if name not in ("force_world", "torque_world"):
+            raise AttributeError(f"'Wrench' object has no attribute {name!r}")
+        rot = quat_to_matrix(self.orientation)
+        self.force_world = rot @ np.array(self.force_body)
+        self.force_world[2] -= self.weight
+        self.torque_world = rot @ np.array(self.torque_body)
+        return getattr(self, name)
 
 
 def total_wrench(fs: FanState, geo: RobotGeometry, theta_pitch: float) -> Wrench:
@@ -123,8 +140,8 @@ def generalized_wrench_3d(
         yaw     L_f/2 (h_R - h_L) + y_c F_x
 
     A perturbation shifts the CoM and biases each foot's thrust axis; the
-    t_y* fields use the effective CoM and foot angles. R(q) is built once and
-    rotates both force and torque into {W}.
+    t_y* fields use the effective CoM and foot angles. R(q) is built once, on
+    first access to a world-frame field, and rotates both into {W}.
     """
     x_c, y_c, z_c = geo.com_body.tolist()
     theta_l = fs.theta_left
@@ -144,11 +161,12 @@ def generalized_wrench_3d(
     t_y1 = fs.f_back * (half_l + x_c) - fs.f_front * (half_l - x_c)
     t_y2 = (v_l + v_r) * (x_c - geo.fan_foot_x)
     t_y3 = -f_x * (z_c - geo.fan_foot_z)
-    torque_body = np.array([half_lf * (v_l - v_r) - y_c * f_z,
-                            t_y1 + t_y2 + t_y3,
-                            half_lf * (h_r - h_l) + y_c * f_x])
+    torque_body = (half_lf * (v_l - v_r) - y_c * f_z,
+                   t_y1 + t_y2 + t_y3,
+                   half_lf * (h_r - h_l) + y_c * f_x)
 
-    rot = quat_to_matrix(orientation)
-    force_w = rot @ np.array([f_x, 0.0, f_z])
-    force_w[2] -= geo.mass_total * GRAVITY
-    return Wrench(force_w, rot @ torque_body, torque_body, t_y1, t_y2, t_y3)
+    # a caller's array may change before the first world-frame access
+    if not isinstance(orientation, tuple):
+        orientation = np.array(orientation, dtype=float)
+    return Wrench((f_x, 0.0, f_z), torque_body, t_y1, t_y2, t_y3,
+                  orientation, geo.mass_total * GRAVITY)

@@ -331,6 +331,19 @@ def test_envelope_json_marks_infeasible_cells_null(tmp_path, capsys):
     assert all(v is not None for v in rows[1])
 
 
+def test_envelope_without_level_hover_exit_3(tmp_path, capsys):
+    # 4 x 41 N cannot hold 17 kg even level: no ratio, no envelope file
+    cfg = tmp_path / "weaker.cfg"
+    cfg.write_text("limits.thrust_max_per_fan_n = 41\n")
+    code, out, err = run_cli(["--config", str(cfg), "--out", str(tmp_path),
+                              "envelope", "--postures", "P1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("infeasible: vertical force floor") and "with feet up" in err
+    assert not (tmp_path / "envelope_P1.csv").exists()
+    assert not (tmp_path / "envelope_manifest.json").exists()
+
+
 def test_outputs_ignore_a_stale_temp_path(tmp_path, capsys):
     # a fixed temp name would collide with this directory
     (tmp_path / "takeoff_log.csv.tmp").mkdir()

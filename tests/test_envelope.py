@@ -11,6 +11,7 @@ from tvcsim.envelope import (
     EnvelopeConstraint,
     EnvelopeInfeasibleError,
     envelope_sweep,
+    envelope_sweep_and_level_ratio,
     lp_max_covering,
     max_pitch_torque_dt,
     max_pitch_torque_tvc,
@@ -189,6 +190,29 @@ def test_ratio_at_least_three_all_postures():
         ratio_max, ratio_min = tvc_dt_ratio(geo, EnvelopeConstraint.hover(geo, posture))
         assert ratio_max >= 3.0
         assert ratio_min >= 3.0
+
+
+@pytest.mark.parametrize("pitch_range, n_points", [
+    ((-math.pi / 6, math.pi / 6), 61),  # pitch 0 is the middle abscissa
+    ((-math.pi / 6, math.pi / 6), 60),  # even count: 0 is not an abscissa
+    ((0.05, 0.3), 7),                   # 0 outside the sweep
+    ((0.0, 0.0), 5),                    # the one-point sweep at 0
+])
+def test_level_ratio_comes_from_the_sweep_unchanged(pitch_range, n_points):
+    points, ratio = envelope_sweep_and_level_ratio(P1, HOVER, pitch_range, n_points)
+    assert ratio == tvc_dt_ratio(P1, HOVER, 0.0)
+    assert repr(points) == repr(envelope_sweep(P1, HOVER, pitch_range, n_points))
+
+
+def test_level_ratio_raises_like_the_single_pitch_search():
+    weak = EnvelopeConstraint.hover(P1, P1_POSTURE, FanLimits(thrust_max_per_fan=41.0))
+    with pytest.raises(EnvelopeInfeasibleError) as single:
+        tvc_dt_ratio(P1, weak, 0.0)
+    # with and without an abscissa at pitch 0, and ahead of an invalid sweep
+    for n_points in (3, 4, 1):
+        with pytest.raises(EnvelopeInfeasibleError) as swept:
+            envelope_sweep_and_level_ratio(P1, weak, (-0.5, 0.5), n_points)
+        assert str(swept.value) == str(single.value)
 
 
 def test_unconstrained_envelope_closed_form():

@@ -1,0 +1,109 @@
+"""Property-based fuzzing of `tvcsim takeoff` config files.
+
+Every input must end in a documented exit code (0 ok, 2 config error,
+3 infeasible, 4 divergence) with a one-line message, never in a traceback,
+and every events or manifest file written must be strict JSON.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tvcsim.cli import main
+
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
+
+EXTREMES = (0.0, -1.0, 1e-12, 1e12, -1e12)
+
+
+def number(lo, hi):
+    """Mostly plausible values, sometimes a boundary or an absurd one."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from(EXTREMES))
+
+
+ANGLE = number(-200.0, 200.0)
+TAKEOFF_KEYS = {
+    "posture": st.sampled_from(["P1", "P2", "P3", "P4", ""]),
+    "posture.com_x_m": number(-0.2, 0.2),
+    "posture.com_z_m": number(-0.5, 0.1),
+    "posture.foot_x_m": number(-0.2, 0.2),
+    "posture.foot_z_m": number(-0.9, 0.0),
+    "posture.foot_pitch_min_deg": ANGLE,
+    "posture.foot_pitch_max_deg": ANGLE,
+    "mode": st.sampled_from(["both-on", "pitch-only", "all-off", "on"]),
+    "geometry.mass_kg": number(0.5, 30.0),
+    "geometry.waist_fan_spacing_m": number(0.01, 1.0),
+    "geometry.foot_fan_spacing_m": number(0.01, 1.0),
+    "geometry.fan_mass_kg": number(0.0, 5.0),
+    "geometry.com_y_m": number(-0.1, 0.1),
+    "limits.thrust_max_per_fan_n": number(1.0, 100.0),
+    "limits.thrust_min_n": number(0.0, 60.0),
+    "limits.foot_pitch_rate_max_rad_s": number(0.01, 50.0),
+    "limits.thrust_time_constant_s": number(0.0, 1.0),
+    "controller.kp_pitch": number(0.0, 10.0),
+    "controller.kd_pitch": number(0.0, 2.0),
+    "controller.kp_yaw": number(0.0, 10.0),
+    "controller.kd_yaw": number(0.0, 2.0),
+    "controller.ki_pitch": number(0.0, 5.0),
+    "controller.ki_yaw": number(0.0, 5.0),
+    "controller.natural_freq_pitch_rad_s": number(0.1, 50.0),
+    "controller.natural_freq_yaw_rad_s": number(0.1, 50.0),
+    "controller.damping_ratio": number(0.0, 3.0),
+    "controller.setpoint_pitch_deg": ANGLE,
+    "controller.setpoint_yaw_deg": ANGLE,
+    "controller.rate_hz": st.sampled_from([50.0, 250.0, 500.0, 1000.0, 333.0, 0.0, -250.0]),
+    "thrust.target_per_fan_n": number(0.0, 80.0),
+    "thrust.ramp_time_s": number(0.0, 1.0),
+    "perturbation.com_offset_x_m": number(-0.05, 0.05),
+    "perturbation.com_offset_y_m": number(-0.05, 0.05),
+    "perturbation.com_offset_z_m": number(-0.05, 0.05),
+    "perturbation.foot_misalignment_left_deg": number(-12.0, 12.0),
+    "perturbation.foot_misalignment_right_deg": number(-12.0, 12.0),
+    "perturbation.thrust_scale_front": number(0.7, 1.3),
+    "perturbation.thrust_scale_back": number(0.7, 1.3),
+    "perturbation.thrust_scale_left": number(0.7, 1.3),
+    "perturbation.thrust_scale_right": number(0.7, 1.3),
+    "sim.dt_s": st.sampled_from([5e-4, 1e-3, 2e-3, 3e-3, 0.0, -1e-3]),
+    "sim.sample_rate_hz": st.sampled_from([100.0, 250.0, 500.0, 1000.0, 300.0, 0.0]),
+    "sim.seed": st.integers(-5, 2**40),
+    "sim.integrator": st.sampled_from(["euler", "rk4", "verlet"]),
+    "sim.sensor_noise_std": number(0.0, 0.1),
+}
+
+
+def strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-finite JSON number {token} in {path}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+# a few keys per file, so that most files pass validation and reach the simulation
+CONFIGS = st.lists(st.sampled_from(sorted(TAKEOFF_KEYS)), max_size=5, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({"sim.duration_s": st.floats(0.001, 0.3)}
+                                       | {key: TAKEOFF_KEYS[key] for key in keys}))
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(values=CONFIGS)
+def test_takeoff_config_fuzz_ends_in_a_documented_way(values, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    config = out / "fuzz.cfg"
+    config.write_text("".join(f"{key} = {value!r}\n" if isinstance(value, float)
+                              else f"{key} = {value}\n" for key, value in values.items()))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["--config", str(config), "--out", str(out), "takeoff"])
+    err = stderr.getvalue()
+    assert code in DOCUMENTED_EXIT_CODES
+    if code in (2, 3):
+        assert len(err.strip().splitlines()) == 1, err
+    for name in ("takeoff_events.json", "takeoff_manifest.json"):
+        if (out / name).exists():
+            strict_json(out / name)
+    if code in (0, 4):
+        assert strict_json(out / "takeoff_events.json")["diverged"] is (code == 4)

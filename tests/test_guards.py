@@ -46,13 +46,16 @@ def test_takeoff_loop_evaluates_the_wrench_once_per_step(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(sim, "generalized_wrench_3d", counted)
-    cfg = sim.ScenarioConfig(duration=0.8, integrator="euler")
-    log = sim.run_scenario(cfg)
-    assert 0.0 < log.events["liftoff_time_s"] < cfg.duration  # both phases run
-    # the liftoff check runs on the ground only and the euler step once aloft;
-    # the liftoff step makes both calls and the last step, aloft, makes none
-    loop_steps = round(cfg.duration / cfg.dt) + 1
-    assert calls == loop_steps
+    for integrator in ("euler", "rk4"):
+        calls = 0
+        cfg = sim.ScenarioConfig(duration=0.8, integrator=integrator)
+        log = sim.run_scenario(cfg)
+        assert 0.0 < log.events["liftoff_time_s"] < cfg.duration  # both phases run
+        # the liftoff check runs on the ground only and the step once aloft,
+        # whose rk4 stages rotate that one wrench; the liftoff step makes both
+        # calls and the last step, aloft, makes none
+        loop_steps = round(cfg.duration / cfg.dt) + 1
+        assert calls == loop_steps, integrator
 
 
 def test_envelope_kernel_calls_do_not_grow_with_the_scan_resolution(monkeypatch):

@@ -56,11 +56,11 @@ def test_torque_free_tumble_conservation_rk4():
     state = RigidBodyState(angular_velocity_body=np.array([1.0, 1.2, 0.8]))
     inertia = P1.inertia_body
     momentum0 = np.linalg.norm(inertia @ state.angular_velocity_body)
-    energy0 = 0.5 * state.angular_velocity_body @ inertia @ state.angular_velocity_body
+    energy0 = 0.5 * (state.angular_velocity_body @ inertia @ state.angular_velocity_body)
     for _ in range(1000):
         state = dynamics_step(state, ZERO_THRUST, P1, 1e-3, integrator="rk4")
     momentum1 = np.linalg.norm(inertia @ state.angular_velocity_body)
-    energy1 = 0.5 * state.angular_velocity_body @ inertia @ state.angular_velocity_body
+    energy1 = 0.5 * (state.angular_velocity_body @ inertia @ state.angular_velocity_body)
     assert abs(momentum1 - momentum0) / momentum0 < 1e-5
     assert abs(energy1 - energy0) / energy0 < 1e-5
 
@@ -313,3 +313,101 @@ def test_log_header_layout():
     assert log.header[:7] == ["time_s", "px", "py", "pz", "vx", "vy", "vz"]
     assert log.header[-1] == "phase"
     assert len(log.header) == 22
+
+
+# --- the float step against the array formulation it replaced --------------
+
+def _np_quat_mul(a, b):
+    """Hamilton product in scalar-vector form."""
+    return np.concatenate([[a[0] * b[0] - a[1:] @ b[1:]],
+                           a[0] * b[1:] + b[0] * a[1:] + np.cross(a[1:], b[1:])])
+
+
+def _np_normalize(q):
+    return q / np.linalg.norm(q)
+
+
+def _np_accels(q, omega, fs, geo, pert):
+    """Array accelerations: world force through R(q), np.cross and np.linalg.solve."""
+    w = generalized_wrench_3d(fs, geo, q, pert)
+    inertia = geo.inertia_body
+    omega_dot = np.linalg.solve(inertia, np.asarray(w.torque_body)
+                                - np.cross(omega, inertia @ omega))
+    return w.force_world / geo.mass_total, omega_dot
+
+
+def _np_step(state, fs, geo, dt, pert, integrator):
+    p, v = np.array(state.position_world), np.array(state.velocity_world)
+    q, omega = np.array(state.orientation), np.array(state.angular_velocity_body)
+    if integrator == "euler":
+        acc, omega_dot = _np_accels(q, omega, fs, geo, pert)
+        v_new = v + acc * dt
+        omega_new = omega + omega_dot * dt
+        rot = omega_new * dt
+        angle = np.linalg.norm(rot)
+        dq = np.concatenate([[math.cos(0.5 * angle)], math.sin(0.5 * angle) / angle * rot])
+        return p + 0.5 * (v + v_new) * dt, v_new, _np_normalize(_np_quat_mul(q, dq)), omega_new
+
+    def deriv(v, q, omega):
+        acc, omega_dot = _np_accels(q, omega, fs, geo, pert)
+        return v, acc, 0.5 * _np_quat_mul(q, np.concatenate([[0.0], omega])), omega_dot
+
+    x0 = (p, v, q, omega)
+    k1 = deriv(v, q, omega)
+    k2 = deriv(v + 0.5 * dt * k1[1], _np_normalize(q + 0.5 * dt * k1[2]), omega + 0.5 * dt * k1[3])
+    k3 = deriv(v + 0.5 * dt * k2[1], _np_normalize(q + 0.5 * dt * k2[2]), omega + 0.5 * dt * k2[3])
+    k4 = deriv(v + dt * k3[1], _np_normalize(q + dt * k3[2]), omega + dt * k3[3])
+    new = [x0[i] + dt * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0 for i in range(4)]
+    new[2] = _np_normalize(new[2])
+    return tuple(new)
+
+
+def _random_inertia(rng):
+    """A general symmetric positive-definite tensor: rotated principal moments."""
+    axes, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    inertia = axes @ np.diag(rng.uniform(0.2, 1.5, 3)) @ axes.T
+    return 0.5 * (inertia + inertia.T)
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_float_step_matches_the_array_formulation(integrator, perturbed):
+    rng = np.random.default_rng(2024 + perturbed)
+    for case in range(100):
+        geo = geometry_from_posture(builtin_posture(("P1", "P2", "P3")[case % 3]),
+                                    inertia_body=_random_inertia(rng))
+        assert np.abs(geo.inertia_body - np.diag(np.diag(geo.inertia_body))).max() > 1e-3
+        pert = Perturbation(com_offset=rng.normal(0.0, 0.01, 3),
+                            foot_axis_misalignment_left=rng.uniform(-0.15, 0.15),
+                            foot_axis_misalignment_right=rng.uniform(-0.15, 0.15)
+                            ) if perturbed else None
+        q = rng.normal(size=4)
+        state = RigidBodyState(rng.normal(0.0, 5.0, 3), rng.normal(0.0, 3.0, 3),
+                               q / np.linalg.norm(q), rng.normal(0.0, 3.0, 3), 0.5)
+        fs = FanState(*rng.uniform(0.0, 50.0, 4), *rng.uniform(-1.2, 1.2, 2))
+        dt = rng.uniform(2e-4, 2e-3)
+        got = dynamics_step(state, fs, geo, dt, pert, integrator)
+        ref = _np_step(state, fs, geo, dt, pert, integrator)
+        assert got.time == state.time + dt
+        before = (state.position_world, state.velocity_world, state.orientation,
+                  state.angular_velocity_body)
+        for x0, new, expected in zip(before, (got.position_world, got.velocity_world,
+                                              got.orientation, got.angular_velocity_body), ref):
+            assert isinstance(new, tuple) and all(isinstance(x, float) for x in new)
+            # relative to the step's change, not to the state, so that the
+            # comparison sees the accelerations themselves
+            change = np.linalg.norm(expected - x0)
+            assert np.linalg.norm(np.array(new) - expected) <= 1e-12 * change, (case, new)
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_float_step_guards(integrator):
+    with pytest.raises(DivergenceError, match="position"):
+        dynamics_step(RigidBodyState(), FanState(math.nan, 40.0, 40.0, 40.0), P1, 1e-3,
+                      integrator=integrator)
+    with pytest.raises(DivergenceError):  # rk4 carries the NaN into the position first
+        dynamics_step(RigidBodyState(angular_velocity_body=(0.0, math.nan, 0.0)),
+                      ZERO_THRUST, P1, 1e-3, integrator=integrator)
+    with pytest.raises(ValueError, match="zero quaternion"):
+        dynamics_step(RigidBodyState(orientation=(0.0, 0.0, 0.0, 0.0)), ZERO_THRUST, P1, 1e-3,
+                      integrator=integrator)

@@ -27,6 +27,7 @@ from enum import Enum
 
 from .robot import FanLimits, Posture, RobotGeometry
 from .spatial import EulerAngles, wrap_angle
+from .trim import NoTrimError
 
 
 class ControlMode(Enum):
@@ -111,7 +112,7 @@ def tune_gains(
     rounded to four significant digits. The default natural frequency is
     chosen so the point-mass inertia surrogate holds attitude against the
     standard CoM-offset and joint-bias disturbances with a few degrees of
-    steady-state error.
+    steady-state error. Raises NoTrimError where b <= 0.
     """
     f = hover_thrust_per_fan
     x_c, z_c = geo.com_body[0], geo.com_body[2]
@@ -119,7 +120,7 @@ def tune_gains(
     b_pitch = 2.0 * f * (ct * (z_c - geo.fan_foot_z) + st * (x_c - geo.fan_foot_x))
     b_yaw = geo.fan_spacing_feet * f * ct
     if b_pitch <= 0.0 or b_yaw <= 0.0:
-        raise ValueError(
+        raise NoTrimError(
             "foot fans have no stabilizing authority at this trim "
             f"(b_pitch={b_pitch:.3g}, b_yaw={b_yaw:.3g})"
         )

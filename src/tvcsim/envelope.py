@@ -11,10 +11,13 @@ saturate every actuator. At a fixed foot angle the extremum over thrusts is a
 linear program with box bounds and one covering constraint (Durham's
 attainable-moment problem), solved exactly by the greedy lp_max_covering runs
 on whole arrays of LPs; a minimum is the maximum of the negated torque. DT is
-the LP at foot angle 0. TVC scans the foot range (plus the angle 0, so the DT
-slice is a candidate) in one call per pitch and direction, then polishes each
-winner by golden-section search, every lane of a sweep stepping together.
-The independent cross-check lives in tvcsim.oracles.
+the LP at foot angle 0. For TVC the LP optimum at a fixed pitch and foot angle
+is a vertex with at most one fractional thrust (Durham, "Constrained control
+allocation", JGCD 1993; Bodson, "Evaluation of optimization methods for
+control allocation", JGCD 2002), so the maximum over the foot range is reached
+at one of a few angles written down in closed form (see _tvc_points); one LP
+call evaluates them all for every lane of a sweep, and each lane keeps its
+best. The independent cross-check lives in tvcsim.oracles.
 
 Legs are assumed parallel: both feet share one thrust value and one pitch
 angle throughout the search.
@@ -31,10 +34,7 @@ import numpy as np
 from .robot import FanLimits, Posture, RobotGeometry
 from .wrench import FanState
 
-SCAN_STEP_RAD = math.radians(0.1)  # TVC foot-angle scan resolution before refinement
 _FEAS_TOL = 1e-9
-_GOLDEN_STEPS = 40
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 SWEEP_PITCH_RANGE = (-math.pi / 6.0, math.pi / 6.0)  # rad, the default sweep
 SWEEP_POINTS = 61
 
@@ -200,46 +200,32 @@ def _dt_points(geo, pitches, constraint) -> list[EnvelopePoint | None]:
 
 
 def _tvc_points(geo, pitches, constraint) -> list[EnvelopePoint | None]:
-    lo_r, hi_r = constraint.foot_angle_range
-    n = max(2, int(math.ceil((hi_r - lo_r) / SCAN_STEP_RAD)) + 1)
-    scan = np.linspace(lo_r, hi_r, n)
-    if lo_r <= 0.0 <= hi_r:
-        scan = np.append(scan, 0.0)  # keep the DT slice in the scan
+    """Each lane's best candidate foot angle, every candidate in one LP call.
+
+    The candidates are the range ends and 0 (the DT slice); the angles where
+    both capped feet just meet the floor (and the floor +- _FEAS_TOL) beside
+    0, 1 or 2 capped waist fans; and the stationary angles of the torque with
+    the feet capped while a waist fan of torque arm c_w, or none, is fractional.
+    """
+    lo, hi = constraint.foot_angle_range
+    cap = constraint.per_fan_max
     lane_pitch, sign = np.tile(pitches, 2), np.repeat([1.0, -1.0], len(pitches))
-
-    # scan: the first best angle of each lane, one call per lane
-    best, best_th = np.empty((2, len(lane_pitch)))
-    best_x = np.empty((len(lane_pitch), 3))
-    torque = {s: _torque(geo, scan, s) for s in (1.0, -1.0)}  # the same at every pitch
-    for lane, (theta_pitch, s) in enumerate(zip(lane_pitch, sign)):
-        value, x = lp_max_covering(torque[s], _vertical(theta_pitch, scan),
-                                   constraint.min_vertical_force, constraint.per_fan_max)
-        k = np.argmax(value)
-        best[lane], best_th[lane], best_x[lane] = value[k], scan[k], x[k]
-
-    # golden-section polish of every lane at once, within one scan step of its winner
-    def value_at(th):
-        return _solve(geo, constraint, lane_pitch, th, sign)
-
-    step = (hi_r - lo_r) / (n - 1)
-    a = np.maximum(lo_r, best_th - step)
-    b = np.minimum(hi_r, best_th + step)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = value_at(x1)[0], value_at(x2)[0]
-    for _ in range(_GOLDEN_STEPS):
-        left = f1 > f2
-        a, b = np.where(left, a, x1), np.where(left, x2, b)
-        x1, x2 = (np.where(left, b - _INVPHI * (b - a), x2),
-                  np.where(left, x1, a + _INVPHI * (b - a)))
-        f = value_at(np.where(left, x1, x2))[0]
-        f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
-    th = np.where(f1 > f2, x1, x2)
-    value, x = value_at(th)
-    lost = value < best  # refinement never loses to the scan winner
-    value, th = np.where(lost, best, value), np.where(lost, best_th, th)
-    x = np.where(lost[:, None], best_x, x)
-    return _points(pitches, th, value, x)
+    phi = lane_pitch[:, None]
+    floors = np.repeat(constraint.min_vertical_force + np.array([-_FEAS_TOL, 0.0, _FEAS_TOL]), 3)
+    waist = np.cos(phi) * np.tile([0.0, cap, 2.0 * cap], 3)
+    acos = np.arccos(np.clip((floors - waist) / (2.0 * cap), -1.0, 1.0))
+    c_front, c_back, foot = _torque(geo, 0.0, 1.0)  # foot: 2 (x_c - x_foot)
+    c_w, b = np.array([0.0, c_front, c_back]), geo.fan_foot_z - geo.com_body[2]
+    stationary = np.arctan2(b * np.cos(phi) + c_w * np.sin(phi), (foot / 2 - c_w) * np.cos(phi))
+    free = np.concatenate([acos - phi, -acos - phi, stationary, stationary + math.pi], axis=1)
+    fixed = [lo, hi, 0.0] if lo <= 0.0 <= hi else [lo, hi]
+    candidates = np.hstack([np.broadcast_to(fixed, (len(phi), len(fixed))),
+                            np.minimum(lo + np.mod(free - lo, 2.0 * math.pi), hi)])
+    m = candidates.shape[1]
+    feet = candidates.ravel()
+    value, x = _solve(geo, constraint, np.repeat(lane_pitch, m), feet, np.repeat(sign, m))
+    best = np.arange(len(lane_pitch)) * m + np.argmax(value.reshape(-1, m), axis=1)
+    return _points(pitches, feet[best], value[best], x[best])
 
 
 def _require(point, constraint, theta_pitch, search) -> EnvelopePoint:

@@ -8,7 +8,7 @@ code so the two can be compared:
 * envelope_extrema_grid walks a fixed foot-angle grid and enumerates the
   vertices of the thrust polytope (box corners plus box-edge intersections
   with the vertical-force plane) at every angle, instead of the parametric
-  greedy plus refinement.
+  greedy over closed-form candidate angles.
 * trim_scan exploits the closed force balance of the equal-thrust trim
   (body pitch is minus half the foot angle, thrust follows from the weight)
   and scans the remaining torque equation on a fine angle grid, instead of

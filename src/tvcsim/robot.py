@@ -181,6 +181,8 @@ def _inverse_rows(m: tuple) -> tuple:
     """
     a, b, c, d, e, f, g, h, i = m
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if det == 0.0:  # a positive-definite tensor whose determinant underflows
+        raise ValueError("inertia_body is singular in floating point")
     return tuple(x / det for x in (e * i - f * h, c * h - b * i, b * f - c * e,
                                    f * g - d * i, a * i - c * g, c * d - a * f,
                                    d * h - e * g, b * g - a * h, a * e - b * d))

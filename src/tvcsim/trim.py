@@ -3,9 +3,10 @@
 With equal preplanned thrusts the free variables are the common per-fan
 thrust, the shared foot pitch angle, and the body pitch angle; the residual
 is (world F_x, world F_z, pitch torque). Lateral force and roll/yaw torque
-vanish by left-right symmetry. A damped Newton iteration with a numerical
-Jacobian drives the residual below tolerance; the result is what the flight
-controller uses as its foot-angle trim offset.
+vanish by left-right symmetry, unless a CoM off the plane of symmetry
+(com_y != 0) leaves a roll torque that no trim cancels. A damped Newton
+iteration with a numerical Jacobian drives the residual below tolerance; the
+result is what the flight controller uses as its foot-angle trim offset.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ def hover_trim(
             f"(fx={residual[0]:.3e} N, fz={residual[1]:.3e} N, ty={residual[2]:.3e} N*m)",
             residual=residual,
         )
+    w = total_wrench(fs, geo, theta_pitch)  # fy, tx, tz: zero unless com_y != 0
+    lateral = np.array([w.force_world[1], w.torque_world[0], w.torque_world[2]])
+    if float(np.linalg.norm(lateral)) > tol:
+        raise NoTrimError(f"trim leaves a roll torque tx={lateral[1]:.3e} N*m with the CoM "
+                          f"{geo.com_body[1]} m off the plane of symmetry", residual=lateral)
     worst = max(fs.thrusts().max() - limits.thrust_max_per_fan,
                 limits.thrust_min - fs.thrusts().min())
     if worst > 1e-9:

@@ -280,6 +280,25 @@ def test_thrust_cap_below_ramp_fails_only_takeoff(tmp_path, capsys):
     assert err == "error: thrust ramp target 48.0 N exceeds the 47.0 N per-fan limit\n"
 
 
+def test_trim_without_foot_authority_exit_3(tmp_path, capsys):
+    # feet above the CoM trim fine but give the controller no pitch authority
+    code, out, err = run_with_config(tmp_path, capsys, "posture.foot_z_m = -0.1\n", "takeoff")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("infeasible: foot fans have no stabilizing authority")
+
+
+def test_lateral_com_has_no_trim(tmp_path, capsys):
+    # symmetric thrusts cannot cancel the roll torque of a CoM off the plane of symmetry
+    for command in ("trim", "takeoff"):
+        code, out, err = run_with_config(tmp_path, capsys, "geometry.com_y_m = 0.02\n", command)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("infeasible: trim leaves a roll torque tx=-3.335e+00 N*m")
+
+
 def test_events_echo_the_thrust_cap(tmp_path, capsys):
     echoes = []
     for cap in ("50", "52"):

@@ -186,10 +186,11 @@ def test_tune_gains_pole_placement():
 def test_tune_gains_rejects_degenerate_geometry():
     # fans level with the CoM leave no pitch authority
     from tvcsim.robot import Posture
+    from tvcsim.trim import NoTrimError
 
     flat = geometry_from_posture(
         Posture("FLAT", (0.0, -0.3), (0.0, -0.3), (-74.0, 90.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(NoTrimError, match="no stabilizing authority"):
         tune_gains(flat, 40.0, 0.0)
 
 

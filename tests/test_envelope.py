@@ -174,6 +174,52 @@ def test_tvc_matches_grid_oracle():
         assert point.tau_min == pytest.approx(lo, rel=0.01)
 
 
+def random_envelope_cases(seed, count):
+    """(geometry, constraint) over P1-P3 with drawn mass, waist spacing and cap;
+    every fourth foot range has zero width."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(count):
+        posture = builtin_posture(("P1", "P2", "P3")[k % 3])
+        geo = geometry_from_posture(posture, mass_total=float(rng.uniform(8.0, 20.0)),
+                                    fan_spacing_waist=float(rng.uniform(0.1, 0.8)))
+        lo, hi = posture.foot_pitch_range
+        feet = (lo, hi) if k % 4 else (float(rng.uniform(lo, hi)),) * 2
+        cap = float(rng.uniform(0.3, 1.2)) * geo.weight / 2.0
+        cases.append((geo, EnvelopeConstraint(geo.weight, cap, feet)))
+    return cases
+
+
+def test_tvc_extrema_are_exact_against_a_dense_foot_grid():
+    # the candidate angles reach the LP's maximum over the foot range, so no
+    # angle of a 0.01 deg grid does better
+    pitches = np.linspace(-0.5, 0.5, 7)
+    for geo, constraint in random_envelope_cases(seed=6, count=12):
+        lo, hi = constraint.foot_angle_range
+        grid = np.linspace(lo, hi, max(2, int(math.degrees(hi - lo) / 0.01) + 1))
+        x_c, z_c = geo.com_body[0], geo.com_body[2]
+        half_l = 0.5 * geo.fan_spacing_waist
+        c = np.stack(np.broadcast_arrays(
+            -(half_l - x_c), half_l + x_c,
+            2.0 * (np.cos(grid) * (x_c - geo.fan_foot_x) + np.sin(grid) * (geo.fan_foot_z - z_c))),
+            axis=-1)
+        for theta_pitch, p in zip(pitches, envelope_sweep(geo, constraint, (-0.5, 0.5), 7)):
+            cp = math.cos(theta_pitch)
+            a = np.stack(np.broadcast_arrays(cp, cp, 2.0 * np.cos(theta_pitch + grid)), axis=-1)
+            best_max = lp_max_covering(c, a, constraint.min_vertical_force,
+                                       constraint.per_fan_max)[0].max()
+            best_min = -lp_max_covering(-c, a, constraint.min_vertical_force,
+                                        constraint.per_fan_max)[0].max()
+            if p.tvc is None:
+                assert best_max == -math.inf
+                continue
+            tvc = p.tvc
+            assert tvc.tau_max >= best_max - 1e-9 * max(1.0, abs(tvc.tau_max))
+            assert tvc.tau_min <= best_min + 1e-9 * max(1.0, abs(tvc.tau_min))
+            for state in (tvc.argmax_state, tvc.argmin_state):
+                assert lo <= state.theta_left == state.theta_right <= hi
+
+
 def test_degenerate_foot_range_collapses_to_dt():
     c = EnvelopeConstraint(min_vertical_force=P1.weight, per_fan_max=50.0,
                            foot_angle_range=(0.0, 0.0))

@@ -1,4 +1,4 @@
-"""Property-based fuzzing of `tvcsim takeoff` config files.
+"""Property-based fuzzing of `tvcsim takeoff` and `tvcsim envelope` config files.
 
 Every input must end in a documented exit code (0 ok, 2 config error,
 3 infeasible, 4 divergence) with a one-line message, never in a traceback,
@@ -6,6 +6,7 @@ and every events or manifest file written must be strict JSON.
 """
 
 import contextlib
+import csv
 import io
 import json
 
@@ -107,3 +108,51 @@ def test_takeoff_config_fuzz_ends_in_a_documented_way(values, tmp_path_factory):
             strict_json(out / name)
     if code in (0, 4):
         assert strict_json(out / "takeoff_events.json")["diverged"] is (code == 4)
+
+
+ENVELOPE_KEYS = {key: TAKEOFF_KEYS[key] for key in TAKEOFF_KEYS
+                 if key.startswith(("posture.", "geometry.", "limits."))} | {
+    "envelope.n_points": st.sampled_from([2, 3, 5, 61, 1, 0, -3]),
+    "envelope.theta_pitch_min_deg": ANGLE,
+    "envelope.theta_pitch_max_deg": ANGLE,
+    "envelope.min_vertical_force_n": number(1.0, 400.0),
+}
+ENVELOPE_CONFIGS = st.lists(st.sampled_from(sorted(ENVELOPE_KEYS)), max_size=5,
+                            unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({"envelope.n_points": st.sampled_from([2, 3, 7])}
+                                       | {key: ENVELOPE_KEYS[key] for key in keys}))
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(values=ENVELOPE_CONFIGS, postures=st.sampled_from(["P1", "P2,P3", "P4", ""]),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_envelope_config_fuzz_ends_in_a_documented_way(values, postures, fmt,
+                                                       tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    config = out / "fuzz.cfg"
+    config.write_text("".join(f"{key} = {value!r}\n" if isinstance(value, float)
+                              else f"{key} = {value}\n" for key, value in values.items()))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["--config", str(config), "--out", str(out), "--format", fmt,
+                     "envelope", "--postures", postures])
+    err = stderr.getvalue()
+    assert code in {0, 2, 3}
+    if code:
+        assert len(err.strip().splitlines()) == 1, err
+        return
+    strict_json(out / "envelope_manifest.json")
+    for name in postures.split(","):
+        if fmt == "csv":
+            with open(out / f"envelope_{name}.csv") as fh:
+                rows = list(csv.reader(fh))[1:]
+            missing = "nan"
+        else:
+            rows = strict_json(out / f"envelope_{name}.json")["rows"]
+            missing = None
+        assert rows
+        for row in rows:
+            assert row[0] != missing
+            if missing in row[1:5]:
+                assert row[5] in ("0", 0), row

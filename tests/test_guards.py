@@ -58,7 +58,7 @@ def test_takeoff_loop_evaluates_the_wrench_once_per_step(monkeypatch):
         assert calls == loop_steps, integrator
 
 
-def test_envelope_kernel_calls_do_not_grow_with_the_scan_resolution(monkeypatch):
+def test_envelope_sweep_makes_one_kernel_call_per_strategy(monkeypatch):
     calls = 0
     kernel = envelope.lp_max_covering
 
@@ -68,15 +68,12 @@ def test_envelope_kernel_calls_do_not_grow_with_the_scan_resolution(monkeypatch)
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(envelope, "lp_max_covering", counted)
-    posture = builtin_posture("P1")
-    geo = geometry_from_posture(posture)
-    constraint = envelope.EnvelopeConstraint.hover(geo, posture)
-    n_points = 5
-    envelope.envelope_sweep(geo, constraint, n_points=n_points)
-    coarse, calls = calls, 0
-    monkeypatch.setattr(envelope, "SCAN_STEP_RAD", envelope.SCAN_STEP_RAD / 2.0)
-    envelope.envelope_sweep(geo, constraint, n_points=n_points)
-    assert calls == coarse
-    # one DT call, one scan call per pitch and direction, and the golden-section
-    # search's two starting probes, 40 steps and final solve for all lanes together
-    assert coarse == 1 + 2 * n_points + 2 + 40 + 1
+    for name in ("P1", "P2"):  # P2's foot range is the full +-90 deg
+        posture = builtin_posture(name)
+        geo = geometry_from_posture(posture)
+        constraint = envelope.EnvelopeConstraint.hover(geo, posture)
+        for n_points in (5, 61):
+            calls = 0
+            envelope.envelope_sweep(geo, constraint, n_points=n_points)
+            # one DT call and one TVC call over every lane's candidate foot angles
+            assert calls == 2, (name, n_points)

@@ -104,6 +104,9 @@ def test_geometry_validation():
         RobotGeometry(inertia_body=np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         RobotGeometry(inertia_body=np.arange(9.0).reshape(3, 3))
+    # positive-definite, but the determinant underflows: no float inverse exists
+    with pytest.raises(ValueError, match="singular"):
+        geometry_from_posture(builtin_posture("P1"), fan_mass=3.6e-190)
 
 
 def test_point_mass_inertia_is_diagonal_spd():

@@ -43,8 +43,6 @@ from .robot import (
     builtin_posture,
     geometry_from_posture,
     point_mass_inertia,
-    posture_names,
-    validate_foot_command,
 )
 from .sim import (
     DivergenceError,

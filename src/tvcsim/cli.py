@@ -282,6 +282,10 @@ def cmd_wrench_eval(args, values) -> int:
     started = time.monotonic()
     cfg = _scenario(values, args.posture)
     geo = cfg.geometry()
+    for name in ("thrust_ff", "thrust_fb", "thrust_fl", "thrust_fr", "theta_l", "theta_r",
+                 "theta_pitch"):
+        if not math.isfinite(getattr(args, name)):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite")
     fs = FanState(
         f_front=args.thrust_ff, f_back=args.thrust_fb,
         f_left=args.thrust_fl, f_right=args.thrust_fr,

@@ -161,12 +161,6 @@ class AttitudeController:
         self._int_pitch = 0.0
         self._int_yaw = 0.0
 
-    def reset(self) -> None:
-        self._prev_left = self.trim_offset
-        self._prev_right = self.trim_offset
-        self._int_pitch = 0.0
-        self._int_yaw = 0.0
-
     def step(
         self,
         attitude: EulerAngles,

@@ -12,7 +12,7 @@ code so the two can be compared:
 * trim_scan exploits the closed force balance of the equal-thrust trim
   (body pitch is minus half the foot angle, thrust follows from the weight)
   and scans the remaining torque equation on a fine angle grid, instead of
-  Newton iteration.
+  solving it in closed form.
 
 They are shipped with the package so reported numbers can be re-audited.
 """

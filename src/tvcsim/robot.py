@@ -85,10 +85,6 @@ def builtin_posture(name: str) -> Posture:
         ) from None
 
 
-def posture_names() -> list[str]:
-    return sorted(_BUILTIN_POSTURES)
-
-
 @dataclass(frozen=True)
 class FanLimits:
     """Actuator bounds shared by the envelope search, controller, and sim."""
@@ -149,24 +145,16 @@ class RobotGeometry:
         self.inertia_inverse_rows = _inverse_rows(self.inertia_rows)
 
     @property
-    def fan_waist_front_x(self) -> float:
-        return 0.5 * self.fan_spacing_waist
-
-    @property
-    def fan_waist_back_x(self) -> float:
-        return -0.5 * self.fan_spacing_waist
-
-    @property
     def weight(self) -> float:
         return self.mass_total * GRAVITY
 
     def fan_positions(self) -> np.ndarray:
         """Rows: front, back, left, right fan positions in {B}."""
-        half_lf = 0.5 * self.fan_spacing_feet
+        half_l, half_lf = 0.5 * self.fan_spacing_waist, 0.5 * self.fan_spacing_feet
         return np.array(
             [
-                [self.fan_waist_front_x, 0.0, 0.0],
-                [self.fan_waist_back_x, 0.0, 0.0],
+                [half_l, 0.0, 0.0],
+                [-half_l, 0.0, 0.0],
                 [self.fan_foot_x, half_lf, self.fan_foot_z],
                 [self.fan_foot_x, -half_lf, self.fan_foot_z],
             ]
@@ -238,9 +226,3 @@ def geometry_from_posture(
         # a new geometry, not a reassigned field: __post_init__ derives the float rows
         geo = replace(geo, inertia_body=point_mass_inertia(geo, fan_mass=fan_mass))
     return geo
-
-
-def validate_foot_command(posture: Posture, theta: float) -> bool:
-    """True iff the foot pitch command (radians) lies in the posture's range."""
-    lo, hi = posture.foot_pitch_range
-    return lo <= theta <= hi

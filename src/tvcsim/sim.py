@@ -240,10 +240,6 @@ class SimLog:
     def append(self, row: tuple) -> None:
         self.rows.append(row)
 
-    def column(self, name: str) -> np.ndarray:
-        i = self.header.index(name)
-        return np.array([row[i] for row in self.rows])
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.header) + "\n")

@@ -1,45 +1,40 @@
 """Hover trim: the fan state and body pitch at which the net wrench is zero.
 
-With equal preplanned thrusts the free variables are the common per-fan
-thrust, the shared foot pitch angle, and the body pitch angle; the residual
-is (world F_x, world F_z, pitch torque). Lateral force and roll/yaw torque
-vanish by left-right symmetry, unless a CoM off the plane of symmetry
-(com_y != 0) leaves a roll torque that no trim cancels. A damped Newton
-iteration with a numerical Jacobian drives the residual below tolerance; the
-result is what the flight controller uses as its foot-angle trim offset.
+Both trims are closed-form. With equal thrusts f, both feet at angle t and
+body pitch phi, zero world F_x forces phi = -t/2 and the vertical balance
+gives f = M g / (4 cos(t/2)). The pitch torque is then 2 f (x_c + A cos t -
+B sin t) with A = x_c - p_fx, B = z_c - p_fz, i.e. R cos(t + delta) = -x_c
+with R = hypot(A, B) and delta = atan2(B, A). Of its two roots, wrapped into
+[-pi, pi], the one with the smaller |t| is kept; none exists when
+|x_c| > R. The waist-differential trim (feet up, level body) is the thrust
+split closest to an even one that balances weight and pitch torque, an
+equality-constrained least-squares problem solved through its 2x2 normal
+equations. Either result is checked once against the full wrench: the
+(fx, fz, ty) residual, then the lateral rows (fy, tx, tz), which vanish by
+left-right symmetry unless a CoM off the plane of symmetry (com_y != 0)
+leaves a roll torque that no trim cancels, then the thrust limits. The
+equal-thrust state is what the flight controller uses as its foot-angle
+trim offset.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .robot import FanLimits, RobotGeometry
 from .wrench import FanState, total_wrench
 
+_TOL = 1e-10  # on the residual and lateral wrench norms
+
 
 class NoTrimError(Exception):
     """No balanced hover state exists within actuator limits."""
-
-    def __init__(self, message: str, residual: np.ndarray | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
-def _equal_thrust_residual(geo: RobotGeometry, x: np.ndarray) -> np.ndarray | None:
-    f, theta, theta_pitch = x
-    if f < 0.0:
-        return None
-    fs = FanState.uniform(f, theta)
-    w = total_wrench(fs, geo, theta_pitch)
-    return np.array([w.force_world[0], w.force_world[2], w.torque_world[1]])
 
 
 def hover_trim(
     geo: RobotGeometry,
     equal_thrust: bool = True,
     limits: FanLimits | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 60,
 ) -> tuple[FanState, float]:
     """Solve for a zero-wrench hover state.
 
@@ -47,113 +42,83 @@ def hover_trim(
     feet at one angle, body pitch free. equal_thrust=False: feet stay
     thrust-up and the waist pair takes up the pitch torque instead.
 
-    Raises NoTrimError with the residual when no in-limits trim exists.
+    Raises NoTrimError when no in-limits trim exists.
     """
     limits = limits or FanLimits()
     if equal_thrust:
-        fs, theta_pitch, residual = _solve_equal_thrust(geo, tol, max_iter)
+        fs, theta_pitch = _solve_equal_thrust(geo)
     else:
-        fs, theta_pitch, residual = _solve_waist_differential(geo)
+        fs, theta_pitch = _solve_waist_differential(geo)
 
-    norm = float(np.linalg.norm(residual))
-    if norm > tol:
+    w = total_wrench(fs, geo, theta_pitch)
+    fx, fy, fz = w.force_world.tolist()
+    tx, ty, tz = w.torque_world.tolist()
+    norm = math.hypot(fx, fz, ty)
+    if not norm <= _TOL:  # a NaN fails too
         raise NoTrimError(
-            f"trim iteration stalled with residual wrench norm {norm:.3e} "
-            f"(fx={residual[0]:.3e} N, fz={residual[1]:.3e} N, ty={residual[2]:.3e} N*m)",
-            residual=residual,
+            f"trim leaves a residual wrench norm {norm:.3e} "
+            f"(fx={fx:.3e} N, fz={fz:.3e} N, ty={ty:.3e} N*m)"
         )
-    w = total_wrench(fs, geo, theta_pitch)  # fy, tx, tz: zero unless com_y != 0
-    lateral = np.array([w.force_world[1], w.torque_world[0], w.torque_world[2]])
-    if float(np.linalg.norm(lateral)) > tol:
-        raise NoTrimError(f"trim leaves a roll torque tx={lateral[1]:.3e} N*m with the CoM "
-                          f"{geo.com_body[1]} m off the plane of symmetry", residual=lateral)
-    worst = max(fs.thrusts().max() - limits.thrust_max_per_fan,
-                limits.thrust_min - fs.thrusts().min())
+    if not math.hypot(fy, tx, tz) <= _TOL:
+        raise NoTrimError(f"trim leaves a roll torque tx={tx:.3e} N*m with the CoM "
+                          f"{geo.com_body[1]} m off the plane of symmetry")
+    thrusts = (fs.f_front, fs.f_back, fs.f_left, fs.f_right)
+    worst = max(max(thrusts) - limits.thrust_max_per_fan, limits.thrust_min - min(thrusts))
     if worst > 1e-9:
         raise NoTrimError(
             f"trim needs per-fan thrust outside [{limits.thrust_min}, "
-            f"{limits.thrust_max_per_fan}] N (state: {fs})",
-            residual=residual,
+            f"{limits.thrust_max_per_fan}] N (state: {fs})"
         )
     return fs, theta_pitch
 
 
-def _solve_equal_thrust(geo: RobotGeometry, tol: float, max_iter: int):
-    x = np.array([geo.weight / 4.0, 0.0, 0.0])
-    r = _equal_thrust_residual(geo, x)
-    assert r is not None
-    for _ in range(max_iter):
-        norm = float(np.linalg.norm(r))
-        if norm <= tol:
-            break
-        jac = _jacobian(geo, x, r)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            break
-        # backtracking keeps the iteration from overshooting into f < 0
-        alpha = 1.0
-        while alpha > 1e-6:
-            trial = x + alpha * step
-            r_trial = _equal_thrust_residual(geo, trial)
-            if r_trial is not None and np.linalg.norm(r_trial) < norm:
-                x, r = trial, r_trial
-                break
-            alpha *= 0.5
-        else:
-            break
-    f, theta, theta_pitch = x
-    return FanState.uniform(f, theta), float(theta_pitch), r
+def _solve_equal_thrust(geo: RobotGeometry) -> tuple[FanState, float]:
+    x_c, _, z_c = geo.com_body.tolist()
+    a, b = x_c - geo.fan_foot_x, z_c - geo.fan_foot_z
+    r = math.hypot(a, b)
+    if abs(x_c) > r:
+        raise NoTrimError(
+            f"equal-thrust trim has no root: the CoM offset |x_c|={abs(x_c):.3g} m exceeds "
+            f"the foot arm hypot(x_c - p_fx, z_c - p_fz)={r:.3g} m, so no foot angle "
+            f"cancels the pitch torque"
+        )
+    theta = 0.0  # r == 0 == x_c: every angle balances
+    if r > 0.0:
+        arc, delta = math.acos(-x_c / r), math.atan2(b, a)
+        theta = min((math.remainder(arc - delta, math.tau),
+                     math.remainder(-arc - delta, math.tau)), key=abs)
+    f = geo.weight / (4.0 * math.cos(0.5 * theta))
+    return FanState.uniform(f, theta), 0.0 - 0.5 * theta  # +0.0, not -0.0, at theta = 0
 
 
-def _jacobian(geo: RobotGeometry, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    # central differences; one-sided from r0, the residual at x, where a probe has f < 0
-    jac = np.zeros((3, 3))
-    for j in range(3):
-        h = 1e-7 * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        rp = _equal_thrust_residual(geo, xp)
-        rm = _equal_thrust_residual(geo, xm)
-        if rp is not None and rm is not None:
-            jac[:, j] = (rp - rm) / (2.0 * h)
-        elif rp is not None:
-            jac[:, j] = (rp - r0) / h
-        else:
-            jac[:, j] = (r0 - rm) / h
-    return jac
-
-
-def _solve_waist_differential(geo: RobotGeometry):
+def _solve_waist_differential(geo: RobotGeometry) -> tuple[FanState, float]:
     """Feet up, level body; the waist pair cancels the CoM pitch torque.
 
     With theta = theta_pitch = 0 both balance equations are linear in
-    (f_front, f_back, f_feet); the remaining freedom is closed by staying as
-    close to an even four-way thrust split as the torque balance allows
-    (equality-constrained least squares via the KKT system).
+    x = (f_front, f_back, f_feet): C x = d with C's rows (1, 1, 2) (vertical
+    force = weight) and c2 (zero torque). The remaining freedom is closed by
+    staying as close to the even split e = (W/4) 1 as the torque balance
+    allows: x = e + C^T (C C^T)^-1 (d - C e), the 2x2 inverse by Cramer's
+    rule.
     """
-    x_c = geo.com_body[0]
+    x_c = float(geo.com_body[0])
     half_l = 0.5 * geo.fan_spacing_waist
     weight = geo.weight
-    constraints = np.array([
-        [1.0, 1.0, 2.0],  # vertical force = weight
-        [-(half_l - x_c), half_l + x_c, 2.0 * (x_c - geo.fan_foot_x)],  # zero torque
-    ])
-    rhs = np.array([weight, 0.0])
-    target = np.full(3, weight / 4.0)
-    kkt = np.zeros((5, 5))
-    kkt[:3, :3] = 2.0 * np.eye(3)
-    kkt[:3, 3:] = constraints.T
-    kkt[3:, :3] = constraints
-    solution = np.linalg.solve(kkt, np.concatenate([2.0 * target, rhs]))
-    f_front, f_back, f_feet = solution[:3]
+    c1 = (1.0, 1.0, 2.0)
+    c2 = (x_c - half_l, half_l + x_c, 2.0 * (x_c - geo.fan_foot_x))
+    even = 0.25 * weight
+    r1, r2 = weight - even * sum(c1), -even * sum(c2)  # d - C e, d = (W, 0)
+    g11, g12, g22 = (sum(p * q for p, q in zip(u, v)) for u, v in ((c1, c1), (c1, c2), (c2, c2)))
+    # c2[1] - c2[0] = L, so c1 and c2 are independent and det > 0 up to rounding
+    det = g11 * g22 - g12 * g12
+    if not det > 0.0:
+        raise NoTrimError("waist-differential trim has no solution: the weight and pitch "
+                          "torque rows are parallel in floating point (waist fan spacing ~ 0)")
+    l1, l2 = (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det
+    f_front, f_back, f_feet = (even + p * l1 + q * l2 for p, q in zip(c1, c2))
     if min(f_front, f_back, f_feet) < 0.0:
         raise NoTrimError(
             f"waist-differential trim needs negative thrust "
             f"(front={f_front:.2f} N, back={f_back:.2f} N, feet={f_feet:.2f} N)"
         )
-    fs = FanState(f_front, f_back, f_feet, f_feet, 0.0, 0.0)
-    w = total_wrench(fs, geo, 0.0)
-    residual = np.array([w.force_world[0], w.force_world[2], w.torque_world[1]])
-    return fs, 0.0, residual
+    return FanState(f_front, f_back, f_feet, f_feet, 0.0, 0.0), 0.0

@@ -55,6 +55,11 @@ from tvcsim.wrench import FanState, generalized_wrench_3d, total_wrench
 SYMMETRIC = Posture("SYM", (0.0, -0.25), (0.0, -0.61), (-74.0, 90.0))
 
 
+def column(log, name):
+    i = log.header.index(name)
+    return np.array([float(row[i]) for row in log.rows])
+
+
 def _report(criterion: int, name: str, detail: str) -> None:
     print(f"ACCEPTANCE {criterion} PASS  {name}: {detail}")
 
@@ -184,9 +189,9 @@ def test_criterion_6_ablation_divergence():
     assert spin_time <= liftoff_po + 2.0
     # the pitch loop holds its band for the whole measured spin divergence,
     # through the point where yaw passes 90 deg
-    t = pitch_only.column("time_s").astype(float)
-    pitch = np.abs(pitch_only.column("pitch_deg").astype(float))
-    yaw = np.abs(pitch_only.column("yaw_deg").astype(float))
+    t = column(pitch_only, "time_s")
+    pitch = np.abs(column(pitch_only, "pitch_deg"))
+    yaw = np.abs(column(pitch_only, "yaw_deg"))
     past_90 = np.nonzero(yaw >= 90.0)[0]
     t_end = t[past_90[0]] if len(past_90) else t[-1]
     window = t <= t_end

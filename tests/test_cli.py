@@ -191,6 +191,15 @@ def test_wrench_eval_hand_value(tmp_path, capsys):
         -80.0 * math.sin(math.radians(10.0)) * 0.367, abs=1e-6)
 
 
+@pytest.mark.parametrize("option", ["--thrust-fl=nan", "--theta-pitch=inf", "--theta-r=-inf"])
+def test_wrench_eval_rejects_a_non_finite_option(tmp_path, capsys, option):
+    code, out, err = run_cli(["--out", str(tmp_path), "wrench-eval", option], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option.split('=')[0]} must be finite\n"
+    assert not (tmp_path / "wrench_eval_manifest.json").exists()
+
+
 def test_wrench_eval_lateral_com_matches_oracle(tmp_path, capsys):
     # with com_y != 0 the roll and yaw rows carry the lateral CoM arm
     cfg = tmp_path / "com_y.cfg"
@@ -287,6 +296,15 @@ def test_trim_without_foot_authority_exit_3(tmp_path, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("infeasible: foot fans have no stabilizing authority")
+
+
+def test_trim_without_a_root_exit_3(tmp_path, capsys):
+    text = "posture.com_x_m = 0.3\nposture.foot_x_m = 0.3\nposture.foot_z_m = -0.244\n"
+    code, out, err = run_with_config(tmp_path, capsys, text, "trim")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("infeasible: equal-thrust trim has no root")
 
 
 def test_lateral_com_has_no_trim(tmp_path, capsys):

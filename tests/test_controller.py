@@ -96,10 +96,9 @@ def test_pitch_only_keeps_feet_identical():
 
 def test_commands_clamped_to_posture_range():
     gains = ControllerGains(50.0, 0.0, 50.0, 0.0)
-    ctl = make_controller(gains=gains, rate_max=1e6)
     lo, hi = POSTURE.foot_pitch_range
     for pitch in (-1.5, 1.5):
-        ctl.reset()
+        ctl = make_controller(gains=gains, rate_max=1e6)
         cmd = ctl.step(EulerAngles(0.0, pitch, 0.0), np.zeros(3), 30.0, 1.0)
         assert lo <= cmd.theta_left_cmd <= hi
         assert lo <= cmd.theta_right_cmd <= hi
@@ -161,11 +160,9 @@ def test_yaw_error_counter_rotates_feet():
 
 def test_rate_damping_sign():
     # a pure pitch-down rate commands more forward foot tilt than rest
-    ctl = make_controller(trim=0.1)
-    still = ctl.step(EulerAngles(0.0, 0.0, 0.0), np.zeros(3), 40.0, 0.004)
-    ctl.reset()
-    diving = ctl.step(EulerAngles(0.0, 0.0, 0.0), np.array([0.0, 0.5, 0.0]),
-                      40.0, 0.004)
+    level = EulerAngles(0.0, 0.0, 0.0)
+    still = make_controller(trim=0.1).step(level, np.zeros(3), 40.0, 0.004)
+    diving = make_controller(trim=0.1).step(level, np.array([0.0, 0.5, 0.0]), 40.0, 0.004)
     assert diving.theta_left_cmd > still.theta_left_cmd
 
 

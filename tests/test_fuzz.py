@@ -1,4 +1,5 @@
-"""Property-based fuzzing of `tvcsim takeoff` and `tvcsim envelope` config files.
+"""Property-based fuzzing of the config files of every `tvcsim` command and of
+the `wrench-eval` fan-state options.
 
 Every input must end in a documented exit code (0 ok, 2 config error,
 3 infeasible, 4 divergence) with a one-line message, never in a traceback,
@@ -9,6 +10,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -88,18 +90,23 @@ CONFIGS = st.lists(st.sampled_from(sorted(TAKEOFF_KEYS)), max_size=5, unique=Tru
                                        | {key: TAKEOFF_KEYS[key] for key in keys}))
 
 
+def run_main(values, args, out):
+    """main() on a config file of values; returns (exit code, stdout, stderr)."""
+    config = out / "fuzz.cfg"
+    config.write_text("".join(f"{key} = {value!r}\n" if isinstance(value, float)
+                              else f"{key} = {value}\n" for key, value in values.items()))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["--config", str(config), "--out", str(out), *args])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 @settings(max_examples=80, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(values=CONFIGS)
 def test_takeoff_config_fuzz_ends_in_a_documented_way(values, tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz")
-    config = out / "fuzz.cfg"
-    config.write_text("".join(f"{key} = {value!r}\n" if isinstance(value, float)
-                              else f"{key} = {value}\n" for key, value in values.items()))
-    stderr = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        code = main(["--config", str(config), "--out", str(out), "takeoff"])
-    err = stderr.getvalue()
+    code, _, err = run_main(values, ["takeoff"], out)
     assert code in DOCUMENTED_EXIT_CODES
     if code in (2, 3):
         assert len(err.strip().splitlines()) == 1, err
@@ -110,8 +117,9 @@ def test_takeoff_config_fuzz_ends_in_a_documented_way(values, tmp_path_factory):
         assert strict_json(out / "takeoff_events.json")["diverged"] is (code == 4)
 
 
-ENVELOPE_KEYS = {key: TAKEOFF_KEYS[key] for key in TAKEOFF_KEYS
-                 if key.startswith(("posture.", "geometry.", "limits."))} | {
+ROBOT_KEYS = {key: TAKEOFF_KEYS[key] for key in TAKEOFF_KEYS
+              if key.startswith(("posture.", "geometry.", "limits."))}
+ENVELOPE_KEYS = ROBOT_KEYS | {
     "envelope.n_points": st.sampled_from([2, 3, 5, 61, 1, 0, -3]),
     "envelope.theta_pitch_min_deg": ANGLE,
     "envelope.theta_pitch_max_deg": ANGLE,
@@ -130,14 +138,7 @@ ENVELOPE_CONFIGS = st.lists(st.sampled_from(sorted(ENVELOPE_KEYS)), max_size=5,
 def test_envelope_config_fuzz_ends_in_a_documented_way(values, postures, fmt,
                                                        tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz")
-    config = out / "fuzz.cfg"
-    config.write_text("".join(f"{key} = {value!r}\n" if isinstance(value, float)
-                              else f"{key} = {value}\n" for key, value in values.items()))
-    stderr = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        code = main(["--config", str(config), "--out", str(out), "--format", fmt,
-                     "envelope", "--postures", postures])
-    err = stderr.getvalue()
+    code, _, err = run_main(values, ["--format", fmt, "envelope", "--postures", postures], out)
     assert code in {0, 2, 3}
     if code:
         assert len(err.strip().splitlines()) == 1, err
@@ -156,3 +157,51 @@ def test_envelope_config_fuzz_ends_in_a_documented_way(values, postures, fmt,
             assert row[0] != missing
             if missing in row[1:5]:
                 assert row[5] in ("0", 0), row
+
+
+ROBOT_CONFIGS = st.lists(st.sampled_from(sorted(ROBOT_KEYS)), max_size=5, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({key: ROBOT_KEYS[key] for key in keys}))
+POSTURE_LABELS = st.sampled_from(["P1", "P2", "P3", "P4", ""])
+
+
+def check_key_value_report(code, out, err, path):
+    """Exit 0 prints finite key=value numbers; exit 2/3 one line; strict manifest."""
+    assert code in {0, 2, 3}
+    if code:
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1, err
+        return
+    assert err == ""
+    for line in out.splitlines():
+        key, value = line.split("=")
+        assert key == "posture" or math.isfinite(float(value)), line
+    strict_json(path)
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(values=ROBOT_CONFIGS, posture=POSTURE_LABELS, waist=st.booleans())
+def test_trim_config_fuzz_ends_in_a_documented_way(values, posture, waist, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    args = ["trim", "--posture", posture] + (["--waist-differential"] if waist else [])
+    code, stdout, err = run_main(values, args, out)
+    check_key_value_report(code, stdout, err, out / "trim_manifest.json")
+
+
+FAN_VALUE = st.one_of(st.floats(-10.0, 60.0), st.sampled_from(EXTREMES),
+                      st.sampled_from([math.nan, math.inf, -math.inf]))
+WRENCH_OPTIONS = ("--thrust-ff", "--thrust-fb", "--thrust-fl", "--thrust-fr",
+                  "--theta-l", "--theta-r", "--theta-pitch")
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(values=ROBOT_CONFIGS, posture=POSTURE_LABELS,
+       options=st.dictionaries(st.sampled_from(WRENCH_OPTIONS), FAN_VALUE, max_size=4))
+def test_wrench_eval_fuzz_ends_in_a_documented_way(values, posture, options, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    args = ["wrench-eval", "--posture", posture]
+    # --opt=value: argparse takes "-1e-12" as an option name, not a value
+    args += [f"{option}={value!r}" for option, value in options.items()]
+    code, stdout, err = run_main(values, args, out)
+    check_key_value_report(code, stdout, err, out / "wrench_eval_manifest.json")

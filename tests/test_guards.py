@@ -1,14 +1,16 @@
 """Guards on contracts kept outside the package (bench trace targets, README),
-on the takeoff loop's cost per step and on the envelope solver's batching."""
+on the takeoff loop's and the hover trim's wrench evaluations and on the
+envelope solver's batching."""
 
 import ast
 import importlib
 import pathlib
 import re
 
-from tvcsim import envelope, sim
+from tvcsim import envelope, sim, wrench
 from tvcsim.config import SCHEMA
 from tvcsim.robot import builtin_posture, geometry_from_posture
+from tvcsim.trim import hover_trim
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -56,6 +58,24 @@ def test_takeoff_loop_evaluates_the_wrench_once_per_step(monkeypatch):
         # calls and the last step, aloft, makes none
         loop_steps = round(cfg.duration / cfg.dt) + 1
         assert calls == loop_steps, integrator
+
+
+def test_hover_trim_evaluates_the_wrench_once(monkeypatch):
+    calls = 0
+    kernel = wrench.generalized_wrench_3d
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(wrench, "generalized_wrench_3d", counted)
+    geo = geometry_from_posture(builtin_posture("P1"))
+    for equal_thrust in (True, False):
+        calls = 0
+        hover_trim(geo, equal_thrust=equal_thrust)
+        # the closed form is checked once against the full wrench
+        assert calls == 1, equal_thrust
 
 
 def test_envelope_sweep_makes_one_kernel_call_per_strategy(monkeypatch):

@@ -1,7 +1,5 @@
 """Posture tables, geometry construction, and actuator limit contracts."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -14,8 +12,6 @@ from tvcsim.robot import (
     builtin_posture,
     geometry_from_posture,
     point_mass_inertia,
-    posture_names,
-    validate_foot_command,
 )
 
 
@@ -39,7 +35,6 @@ def test_builtin_posture_values():
 def test_unknown_posture_label():
     with pytest.raises(UnknownPostureError):
         builtin_posture("P9")
-    assert posture_names() == ["P1", "P2", "P3"]
 
 
 def test_geometry_foot_fan_positions():
@@ -57,17 +52,12 @@ def test_geometry_lever_arm():
 
 
 def test_geometry_sagittal_symmetry_default():
-    for name in posture_names():
+    for name in ("P1", "P2", "P3"):
         geo = geometry_from_posture(builtin_posture(name))
         assert geo.com_body[1] == 0.0
     geo = geometry_from_posture(builtin_posture("P1"), com_y=0.003)
     assert geo.com_body[1] == 0.003
 
-
-def test_validate_foot_command():
-    assert not validate_foot_command(builtin_posture("P1"), math.radians(-80.0))
-    assert validate_foot_command(builtin_posture("P2"), math.radians(-90.0))
-    assert validate_foot_command(builtin_posture("P3"), 0.0)
 
 
 def test_default_thrust_budget():

@@ -29,6 +29,11 @@ ZERO_THRUST = FanState(0.0, 0.0, 0.0, 0.0)
 SYMMETRIC = Posture("SYM", (0.0, -0.25), (0.0, -0.61), (-74.0, 90.0))
 
 
+def column(log, name):
+    i = log.header.index(name)
+    return np.array([float(row[i]) for row in log.rows])
+
+
 def no_perturbation():
     return Perturbation()
 
@@ -150,7 +155,7 @@ def test_no_liftoff_below_weight():
     assert log.events["never_lifted"] is True
     assert log.events["liftoff_time_s"] is None
     assert all(row[log.header.index("phase")] == PHASE_GROUND for row in log.rows)
-    assert log.column("pz").astype(float).max() == 0.0
+    assert column(log, "pz").max() == 0.0
 
 
 def test_instant_full_thrust_lifts_immediately():
@@ -182,7 +187,7 @@ def test_ground_phase_locks_feet_and_attitude():
 
 def test_rows_strictly_increasing_fixed_period():
     log = run_scenario(ScenarioConfig(duration=1.0))
-    t = log.column("time_s").astype(float)
+    t = column(log, "time_s")
     dt = np.diff(t)
     assert (dt > 0).all()
     np.testing.assert_allclose(dt, 1.0 / 250.0, atol=1e-12)
@@ -192,11 +197,11 @@ def test_symmetric_unperturbed_run_stays_planar():
     cfg = ScenarioConfig(posture=SYMMETRIC, mode=ControlMode.ALL_OFF,
                          perturbation=no_perturbation(), duration=2.0)
     log = run_scenario(cfg)
-    assert np.abs(log.column("yaw_deg").astype(float)).max() < math.degrees(1e-9)
-    assert np.abs(log.column("roll_deg").astype(float)).max() < math.degrees(1e-9)
-    assert np.abs(log.column("py").astype(float)).max() < 1e-9
+    assert np.abs(column(log, "yaw_deg")).max() < math.degrees(1e-9)
+    assert np.abs(column(log, "roll_deg")).max() < math.degrees(1e-9)
+    assert np.abs(column(log, "py")).max() < 1e-9
     # symmetric geometry trims level and the schedule is symmetric: no drift
-    assert np.abs(log.column("px").astype(float)).max() < 1e-9
+    assert np.abs(column(log, "px")).max() < 1e-9
 
 
 def test_determinism_bit_identical(tmp_path):

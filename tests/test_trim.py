@@ -1,6 +1,7 @@
 """Hover trim solver against the closed-form scan oracle."""
 
 import math
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ def test_symmetric_trim_is_exact():
     geo = geometry_from_posture(posture)
     fs, theta_pitch = hover_trim(geo)
     assert theta_pitch == 0.0
+    assert math.copysign(1.0, theta_pitch) == 1.0  # +0.0: `trim` prints 0.000000, not -0.000000
     assert fs.theta_left == 0.0 and fs.theta_right == 0.0
     assert fs.f_front == geo.weight / 4.0
     assert residual_norm(fs, geo, theta_pitch) == 0.0
@@ -39,9 +41,21 @@ def test_builtin_postures_trim(name):
     assert theta_pitch < 0.0
 
 
-@pytest.mark.parametrize("name", ["P1", "P2", "P3"])
+def random_geometry(seed):
+    # trim angles well inside the oracle's +-45 deg scan and within the 50 N cap
+    rng = random.Random(seed)
+    posture = Posture(f"R{seed}", (rng.uniform(-0.06, 0.06), rng.uniform(-0.3, -0.2)),
+                      (rng.uniform(-0.06, 0.08), rng.uniform(-0.7, -0.55)), (-90.0, 90.0))
+    return geometry_from_posture(posture, mass_total=rng.uniform(12.0, 18.0),
+                                 fan_spacing_waist=rng.uniform(0.2, 0.4))
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", *(f"random{k}" for k in range(8))])
 def test_trim_matches_scan_oracle(name):
-    geo = geometry_from_posture(builtin_posture(name))
+    if name.startswith("random"):
+        geo = random_geometry(int(name.removeprefix("random")))
+    else:
+        geo = geometry_from_posture(builtin_posture(name))
     fs, theta_pitch = hover_trim(geo)
     f_ref, theta_ref, pitch_ref = trim_scan(geo)
     assert fs.theta_left == pytest.approx(theta_ref, abs=math.radians(0.01))
@@ -60,6 +74,15 @@ def test_trim_p1_frozen_values():
     assert fs.f_left == pytest.approx(41.7274, abs=0.001)
 
 
+def test_trim_without_a_root_is_infeasible():
+    # the CoM sits 0.3 m ahead, the feet only 1 mm below it: no foot angle
+    # makes an arm long enough to cancel the pitch torque
+    posture = Posture("NOROOT", (0.3, -0.243), (0.3, -0.244), (-74.0, 90.0))
+    geo = geometry_from_posture(posture)
+    with pytest.raises(NoTrimError, match="has no root"):
+        hover_trim(geo)
+
+
 def test_overweight_robot_has_no_trim():
     geo = geometry_from_posture(builtin_posture("P1"), mass_total=25.0)
     with pytest.raises(NoTrimError):
@@ -74,6 +97,15 @@ def test_waist_differential_trim():
     assert residual_norm(fs, geo, theta_pitch) < 1e-9
     # forward CoM: the front fan sits on the shorter arm and carries more
     assert fs.f_front > fs.f_back
+
+
+def test_waist_differential_trim_without_a_waist_arm():
+    # a 1e-12 m waist spacing leaves the torque row parallel to the weight row
+    # in floating point: the CoM ahead of the feet cannot be balanced
+    posture = Posture("NOARM", (0.1, -0.243), (0.0, -0.61), (-74.0, 90.0))
+    geo = geometry_from_posture(posture, fan_spacing_waist=1e-12)
+    with pytest.raises(NoTrimError, match="rows are parallel"):
+        hover_trim(geo, equal_thrust=False)
 
 
 def test_trim_respects_thrust_limits():

@@ -54,7 +54,7 @@ from .sim import (
     dynamics_step,
     run_scenario,
 )
-from .spatial import EulerAngles, euler_to_quat, quat_integrate, quat_to_euler
+from .spatial import EulerAngles, quat_integrate, quat_to_euler
 from .trim import NoTrimError, hover_trim
 from .wrench import FanState, Wrench, generalized_wrench_3d, total_wrench
 

@@ -29,8 +29,6 @@ from dataclasses import asdict, replace
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import (
     ConfigError,
@@ -138,9 +136,7 @@ def _sha256(path: str) -> str:
 
 
 def _json_value(obj):
-    """Arrays and enums inside a dumped ScenarioConfig."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    """Enums inside a dumped ScenarioConfig."""
     if isinstance(obj, Enum):
         return obj.value
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -259,7 +255,8 @@ def cmd_trim(args, values) -> int:
     cfg = _scenario(values, args.posture)
     geo = cfg.geometry()
     fs, theta_pitch = hover_trim(geo, equal_thrust=not args.waist_differential,
-                                 limits=cfg.limits)
+                                 limits=cfg.limits,
+                                 foot_pitch_range=cfg.posture.foot_pitch_range)
     w = total_wrench(fs, geo, theta_pitch)
     residual = math.sqrt(float(w.force_world @ w.force_world)
                          + float(w.torque_world @ w.torque_world))
@@ -293,6 +290,9 @@ def cmd_wrench_eval(args, values) -> int:
         theta_right=math.radians(args.theta_r),
     )
     w = total_wrench(fs, geo, math.radians(args.theta_pitch))
+    # |R v| = |v|: a finite body wrench norm keeps the world rows finite
+    if not all(math.isfinite(math.hypot(*v)) for v in (w.force_body, w.torque_body)):
+        raise ConfigError("the fan state's wrench overflows a float")
     print(f"fx={w.force_world[0]:.6f}")
     print(f"fy={w.force_world[1]:.6f}")
     print(f"fz={w.force_world[2]:.6f}")

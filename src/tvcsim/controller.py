@@ -124,8 +124,7 @@ def tune_gains(
             "foot fans have no stabilizing authority at this trim "
             f"(b_pitch={b_pitch:.3g}, b_yaw={b_yaw:.3g})"
         )
-    i_yy = float(geo.inertia_body[1, 1])
-    i_zz = float(geo.inertia_body[2, 2])
+    i_yy, i_zz = geo.inertia_body[1][1], geo.inertia_body[2][2]
 
     def sig4(v: float) -> float:
         return float(f"{v:.4g}")

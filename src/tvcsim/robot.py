@@ -108,41 +108,42 @@ class FanLimits:
 
 @dataclass
 class RobotGeometry:
-    """Mass properties and fan placement in the body frame.
+    """Mass properties and fan placement in the body frame, as plain floats.
 
     Waist fans sit at (+-L/2, 0, 0) blowing along +z; foot fans sit at
     (p_fx, +-L_f/2, p_fz) with the left foot on +y (the y axis points left).
+    com_body is a float 3-tuple and inertia_body three float row tuples,
+    converted here from any float sequences; numpy validates the tensor once.
     """
 
     mass_total: float = DEFAULT_MASS
-    com_body: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    com_body: tuple[float, float, float] = (0.0, 0.0, 0.0)
     fan_spacing_waist: float = DEFAULT_WAIST_FAN_SPACING  # L
     fan_foot_x: float = 0.0  # p_fx
     fan_foot_z: float = 0.0  # p_fz
     fan_spacing_feet: float = DEFAULT_FOOT_FAN_SPACING  # L_f
-    inertia_body: np.ndarray | None = None  # 3x3 about the CoM, in {B}
-    # inertia_body and its inverse as row-major float 9-tuples, for the
+    inertia_body: tuple | None = None  # 3x3 rows about the CoM, in {B}
+    # the inverse of inertia_body as a row-major float 9-tuple, for the
     # float rigid-body step of the takeoff loop
-    inertia_rows: tuple = field(init=False, repr=False, compare=False)
     inertia_inverse_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.com_body = np.asarray(self.com_body, dtype=float).reshape(3)
+        self.com_body = tuple(map(float, self.com_body))
+        if len(self.com_body) != 3:
+            raise ValueError("com_body must hold 3 coordinates")
         if self.mass_total <= 0.0:
             raise ValueError("mass_total must be positive")
         if self.fan_spacing_waist <= 0.0 or self.fan_spacing_feet <= 0.0:
             raise ValueError("fan spacings must be positive")
         if self.inertia_body is None:
             self.inertia_body = point_mass_inertia(self)
-        self.inertia_body = np.asarray(self.inertia_body, dtype=float).reshape(3, 3)
-        if np.abs(self.inertia_body - self.inertia_body.T).max() > 1e-12:
+        inertia = np.asarray(self.inertia_body, dtype=float).reshape(3, 3)
+        if np.abs(inertia - inertia.T).max() > 1e-12:
             raise ValueError("inertia_body must be symmetric")
-        if np.linalg.eigvalsh(self.inertia_body).min() <= 0.0:
+        if np.linalg.eigvalsh(inertia).min() <= 0.0:
             raise ValueError("inertia_body must be positive-definite")
-        self.com_body.setflags(write=False)
-        self.inertia_body.setflags(write=False)
-        self.inertia_rows = tuple(self.inertia_body.ravel().tolist())
-        self.inertia_inverse_rows = _inverse_rows(self.inertia_rows)
+        self.inertia_body = tuple(map(tuple, inertia.tolist()))
+        self.inertia_inverse_rows = _inverse_rows(inertia.ravel().tolist())
 
     @property
     def weight(self) -> float:
@@ -161,7 +162,7 @@ class RobotGeometry:
         )
 
 
-def _inverse_rows(m: tuple) -> tuple:
+def _inverse_rows(m: list) -> tuple:
     """Row-major inverse of a row-major 3x3 matrix: adjugate over determinant.
 
     Closed form rather than np.linalg.inv, whose LAPACK code would add about
@@ -176,8 +177,8 @@ def _inverse_rows(m: tuple) -> tuple:
                                    d * h - e * g, b * g - a * h, a * e - b * d))
 
 
-def point_mass_inertia(geo: RobotGeometry, fan_mass: float = DEFAULT_FAN_MASS) -> np.ndarray:
-    """Diagonal inertia surrogate about the CoM.
+def point_mass_inertia(geo: RobotGeometry, fan_mass: float = DEFAULT_FAN_MASS) -> tuple:
+    """Diagonal inertia surrogate about the CoM, as three float rows.
 
     Places one point mass per fan at its mounting position and the remaining
     mass at the CoM (zero contribution). Off-diagonal products are dropped so
@@ -186,13 +187,14 @@ def point_mass_inertia(geo: RobotGeometry, fan_mass: float = DEFAULT_FAN_MASS) -
     """
     if fan_mass < 0.0 or 4.0 * fan_mass > geo.mass_total:
         raise ValueError("fan_mass must be >= 0 and four fans must not exceed total mass")
-    diag = np.zeros(3)
-    for pos in geo.fan_positions():
-        r = pos - geo.com_body
-        diag[0] += fan_mass * (r[1] ** 2 + r[2] ** 2)
-        diag[1] += fan_mass * (r[0] ** 2 + r[2] ** 2)
-        diag[2] += fan_mass * (r[0] ** 2 + r[1] ** 2)
-    return np.diag(diag)
+    x_c, y_c, z_c = geo.com_body
+    i_xx = i_yy = i_zz = 0.0
+    for px, py, pz in geo.fan_positions().tolist():
+        rx, ry, rz = px - x_c, py - y_c, pz - z_c
+        i_xx += fan_mass * (ry * ry + rz * rz)
+        i_yy += fan_mass * (rx * rx + rz * rz)
+        i_zz += fan_mass * (rx * rx + ry * ry)
+    return ((i_xx, 0.0, 0.0), (0.0, i_yy, 0.0), (0.0, 0.0, i_zz))
 
 
 def geometry_from_posture(
@@ -203,26 +205,22 @@ def geometry_from_posture(
     fan_spacing_feet: float = DEFAULT_FOOT_FAN_SPACING,
     fan_mass: float = DEFAULT_FAN_MASS,
     com_y: float = 0.0,
-    inertia_body: np.ndarray | None = None,
 ) -> RobotGeometry:
     """Build the rigid-body geometry for a takeoff posture.
 
     com_y defaults to zero under the sagittal-symmetry assumption but can be
-    overridden. If inertia_body is not given the point-mass surrogate is
-    computed at load time.
+    overridden. The inertia is the point-mass surrogate for fan_mass; a
+    measured tensor goes in through dataclasses.replace(geo, inertia_body=...).
     """
     x_c, z_c = posture.com_sagittal
     p_fx, p_fz = posture.foot_fan
     geo = RobotGeometry(
         mass_total=mass_total,
-        com_body=np.array([x_c, com_y, z_c]),
+        com_body=(x_c, com_y, z_c),
         fan_spacing_waist=fan_spacing_waist,
         fan_foot_x=p_fx,
         fan_foot_z=p_fz,
         fan_spacing_feet=fan_spacing_feet,
-        inertia_body=inertia_body,
     )
-    if inertia_body is None:
-        # a new geometry, not a reassigned field: __post_init__ derives the float rows
-        geo = replace(geo, inertia_body=point_mass_inertia(geo, fan_mass=fan_mass))
-    return geo
+    # a new geometry, not a reassigned field: __post_init__ derives the inverse rows
+    return replace(geo, inertia_body=point_mass_inertia(geo, fan_mass=fan_mass))

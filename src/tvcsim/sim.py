@@ -90,8 +90,8 @@ class DivergenceError(Exception):
 class RigidBodyState:
     """Position and velocity in {W}, attitude {B} -> {W}, body rate in {B}.
 
-    Fields accept any float sequences (numpy arrays too); dynamics_step
-    returns float tuples.
+    Plain float tuples, as dynamics_step returns them; the fields also accept
+    any float sequences (numpy arrays too).
     """
 
     position_world: tuple = (0.0, 0.0, 0.0)
@@ -103,28 +103,33 @@ class RigidBodyState:
 
 @dataclass
 class Perturbation:
-    """Disturbance sources applied to the true dynamics, unknown to the trim."""
+    """Disturbance sources applied to the true dynamics, unknown to the trim.
 
-    com_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    com_offset (m, in {B}) and the front/back/left/right thrust_scale are float
+    tuples, converted here from any float sequence (numpy arrays too)."""
+
+    com_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
     foot_axis_misalignment_left: float = 0.0
     foot_axis_misalignment_right: float = 0.0
-    thrust_scale: np.ndarray = field(default_factory=lambda: np.ones(4))
+    thrust_scale: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        self.com_offset = np.asarray(self.com_offset, dtype=float).reshape(3)
-        self.thrust_scale = np.asarray(self.thrust_scale, dtype=float).reshape(4)
+        self.com_offset = tuple(map(float, self.com_offset))
+        self.thrust_scale = tuple(map(float, self.thrust_scale))
+        if len(self.com_offset) != 3 or len(self.thrust_scale) != 4:
+            raise ValueError("com_offset needs 3 values and thrust_scale 4")
         cap = math.radians(10.0)
         for name in ("foot_axis_misalignment_left", "foot_axis_misalignment_right"):
             if abs(getattr(self, name)) > cap:
                 raise ValueError(f"|{name}| must be <= 10 deg")
-        if (self.thrust_scale < 0.8).any() or (self.thrust_scale > 1.2).any():
+        if not all(0.8 <= k <= 1.2 for k in self.thrust_scale):  # a NaN fails too
             raise ValueError("thrust_scale factors must lie in [0.8, 1.2]")
 
     @classmethod
     def standard(cls) -> "Perturbation":
         """10 mm forward CoM error plus a +-2 deg foot-axis bias couple."""
         return cls(
-            com_offset=np.array([0.010, 0.0, 0.0]),
+            com_offset=(0.010, 0.0, 0.0),
             foot_axis_misalignment_left=math.radians(2.0),
             foot_axis_misalignment_right=math.radians(-2.0),
         )
@@ -190,12 +195,12 @@ class ScenarioConfig:
             "ramp_target_per_fan_n": self.ramp.target_per_fan,
             "ramp_time_s": self.ramp.ramp_time,
             "perturbation": {
-                "com_offset_m": [float(v) for v in self.perturbation.com_offset],
+                "com_offset_m": list(self.perturbation.com_offset),
                 "foot_misalignment_left_deg": math.degrees(
                     self.perturbation.foot_axis_misalignment_left),
                 "foot_misalignment_right_deg": math.degrees(
                     self.perturbation.foot_axis_misalignment_right),
-                "thrust_scale": [float(v) for v in self.perturbation.thrust_scale],
+                "thrust_scale": list(self.perturbation.thrust_scale),
             },
             "duration_s": self.duration,
             "dt_s": self.dt,
@@ -232,8 +237,8 @@ def _substeps(rate: float, dt: float, what: str) -> int:
 class SimLog:
     """Time-indexed record of one run plus its event summary."""
 
-    def __init__(self, header: list[str] | None = None):
-        self.header = list(header or LOG_HEADER)
+    def __init__(self):
+        self.header = list(LOG_HEADER)
         self.rows: list[tuple] = []
         self.events: dict = {}
 
@@ -261,8 +266,9 @@ def _fmt(v) -> str:
 
 
 def detect_liftoff(wrench: Wrench) -> bool:
-    """Ground contact ends once the net world vertical force is positive."""
-    return wrench.force_world[2] > 0.0
+    """Ground contact ends once the net vertical force is positive; the ground
+    holds the body at the identity attitude, so body z is world z."""
+    return wrench.force_body[2] > wrench.weight
 
 
 def dynamics_step(
@@ -326,7 +332,7 @@ def _accelerations(force_body, torque_body, geo):
     tx, ty, tz = torque_body
     m = geo.mass_total
     weight = m * GRAVITY
-    i00, i01, i02, i10, i11, i12, i20, i21, i22 = geo.inertia_rows
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = geo.inertia_body
     j00, j01, j02, j10, j11, j12, j20, j21, j22 = geo.inertia_inverse_rows
 
     def accels(q, omega):
@@ -382,7 +388,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
             f"{cfg.limits.thrust_max_per_fan} N per-fan limit"
         )
     geo = cfg.geometry()
-    trim_state, _trim_pitch = hover_trim(geo, equal_thrust=True, limits=cfg.limits)
+    trim_state, _trim_pitch = hover_trim(geo, equal_thrust=True, limits=cfg.limits,
+                                         foot_pitch_range=cfg.posture.foot_pitch_range)
     trim_angle = trim_state.theta_left
     gains = cfg.gains or tune_gains(
         geo,
@@ -423,7 +430,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     dt = cfg.dt
     control_every, sample_every = cfg._controller_substeps, cfg._sample_substeps
     foot_step = cfg.limits.foot_pitch_rate_max * dt
-    scale = cfg.perturbation.thrust_scale.tolist()
+    scale = cfg.perturbation.thrust_scale
     tau = cfg.limits.thrust_time_constant
     # an ideal actuator already sits on the schedule at t = 0
     if tau == 0.0:

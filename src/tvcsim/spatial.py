@@ -4,9 +4,13 @@ Conventions used across the package:
 
 * World frame {W}: z up, x forward (the robot's facing direction), y left.
   The body frame {B} coincides with {W} at zero attitude.
-* Quaternions are scalar-first ``[w, x, y, z]`` numpy arrays (float tuples
-  in the float kernels at the end) and map body vectors into the world:
-  ``v_w = R(q) @ v_b``.
+* Quaternions are scalar-first ``[w, x, y, z]`` and map body vectors into
+  the world: ``v_w = R(q) @ v_b``.
+* Two forms of the same operations: numpy-array helpers (quat_identity,
+  quat_normalize, quat_from_pitch, quat_to_matrix, quat_integrate,
+  quat_to_euler) for the trim gate, the world-frame wrench and the oracles,
+  and float-tuple kernels at the end (quat_product, quat_unit, quat_step,
+  quat_rotate, quat_euler) for the takeoff loop, which runs on plain floats.
 * Euler angles are Z-Y-X intrinsic (yaw, then pitch, then roll), so "pitch"
   equals the single rotation angle about body y when roll = yaw = 0.
   Positive pitch tips the body x-axis downward (a forward dive).
@@ -39,15 +43,6 @@ class EulerAngles:
     gimbal_lock: bool = False
 
 
-def is_rotation(mat: np.ndarray, tol: float = 1e-9) -> bool:
-    """True if mat is orthonormal with determinant +1 within tol."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (3, 3):
-        return False
-    ortho = np.abs(mat.T @ mat - np.eye(3)).max() <= tol
-    return bool(ortho and abs(np.linalg.det(mat) - 1.0) <= tol)
-
-
 def wrap_angle(a: float) -> float:
     """Wrap to (-pi, pi]."""
     w = math.fmod(a + math.pi, 2.0 * math.pi)
@@ -72,23 +67,6 @@ def quat_normalize(q: Quat) -> Quat:
     return q / n
 
 
-def quat_multiply(q1: Quat, q2: Quat) -> Quat:
-    """Hamilton product q1 * q2 (composition: R(q1*q2) = R(q1) @ R(q2))."""
-    return np.array(quat_product(q1, q2))
-
-
-def quat_from_axis_angle(axis: Vec3, angle: float) -> Quat:
-    axis = np.asarray(axis, dtype=float)
-    n = math.sqrt(float(axis @ axis))
-    if n < 1e-300:
-        if abs(angle) > 0.0:
-            raise ValueError("rotation axis must be nonzero")
-        return quat_identity()
-    half = 0.5 * angle
-    s = math.sin(half) / n
-    return np.array([math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
-
-
 def quat_from_pitch(theta: float) -> Quat:
     """Pure pitch attitude: R(q) rotates by theta about body y."""
     half = 0.5 * theta
@@ -107,21 +85,6 @@ def quat_integrate(q: Quat, omega: Vec3, dt: float) -> Quat:
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     return np.array(quat_step(q, omega, dt))
-
-
-def euler_to_quat(angles: EulerAngles) -> Quat:
-    """Z-Y-X intrinsic composition: q = qz(yaw) * qy(pitch) * qx(roll)."""
-    cy, sy = math.cos(0.5 * angles.yaw), math.sin(0.5 * angles.yaw)
-    cp, sp = math.cos(0.5 * angles.pitch), math.sin(0.5 * angles.pitch)
-    cr, sr = math.cos(0.5 * angles.roll), math.sin(0.5 * angles.roll)
-    return np.array(
-        [
-            cy * cp * cr + sy * sp * sr,
-            cy * cp * sr - sy * sp * cr,
-            cy * sp * cr + sy * cp * sr,
-            sy * cp * cr - cy * sp * sr,
-        ]
-    )
 
 
 def quat_to_euler(q: Quat) -> EulerAngles:

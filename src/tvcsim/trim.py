@@ -12,9 +12,9 @@ equality-constrained least-squares problem solved through its 2x2 normal
 equations. Either result is checked once against the full wrench: the
 (fx, fz, ty) residual, then the lateral rows (fy, tx, tz), which vanish by
 left-right symmetry unless a CoM off the plane of symmetry (com_y != 0)
-leaves a roll torque that no trim cancels, then the thrust limits. The
-equal-thrust state is what the flight controller uses as its foot-angle
-trim offset.
+leaves a roll torque that no trim cancels, then the thrust limits and,
+when given, the posture's foot-pitch range. The equal-thrust state is
+what the flight controller uses as its foot-angle trim offset.
 """
 
 from __future__ import annotations
@@ -35,12 +35,14 @@ def hover_trim(
     geo: RobotGeometry,
     equal_thrust: bool = True,
     limits: FanLimits | None = None,
+    foot_pitch_range: tuple[float, float] | None = None,
 ) -> tuple[FanState, float]:
     """Solve for a zero-wrench hover state.
 
     equal_thrust=True (the flight strategy): all four thrusts equal, both
     feet at one angle, body pitch free. equal_thrust=False: feet stay
     thrust-up and the waist pair takes up the pitch torque instead.
+    foot_pitch_range (rad), when given, bounds the trim foot angle.
 
     Raises NoTrimError when no in-limits trim exists.
     """
@@ -69,11 +71,15 @@ def hover_trim(
             f"trim needs per-fan thrust outside [{limits.thrust_min}, "
             f"{limits.thrust_max_per_fan}] N (state: {fs})"
         )
+    lo, hi = foot_pitch_range or (-math.inf, math.inf)
+    if not lo <= fs.theta_left <= hi:
+        raise NoTrimError(f"trim foot angle {math.degrees(fs.theta_left):.3f} deg lies outside "
+                          f"the foot pitch range [{math.degrees(lo):g}, {math.degrees(hi):g}] deg")
     return fs, theta_pitch
 
 
 def _solve_equal_thrust(geo: RobotGeometry) -> tuple[FanState, float]:
-    x_c, _, z_c = geo.com_body.tolist()
+    x_c, _, z_c = geo.com_body
     a, b = x_c - geo.fan_foot_x, z_c - geo.fan_foot_z
     r = math.hypot(a, b)
     if abs(x_c) > r:
@@ -101,7 +107,7 @@ def _solve_waist_differential(geo: RobotGeometry) -> tuple[FanState, float]:
     allows: x = e + C^T (C C^T)^-1 (d - C e), the 2x2 inverse by Cramer's
     rule.
     """
-    x_c = float(geo.com_body[0])
+    x_c = geo.com_body[0]
     half_l = 0.5 * geo.fan_spacing_waist
     weight = geo.weight
     c1 = (1.0, 1.0, 2.0)

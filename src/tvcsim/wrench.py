@@ -54,10 +54,6 @@ class FanState:
     def uniform(cls, thrust: float, theta: float = 0.0) -> "FanState":
         return cls(thrust, thrust, thrust, thrust, theta, theta)
 
-    def thrusts(self) -> np.ndarray:
-        """Order matches RobotGeometry.fan_positions(): front, back, left, right."""
-        return np.array([self.f_front, self.f_back, self.f_left, self.f_right])
-
 
 @dataclass
 class Wrench:
@@ -105,7 +101,7 @@ def fan_layout(
     model of joint position error that turns into a yaw force couple.
     """
     positions = geo.fan_positions()
-    com = geo.com_body.copy()
+    com = np.array(geo.com_body)
     theta_l = fs.theta_left
     theta_r = fs.theta_right
     if perturbation is not None:
@@ -143,11 +139,11 @@ def generalized_wrench_3d(
     t_y* fields use the effective CoM and foot angles. R(q) is built once, on
     first access to a world-frame field, and rotates both into {W}.
     """
-    x_c, y_c, z_c = geo.com_body.tolist()
+    x_c, y_c, z_c = geo.com_body
     theta_l = fs.theta_left
     theta_r = fs.theta_right
     if perturbation is not None:
-        dx, dy, dz = perturbation.com_offset.tolist()
+        dx, dy, dz = perturbation.com_offset
         x_c, y_c, z_c = x_c + dx, y_c + dy, z_c + dz
         theta_l += perturbation.foot_axis_misalignment_left
         theta_r += perturbation.foot_axis_misalignment_right

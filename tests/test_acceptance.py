@@ -213,7 +213,7 @@ def test_criterion_7_integrator_physics():
     assert fall_err < 1e-6
 
     state = RigidBodyState(angular_velocity_body=np.array([1.0, 1.2, 0.8]))
-    inertia = geo.inertia_body
+    inertia = np.array(geo.inertia_body)
     momentum0 = np.linalg.norm(inertia @ state.angular_velocity_body)
     worst_norm_drift = 0.0
     for _ in range(1000):

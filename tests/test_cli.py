@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,18 @@ def test_wrench_eval_rejects_a_non_finite_option(tmp_path, capsys, option):
     assert not (tmp_path / "wrench_eval_manifest.json").exists()
 
 
+def test_wrench_eval_rejects_an_overflowing_wrench(tmp_path, capsys):
+    # finite options whose thrust sum overflows: no NaN/inf rows and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["--out", str(tmp_path), "wrench-eval",
+                                  "--thrust-ff=1e308", "--thrust-fb=1e308"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the fan state's wrench overflows a float\n"
+    assert not (tmp_path / "wrench_eval_manifest.json").exists()
+
+
 def test_wrench_eval_lateral_com_matches_oracle(tmp_path, capsys):
     # with com_y != 0 the roll and yaw rows carry the lateral CoM arm
     cfg = tmp_path / "com_y.cfg"
@@ -305,6 +318,25 @@ def test_trim_without_a_root_exit_3(tmp_path, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("infeasible: equal-thrust trim has no root")
+
+
+def test_trim_foot_angle_outside_the_posture_range_exit_3(tmp_path, capsys):
+    # the equal-thrust root lies at 102.7 deg, beyond P1's 90 deg foot limit
+    text = ("posture.com_x_m = 0.25\nposture.foot_x_m = 0\nposture.foot_z_m = -0.5\n"
+            "posture.com_z_m = -0.3\nlimits.thrust_max_per_fan_n = 200\n")
+    for command in ("trim", "takeoff"):
+        code, out, err = run_with_config(tmp_path, capsys, text, command)
+        assert code == 3, command
+        assert out == ""
+        assert err == ("infeasible: trim foot angle 102.680 deg lies outside "
+                       "the foot pitch range [-74, 90] deg\n")
+    # feet up is outside a range that excludes 0 deg
+    cfg = tmp_path / "feet_up.cfg"
+    cfg.write_text("posture.foot_pitch_min_deg = 10\n")
+    code, out, err = run_cli(["--config", str(cfg), "--out", str(tmp_path), "trim",
+                              "--waist-differential"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("infeasible: trim foot angle 0.000 deg lies outside")
 
 
 def test_lateral_com_has_no_trim(tmp_path, capsys):

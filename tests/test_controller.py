@@ -176,7 +176,7 @@ def test_tune_gains_pole_placement():
     f, theta = fs_trim.f_left, fs_trim.theta_left
     b_pitch = 2.0 * f * (math.cos(theta) * (GEO.com_body[2] - GEO.fan_foot_z)
                          + math.sin(theta) * (GEO.com_body[0] - GEO.fan_foot_x))
-    wn = math.sqrt(b_pitch * gains.kp_pitch / GEO.inertia_body[1, 1])
+    wn = math.sqrt(b_pitch * gains.kp_pitch / GEO.inertia_body[1][1])
     assert wn == pytest.approx(12.0, rel=1e-3)
 
 

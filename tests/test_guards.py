@@ -1,8 +1,10 @@
 """Guards on contracts kept outside the package (bench trace targets, README),
-on the takeoff loop's and the hover trim's wrench evaluations and on the
-envelope solver's batching."""
+on code that only tests call, on the takeoff loop's and the hover trim's
+wrench evaluations and rotation-matrix builds and on the envelope solver's
+batching."""
 
 import ast
+import collections
 import importlib
 import pathlib
 import re
@@ -36,6 +38,38 @@ def test_readme_config_table_lists_exactly_the_schema():
     keys = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
     assert len(keys) == len(set(keys))
     assert set(keys) == set(SCHEMA)
+
+
+def test_every_top_level_name_is_used_outside_the_tests():
+    # a function or class that only tests call is dead weight; the oracles are
+    # shipped for re-audits and exempt
+    package = ROOT / "src" / "tvcsim"
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    words = collections.Counter(word for path in paths + sorted((ROOT / "bench").glob("*.py"))
+                                for word in re.findall(r"\w+", path.read_text()))
+    unused = [f"{path.stem}.{node.name}" for path in paths if path.name != "oracles.py"
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and words[node.name] < 2]  # one of them is the def itself
+    assert unused == []
+
+
+def test_takeoff_run_builds_one_rotation_matrix(monkeypatch):
+    # the loop runs on floats; the only R(q) array is the hover trim's gate
+    calls = 0
+    build = wrench.quat_to_matrix
+
+    def counted(q):
+        nonlocal calls
+        calls += 1
+        return build(q)
+
+    monkeypatch.setattr(wrench, "quat_to_matrix", counted)
+    for integrator in ("euler", "rk4"):
+        calls = 0
+        log = sim.run_scenario(sim.ScenarioConfig(integrator=integrator))
+        assert log.events["liftoff_time_s"] is not None
+        assert calls == 1, integrator
 
 
 def test_takeoff_loop_evaluates_the_wrench_once_per_step(monkeypatch):

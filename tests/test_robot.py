@@ -1,5 +1,7 @@
 """Posture tables, geometry construction, and actuator limit contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,7 @@ def test_geometry_validation():
 
 def test_point_mass_inertia_is_diagonal_spd():
     geo = geometry_from_posture(builtin_posture("P2"))
-    inertia = geo.inertia_body
+    inertia = np.array(geo.inertia_body)
     assert np.all(inertia == np.diag(np.diag(inertia)))
     assert np.linalg.eigvalsh(inertia).min() > 0.0
 
@@ -109,13 +111,15 @@ def test_point_mass_inertia_is_diagonal_spd():
 def test_point_mass_inertia_scales_with_fan_mass():
     geo = geometry_from_posture(builtin_posture("P1"))
     doubled = point_mass_inertia(geo, fan_mass=2.0 * 0.488)
-    np.testing.assert_allclose(doubled, 2.0 * point_mass_inertia(geo, fan_mass=0.488))
+    np.testing.assert_allclose(doubled, 2.0 * np.array(point_mass_inertia(geo, fan_mass=0.488)))
 
 
 def test_inertia_override_respected():
     override = np.diag([0.5, 0.6, 0.3])
-    geo = geometry_from_posture(builtin_posture("P1"), inertia_body=override)
+    geo = replace(geometry_from_posture(builtin_posture("P1")), inertia_body=override)
     np.testing.assert_allclose(geo.inertia_body, override)
+    np.testing.assert_allclose(geo.inertia_inverse_rows,
+                               np.linalg.inv(override).ravel(), rtol=1e-15)
 
 
 def test_geometry_deterministic():
@@ -127,6 +131,11 @@ def test_geometry_deterministic():
 
 
 def test_geometry_arrays_read_only():
+    # the geometry holds plain float tuples, which cannot be written in place
     geo = geometry_from_posture(builtin_posture("P1"))
-    with pytest.raises(ValueError):
+    assert geo.com_body == (0.025, 0.0, -0.243)
+    assert all(type(v) is float for row in geo.inertia_body for v in (*geo.com_body, *row))
+    with pytest.raises(TypeError):
         geo.com_body[0] = 1.0
+    with pytest.raises(TypeError):
+        geo.inertia_body[1][1] = 1.0

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from tvcsim.sim import (
     dynamics_step,
     run_scenario,
 )
-from tvcsim.spatial import EulerAngles, euler_to_quat, quat_to_matrix
+from tvcsim.spatial import quat_product, quat_to_matrix
 from tvcsim.trim import hover_trim
 from tvcsim.wrench import FanState, generalized_wrench_3d
 
@@ -36,6 +37,14 @@ def column(log, name):
 
 def no_perturbation():
     return Perturbation()
+
+
+def euler_quat(roll, pitch, yaw):
+    """Z-Y-X intrinsic attitude: qz(yaw) * qy(pitch) * qx(roll)."""
+    qz = (math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw))
+    qy = (math.cos(0.5 * pitch), 0.0, math.sin(0.5 * pitch), 0.0)
+    qx = (math.cos(0.5 * roll), math.sin(0.5 * roll), 0.0, 0.0)
+    return quat_product(quat_product(qz, qy), qx)
 
 
 def test_free_fall_closed_form():
@@ -59,7 +68,7 @@ def test_hover_equilibrium_is_fixed_point():
 
 def test_torque_free_tumble_conservation_rk4():
     state = RigidBodyState(angular_velocity_body=np.array([1.0, 1.2, 0.8]))
-    inertia = P1.inertia_body
+    inertia = np.array(P1.inertia_body)
     momentum0 = np.linalg.norm(inertia @ state.angular_velocity_body)
     energy0 = 0.5 * (state.angular_velocity_body @ inertia @ state.angular_velocity_body)
     for _ in range(1000):
@@ -73,7 +82,7 @@ def test_torque_free_tumble_conservation_rk4():
 def test_torque_free_tumble_euler_first_order():
     # the default scheme drifts O(dt); at 1 ms that stays under 1e-3 relative
     state = RigidBodyState(angular_velocity_body=np.array([1.0, 1.2, 0.8]))
-    inertia = P1.inertia_body
+    inertia = np.array(P1.inertia_body)
     momentum0 = np.linalg.norm(inertia @ state.angular_velocity_body)
     for _ in range(1000):
         state = dynamics_step(state, ZERO_THRUST, P1, 1e-3)
@@ -231,7 +240,7 @@ def test_energy_audit_free_flight():
                          sample_rate=1000.0, perturbation=no_perturbation())
     log = run_scenario(cfg)
     geo = cfg.geometry()
-    inertia = geo.inertia_body
+    inertia = np.array(geo.inertia_body)
     m = geo.mass_total
     ix = {k: i for i, k in enumerate(log.header)}
     air = [r for r in log.rows if r[ix["phase"]] == PHASE_AIRBORNE]
@@ -239,9 +248,8 @@ def test_energy_audit_free_flight():
     def unpack(row):
         v = np.array([row[ix["vx"]], row[ix["vy"]], row[ix["vz"]]])
         w = np.array([row[ix["wx"]], row[ix["wy"]], row[ix["wz"]]])
-        q = euler_to_quat(EulerAngles(math.radians(row[ix["roll_deg"]]),
-                                      math.radians(row[ix["pitch_deg"]]),
-                                      math.radians(row[ix["yaw_deg"]])))
+        q = euler_quat(math.radians(row[ix["roll_deg"]]), math.radians(row[ix["pitch_deg"]]),
+                       math.radians(row[ix["yaw_deg"]]))
         fs = FanState(row[ix["fF"]], row[ix["fB"]], row[ix["fL"]], row[ix["fR"]],
                       math.radians(row[ix["theta_L_deg"]]),
                       math.radians(row[ix["theta_R_deg"]]))
@@ -293,6 +301,18 @@ def test_perturbation_validation():
         Perturbation(foot_axis_misalignment_left=math.radians(11.0))
     with pytest.raises(ValueError):
         Perturbation(thrust_scale=np.array([1.3, 1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError):
+        Perturbation(com_offset=(0.01, 0.0))
+
+
+def test_perturbation_holds_float_tuples_and_rejects_a_nan_scale():
+    pert = Perturbation(com_offset=np.array([0.01, 0.0, -0.02]),
+                        thrust_scale=np.array([0.9, 1.0, 1.1, 1.2]))
+    assert pert.com_offset == (0.01, 0.0, -0.02)
+    assert pert.thrust_scale == (0.9, 1.0, 1.1, 1.2)
+    assert all(type(v) is float for v in pert.com_offset + pert.thrust_scale)
+    with pytest.raises(ValueError, match="thrust_scale"):
+        Perturbation(thrust_scale=(1.0, math.nan, 1.0, 1.0))
 
 
 def test_scenario_config_validation():
@@ -335,7 +355,7 @@ def _np_normalize(q):
 def _np_accels(q, omega, fs, geo, pert):
     """Array accelerations: world force through R(q), np.cross and np.linalg.solve."""
     w = generalized_wrench_3d(fs, geo, q, pert)
-    inertia = geo.inertia_body
+    inertia = np.array(geo.inertia_body)
     omega_dot = np.linalg.solve(inertia, np.asarray(w.torque_body)
                                 - np.cross(omega, inertia @ omega))
     return w.force_world / geo.mass_total, omega_dot
@@ -379,8 +399,8 @@ def _random_inertia(rng):
 def test_float_step_matches_the_array_formulation(integrator, perturbed):
     rng = np.random.default_rng(2024 + perturbed)
     for case in range(100):
-        geo = geometry_from_posture(builtin_posture(("P1", "P2", "P3")[case % 3]),
-                                    inertia_body=_random_inertia(rng))
+        geo = replace(geometry_from_posture(builtin_posture(("P1", "P2", "P3")[case % 3])),
+                      inertia_body=_random_inertia(rng))
         assert np.abs(geo.inertia_body - np.diag(np.diag(geo.inertia_body))).max() > 1e-3
         pert = Perturbation(com_offset=rng.normal(0.0, 0.01, 3),
                             foot_axis_misalignment_left=rng.uniform(-0.15, 0.15),

@@ -45,7 +45,7 @@ from .envelope import (
     envelope_sweep_and_level_ratio,
     write_envelope_csv,
 )
-from .sim import DivergenceError, ScenarioConfig, run_scenario
+from .sim import ScenarioConfig, run_scenario
 from .trim import NoTrimError, hover_trim
 from .wrench import FanState, total_wrench
 
@@ -219,13 +219,7 @@ def cmd_takeoff(args, values) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     cfg = scenario_from_config(values, **overrides)
-
-    diverged = False
-    try:
-        log = run_scenario(cfg)
-    except DivergenceError as err:
-        log = err.log
-        diverged = True
+    log = run_scenario(cfg)
 
     log_path = os.path.join(args.out, f"takeoff_log.{args.format}")
     if args.format == "csv":
@@ -245,9 +239,9 @@ def cmd_takeoff(args, values) -> int:
         f"mode={cfg.mode.value} liftoff_t={'never' if liftoff is None else f'{liftoff:.3f} s'} "
         f"altitude@2s={'n/a' if alt is None else f'{alt:.3f} m'} "
         f"max|pitch|={ev['max_abs_pitch_deg']:.1f} deg max|yaw|={ev['max_abs_yaw_deg']:.1f} deg"
-        + (" [DIVERGED]" if diverged else "")
+        + (" [DIVERGED]" if ev["diverged"] else "")
     )
-    return EXIT_DIVERGED if diverged else EXIT_OK
+    return EXIT_DIVERGED if ev["diverged"] else EXIT_OK
 
 
 def cmd_trim(args, values) -> int:

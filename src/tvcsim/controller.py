@@ -65,9 +65,10 @@ class ControllerGains:
 
 @dataclass
 class FootCommand:
+    """Foot pitch commands (rad); the thrusts follow the ramp, not the controller."""
+
     theta_left_cmd: float
     theta_right_cmd: float
-    thrust_schedule_value: float
 
 
 @dataclass(frozen=True)
@@ -160,17 +161,13 @@ class AttitudeController:
         self._int_pitch = 0.0
         self._int_yaw = 0.0
 
-    def step(
-        self,
-        attitude: EulerAngles,
-        body_rates,
-        thrust_value: float,
-        dt: float,
-    ) -> FootCommand:
+    def step(self, attitude: EulerAngles, body_rates, dt: float) -> FootCommand:
         """One controller tick; dt is the controller period.
 
-        Commands are clamped to the posture's foot range and slew-limited to
-        the ankle rate bound, never rejected.
+        Reads the attitude and body rates only: the thrust ramp is preplanned
+        and never modulated for attitude. Commands are clamped to the
+        posture's foot range and slew-limited to the ankle rate bound, never
+        rejected.
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -195,7 +192,7 @@ class AttitudeController:
         left = self._limit(mean - delta, self._prev_left, dt)
         right = self._limit(mean + delta, self._prev_right, dt)
         self._prev_left, self._prev_right = left, right
-        return FootCommand(left, right, thrust_value)
+        return FootCommand(left, right)
 
     def _limit(self, cmd: float, prev: float, dt: float) -> float:
         lo, hi = self.posture.foot_pitch_range

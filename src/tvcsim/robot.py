@@ -12,9 +12,7 @@ only at file/CLI boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, field
 
 GRAVITY = 9.81  # m/s^2
 
@@ -113,7 +111,9 @@ class RobotGeometry:
     Waist fans sit at (+-L/2, 0, 0) blowing along +z; foot fans sit at
     (p_fx, +-L_f/2, p_fz) with the left foot on +y (the y axis points left).
     com_body is a float 3-tuple and inertia_body three float row tuples,
-    converted here from any float sequences; numpy validates the tensor once.
+    converted here from any float sequences. inertia_body defaults to the
+    point-mass surrogate for fan_mass; it is checked once, on floats, as it
+    is inverted.
     """
 
     mass_total: float = DEFAULT_MASS
@@ -122,6 +122,7 @@ class RobotGeometry:
     fan_foot_x: float = 0.0  # p_fx
     fan_foot_z: float = 0.0  # p_fz
     fan_spacing_feet: float = DEFAULT_FOOT_FAN_SPACING  # L_f
+    fan_mass: float = DEFAULT_FAN_MASS  # per fan, read by the inertia surrogate
     inertia_body: tuple | None = None  # 3x3 rows about the CoM, in {B}
     # the inverse of inertia_body as a row-major float 9-tuple, for the
     # float rigid-body step of the takeoff loop
@@ -137,59 +138,56 @@ class RobotGeometry:
             raise ValueError("fan spacings must be positive")
         if self.inertia_body is None:
             self.inertia_body = point_mass_inertia(self)
-        inertia = np.asarray(self.inertia_body, dtype=float).reshape(3, 3)
-        if np.abs(inertia - inertia.T).max() > 1e-12:
-            raise ValueError("inertia_body must be symmetric")
-        if np.linalg.eigvalsh(inertia).min() <= 0.0:
-            raise ValueError("inertia_body must be positive-definite")
-        self.inertia_body = tuple(map(tuple, inertia.tolist()))
-        self.inertia_inverse_rows = _inverse_rows(inertia.ravel().tolist())
+        self.inertia_body = tuple(tuple(map(float, row)) for row in self.inertia_body)
+        self.inertia_inverse_rows = _inverse_rows(self.inertia_body)
 
     @property
     def weight(self) -> float:
         return self.mass_total * GRAVITY
 
-    def fan_positions(self) -> np.ndarray:
-        """Rows: front, back, left, right fan positions in {B}."""
+    def fan_positions(self) -> tuple:
+        """Rows: front, back, left, right fan positions in {B}, as float tuples."""
         half_l, half_lf = 0.5 * self.fan_spacing_waist, 0.5 * self.fan_spacing_feet
-        return np.array(
-            [
-                [half_l, 0.0, 0.0],
-                [-half_l, 0.0, 0.0],
-                [self.fan_foot_x, half_lf, self.fan_foot_z],
-                [self.fan_foot_x, -half_lf, self.fan_foot_z],
-            ]
-        )
+        return ((half_l, 0.0, 0.0),
+                (-half_l, 0.0, 0.0),
+                (self.fan_foot_x, half_lf, self.fan_foot_z),
+                (self.fan_foot_x, -half_lf, self.fan_foot_z))
 
 
-def _inverse_rows(m: list) -> tuple:
-    """Row-major inverse of a row-major 3x3 matrix: adjugate over determinant.
+def _inverse_rows(rows) -> tuple:
+    """Row-major inverse of the tensor, and its one check, on floats: symmetry,
+    then Sylvester's leading principal minors, the last being the determinant
+    the adjugate is divided by. An underflowed minor, a NaN, an overflow or a
+    non-finite inverse fails it."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    if abs(b - d) > 1e-12 or abs(c - g) > 1e-12 or abs(f - h) > 1e-12:
+        raise ValueError("inertia_body must be symmetric")
+    adjugate = (e * i - f * h, c * h - b * i, b * f - c * e,
+                f * g - d * i, a * i - c * g, c * d - a * f,
+                d * h - e * g, b * g - a * h, a * e - b * d)
+    det = a * adjugate[0] + b * adjugate[3] + c * adjugate[6]
+    if a > 0.0 and a * e - b * d > 0.0 and det > 0.0:
+        inverse = tuple(x / det for x in adjugate)
+        if all(map(math.isfinite, inverse)):
+            return inverse
+    raise ValueError("inertia_body must be finite and positive-definite")
 
-    Closed form rather than np.linalg.inv, whose LAPACK code would add about
-    0.4 MiB to the peak RSS of every command that builds a geometry.
-    """
-    a, b, c, d, e, f, g, h, i = m
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if det == 0.0:  # a positive-definite tensor whose determinant underflows
-        raise ValueError("inertia_body is singular in floating point")
-    return tuple(x / det for x in (e * i - f * h, c * h - b * i, b * f - c * e,
-                                   f * g - d * i, a * i - c * g, c * d - a * f,
-                                   d * h - e * g, b * g - a * h, a * e - b * d))
 
-
-def point_mass_inertia(geo: RobotGeometry, fan_mass: float = DEFAULT_FAN_MASS) -> tuple:
+def point_mass_inertia(geo: RobotGeometry) -> tuple:
     """Diagonal inertia surrogate about the CoM, as three float rows.
 
-    Places one point mass per fan at its mounting position and the remaining
-    mass at the CoM (zero contribution). Off-diagonal products are dropped so
-    the tensor stays diagonal; this is a reproducible, order-of-magnitude
-    stand-in when no measured tensor is available.
+    Places one point mass of geo.fan_mass per fan at its mounting position
+    and the remaining mass at the CoM (zero contribution). Off-diagonal
+    products are dropped so the tensor stays diagonal; this is a
+    reproducible, order-of-magnitude stand-in when no measured tensor is
+    available.
     """
+    fan_mass = geo.fan_mass
     if fan_mass < 0.0 or 4.0 * fan_mass > geo.mass_total:
         raise ValueError("fan_mass must be >= 0 and four fans must not exceed total mass")
     x_c, y_c, z_c = geo.com_body
     i_xx = i_yy = i_zz = 0.0
-    for px, py, pz in geo.fan_positions().tolist():
+    for px, py, pz in geo.fan_positions():
         rx, ry, rz = px - x_c, py - y_c, pz - z_c
         i_xx += fan_mass * (ry * ry + rz * rz)
         i_yy += fan_mass * (rx * rx + rz * rz)
@@ -214,13 +212,12 @@ def geometry_from_posture(
     """
     x_c, z_c = posture.com_sagittal
     p_fx, p_fz = posture.foot_fan
-    geo = RobotGeometry(
+    return RobotGeometry(
         mass_total=mass_total,
         com_body=(x_c, com_y, z_c),
         fan_spacing_waist=fan_spacing_waist,
         fan_foot_x=p_fx,
         fan_foot_z=p_fz,
         fan_spacing_feet=fan_spacing_feet,
+        fan_mass=fan_mass,
     )
-    # a new geometry, not a reassigned field: __post_init__ derives the inverse rows
-    return replace(geo, inertia_body=point_mass_inertia(geo, fan_mass=fan_mass))

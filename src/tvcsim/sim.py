@@ -30,7 +30,6 @@ from .controller import (
     AttitudeController,
     ControlMode,
     ControllerGains,
-    FootCommand,
     ThrustRamp,
     thrust_schedule,
     tune_gains,
@@ -79,11 +78,8 @@ LOG_HEADER = [
 
 
 class DivergenceError(Exception):
-    """Simulation left the sane envelope; partial log attached when known."""
-
-    def __init__(self, message: str, log: "SimLog | None" = None):
-        super().__init__(message)
-        self.log = log
+    """Raised by dynamics_step when the state leaves the position or rate
+    guard; run_scenario turns it into its log's divergence events."""
 
 
 @dataclass
@@ -175,13 +171,8 @@ class ScenarioConfig:
 
     def geometry(self) -> RobotGeometry:
         return geometry_from_posture(
-            self.posture,
-            mass_total=self.mass_total,
-            fan_spacing_waist=self.fan_spacing_waist,
-            fan_spacing_feet=self.fan_spacing_feet,
-            fan_mass=self.fan_mass,
-            com_y=self.com_y,
-        )
+            self.posture, mass_total=self.mass_total, fan_spacing_waist=self.fan_spacing_waist,
+            fan_spacing_feet=self.fan_spacing_feet, fan_mass=self.fan_mass, com_y=self.com_y)
 
     def echo(self) -> dict:
         """Resolved configuration echoed into the events JSON."""
@@ -241,9 +232,6 @@ class SimLog:
         self.header = list(LOG_HEADER)
         self.rows: list[tuple] = []
         self.events: dict = {}
-
-    def append(self, row: tuple) -> None:
-        self.rows.append(row)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -374,12 +362,13 @@ def _rk4(y0, dt, accels):
 
 
 def run_scenario(cfg: ScenarioConfig) -> SimLog:
-    """Deterministic closed-loop takeoff run.
+    """Deterministic closed-loop takeoff run, which ends by returning its log.
 
     The trim and controller gains come from the nominal geometry; the
-    dynamics see the perturbed one. Raises DivergenceError (with the partial
-    log attached) if the guard trips, ValueError if the thrust ramp exceeds
-    the per-fan cap.
+    dynamics see the perturbed one. A tripped divergence guard ends the run
+    early: events["diverged"] is set, events["divergence_reason"] holds the
+    guard's message and events["final_time_s"] the last step reached. Raises
+    ValueError if the thrust ramp exceeds the per-fan cap.
     """
     # checked here, not in ScenarioConfig: the ramp is the takeoff run's alone
     if cfg.ramp.target_per_fan > cfg.limits.thrust_max_per_fan:
@@ -418,7 +407,6 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
         f"yaw_exceeds_{YAW_EVENT_DEG:.0f}deg_time_s": None,
         "diverged": False,
         "divergence_reason": None,
-        "final_time_s": 0.0,
     }
 
     # the loop carries plain floats: state tuples, thrust lists, hoisted constants
@@ -438,67 +426,62 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     else:
         thrusts = [0.0] * 4
         alpha = 1.0 - math.exp(-dt / tau)  # spool lag per step
-    command = FootCommand(trim_angle, trim_angle, 0.0)
     n_steps = int(round(cfg.duration / dt))
     i_2s = int(round(2.0 / dt)) if cfg.duration >= 2.0 else None
     pitch_key = f"pitch_exceeds_{PITCH_EVENT_DEG:.0f}deg_time_s"
     yaw_key = f"yaw_exceeds_{YAW_EVENT_DEG:.0f}deg_time_s"
 
-    try:
-        for i in range(n_steps + 1):
-            t = i * dt
-            if i % control_every == 0:
-                meas_euler, meas_rates = _measure(state, euler, cfg, rng)
-                command = controller.step(
-                    meas_euler, meas_rates, thrust_schedule(t, cfg.ramp), control_every * dt,
-                )
+    for i in range(n_steps + 1):
+        t = i * dt
+        if i % control_every == 0:  # from i = 0 on, so command is always set
+            meas_euler, meas_rates = _measure(state, euler, cfg, rng)
+            command = controller.step(meas_euler, meas_rates, control_every * dt)
 
-            fan_state = FanState(
-                f_front=thrusts[0], f_back=thrusts[1],
-                f_left=thrusts[2], f_right=thrusts[3],
-                theta_left=foot_left, theta_right=foot_right,
-            )
-            # the wrench is evaluated here on the ground only; aloft, dynamics_step does it
-            if phase == PHASE_GROUND and detect_liftoff(generalized_wrench_3d(
-                    fan_state, geo, state.orientation, cfg.perturbation)):
-                phase = PHASE_AIRBORNE
-                log.events["liftoff_time_s"] = t
-                log.events["never_lifted"] = False
+        fan_state = FanState(
+            f_front=thrusts[0], f_back=thrusts[1],
+            f_left=thrusts[2], f_right=thrusts[3],
+            theta_left=foot_left, theta_right=foot_right,
+        )
+        # the wrench is evaluated here on the ground only; aloft, dynamics_step does it
+        if phase == PHASE_GROUND and detect_liftoff(generalized_wrench_3d(
+                fan_state, geo, state.orientation, cfg.perturbation)):
+            phase = PHASE_AIRBORNE
+            log.events["liftoff_time_s"] = t
+            log.events["never_lifted"] = False
 
-            _update_events(log.events, t, euler, pitch_key, yaw_key)
-            if i_2s is not None and i == i_2s:
-                log.events["altitude_at_2s_m"] = float(state.position_world[2])
-            log.events["final_time_s"] = t
+        _update_events(log.events, t, euler, pitch_key, yaw_key)
+        if i_2s is not None and i == i_2s:
+            log.events["altitude_at_2s_m"] = float(state.position_world[2])
 
-            if i % sample_every == 0:
-                log.append(_log_row(t, state, euler, command, fan_state, phase))
+        if i % sample_every == 0:
+            log.rows.append(_log_row(t, state, euler, command, fan_state, phase))
 
-            if i == n_steps:
-                break
+        if i == n_steps:
+            break
 
-            # advance actuators toward the commands over (t, t + dt]
-            if phase == PHASE_AIRBORNE:
-                foot_left = _toward(foot_left, command.theta_left_cmd, foot_step)
-                foot_right = _toward(foot_right, command.theta_right_cmd, foot_step)
-            sched = thrust_schedule(t + dt, cfg.ramp)
-            if tau > 0.0:
-                thrusts = [f + alpha * (sched * k - f) for f, k in zip(thrusts, scale)]
-            else:
-                thrusts = [sched * k for k in scale]
+        # advance actuators toward the commands over (t, t + dt]
+        if phase == PHASE_AIRBORNE:
+            foot_left = _toward(foot_left, command.theta_left_cmd, foot_step)
+            foot_right = _toward(foot_right, command.theta_right_cmd, foot_step)
+        sched = thrust_schedule(t + dt, cfg.ramp)
+        if tau > 0.0:
+            thrusts = [f + alpha * (sched * k - f) for f, k in zip(thrusts, scale)]
+        else:
+            thrusts = [sched * k for k in scale]
 
-            if phase == PHASE_AIRBORNE:
+        if phase == PHASE_AIRBORNE:
+            try:
                 state = dynamics_step(state, fan_state, geo, dt,
                                       cfg.perturbation, cfg.integrator)
-                euler = quat_euler(state.orientation)
-            else:
-                # held on the ground: the attitude, and so euler, is unchanged
-                state.time = t + dt
-    except DivergenceError as err:
-        log.events["diverged"] = True
-        log.events["divergence_reason"] = str(err)
-        err.log = log
-        raise
-
+            except DivergenceError as err:
+                log.events["diverged"] = True
+                log.events["divergence_reason"] = str(err)
+                break
+            euler = quat_euler(state.orientation)
+        else:
+            # held on the ground: the attitude, and so euler, is unchanged
+            state.time = t + dt
+    log.events["final_time_s"] = t
     return log
 
 
@@ -529,7 +512,7 @@ def _update_events(events, t, euler, pitch_key, yaw_key):
         events[yaw_key] = t
 
 
-def _log_row(t, state, euler, command: FootCommand, fan_state: FanState, phase):
+def _log_row(t, state, euler, command, fan_state: FanState, phase):
     return (
         t, *state.position_world, *state.velocity_world,
         math.degrees(euler.roll), math.degrees(euler.pitch), math.degrees(euler.yaw),

@@ -100,7 +100,7 @@ def fan_layout(
     the effective CoM and biases each foot's thrust-axis pitch, the minimal
     model of joint position error that turns into a yaw force couple.
     """
-    positions = geo.fan_positions()
+    positions = np.array(geo.fan_positions())
     com = np.array(geo.com_body)
     theta_l = fs.theta_left
     theta_r = fs.theta_right

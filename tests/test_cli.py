@@ -339,6 +339,29 @@ def test_trim_foot_angle_outside_the_posture_range_exit_3(tmp_path, capsys):
     assert err.startswith("infeasible: trim foot angle 0.000 deg lies outside")
 
 
+def test_light_robot_with_light_fans_trims(tmp_path, capsys):
+    # 4 x 0.1 kg fans fit a 1.5 kg robot; four default 0.488 kg fans would not
+    text = "geometry.mass_kg = 1.5\ngeometry.fan_mass_kg = 0.1\n"
+    code, out, err = run_with_config(tmp_path, capsys, text, "trim")
+    assert code == 0 and err == ""
+    assert "f_front_n=3.681828\n" in out
+    code, out, err = run_with_config(
+        tmp_path, capsys, "geometry.mass_kg = 17\ngeometry.fan_mass_kg = 5\n", "trim")
+    assert code == 2 and out == ""
+    assert err == "error: fan_mass must be >= 0 and four fans must not exceed total mass\n"
+
+
+def test_overflowing_surrogate_inertia_exit_2(tmp_path, capsys):
+    # finite inputs whose point-mass inertia overflows: one line, no numpy warning
+    text = ("geometry.mass_kg = 1e300\ngeometry.fan_mass_kg = 1e299\n"
+            "posture.foot_z_m = -1e10\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_with_config(tmp_path, capsys, text, "trim")
+    assert code == 2 and out == ""
+    assert err == "error: inertia_body must be finite and positive-definite\n"
+
+
 def test_lateral_com_has_no_trim(tmp_path, capsys):
     # symmetric thrusts cannot cancel the roll torque of a CoM off the plane of symmetry
     for command in ("trim", "takeoff"):

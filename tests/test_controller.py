@@ -73,24 +73,22 @@ def test_gains_validation():
 
 def test_zero_error_passes_trim_through():
     ctl = make_controller(trim=0.1)
-    cmd = ctl.step(EulerAngles(0.0, 0.0, 0.0), np.zeros(3), 40.0, 0.004)
+    cmd = ctl.step(EulerAngles(0.0, 0.0, 0.0), np.zeros(3), 0.004)
     assert cmd.theta_left_cmd == pytest.approx(0.1, abs=1e-15)
     assert cmd.theta_right_cmd == pytest.approx(0.1, abs=1e-15)
-    assert cmd.thrust_schedule_value == 40.0
 
 
 def test_all_off_holds_trim():
     ctl = make_controller(mode=ControlMode.ALL_OFF, trim=0.08)
     for pitch in (-0.5, 0.0, 0.4):
-        cmd = ctl.step(EulerAngles(0.0, pitch, 0.3), np.array([0.1, -0.2, 0.5]),
-                       30.0, 0.004)
+        cmd = ctl.step(EulerAngles(0.0, pitch, 0.3), np.array([0.1, -0.2, 0.5]), 0.004)
         assert cmd.theta_left_cmd == 0.08
         assert cmd.theta_right_cmd == 0.08
 
 
 def test_pitch_only_keeps_feet_identical():
     ctl = make_controller(mode=ControlMode.PITCH_ONLY)
-    cmd = ctl.step(EulerAngles(0.0, 0.2, 0.9), np.array([0.0, 0.1, 0.7]), 30.0, 0.004)
+    cmd = ctl.step(EulerAngles(0.0, 0.2, 0.9), np.array([0.0, 0.1, 0.7]), 0.004)
     assert cmd.theta_left_cmd == cmd.theta_right_cmd
 
 
@@ -99,7 +97,7 @@ def test_commands_clamped_to_posture_range():
     lo, hi = POSTURE.foot_pitch_range
     for pitch in (-1.5, 1.5):
         ctl = make_controller(gains=gains, rate_max=1e6)
-        cmd = ctl.step(EulerAngles(0.0, pitch, 0.0), np.zeros(3), 30.0, 1.0)
+        cmd = ctl.step(EulerAngles(0.0, pitch, 0.0), np.zeros(3), 1.0)
         assert lo <= cmd.theta_left_cmd <= hi
         assert lo <= cmd.theta_right_cmd <= hi
 
@@ -110,7 +108,7 @@ def test_slew_rate_limit():
     dt = 0.004
     prev_left = 0.0
     for _ in range(20):
-        cmd = ctl.step(EulerAngles(0.0, 1.0, 0.0), np.zeros(3), 30.0, dt)
+        cmd = ctl.step(EulerAngles(0.0, 1.0, 0.0), np.zeros(3), dt)
         assert abs(cmd.theta_left_cmd - prev_left) <= 8.0 * dt + 1e-12
         prev_left = cmd.theta_left_cmd
 
@@ -124,7 +122,7 @@ def test_pitch_feedback_is_restoring():
     def torque_at(pitch_dev):
         ctl = AttitudeController(gains, ControlMode.BOTH_ON, POSTURE, LIMITS,
                                  fs_trim.theta_left)
-        cmd = ctl.step(EulerAngles(0.0, pitch_dev, 0.0), np.zeros(3), f, 0.004)
+        cmd = ctl.step(EulerAngles(0.0, pitch_dev, 0.0), np.zeros(3), 0.004)
         fs = FanState(f, f, f, f, cmd.theta_left_cmd, cmd.theta_right_cmd)
         return total_wrench(fs, GEO, trim_pitch + pitch_dev).torque_world[1]
 
@@ -141,7 +139,7 @@ def test_yaw_feedback_is_restoring():
     def yaw_torque(yaw):
         ctl = AttitudeController(gains, ControlMode.BOTH_ON, POSTURE, LIMITS,
                                  fs_trim.theta_left)
-        cmd = ctl.step(EulerAngles(0.0, 0.0, yaw), np.zeros(3), f, 0.004)
+        cmd = ctl.step(EulerAngles(0.0, 0.0, yaw), np.zeros(3), 0.004)
         fs = FanState(f, f, f, f, cmd.theta_left_cmd, cmd.theta_right_cmd)
         return total_wrench(fs, GEO, 0.0).torque_world[2]
 
@@ -153,7 +151,7 @@ def test_yaw_feedback_is_restoring():
 def test_yaw_error_counter_rotates_feet():
     # the two feet move in opposite directions about the mean command
     ctl = make_controller(trim=0.1)
-    cmd = ctl.step(EulerAngles(0.0, 0.0, -0.2), np.zeros(3), 40.0, 0.004)
+    cmd = ctl.step(EulerAngles(0.0, 0.0, -0.2), np.zeros(3), 0.004)
     mean = 0.5 * (cmd.theta_left_cmd + cmd.theta_right_cmd)
     assert cmd.theta_right_cmd > mean > cmd.theta_left_cmd
 
@@ -161,8 +159,8 @@ def test_yaw_error_counter_rotates_feet():
 def test_rate_damping_sign():
     # a pure pitch-down rate commands more forward foot tilt than rest
     level = EulerAngles(0.0, 0.0, 0.0)
-    still = make_controller(trim=0.1).step(level, np.zeros(3), 40.0, 0.004)
-    diving = make_controller(trim=0.1).step(level, np.array([0.0, 0.5, 0.0]), 40.0, 0.004)
+    still = make_controller(trim=0.1).step(level, np.zeros(3), 0.004)
+    diving = make_controller(trim=0.1).step(level, np.array([0.0, 0.5, 0.0]), 0.004)
     assert diving.theta_left_cmd > still.theta_left_cmd
 
 
@@ -199,8 +197,8 @@ def test_integral_term_defaults_off_but_works():
                                    ControlMode.BOTH_ON, POSTURE, fast, 0.0)
     attitude = EulerAngles(0.0, 0.1, 0.0)
     for _ in range(10):
-        cmd_i = with_i.step(attitude, np.zeros(3), 40.0, 0.004)
-        cmd_p = without_i.step(attitude, np.zeros(3), 40.0, 0.004)
+        cmd_i = with_i.step(attitude, np.zeros(3), 0.004)
+        cmd_p = without_i.step(attitude, np.zeros(3), 0.004)
     # the integrator keeps pushing while the pure PD command stands still
     assert cmd_p.theta_left_cmd == pytest.approx(0.1, abs=1e-12)
     assert cmd_i.theta_left_cmd > cmd_p.theta_left_cmd

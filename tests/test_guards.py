@@ -1,6 +1,7 @@
 """Guards on contracts kept outside the package (bench trace targets, README),
-on code that only tests call, on the takeoff loop's and the hover trim's
-wrench evaluations and rotation-matrix builds and on the envelope solver's
+on code that only tests call, on numpy imports in the scalar modules, on the
+one geometry construction, on the takeoff loop's and the hover trim's wrench
+evaluations and rotation-matrix builds and on the envelope solver's
 batching."""
 
 import ast
@@ -9,7 +10,7 @@ import importlib
 import pathlib
 import re
 
-from tvcsim import envelope, sim, wrench
+from tvcsim import envelope, robot, sim, wrench
 from tvcsim.config import SCHEMA
 from tvcsim.robot import builtin_posture, geometry_from_posture
 from tvcsim.trim import hover_trim
@@ -52,6 +53,32 @@ def test_every_top_level_name_is_used_outside_the_tests():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and words[node.name] < 2]  # one of them is the def itself
     assert unused == []
+
+
+def test_scalar_modules_import_no_numpy():
+    # the scalar model runs on floats; numpy stays where arrays pay
+    for name in ("robot", "controller", "trim", "config", "cli"):
+        tree = ast.parse((ROOT / "src" / "tvcsim" / f"{name}.py").read_text())
+        imported = [alias.name for node in tree.body if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module for node in tree.body
+                     if isinstance(node, ast.ImportFrom) and node.module]
+        assert not [m for m in imported if m.split(".")[0] == "numpy"], name
+
+
+def test_geometry_is_built_once(monkeypatch):
+    calls = 0
+    surrogate = robot.point_mass_inertia
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return surrogate(*args, **kwargs)
+
+    monkeypatch.setattr(robot, "point_mass_inertia", counted)
+    geo = geometry_from_posture(builtin_posture("P1"), fan_mass=0.3)
+    assert calls == 1
+    assert geo.inertia_body == surrogate(geo)
 
 
 def test_takeoff_run_builds_one_rotation_matrix(monkeypatch):

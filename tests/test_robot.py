@@ -96,9 +96,40 @@ def test_geometry_validation():
         RobotGeometry(inertia_body=np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         RobotGeometry(inertia_body=np.arange(9.0).reshape(3, 3))
-    # positive-definite, but the determinant underflows: no float inverse exists
-    with pytest.raises(ValueError, match="singular"):
+    # positive-definite, but the minors underflow: no float inverse exists
+    with pytest.raises(ValueError, match="positive-definite"):
         geometry_from_posture(builtin_posture("P1"), fan_mass=3.6e-190)
+    # the surrogate overflows, one moment is infinite, or the determinant
+    # overflows: none has a finite float inverse
+    for kwargs in ({"mass_total": 1e300, "fan_mass": 1e299, "fan_foot_z": -1e10},
+                   {"inertia_body": np.diag([np.inf, 1.0, 1.0])},
+                   {"inertia_body": np.diag([1e200, 1e200, 1e200])}):
+        with pytest.raises(ValueError, match="finite and positive-definite"):
+            RobotGeometry(**kwargs)
+
+
+@pytest.mark.parametrize("mass, fan_mass, fits", [
+    (1.5, 0.1, True),     # lighter than four default 0.488 kg fans, but its own fit
+    (1.0, 0.25, True),    # exactly 4 fan_mass = mass
+    (1.9, 0.47, True),
+    (17.0, 4.25, True),
+    (1.0, 0.2501, False),
+    (1.5, 0.4, False),
+    (1.9, 0.488, False),
+    (17.0, 5.0, False),
+])
+def test_surrogate_fan_mass_against_total_mass(mass, fan_mass, fits):
+    posture = builtin_posture("P1")
+    if not fits:
+        with pytest.raises(ValueError, match="four fans must not exceed total mass"):
+            geometry_from_posture(posture, mass_total=mass, fan_mass=fan_mass)
+        return
+    geo = geometry_from_posture(posture, mass_total=mass, fan_mass=fan_mass)
+    assert geo.fan_mass == fan_mass
+    # the surrogate does not depend on the total mass: it scales with fan_mass alone
+    default = geometry_from_posture(posture)
+    np.testing.assert_allclose(np.array(geo.inertia_body),
+                               fan_mass / 0.488 * np.array(default.inertia_body), rtol=1e-14)
 
 
 def test_point_mass_inertia_is_diagonal_spd():
@@ -110,8 +141,9 @@ def test_point_mass_inertia_is_diagonal_spd():
 
 def test_point_mass_inertia_scales_with_fan_mass():
     geo = geometry_from_posture(builtin_posture("P1"))
-    doubled = point_mass_inertia(geo, fan_mass=2.0 * 0.488)
-    np.testing.assert_allclose(doubled, 2.0 * np.array(point_mass_inertia(geo, fan_mass=0.488)))
+    doubled = point_mass_inertia(replace(geo, fan_mass=2.0 * 0.488))
+    np.testing.assert_allclose(doubled, 2.0 * np.array(point_mass_inertia(geo)))
+    assert point_mass_inertia(geo) == geo.inertia_body
 
 
 def test_inertia_override_respected():

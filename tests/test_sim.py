@@ -279,12 +279,16 @@ def test_divergence_preserves_partial_log():
                         foot_axis_misalignment_right=math.radians(-10.0))
     cfg = ScenarioConfig(mode=ControlMode.PITCH_ONLY, perturbation=pert,
                          duration=3.0, dt=2e-3)
-    with pytest.raises(DivergenceError) as info:
-        run_scenario(cfg)
-    log = info.value.log
-    assert log is not None and len(log.rows) > 10
-    assert log.events["diverged"] is True
-    assert "rad/s" in log.events["divergence_reason"]
+    log = run_scenario(cfg)  # a diverged run ends by returning its log too
+    ev = log.events
+    assert ev["diverged"] is True
+    assert "rad/s" in ev["divergence_reason"]
+    # the run ends at the start of the step that failed; the guard names its end
+    assert ev["final_time_s"] < cfg.duration
+    assert f"at t={ev['final_time_s'] + cfg.dt:.3f} s" in ev["divergence_reason"]
+    steps = round(ev["final_time_s"] / cfg.dt)
+    assert len(log.rows) == steps // cfg._sample_substeps + 1 > 10
+    assert log.rows[-1][0] <= ev["final_time_s"]
 
 
 def test_events_structure():

@@ -42,10 +42,11 @@ from .envelope import (
     EnvelopeConstraint,
     EnvelopeInfeasibleError,
     envelope_rows,
-    envelope_sweep_and_level_ratio,
+    envelope_sweep,
+    tvc_dt_ratio,
     write_envelope_csv,
 )
-from .sim import ScenarioConfig, run_scenario
+from .sim import run_scenario
 from .trim import NoTrimError, hover_trim
 from .wrench import FanState, total_wrench
 
@@ -167,18 +168,13 @@ def _rows_as_json(header, rows) -> str:
                       indent=2, allow_nan=False) + "\n"
 
 
-def _scenario(values, label: str) -> ScenarioConfig:
-    """The scenario of the config file with the posture label from the CLI."""
-    return scenario_from_config(values | {"posture": label})
-
-
 def cmd_envelope(args, values) -> int:
     started = time.monotonic()
     settings = envelope_settings_from_config(values)
     postures = [p.strip() for p in args.postures.split(",") if p.strip()]
     if not postures:
         raise ConfigError("no postures given")
-    cfgs = [_scenario(values, name) for name in postures]
+    cfgs = [scenario_from_config(values | {"posture": name}) for name in postures]
     outputs = []
     reports = []
     for cfg in cfgs:
@@ -187,9 +183,11 @@ def cmd_envelope(args, values) -> int:
         constraint = EnvelopeConstraint.hover(geo, cfg.posture, cfg.limits)
         if settings["min_vertical_force"] is not None:
             constraint = replace(constraint, min_vertical_force=settings["min_vertical_force"])
-        # the comparison is meaningless if the robot cannot even hover level
-        points, (ratio_max, ratio_min) = envelope_sweep_and_level_ratio(
-            geo, constraint, settings["theta_pitch_range"], settings["n_points"])
+        # the comparison is meaningless if the robot cannot even hover level,
+        # so that is reported ahead of an invalid sweep
+        ratio_max, ratio_min = tvc_dt_ratio(geo, constraint)
+        points = envelope_sweep(geo, constraint, settings["theta_pitch_range"],
+                                settings["n_points"])
         path = os.path.join(args.out, f"envelope_{name}.{args.format}")
         if args.format == "csv":
             _atomic_write(path, lambda tmp: write_envelope_csv(points, tmp))
@@ -213,12 +211,11 @@ def cmd_envelope(args, values) -> int:
 
 def cmd_takeoff(args, values) -> int:
     started = time.monotonic()
-    overrides = {}
     if args.mode:
-        overrides["mode"] = ControlMode.parse(args.mode)
+        values = values | {"mode": args.mode}
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    cfg = scenario_from_config(values, **overrides)
+        values = values | {"sim.seed": args.seed}
+    cfg = scenario_from_config(values)
     log = run_scenario(cfg)
 
     log_path = os.path.join(args.out, f"takeoff_log.{args.format}")
@@ -246,7 +243,7 @@ def cmd_takeoff(args, values) -> int:
 
 def cmd_trim(args, values) -> int:
     started = time.monotonic()
-    cfg = _scenario(values, args.posture)
+    cfg = scenario_from_config(values | {"posture": args.posture})
     geo = cfg.geometry()
     fs, theta_pitch = hover_trim(geo, equal_thrust=not args.waist_differential,
                                  limits=cfg.limits,
@@ -271,7 +268,7 @@ def cmd_trim(args, values) -> int:
 
 def cmd_wrench_eval(args, values) -> int:
     started = time.monotonic()
-    cfg = _scenario(values, args.posture)
+    cfg = scenario_from_config(values | {"posture": args.posture})
     geo = cfg.geometry()
     for name in ("thrust_ff", "thrust_fb", "thrust_fl", "thrust_fr", "theta_l", "theta_r",
                  "theta_pitch"):

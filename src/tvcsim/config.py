@@ -180,11 +180,12 @@ def _default(cls, name: str):
     return f.default if f.default_factory is MISSING else f.default_factory()
 
 
-def scenario_from_config(values: dict, **overrides) -> ScenarioConfig:
-    """The one resolver from parsed values (plus keyword overrides) to a scenario.
+def scenario_from_config(values: dict) -> ScenarioConfig:
+    """The one resolver from parsed values to a scenario.
 
-    Every command builds its posture, geometry and limits from the result.
-    Invalid values raise ConfigError.
+    Every command builds its posture, geometry and limits from the result;
+    CLI options that override the file (--mode, --seed, --posture) are merged
+    into values first. Invalid values raise ConfigError.
     """
     try:
         kwargs = _present(values, _SCENARIO_ARGS)
@@ -214,7 +215,6 @@ def scenario_from_config(values: dict, **overrides) -> ScenarioConfig:
                 yaw=_radians(values, "controller.setpoint_yaw_deg", setpoint.yaw),
             ),
         )
-        kwargs.update(overrides)
         return ScenarioConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

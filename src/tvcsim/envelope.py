@@ -15,9 +15,10 @@ the LP at foot angle 0. For TVC the LP optimum at a fixed pitch and foot angle
 is a vertex with at most one fractional thrust (Durham, "Constrained control
 allocation", JGCD 1993; Bodson, "Evaluation of optimization methods for
 control allocation", JGCD 2002), so the maximum over the foot range is reached
-at one of a few angles written down in closed form (see _tvc_points); one LP
-call evaluates them all for every lane of a sweep, and each lane keeps its
-best. The independent cross-check lives in tvcsim.oracles.
+at one of a few angles written down in closed form (see _sweep). One LP call
+evaluates 0 and every candidate for every lane of a sweep: DT reads the 0
+column and TVC keeps each lane's best. A single-pitch search or ratio is a
+one-pitch sweep. The independent cross-check lives in tvcsim.oracles.
 
 Legs are assumed parallel: both feet share one thrust value and one pitch
 angle throughout the search.
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .robot import FanLimits, Posture, RobotGeometry
-from .wrench import FanState
 
 _FEAS_TOL = 1e-9
 SWEEP_PITCH_RANGE = (-math.pi / 6.0, math.pi / 6.0)  # rad, the default sweep
@@ -87,13 +87,11 @@ class EnvelopeConstraint:
 
 @dataclass
 class EnvelopePoint:
-    """Extremal pitch torques at one body pitch angle."""
+    """Extremal pitch torques of one strategy at one body pitch angle."""
 
     theta_pitch: float
     tau_max: float
     tau_min: float
-    argmax_state: FanState
-    argmin_state: FanState
 
 
 @dataclass
@@ -172,44 +170,21 @@ def _vertical(theta_pitch, theta_feet):
     return np.stack(np.broadcast_arrays(cp, cp, 2.0 * np.cos(theta_pitch + theta_feet)), axis=-1)
 
 
-def _solve(geo, constraint, theta_pitch, theta_feet, sign):
-    """Best sign * pitch torque per row (-inf if infeasible) and its thrusts."""
-    return lp_max_covering(_torque(geo, theta_feet, sign), _vertical(theta_pitch, theta_feet),
-                           constraint.min_vertical_force, constraint.per_fan_max)
+def _sweep(geo, constraint, thetas) -> list[SweepPoint]:
+    """DT and TVC extrema at every pitch of thetas, from one LP call.
 
-
-def _points(pitches, feet, value, x) -> list[EnvelopePoint | None]:
-    """EnvelopePoints from lane results; None where a direction is infeasible."""
-    n = len(pitches)
-
-    def state(lane):  # both feet share one thrust and one angle
-        f_front, f_back, f_feet = map(float, x[lane])
-        th = float(feet[lane])
-        return FanState(f_front, f_back, f_feet, f_feet, th, th)
-
-    return [None if value[j] == -math.inf or value[n + j] == -math.inf
-            else EnvelopePoint(float(pitches[j]), float(value[j]), float(-value[n + j]),
-                               state(j), state(n + j))
-            for j in range(n)]
-
-
-def _dt_points(geo, pitches, constraint) -> list[EnvelopePoint | None]:
-    lane_pitch, sign = np.tile(pitches, 2), np.repeat([1.0, -1.0], len(pitches))
-    feet = np.zeros_like(lane_pitch)
-    return _points(pitches, feet, *_solve(geo, constraint, lane_pitch, feet, sign))
-
-
-def _tvc_points(geo, pitches, constraint) -> list[EnvelopePoint | None]:
-    """Each lane's best candidate foot angle, every candidate in one LP call.
-
-    The candidates are the range ends and 0 (the DT slice); the angles where
-    both capped feet just meet the floor (and the floor +- _FEAS_TOL) beside
-    0, 1 or 2 capped waist fans; and the stationary angles of the torque with
-    the feet capped while a waist fan of torque arm c_w, or none, is fractional.
+    A lane is one pitch and one direction (tau_max, or tau_min as the
+    maximum of the negated torque). Its candidate foot angles are 0 (the DT
+    column), the range ends, the angles where both capped feet just meet the
+    floor (and the floor +- _FEAS_TOL) beside 0, 1 or 2 capped waist fans,
+    and the stationary angles of the torque with the feet capped while a
+    waist fan of torque arm c_w, or none, is fractional. DT is column 0; TVC
+    is the best of the others, and of column 0 too where 0 is in the range.
     """
     lo, hi = constraint.foot_angle_range
     cap = constraint.per_fan_max
-    lane_pitch, sign = np.tile(pitches, 2), np.repeat([1.0, -1.0], len(pitches))
+    n = len(thetas)
+    lane_pitch, sign = np.tile(thetas, 2), np.repeat([1.0, -1.0], n)
     phi = lane_pitch[:, None]
     floors = np.repeat(constraint.min_vertical_force + np.array([-_FEAS_TOL, 0.0, _FEAS_TOL]), 3)
     waist = np.cos(phi) * np.tile([0.0, cap, 2.0 * cap], 3)
@@ -218,14 +193,21 @@ def _tvc_points(geo, pitches, constraint) -> list[EnvelopePoint | None]:
     c_w, b = np.array([0.0, c_front, c_back]), geo.fan_foot_z - geo.com_body[2]
     stationary = np.arctan2(b * np.cos(phi) + c_w * np.sin(phi), (foot / 2 - c_w) * np.cos(phi))
     free = np.concatenate([acos - phi, -acos - phi, stationary, stationary + math.pi], axis=1)
-    fixed = [lo, hi, 0.0] if lo <= 0.0 <= hi else [lo, hi]
-    candidates = np.hstack([np.broadcast_to(fixed, (len(phi), len(fixed))),
-                            np.minimum(lo + np.mod(free - lo, 2.0 * math.pi), hi)])
-    m = candidates.shape[1]
-    feet = candidates.ravel()
-    value, x = _solve(geo, constraint, np.repeat(lane_pitch, m), feet, np.repeat(sign, m))
-    best = np.arange(len(lane_pitch)) * m + np.argmax(value.reshape(-1, m), axis=1)
-    return _points(pitches, feet[best], value[best], x[best])
+    feet = np.hstack([np.broadcast_to([0.0, lo, hi], (2 * n, 3)),
+                      np.minimum(lo + np.mod(free - lo, 2.0 * math.pi), hi)])
+    m = feet.shape[1]
+    value, _ = lp_max_covering(_torque(geo, feet.ravel(), np.repeat(sign, m)),
+                               _vertical(np.repeat(lane_pitch, m), feet.ravel()),
+                               constraint.min_vertical_force, cap)
+    value = value.reshape(-1, m)
+    dt = value[:, 0]
+    tvc = value.max(axis=1) if lo <= 0.0 <= hi else value[:, 1:].max(axis=1)
+
+    def point(best, j):  # None where a direction is infeasible
+        return (None if best[j] == -math.inf or best[n + j] == -math.inf
+                else EnvelopePoint(float(thetas[j]), float(best[j]), float(-best[n + j])))
+
+    return [SweepPoint(float(th), point(dt, j), point(tvc, j)) for j, th in enumerate(thetas)]
 
 
 def _require(point, constraint, theta_pitch, search) -> EnvelopePoint:
@@ -238,24 +220,20 @@ def _require(point, constraint, theta_pitch, search) -> EnvelopePoint:
     return point
 
 
-def _one_point(points, geo, theta_pitch, constraint, search) -> EnvelopePoint:
-    """The single-pitch call: a one-lane sweep that raises where infeasible."""
-    (point,) = points(geo, [theta_pitch], constraint)
-    return _require(point, constraint, theta_pitch, search)
-
-
 def max_pitch_torque_dt(
     geo: RobotGeometry, theta_pitch: float, constraint: EnvelopeConstraint
 ) -> EnvelopePoint:
     """Extremal pitch torque with feet locked thrust-up (DT strategy)."""
-    return _one_point(_dt_points, geo, theta_pitch, constraint, "with feet up")
+    (point,) = _sweep(geo, constraint, np.array([theta_pitch]))
+    return _require(point.dt, constraint, theta_pitch, "with feet up")
 
 
 def max_pitch_torque_tvc(
     geo: RobotGeometry, theta_pitch: float, constraint: EnvelopeConstraint
 ) -> EnvelopePoint:
     """Extremal pitch torque with the foot pitch angle free in its range."""
-    return _one_point(_tvc_points, geo, theta_pitch, constraint, "over the foot range")
+    (point,) = _sweep(geo, constraint, np.array([theta_pitch]))
+    return _require(point.tvc, constraint, theta_pitch, "over the foot range")
 
 
 def envelope_sweep(
@@ -269,44 +247,12 @@ def envelope_sweep(
     Infeasible points are kept in the output with the affected strategy set
     to None rather than aborting the sweep.
     """
-    return _sweep(geo, constraint, _abscissae(theta_pitch_range, n_points))
-
-
-def envelope_sweep_and_level_ratio(
-    geo: RobotGeometry,
-    constraint: EnvelopeConstraint,
-    theta_pitch_range: tuple[float, float] = SWEEP_PITCH_RANGE,
-    n_points: int = SWEEP_POINTS,
-) -> tuple[list[SweepPoint], tuple[float, float]]:
-    """envelope_sweep and tvc_dt_ratio at level attitude, from one batched solve.
-
-    The ratio comes from the sweep's pitch-0 point, or from one extra lane
-    when pitch 0 is not an abscissa; like tvc_dt_ratio, it raises
-    EnvelopeInfeasibleError if the robot cannot hover level.
-    """
-    try:
-        thetas = _abscissae(theta_pitch_range, n_points)
-    except ValueError:
-        tvc_dt_ratio(geo, constraint)  # an infeasible level hover is reported first
-        raise
-    zero = np.flatnonzero((thetas == 0.0) & ~np.signbit(thetas))  # +0.0, as tvc_dt_ratio uses
-    points = _sweep(geo, constraint, thetas if zero.size else np.append(thetas, 0.0))
-    return points[:len(thetas)], _ratio(points[zero[0] if zero.size else -1], constraint)
-
-
-def _abscissae(theta_pitch_range, n_points) -> np.ndarray:
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     lo, hi = theta_pitch_range
     if lo > hi:
         raise ValueError("theta_pitch_range must be ordered (min, max)")
-    return np.array([lo]) if lo == hi else np.linspace(lo, hi, n_points)
-
-
-def _sweep(geo, constraint, thetas) -> list[SweepPoint]:
-    return [SweepPoint(theta_pitch=float(th), dt=dt, tvc=tvc)
-            for th, dt, tvc in zip(thetas, _dt_points(geo, thetas, constraint),
-                                   _tvc_points(geo, thetas, constraint))]
+    return _sweep(geo, constraint, np.array([lo]) if lo == hi else np.linspace(lo, hi, n_points))
 
 
 ENVELOPE_CSV_HEADER = [
@@ -348,13 +294,11 @@ def write_envelope_csv(points: list[SweepPoint], path) -> None:
 def tvc_dt_ratio(
     geo: RobotGeometry, constraint: EnvelopeConstraint, theta_pitch: float = 0.0
 ) -> tuple[float, float]:
-    """(tau_max ratio, |tau_min| ratio) of TVC over DT at one pitch angle."""
+    """(tau_max ratio, |tau_min| ratio) of TVC over DT at one pitch angle.
+
+    Raises EnvelopeInfeasibleError where either strategy is infeasible.
+    """
     (point,) = _sweep(geo, constraint, np.array([theta_pitch]))
-    return _ratio(point, constraint)
-
-
-def _ratio(point: SweepPoint, constraint: EnvelopeConstraint) -> tuple[float, float]:
-    """The TVC/DT ratios at a sweep point; raises where a strategy is infeasible."""
     dt = _require(point.dt, constraint, point.theta_pitch, "with feet up")
     tvc = _require(point.tvc, constraint, point.theta_pitch, "over the foot range")
     ratio_max = math.inf if dt.tau_max <= 0.0 else tvc.tau_max / dt.tau_max

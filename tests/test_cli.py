@@ -424,16 +424,20 @@ def test_envelope_json_marks_infeasible_cells_null(tmp_path, capsys):
 
 
 def test_envelope_without_level_hover_exit_3(tmp_path, capsys):
-    # 4 x 41 N cannot hold 17 kg even level: no ratio, no envelope file
-    cfg = tmp_path / "weaker.cfg"
-    cfg.write_text("limits.thrust_max_per_fan_n = 41\n")
-    code, out, err = run_cli(["--config", str(cfg), "--out", str(tmp_path),
-                              "envelope", "--postures", "P1"], capsys)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("infeasible: vertical force floor") and "with feet up" in err
-    assert not (tmp_path / "envelope_P1.csv").exists()
-    assert not (tmp_path / "envelope_manifest.json").exists()
+    # 4 x 41 N cannot hold 17 kg even level: no ratio, no envelope file, with
+    # and without an abscissa at pitch 0 and ahead of an invalid sweep's exit 2
+    for n_points in (None, 1, 4):
+        out_dir = tmp_path / str(n_points)
+        cfg = tmp_path / f"weaker_{n_points}.cfg"
+        cfg.write_text("limits.thrust_max_per_fan_n = 41\n"
+                       + ("" if n_points is None else f"envelope.n_points = {n_points}\n"))
+        code, out, err = run_cli(["--config", str(cfg), "--out", str(out_dir),
+                                  "envelope", "--postures", "P1"], capsys)
+        assert code == 3, n_points
+        assert out == ""
+        assert err.startswith("infeasible: vertical force floor") and "with feet up" in err
+        assert err.count("\n") == 1
+        assert list(out_dir.iterdir()) == []
 
 
 def test_outputs_ignore_a_stale_temp_path(tmp_path, capsys):

@@ -10,8 +10,9 @@ from tvcsim.envelope import (
     ENVELOPE_CSV_HEADER,
     EnvelopeConstraint,
     EnvelopeInfeasibleError,
+    _torque,
+    _vertical,
     envelope_sweep,
-    envelope_sweep_and_level_ratio,
     lp_max_covering,
     max_pitch_torque_dt,
     max_pitch_torque_tvc,
@@ -20,7 +21,7 @@ from tvcsim.envelope import (
 )
 from tvcsim.oracles import envelope_extrema_grid
 from tvcsim.robot import GRAVITY, FanLimits, Posture, builtin_posture, geometry_from_posture
-from tvcsim.wrench import total_wrench
+from tvcsim.wrench import FanState, total_wrench
 
 P1_POSTURE = builtin_posture("P1")
 P1 = geometry_from_posture(P1_POSTURE)
@@ -216,8 +217,26 @@ def test_tvc_extrema_are_exact_against_a_dense_foot_grid():
             tvc = p.tvc
             assert tvc.tau_max >= best_max - 1e-9 * max(1.0, abs(tvc.tau_max))
             assert tvc.tau_min <= best_min + 1e-9 * max(1.0, abs(tvc.tau_min))
-            for state in (tvc.argmax_state, tvc.argmin_state):
-                assert lo <= state.theta_left == state.theta_right <= hi
+
+
+@pytest.mark.parametrize("foot_range_deg", [(5.0, 20.0), (-60.0, -5.0)])
+def test_foot_range_excluding_zero_matches_grid_oracle(foot_range_deg):
+    # DT is the LP at foot angle 0 even where 0 is outside the foot range;
+    # TVC must then search the range alone, not fall back on DT's column
+    foot_range = tuple(map(math.radians, foot_range_deg))
+    for name in ("P1", "P2", "P3"):
+        geo = geometry_from_posture(builtin_posture(name))
+        c = EnvelopeConstraint(geo.weight, 50.0, foot_range)
+        for p in envelope_sweep(geo, c, (-0.3, 0.3), 5):
+            th = p.theta_pitch
+            for point, dt_strategy in ((p.dt, True), (p.tvc, False)):
+                want = envelope_extrema_grid(geo, th, c, dt_strategy=dt_strategy)
+                assert (point is None) == (want is None), (name, th, dt_strategy)
+                if point is None:
+                    continue
+                tol = 0.01 * max(map(abs, want))
+                assert point.tau_min == pytest.approx(want[0], abs=tol), (name, th, dt_strategy)
+                assert point.tau_max == pytest.approx(want[1], abs=tol), (name, th, dt_strategy)
 
 
 def test_degenerate_foot_range_collapses_to_dt():
@@ -238,27 +257,15 @@ def test_ratio_at_least_three_all_postures():
         assert ratio_min >= 3.0
 
 
-@pytest.mark.parametrize("pitch_range, n_points", [
-    ((-math.pi / 6, math.pi / 6), 61),  # pitch 0 is the middle abscissa
-    ((-math.pi / 6, math.pi / 6), 60),  # even count: 0 is not an abscissa
-    ((0.05, 0.3), 7),                   # 0 outside the sweep
-    ((0.0, 0.0), 5),                    # the one-point sweep at 0
-])
-def test_level_ratio_comes_from_the_sweep_unchanged(pitch_range, n_points):
-    points, ratio = envelope_sweep_and_level_ratio(P1, HOVER, pitch_range, n_points)
-    assert ratio == tvc_dt_ratio(P1, HOVER, 0.0)
-    assert repr(points) == repr(envelope_sweep(P1, HOVER, pitch_range, n_points))
-
-
 def test_level_ratio_raises_like_the_single_pitch_search():
+    # DT is checked first, so the ratio names the feet-up search
     weak = EnvelopeConstraint.hover(P1, P1_POSTURE, FanLimits(thrust_max_per_fan=41.0))
     with pytest.raises(EnvelopeInfeasibleError) as single:
+        max_pitch_torque_dt(P1, 0.0, weak)
+    with pytest.raises(EnvelopeInfeasibleError) as ratio:
         tvc_dt_ratio(P1, weak, 0.0)
-    # with and without an abscissa at pitch 0, and ahead of an invalid sweep
-    for n_points in (3, 4, 1):
-        with pytest.raises(EnvelopeInfeasibleError) as swept:
-            envelope_sweep_and_level_ratio(P1, weak, (-0.5, 0.5), n_points)
-        assert str(swept.value) == str(single.value)
+    assert str(ratio.value) == str(single.value)
+    assert str(ratio.value).endswith("with feet up")
 
 
 def test_unconstrained_envelope_closed_form():
@@ -273,26 +280,23 @@ def test_unconstrained_envelope_closed_form():
         + 100.0 * (math.cos(theta) * 0.005 - math.sin(theta) * 0.367)
     )
     assert point.tau_max == pytest.approx(expected, rel=1e-6)
-    s = point.argmax_state
-    assert s.f_back == pytest.approx(50.0, abs=1e-9)
-    assert s.f_front == pytest.approx(0.0, abs=1e-9)
-    assert s.f_left == pytest.approx(50.0, abs=1e-9)
-    assert s.theta_left == pytest.approx(theta, abs=1e-6)
 
 
-def test_argmax_state_feasible_with_complementary_slackness():
-    points = envelope_sweep(P1, HOVER, theta_pitch_range=(-0.4, 0.4), n_points=17)
-    for p in points:
-        for point in (p.dt, p.tvc):
-            if point is None:
-                continue
-            for state in (point.argmax_state, point.argmin_state):
-                vertical = total_wrench(state, P1, p.theta_pitch).force_world[2] + P1.weight
-                assert vertical >= HOVER.min_vertical_force - 1e-6
-                thrusts = (state.f_front, state.f_back, state.f_left, state.f_right)
-                at_bounds = all(min(abs(f), abs(f - 50.0)) < 1e-9 for f in thrusts)
-                tight = abs(vertical - HOVER.min_vertical_force) < 1e-6
-                assert tight or at_bounds
+def test_lp_rows_are_the_wrench_kernels():
+    # the LP's objective and constraint rows over (f_front, f_back, f_feet),
+    # both feet at one thrust and one angle, against the full wrench
+    rng = np.random.default_rng(10)
+    for name in ("P1", "P2", "P3"):
+        geo = geometry_from_posture(builtin_posture(name))
+        for _ in range(50):
+            f_front, f_back, f_feet = rng.uniform(0.0, 60.0, 3)
+            theta_feet, theta_pitch = rng.uniform(-math.pi / 2, math.pi / 2, 2)
+            x = np.array([f_front, f_back, f_feet])
+            w = total_wrench(FanState(f_front, f_back, f_feet, f_feet, theta_feet, theta_feet),
+                             geo, theta_pitch)
+            assert _torque(geo, theta_feet, 1.0) @ x == pytest.approx(w.torque_body[1], rel=1e-9)
+            assert _vertical(theta_pitch, theta_feet) @ x == pytest.approx(
+                w.force_world[2] + geo.weight, rel=1e-9)
 
 
 def test_sweep_enclosure_and_shape():

@@ -156,5 +156,12 @@ def test_envelope_sweep_makes_one_kernel_call_per_strategy(monkeypatch):
         for n_points in (5, 61):
             calls = 0
             envelope.envelope_sweep(geo, constraint, n_points=n_points)
-            # one DT call and one TVC call over every lane's candidate foot angles
-            assert calls == 2, (name, n_points)
+            # one call over every lane's candidate foot angles, DT's 0 among them
+            assert calls == 1, (name, n_points)
+        searches = (lambda: envelope.max_pitch_torque_dt(geo, 0.1, constraint),
+                    lambda: envelope.max_pitch_torque_tvc(geo, 0.1, constraint),
+                    lambda: envelope.tvc_dt_ratio(geo, constraint))
+        for search in searches:  # each a one-pitch sweep
+            calls = 0
+            search()
+            assert calls == 1, name

@@ -8,11 +8,13 @@ Subcommands:
 * ``wrench-eval`` - one-shot wrench evaluation as key=value lines
 
 Angles are degrees at this boundary, SI units otherwise. Exit codes: 0 ok,
-2 config/usage error, 3 infeasible geometry, 4 simulation divergence. Every
-run writes a manifest naming its outputs and their hashes; outputs are
-written atomically (temp file + rename) and contain no timestamps, so a
-rerun with identical inputs is byte-identical. Every command resolves its
-robot from the config file through scenario_from_config.
+2 config/usage error, 3 infeasible geometry, 4 takeoff run ended before its
+duration (divergence or touchdown). Every run writes a manifest naming its
+outputs and their hashes; outputs are written atomically (temp file +
+rename) and contain no timestamps, so a rerun with identical inputs is
+byte-identical. Every command resolves its robot from the config file
+through scenario_from_config, after main merges the options that override
+config keys (OVERRIDES) into the file's values.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, replace
-from enum import Enum
 from pathlib import Path
 
 from . import __version__
@@ -53,7 +54,10 @@ from .wrench import FanState, total_wrench
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
-EXIT_DIVERGED = 4
+EXIT_ENDED_EARLY = 4
+
+# option -> the config key it overrides, for every command that takes the option
+OVERRIDES = {"seed": "sim.seed", "mode": "mode", "posture": "posture"}
 
 
 def main(argv=None) -> int:
@@ -61,6 +65,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         values = load_config(args.config) if args.config else {}
+        values |= {key: getattr(args, option) for option, key in OVERRIDES.items()
+                   if getattr(args, option, None) is not None}
         os.makedirs(args.out, exist_ok=True)
         return args.func(args, values)
     except ValueError as exc:  # ConfigError and UnknownPostureError among them
@@ -136,13 +142,6 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _json_value(obj):
-    """Enums inside a dumped ScenarioConfig."""
-    if isinstance(obj, Enum):
-        return obj.value
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _write_manifest(out_dir, name, config_path, cfgs, extra, outputs, started):
     """Manifest with the resolved scenario of every posture the command ran."""
     manifest = {
@@ -157,8 +156,7 @@ def _write_manifest(out_dir, name, config_path, cfgs, extra, outputs, started):
         "wall_clock_s": round(time.monotonic() - started, 3),
     }
     path = os.path.join(out_dir, f"{name}_manifest.json")
-    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False,
-                      default=_json_value)
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     _atomic_write(path, lambda tmp: Path(tmp).write_text(text + "\n"))
     return path
 
@@ -211,10 +209,6 @@ def cmd_envelope(args, values) -> int:
 
 def cmd_takeoff(args, values) -> int:
     started = time.monotonic()
-    if args.mode:
-        values = values | {"mode": args.mode}
-    if args.seed is not None:
-        values = values | {"sim.seed": args.seed}
     cfg = scenario_from_config(values)
     log = run_scenario(cfg)
 
@@ -236,14 +230,14 @@ def cmd_takeoff(args, values) -> int:
         f"mode={cfg.mode.value} liftoff_t={'never' if liftoff is None else f'{liftoff:.3f} s'} "
         f"altitude@2s={'n/a' if alt is None else f'{alt:.3f} m'} "
         f"max|pitch|={ev['max_abs_pitch_deg']:.1f} deg max|yaw|={ev['max_abs_yaw_deg']:.1f} deg"
-        + (" [DIVERGED]" if ev["diverged"] else "")
+        + ("" if ev["termination"] == "duration" else f" [{ev['termination'].upper()}]")
     )
-    return EXIT_DIVERGED if ev["diverged"] else EXIT_OK
+    return EXIT_OK if ev["termination"] == "duration" else EXIT_ENDED_EARLY
 
 
 def cmd_trim(args, values) -> int:
     started = time.monotonic()
-    cfg = scenario_from_config(values | {"posture": args.posture})
+    cfg = scenario_from_config(values)
     geo = cfg.geometry()
     fs, theta_pitch = hover_trim(geo, equal_thrust=not args.waist_differential,
                                  limits=cfg.limits,
@@ -268,7 +262,7 @@ def cmd_trim(args, values) -> int:
 
 def cmd_wrench_eval(args, values) -> int:
     started = time.monotonic()
-    cfg = scenario_from_config(values | {"posture": args.posture})
+    cfg = scenario_from_config(values)
     geo = cfg.geometry()
     for name in ("thrust_ff", "thrust_fb", "thrust_fl", "thrust_fr", "theta_l", "theta_r",
                  "theta_pitch"):

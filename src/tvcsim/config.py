@@ -6,7 +6,9 @@ scalars. Units are SI except angles, which are degrees in files. Unknown
 keys are hard errors so typos cannot silently fall back to defaults.
 
 Every key is optional; the builtin postures and defaults work with no file
-at all. The full schema is documented in the README and in SCHEMA below.
+at all. SCHEMA below is the one table of keys: each row gives a key's type
+and the dataclass field that consumes it. The README's configuration table
+is their one description.
 
 This module holds no default values: a key that is absent leaves the default
 of the dataclass that consumes it (ScenarioConfig, FanLimits, ThrustRamp,
@@ -30,58 +32,60 @@ class ConfigError(ValueError):
     """Malformed config file, unknown key, or invalid value."""
 
 
-# key -> (type, help)
+# key -> (type, consumer, field): the value is the keyword argument `field` of the
+# consumer dataclass; None marks the keys that the posture, perturbation,
+# setpoint and envelope resolvers below read themselves
 SCHEMA: dict[str, tuple] = {
-    "posture": (str, "takeoff posture label: P1, P2, or P3"),
-    "posture.com_x_m": (float, "override: CoM sagittal x"),
-    "posture.com_z_m": (float, "override: CoM sagittal z"),
-    "posture.foot_x_m": (float, "override: foot fan x"),
-    "posture.foot_z_m": (float, "override: foot fan z"),
-    "posture.foot_pitch_min_deg": (float, "override: foot pitch range floor"),
-    "posture.foot_pitch_max_deg": (float, "override: foot pitch range ceiling"),
-    "mode": (str, "controller condition: both-on, pitch-only, or all-off"),
-    "geometry.mass_kg": (float, "total robot mass"),
-    "geometry.waist_fan_spacing_m": (float, "front-to-back waist fan distance L"),
-    "geometry.foot_fan_spacing_m": (float, "left-to-right foot fan distance L_f"),
-    "geometry.fan_mass_kg": (float, "per-fan mass for the inertia surrogate"),
-    "geometry.com_y_m": (float, "lateral CoM offset override"),
-    "limits.thrust_max_per_fan_n": (float, "per-fan thrust cap"),
-    "limits.thrust_min_n": (float, "per-fan thrust floor"),
-    "limits.foot_pitch_rate_max_rad_s": (float, "ankle slew limit"),
-    "limits.thrust_time_constant_s": (float, "fan spool-up lag, 0 = ideal"),
-    "controller.kp_pitch": (float, "pitch loop P gain (rad command per rad error)"),
-    "controller.kd_pitch": (float, "pitch loop D gain"),
-    "controller.kp_yaw": (float, "yaw loop P gain"),
-    "controller.kd_yaw": (float, "yaw loop D gain"),
-    "controller.ki_pitch": (float, "optional pitch I gain, default 0"),
-    "controller.ki_yaw": (float, "optional yaw I gain, default 0"),
-    "controller.natural_freq_pitch_rad_s": (float, "pole placement wn when gains are auto-tuned"),
-    "controller.natural_freq_yaw_rad_s": (float, "pole placement wn when gains are auto-tuned"),
-    "controller.damping_ratio": (float, "pole placement zeta when gains are auto-tuned"),
-    "controller.setpoint_pitch_deg": (float, "attitude setpoint"),
-    "controller.setpoint_yaw_deg": (float, "attitude setpoint"),
-    "controller.rate_hz": (float, "controller execution rate"),
-    "thrust.target_per_fan_n": (float, "preplanned per-fan thrust target"),
-    "thrust.ramp_time_s": (float, "linear ramp duration from zero"),
-    "perturbation.com_offset_x_m": (float, "CoM estimate error, body x"),
-    "perturbation.com_offset_y_m": (float, "CoM estimate error, body y"),
-    "perturbation.com_offset_z_m": (float, "CoM estimate error, body z"),
-    "perturbation.foot_misalignment_left_deg": (float, "left foot thrust-axis pitch bias"),
-    "perturbation.foot_misalignment_right_deg": (float, "right foot thrust-axis pitch bias"),
-    "perturbation.thrust_scale_front": (float, "front fan output factor"),
-    "perturbation.thrust_scale_back": (float, "back fan output factor"),
-    "perturbation.thrust_scale_left": (float, "left fan output factor"),
-    "perturbation.thrust_scale_right": (float, "right fan output factor"),
-    "sim.duration_s": (float, "run length"),
-    "sim.dt_s": (float, "physics step, at most 0.002"),
-    "sim.sample_rate_hz": (float, "log sampling rate"),
-    "sim.seed": (int, "random seed for the sensor noise hook"),
-    "sim.integrator": (str, "euler or rk4"),
-    "sim.sensor_noise_std": (float, "attitude/rate noise sigma, 0 disables"),
-    "envelope.theta_pitch_min_deg": (float, "sweep start"),
-    "envelope.theta_pitch_max_deg": (float, "sweep end"),
-    "envelope.n_points": (int, "sweep point count"),
-    "envelope.min_vertical_force_n": (float, "vertical thrust floor, default M g"),
+    "posture": (str, None, None),
+    "posture.com_x_m": (float, None, None),
+    "posture.com_z_m": (float, None, None),
+    "posture.foot_x_m": (float, None, None),
+    "posture.foot_z_m": (float, None, None),
+    "posture.foot_pitch_min_deg": (float, None, None),
+    "posture.foot_pitch_max_deg": (float, None, None),
+    "mode": (str, ScenarioConfig, "mode"),
+    "geometry.mass_kg": (float, ScenarioConfig, "mass_total"),
+    "geometry.waist_fan_spacing_m": (float, ScenarioConfig, "fan_spacing_waist"),
+    "geometry.foot_fan_spacing_m": (float, ScenarioConfig, "fan_spacing_feet"),
+    "geometry.fan_mass_kg": (float, ScenarioConfig, "fan_mass"),
+    "geometry.com_y_m": (float, ScenarioConfig, "com_y"),
+    "limits.thrust_max_per_fan_n": (float, FanLimits, "thrust_max_per_fan"),
+    "limits.thrust_min_n": (float, FanLimits, "thrust_min"),
+    "limits.foot_pitch_rate_max_rad_s": (float, FanLimits, "foot_pitch_rate_max"),
+    "limits.thrust_time_constant_s": (float, FanLimits, "thrust_time_constant"),
+    "controller.kp_pitch": (float, ControllerGains, "kp_pitch"),
+    "controller.kd_pitch": (float, ControllerGains, "kd_pitch"),
+    "controller.kp_yaw": (float, ControllerGains, "kp_yaw"),
+    "controller.kd_yaw": (float, ControllerGains, "kd_yaw"),
+    "controller.ki_pitch": (float, ControllerGains, "ki_pitch"),
+    "controller.ki_yaw": (float, ControllerGains, "ki_yaw"),
+    "controller.natural_freq_pitch_rad_s": (float, ScenarioConfig, "omega_n_pitch"),
+    "controller.natural_freq_yaw_rad_s": (float, ScenarioConfig, "omega_n_yaw"),
+    "controller.damping_ratio": (float, ScenarioConfig, "zeta"),
+    "controller.setpoint_pitch_deg": (float, None, None),
+    "controller.setpoint_yaw_deg": (float, None, None),
+    "controller.rate_hz": (float, ScenarioConfig, "controller_rate"),
+    "thrust.target_per_fan_n": (float, ThrustRamp, "target_per_fan"),
+    "thrust.ramp_time_s": (float, ThrustRamp, "ramp_time"),
+    "perturbation.com_offset_x_m": (float, None, None),
+    "perturbation.com_offset_y_m": (float, None, None),
+    "perturbation.com_offset_z_m": (float, None, None),
+    "perturbation.foot_misalignment_left_deg": (float, None, None),
+    "perturbation.foot_misalignment_right_deg": (float, None, None),
+    "perturbation.thrust_scale_front": (float, None, None),
+    "perturbation.thrust_scale_back": (float, None, None),
+    "perturbation.thrust_scale_left": (float, None, None),
+    "perturbation.thrust_scale_right": (float, None, None),
+    "sim.duration_s": (float, ScenarioConfig, "duration"),
+    "sim.dt_s": (float, ScenarioConfig, "dt"),
+    "sim.sample_rate_hz": (float, ScenarioConfig, "sample_rate"),
+    "sim.seed": (int, ScenarioConfig, "seed"),
+    "sim.integrator": (str, ScenarioConfig, "integrator"),
+    "sim.sensor_noise_std": (float, ScenarioConfig, "sensor_noise_std"),
+    "envelope.theta_pitch_min_deg": (float, None, None),
+    "envelope.theta_pitch_max_deg": (float, None, None),
+    "envelope.n_points": (int, None, None),
+    "envelope.min_vertical_force_n": (float, None, None),
 }
 
 
@@ -122,52 +126,10 @@ def load_config(path) -> dict:
     return parse_config_text(text, source=str(path))
 
 
-# config key -> keyword argument of the dataclass that consumes it
-_SCENARIO_ARGS = {
-    "mode": "mode",
-    "sim.duration_s": "duration",
-    "sim.dt_s": "dt",
-    "sim.sample_rate_hz": "sample_rate",
-    "sim.seed": "seed",
-    "sim.integrator": "integrator",
-    "sim.sensor_noise_std": "sensor_noise_std",
-    "controller.rate_hz": "controller_rate",
-    "controller.damping_ratio": "zeta",
-    "controller.natural_freq_pitch_rad_s": "omega_n_pitch",
-    "controller.natural_freq_yaw_rad_s": "omega_n_yaw",
-    "geometry.mass_kg": "mass_total",
-    "geometry.waist_fan_spacing_m": "fan_spacing_waist",
-    "geometry.foot_fan_spacing_m": "fan_spacing_feet",
-    "geometry.fan_mass_kg": "fan_mass",
-    "geometry.com_y_m": "com_y",
-}
-_LIMIT_ARGS = {
-    "limits.thrust_max_per_fan_n": "thrust_max_per_fan",
-    "limits.thrust_min_n": "thrust_min",
-    "limits.foot_pitch_rate_max_rad_s": "foot_pitch_rate_max",
-    "limits.thrust_time_constant_s": "thrust_time_constant",
-}
-_RAMP_ARGS = {
-    "thrust.target_per_fan_n": "target_per_fan",
-    "thrust.ramp_time_s": "ramp_time",
-}
-_GAIN_ARGS = {
-    "controller.kp_pitch": "kp_pitch",
-    "controller.kd_pitch": "kd_pitch",
-    "controller.kp_yaw": "kp_yaw",
-    "controller.kd_yaw": "kd_yaw",
-    "controller.ki_pitch": "ki_pitch",
-    "controller.ki_yaw": "ki_yaw",
-}
 _REQUIRED_GAINS = ["controller.kp_pitch", "controller.kd_pitch",
                    "controller.kp_yaw", "controller.kd_yaw"]
 _TUNING_KEYS = ["controller.damping_ratio", "controller.natural_freq_pitch_rad_s",
                 "controller.natural_freq_yaw_rad_s"]
-
-
-def _present(values: dict, args: dict) -> dict:
-    """Keyword arguments for the keys that are set; the rest keep their defaults."""
-    return {arg: values[key] for key, arg in args.items() if key in values}
 
 
 def _radians(values: dict, key: str, default: float) -> float:
@@ -188,11 +150,17 @@ def scenario_from_config(values: dict) -> ScenarioConfig:
     into values first. Invalid values raise ConfigError.
     """
     try:
-        kwargs = _present(values, _SCENARIO_ARGS)
-        if "mode" in kwargs:
-            kwargs["mode"] = ControlMode.parse(kwargs["mode"])
-        gains = _present(values, _GAIN_ARGS)
-        if gains:
+        # keyword arguments per consumer, from the keys that are set; the rest
+        # keep their dataclass defaults
+        kwargs = {ScenarioConfig: {}, FanLimits: {}, ThrustRamp: {}, ControllerGains: {}}
+        for key, value in values.items():
+            _, consumer, name = SCHEMA[key]
+            if consumer is not None:
+                kwargs[consumer][name] = value
+        scenario = kwargs[ScenarioConfig]
+        if "mode" in scenario:
+            scenario["mode"] = ControlMode.parse(scenario["mode"])
+        if kwargs[ControllerGains]:
             missing = [k for k in _REQUIRED_GAINS if k not in values]
             if missing:
                 raise ConfigError(
@@ -201,21 +169,21 @@ def scenario_from_config(values: dict) -> ScenarioConfig:
             if tuning:
                 raise ConfigError(
                     f"explicit gains are used as given; remove the tuning keys {tuning}")
-            kwargs["gains"] = ControllerGains(**gains)
+            scenario["gains"] = ControllerGains(**kwargs[ControllerGains])
         if any(key.startswith("perturbation.") for key in values):
-            kwargs["perturbation"] = _perturbation_from(values)
+            scenario["perturbation"] = _perturbation_from(values)
         setpoint = _default(ScenarioConfig, "setpoint")
-        kwargs.update(
+        scenario.update(
             posture=posture_from_config(values),
-            ramp=ThrustRamp(**_present(values, _RAMP_ARGS)),
-            limits=FanLimits(**_present(values, _LIMIT_ARGS)),
+            ramp=ThrustRamp(**kwargs[ThrustRamp]),
+            limits=FanLimits(**kwargs[FanLimits]),
             setpoint=replace(
                 setpoint,
                 pitch=_radians(values, "controller.setpoint_pitch_deg", setpoint.pitch),
                 yaw=_radians(values, "controller.setpoint_yaw_deg", setpoint.yaw),
             ),
         )
-        return ScenarioConfig(**kwargs)
+        return ScenarioConfig(**scenario)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -30,7 +30,7 @@ from .spatial import EulerAngles, wrap_angle
 from .trim import NoTrimError
 
 
-class ControlMode(Enum):
+class ControlMode(str, Enum):
     BOTH_ON = "both-on"
     PITCH_ONLY = "pitch-only"
     ALL_OFF = "all-off"

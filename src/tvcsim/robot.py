@@ -110,10 +110,11 @@ class RobotGeometry:
 
     Waist fans sit at (+-L/2, 0, 0) blowing along +z; foot fans sit at
     (p_fx, +-L_f/2, p_fz) with the left foot on +y (the y axis points left).
-    com_body is a float 3-tuple and inertia_body three float row tuples,
-    converted here from any float sequences. inertia_body defaults to the
-    point-mass surrogate for fan_mass; it is checked once, on floats, as it
-    is inverted.
+    com_body is a float 3-tuple, converted here from any float sequence.
+    inertia_body is derived, as three float row tuples: the measured tensor
+    inertia_measured if one is given, else the point-mass surrogate for
+    fan_mass, so dataclasses.replace recomputes it. It is checked once, on
+    floats, as it is inverted.
     """
 
     mass_total: float = DEFAULT_MASS
@@ -123,7 +124,8 @@ class RobotGeometry:
     fan_foot_z: float = 0.0  # p_fz
     fan_spacing_feet: float = DEFAULT_FOOT_FAN_SPACING  # L_f
     fan_mass: float = DEFAULT_FAN_MASS  # per fan, read by the inertia surrogate
-    inertia_body: tuple | None = None  # 3x3 rows about the CoM, in {B}
+    inertia_measured: tuple | None = None  # 3x3 rows about the CoM, in {B}
+    inertia_body: tuple = field(init=False)
     # the inverse of inertia_body as a row-major float 9-tuple, for the
     # float rigid-body step of the takeoff loop
     inertia_inverse_rows: tuple = field(init=False, repr=False, compare=False)
@@ -136,9 +138,10 @@ class RobotGeometry:
             raise ValueError("mass_total must be positive")
         if self.fan_spacing_waist <= 0.0 or self.fan_spacing_feet <= 0.0:
             raise ValueError("fan spacings must be positive")
-        if self.inertia_body is None:
-            self.inertia_body = point_mass_inertia(self)
-        self.inertia_body = tuple(tuple(map(float, row)) for row in self.inertia_body)
+        if self.inertia_measured is not None:
+            self.inertia_measured = tuple(tuple(map(float, row)) for row in self.inertia_measured)
+        self.inertia_body = (point_mass_inertia(self) if self.inertia_measured is None
+                             else self.inertia_measured)
         self.inertia_inverse_rows = _inverse_rows(self.inertia_body)
 
     @property
@@ -208,7 +211,7 @@ def geometry_from_posture(
 
     com_y defaults to zero under the sagittal-symmetry assumption but can be
     overridden. The inertia is the point-mass surrogate for fan_mass; a
-    measured tensor goes in through dataclasses.replace(geo, inertia_body=...).
+    measured tensor goes in through dataclasses.replace(geo, inertia_measured=...).
     """
     x_c, z_c = posture.com_sagittal
     p_fx, p_fz = posture.foot_fan

@@ -7,7 +7,9 @@ body integrates under the four-fan wrench with semi-implicit Euler (velocity
 first, trapezoidal position update, exponential-map attitude) or optional
 RK4. The controller runs at its own fixed rate on integer physics substeps;
 thrusts follow the preplanned ramp through a first-order spool lag and foot
-angles slew toward the commands at the ankle rate limit.
+angles slew toward the commands at the ankle rate limit. The run ends at
+touchdown, the first step after which the CoM is below its start height;
+contact dynamics are out of scope.
 
 Perturbations model the disturbances the controller exists to reject: a CoM
 estimate error (the trim is computed from nominal geometry, the dynamics use
@@ -365,10 +367,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     """Deterministic closed-loop takeoff run, which ends by returning its log.
 
     The trim and controller gains come from the nominal geometry; the
-    dynamics see the perturbed one. A tripped divergence guard ends the run
-    early: events["diverged"] is set, events["divergence_reason"] holds the
-    guard's message and events["final_time_s"] the last step reached. Raises
-    ValueError if the thrust ramp exceeds the per-fan cap.
+    dynamics see the perturbed one. events["termination"] says how the run
+    ended: "duration", or early at the start of a step (events["final_time_s"])
+    that tripped a divergence guard ("diverged", with the guard's message in
+    events["divergence_reason"]) or took the CoM below its start height
+    ("touchdown", with the step's end in events["touchdown_time_s"]). No log
+    row or event comes from the state that ended the run. Raises ValueError
+    if the thrust ramp exceeds the per-fan cap.
     """
     # checked here, not in ScenarioConfig: the ramp is the takeoff run's alone
     if cfg.ramp.target_per_fan > cfg.limits.thrust_max_per_fan:
@@ -407,6 +412,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
         f"yaw_exceeds_{YAW_EVENT_DEG:.0f}deg_time_s": None,
         "diverged": False,
         "divergence_reason": None,
+        "termination": "duration",
+        "touchdown_time_s": None,
     }
 
     # the loop carries plain floats: state tuples, thrust lists, hoisted constants
@@ -474,8 +481,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
                 state = dynamics_step(state, fan_state, geo, dt,
                                       cfg.perturbation, cfg.integrator)
             except DivergenceError as err:
-                log.events["diverged"] = True
-                log.events["divergence_reason"] = str(err)
+                log.events.update(diverged=True, divergence_reason=str(err),
+                                  termination="diverged")
+                break
+            if state.position_world[2] < 0.0:
+                log.events.update(termination="touchdown", touchdown_time_s=(i + 1) * dt)
                 break
             euler = quat_euler(state.orientation)
         else:

@@ -74,9 +74,12 @@ def test_takeoff_both_on_events(tmp_path, capsys):
 def test_takeoff_all_off_reports_dive(tmp_path, capsys):
     code, out, _ = run_cli(["--out", str(tmp_path), "takeoff", "--mode", "all-off"],
                            capsys)
-    assert code == 0
+    # the dive ends in touchdown before the run's duration: exit 4, outputs kept
+    assert code == 4
+    assert out.endswith(" [TOUCHDOWN]\n")
     events = json.loads((tmp_path / "takeoff_events.json").read_text())
     assert events["max_abs_pitch_deg"] >= 30.0
+    assert events["termination"] == "touchdown"
 
 
 def test_takeoff_missing_config_exit_2(tmp_path, capsys):
@@ -101,6 +104,18 @@ def test_takeoff_divergence_exit_4_keeps_partial_outputs(tmp_path, capsys):
     events = json.loads((tmp_path / "takeoff_events.json").read_text())
     assert events["diverged"] is True
     assert (tmp_path / "takeoff_log.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["envelope", "takeoff", "trim", "wrench-eval"])
+def test_every_command_records_the_seed_option(tmp_path, capsys, command):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("sim.seed = 4\nsim.duration_s = 0.1\nenvelope.n_points = 3\n")
+    code, _, _ = run_cli(["--seed", "9", "--config", str(cfg), "--out", str(tmp_path),
+                          *COMMANDS[command]], capsys)
+    assert code == 0
+    name = command.replace("-", "_")
+    manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+    assert [s["seed"] for s in manifest["resolved_config"]["scenarios"]] == [9]
 
 
 def test_takeoff_reruns_are_byte_identical(tmp_path, capsys):

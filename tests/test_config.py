@@ -1,6 +1,7 @@
 """Config file parsing and scenario construction."""
 
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from tvcsim.config import (
     posture_from_config,
     scenario_from_config,
 )
-from tvcsim.controller import ControlMode, ThrustRamp
+from tvcsim.controller import ControlMode, ControllerGains, ThrustRamp
 from tvcsim.robot import FanLimits, builtin_posture, geometry_from_posture
-from tvcsim.sim import run_scenario
+from tvcsim.sim import ScenarioConfig, run_scenario
 
 SAMPLE = """
 # takeoff experiment
@@ -82,7 +83,7 @@ def test_bad_value_rejected():
         parse_config_text("sim.seed = soon")
 
 
-FLOAT_KEYS = sorted(k for k, (typ, _) in SCHEMA.items() if typ is float)
+FLOAT_KEYS = sorted(k for k, (typ, *_) in SCHEMA.items() if typ is float)
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
@@ -165,3 +166,83 @@ def test_load_config_roundtrip(tmp_path):
     path.write_text(SAMPLE)
     values = load_config(path)
     assert values["posture"] == "P2"
+
+
+GAINS = {"controller.kp_pitch": 1.0, "controller.kd_pitch": 0.1,
+         "controller.kp_yaw": 0.5, "controller.kd_yaw": 0.05}
+# key -> two valid values that must resolve differently
+TWO_VALUES = {
+    "posture": ("P1", "P2"),
+    "posture.com_x_m": (0.025, 0.03),
+    "posture.com_z_m": (-0.243, -0.25),
+    "posture.foot_x_m": (0.02, 0.03),
+    "posture.foot_z_m": (-0.61, -0.6),
+    "posture.foot_pitch_min_deg": (-74.0, -60.0),
+    "posture.foot_pitch_max_deg": (90.0, 80.0),
+    "mode": ("both-on", "all-off"),
+    "geometry.mass_kg": (17.0, 16.0),
+    "geometry.waist_fan_spacing_m": (0.3, 0.32),
+    "geometry.foot_fan_spacing_m": (0.25, 0.2),
+    "geometry.fan_mass_kg": (0.488, 0.3),
+    "geometry.com_y_m": (0.0, 0.01),
+    "limits.thrust_max_per_fan_n": (50.0, 52.0),
+    "limits.thrust_min_n": (0.0, 1.0),
+    "limits.foot_pitch_rate_max_rad_s": (8.0, 6.0),
+    "limits.thrust_time_constant_s": (0.1, 0.0),
+    "controller.kp_pitch": (1.0, 1.1),
+    "controller.kd_pitch": (0.1, 0.2),
+    "controller.kp_yaw": (0.5, 0.6),
+    "controller.kd_yaw": (0.05, 0.06),
+    "controller.ki_pitch": (0.0, 0.1),
+    "controller.ki_yaw": (0.0, 0.1),
+    "controller.natural_freq_pitch_rad_s": (12.0, 10.0),
+    "controller.natural_freq_yaw_rad_s": (12.0, 10.0),
+    "controller.damping_ratio": (0.7, 0.8),
+    "controller.setpoint_pitch_deg": (0.0, 2.0),
+    "controller.setpoint_yaw_deg": (0.0, 2.0),
+    "controller.rate_hz": (250.0, 500.0),
+    "thrust.target_per_fan_n": (48.0, 46.0),
+    "thrust.ramp_time_s": (0.5, 0.6),
+    "perturbation.com_offset_x_m": (0.0, 0.005),
+    "perturbation.com_offset_y_m": (0.0, 0.005),
+    "perturbation.com_offset_z_m": (0.0, 0.005),
+    "perturbation.foot_misalignment_left_deg": (0.0, 2.0),
+    "perturbation.foot_misalignment_right_deg": (0.0, 2.0),
+    "perturbation.thrust_scale_front": (1.0, 1.1),
+    "perturbation.thrust_scale_back": (1.0, 1.1),
+    "perturbation.thrust_scale_left": (1.0, 1.1),
+    "perturbation.thrust_scale_right": (1.0, 1.1),
+    "sim.duration_s": (2.0, 3.0),
+    "sim.dt_s": (0.001, 0.0005),
+    "sim.sample_rate_hz": (250.0, 500.0),
+    "sim.seed": (0, 1),
+    "sim.integrator": ("euler", "rk4"),
+    "sim.sensor_noise_std": (0.0, 0.01),
+    "envelope.theta_pitch_min_deg": (-30.0, -20.0),
+    "envelope.theta_pitch_max_deg": (30.0, 20.0),
+    "envelope.n_points": (61, 5),
+    "envelope.min_vertical_force_n": (150.0, 160.0),
+}
+
+
+def _resolved(values):
+    return asdict(scenario_from_config(values)), envelope_settings_from_config(values)
+
+
+@pytest.mark.parametrize("key", sorted(SCHEMA))
+def test_every_key_changes_what_it_resolves_to(key):
+    # a key that is parsed but read by no resolver would resolve alike
+    base = GAINS if SCHEMA[key][1] is ControllerGains else {}
+    low, high = TWO_VALUES[key]
+    assert _resolved(base | {key: low}) != _resolved(base | {key: high})
+
+
+def test_schema_rows_name_fields_of_their_consumers():
+    assert set(TWO_VALUES) == set(SCHEMA)
+    consumers = (ScenarioConfig, FanLimits, ThrustRamp, ControllerGains)
+    for key, (_, consumer, name) in SCHEMA.items():
+        if consumer is None:
+            assert name is None, key
+        else:
+            assert consumer in consumers, key
+            assert name in {f.name for f in fields(consumer) if f.init}, key

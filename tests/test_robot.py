@@ -93,17 +93,17 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         RobotGeometry(fan_spacing_waist=-0.1)
     with pytest.raises(ValueError):
-        RobotGeometry(inertia_body=np.diag([1.0, -1.0, 1.0]))
+        RobotGeometry(inertia_measured=np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
-        RobotGeometry(inertia_body=np.arange(9.0).reshape(3, 3))
+        RobotGeometry(inertia_measured=np.arange(9.0).reshape(3, 3))
     # positive-definite, but the minors underflow: no float inverse exists
     with pytest.raises(ValueError, match="positive-definite"):
         geometry_from_posture(builtin_posture("P1"), fan_mass=3.6e-190)
     # the surrogate overflows, one moment is infinite, or the determinant
     # overflows: none has a finite float inverse
     for kwargs in ({"mass_total": 1e300, "fan_mass": 1e299, "fan_foot_z": -1e10},
-                   {"inertia_body": np.diag([np.inf, 1.0, 1.0])},
-                   {"inertia_body": np.diag([1e200, 1e200, 1e200])}):
+                   {"inertia_measured": np.diag([np.inf, 1.0, 1.0])},
+                   {"inertia_measured": np.diag([1e200, 1e200, 1e200])}):
         with pytest.raises(ValueError, match="finite and positive-definite"):
             RobotGeometry(**kwargs)
 
@@ -148,10 +148,35 @@ def test_point_mass_inertia_scales_with_fan_mass():
 
 def test_inertia_override_respected():
     override = np.diag([0.5, 0.6, 0.3])
-    geo = replace(geometry_from_posture(builtin_posture("P1")), inertia_body=override)
+    geo = replace(geometry_from_posture(builtin_posture("P1")), inertia_measured=override)
     np.testing.assert_allclose(geo.inertia_body, override)
     np.testing.assert_allclose(geo.inertia_inverse_rows,
                                np.linalg.inv(override).ravel(), rtol=1e-15)
+
+
+@pytest.mark.parametrize("changes", [
+    {"fan_mass": 0.976},
+    {"mass_total": 14.0},
+    {"fan_foot_x": 0.05},
+    {"fan_foot_z": -0.55},
+    {"fan_spacing_waist": 0.34},
+    {"fan_spacing_feet": 0.2},
+    {"com_body": (0.03, 0.01, -0.25)},
+])
+def test_replace_recomputes_the_surrogate_inertia(changes):
+    posture = builtin_posture("P1")
+    geo = replace(geometry_from_posture(posture), **changes)
+    fresh = replace(posture, com_sagittal=(geo.com_body[0], geo.com_body[2]),
+                    foot_fan=(geo.fan_foot_x, geo.fan_foot_z))
+    expected = geometry_from_posture(
+        fresh, mass_total=geo.mass_total, fan_spacing_waist=geo.fan_spacing_waist,
+        fan_spacing_feet=geo.fan_spacing_feet, fan_mass=geo.fan_mass, com_y=geo.com_body[1])
+    assert geo == expected  # inertia_body among the compared fields
+    assert geo.inertia_inverse_rows == expected.inertia_inverse_rows
+    # a measured tensor survives the same replace
+    measured = ((0.5, 0.0, 0.01), (0.0, 0.6, 0.0), (0.01, 0.0, 0.3))
+    kept = replace(replace(geometry_from_posture(posture), inertia_measured=measured), **changes)
+    assert kept.inertia_body == kept.inertia_measured == measured
 
 
 def test_geometry_deterministic():

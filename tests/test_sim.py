@@ -274,6 +274,23 @@ def test_energy_audit_free_flight():
     assert delta == pytest.approx(work, rel=1e-3)
 
 
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_all_off_run_ends_at_touchdown(integrator):
+    cfg = ScenarioConfig(mode=ControlMode.ALL_OFF, integrator=integrator)
+    log = run_scenario(cfg)
+    ev = log.events
+    assert ev["termination"] == "touchdown" and not ev["diverged"]
+    # the first step that ends below the start height, 1.174 s -> 1.175 s
+    assert ev["touchdown_time_s"] == pytest.approx(1.175, abs=1e-12)
+    assert ev["final_time_s"] == pytest.approx(1.174, abs=1e-12)
+    assert ev["pitch_exceeds_30deg_time_s"] < ev["final_time_s"]  # the dive stays recorded
+    assert ev["altitude_at_2s_m"] is None
+    ix = {k: i for i, k in enumerate(log.header)}
+    assert not [row for row in log.rows if row[ix["phase"]] == PHASE_AIRBORNE
+                and row[ix["pz"]] < 0.0]
+    assert len(log.rows) == round(ev["final_time_s"] / cfg.dt) // cfg._sample_substeps + 1
+
+
 def test_divergence_preserves_partial_log():
     pert = Perturbation(foot_axis_misalignment_left=math.radians(10.0),
                         foot_axis_misalignment_right=math.radians(-10.0))
@@ -297,6 +314,7 @@ def test_events_structure():
     assert ev["liftoff_time_s"] is not None
     assert ev["altitude_at_2s_m"] is not None
     assert ev["final_time_s"] == pytest.approx(2.5)
+    assert ev["termination"] == "duration" and ev["touchdown_time_s"] is None
     assert json.loads(log.events_json())["config"]["posture"] == "P1"
 
 
@@ -404,7 +422,7 @@ def test_float_step_matches_the_array_formulation(integrator, perturbed):
     rng = np.random.default_rng(2024 + perturbed)
     for case in range(100):
         geo = replace(geometry_from_posture(builtin_posture(("P1", "P2", "P3")[case % 3])),
-                      inertia_body=_random_inertia(rng))
+                      inertia_measured=_random_inertia(rng))
         assert np.abs(geo.inertia_body - np.diag(np.diag(geo.inertia_body))).max() > 1e-3
         pert = Perturbation(com_offset=rng.normal(0.0, 0.01, 3),
                             foot_axis_misalignment_left=rng.uniform(-0.15, 0.15),

@@ -50,7 +50,6 @@ from .sim import (
     RigidBodyState,
     ScenarioConfig,
     SimLog,
-    detect_liftoff,
     dynamics_step,
     run_scenario,
 )

@@ -17,6 +17,12 @@ the shifted CoM) and a fixed per-foot thrust-axis pitch bias standing in for
 joint position error, whose left/right asymmetry makes the yaw force couple
 that spins the uncontrolled robot.
 
+A run builds one float kernel, run_kernel, from its geometry, perturbation,
+dt and integrator, and its loop carries plain floats: each step evaluates
+the kernel's wrench once, for the liftoff check on the ground or the step
+aloft. dynamics_step is the kernel's public one-step wrapper, as
+wrench.generalized_wrench_3d is of the wrench formula.
+
 Identical configurations produce bit-identical logs.
 """
 
@@ -51,14 +57,12 @@ from .robot import (
 from .spatial import (
     EulerAngles,
     quat_euler,
-    quat_product,
-    quat_rotate,
     quat_step,
     quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through sim
     quat_unit,
 )
 from .trim import hover_trim
-from .wrench import FanState, Wrench, generalized_wrench_3d
+from .wrench import FanState, wrench_kernel
 
 PHASE_GROUND = "GROUND"
 PHASE_AIRBORNE = "AIRBORNE"
@@ -77,11 +81,13 @@ LOG_HEADER = [
     "theta_L_cmd_deg", "theta_R_cmd_deg", "theta_L_deg", "theta_R_deg",
     "fF", "fB", "fL", "fR", "phase",
 ]
+# every log column is a float printed with 10 significant digits, but the phase
+_ROW_FORMAT = ",".join(["%.10g"] * (len(LOG_HEADER) - 1) + ["%s"]) + "\n"
 
 
 class DivergenceError(Exception):
-    """Raised by dynamics_step when the state leaves the position or rate
-    guard; run_scenario turns it into its log's divergence events."""
+    """Raised when a step leaves the position or rate guard; dynamics_step
+    passes it on and run_scenario turns it into its log's divergence events."""
 
 
 @dataclass
@@ -168,6 +174,8 @@ class ScenarioConfig:
                 f"duration {self.duration} s is not a finite number of {self.dt} s steps")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError("integrator must be 'euler' or 'rk4'")
+        if self.seed < 0:  # numpy's Generator takes no negative seed
+            raise ValueError(f"sim.seed must be >= 0, got {self.seed}")
         self._controller_substeps = _substeps(self.controller_rate, self.dt, "controller")
         self._sample_substeps = _substeps(self.sample_rate, self.dt, "sample")
 
@@ -238,8 +246,7 @@ class SimLog:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.header) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(_ROW_FORMAT % row for row in self.rows)
 
     def events_json(self) -> str:
         return json.dumps(self.events, indent=2, sort_keys=True, allow_nan=False)
@@ -249,85 +256,64 @@ class SimLog:
             fh.write(self.events_json() + "\n")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    return f"{v:.10g}"
+def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry, dt: float,
+                  perturbation: Perturbation | None = None,
+                  integrator: str = "euler") -> RigidBodyState:
+    """Advance the free-flying rigid body by one step of run_kernel."""
+    wrench, step = run_kernel(geo, perturbation, dt, integrator)
+    fs = fan_state
+    p, v, q, omega = step(state.position_world, state.velocity_world, state.orientation,
+                          state.angular_velocity_body,
+                          wrench(fs.f_front, fs.f_back, fs.f_left, fs.f_right,
+                                 fs.theta_left, fs.theta_right))
+    t = state.time + dt
+    _guard(p, omega, t)
+    return RigidBodyState(p, v, q, omega, t)
 
 
-def detect_liftoff(wrench: Wrench) -> bool:
-    """Ground contact ends once the net vertical force is positive; the ground
-    holds the body at the identity attitude, so body z is world z."""
-    return wrench.force_body[2] > wrench.weight
+def _guard(p, omega, t) -> None:
+    # "not <=" so that a NaN state trips the guards too
+    px, py, pz = p
+    if not math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:
+        raise DivergenceError(
+            f"position {np.array(p)} left the {POSITION_GUARD_M} m guard at t={t:.3f} s")
+    wx, wy, wz = omega
+    if not math.sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S:
+        raise DivergenceError(
+            f"body rate {np.array(omega)} exceeded {RATE_GUARD_RAD_S} rad/s at t={t:.3f} s")
 
 
-def dynamics_step(
-    state: RigidBodyState,
-    fan_state: FanState,
-    geo: RobotGeometry,
-    dt: float,
-    perturbation: Perturbation | None = None,
-    integrator: str = "euler",
-) -> RigidBodyState:
-    """Advance the free-flying rigid body by one step.
+def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
+               integrator: str):
+    """The takeoff's float kernel, built once per run: (wrench, step).
 
-    The default scheme updates velocities first and positions with the
-    velocity midpoint, which integrates constant accelerations exactly;
-    attitude uses the exponential map with the updated body rate. 'rk4'
-    selects a classic fourth-order step for high-accuracy checks.
-
-    The fans hold their state over the step, so the body-frame wrench is
-    evaluated once; every stage rotates its force by the stage attitude.
-    The rest is plain float arithmetic.
+    wrench(f_F, f_B, f_L, f_R, theta_L, theta_R) is wrench_kernel's body rows.
+    step(p, v, q, omega, rows) advances the free-flying rigid body by dt under
+    those rows, held over the step, and returns (p, v, q, omega) as float
+    tuples; q is renormalized first and every stage rotates the body force by
+    its own attitude. 'euler' updates velocities first, positions with the
+    velocity midpoint (exact for constant accelerations) and the attitude by
+    the exponential map of the new body rate; 'rk4' is the classic
+    fourth-order step with each stage's quaternion renormalized.
     """
     if dt <= 0.0 or dt > MAX_PHYSICS_DT:
         raise ValueError(f"dt must be in (0, {MAX_PHYSICS_DT}] s")
     if integrator not in ("euler", "rk4"):
         raise ValueError("integrator must be 'euler' or 'rk4'")
-    w = generalized_wrench_3d(fan_state, geo, state.orientation, perturbation)
-    accels = _accelerations(w.force_body, w.torque_body, geo)
-    p, v, omega = state.position_world, state.velocity_world, state.angular_velocity_body
-    q = quat_unit(state.orientation)
-    if integrator == "euler":
-        ax, ay, az, bx, by, bz = accels(q, omega)
-        v_new = (v[0] + ax * dt, v[1] + ay * dt, v[2] + az * dt)
-        p_new = (p[0] + 0.5 * (v[0] + v_new[0]) * dt,
-                 p[1] + 0.5 * (v[1] + v_new[1]) * dt,
-                 p[2] + 0.5 * (v[2] + v_new[2]) * dt)
-        omega_new = (omega[0] + bx * dt, omega[1] + by * dt, omega[2] + bz * dt)
-        q_new = quat_step(q, omega_new, dt)
-    else:
-        p_new, v_new, q_new, omega_new = _rk4((*p, *v, *omega, *q), dt, accels)
-    t = state.time + dt
-
-    # "not <=" so that a NaN state trips the guards too
-    px, py, pz = p_new
-    if not math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:
-        raise DivergenceError(
-            f"position {np.array(p_new)} left the {POSITION_GUARD_M} m guard at t={t:.3f} s"
-        )
-    wx, wy, wz = omega_new
-    if not math.sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S:
-        raise DivergenceError(
-            f"body rate {np.array(omega_new)} exceeded {RATE_GUARD_RAD_S} rad/s at t={t:.3f} s"
-        )
-    return RigidBodyState(p_new, v_new, q_new, omega_new, t)
-
-
-def _accelerations(force_body, torque_body, geo):
-    """f(q, omega) -> (a_x, a_y, a_z, alpha_x, alpha_y, alpha_z): the acceleration
-    R(q) F / m - g in {W} and the angular acceleration I^-1 (tau - omega x I omega)
-    in {B}, under a body-frame wrench (F, tau) held fixed. The inverse of the
-    (general, symmetric) inertia is precomputed by the geometry."""
-    tx, ty, tz = torque_body
-    m = geo.mass_total
-    weight = m * GRAVITY
+    m, weight = geo.mass_total, geo.weight
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = geo.inertia_body
     j00, j01, j02, j10, j11, j12, j20, j21, j22 = geo.inertia_inverse_rows
+    f_y = 0.0  # the body force's zero y row, rotated as any row so signed zeros agree
+    h = 0.5 * dt
 
-    def accels(q, omega):
-        fx, fy, fz = quat_rotate(q, force_body)
-        wx, wy, wz = omega
+    def accel(qw, qx, qy, qz, wx, wy, wz, f_x, f_z, tx, ty, tz):
+        """R(q) F / m - g in {W} and I^-1 (tau - omega x I omega) in {B}."""
+        xx, yy, zz = qx * qx, qy * qy, qz * qz
+        xy, xz, yz, sx, sy, sz = qx * qy, qx * qz, qy * qz, qw * qx, qw * qy, qw * qz
+        # R(q) F, with quat_rotation_rows' entries
+        fx = (1 - 2 * (yy + zz)) * f_x + 2 * (xy - sz) * f_y + 2 * (xz + sy) * f_z
+        fy = 2 * (xy + sz) * f_x + (1 - 2 * (xx + zz)) * f_y + 2 * (yz - sx) * f_z
+        fz = 2 * (xz - sy) * f_x + 2 * (yz + sx) * f_y + (1 - 2 * (xx + yy)) * f_z
         hx = i00 * wx + i01 * wy + i02 * wz  # angular momentum I omega
         hy = i10 * wx + i11 * wy + i12 * wz
         hz = i20 * wx + i21 * wy + i22 * wz
@@ -339,28 +325,51 @@ def _accelerations(force_body, torque_body, geo):
                 j10 * rx + j11 * ry + j12 * rz,
                 j20 * rx + j21 * ry + j22 * rz)
 
-    return accels
+    def euler(p, v, q, omega, rows):
+        f_x, f_z, tx, ty1, ty2, ty3, tz = rows
+        q = quat_unit(q)
+        (px, py, pz), (vx, vy, vz), (wx, wy, wz) = p, v, omega
+        ax, ay, az, bx, by, bz = accel(*q, wx, wy, wz, f_x, f_z, tx, ty1 + ty2 + ty3, tz)
+        ux, uy, uz = vx + ax * dt, vy + ay * dt, vz + az * dt
+        omega = (wx + bx * dt, wy + by * dt, wz + bz * dt)
+        return ((px + 0.5 * (vx + ux) * dt, py + 0.5 * (vy + uy) * dt,
+                 pz + 0.5 * (vz + uz) * dt), (ux, uy, uz), quat_step(q, omega, dt), omega)
 
+    def deriv(y, load):
+        """d/dt of y = (v, omega, q): the acceleration, alpha and q (0, omega) / 2."""
+        _, _, _, wx, wy, wz, qw, qx, qy, qz = y
+        return (*accel(qw, qx, qy, qz, wx, wy, wz, *load),
+                0.5 * (qw * 0.0 - qx * wx - qy * wy - qz * wz),
+                0.5 * (qw * wx + qx * 0.0 + qy * wz - qz * wy),
+                0.5 * (qw * wy - qx * wz + qy * 0.0 + qz * wx),
+                0.5 * (qw * wz + qx * wy - qy * wx + qz * 0.0))
 
-def _rk4(y0, dt, accels):
-    """Classic RK4 on the flat state y = (p, v, omega, q); each stage's
-    quaternion is renormalized. Returns (p, v, q, omega)."""
-    def deriv(y):
-        q, omega = y[9:], y[6:9]
-        dw, dx, dy, dz = quat_product(q, (0.0, *omega))
-        return (*y[3:6], *accels(q, omega), 0.5 * dw, 0.5 * dx, 0.5 * dy, 0.5 * dz)
+    def stage(y, span, k):
+        vx, vy, vz, wx, wy, wz, qw, qx, qy, qz = y
+        ax, ay, az, bx, by, bz, dw, dx, dy, dz = k
+        return (vx + span * ax, vy + span * ay, vz + span * az,
+                wx + span * bx, wy + span * by, wz + span * bz,
+                *quat_unit((qw + span * dw, qx + span * dx, qy + span * dy, qz + span * dz)))
 
-    def stage(h, k):
-        y = [a + h * b for a, b in zip(y0, k)]
-        return (*y[:9], *quat_unit(y[9:]))
+    def rk4(p, v, q, omega, rows):
+        # the position feeds no derivative, so the stages carry (v, omega, q) only
+        f_x, f_z, tx, ty1, ty2, ty3, tz = rows
+        load = (f_x, f_z, tx, ty1 + ty2 + ty3, tz)
+        y1 = (*v, *omega, *quat_unit(q))
+        k1 = deriv(y1, load)
+        y2 = stage(y1, h, k1)
+        k2 = deriv(y2, load)
+        y3 = stage(y1, h, k2)
+        k3 = deriv(y3, load)
+        y4 = stage(y1, dt, k3)
+        k4 = deriv(y4, load)
+        y = stage(y1, dt, [(a + 2.0 * b + 2.0 * c + d) / 6.0
+                           for a, b, c, d in zip(k1, k2, k3, k4)])
+        p = tuple(x + dt * ((a + 2.0 * b + 2.0 * c + d) / 6.0)
+                  for x, a, b, c, d in zip(p, y1, y2, y3, y4))
+        return p, y[0:3], y[6:10], y[3:6]
 
-    h = 0.5 * dt
-    k1 = deriv(y0)
-    k2 = deriv(stage(h, k1))
-    k3 = deriv(stage(h, k2))
-    k4 = deriv(stage(dt, k3))
-    y = stage(dt, [(a + 2.0 * b + 2.0 * c + d) / 6.0 for a, b, c, d in zip(k1, k2, k3, k4)])
-    return y[0:3], y[3:6], y[9:], y[6:9]
+    return wrench_kernel(geo, perturbation), euler if integrator == "euler" else rk4
 
 
 def run_scenario(cfg: ScenarioConfig) -> SimLog:
@@ -386,117 +395,127 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
                                          foot_pitch_range=cfg.posture.foot_pitch_range)
     trim_angle = trim_state.theta_left
     gains = cfg.gains or tune_gains(
-        geo,
-        hover_thrust_per_fan=trim_state.f_left,
-        trim_foot_angle=trim_angle,
-        zeta=cfg.zeta,
-        omega_n_pitch=cfg.omega_n_pitch,
-        omega_n_yaw=cfg.omega_n_yaw,
-    )
-    controller = AttitudeController(
-        gains, cfg.mode, cfg.posture, cfg.limits, trim_angle, setpoint=cfg.setpoint
-    )
+        geo, hover_thrust_per_fan=trim_state.f_left, trim_foot_angle=trim_angle,
+        zeta=cfg.zeta, omega_n_pitch=cfg.omega_n_pitch, omega_n_yaw=cfg.omega_n_yaw)
+    controller = AttitudeController(gains, cfg.mode, cfg.posture, cfg.limits, trim_angle,
+                                    setpoint=cfg.setpoint)
     rng = np.random.default_rng(cfg.seed)
-
-    log = SimLog()
-    log.events = {
-        "config": cfg.echo() | {"gains_used": vars(gains) | {},
-                                "trim_foot_angle_deg": math.degrees(trim_angle)},
-        "liftoff_time_s": None,
-        "never_lifted": True,
-        "altitude_at_2s_m": None,
-        "max_abs_pitch_deg": 0.0,
-        "max_abs_yaw_deg": 0.0,
-        "max_abs_roll_deg": 0.0,
-        f"pitch_exceeds_{PITCH_EVENT_DEG:.0f}deg_time_s": None,
-        f"yaw_exceeds_{YAW_EVENT_DEG:.0f}deg_time_s": None,
-        "diverged": False,
-        "divergence_reason": None,
-        "termination": "duration",
-        "touchdown_time_s": None,
-    }
-
-    # the loop carries plain floats: state tuples, thrust lists, hoisted constants
-    state = RigidBodyState()
-    euler = quat_euler(state.orientation)
-    phase = PHASE_GROUND
-    foot_left = trim_angle
-    foot_right = trim_angle
     dt = cfg.dt
+    wrench, step = run_kernel(geo, cfg.perturbation, dt, cfg.integrator)
+    weight = geo.weight
+
+    # the loop carries plain floats: state tuples, four thrusts, two foot angles
+    p, v, q, omega = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+    clock = 0.0  # the state time, summed step by step as dynamics_step does
+    euler = quat_euler(q)
+    airborne = False
+    foot_left = foot_right = trim_angle
     control_every, sample_every = cfg._controller_substeps, cfg._sample_substeps
     foot_step = cfg.limits.foot_pitch_rate_max * dt
-    scale = cfg.perturbation.thrust_scale
+    k_f, k_b, k_l, k_r = cfg.perturbation.thrust_scale
     tau = cfg.limits.thrust_time_constant
     # an ideal actuator already sits on the schedule at t = 0
     if tau == 0.0:
-        thrusts = [thrust_schedule(0.0, cfg.ramp) * k for k in scale]
+        sched = thrust_schedule(0.0, cfg.ramp)
+        f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
     else:
-        thrusts = [0.0] * 4
+        f_f = f_b = f_l = f_r = 0.0
         alpha = 1.0 - math.exp(-dt / tau)  # spool lag per step
     n_steps = int(round(cfg.duration / dt))
     i_2s = int(round(2.0 / dt)) if cfg.duration >= 2.0 else None
-    pitch_key = f"pitch_exceeds_{PITCH_EVENT_DEG:.0f}deg_time_s"
-    yaw_key = f"yaw_exceeds_{YAW_EVENT_DEG:.0f}deg_time_s"
+    liftoff = altitude = pitch_time = yaw_time = reason = touchdown = None
+    termination = "duration"
+    # event maxima in radians: math.degrees is monotone, so one conversion at
+    # the end gives the same maxima
+    max_roll = max_pitch = max_yaw = 0.0
+    log = SimLog()
+    append, degrees = log.rows.append, math.degrees
 
     for i in range(n_steps + 1):
         t = i * dt
         if i % control_every == 0:  # from i = 0 on, so command is always set
-            meas_euler, meas_rates = _measure(state, euler, cfg, rng)
-            command = controller.step(meas_euler, meas_rates, control_every * dt)
+            command = controller.step(*_measure(euler, omega, cfg, rng), control_every * dt)
 
-        fan_state = FanState(
-            f_front=thrusts[0], f_back=thrusts[1],
-            f_left=thrusts[2], f_right=thrusts[3],
-            theta_left=foot_left, theta_right=foot_right,
-        )
-        # the wrench is evaluated here on the ground only; aloft, dynamics_step does it
-        if phase == PHASE_GROUND and detect_liftoff(generalized_wrench_3d(
-                fan_state, geo, state.orientation, cfg.perturbation)):
-            phase = PHASE_AIRBORNE
-            log.events["liftoff_time_s"] = t
-            log.events["never_lifted"] = False
+        rows = wrench(f_f, f_b, f_l, f_r, foot_left, foot_right)
+        # the ground holds the body level until the net vertical force lifts it
+        if not airborne and rows[1] > weight:
+            airborne = True
+            liftoff = t
 
-        _update_events(log.events, t, euler, pitch_key, yaw_key)
-        if i_2s is not None and i == i_2s:
-            log.events["altitude_at_2s_m"] = float(state.position_world[2])
+        roll, pitch, yaw = abs(euler.roll), abs(euler.pitch), abs(euler.yaw)
+        if roll > max_roll:
+            max_roll = roll
+        # a band's first crossing is always a new maximum
+        if pitch > max_pitch:
+            max_pitch = pitch
+            if pitch_time is None and degrees(pitch) >= PITCH_EVENT_DEG:
+                pitch_time = t
+        if yaw > max_yaw:
+            max_yaw = yaw
+            if yaw_time is None and degrees(yaw) >= YAW_EVENT_DEG:
+                yaw_time = t
+        if i == i_2s:
+            altitude = p[2]
 
         if i % sample_every == 0:
-            log.rows.append(_log_row(t, state, euler, command, fan_state, phase))
+            append((t, *p, *v, degrees(euler.roll), degrees(euler.pitch), degrees(euler.yaw),
+                    *omega, degrees(command.theta_left_cmd), degrees(command.theta_right_cmd),
+                    degrees(foot_left), degrees(foot_right), f_f, f_b, f_l, f_r,
+                    PHASE_AIRBORNE if airborne else PHASE_GROUND))
 
         if i == n_steps:
             break
 
         # advance actuators toward the commands over (t, t + dt]
-        if phase == PHASE_AIRBORNE:
+        if airborne:
             foot_left = _toward(foot_left, command.theta_left_cmd, foot_step)
             foot_right = _toward(foot_right, command.theta_right_cmd, foot_step)
         sched = thrust_schedule(t + dt, cfg.ramp)
         if tau > 0.0:
-            thrusts = [f + alpha * (sched * k - f) for f, k in zip(thrusts, scale)]
+            f_f += alpha * (sched * k_f - f_f)
+            f_b += alpha * (sched * k_b - f_b)
+            f_l += alpha * (sched * k_l - f_l)
+            f_r += alpha * (sched * k_r - f_r)
         else:
-            thrusts = [sched * k for k in scale]
+            f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
 
-        if phase == PHASE_AIRBORNE:
+        if airborne:
+            p, v, q, omega = step(p, v, q, omega, rows)
+            clock += dt
             try:
-                state = dynamics_step(state, fan_state, geo, dt,
-                                      cfg.perturbation, cfg.integrator)
+                _guard(p, omega, clock)
             except DivergenceError as err:
-                log.events.update(diverged=True, divergence_reason=str(err),
-                                  termination="diverged")
+                termination, reason = "diverged", str(err)
                 break
-            if state.position_world[2] < 0.0:
-                log.events.update(termination="touchdown", touchdown_time_s=(i + 1) * dt)
+            if p[2] < 0.0:
+                termination, touchdown = "touchdown", (i + 1) * dt
                 break
-            euler = quat_euler(state.orientation)
+            euler = quat_euler(q)
         else:
             # held on the ground: the attitude, and so euler, is unchanged
-            state.time = t + dt
-    log.events["final_time_s"] = t
+            clock = t + dt
+
+    log.events = {
+        "config": cfg.echo() | {"gains_used": vars(gains) | {},
+                                "trim_foot_angle_deg": degrees(trim_angle)},
+        "liftoff_time_s": liftoff,
+        "never_lifted": liftoff is None,
+        "altitude_at_2s_m": altitude,
+        "max_abs_pitch_deg": degrees(max_pitch),
+        "max_abs_yaw_deg": degrees(max_yaw),
+        "max_abs_roll_deg": degrees(max_roll),
+        f"pitch_exceeds_{PITCH_EVENT_DEG:.0f}deg_time_s": pitch_time,
+        f"yaw_exceeds_{YAW_EVENT_DEG:.0f}deg_time_s": yaw_time,
+        "diverged": reason is not None,
+        "divergence_reason": reason,
+        "termination": termination,
+        "touchdown_time_s": touchdown,
+        "final_time_s": t,
+    }
     return log
 
 
-def _measure(state, euler, cfg, rng):
-    rates = state.angular_velocity_body
+def _measure(euler, rates, cfg, rng):
     if cfg.sensor_noise_std > 0.0:
         noise = rng.normal(0.0, cfg.sensor_noise_std, 6).tolist()
         euler = EulerAngles(euler.roll + noise[0], euler.pitch + noise[1],
@@ -507,28 +526,3 @@ def _measure(state, euler, cfg, rng):
 
 def _toward(value: float, target: float, max_step: float) -> float:
     return min(value + max_step, max(value - max_step, target))
-
-
-def _update_events(events, t, euler, pitch_key, yaw_key):
-    pitch_deg = abs(math.degrees(euler.pitch))
-    yaw_deg = abs(math.degrees(euler.yaw))
-    roll_deg = abs(math.degrees(euler.roll))
-    events["max_abs_pitch_deg"] = max(events["max_abs_pitch_deg"], pitch_deg)
-    events["max_abs_yaw_deg"] = max(events["max_abs_yaw_deg"], yaw_deg)
-    events["max_abs_roll_deg"] = max(events["max_abs_roll_deg"], roll_deg)
-    if events[pitch_key] is None and pitch_deg >= PITCH_EVENT_DEG:
-        events[pitch_key] = t
-    if events[yaw_key] is None and yaw_deg >= YAW_EVENT_DEG:
-        events[yaw_key] = t
-
-
-def _log_row(t, state, euler, command, fan_state: FanState, phase):
-    return (
-        t, *state.position_world, *state.velocity_world,
-        math.degrees(euler.roll), math.degrees(euler.pitch), math.degrees(euler.yaw),
-        *state.angular_velocity_body,
-        math.degrees(command.theta_left_cmd), math.degrees(command.theta_right_cmd),
-        math.degrees(fan_state.theta_left), math.degrees(fan_state.theta_right),
-        fan_state.f_front, fan_state.f_back, fan_state.f_left, fan_state.f_right,
-        phase,
-    )

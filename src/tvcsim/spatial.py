@@ -10,7 +10,7 @@ Conventions used across the package:
   quat_normalize, quat_from_pitch, quat_to_matrix, quat_integrate,
   quat_to_euler) for the trim gate, the world-frame wrench and the oracles,
   and float-tuple kernels at the end (quat_product, quat_unit, quat_step,
-  quat_rotate, quat_euler) for the takeoff loop, which runs on plain floats.
+  quat_rotation_rows, quat_euler) for the takeoff loop's plain floats.
 * Euler angles are Z-Y-X intrinsic (yaw, then pitch, then roll), so "pitch"
   equals the single rotation angle about body y when roll = yaw = 0.
   Positive pitch tips the body x-axis downward (a forward dive).
@@ -158,15 +158,6 @@ def quat_rotation_rows(q) -> tuple[float, ...]:
         2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
         2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
     )
-
-
-def quat_rotate(q, v) -> tuple[float, float, float]:
-    """R(q) @ v as a float tuple, for a unit quaternion q."""
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_rotation_rows(q)
-    vx, vy, vz = v
-    return (r00 * vx + r01 * vy + r02 * vz,
-            r10 * vx + r11 * vy + r12 * vz,
-            r20 * vx + r21 * vy + r22 * vz)
 
 
 def quat_euler(q) -> EulerAngles:

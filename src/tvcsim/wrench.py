@@ -18,8 +18,9 @@ Force and torque conventions:
   L_f/2 arm plus the lateral CoM arm y_c: the whole vertical thrust rolls
   the body about an off-center CoM, the whole horizontal thrust yaws it.
 
-generalized_wrench_3d is the one evaluator of these rows; total_wrench is
-its pitch-only case. fan_layout lists the per-fan forces for the
+wrench_kernel is the one evaluator of these rows; generalized_wrench_3d
+wraps it for one fan state at one attitude, and total_wrench is its
+pitch-only case. fan_layout lists the per-fan forces for the
 independent oracle.
 """
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .robot import GRAVITY, RobotGeometry
+from .robot import RobotGeometry
 from .spatial import Quat, quat_from_pitch, quat_to_matrix
 
 
@@ -60,8 +61,8 @@ class Wrench:
     """The fan force/torque in {B} with the pitch decomposition, and the net
     force_world/torque_world in {W} at the attitude, built on first access.
 
-    force_body excludes gravity; like torque_body it does not depend on the
-    attitude, so the takeoff step reads only these two float 3-tuples.
+    force_body excludes gravity; like torque_body it is a float 3-tuple that
+    does not depend on the attitude.
     """
 
     force_body: tuple[float, float, float]
@@ -119,16 +120,26 @@ def fan_layout(
     return positions, forces, com
 
 
-def generalized_wrench_3d(
-    fs: FanState,
-    geo: RobotGeometry,
-    orientation: Quat,
-    perturbation=None,
-) -> Wrench:
-    """Wrench at an arbitrary attitude, the one fan force/torque model.
+def generalized_wrench_3d(fs: FanState, geo: RobotGeometry, orientation: Quat,
+                          perturbation=None) -> Wrench:
+    """Wrench at an arbitrary attitude: wrench_kernel's rows for one fan state,
+    which R(q), built on first access to a world-frame field, rotates into {W}."""
+    f_x, f_z, t_x, t_y1, t_y2, t_y3, t_z = wrench_kernel(geo, perturbation)(
+        fs.f_front, fs.f_back, fs.f_left, fs.f_right, fs.theta_left, fs.theta_right)
+    # a caller's array may change before the first world-frame access
+    if not isinstance(orientation, tuple):
+        orientation = np.array(orientation, dtype=float)
+    return Wrench((f_x, 0.0, f_z), (t_x, t_y1 + t_y2 + t_y3, t_z), t_y1, t_y2, t_y3,
+                  orientation, geo.weight)
 
-    With the foot thrusts split into horizontal h = f sin(theta) and
-    vertical v = f cos(theta) components, the body-frame rows are
+
+def wrench_kernel(geo: RobotGeometry, perturbation=None):
+    """The one fan force/torque model, with the geometry hoisted out of it.
+
+    Returns rows(f_F, f_B, f_L, f_R, theta_L, theta_R) -> (F_x, F_z, tau_x,
+    t_y1, t_y2, t_y3, tau_z), the body-frame rows with the pitch torque in its
+    three terms (F_y is 0). With the foot thrusts split into horizontal
+    h = f sin(theta) and vertical v = f cos(theta) components, they are
 
         force   (h_L + h_R, 0, f_F + f_B + v_L + v_R)
         roll    L_f/2 (v_L - v_R) - y_c F_z
@@ -136,33 +147,29 @@ def generalized_wrench_3d(
         yaw     L_f/2 (h_R - h_L) + y_c F_x
 
     A perturbation shifts the CoM and biases each foot's thrust axis; the
-    t_y* fields use the effective CoM and foot angles. R(q) is built once, on
-    first access to a world-frame field, and rotates both into {W}.
+    rows use the effective CoM and foot angles.
     """
-    x_c, y_c, z_c = geo.com_body
-    theta_l = fs.theta_left
-    theta_r = fs.theta_right
+    # -0.0 is the exact additive identity: no perturbation changes no bit
+    dx = dy = dz = bias_l = bias_r = -0.0
     if perturbation is not None:
         dx, dy, dz = perturbation.com_offset
-        x_c, y_c, z_c = x_c + dx, y_c + dy, z_c + dz
-        theta_l += perturbation.foot_axis_misalignment_left
-        theta_r += perturbation.foot_axis_misalignment_right
-    h_l, v_l = fs.f_left * math.sin(theta_l), fs.f_left * math.cos(theta_l)
-    h_r, v_r = fs.f_right * math.sin(theta_r), fs.f_right * math.cos(theta_r)
-    f_x = h_l + h_r
-    f_z = fs.f_front + fs.f_back + v_l + v_r
+        bias_l = perturbation.foot_axis_misalignment_left
+        bias_r = perturbation.foot_axis_misalignment_right
+    x_c, y_c, z_c = geo.com_body
+    x_c, y_c, z_c = x_c + dx, y_c + dy, z_c + dz
+    half_l, half_lf = 0.5 * geo.fan_spacing_waist, 0.5 * geo.fan_spacing_feet
+    arm_back, arm_front = half_l + x_c, half_l - x_c
+    arm_v, arm_h = x_c - geo.fan_foot_x, z_c - geo.fan_foot_z
+    sin, cos = math.sin, math.cos
 
-    half_l = 0.5 * geo.fan_spacing_waist
-    half_lf = 0.5 * geo.fan_spacing_feet
-    t_y1 = fs.f_back * (half_l + x_c) - fs.f_front * (half_l - x_c)
-    t_y2 = (v_l + v_r) * (x_c - geo.fan_foot_x)
-    t_y3 = -f_x * (z_c - geo.fan_foot_z)
-    torque_body = (half_lf * (v_l - v_r) - y_c * f_z,
-                   t_y1 + t_y2 + t_y3,
-                   half_lf * (h_r - h_l) + y_c * f_x)
+    def rows(f_f, f_b, f_l, f_r, theta_l, theta_r):
+        theta_l, theta_r = theta_l + bias_l, theta_r + bias_r
+        h_l, v_l = f_l * sin(theta_l), f_l * cos(theta_l)
+        h_r, v_r = f_r * sin(theta_r), f_r * cos(theta_r)
+        f_x = h_l + h_r
+        f_z = f_f + f_b + v_l + v_r
+        return (f_x, f_z, half_lf * (v_l - v_r) - y_c * f_z,
+                f_b * arm_back - f_f * arm_front, (v_l + v_r) * arm_v, -f_x * arm_h,
+                half_lf * (h_r - h_l) + y_c * f_x)
 
-    # a caller's array may change before the first world-frame access
-    if not isinstance(orientation, tuple):
-        orientation = np.array(orientation, dtype=float)
-    return Wrench((f_x, 0.0, f_z), torque_body, t_y1, t_y2, t_y3,
-                  orientation, geo.mass_total * GRAVITY)
+    return rows

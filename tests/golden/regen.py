@@ -119,6 +119,7 @@ CASES: dict[str, tuple[str | None, list[str]]] = {
     "config_unknown_mode": ("mode = sideways\n", ["envelope", "--postures", "P1"]),
     "config_partial_gains": ("controller.kp_pitch = 1.0\n", ["wrench-eval"]),
     "config_gains_with_tuning": (_GAINS + "controller.damping_ratio = 0.9\n", ["takeoff"]),
+    "config_negative_seed": ("sim.seed = -1\n", ["takeoff"]),
 }
 
 

@@ -118,6 +118,18 @@ def test_every_command_records_the_seed_option(tmp_path, capsys, command):
     assert [s["seed"] for s in manifest["resolved_config"]["scenarios"]] == [9]
 
 
+@pytest.mark.parametrize("command", ["envelope", "takeoff", "trim", "wrench-eval"])
+@pytest.mark.parametrize("source", ["option", "config"])
+def test_every_command_rejects_a_negative_seed(tmp_path, capsys, command, source):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("sim.seed = -1\n" if source == "config" else "")
+    seed = ["--seed", "-1"] if source == "option" else []
+    code, out, err = run_cli([*seed, "--config", str(cfg), "--out", str(tmp_path),
+                              *COMMANDS[command]], capsys)
+    assert (code, out, err) == (2, "", "error: sim.seed must be >= 0, got -1\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_takeoff_reruns_are_byte_identical(tmp_path, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out_dir in (out_a, out_b):

@@ -1,8 +1,8 @@
 """Guards on contracts kept outside the package (bench trace targets, README),
 on code that only tests call, on numpy imports in the scalar modules, on the
 one geometry construction, on the takeoff loop's and the hover trim's wrench
-evaluations and rotation-matrix builds and on the envelope solver's
-batching."""
+evaluations, rotation-matrix builds and fan-state constructions and on the
+envelope solver's batching."""
 
 import ast
 import collections
@@ -101,24 +101,48 @@ def test_takeoff_run_builds_one_rotation_matrix(monkeypatch):
 
 def test_takeoff_loop_evaluates_the_wrench_once_per_step(monkeypatch):
     calls = 0
-    kernel = sim.generalized_wrench_3d
+    build = sim.wrench_kernel
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return kernel(*args, **kwargs)
+    def counted_build(*args, **kwargs):
+        rows = build(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "generalized_wrench_3d", counted)
+        def counted(*fan_state):
+            nonlocal calls
+            calls += 1
+            return rows(*fan_state)
+
+        return counted
+
+    monkeypatch.setattr(sim, "wrench_kernel", counted_build)
     for integrator in ("euler", "rk4"):
         calls = 0
         cfg = sim.ScenarioConfig(duration=0.8, integrator=integrator)
         log = sim.run_scenario(cfg)
         assert 0.0 < log.events["liftoff_time_s"] < cfg.duration  # both phases run
-        # the liftoff check runs on the ground only and the step once aloft,
-        # whose rk4 stages rotate that one wrench; the liftoff step makes both
-        # calls and the last step, aloft, makes none
+        # one evaluation of the run's kernel per step feeds both the liftoff
+        # check on the ground and the step aloft, whose rk4 stages rotate it
         loop_steps = round(cfg.duration / cfg.dt) + 1
         assert calls == loop_steps, integrator
+
+
+def test_takeoff_run_builds_no_fan_state_per_step(monkeypatch):
+    # the loop feeds the kernel floats; FanState is built at the public boundary
+    calls = 0
+    check = wrench.FanState.__post_init__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        check(self)
+
+    monkeypatch.setattr(wrench.FanState, "__post_init__", counted)
+    for integrator in ("euler", "rk4"):
+        counts = []
+        for duration in (0.5, 1.0):
+            calls = 0
+            sim.run_scenario(sim.ScenarioConfig(duration=duration, integrator=integrator))
+            counts.append(calls)
+        assert counts[0] == counts[1], (integrator, counts)
 
 
 def test_hover_trim_evaluates_the_wrench_once(monkeypatch):

@@ -318,6 +318,32 @@ def test_events_structure():
     assert json.loads(log.events_json())["config"]["posture"] == "P1"
 
 
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_events_agree_with_a_log_of_every_step(mode, integrator):
+    # the maxima are tracked in radians and converted once; the log converts
+    # every row, so the two must agree exactly
+    cfg = ScenarioConfig(mode=mode, integrator=integrator, sample_rate=1000.0)
+    log = run_scenario(cfg)
+    ev = log.events
+    assert len(log.rows) == round(ev["final_time_s"] / cfg.dt) + 1
+    header = log.header
+    for axis in ("roll", "pitch", "yaw"):
+        column = [abs(row[header.index(f"{axis}_deg")]) for row in log.rows]
+        assert ev[f"max_abs_{axis}_deg"] == max(column), axis
+    for axis, band in (("pitch", 30.0), ("yaw", 40.0)):
+        first = next((row[0] for row in log.rows
+                      if abs(row[header.index(f"{axis}_deg")]) >= band), None)
+        assert ev[f"{axis}_exceeds_{band:.0f}deg_time_s"] == first, axis
+    # both-on holds the bands; the other modes cross both
+    assert (ev["yaw_exceeds_40deg_time_s"] is None) == (mode is ControlMode.BOTH_ON)
+
+
+def test_scenario_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^sim.seed must be >= 0, got -1$"):
+        ScenarioConfig(seed=-1)
+
+
 def test_perturbation_validation():
     with pytest.raises(ValueError):
         Perturbation(foot_axis_misalignment_left=math.radians(11.0))

@@ -28,7 +28,6 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, replace
-from pathlib import Path
 
 from . import __version__
 from .config import (
@@ -38,15 +37,7 @@ from .config import (
     scenario_from_config,
 )
 from .controller import ControlMode
-from .envelope import (
-    ENVELOPE_CSV_HEADER,
-    EnvelopeConstraint,
-    EnvelopeInfeasibleError,
-    envelope_rows,
-    envelope_sweep,
-    tvc_dt_ratio,
-    write_envelope_csv,
-)
+from .robot import EnvelopeInfeasibleError
 from .sim import run_scenario
 from .trim import NoTrimError, hover_trim
 from .wrench import FanState, total_wrench
@@ -67,7 +58,10 @@ def main(argv=None) -> int:
         values = load_config(args.config) if args.config else {}
         values |= {key: getattr(args, option) for option, key in OVERRIDES.items()
                    if getattr(args, option, None) is not None}
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {args.out}: {exc}") from None
         return args.func(args, values)
     except ValueError as exc:  # ConfigError and UnknownPostureError among them
         print(f"error: {exc}", file=sys.stderr)
@@ -135,6 +129,14 @@ def _atomic_write(path: str, write) -> None:
         raise
 
 
+def _write_text(path: str, text: str) -> None:
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            fh.write(text)
+
+    _atomic_write(path, write)
+
+
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -157,7 +159,7 @@ def _write_manifest(out_dir, name, config_path, cfgs, extra, outputs, started):
     }
     path = os.path.join(out_dir, f"{name}_manifest.json")
     text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write(path, lambda tmp: Path(tmp).write_text(text + "\n"))
+    _write_text(path, text + "\n")
     return path
 
 
@@ -167,6 +169,16 @@ def _rows_as_json(header, rows) -> str:
 
 
 def cmd_envelope(args, values) -> int:
+    # the one command that solves arrays of LPs, so the one that loads numpy
+    from .envelope import (
+        ENVELOPE_CSV_HEADER,
+        EnvelopeConstraint,
+        envelope_rows,
+        envelope_sweep,
+        tvc_dt_ratio,
+        write_envelope_csv,
+    )
+
     started = time.monotonic()
     settings = envelope_settings_from_config(values)
     postures = [p.strip() for p in args.postures.split(",") if p.strip()]
@@ -190,8 +202,7 @@ def cmd_envelope(args, values) -> int:
         if args.format == "csv":
             _atomic_write(path, lambda tmp: write_envelope_csv(points, tmp))
         else:
-            text = _rows_as_json(ENVELOPE_CSV_HEADER, envelope_rows(points))
-            _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+            _write_text(path, _rows_as_json(ENVELOPE_CSV_HEADER, envelope_rows(points)))
         outputs.append(path)
         reports.append((name, geo, ratio_max, ratio_min))
 
@@ -216,8 +227,7 @@ def cmd_takeoff(args, values) -> int:
     if args.format == "csv":
         _atomic_write(log_path, log.write_csv)
     else:
-        text = _rows_as_json(log.header, log.rows)
-        _atomic_write(log_path, lambda tmp: Path(tmp).write_text(text))
+        _write_text(log_path, _rows_as_json(log.header, log.rows))
     events_path = os.path.join(args.out, "takeoff_events.json")
     _atomic_write(events_path, log.write_events_json)
     _write_manifest(args.out, "takeoff", args.config, [cfg], {},
@@ -242,9 +252,7 @@ def cmd_trim(args, values) -> int:
     fs, theta_pitch = hover_trim(geo, equal_thrust=not args.waist_differential,
                                  limits=cfg.limits,
                                  foot_pitch_range=cfg.posture.foot_pitch_range)
-    w = total_wrench(fs, geo, theta_pitch)
-    residual = math.sqrt(float(w.force_world @ w.force_world)
-                         + float(w.torque_world @ w.torque_world))
+    residual = math.hypot(*total_wrench(fs, geo, theta_pitch).world)
     print(f"posture={args.posture}")
     print(f"f_front_n={fs.f_front:.6f}")
     print(f"f_back_n={fs.f_back:.6f}")
@@ -278,12 +286,8 @@ def cmd_wrench_eval(args, values) -> int:
     # |R v| = |v|: a finite body wrench norm keeps the world rows finite
     if not all(math.isfinite(math.hypot(*v)) for v in (w.force_body, w.torque_body)):
         raise ConfigError("the fan state's wrench overflows a float")
-    print(f"fx={w.force_world[0]:.6f}")
-    print(f"fy={w.force_world[1]:.6f}")
-    print(f"fz={w.force_world[2]:.6f}")
-    print(f"tx={w.torque_world[0]:.6f}")
-    print(f"ty={w.torque_world[1]:.6f}")
-    print(f"tz={w.torque_world[2]:.6f}")
+    for name, value in zip(("fx", "fy", "fz", "tx", "ty", "tz"), w.world):
+        print(f"{name}={value:.6f}")
     print(f"ty1={w.t_y1:.6f}")
     print(f"ty2={w.t_y2:.6f}")
     print(f"ty3={w.t_y3:.6f}")

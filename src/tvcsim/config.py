@@ -10,9 +10,10 @@ at all. SCHEMA below is the one table of keys: each row gives a key's type
 and the dataclass field that consumes it. The README's configuration table
 is their one description.
 
-This module holds no default values: a key that is absent leaves the default
-of the dataclass that consumes it (ScenarioConfig, FanLimits, ThrustRamp,
-Perturbation, ControllerGains, the builtin posture) or of envelope_sweep.
+A key that is absent leaves the default of the dataclass that consumes it
+(ScenarioConfig, FanLimits, ThrustRamp, Perturbation, ControllerGains, the
+builtin posture); the one set of defaults held here is the envelope sweep's,
+which envelope_sweep takes from this module.
 Every command resolves its robot through scenario_from_config, so the same
 file describes the same robot to all of them.
 """
@@ -23,9 +24,11 @@ import math
 from dataclasses import MISSING, replace
 
 from .controller import ControlMode, ControllerGains, ThrustRamp
-from .envelope import SWEEP_PITCH_RANGE, SWEEP_POINTS
 from .robot import FanLimits, Posture, builtin_posture
 from .sim import Perturbation, ScenarioConfig
+
+SWEEP_PITCH_RANGE = (-math.pi / 6.0, math.pi / 6.0)  # rad, the default envelope sweep
+SWEEP_POINTS = 61
 
 
 class ConfigError(ValueError):

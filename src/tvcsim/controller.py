@@ -153,6 +153,7 @@ class AttitudeController:
         self.gains = gains
         self.mode = mode
         self.posture = posture
+        self._foot_range = posture.foot_pitch_range  # rad, converted once
         self.limits = limits
         self.trim_offset = trim_offset
         self.setpoint = setpoint or EulerAngles(0.0, 0.0, 0.0)
@@ -195,7 +196,7 @@ class AttitudeController:
         return FootCommand(left, right)
 
     def _limit(self, cmd: float, prev: float, dt: float) -> float:
-        lo, hi = self.posture.foot_pitch_range
+        lo, hi = self._foot_range
         cmd = min(hi, max(lo, cmd))
         max_step = self.limits.foot_pitch_rate_max * dt
         return min(prev + max_step, max(prev - max_step, cmd))

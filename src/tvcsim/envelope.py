@@ -32,15 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .robot import FanLimits, Posture, RobotGeometry
+from .config import SWEEP_PITCH_RANGE, SWEEP_POINTS
+from .robot import EnvelopeInfeasibleError, FanLimits, Posture, RobotGeometry
 
 _FEAS_TOL = 1e-9
-SWEEP_PITCH_RANGE = (-math.pi / 6.0, math.pi / 6.0)  # rad, the default sweep
-SWEEP_POINTS = 61
-
-
-class EnvelopeInfeasibleError(Exception):
-    """No fan state can meet the vertical-force floor at this attitude."""
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,14 @@ class UnknownPostureError(ValueError):
     """Raised for a posture label that is not one of the builtins."""
 
 
+class EnvelopeInfeasibleError(Exception):
+    """No fan state can meet the vertical-force floor at this attitude.
+
+    Raised by tvcsim.envelope, which re-exports it; it lives here so that the
+    CLI can catch it without importing the envelope solver and numpy.
+    """
+
+
 @dataclass(frozen=True)
 class Posture:
     """A fixed takeoff joint configuration, reduced to sagittal geometry.

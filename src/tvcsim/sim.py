@@ -32,8 +32,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .controller import (
     AttitudeController,
     ControlMode,
@@ -272,13 +270,16 @@ def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry
 
 
 def _guard(p, omega, t) -> None:
-    # "not <=" so that a NaN state trips the guards too
+    # "not <=" so that a NaN state trips the guards too; the messages print
+    # the vectors as numpy does, which only a tripped guard imports
     px, py, pz = p
     if not math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:
+        import numpy as np
         raise DivergenceError(
             f"position {np.array(p)} left the {POSITION_GUARD_M} m guard at t={t:.3f} s")
     wx, wy, wz = omega
     if not math.sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S:
+        import numpy as np
         raise DivergenceError(
             f"body rate {np.array(omega)} exceeded {RATE_GUARD_RAD_S} rad/s at t={t:.3f} s")
 
@@ -399,7 +400,10 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
         zeta=cfg.zeta, omega_n_pitch=cfg.omega_n_pitch, omega_n_yaw=cfg.omega_n_yaw)
     controller = AttitudeController(gains, cfg.mode, cfg.posture, cfg.limits, trim_angle,
                                     setpoint=cfg.setpoint)
-    rng = np.random.default_rng(cfg.seed)
+    rng = None  # the seeded noise source, the loop's one use of numpy
+    if cfg.sensor_noise_std > 0.0:
+        import numpy as np
+        rng = np.random.default_rng(cfg.seed)
     dt = cfg.dt
     wrench, step = run_kernel(geo, cfg.perturbation, dt, cfg.integrator)
     weight = geo.weight
@@ -516,7 +520,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
 
 
 def _measure(euler, rates, cfg, rng):
-    if cfg.sensor_noise_std > 0.0:
+    if rng is not None:
         noise = rng.normal(0.0, cfg.sensor_noise_std, 6).tolist()
         euler = EulerAngles(euler.roll + noise[0], euler.pitch + noise[1],
                             euler.yaw + noise[2], euler.gimbal_lock)

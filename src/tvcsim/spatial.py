@@ -6,11 +6,14 @@ Conventions used across the package:
   The body frame {B} coincides with {W} at zero attitude.
 * Quaternions are scalar-first ``[w, x, y, z]`` and map body vectors into
   the world: ``v_w = R(q) @ v_b``.
-* Two forms of the same operations: numpy-array helpers (quat_identity,
-  quat_normalize, quat_from_pitch, quat_to_matrix, quat_integrate,
-  quat_to_euler) for the trim gate, the world-frame wrench and the oracles,
-  and float-tuple kernels at the end (quat_product, quat_unit, quat_step,
-  quat_rotation_rows, quat_euler) for the takeoff loop's plain floats.
+* Two forms of the same operations: float-tuple kernels at the end
+  (quat_product, quat_unit, quat_step, quat_rotation_rows, quat_euler) for
+  the takeoff loop, the trim gate and the world-frame wrench, and numpy-array
+  helpers (quat_identity, quat_normalize, quat_to_matrix, quat_integrate,
+  quat_to_euler) for the oracles and callers that hold arrays. The array
+  helpers import numpy when first called, so importing this module, or any
+  command that runs on floats, does not load it. quat_from_pitch returns a
+  float tuple that both forms accept.
 * Euler angles are Z-Y-X intrinsic (yaw, then pitch, then roll), so "pitch"
   equals the single rotation angle about body y when roll = yaw = 0.
   Positive pitch tips the body x-axis downward (a forward dive).
@@ -23,12 +26,11 @@ All functions are pure and safe to call from any thread.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
-Vec3 = np.ndarray  # shape (3,), float
-Quat = np.ndarray  # shape (4,), float, scalar-first [w, x, y, z]
+# float sequences, tuples or numpy arrays; a Quat is scalar-first [w, x, y, z]
+Vec3 = Quat = Sequence[float]
 
 GIMBAL_LOCK_MARGIN = 1e-6  # |pitch| > pi/2 - margin means yaw/roll are not unique
 
@@ -56,10 +58,12 @@ def wrap_angle(a: float) -> float:
 # ---------------------------------------------------------------------------
 
 def quat_identity() -> Quat:
+    import numpy as np
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def quat_normalize(q: Quat) -> Quat:
+    import numpy as np
     q = np.asarray(q, dtype=float)
     n = math.sqrt(float(q @ q))
     if n < 1e-300:
@@ -67,13 +71,15 @@ def quat_normalize(q: Quat) -> Quat:
     return q / n
 
 
-def quat_from_pitch(theta: float) -> Quat:
+def quat_from_pitch(theta: float) -> tuple[float, float, float, float]:
     """Pure pitch attitude: R(q) rotates by theta about body y."""
     half = 0.5 * theta
-    return np.array([math.cos(half), 0.0, math.sin(half), 0.0])
+    return (math.cos(half), 0.0, math.sin(half), 0.0)
 
 
-def quat_to_matrix(q: Quat) -> np.ndarray:
+def quat_to_matrix(q: Quat):
+    """R(q) as a (3, 3) numpy array."""
+    import numpy as np
     return np.array(quat_rotation_rows(quat_normalize(q).tolist())).reshape(3, 3)
 
 
@@ -84,6 +90,7 @@ def quat_integrate(q: Quat, omega: Vec3, dt: float) -> Quat:
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    import numpy as np
     return np.array(quat_step(q, omega, dt))
 
 

@@ -52,9 +52,7 @@ def hover_trim(
     else:
         fs, theta_pitch = _solve_waist_differential(geo)
 
-    w = total_wrench(fs, geo, theta_pitch)
-    fx, fy, fz = w.force_world.tolist()
-    tx, ty, tz = w.torque_world.tolist()
+    fx, fy, fz, tx, ty, tz = total_wrench(fs, geo, theta_pitch).world
     norm = math.hypot(fx, fz, ty)
     if not norm <= _TOL:  # a NaN fails too
         raise NoTrimError(

@@ -20,19 +20,25 @@ Force and torque conventions:
 
 wrench_kernel is the one evaluator of these rows; generalized_wrench_3d
 wraps it for one fan state at one attitude, and total_wrench is its
-pitch-only case. fan_layout lists the per-fan forces for the
-independent oracle.
+pitch-only case. The world-frame rows are floats too; numpy is imported
+only for the array forms of them and by fan_layout, which lists the per-fan
+forces for the independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .robot import RobotGeometry
-from .spatial import Quat, quat_from_pitch, quat_to_matrix
+from .spatial import (
+    Quat,
+    quat_from_pitch,
+    quat_rotation_rows,
+    quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through wrench
+    quat_unit,
+)
 
 
 @dataclass
@@ -59,7 +65,7 @@ class FanState:
 @dataclass
 class Wrench:
     """The fan force/torque in {B} with the pitch decomposition, and the net
-    force_world/torque_world in {W} at the attitude, built on first access.
+    force/torque in {W} at the attitude, computed on first access.
 
     force_body excludes gravity; like torque_body it is a float 3-tuple that
     does not depend on the attitude.
@@ -70,19 +76,36 @@ class Wrench:
     t_y1: float
     t_y2: float
     t_y3: float
-    orientation: Quat
+    orientation: tuple[float, float, float, float]
     weight: float  # M g, subtracted from the world-frame force
 
-    def __getattr__(self, name):
-        # only reached while force_world/torque_world are unset: R(q) is
-        # built once for both, then they are plain attributes
-        if name not in ("force_world", "torque_world"):
-            raise AttributeError(f"'Wrench' object has no attribute {name!r}")
-        rot = quat_to_matrix(self.orientation)
-        self.force_world = rot @ np.array(self.force_body)
-        self.force_world[2] -= self.weight
-        self.torque_world = rot @ np.array(self.torque_body)
-        return getattr(self, name)
+    @cached_property
+    def world(self) -> tuple[float, float, float, float, float, float]:
+        """(F_x, F_y, F_z, tau_x, tau_y, tau_z) in {W}: R(q) rotates the body
+        rows, and the force loses the weight."""
+        rot = quat_rotation_rows(quat_unit(self.orientation))
+        f_x, f_y, f_z = _rotate(rot, self.force_body)
+        return (f_x, f_y, f_z - self.weight, *_rotate(rot, self.torque_body))
+
+    @cached_property
+    def force_world(self):
+        """The net world-frame force as a numpy array."""
+        import numpy as np
+        return np.array(self.world[:3])
+
+    @cached_property
+    def torque_world(self):
+        """The world-frame torque as a numpy array."""
+        import numpy as np
+        return np.array(self.world[3:])
+
+
+def _rotate(rot, v) -> tuple[float, float, float]:
+    """R v, for R given as quat_rotation_rows' row-major 9 entries."""
+    x, y, z = v
+    return (rot[0] * x + rot[1] * y + rot[2] * z,
+            rot[3] * x + rot[4] * y + rot[5] * z,
+            rot[6] * x + rot[7] * y + rot[8] * z)
 
 
 def total_wrench(fs: FanState, geo: RobotGeometry, theta_pitch: float) -> Wrench:
@@ -94,13 +117,15 @@ def fan_layout(
     fs: FanState,
     geo: RobotGeometry,
     perturbation=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+):
     """Per-fan body-frame forces, the input of the brute-force wrench oracle.
 
-    Returns (positions (4,3), forces (4,3), com (3,)). A perturbation shifts
-    the effective CoM and biases each foot's thrust-axis pitch, the minimal
-    model of joint position error that turns into a yaw force couple.
+    Returns numpy arrays (positions (4,3), forces (4,3), com (3,)). A
+    perturbation shifts the effective CoM and biases each foot's thrust-axis
+    pitch, the minimal model of joint position error that turns into a yaw
+    force couple.
     """
+    import numpy as np
     positions = np.array(geo.fan_positions())
     com = np.array(geo.com_body)
     theta_l = fs.theta_left
@@ -123,14 +148,12 @@ def fan_layout(
 def generalized_wrench_3d(fs: FanState, geo: RobotGeometry, orientation: Quat,
                           perturbation=None) -> Wrench:
     """Wrench at an arbitrary attitude: wrench_kernel's rows for one fan state,
-    which R(q), built on first access to a world-frame field, rotates into {W}."""
+    which R(q) rotates into {W} on first access to a world-frame field."""
     f_x, f_z, t_x, t_y1, t_y2, t_y3, t_z = wrench_kernel(geo, perturbation)(
         fs.f_front, fs.f_back, fs.f_left, fs.f_right, fs.theta_left, fs.theta_right)
-    # a caller's array may change before the first world-frame access
-    if not isinstance(orientation, tuple):
-        orientation = np.array(orientation, dtype=float)
+    # a float copy: a caller's array may change before the first world-frame access
     return Wrench((f_x, 0.0, f_z), (t_x, t_y1 + t_y2 + t_y3, t_z), t_y1, t_y2, t_y3,
-                  orientation, geo.weight)
+                  tuple(map(float, orientation)), geo.weight)
 
 
 def wrench_kernel(geo: RobotGeometry, perturbation=None):

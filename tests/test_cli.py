@@ -307,6 +307,17 @@ def test_every_command_rejects_a_bad_file_alike(tmp_path, capsys, text):
     assert len({err for _, _, err in results.values()}) == 1
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_rejects_an_out_path_that_is_a_file(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    code, stdout, err = run_cli(["--out", str(out), *COMMANDS[command]], capsys)
+    assert (code, stdout) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot create output directory {out}: ")
+    assert out.read_text() == "not a directory\n"
+
+
 def test_thrust_floor_reaches_trim_and_takeoff(tmp_path, capsys):
     text = "limits.thrust_min_n = 45\n"
     for command in ("trim", "takeoff"):

@@ -1,16 +1,20 @@
-"""Guards on contracts kept outside the package (bench trace targets, README),
-on code that only tests call, on numpy imports in the scalar modules, on the
-one geometry construction, on the takeoff loop's and the hover trim's wrench
-evaluations, rotation-matrix builds and fan-state constructions and on the
-envelope solver's batching."""
+"""Guards on contracts kept outside the package (bench trace targets, README,
+the package's envelope exports), on code that only tests call, on where numpy
+is imported and loaded, on the one geometry construction, on the takeoff
+loop's and the hover trim's wrench evaluations, rotation-matrix builds and
+fan-state constructions and on the envelope solver's batching."""
 
 import ast
-import collections
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 
-from tvcsim import envelope, robot, sim, wrench
+import tvcsim
+from tvcsim import envelope, robot, sim, spatial, wrench
 from tvcsim.config import SCHEMA
 from tvcsim.robot import builtin_posture, geometry_from_posture
 from tvcsim.trim import hover_trim
@@ -18,12 +22,18 @@ from tvcsim.trim import hover_trim
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_every_bench_trace_target_resolves():
-    # the tracer looks each name up in its module; a missing one breaks --trace 1
+def _trace_targets() -> tuple[str, ...]:
+    """bench/tracer.py's TARGETS, read without importing the benchmark."""
     tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
     (targets,) = [ast.literal_eval(node.value) for node in tree.body
                   if isinstance(node, ast.Assign)
                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]]
+    return targets
+
+
+def test_every_bench_trace_target_resolves():
+    # the tracer looks each name up in its module; a missing one breaks --trace 1
+    targets = _trace_targets()
     assert targets
     for target in targets:
         module_name, name, *method = target.split(".")
@@ -43,21 +53,36 @@ def test_readme_config_table_lists_exactly_the_schema():
 
 def test_every_top_level_name_is_used_outside_the_tests():
     # a function or class that only tests call is dead weight; the oracles are
-    # shipped for re-audits and exempt
+    # shipped for re-audits and exempt. A use is a name or an attribute in the
+    # code of src/ or bench/ (a comment or a string is none), or a bench trace
+    # target, which the tracer looks up by name
     package = ROOT / "src" / "tvcsim"
     paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
-    words = collections.Counter(word for path in paths + sorted((ROOT / "bench").glob("*.py"))
-                                for word in re.findall(r"\w+", path.read_text()))
+    used = {part for target in _trace_targets() for part in target.split(".")[1:]}
+    for path in paths + sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
     unused = [f"{path.stem}.{node.name}" for path in paths if path.name != "oracles.py"
               for node in ast.parse(path.read_text()).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and words[node.name] < 2]  # one of them is the def itself
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
     assert unused == []
 
 
+def test_package_still_exports_every_envelope_name():
+    for name in ("EnvelopeConstraint", "EnvelopeInfeasibleError", "EnvelopePoint",
+                 "SweepPoint", "envelope_sweep", "max_pitch_torque_dt",
+                 "max_pitch_torque_tvc", "tvc_dt_ratio", "write_envelope_csv"):
+        assert getattr(tvcsim, name) is getattr(envelope, name), name
+    assert not hasattr(tvcsim, "lp_max_covering")
+
+
 def test_scalar_modules_import_no_numpy():
-    # the scalar model runs on floats; numpy stays where arrays pay
-    for name in ("robot", "controller", "trim", "config", "cli"):
+    # the scalar model runs on floats; numpy stays where arrays pay, and the
+    # array helpers of spatial, wrench and sim import it in their bodies
+    for name in ("spatial", "robot", "wrench", "controller", "trim", "sim", "config", "cli"):
         tree = ast.parse((ROOT / "src" / "tvcsim" / f"{name}.py").read_text())
         imported = [alias.name for node in tree.body if isinstance(node, ast.Import)
                     for alias in node.names]
@@ -81,22 +106,44 @@ def test_geometry_is_built_once(monkeypatch):
     assert geo.inertia_body == surrogate(geo)
 
 
-def test_takeoff_run_builds_one_rotation_matrix(monkeypatch):
-    # the loop runs on floats; the only R(q) array is the hover trim's gate
+def test_float_commands_never_load_numpy(tmp_path):
+    # takeoff, trim and wrench-eval run on floats in a fresh interpreter;
+    # envelope, the one command that needs arrays, still loads numpy and runs
+    code = textwrap.dedent("""
+        import sys
+        from tvcsim import cli
+        out = sys.argv[1]
+        for argv in (["takeoff"], ["trim"],
+                     ["wrench-eval", "--thrust-fl", "40", "--theta-pitch", "5"]):
+            assert cli.main(["--out", out, *argv]) == 0, argv
+        assert "numpy" not in sys.modules
+        assert cli.main(["--out", out, "envelope", "--postures", "P1"]) == 0
+        assert "numpy" in sys.modules
+    """)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_takeoff_run_builds_no_rotation_matrix(monkeypatch):
+    # the loop and the hover trim's gate run on floats: no R(q) array is built
     calls = 0
-    build = wrench.quat_to_matrix
+    build = spatial.quat_to_matrix
 
     def counted(q):
         nonlocal calls
         calls += 1
         return build(q)
 
-    monkeypatch.setattr(wrench, "quat_to_matrix", counted)
+    for module in (spatial, wrench, sim):
+        monkeypatch.setattr(module, "quat_to_matrix", counted)
     for integrator in ("euler", "rk4"):
         calls = 0
         log = sim.run_scenario(sim.ScenarioConfig(integrator=integrator))
         assert log.events["liftoff_time_s"] is not None
-        assert calls == 1, integrator
+        assert calls == 0, integrator
 
 
 def test_takeoff_loop_evaluates_the_wrench_once_per_step(monkeypatch):

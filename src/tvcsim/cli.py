@@ -20,6 +20,7 @@ config keys (OVERRIDES) into the file's values.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -71,6 +72,7 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
 
 
+@functools.cache  # one argparse tree per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tvcsim",

@@ -1,7 +1,8 @@
 """Independent cross-check evaluators for the test suite.
 
 Each oracle recomputes a quantity by a different route than the production
-code so the two can be compared:
+code so the two can be compared, and evaluates all four fans, or its whole
+grid, in one numpy array pass:
 
 * wrench_brute_force sums per-fan world-frame point forces and world-frame
   moment arms, instead of the body-frame torque rows.
@@ -29,6 +30,11 @@ from .spatial import Quat, quat_to_matrix
 from .wrench import FanState, fan_layout
 
 
+def _check_grid(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def wrench_brute_force(
     fs: FanState,
     geo: RobotGeometry,
@@ -37,14 +43,12 @@ def wrench_brute_force(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(force_world, torque_world) from per-fan world-frame cross products."""
     positions, forces, com = fan_layout(fs, geo, perturbation)
-    rot = quat_to_matrix(orientation)
-    force_w = np.zeros(3)
-    torque_w = np.zeros(3)
-    for pos, f_body in zip(positions, forces):
-        f_world = rot @ f_body
-        arm_world = rot @ (pos - com)
-        force_w += f_world
-        torque_w += np.cross(arm_world, f_world)
+    rot_t = quat_to_matrix(orientation).T
+    # one row per fan: its world-frame force and world-frame moment arm
+    f_world = forces @ rot_t
+    arm_world = (positions - com) @ rot_t
+    force_w = f_world.sum(axis=0)
+    torque_w = np.cross(arm_world, f_world).sum(axis=0)
     force_w[2] -= geo.mass_total * GRAVITY
     return force_w, torque_w
 
@@ -61,9 +65,11 @@ def envelope_extrema_grid(
     For each foot angle on the grid the feasible thrust set is a box cut by
     one half-space, so every candidate optimum is either a feasible box
     corner or the point where the constraint plane crosses a box edge; both
-    families are enumerated exhaustively, each candidate at every grid angle
-    at once. DT restricts the grid to the single angle zero.
+    families are enumerated exhaustively, 20 candidates at every grid angle
+    in one (candidate, angle) table. DT restricts the grid to the single
+    angle zero.
     """
+    _check_grid("angle_step_deg", angle_step_deg)
     if dt_strategy:
         thetas = np.array([0.0])
     else:
@@ -76,42 +82,33 @@ def envelope_extrema_grid(
     u = constraint.per_fan_max
     r = constraint.min_vertical_force
     cp = math.cos(theta_pitch)
-    # objective and constraint columns over (f_front, f_back, f_feet), one row per angle
-    c = np.broadcast_arrays(
-        -(half_l - x_c),
-        half_l + x_c,
-        2.0 * (np.cos(thetas) * (x_c - geo.fan_foot_x) - np.sin(thetas) * (z_c - geo.fan_foot_z)),
-    )
-    a = np.broadcast_arrays(cp, cp, 2.0 * np.cos(theta_pitch + thetas))
+    # objective c and constraint a over (f_front, f_back, f_feet): the waist
+    # fans' entries are scalars, the feet's vary with the foot angle
+    c0, c1 = -(half_l - x_c), half_l + x_c
+    c2 = 2.0 * (np.cos(thetas) * (x_c - geo.fan_foot_x) - np.sin(thetas) * (z_c - geo.fan_foot_z))
+    a2 = 2.0 * np.cos(theta_pitch + thetas)
+    floor = r - 1e-9
 
-    tau_min = math.inf
-    tau_max = -math.inf
-
-    def consider(point, valid=True):
-        """Fold one candidate vertex, at every grid angle, into the extrema."""
-        nonlocal tau_min, tau_max
-        feasible = valid & (a[0] * point[0] + a[1] * point[1] + a[2] * point[2] >= r - 1e-9)
-        if feasible.any():
-            tau = (c[0] * point[0] + c[1] * point[1] + c[2] * point[2])[feasible]
-            tau_min = min(tau_min, float(tau.min()))
-            tau_max = max(tau_max, float(tau.max()))
-
-    for corner in ((fa, fb, ft) for fa in (0.0, u) for fb in (0.0, u) for ft in (0.0, u)):
-        consider(corner)
-    # box edges: two coordinates pinned, solve the third on the plane
-    for free in range(3):
-        others = [k for k in range(3) if k != free]
-        for b1 in (0.0, u):
-            for b2 in (0.0, u):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    solved = (r - a[others[0]] * b1 - a[others[1]] * b2) / a[free]
-                point = [0.0, 0.0, 0.0]
-                point[others[0]], point[others[1]] = b1, b2
-                point[free] = np.clip(solved, 0.0, u)
-                consider(point, (a[free] != 0.0) & (-1e-9 <= solved) & (solved <= u + 1e-9))
-    if tau_max == -math.inf:
+    # one row per candidate, one column per angle: the 8 box corners, then the
+    # box edges, two thrusts pinned at (b1, b2) and the free one solved on the
+    # plane. Front and back share cp, so their edges cross the plane alike
+    f0, f1, f2 = np.array([(fa, fb, ft) for fa in (0.0, u)
+                           for fb in (0.0, u) for ft in (0.0, u)]).T[:, :, None]
+    b1, b2 = np.array([[0.0, 0.0, u, u], [0.0, u, 0.0, u]])[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        waist = (r - cp * b1 - a2 * b2) / cp  # f_front (f_back) free: the other b1, feet b2
+        feet = (r - cp * b1 - cp * b2) / a2  # f_feet free: front b1, back b2
+    waist_ok = (cp != 0.0) & (-1e-9 <= waist) & (waist <= u + 1e-9)
+    feet_ok = (a2 != 0.0) & (-1e-9 <= feet) & (feet <= u + 1e-9)
+    waist, feet = np.clip(waist, 0.0, u), np.clip(feet, 0.0, u)
+    waist_feasible = waist_ok & (cp * waist + cp * b1 + a2 * b2 >= floor)
+    feasible = np.concatenate([cp * f0 + cp * f1 + a2 * f2 >= floor, waist_feasible,
+                               waist_feasible, feet_ok & (cp * b1 + cp * b2 + a2 * feet >= floor)])
+    if not feasible.any():
         return None
-    return tau_min, tau_max
+    tau = np.concatenate([c0 * f0 + c1 * f1 + c2 * f2, c0 * waist + c1 * b1 + c2 * b2,
+                          c0 * b1 + c1 * waist + c2 * b2, c0 * b1 + c1 * b2 + c2 * feet])[feasible]
+    return float(tau.min()), float(tau.max())
 
 
 def trim_scan(
@@ -124,20 +121,17 @@ def trim_scan(
     With all four thrusts equal and both feet at angle t, zero horizontal
     force forces theta_pitch = -t/2 and the vertical balance gives
     f = M g / (4 cos(t/2)); only the pitch torque equation remains, scanned
-    on the grid.
+    on the grid. The first grid angle of least |torque| wins.
     """
+    _check_grid("theta_step_deg", theta_step_deg)
+    _check_grid("theta_span_deg", theta_span_deg)
     weight = geo.weight
     x_c, z_c = geo.com_body[0], geo.com_body[2]
-    best = None
     n = int(round(2.0 * theta_span_deg / theta_step_deg)) + 1
-    for th in np.linspace(-math.radians(theta_span_deg), math.radians(theta_span_deg), n):
-        f = weight / (4.0 * math.cos(0.5 * th))
-        torque = 2.0 * f * (
-            x_c
-            + math.cos(th) * (x_c - geo.fan_foot_x)
-            - math.sin(th) * (z_c - geo.fan_foot_z)
-        )
-        if best is None or abs(torque) < best[0]:
-            best = (abs(torque), float(th), f)
-    _, theta, f = best
-    return f, theta, -0.5 * theta
+    th = np.linspace(-math.radians(theta_span_deg), math.radians(theta_span_deg), n)
+    f = weight / (4.0 * np.cos(0.5 * th))
+    torque = 2.0 * f * (x_c + np.cos(th) * (x_c - geo.fan_foot_x)
+                        - np.sin(th) * (z_c - geo.fan_foot_z))
+    k = int(np.argmin(np.abs(torque)))
+    theta = float(th[k])
+    return float(f[k]), theta, -0.5 * theta

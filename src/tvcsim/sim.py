@@ -270,18 +270,15 @@ def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry
 
 
 def _guard(p, omega, t) -> None:
-    # "not <=" so that a NaN state trips the guards too; the messages print
-    # the vectors as numpy does, which only a tripped guard imports
+    # "not <=" so that a NaN state trips the guards too
     px, py, pz = p
     if not math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:
-        import numpy as np
-        raise DivergenceError(
-            f"position {np.array(p)} left the {POSITION_GUARD_M} m guard at t={t:.3f} s")
+        raise DivergenceError(f"position ({px:.6g}, {py:.6g}, {pz:.6g}) left the "
+                              f"{POSITION_GUARD_M} m guard at t={t:.3f} s")
     wx, wy, wz = omega
     if not math.sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S:
-        import numpy as np
-        raise DivergenceError(
-            f"body rate {np.array(omega)} exceeded {RATE_GUARD_RAD_S} rad/s at t={t:.3f} s")
+        raise DivergenceError(f"body rate ({wx:.6g}, {wy:.6g}, {wz:.6g}) exceeded "
+                              f"{RATE_GUARD_RAD_S} rad/s at t={t:.3f} s")
 
 
 def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,

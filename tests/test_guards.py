@@ -1,8 +1,9 @@
 """Guards on contracts kept outside the package (bench trace targets, README,
 the package's envelope exports), on code that only tests call, on where numpy
-is imported and loaded, on the one geometry construction, on the takeoff
-loop's and the hover trim's wrench evaluations, rotation-matrix builds and
-fan-state constructions and on the envelope solver's batching."""
+is imported and loaded, on what the oracles import from the package, on the
+one geometry construction, on the takeoff loop's and the hover trim's wrench
+evaluations, rotation-matrix builds and fan-state constructions and on the
+envelope solver's batching."""
 
 import ast
 import importlib
@@ -91,6 +92,20 @@ def test_scalar_modules_import_no_numpy():
         assert not [m for m in imported if m.split(".")[0] == "numpy"], name
 
 
+def test_oracles_import_no_production_solver():
+    # the oracles stay independent routes: from the package they take only the
+    # model's inputs and the rotation and fan layout they rebuild the wrench from,
+    # never a solver such as lp_max_covering, _sweep, hover_trim or wrench_kernel
+    nodes = list(ast.walk(ast.parse((ROOT / "src" / "tvcsim" / "oracles.py").read_text())))
+    assert not [alias.name for node in nodes if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.split(".")[0] == "tvcsim"]
+    imported = {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").split(".")[0] == "tvcsim")
+                for alias in node.names}
+    assert imported == {"EnvelopeConstraint", "GRAVITY", "RobotGeometry", "Quat",
+                        "quat_to_matrix", "FanState", "fan_layout"}
+
+
 def test_geometry_is_built_once(monkeypatch):
     calls = 0
     surrogate = robot.point_mass_inertia
@@ -107,21 +122,26 @@ def test_geometry_is_built_once(monkeypatch):
 
 
 def test_float_commands_never_load_numpy(tmp_path):
-    # takeoff, trim and wrench-eval run on floats in a fresh interpreter;
-    # envelope, the one command that needs arrays, still loads numpy and runs
+    # takeoff, trim and wrench-eval run on floats in a fresh interpreter, a
+    # takeoff that diverges (exit 4) too; envelope, the one command that needs
+    # arrays, still loads numpy and runs
+    spin = tmp_path / "spin.cfg"
+    spin.write_text("mode = pitch-only\nperturbation.foot_misalignment_left_deg = 10\n"
+                    "perturbation.foot_misalignment_right_deg = -10\nsim.duration_s = 4.0\n")
     code = textwrap.dedent("""
         import sys
         from tvcsim import cli
-        out = sys.argv[1]
+        out, spin = sys.argv[1:]
         for argv in (["takeoff"], ["trim"],
                      ["wrench-eval", "--thrust-fl", "40", "--theta-pitch", "5"]):
             assert cli.main(["--out", out, *argv]) == 0, argv
+        assert cli.main(["--out", out, "--config", spin, "takeoff"]) == 4
         assert "numpy" not in sys.modules
         assert cli.main(["--out", out, "envelope", "--postures", "P1"]) == 0
         assert "numpy" in sys.modules
     """)
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(spin)],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -86,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_env = sub.add_parser("envelope", help="DT vs TVC pitch-torque boundaries")
-    p_env.add_argument("--postures", default="P1,P2,P3",
-                       help="comma-separated posture labels")
+    p_env.add_argument("--postures", help="comma-separated posture labels "
+                       "(default: the config file's posture, else P1,P2,P3)")
     p_env.set_defaults(func=cmd_envelope)
 
     p_take = sub.add_parser("takeoff", help="closed-loop takeoff simulation")
@@ -96,13 +96,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_take.set_defaults(func=cmd_takeoff)
 
     p_trim = sub.add_parser("trim", help="hover trim report")
-    p_trim.add_argument("--posture", default="P1")
+    p_trim.add_argument("--posture", help="override the config's posture (default P1)")
     p_trim.add_argument("--waist-differential", action="store_true",
                         help="trim with feet up and a waist thrust split instead")
     p_trim.set_defaults(func=cmd_trim)
 
     p_we = sub.add_parser("wrench-eval", help="evaluate the wrench for one fan state")
-    p_we.add_argument("--posture", default="P1")
+    p_we.add_argument("--posture", help="override the config's posture (default P1)")
     p_we.add_argument("--thrust-ff", type=float, default=0.0, help="front waist fan [N]")
     p_we.add_argument("--thrust-fb", type=float, default=0.0, help="back waist fan [N]")
     p_we.add_argument("--thrust-fl", type=float, default=0.0, help="left foot fan [N]")
@@ -183,7 +183,10 @@ def cmd_envelope(args, values) -> int:
 
     started = time.monotonic()
     settings = envelope_settings_from_config(values)
-    postures = [p.strip() for p in args.postures.split(",") if p.strip()]
+    if args.postures is not None:
+        postures = [p.strip() for p in args.postures.split(",") if p.strip()]
+    else:
+        postures = [values["posture"]] if "posture" in values else ["P1", "P2", "P3"]
     if not postures:
         raise ConfigError("no postures given")
     cfgs = [scenario_from_config(values | {"posture": name}) for name in postures]
@@ -214,8 +217,7 @@ def cmd_envelope(args, values) -> int:
               f"{geo.com_body[2]:.3f}) m feet=({geo.fan_foot_x:.3f}, {geo.fan_foot_z:.3f}) m")
         print(f"{name}: tvc/dt ratio @0deg: tau_max {ratio_max:.2f}, |tau_min| {ratio_min:.2f}")
     manifest = _write_manifest(args.out, "envelope", args.config, cfgs,
-                               {"envelope": settings, "postures": postures},
-                               outputs, started)
+                               {"envelope": settings}, outputs, started)
     print(f"wrote {len(outputs)} envelope file(s) + {os.path.basename(manifest)}")
     return EXIT_OK
 
@@ -255,7 +257,7 @@ def cmd_trim(args, values) -> int:
                                  limits=cfg.limits,
                                  foot_pitch_range=cfg.posture.foot_pitch_range)
     residual = math.hypot(*total_wrench(fs, geo, theta_pitch).world)
-    print(f"posture={args.posture}")
+    print(f"posture={cfg.posture.name}")
     print(f"f_front_n={fs.f_front:.6f}")
     print(f"f_back_n={fs.f_back:.6f}")
     print(f"f_left_n={fs.f_left:.6f}")
@@ -265,8 +267,7 @@ def cmd_trim(args, values) -> int:
     print(f"theta_pitch_deg={math.degrees(theta_pitch):.6f}")
     print(f"residual_wrench_norm={residual:.3e}")
     _write_manifest(args.out, "trim", args.config, [cfg],
-                    {"posture": args.posture,
-                     "waist_differential": args.waist_differential}, [], started)
+                    {"waist_differential": args.waist_differential}, [], started)
     return EXIT_OK
 
 
@@ -294,8 +295,7 @@ def cmd_wrench_eval(args, values) -> int:
     print(f"ty2={w.t_y2:.6f}")
     print(f"ty3={w.t_y3:.6f}")
     _write_manifest(args.out, "wrench_eval", args.config, [cfg],
-                    {"posture": args.posture,
-                     "fan_state": {"f_front": args.thrust_ff, "f_back": args.thrust_fb,
+                    {"fan_state": {"f_front": args.thrust_ff, "f_back": args.thrust_fb,
                                    "f_left": args.thrust_fl, "f_right": args.thrust_fr,
                                    "theta_l_deg": args.theta_l, "theta_r_deg": args.theta_r,
                                    "theta_pitch_deg": args.theta_pitch}}, [], started)

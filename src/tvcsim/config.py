@@ -79,9 +79,9 @@ SCHEMA: dict[str, tuple] = {
     "perturbation.thrust_scale_back": (float, None, None),
     "perturbation.thrust_scale_left": (float, None, None),
     "perturbation.thrust_scale_right": (float, None, None),
-    "sim.duration_s": (float, ScenarioConfig, "duration"),
-    "sim.dt_s": (float, ScenarioConfig, "dt"),
-    "sim.sample_rate_hz": (float, ScenarioConfig, "sample_rate"),
+    "sim.duration_s": (float, ScenarioConfig, "duration_s"),
+    "sim.dt_s": (float, ScenarioConfig, "dt_s"),
+    "sim.sample_rate_hz": (float, ScenarioConfig, "sample_rate_hz"),
     "sim.seed": (int, ScenarioConfig, "seed"),
     "sim.integrator": (str, ScenarioConfig, "integrator"),
     "sim.sensor_noise_std": (float, ScenarioConfig, "sensor_noise_std"),

@@ -48,7 +48,10 @@ def wrench_brute_force(
     f_world = forces @ rot_t
     arm_world = (positions - com) @ rot_t
     force_w = f_world.sum(axis=0)
-    torque_w = np.cross(arm_world, f_world).sum(axis=0)
+    # each fan's arm x force, component-wise: np.cross's axis handling costs more
+    (ax, ay, az), (fx, fy, fz) = arm_world.T, f_world.T
+    torque_w = np.array([(ay * fz - az * fy).sum(), (az * fx - ax * fz).sum(),
+                         (ax * fy - ay * fx).sum()])
     force_w[2] -= geo.mass_total * GRAVITY
     return force_w, torque_w
 

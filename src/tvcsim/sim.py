@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .controller import (
     AttitudeController,
@@ -144,9 +144,10 @@ class ScenarioConfig:
     gains: ControllerGains | None = None  # None -> tuned at scenario start
     ramp: ThrustRamp = field(default_factory=ThrustRamp)
     perturbation: Perturbation = field(default_factory=Perturbation.standard)
-    duration: float = 2.5
-    dt: float = 1e-3
-    sample_rate: float = 250.0
+    # bench/workloads.py reads these three names from the events record
+    duration_s: float = 2.5
+    dt_s: float = 1e-3
+    sample_rate_hz: float = 250.0
     controller_rate: float = 250.0
     seed: int = 0
     integrator: str = "euler"
@@ -163,64 +164,24 @@ class ScenarioConfig:
     omega_n_yaw: float = 12.0
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.dt > MAX_PHYSICS_DT:
+        if self.dt_s <= 0.0 or self.dt_s > MAX_PHYSICS_DT:
             raise ValueError(f"physics dt must be in (0, {MAX_PHYSICS_DT}] s")
-        if self.duration < self.dt:
+        if self.duration_s < self.dt_s:
             raise ValueError("duration must be >= dt")
-        if not math.isfinite(self.duration / self.dt):
+        if not math.isfinite(self.duration_s / self.dt_s):
             raise ValueError(
-                f"duration {self.duration} s is not a finite number of {self.dt} s steps")
+                f"duration {self.duration_s} s is not a finite number of {self.dt_s} s steps")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError("integrator must be 'euler' or 'rk4'")
         if self.seed < 0:  # numpy's Generator takes no negative seed
             raise ValueError(f"sim.seed must be >= 0, got {self.seed}")
-        self._controller_substeps = _substeps(self.controller_rate, self.dt, "controller")
-        self._sample_substeps = _substeps(self.sample_rate, self.dt, "sample")
+        self._controller_substeps = _substeps(self.controller_rate, self.dt_s, "controller")
+        self._sample_substeps = _substeps(self.sample_rate_hz, self.dt_s, "sample")
 
     def geometry(self) -> RobotGeometry:
         return geometry_from_posture(
             self.posture, mass_total=self.mass_total, fan_spacing_waist=self.fan_spacing_waist,
             fan_spacing_feet=self.fan_spacing_feet, fan_mass=self.fan_mass, com_y=self.com_y)
-
-    def echo(self) -> dict:
-        """Resolved configuration echoed into the events JSON."""
-        return {
-            "posture": self.posture.name,
-            "posture_com_sagittal_m": self.posture.com_sagittal,
-            "posture_foot_fan_m": self.posture.foot_fan,
-            "posture_foot_pitch_range_deg": self.posture.foot_pitch_range_deg,
-            "mode": self.mode.value,
-            "gains": None if self.gains is None else vars(self.gains) | {},
-            "ramp_target_per_fan_n": self.ramp.target_per_fan,
-            "ramp_time_s": self.ramp.ramp_time,
-            "perturbation": {
-                "com_offset_m": list(self.perturbation.com_offset),
-                "foot_misalignment_left_deg": math.degrees(
-                    self.perturbation.foot_axis_misalignment_left),
-                "foot_misalignment_right_deg": math.degrees(
-                    self.perturbation.foot_axis_misalignment_right),
-                "thrust_scale": list(self.perturbation.thrust_scale),
-            },
-            "duration_s": self.duration,
-            "dt_s": self.dt,
-            "sample_rate_hz": self.sample_rate,
-            "controller_rate_hz": self.controller_rate,
-            "seed": self.seed,
-            "integrator": self.integrator,
-            "sensor_noise_std": self.sensor_noise_std,
-            "setpoint_deg": [math.degrees(self.setpoint.roll),
-                             math.degrees(self.setpoint.pitch),
-                             math.degrees(self.setpoint.yaw)],
-            "mass_total_kg": self.mass_total,
-            "fan_spacing_waist_m": self.fan_spacing_waist,
-            "fan_spacing_feet_m": self.fan_spacing_feet,
-            "fan_mass_kg": self.fan_mass,
-            "com_y_m": self.com_y,
-            "thrust_max_per_fan_n": self.limits.thrust_max_per_fan,
-            "thrust_min_n": self.limits.thrust_min,
-            "foot_pitch_rate_max_rad_s": self.limits.foot_pitch_rate_max,
-            "thrust_time_constant_s": self.limits.thrust_time_constant,
-        }
 
 
 def _substeps(rate: float, dt: float, what: str) -> int:
@@ -401,7 +362,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     if cfg.sensor_noise_std > 0.0:
         import numpy as np
         rng = np.random.default_rng(cfg.seed)
-    dt = cfg.dt
+    dt = cfg.dt_s
     wrench, step = run_kernel(geo, cfg.perturbation, dt, cfg.integrator)
     weight = geo.weight
 
@@ -422,8 +383,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     else:
         f_f = f_b = f_l = f_r = 0.0
         alpha = 1.0 - math.exp(-dt / tau)  # spool lag per step
-    n_steps = int(round(cfg.duration / dt))
-    i_2s = int(round(2.0 / dt)) if cfg.duration >= 2.0 else None
+    n_steps = int(round(cfg.duration_s / dt))
+    i_2s = int(round(2.0 / dt)) if cfg.duration_s >= 2.0 else None
     liftoff = altitude = pitch_time = yaw_time = reason = touchdown = None
     termination = "duration"
     # event maxima in radians: math.degrees is monotone, so one conversion at
@@ -497,8 +458,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
             clock = t + dt
 
     log.events = {
-        "config": cfg.echo() | {"gains_used": vars(gains) | {},
-                                "trim_foot_angle_deg": degrees(trim_angle)},
+        # the manifests' record of the scenario, plus what the run resolved
+        "config": asdict(cfg) | {"gains_used": vars(gains) | {},
+                                 "trim_foot_angle_deg": degrees(trim_angle)},
         "liftoff_time_s": liftoff,
         "never_lifted": liftoff is None,
         "altitude_at_2s_m": altitude,

@@ -67,6 +67,7 @@ CASES: dict[str, tuple[str | None, list[str]]] = {
                                 ["envelope", "--postures", "P1"]),
     "envelope_thrust_floor": ("limits.thrust_min_n = 2\n", ["envelope", "--postures", "P1"]),
     "envelope_unknown_posture": (None, ["envelope", "--postures", "P9"]),
+    "envelope_config_posture": ("posture = P2\nenvelope.n_points = 5\n", ["envelope"]),
     "takeoff_default": (None, ["takeoff"]),
     "takeoff_both_on_euler": (None, ["takeoff", "--mode", "both-on"]),
     "takeoff_pitch_only_euler": (None, ["takeoff", "--mode", "pitch-only"]),
@@ -106,6 +107,7 @@ CASES: dict[str, tuple[str | None, list[str]]] = {
     "trim_seed": (None, ["--seed", "9", "trim", "--posture", "P2"]),
     "trim_light_robot": ("geometry.mass_kg = 1.5\ngeometry.fan_mass_kg = 0.1\n", ["trim"]),
     "trim_lateral_com": ("geometry.com_y_m = 0.02\n", ["trim"]),
+    "trim_config_posture": ("posture = P2\n", ["trim"]),
     "wrench_eval": (None, ["wrench-eval", "--posture", "P2", "--thrust-ff", "41",
                            "--thrust-fb", "43", "--thrust-fl", "40", "--thrust-fr", "39",
                            "--theta-l", "5", "--theta-r", "-3", "--theta-pitch", "7"]),
@@ -113,6 +115,8 @@ CASES: dict[str, tuple[str | None, list[str]]] = {
                                 "--thrust-ff", "30"]),
     "wrench_eval_lateral_com": ("geometry.com_y_m = 0.02\n",
                                 ["wrench-eval", "--thrust-fl", "40", "--thrust-fr", "40"]),
+    "wrench_eval_config_posture": ("posture = P2\n",
+                                   ["wrench-eval", "--thrust-fl", "40", "--thrust-fr", "40"]),
     "wrench_eval_non_finite": (None, ["wrench-eval", "--thrust-ff", "inf"]),
     "config_unknown_key": ("geometry.mass_kgs = 17.0\n", ["takeoff"]),
     "config_duplicate_key": ("sim.dt_s = 0.001\nsim.dt_s = 0.002\n", ["trim"]),

@@ -170,9 +170,9 @@ def test_criterion_5_closed_loop_takeoff():
     _report(5, "closed-loop takeoff",
             f"alt@2s {ev['altitude_at_2s_m']:.2f} m, max|pitch| "
             f"{ev['max_abs_pitch_deg']:.1f} deg, max|yaw| {ev['max_abs_yaw_deg']:.1f} deg "
-            f"(com offset {pert['com_offset_m']}, misalignment "
-            f"{pert['foot_misalignment_left_deg']:+.0f}/"
-            f"{pert['foot_misalignment_right_deg']:+.0f} deg), {elapsed:.1f} s")
+            f"(com offset {pert['com_offset']}, misalignment "
+            f"{math.degrees(pert['foot_axis_misalignment_left']):+.0f}/"
+            f"{math.degrees(pert['foot_axis_misalignment_right']):+.0f} deg), {elapsed:.1f} s")
 
 
 def test_criterion_6_ablation_divergence():

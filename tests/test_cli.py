@@ -165,8 +165,53 @@ def test_trim_writes_manifest(tmp_path, capsys):
     code, _, _ = run_cli(["--out", str(tmp_path), "trim", "--posture", "P2"], capsys)
     assert code == 0
     manifest = json.loads((tmp_path / "trim_manifest.json").read_text())
-    assert manifest["resolved_config"]["posture"] == "P2"
+    (scenario,) = manifest["resolved_config"]["scenarios"]
+    assert scenario["posture"]["name"] == "P2"
+    assert manifest["resolved_config"] == {"scenarios": [scenario], "waist_differential": False}
     assert manifest["outputs"] == {}
+
+
+def test_trim_takes_the_config_posture(tmp_path, capsys):
+    code, p2, _ = run_cli(["--out", str(tmp_path / "option"), "trim", "--posture", "P2"],
+                          capsys)
+    assert code == 0 and "posture=P2\n" in p2
+    code, out, _ = run_with_config(tmp_path, capsys, "posture = P2\n", "trim")
+    assert (code, out) == (0, p2)
+    manifest = json.loads((tmp_path / "trim" / "trim_manifest.json").read_text())
+    assert manifest["resolved_config"]["scenarios"][0]["posture"]["name"] == "P2"
+    # the option still overrides the file
+    code, out, _ = run_cli(["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path),
+                            "trim", "--posture", "P3"], capsys)
+    assert code == 0 and out.startswith("posture=P3\n")
+
+
+def test_wrench_eval_takes_the_config_posture(tmp_path, capsys):
+    thrusts = ["--thrust-fl", "40", "--thrust-fr", "40"]
+    code, p2, _ = run_cli(["--out", str(tmp_path / "option"), "wrench-eval", "--posture",
+                           "P2", *thrusts], capsys)
+    assert code == 0 and "ty=0.800000\n" in p2
+    cfg = tmp_path / "p2.cfg"
+    cfg.write_text("posture = P2\n")
+    code, out, _ = run_cli(["--config", str(cfg), "--out", str(tmp_path), "wrench-eval",
+                            *thrusts], capsys)
+    assert (code, out) == (0, p2)
+    manifest = json.loads((tmp_path / "wrench_eval_manifest.json").read_text())
+    assert manifest["resolved_config"]["scenarios"][0]["posture"]["name"] == "P2"
+
+
+def test_envelope_takes_the_config_posture(tmp_path, capsys):
+    cfg = tmp_path / "p2.cfg"
+    cfg.write_text("posture = P2\nenvelope.n_points = 3\n")
+    for postures, expected in (([], ["P2"]), (["--postures", "P1,P3"], ["P1", "P3"])):
+        out_dir = tmp_path / "-".join(expected)
+        code, out, _ = run_cli(["--config", str(cfg), "--out", str(out_dir), "envelope",
+                                *postures], capsys)
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()[::2][:-1]] == expected
+        manifest = json.loads((out_dir / "envelope_manifest.json").read_text())
+        assert [s["posture"]["name"] for s in manifest["resolved_config"]["scenarios"]] \
+            == expected
+        assert sorted(manifest["outputs"]) == [f"envelope_{name}.csv" for name in expected]
 
 
 def test_posture_override_through_config(tmp_path, capsys):
@@ -410,23 +455,48 @@ def test_lateral_com_has_no_trim(tmp_path, capsys):
         assert err.startswith("infeasible: trim leaves a roll torque tx=-3.335e+00 N*m")
 
 
-def test_events_echo_the_thrust_cap(tmp_path, capsys):
-    echoes = []
+# what each case sets beside a 0.01 s run; the events record is the manifest's scenario
+RECORD_CASES = {
+    "default": "",
+    "perturbation": ("perturbation.com_offset_x_m = -0.005\n"
+                     "perturbation.foot_misalignment_left_deg = 1\n"
+                     "perturbation.thrust_scale_front = 1.02\n"),
+    "explicit_gains": ("controller.kp_pitch = 0.9\ncontroller.kd_pitch = 0.12\n"
+                       "controller.kp_yaw = 0.7\ncontroller.kd_yaw = 0.1\n"),
+    "pitch_setpoint": "controller.setpoint_pitch_deg = 2\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_events_record_the_manifest_scenario(tmp_path, capsys, case):
+    code, _, _ = run_with_config(tmp_path, capsys,
+                                 RECORD_CASES[case] + "sim.duration_s = 0.01\n", "takeoff")
+    assert code == 0
+    out_dir = tmp_path / "takeoff"
+    record = json.loads((out_dir / "takeoff_events.json").read_text())["config"]
+    manifest = json.loads((out_dir / "takeoff_manifest.json").read_text())
+    gains_used = record.pop("gains_used")
+    assert record.pop("trim_foot_angle_deg") == pytest.approx(4.686, abs=0.01)
+    assert record == manifest["resolved_config"]["scenarios"][0]
+    assert record["gains"] in (None, gains_used)  # tuned, or explicit and used as given
+
+
+def test_events_record_the_thrust_cap(tmp_path, capsys):
+    records = []
     for cap in ("50", "52"):
         code, _, _ = run_with_config(
             tmp_path, capsys, f"limits.thrust_max_per_fan_n = {cap}\nsim.duration_s = 0.01\n",
             "takeoff", name=f"cap{cap}.cfg")
         assert code == 0
         events = json.loads((tmp_path / "takeoff" / "takeoff_events.json").read_text())
-        echoes.append(events["config"])
-    differ = {k for k in echoes[0] if echoes[0][k] != echoes[1][k]}
-    assert differ == {"thrust_max_per_fan_n"}
-    assert echoes[1]["thrust_max_per_fan_n"] == 52.0
-    for key in ("thrust_min_n", "foot_pitch_rate_max_rad_s", "fan_mass_kg", "com_y_m"):
-        assert key in echoes[0]
-    assert echoes[0]["posture_com_sagittal_m"] == [0.025, -0.243]
-    assert echoes[0]["posture_foot_fan_m"] == [0.02, -0.61]
-    assert echoes[0]["posture_foot_pitch_range_deg"] == [-74.0, 90.0]
+        records.append(events["config"])
+    assert [r["limits"].pop("thrust_max_per_fan") for r in records] == [50.0, 52.0]
+    assert records[0] == records[1]
+    assert sorted(records[0]["limits"]) == [
+        "foot_pitch_rate_max", "thrust_min", "thrust_time_constant"]
+    assert records[0]["posture"] == {"name": "P1", "com_sagittal": [0.025, -0.243],
+                                     "foot_fan": [0.02, -0.61],
+                                     "foot_pitch_range_deg": [-74.0, 90.0]}
 
 
 def test_manifests_echo_one_resolved_scenario(tmp_path, capsys):

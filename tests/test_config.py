@@ -39,7 +39,7 @@ def test_parse_and_build_scenario():
     assert cfg.posture == builtin_posture("P2")
     assert cfg.mode is ControlMode.PITCH_ONLY
     assert cfg.ramp.target_per_fan == 45.0
-    assert cfg.duration == 3.0
+    assert cfg.duration_s == 3.0
     assert cfg.seed == 11
     assert cfg.perturbation.com_offset[0] == 0.005
     assert cfg.perturbation.foot_axis_misalignment_left == pytest.approx(math.radians(1.0))

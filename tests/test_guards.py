@@ -1,12 +1,13 @@
-"""Guards on contracts kept outside the package (bench trace targets, README,
-the package's envelope exports), on code that only tests call, on where numpy
-is imported and loaded, on what the oracles import from the package, on the
-one geometry construction, on the takeoff loop's and the hover trim's wrench
-evaluations, rotation-matrix builds and fan-state constructions and on the
-envelope solver's batching."""
+"""Guards on contracts kept outside the package (bench trace targets, the
+events keys the bench reads, README, the package's envelope exports), on code
+that only tests call, on where numpy is imported and loaded, on what the
+oracles import from the package, on the one geometry construction, on the
+takeoff loop's and the hover trim's wrench evaluations, rotation-matrix builds
+and fan-state constructions and on the envelope solver's batching."""
 
 import ast
 import importlib
+import json
 import os
 import pathlib
 import re
@@ -42,6 +43,35 @@ def test_every_bench_trace_target_resolves():
         for attr in method:
             obj = vars(obj)[attr]
         assert callable(obj), target
+
+
+def _takeoff_record_keys() -> set[str]:
+    """The keys that bench/workloads.py's Takeoff.inspect reads from the events
+    record, read without importing the benchmark."""
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    (inspect,) = [item for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Takeoff"
+                  for item in node.body
+                  if isinstance(item, ast.FunctionDef) and item.name == "inspect"]
+    (record,) = [node.targets[0].id for node in ast.walk(inspect)
+                 if isinstance(node, ast.Assign)
+                 and ast.unparse(node.value) == "events['config']"]
+    return {node.slice.value for node in ast.walk(inspect)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == record and isinstance(node.slice, ast.Constant)}
+
+
+def test_takeoff_events_record_every_key_the_bench_reads(tmp_path):
+    # a renamed ScenarioConfig field would otherwise fail every benchmark takeoff op
+    from tvcsim import cli
+
+    keys = _takeoff_record_keys()
+    assert keys
+    (tmp_path / "short.cfg").write_text("sim.duration_s = 0.01\n")
+    assert cli.main(["--config", str(tmp_path / "short.cfg"), "--out", str(tmp_path),
+                     "takeoff"]) == 0
+    record = json.loads((tmp_path / "takeoff_events.json").read_text())["config"]
+    assert keys <= record.keys(), sorted(keys - record.keys())
 
 
 def test_readme_config_table_lists_exactly_the_schema():
@@ -183,12 +213,12 @@ def test_takeoff_loop_evaluates_the_wrench_once_per_step(monkeypatch):
     monkeypatch.setattr(sim, "wrench_kernel", counted_build)
     for integrator in ("euler", "rk4"):
         calls = 0
-        cfg = sim.ScenarioConfig(duration=0.8, integrator=integrator)
+        cfg = sim.ScenarioConfig(duration_s=0.8, integrator=integrator)
         log = sim.run_scenario(cfg)
-        assert 0.0 < log.events["liftoff_time_s"] < cfg.duration  # both phases run
+        assert 0.0 < log.events["liftoff_time_s"] < cfg.duration_s  # both phases run
         # one evaluation of the run's kernel per step feeds both the liftoff
         # check on the ground and the step aloft, whose rk4 stages rotate it
-        loop_steps = round(cfg.duration / cfg.dt) + 1
+        loop_steps = round(cfg.duration_s / cfg.dt_s) + 1
         assert calls == loop_steps, integrator
 
 
@@ -207,7 +237,7 @@ def test_takeoff_run_builds_no_fan_state_per_step(monkeypatch):
         counts = []
         for duration in (0.5, 1.0):
             calls = 0
-            sim.run_scenario(sim.ScenarioConfig(duration=duration, integrator=integrator))
+            sim.run_scenario(sim.ScenarioConfig(duration_s=duration, integrator=integrator))
             counts.append(calls)
         assert counts[0] == counts[1], (integrator, counts)
 

@@ -152,14 +152,14 @@ def test_liftoff_at_ramp_crossing():
     slope = 48.0 / 0.5
     vertical_per_fan = 2.0 + 2.0 * math.cos(trim_angle)
     t_cross = cfg.geometry().weight / (slope * vertical_per_fan)
-    expected = math.floor(t_cross / cfg.dt + 1.0) * cfg.dt  # first step strictly above
+    expected = math.floor(t_cross / cfg.dt_s + 1.0) * cfg.dt_s  # first step strictly above
     assert log.events["liftoff_time_s"] == pytest.approx(expected, abs=1e-12)
     assert log.events["never_lifted"] is False
 
 
 def test_no_liftoff_below_weight():
     cfg = ScenarioConfig(ramp=ThrustRamp(target_per_fan=40.0, ramp_time=0.2),
-                         duration=1.0, perturbation=no_perturbation())
+                         duration_s=1.0, perturbation=no_perturbation())
     log = run_scenario(cfg)
     assert log.events["never_lifted"] is True
     assert log.events["liftoff_time_s"] is None
@@ -170,7 +170,7 @@ def test_no_liftoff_below_weight():
 def test_instant_full_thrust_lifts_immediately():
     cfg = ScenarioConfig(ramp=ThrustRamp(target_per_fan=50.0, ramp_time=0.0),
                          limits=FanLimits(thrust_time_constant=0.0),
-                         duration=0.5, perturbation=no_perturbation())
+                         duration_s=0.5, perturbation=no_perturbation())
     log = run_scenario(cfg)
     assert log.events["liftoff_time_s"] == 0.0
 
@@ -195,7 +195,7 @@ def test_ground_phase_locks_feet_and_attitude():
 
 
 def test_rows_strictly_increasing_fixed_period():
-    log = run_scenario(ScenarioConfig(duration=1.0))
+    log = run_scenario(ScenarioConfig(duration_s=1.0))
     t = column(log, "time_s")
     dt = np.diff(t)
     assert (dt > 0).all()
@@ -204,7 +204,7 @@ def test_rows_strictly_increasing_fixed_period():
 
 def test_symmetric_unperturbed_run_stays_planar():
     cfg = ScenarioConfig(posture=SYMMETRIC, mode=ControlMode.ALL_OFF,
-                         perturbation=no_perturbation(), duration=2.0)
+                         perturbation=no_perturbation(), duration_s=2.0)
     log = run_scenario(cfg)
     assert np.abs(column(log, "yaw_deg")).max() < math.degrees(1e-9)
     assert np.abs(column(log, "roll_deg")).max() < math.degrees(1e-9)
@@ -214,7 +214,7 @@ def test_symmetric_unperturbed_run_stays_planar():
 
 
 def test_determinism_bit_identical(tmp_path):
-    cfg = ScenarioConfig(duration=1.5)
+    cfg = ScenarioConfig(duration_s=1.5)
     log_a = run_scenario(cfg)
     log_b = run_scenario(cfg)
     a_csv, b_csv = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -225,19 +225,19 @@ def test_determinism_bit_identical(tmp_path):
 
 
 def test_sensor_noise_seeded_and_deterministic():
-    cfg = ScenarioConfig(duration=1.0, sensor_noise_std=0.002, seed=7)
+    cfg = ScenarioConfig(duration_s=1.0, sensor_noise_std=0.002, seed=7)
     log_a = run_scenario(cfg)
     log_b = run_scenario(cfg)
     assert log_a.rows == log_b.rows
-    other = run_scenario(ScenarioConfig(duration=1.0, sensor_noise_std=0.002, seed=8))
+    other = run_scenario(ScenarioConfig(duration_s=1.0, sensor_noise_std=0.002, seed=8))
     assert other.rows != log_a.rows
 
 
 def test_energy_audit_free_flight():
     # after liftoff, the change in kinetic + potential energy must equal the
     # integrated thrust power
-    cfg = ScenarioConfig(mode=ControlMode.ALL_OFF, duration=1.5,
-                         sample_rate=1000.0, perturbation=no_perturbation())
+    cfg = ScenarioConfig(mode=ControlMode.ALL_OFF, duration_s=1.5,
+                         sample_rate_hz=1000.0, perturbation=no_perturbation())
     log = run_scenario(cfg)
     geo = cfg.geometry()
     inertia = np.array(geo.inertia_body)
@@ -288,22 +288,22 @@ def test_all_off_run_ends_at_touchdown(integrator):
     ix = {k: i for i, k in enumerate(log.header)}
     assert not [row for row in log.rows if row[ix["phase"]] == PHASE_AIRBORNE
                 and row[ix["pz"]] < 0.0]
-    assert len(log.rows) == round(ev["final_time_s"] / cfg.dt) // cfg._sample_substeps + 1
+    assert len(log.rows) == round(ev["final_time_s"] / cfg.dt_s) // cfg._sample_substeps + 1
 
 
 def test_divergence_preserves_partial_log():
     pert = Perturbation(foot_axis_misalignment_left=math.radians(10.0),
                         foot_axis_misalignment_right=math.radians(-10.0))
     cfg = ScenarioConfig(mode=ControlMode.PITCH_ONLY, perturbation=pert,
-                         duration=3.0, dt=2e-3)
+                         duration_s=3.0, dt_s=2e-3)
     log = run_scenario(cfg)  # a diverged run ends by returning its log too
     ev = log.events
     assert ev["diverged"] is True
     assert "rad/s" in ev["divergence_reason"]
     # the run ends at the start of the step that failed; the guard names its end
-    assert ev["final_time_s"] < cfg.duration
-    assert f"at t={ev['final_time_s'] + cfg.dt:.3f} s" in ev["divergence_reason"]
-    steps = round(ev["final_time_s"] / cfg.dt)
+    assert ev["final_time_s"] < cfg.duration_s
+    assert f"at t={ev['final_time_s'] + cfg.dt_s:.3f} s" in ev["divergence_reason"]
+    steps = round(ev["final_time_s"] / cfg.dt_s)
     assert len(log.rows) == steps // cfg._sample_substeps + 1 > 10
     assert log.rows[-1][0] <= ev["final_time_s"]
 
@@ -315,7 +315,7 @@ def test_events_structure():
     assert ev["altitude_at_2s_m"] is not None
     assert ev["final_time_s"] == pytest.approx(2.5)
     assert ev["termination"] == "duration" and ev["touchdown_time_s"] is None
-    assert json.loads(log.events_json())["config"]["posture"] == "P1"
+    assert json.loads(log.events_json())["config"]["posture"]["name"] == "P1"
 
 
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
@@ -323,10 +323,10 @@ def test_events_structure():
 def test_events_agree_with_a_log_of_every_step(mode, integrator):
     # the maxima are tracked in radians and converted once; the log converts
     # every row, so the two must agree exactly
-    cfg = ScenarioConfig(mode=mode, integrator=integrator, sample_rate=1000.0)
+    cfg = ScenarioConfig(mode=mode, integrator=integrator, sample_rate_hz=1000.0)
     log = run_scenario(cfg)
     ev = log.events
-    assert len(log.rows) == round(ev["final_time_s"] / cfg.dt) + 1
+    assert len(log.rows) == round(ev["final_time_s"] / cfg.dt_s) + 1
     header = log.header
     for axis in ("roll", "pitch", "yaw"):
         column = [abs(row[header.index(f"{axis}_deg")]) for row in log.rows]
@@ -365,15 +365,15 @@ def test_perturbation_holds_float_tuples_and_rejects_a_nan_scale():
 
 def test_scenario_config_validation():
     with pytest.raises(ValueError):
-        ScenarioConfig(dt=0.003)
+        ScenarioConfig(dt_s=0.003)
     with pytest.raises(ValueError):
-        ScenarioConfig(duration=1e-4)
+        ScenarioConfig(duration_s=1e-4)
     with pytest.raises(ValueError):
         ScenarioConfig(controller_rate=333.0)  # not a multiple of dt
     with pytest.raises(ValueError, match="rate must be positive"):
         ScenarioConfig(controller_rate=0.0)
     with pytest.raises(ValueError, match="not a finite number"):
-        ScenarioConfig(duration=1e308)  # finite, but duration / dt overflows
+        ScenarioConfig(duration_s=1e308)  # finite, but duration / dt overflows
     # the ramp is checked by its one consumer, the takeoff run
     with pytest.raises(ValueError, match="per-fan limit"):
         run_scenario(ScenarioConfig(ramp=ThrustRamp(target_per_fan=60.0)))

@@ -8,7 +8,7 @@ Subcommands:
 * ``wrench-eval`` - one-shot wrench evaluation as key=value lines
 
 Angles are degrees at this boundary, SI units otherwise. Exit codes: 0 ok,
-2 config/usage error, 3 infeasible geometry, 4 takeoff run ended before its
+2 config/usage error or out of memory, 3 infeasible geometry, 4 takeoff run ended before its
 duration (divergence or touchdown). Every run writes a manifest naming its
 outputs and their hashes; outputs are written atomically (temp file +
 rename) and contain no timestamps, so a rerun with identical inputs is
@@ -66,6 +66,9 @@ def main(argv=None) -> int:
         return args.func(args, values)
     except ValueError as exc:  # ConfigError and UnknownPostureError among them
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # an envelope sweep too large to allocate, say
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_CONFIG
     except (EnvelopeInfeasibleError, NoTrimError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

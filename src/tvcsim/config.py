@@ -6,26 +6,25 @@ scalars. Units are SI except angles, which are degrees in files. Unknown
 keys are hard errors so typos cannot silently fall back to defaults.
 
 Every key is optional; the builtin postures and defaults work with no file
-at all. SCHEMA below is the one table of keys: each row gives a key's type
-and the dataclass field that consumes it. The README's configuration table
-is their one description.
-
-A key that is absent leaves the default of the dataclass that consumes it
-(ScenarioConfig, FanLimits, ThrustRamp, Perturbation, ControllerGains, the
-builtin posture); the one set of defaults held here is the envelope sweep's,
-which envelope_sweep takes from this module.
-Every command resolves its robot through scenario_from_config, so the same
-file describes the same robot to all of them.
+at all. SCHEMA below is the one table of keys, and the README's configuration
+table is their one description. scenario_from_config resolves every key
+through its row: one merge, _merged, sets the field (or tuple element) that
+the row names on its consumer's default, so an absent key keeps that default.
+Only the posture label and the envelope.* keys are read by name; the one set
+of defaults held here is the envelope sweep's, which envelope_sweep takes
+from this module. Every command resolves its robot through
+scenario_from_config, so the same file describes the same robot to all.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, replace
+from dataclasses import replace
 
 from .controller import ControlMode, ControllerGains, ThrustRamp
 from .robot import FanLimits, Posture, builtin_posture
 from .sim import Perturbation, ScenarioConfig
+from .spatial import EulerAngles
 
 SWEEP_PITCH_RANGE = (-math.pi / 6.0, math.pi / 6.0)  # rad, the default envelope sweep
 SWEEP_POINTS = 61
@@ -35,17 +34,18 @@ class ConfigError(ValueError):
     """Malformed config file, unknown key, or invalid value."""
 
 
-# key -> (type, consumer, field): the value is the keyword argument `field` of the
-# consumer dataclass; None marks the keys that the posture, perturbation,
-# setpoint and envelope resolvers below read themselves
+# key -> (type, consumer, field[, index]): the value sets `field` of the consumer
+# dataclass, or element `index` of that tuple field; a *_deg value is converted
+# to radians unless the field is in degrees too. None marks the posture label
+# and the envelope keys, which are read by name
 SCHEMA: dict[str, tuple] = {
     "posture": (str, None, None),
-    "posture.com_x_m": (float, None, None),
-    "posture.com_z_m": (float, None, None),
-    "posture.foot_x_m": (float, None, None),
-    "posture.foot_z_m": (float, None, None),
-    "posture.foot_pitch_min_deg": (float, None, None),
-    "posture.foot_pitch_max_deg": (float, None, None),
+    "posture.com_x_m": (float, Posture, "com_sagittal", 0),
+    "posture.com_z_m": (float, Posture, "com_sagittal", 1),
+    "posture.foot_x_m": (float, Posture, "foot_fan", 0),
+    "posture.foot_z_m": (float, Posture, "foot_fan", 1),
+    "posture.foot_pitch_min_deg": (float, Posture, "foot_pitch_range_deg", 0),
+    "posture.foot_pitch_max_deg": (float, Posture, "foot_pitch_range_deg", 1),
     "mode": (str, ScenarioConfig, "mode"),
     "geometry.mass_kg": (float, ScenarioConfig, "mass_total"),
     "geometry.waist_fan_spacing_m": (float, ScenarioConfig, "fan_spacing_waist"),
@@ -65,20 +65,22 @@ SCHEMA: dict[str, tuple] = {
     "controller.natural_freq_pitch_rad_s": (float, ScenarioConfig, "omega_n_pitch"),
     "controller.natural_freq_yaw_rad_s": (float, ScenarioConfig, "omega_n_yaw"),
     "controller.damping_ratio": (float, ScenarioConfig, "zeta"),
-    "controller.setpoint_pitch_deg": (float, None, None),
-    "controller.setpoint_yaw_deg": (float, None, None),
+    "controller.setpoint_pitch_deg": (float, EulerAngles, "pitch"),
+    "controller.setpoint_yaw_deg": (float, EulerAngles, "yaw"),
     "controller.rate_hz": (float, ScenarioConfig, "controller_rate"),
     "thrust.target_per_fan_n": (float, ThrustRamp, "target_per_fan"),
     "thrust.ramp_time_s": (float, ThrustRamp, "ramp_time"),
-    "perturbation.com_offset_x_m": (float, None, None),
-    "perturbation.com_offset_y_m": (float, None, None),
-    "perturbation.com_offset_z_m": (float, None, None),
-    "perturbation.foot_misalignment_left_deg": (float, None, None),
-    "perturbation.foot_misalignment_right_deg": (float, None, None),
-    "perturbation.thrust_scale_front": (float, None, None),
-    "perturbation.thrust_scale_back": (float, None, None),
-    "perturbation.thrust_scale_left": (float, None, None),
-    "perturbation.thrust_scale_right": (float, None, None),
+    "perturbation.com_offset_x_m": (float, Perturbation, "com_offset", 0),
+    "perturbation.com_offset_y_m": (float, Perturbation, "com_offset", 1),
+    "perturbation.com_offset_z_m": (float, Perturbation, "com_offset", 2),
+    "perturbation.foot_misalignment_left_deg":
+        (float, Perturbation, "foot_axis_misalignment_left"),
+    "perturbation.foot_misalignment_right_deg":
+        (float, Perturbation, "foot_axis_misalignment_right"),
+    "perturbation.thrust_scale_front": (float, Perturbation, "thrust_scale", 0),
+    "perturbation.thrust_scale_back": (float, Perturbation, "thrust_scale", 1),
+    "perturbation.thrust_scale_left": (float, Perturbation, "thrust_scale", 2),
+    "perturbation.thrust_scale_right": (float, Perturbation, "thrust_scale", 3),
     "sim.duration_s": (float, ScenarioConfig, "duration_s"),
     "sim.dt_s": (float, ScenarioConfig, "dt_s"),
     "sim.sample_rate_hz": (float, ScenarioConfig, "sample_rate_hz"),
@@ -122,9 +124,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text, source=str(path))
 
@@ -139,10 +141,29 @@ def _radians(values: dict, key: str, default: float) -> float:
     return math.radians(values[key]) if key in values else default
 
 
-def _default(cls, name: str):
-    """The dataclass default of one field of cls."""
-    f = cls.__dataclass_fields__[name]
-    return f.default if f.default_factory is MISSING else f.default_factory()
+def _sets(values: dict, consumer) -> bool:
+    return any(SCHEMA[key][1] is consumer for key in values)
+
+
+def _merged(values: dict, base):
+    """base with the fields, or tuple elements, that values sets for type(base).
+
+    A *_deg key is converted to radians unless its field is in degrees too.
+    """
+    consumer, changes = type(base), {}
+    for key, value in values.items():
+        row = SCHEMA[key]
+        if row[1] is not consumer:
+            continue
+        _, _, name, *index = row
+        if key.endswith("_deg") and not name.endswith("_deg"):
+            value = math.radians(value)
+        if index:
+            element = list(changes.get(name, getattr(base, name)))
+            element[index[0]] = value
+            value = tuple(element)
+        changes[name] = value
+    return replace(base, **changes) if changes else base
 
 
 def scenario_from_config(values: dict) -> ScenarioConfig:
@@ -153,17 +174,10 @@ def scenario_from_config(values: dict) -> ScenarioConfig:
     into values first. Invalid values raise ConfigError.
     """
     try:
-        # keyword arguments per consumer, from the keys that are set; the rest
-        # keep their dataclass defaults
-        kwargs = {ScenarioConfig: {}, FanLimits: {}, ThrustRamp: {}, ControllerGains: {}}
-        for key, value in values.items():
-            _, consumer, name = SCHEMA[key]
-            if consumer is not None:
-                kwargs[consumer][name] = value
-        scenario = kwargs[ScenarioConfig]
-        if "mode" in scenario:
-            scenario["mode"] = ControlMode.parse(scenario["mode"])
-        if kwargs[ControllerGains]:
+        if "mode" in values:
+            values = values | {"mode": ControlMode.parse(values["mode"])}
+        gains = None  # tuned at scenario start
+        if _sets(values, ControllerGains):
             missing = [k for k in _REQUIRED_GAINS if k not in values]
             if missing:
                 raise ConfigError(
@@ -172,61 +186,25 @@ def scenario_from_config(values: dict) -> ScenarioConfig:
             if tuning:
                 raise ConfigError(
                     f"explicit gains are used as given; remove the tuning keys {tuning}")
-            scenario["gains"] = ControllerGains(**kwargs[ControllerGains])
-        if any(key.startswith("perturbation.") for key in values):
-            scenario["perturbation"] = _perturbation_from(values)
-        setpoint = _default(ScenarioConfig, "setpoint")
-        scenario.update(
+            gains = _merged(values, ControllerGains(0.0, 0.0, 0.0, 0.0))  # all four set
+        # any perturbation key replaces the standard set
+        perturbation = Perturbation() if _sets(values, Perturbation) else Perturbation.standard()
+        return _merged(values, ScenarioConfig(
+            gains=gains,
+            perturbation=_merged(values, perturbation),
             posture=posture_from_config(values),
-            ramp=ThrustRamp(**kwargs[ThrustRamp]),
-            limits=FanLimits(**kwargs[FanLimits]),
-            setpoint=replace(
-                setpoint,
-                pitch=_radians(values, "controller.setpoint_pitch_deg", setpoint.pitch),
-                yaw=_radians(values, "controller.setpoint_yaw_deg", setpoint.yaw),
-            ),
-        )
-        return ScenarioConfig(**scenario)
+            ramp=_merged(values, ThrustRamp()),
+            limits=_merged(values, FanLimits()),
+            setpoint=_merged(values, EulerAngles(0.0, 0.0, 0.0)),
+        ))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def posture_from_config(values: dict) -> Posture:
     """The posture labelled in values, with any posture.* fields overridden."""
-    base = (builtin_posture(values["posture"]) if "posture" in values
-            else _default(ScenarioConfig, "posture"))
-    (com_x, com_z), (foot_x, foot_z) = base.com_sagittal, base.foot_fan
-    pitch_min, pitch_max = base.foot_pitch_range_deg
-    return replace(
-        base,
-        com_sagittal=(values.get("posture.com_x_m", com_x),
-                      values.get("posture.com_z_m", com_z)),
-        foot_fan=(values.get("posture.foot_x_m", foot_x),
-                  values.get("posture.foot_z_m", foot_z)),
-        foot_pitch_range_deg=(values.get("posture.foot_pitch_min_deg", pitch_min),
-                              values.get("posture.foot_pitch_max_deg", pitch_max)),
-    )
-
-
-def _perturbation_from(values: dict) -> Perturbation:
-    """Perturbations when any perturbation.* key is set.
-
-    They replace the standard set; unset fields keep Perturbation()'s zeros.
-    """
-    base = Perturbation()
-    return Perturbation(
-        com_offset=[values.get(f"perturbation.com_offset_{axis}_m", v)
-                    for axis, v in zip("xyz", base.com_offset)],
-        foot_axis_misalignment_left=_radians(
-            values, "perturbation.foot_misalignment_left_deg",
-            base.foot_axis_misalignment_left),
-        foot_axis_misalignment_right=_radians(
-            values, "perturbation.foot_misalignment_right_deg",
-            base.foot_axis_misalignment_right),
-        thrust_scale=[values.get(f"perturbation.thrust_scale_{fan}", v)
-                      for fan, v in zip(("front", "back", "left", "right"),
-                                        base.thrust_scale)],
-    )
+    return _merged(values, builtin_posture(values["posture"]) if "posture" in values
+                   else ScenarioConfig.posture)
 
 
 def envelope_settings_from_config(values: dict) -> dict:

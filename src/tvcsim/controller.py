@@ -98,22 +98,16 @@ def thrust_schedule(t: float, ramp: ThrustRamp) -> float:
     return ramp.target_per_fan * (t / ramp.ramp_time)
 
 
-def tune_gains(
-    geo: RobotGeometry,
-    hover_thrust_per_fan: float,
-    trim_foot_angle: float,
-    zeta: float = 0.7,
-    omega_n_pitch: float = 12.0,
-    omega_n_yaw: float = 12.0,
-) -> ControllerGains:
+def tune_gains(geo: RobotGeometry, hover_thrust_per_fan: float, trim_foot_angle: float,
+               zeta: float, omega_n_pitch: float, omega_n_yaw: float) -> ControllerGains:
     """Pole placement about the hover trim.
 
     Both loops are double integrators with control effectiveness b (torque
     per radian of foot command), so kp = I wn^2 / b and kd = 2 zeta wn I / b,
-    rounded to four significant digits. The default natural frequency is
-    chosen so the point-mass inertia surrogate holds attitude against the
-    standard CoM-offset and joint-bias disturbances with a few degrees of
-    steady-state error. Raises NoTrimError where b <= 0.
+    rounded to four significant digits. ScenarioConfig's default natural
+    frequency is chosen so the point-mass inertia surrogate holds attitude
+    against the standard CoM-offset and joint-bias disturbances with a few
+    degrees of steady-state error. Raises NoTrimError where b <= 0.
     """
     f = hover_thrust_per_fan
     x_c, z_c = geo.com_body[0], geo.com_body[2]

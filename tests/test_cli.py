@@ -363,6 +363,21 @@ def test_every_command_rejects_an_out_path_that_is_a_file(tmp_path, capsys, comm
     assert out.read_text() == "not a directory\n"
 
 
+def test_envelope_out_of_memory_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    # stands in for a huge envelope.n_points: a real allocation could wake the OOM killer
+    import tvcsim.envelope
+
+    def sweep(*args):
+        raise MemoryError("Unable to allocate 13.4 GiB for an array with shape (200000000, 9)")
+
+    monkeypatch.setattr(tvcsim.envelope, "envelope_sweep", sweep)
+    code, out, err = run_cli(["--out", str(tmp_path), "envelope", "--postures", "P1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 13.4 GiB for an array with " \
+                  "shape (200000000, 9)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_thrust_floor_reaches_trim_and_takeoff(tmp_path, capsys):
     text = "limits.thrust_min_n = 45\n"
     for command in ("trim", "takeoff"):

@@ -1,7 +1,8 @@
 """Config file parsing and scenario construction."""
 
 import math
-from dataclasses import asdict, fields
+import re
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from tvcsim.config import (
     scenario_from_config,
 )
 from tvcsim.controller import ControlMode, ControllerGains, ThrustRamp
-from tvcsim.robot import FanLimits, builtin_posture, geometry_from_posture
-from tvcsim.sim import ScenarioConfig, run_scenario
+from tvcsim.robot import FanLimits, Posture, builtin_posture, geometry_from_posture
+from tvcsim.sim import Perturbation, ScenarioConfig, run_scenario
+from tvcsim.spatial import EulerAngles
 
 SAMPLE = """
 # takeoff experiment
@@ -161,6 +163,19 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.cfg")
 
 
+def test_load_config_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    from tvcsim.cli import main
+
+    path = tmp_path / "utf16.cfg"
+    path.write_bytes(b"\xff\xfe" + "posture = P2\n".encode("utf-16-le"))
+    with pytest.raises(ConfigError, match=rf"^cannot read config file {re.escape(str(path))}: "
+                                          "'utf-8' codec can't decode byte 0xff"):
+        load_config(path)
+    assert main(["--config", str(path), "--out", str(tmp_path), "trim"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read config file {path}")
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(SAMPLE)
@@ -239,10 +254,54 @@ def test_every_key_changes_what_it_resolves_to(key):
 
 def test_schema_rows_name_fields_of_their_consumers():
     assert set(TWO_VALUES) == set(SCHEMA)
-    consumers = (ScenarioConfig, FanLimits, ThrustRamp, ControllerGains)
-    for key, (_, consumer, name) in SCHEMA.items():
-        if consumer is None:
-            assert name is None, key
-        else:
-            assert consumer in consumers, key
-            assert name in {f.name for f in fields(consumer) if f.init}, key
+    consumers = (ScenarioConfig, FanLimits, ThrustRamp, ControllerGains, Posture,
+                 Perturbation, EulerAngles)
+    for key, (_, consumer, name, *index) in SCHEMA.items():
+        if key == "posture" or key.startswith("envelope."):  # read by name
+            assert (consumer, name, index) == (None, None, []), key
+            continue
+        assert consumer in consumers, key
+        assert name in {f.name for f in fields(consumer) if f.init}, key
+        if index:
+            default = getattr(DEFAULTS[ELEMENTS[key][0]], name)
+            assert len(index) == 1 and 0 <= index[0] < len(default), key
+
+
+# key -> the scenario field, tuple field and element it sets, stated apart
+# from SCHEMA so that a swap of two SCHEMA indices shows
+ELEMENTS = {
+    "posture.com_x_m": ("posture", "com_sagittal", 0),
+    "posture.com_z_m": ("posture", "com_sagittal", 1),
+    "posture.foot_x_m": ("posture", "foot_fan", 0),
+    "posture.foot_z_m": ("posture", "foot_fan", 1),
+    "posture.foot_pitch_min_deg": ("posture", "foot_pitch_range_deg", 0),
+    "posture.foot_pitch_max_deg": ("posture", "foot_pitch_range_deg", 1),
+    "perturbation.com_offset_x_m": ("perturbation", "com_offset", 0),
+    "perturbation.com_offset_y_m": ("perturbation", "com_offset", 1),
+    "perturbation.com_offset_z_m": ("perturbation", "com_offset", 2),
+    "perturbation.thrust_scale_front": ("perturbation", "thrust_scale", 0),
+    "perturbation.thrust_scale_back": ("perturbation", "thrust_scale", 1),
+    "perturbation.thrust_scale_left": ("perturbation", "thrust_scale", 2),
+    "perturbation.thrust_scale_right": ("perturbation", "thrust_scale", 3),
+}
+# the default that a posture or perturbation key changes
+DEFAULTS = {"posture": builtin_posture("P1"), "perturbation": Perturbation()}
+
+
+def test_schema_indexes_exactly_the_tuple_element_keys():
+    assert {k for k, row in SCHEMA.items() if len(row) == 4} == set(ELEMENTS)
+
+
+@pytest.mark.parametrize("key", sorted(ELEMENTS))
+def test_each_indexed_key_changes_exactly_its_own_element(key):
+    # two rows with swapped elements (left and right, say) still resolve
+    # differently, so test_every_key_changes_what_it_resolves_to would miss the swap
+    attribute, name, index = ELEMENTS[key]
+    default = DEFAULTS[attribute]
+    value = TWO_VALUES[key][1]
+    element = list(getattr(default, name))
+    assert element[index] != value
+    element[index] = value
+    expected = replace(scenario_from_config({}),
+                       **{attribute: replace(default, **{name: tuple(element)})})
+    assert scenario_from_config({key: value}) == expected

@@ -22,6 +22,7 @@ from tvcsim.wrench import FanState, total_wrench
 GEO = geometry_from_posture(builtin_posture("P1"))
 POSTURE = builtin_posture("P1")
 LIMITS = FanLimits()
+POLES = {"zeta": 0.7, "omega_n_pitch": 12.0, "omega_n_yaw": 12.0}  # ScenarioConfig's defaults
 
 
 def make_controller(mode=ControlMode.BOTH_ON, trim=0.1, gains=None,
@@ -116,7 +117,7 @@ def test_slew_rate_limit():
 def test_pitch_feedback_is_restoring():
     # compose controller and wrench: pitch torque must fall as pitch rises
     fs_trim, trim_pitch = hover_trim(GEO)
-    gains = tune_gains(GEO, fs_trim.f_left, fs_trim.theta_left)
+    gains = tune_gains(GEO, fs_trim.f_left, fs_trim.theta_left, **POLES)
     f = fs_trim.f_left
 
     def torque_at(pitch_dev):
@@ -133,7 +134,7 @@ def test_pitch_feedback_is_restoring():
 
 def test_yaw_feedback_is_restoring():
     fs_trim, _ = hover_trim(GEO)
-    gains = tune_gains(GEO, fs_trim.f_left, fs_trim.theta_left)
+    gains = tune_gains(GEO, fs_trim.f_left, fs_trim.theta_left, **POLES)
     f = fs_trim.f_left
 
     def yaw_torque(yaw):
@@ -186,7 +187,7 @@ def test_tune_gains_rejects_degenerate_geometry():
     flat = geometry_from_posture(
         Posture("FLAT", (0.0, -0.3), (0.0, -0.3), (-74.0, 90.0)))
     with pytest.raises(NoTrimError, match="no stabilizing authority"):
-        tune_gains(flat, 40.0, 0.0)
+        tune_gains(flat, 40.0, 0.0, **POLES)
 
 
 def test_integral_term_defaults_off_but_works():

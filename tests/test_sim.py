@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tvcsim.config import scenario_from_config
 from tvcsim.controller import ControlMode, ThrustRamp
 from tvcsim.robot import GRAVITY, FanLimits, Posture, builtin_posture, geometry_from_posture
 from tvcsim.sim import (
@@ -337,6 +338,55 @@ def test_events_agree_with_a_log_of_every_step(mode, integrator):
         assert ev[f"{axis}_exceeds_{band:.0f}deg_time_s"] == first, axis
     # both-on holds the bands; the other modes cross both
     assert (ev["yaw_exceeds_40deg_time_s"] is None) == (mode is ControlMode.BOTH_ON)
+
+
+# a perturbed run and its sagittal mirror (y -> -y): the left and right foot
+# biases and thrust scales swap and the lateral CoM error changes sign
+MIRROR_BASE = {
+    "perturbation.com_offset_x_m": 0.005,
+    "perturbation.com_offset_y_m": 0.002,
+    "perturbation.foot_misalignment_left_deg": 1.0,
+    "perturbation.foot_misalignment_right_deg": -0.5,
+    "perturbation.thrust_scale_front": 1.02,
+    "perturbation.thrust_scale_left": 1.02,
+    "perturbation.thrust_scale_right": 0.99,
+    "sim.duration_s": 1.5,
+}
+MIRROR_IMAGE = MIRROR_BASE | {
+    "perturbation.com_offset_y_m": -0.002,
+    "perturbation.foot_misalignment_left_deg": -0.5,
+    "perturbation.foot_misalignment_right_deg": 1.0,
+    "perturbation.thrust_scale_left": 0.99,
+    "perturbation.thrust_scale_right": 1.02,
+}
+# log column -> (its column in the mirrored run, sign); a y-reflection keeps
+# x, z and the pitch axis, and flips y, roll, yaw and the x and z rates
+MIRROR_COLUMNS = {
+    **{name: (name, 1.0) for name in ("time_s", "px", "pz", "vx", "vz", "pitch_deg", "wy",
+                                      "fF", "fB")},
+    **{name: (name, -1.0) for name in ("py", "vy", "roll_deg", "yaw_deg", "wx", "wz")},
+    **{left: (right, 1.0) for left, right in (
+        ("theta_L_cmd_deg", "theta_R_cmd_deg"), ("theta_R_cmd_deg", "theta_L_cmd_deg"),
+        ("theta_L_deg", "theta_R_deg"), ("theta_R_deg", "theta_L_deg"),
+        ("fL", "fR"), ("fR", "fL"))},
+}
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_sagittal_mirror_run_is_the_mirror_image(mode, integrator):
+    # built through the config resolver, so its tuple-element rows are exercised
+    options = {"mode": mode.value, "sim.integrator": integrator}
+    log = run_scenario(scenario_from_config(MIRROR_BASE | options))
+    image = run_scenario(scenario_from_config(MIRROR_IMAGE | options))
+    assert set(MIRROR_COLUMNS) == set(log.header) - {"phase"}
+    assert len(log.rows) == len(image.rows)
+    assert [row[-1] for row in log.rows] == [row[-1] for row in image.rows]  # phases
+    assert max(abs(column(log, name)).max() for name in ("py", "roll_deg", "yaw_deg")) > 1e-3
+    # worst deviation seen: 1.8e-14 (both-on, euler)
+    for name, (partner, sign) in MIRROR_COLUMNS.items():
+        np.testing.assert_allclose(column(log, name), sign * column(image, partner),
+                                   rtol=0.0, atol=1e-12, err_msg=name)
 
 
 def test_scenario_config_rejects_a_negative_seed():

@@ -20,7 +20,9 @@ that spins the uncontrolled robot.
 A run builds one float kernel, run_kernel, from its geometry, perturbation,
 dt and integrator, and its loop carries plain floats: each step evaluates
 the kernel's wrench once, for the liftoff check on the ground or the step
-aloft. dynamics_step is the kernel's public one-step wrapper, as
+aloft, and a step aloft reads the new attitude's roll, pitch and yaw with
+one spatial.quat_angles call. Only the controller ticks build an
+EulerAngles. dynamics_step is the kernel's public one-step wrapper, as
 wrench.generalized_wrench_3d is of the wrench formula.
 
 Identical configurations produce bit-identical logs.
@@ -54,7 +56,7 @@ from .robot import (
 )
 from .spatial import (
     EulerAngles,
-    quat_euler,
+    quat_angles,
     quat_step,
     quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through sim
     quat_unit,
@@ -175,6 +177,9 @@ class ScenarioConfig:
             raise ValueError("integrator must be 'euler' or 'rk4'")
         if self.seed < 0:  # numpy's Generator takes no negative seed
             raise ValueError(f"sim.seed must be >= 0, got {self.seed}")
+        if not abs(self.setpoint.pitch) <= 0.5 * math.pi:  # the Z-Y-X pitch's range; NaN fails
+            raise ValueError("controller.setpoint_pitch_deg must lie in [-90, 90], "
+                             f"got {math.degrees(self.setpoint.pitch):.10g}")
         self._controller_substeps = _substeps(self.controller_rate, self.dt_s, "controller")
         self._sample_substeps = _substeps(self.sample_rate_hz, self.dt_s, "sample")
 
@@ -369,7 +374,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     # the loop carries plain floats: state tuples, four thrusts, two foot angles
     p, v, q, omega = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
     clock = 0.0  # the state time, summed step by step as dynamics_step does
-    euler = quat_euler(q)
+    roll, pitch, yaw, gimbal_lock = quat_angles(q)
     airborne = False
     foot_left = foot_right = trim_angle
     control_every, sample_every = cfg._controller_substeps, cfg._sample_substeps
@@ -395,8 +400,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
 
     for i in range(n_steps + 1):
         t = i * dt
-        if i % control_every == 0:  # from i = 0 on, so command is always set
-            command = controller.step(*_measure(euler, omega, cfg, rng), control_every * dt)
+        if i % control_every == 0:  # from i = 0 on, so the commands are always set
+            command = controller.step(
+                *_measure(EulerAngles(roll, pitch, yaw, gimbal_lock), omega, cfg, rng),
+                control_every * dt)
+            cmd_left, cmd_right = command.theta_left_cmd, command.theta_right_cmd
 
         rows = wrench(f_f, f_b, f_l, f_r, foot_left, foot_right)
         # the ground holds the body level until the net vertical force lifts it
@@ -404,24 +412,24 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
             airborne = True
             liftoff = t
 
-        roll, pitch, yaw = abs(euler.roll), abs(euler.pitch), abs(euler.yaw)
-        if roll > max_roll:
-            max_roll = roll
+        a_roll, a_pitch, a_yaw = abs(roll), abs(pitch), abs(yaw)
+        if a_roll > max_roll:
+            max_roll = a_roll
         # a band's first crossing is always a new maximum
-        if pitch > max_pitch:
-            max_pitch = pitch
-            if pitch_time is None and degrees(pitch) >= PITCH_EVENT_DEG:
+        if a_pitch > max_pitch:
+            max_pitch = a_pitch
+            if pitch_time is None and degrees(a_pitch) >= PITCH_EVENT_DEG:
                 pitch_time = t
-        if yaw > max_yaw:
-            max_yaw = yaw
-            if yaw_time is None and degrees(yaw) >= YAW_EVENT_DEG:
+        if a_yaw > max_yaw:
+            max_yaw = a_yaw
+            if yaw_time is None and degrees(a_yaw) >= YAW_EVENT_DEG:
                 yaw_time = t
         if i == i_2s:
             altitude = p[2]
 
         if i % sample_every == 0:
-            append((t, *p, *v, degrees(euler.roll), degrees(euler.pitch), degrees(euler.yaw),
-                    *omega, degrees(command.theta_left_cmd), degrees(command.theta_right_cmd),
+            append((t, *p, *v, degrees(roll), degrees(pitch), degrees(yaw),
+                    *omega, degrees(cmd_left), degrees(cmd_right),
                     degrees(foot_left), degrees(foot_right), f_f, f_b, f_l, f_r,
                     PHASE_AIRBORNE if airborne else PHASE_GROUND))
 
@@ -430,8 +438,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
 
         # advance actuators toward the commands over (t, t + dt]
         if airborne:
-            foot_left = _toward(foot_left, command.theta_left_cmd, foot_step)
-            foot_right = _toward(foot_right, command.theta_right_cmd, foot_step)
+            # min(foot + step, max(foot - step, cmd)), with min's and max's tie order
+            lo, hi = foot_left - foot_step, foot_left + foot_step
+            foot_left = cmd_left if cmd_left > lo else lo
+            foot_left = foot_left if foot_left < hi else hi
+            lo, hi = foot_right - foot_step, foot_right + foot_step
+            foot_right = cmd_right if cmd_right > lo else lo
+            foot_right = foot_right if foot_right < hi else hi
         sched = thrust_schedule(t + dt, cfg.ramp)
         if tau > 0.0:
             f_f += alpha * (sched * k_f - f_f)
@@ -452,9 +465,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
             if p[2] < 0.0:
                 termination, touchdown = "touchdown", (i + 1) * dt
                 break
-            euler = quat_euler(q)
+            roll, pitch, yaw, gimbal_lock = quat_angles(q)
         else:
-            # held on the ground: the attitude, and so euler, is unchanged
+            # held on the ground: the attitude, and so its angles, are unchanged
             clock = t + dt
 
     log.events = {
@@ -485,7 +498,3 @@ def _measure(euler, rates, cfg, rng):
                             euler.yaw + noise[2], euler.gimbal_lock)
         rates = tuple(r + n for r, n in zip(rates, noise[3:]))
     return euler, rates
-
-
-def _toward(value: float, target: float, max_step: float) -> float:
-    return min(value + max_step, max(value - max_step, target))

@@ -7,8 +7,8 @@ Conventions used across the package:
 * Quaternions are scalar-first ``[w, x, y, z]`` and map body vectors into
   the world: ``v_w = R(q) @ v_b``.
 * Two forms of the same operations: float-tuple kernels at the end
-  (quat_product, quat_unit, quat_step, quat_rotation_rows, quat_euler) for
-  the takeoff loop, the trim gate and the world-frame wrench, and numpy-array
+  (quat_unit, quat_step, quat_rotation_rows, quat_angles) for the takeoff
+  loop, the trim gate and the world-frame wrench, and numpy-array
   helpers (quat_identity, quat_normalize, quat_to_matrix, quat_integrate,
   quat_to_euler) for the oracles and callers that hold arrays. The array
   helpers import numpy when first called, so importing this module, or any
@@ -95,44 +95,14 @@ def quat_integrate(q: Quat, omega: Vec3, dt: float) -> Quat:
 
 
 def quat_to_euler(q: Quat) -> EulerAngles:
-    """Z-Y-X intrinsic decomposition of a unit quaternion.
-
-    Within gimbal-lock margin of |pitch| = pi/2 the yaw/roll split is not
-    unique; roll is set to zero there and the result is flagged.
-    """
-    return _euler_from_rows(quat_to_matrix(q).ravel().tolist())
-
-
-def _euler_from_rows(r) -> EulerAngles:
-    """Z-Y-X angles of a rotation given as its row-major 9 entries."""
-    sp = -r[6]
-    sp = min(1.0, max(-1.0, sp))
-    pitch = math.asin(sp)
-    if abs(pitch) > 0.5 * math.pi - GIMBAL_LOCK_MARGIN:
-        # fold the degenerate rotation into yaw
-        yaw = math.atan2(-r[1], r[4])
-        return EulerAngles(roll=0.0, pitch=pitch, yaw=yaw, gimbal_lock=True)
-    roll = math.atan2(r[7], r[8])
-    yaw = math.atan2(r[3], r[0])
-    return EulerAngles(roll=roll, pitch=pitch, yaw=yaw)
+    """Z-Y-X intrinsic decomposition (quat_angles) of any nonzero quaternion."""
+    return EulerAngles(*quat_angles(quat_normalize(q).tolist()))
 
 
 # ---------------------------------------------------------------------------
 # Float kernels: the same operations on plain float tuples, for the
 # per-step rigid-body integrator, where numpy's call overhead dominates.
 # ---------------------------------------------------------------------------
-
-def quat_product(q1, q2) -> tuple[float, float, float, float]:
-    """Hamilton product q1 * q2 as a float tuple."""
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    return (
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    )
-
 
 def quat_unit(q) -> tuple[float, float, float, float]:
     """quat_normalize as a float tuple; a NaN quaternion stays NaN."""
@@ -144,17 +114,24 @@ def quat_unit(q) -> tuple[float, float, float, float]:
 
 
 def quat_step(q, omega, dt: float) -> tuple[float, float, float, float]:
-    """quat_integrate as a float tuple, for dt > 0."""
+    """quat_integrate as a float tuple, for dt > 0: q times the increment
+    (Hamilton product), renormalized as quat_unit does."""
     wx, wy, wz = (omega[0] * dt, omega[1] * dt, omega[2] * dt)
     angle = math.sqrt(wx * wx + wy * wy + wz * wz)
     if angle < 1e-12:
         # first-order small-angle increment
-        dq = (1.0, 0.5 * wx, 0.5 * wy, 0.5 * wz)
+        dw, dx, dy, dz = 1.0, 0.5 * wx, 0.5 * wy, 0.5 * wz
     else:
         half = 0.5 * angle
         s = math.sin(half) / angle
-        dq = (math.cos(half), wx * s, wy * s, wz * s)
-    return quat_unit(quat_product(q, dq))
+        dw, dx, dy, dz = math.cos(half), wx * s, wy * s, wz * s
+    w, x, y, z = q
+    w, x, y, z = (w * dw - x * dx - y * dy - z * dz, w * dx + x * dw + y * dz - z * dy,
+                  w * dy - x * dz + y * dw + z * dx, w * dz + x * dy - y * dx + z * dw)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n < 1e-300:
+        raise ValueError("cannot normalize a zero quaternion")
+    return (w / n, x / n, y / n, z / n)
 
 
 def quat_rotation_rows(q) -> tuple[float, ...]:
@@ -167,6 +144,20 @@ def quat_rotation_rows(q) -> tuple[float, ...]:
     )
 
 
-def quat_euler(q) -> EulerAngles:
-    """quat_to_euler for a unit quaternion, on floats."""
-    return _euler_from_rows(quat_rotation_rows(q))
+def quat_angles(q) -> tuple[float, float, float, bool]:
+    """Z-Y-X intrinsic (roll, pitch, yaw, gimbal_lock) of a unit quaternion.
+
+    Reads only the entries of R(q) that the Z-Y-X split needs, each with
+    quat_rotation_rows' expression. Within GIMBAL_LOCK_MARGIN of
+    |pitch| = pi/2 the yaw/roll split is not unique; roll is set to zero there
+    and the result is flagged.
+    """
+    w, x, y, z = q
+    sp = -(2 * (x * z - w * y))
+    sp = sp if sp > -1.0 else -1.0  # min(1, max(-1, sp)), NaN included
+    pitch = math.asin(sp if sp < 1.0 else 1.0)
+    if abs(pitch) > 0.5 * math.pi - GIMBAL_LOCK_MARGIN:
+        # fold the degenerate rotation into yaw
+        return 0.0, pitch, math.atan2(-(2 * (x * y - w * z)), 1 - 2 * (x * x + z * z)), True
+    return (math.atan2(2 * (y * z + w * x), 1 - 2 * (x * x + y * y)), pitch,
+            math.atan2(2 * (x * y + w * z), 1 - 2 * (y * y + z * z)), False)

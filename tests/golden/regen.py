@@ -124,6 +124,7 @@ CASES: dict[str, tuple[str | None, list[str]]] = {
     "config_partial_gains": ("controller.kp_pitch = 1.0\n", ["wrench-eval"]),
     "config_gains_with_tuning": (_GAINS + "controller.damping_ratio = 0.9\n", ["takeoff"]),
     "config_negative_seed": ("sim.seed = -1\n", ["takeoff"]),
+    "config_unreachable_setpoint_pitch": ("controller.setpoint_pitch_deg = 120\n", ["takeoff"]),
 }
 
 

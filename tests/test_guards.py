@@ -3,7 +3,8 @@ events keys the bench reads, README, the package's envelope exports), on code
 that only tests call, on where numpy is imported and loaded, on what the
 oracles import from the package, on the one geometry construction, on the
 takeoff loop's and the hover trim's wrench evaluations, rotation-matrix builds
-and fan-state constructions and on the envelope solver's batching."""
+and fan-state constructions, on the loop's attitude readouts and on the
+envelope solver's batching."""
 
 import ast
 import importlib
@@ -220,6 +221,33 @@ def test_takeoff_loop_evaluates_the_wrench_once_per_step(monkeypatch):
         # check on the ground and the step aloft, whose rk4 stages rotate it
         loop_steps = round(cfg.duration_s / cfg.dt_s) + 1
         assert calls == loop_steps, integrator
+
+
+def test_takeoff_loop_reads_the_attitude_once_per_step_aloft(monkeypatch):
+    # one float readout per airborne step; an EulerAngles only per controller tick
+    counts = {"quat_angles": 0, "EulerAngles": 0}
+
+    def counted(name):
+        original = getattr(sim, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(sim, name, wrapper)
+
+    counted("quat_angles")
+    counted("EulerAngles")
+    for integrator in ("euler", "rk4"):
+        cfg = sim.ScenarioConfig(duration_s=0.8, integrator=integrator)
+        counts.update(quat_angles=0, EulerAngles=0)
+        log = sim.run_scenario(cfg)
+        assert log.events["termination"] == "duration"
+        steps = round(cfg.duration_s / cfg.dt_s)
+        aloft = steps - round(log.events["liftoff_time_s"] / cfg.dt_s)
+        assert 0 < aloft < steps
+        assert counts == {"quat_angles": 1 + aloft,
+                          "EulerAngles": steps // cfg._controller_substeps + 1}, integrator
 
 
 def test_takeoff_run_builds_no_fan_state_per_step(monkeypatch):

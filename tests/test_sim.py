@@ -21,7 +21,7 @@ from tvcsim.sim import (
     dynamics_step,
     run_scenario,
 )
-from tvcsim.spatial import quat_product, quat_to_matrix
+from tvcsim.spatial import EulerAngles, quat_to_matrix
 from tvcsim.trim import hover_trim
 from tvcsim.wrench import FanState, generalized_wrench_3d
 
@@ -41,11 +41,12 @@ def no_perturbation():
 
 
 def euler_quat(roll, pitch, yaw):
-    """Z-Y-X intrinsic attitude: qz(yaw) * qy(pitch) * qx(roll)."""
-    qz = (math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw))
-    qy = (math.cos(0.5 * pitch), 0.0, math.sin(0.5 * pitch), 0.0)
-    qx = (math.cos(0.5 * roll), math.sin(0.5 * roll), 0.0, 0.0)
-    return quat_product(quat_product(qz, qy), qx)
+    """Z-Y-X intrinsic attitude: qz(yaw) * qy(pitch) * qx(roll), multiplied out."""
+    cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
+    cp, sp = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
+    cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
+    return (cy * cp * cr + sy * sp * sr, cy * cp * sr - sy * sp * cr,
+            cy * sp * cr + sy * cp * sr, sy * cp * cr - cy * sp * sr)
 
 
 def test_free_fall_closed_form():
@@ -387,6 +388,70 @@ def test_sagittal_mirror_run_is_the_mirror_image(mode, integrator):
     for name, (partner, sign) in MIRROR_COLUMNS.items():
         np.testing.assert_allclose(column(log, name), sign * column(image, partner),
                                    rtol=0.0, atol=1e-12, err_msg=name)
+
+
+# metamorphic relations of the loop's bookkeeping: two runs of one perturbed
+# scenario that differ in a setting the trajectory must not see; the log rows
+# must then agree in every bit (repr keeps a float's sign of zero)
+BOOKKEEPING_BASE = {key: value for key, value in MIRROR_BASE.items() if key != "sim.duration_s"}
+
+
+def bookkeeping_run(integrator, noise, **values):
+    return run_scenario(scenario_from_config(
+        BOOKKEEPING_BASE | {"sim.integrator": integrator, "sim.sensor_noise_std": noise,
+                            "sim.seed": 3} | values))
+
+
+def exact_rows(log):
+    return [repr(row) for row in log.rows]
+
+
+def events_apart_from(log, key):
+    """The events with one config field left out."""
+    return log.events | {"config": {k: v for k, v in log.events["config"].items() if k != key}}
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.002])
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_a_longer_run_logs_the_shorter_run_as_its_prefix(integrator, noise):
+    # causality: no step reads the run's duration
+    short = bookkeeping_run(integrator, noise, **{"sim.duration_s": 1.5})
+    long = bookkeeping_run(integrator, noise, **{"sim.duration_s": 2.5})
+    assert short.events["termination"] == "duration" and len(long.rows) > len(short.rows)
+    assert exact_rows(long)[:len(short.rows)] == exact_rows(short)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.002])
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_half_the_sample_rate_logs_every_other_row(integrator, noise):
+    # decimation: sampling reads the state and never feeds back into it
+    full = bookkeeping_run(integrator, noise, **{"sim.duration_s": 1.5})
+    half = bookkeeping_run(integrator, noise, **{"sim.duration_s": 1.5,
+                                                 "sim.sample_rate_hz": 125.0})
+    assert exact_rows(half) == exact_rows(full)[::2]
+    assert events_apart_from(half, "sample_rate_hz") == events_apart_from(full, "sample_rate_hz")
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_the_seed_changes_nothing_without_sensor_noise(integrator):
+    logs = [bookkeeping_run(integrator, noise, **{"sim.duration_s": 1.5, "sim.seed": seed})
+            for noise in (0.0, 0.002) for seed in (3, 12345)]
+    assert exact_rows(logs[0]) == exact_rows(logs[1])
+    assert events_apart_from(logs[0], "seed") == events_apart_from(logs[1], "seed")
+    assert exact_rows(logs[2]) != exact_rows(logs[3])  # the seed reaches the noise
+
+
+def test_scenario_config_rejects_an_unreachable_setpoint_pitch():
+    # the controller compares the setpoint with a Z-Y-X pitch, which lies in
+    # [-90, 90] deg; the range's ends are kept
+    for deg in (120.0, -91.0, 90.0 + 1e-9, math.inf):
+        with pytest.raises(ValueError, match=r"^controller\.setpoint_pitch_deg must lie in "
+                                             r"\[-90, 90\], got "):
+            ScenarioConfig(setpoint=EulerAngles(0.0, math.radians(deg), 0.0))
+    with pytest.raises(ValueError, match=r"got 120$"):
+        scenario_from_config({"controller.setpoint_pitch_deg": 120.0})
+    for deg in (90.0, -90.0, 45.0):
+        ScenarioConfig(setpoint=EulerAngles(0.0, math.radians(deg), 0.0))
 
 
 def test_scenario_config_rejects_a_negative_seed():

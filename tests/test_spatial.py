@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from tvcsim.spatial import (
+    GIMBAL_LOCK_MARGIN,
+    EulerAngles,
+    quat_angles,
     quat_from_pitch,
     quat_identity,
     quat_integrate,
     quat_normalize,
-    quat_product,
+    quat_rotation_rows,
     quat_step,
     quat_to_euler,
     quat_to_matrix,
@@ -26,6 +29,18 @@ def rot_y(theta):
 def random_quat(rng):
     q = rng.normal(size=4)
     return quat_normalize(q)
+
+
+def quat_product(q1, q2):
+    """Hamilton product q1 * q2, the composition of rotations."""
+    w1, x1, y1, z1 = q1
+    w2, x2, y2, z2 = q2
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
 
 
 def axis_angle_quat(axis, angle):
@@ -127,6 +142,69 @@ def test_quat_integrate_norm_contract():
         w, x, y, z = quat_step(q, omega, dt)
         worst = max(worst, abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0))
     assert worst < 1e-12
+
+
+def bits(values):
+    """The exact floats, signed zeros apart; a flag stays as it is."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def test_quat_step_is_the_product_with_the_increment_renormalized():
+    # the exponential-map increment, composed by the product and renormalized,
+    # written out here apart from quat_step; the pair must agree bit for bit
+    rng = np.random.default_rng(15)
+    for i in range(5_000):
+        q = random_quat(rng).tolist()
+        omega = rng.uniform(-20.0, 20.0, 3).tolist() if i % 10 else [1e-10, -2e-10, 0.0]
+        dt = float(rng.uniform(1e-5, 2e-3))
+        wx, wy, wz = (omega[0] * dt, omega[1] * dt, omega[2] * dt)
+        angle = math.sqrt(wx * wx + wy * wy + wz * wz)
+        if angle < 1e-12:
+            dq = (1.0, 0.5 * wx, 0.5 * wy, 0.5 * wz)
+        else:
+            s = math.sin(0.5 * angle) / angle
+            dq = (math.cos(0.5 * angle), wx * s, wy * s, wz * s)
+        w, x, y, z = quat_product(q, dq)
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        assert bits(quat_step(q, omega, dt)) == bits((w / n, x / n, y / n, z / n))
+
+
+def zyx_from_rows(q):
+    """The Z-Y-X split of quat_rotation_rows(q), as a float tuple like quat_angles."""
+    r = quat_rotation_rows(q)
+    pitch = math.asin(min(1.0, max(-1.0, -r[6])))
+    if abs(pitch) > 0.5 * math.pi - GIMBAL_LOCK_MARGIN:
+        return (0.0, pitch, math.atan2(-r[1], r[4]), True)
+    return (math.atan2(r[7], r[8]), pitch, math.atan2(r[3], r[0]), False)
+
+
+
+
+def test_quat_angles_is_the_zyx_split_of_the_rotation_rows():
+    rng = np.random.default_rng(16)
+    qs = [random_quat(rng).tolist() for _ in range(20_000)]
+    # the gimbal-lock branch: pitch at, inside and just outside the margin
+    for pitch in (0.5 * math.pi, -0.5 * math.pi, 0.5 * math.pi - 0.5 * GIMBAL_LOCK_MARGIN,
+                  -0.5 * math.pi + 2.0 * GIMBAL_LOCK_MARGIN):
+        qs += [euler_quat(EulerAngles(0.1, pitch, yaw)) for yaw in rng.uniform(-3.0, 3.0, 50)]
+    locked = 0
+    for q in qs:
+        angles = quat_angles(q)
+        assert bits(angles) == bits(zyx_from_rows(q)), q
+        locked += angles[3]
+    assert 100 <= locked < 200
+    # the array helper splits the normalized quaternion the same way
+    for q in rng.normal(size=(100, 4)):
+        e = quat_to_euler(q)
+        assert bits((e.roll, e.pitch, e.yaw, e.gimbal_lock)) == bits(
+            zyx_from_rows(quat_normalize(q).tolist()))
+
+
+def test_quat_angles_of_the_identity_reads_a_negative_zero_pitch():
+    # R's entry 6 is +0.0, so the pitch is asin(-0.0); the takeoff log's first
+    # row prints it as -0
+    roll, pitch, yaw, locked = quat_angles((1.0, 0.0, 0.0, 0.0))
+    assert bits((roll, pitch, yaw)) == bits((0.0, -0.0, 0.0)) and not locked
 
 
 def test_quat_to_euler_identity():

@@ -438,13 +438,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
 
         # advance actuators toward the commands over (t, t + dt]
         if airborne:
-            # min(foot + step, max(foot - step, cmd)), with min's and max's tie order
-            lo, hi = foot_left - foot_step, foot_left + foot_step
-            foot_left = cmd_left if cmd_left > lo else lo
-            foot_left = foot_left if foot_left < hi else hi
-            lo, hi = foot_right - foot_step, foot_right + foot_step
-            foot_right = cmd_right if cmd_right > lo else lo
-            foot_right = foot_right if foot_right < hi else hi
+            foot_left = _toward(foot_left, cmd_left, foot_step)
+            foot_right = _toward(foot_right, cmd_right, foot_step)
         sched = thrust_schedule(t + dt, cfg.ramp)
         if tau > 0.0:
             f_f += alpha * (sched * k_f - f_f)
@@ -498,3 +493,10 @@ def _measure(euler, rates, cfg, rng):
                             euler.yaw + noise[2], euler.gimbal_lock)
         rates = tuple(r + n for r, n in zip(rates, noise[3:]))
     return euler, rates
+
+
+def _toward(value: float, target: float, max_step: float) -> float:
+    """min(value + max_step, max(value - max_step, target)), in min's and max's tie order."""
+    lo, hi = value - max_step, value + max_step
+    value = target if target > lo else lo
+    return value if value < hi else hi

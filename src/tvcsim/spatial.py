@@ -7,10 +7,11 @@ Conventions used across the package:
 * Quaternions are scalar-first ``[w, x, y, z]`` and map body vectors into
   the world: ``v_w = R(q) @ v_b``.
 * Two forms of the same operations: float-tuple kernels at the end
-  (quat_unit, quat_step, quat_rotation_rows, quat_angles) for the takeoff
-  loop, the trim gate and the world-frame wrench, and numpy-array
-  helpers (quat_identity, quat_normalize, quat_to_matrix, quat_integrate,
-  quat_to_euler) for the oracles and callers that hold arrays. The array
+  (quat_unit, quat_step, quat_rotation_rows, quat_angles, zyx_angles) for
+  the takeoff loop, the trim gate and the world-frame wrench, and
+  numpy-array helpers (quat_identity, quat_normalize, quat_to_matrix,
+  quat_integrate, quat_to_euler) for the oracles and callers that hold
+  arrays; quat_to_euler and quat_angles share zyx_angles. The array
   helpers import numpy when first called, so importing this module, or any
   command that runs on floats, does not load it. quat_from_pitch returns a
   float tuple that both forms accept.
@@ -95,8 +96,9 @@ def quat_integrate(q: Quat, omega: Vec3, dt: float) -> Quat:
 
 
 def quat_to_euler(q: Quat) -> EulerAngles:
-    """Z-Y-X intrinsic decomposition (quat_angles) of any nonzero quaternion."""
-    return EulerAngles(*quat_angles(quat_normalize(q).tolist()))
+    """Z-Y-X intrinsic decomposition (zyx_angles) of any nonzero quaternion."""
+    r = quat_to_matrix(q).ravel().tolist()
+    return EulerAngles(*zyx_angles(r[6], r[7], r[8], r[3], r[0], r[1], r[4]))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +117,7 @@ def quat_unit(q) -> tuple[float, float, float, float]:
 
 def quat_step(q, omega, dt: float) -> tuple[float, float, float, float]:
     """quat_integrate as a float tuple, for dt > 0: q times the increment
-    (Hamilton product), renormalized as quat_unit does."""
+    (Hamilton product), renormalized by quat_unit."""
     wx, wy, wz = (omega[0] * dt, omega[1] * dt, omega[2] * dt)
     angle = math.sqrt(wx * wx + wy * wy + wz * wz)
     if angle < 1e-12:
@@ -126,12 +128,8 @@ def quat_step(q, omega, dt: float) -> tuple[float, float, float, float]:
         s = math.sin(half) / angle
         dw, dx, dy, dz = math.cos(half), wx * s, wy * s, wz * s
     w, x, y, z = q
-    w, x, y, z = (w * dw - x * dx - y * dy - z * dz, w * dx + x * dw + y * dz - z * dy,
-                  w * dy - x * dz + y * dw + z * dx, w * dz + x * dy - y * dx + z * dw)
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    if n < 1e-300:
-        raise ValueError("cannot normalize a zero quaternion")
-    return (w / n, x / n, y / n, z / n)
+    return quat_unit((w * dw - x * dx - y * dy - z * dz, w * dx + x * dw + y * dz - z * dy,
+                      w * dy - x * dz + y * dw + z * dx, w * dz + x * dy - y * dx + z * dw))
 
 
 def quat_rotation_rows(q) -> tuple[float, ...]:
@@ -145,19 +143,25 @@ def quat_rotation_rows(q) -> tuple[float, ...]:
 
 
 def quat_angles(q) -> tuple[float, float, float, bool]:
-    """Z-Y-X intrinsic (roll, pitch, yaw, gimbal_lock) of a unit quaternion.
-
-    Reads only the entries of R(q) that the Z-Y-X split needs, each with
-    quat_rotation_rows' expression. Within GIMBAL_LOCK_MARGIN of
-    |pitch| = pi/2 the yaw/roll split is not unique; roll is set to zero there
-    and the result is flagged.
-    """
+    """zyx_angles of a unit quaternion, from the seven entries of R(q) that
+    it reads, each with quat_rotation_rows' expression."""
     w, x, y, z = q
-    sp = -(2 * (x * z - w * y))
+    return zyx_angles(2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+                      2 * (x * y + w * z), 1 - 2 * (y * y + z * z),
+                      2 * (x * y - w * z), 1 - 2 * (x * x + z * z))
+
+
+def zyx_angles(r20, r21, r22, r10, r00, r01, r11) -> tuple[float, float, float, bool]:
+    """Z-Y-X intrinsic (roll, pitch, yaw, gimbal_lock) of a rotation R, from
+    the entries R[i][j] it reads.
+
+    Within GIMBAL_LOCK_MARGIN of |pitch| = pi/2 the yaw/roll split is not
+    unique; roll is set to zero there and the result is flagged.
+    """
+    sp = -r20
     sp = sp if sp > -1.0 else -1.0  # min(1, max(-1, sp)), NaN included
     pitch = math.asin(sp if sp < 1.0 else 1.0)
     if abs(pitch) > 0.5 * math.pi - GIMBAL_LOCK_MARGIN:
         # fold the degenerate rotation into yaw
-        return 0.0, pitch, math.atan2(-(2 * (x * y - w * z)), 1 - 2 * (x * x + z * z)), True
-    return (math.atan2(2 * (y * z + w * x), 1 - 2 * (x * x + y * y)), pitch,
-            math.atan2(2 * (x * y + w * z), 1 - 2 * (y * y + z * z)), False)
+        return 0.0, pitch, math.atan2(-r01, r11), True
+    return math.atan2(r21, r22), pitch, math.atan2(r10, r00), False

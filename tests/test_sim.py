@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from tvcsim.sim import (
     RigidBodyState,
     ScenarioConfig,
     SimLog,
+    _toward,
     dynamics_step,
     run_scenario,
 )
@@ -439,6 +441,19 @@ def test_the_seed_changes_nothing_without_sensor_noise(integrator):
     assert exact_rows(logs[0]) == exact_rows(logs[1])
     assert events_apart_from(logs[0], "seed") == events_apart_from(logs[1], "seed")
     assert exact_rows(logs[2]) != exact_rows(logs[3])  # the seed reaches the noise
+
+
+def test_foot_slew_is_the_min_max_clamp_bit_for_bit():
+    # _toward compares in place of min/max; ties, signed zeros and a NaN
+    # command must come out as min(value + step, max(value - step, target))
+    rng = np.random.default_rng(17)
+    cases = [(v, v + s * rng.choice((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)), s)
+             for v, s in zip(rng.uniform(-0.5, 0.5, 2_000), rng.uniform(0.0, 0.01, 2_000))]
+    cases += [(0.0, -0.0, 0.0), (-0.0, 0.0, 0.0), (0.01, -0.0, 0.01), (-0.01, 0.0, 0.01),
+              (0.1, math.nan, 0.01), (0.0, 0.02, 0.02), (0.0, -0.02, 0.02)]
+    for value, target, step in cases:
+        expected = min(value + step, max(value - step, target))
+        assert struct.pack("<d", _toward(value, target, step)) == struct.pack("<d", expected)
 
 
 def test_scenario_config_rejects_an_unreachable_setpoint_pitch():

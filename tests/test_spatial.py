@@ -178,8 +178,6 @@ def zyx_from_rows(q):
     return (math.atan2(r[7], r[8]), pitch, math.atan2(r[3], r[0]), False)
 
 
-
-
 def test_quat_angles_is_the_zyx_split_of_the_rotation_rows():
     rng = np.random.default_rng(16)
     qs = [random_quat(rng).tolist() for _ in range(20_000)]

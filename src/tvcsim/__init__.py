@@ -21,9 +21,7 @@ from .controller import (
     AttitudeController,
     ControlMode,
     ControllerGains,
-    FootCommand,
     ThrustRamp,
-    pd_step,
     thrust_schedule,
     tune_gains,
 )

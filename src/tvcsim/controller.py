@@ -17,6 +17,10 @@ Sign conventions, for fans mounted below the CoM (z_c - p_fz > 0):
 Rates come from the measured body angular velocity rather than differenced
 errors. There is no integral term by default; an optional I gain exists but
 ships at zero.
+
+A tick runs on floats, (pitch, yaw, rate_y, rate_z) in and (left, right)
+out. clamp is the foot chain's one clamp: the range clamp, the slew limit
+and the simulator's foot slew. tune_gains reads wrench.pitch_arms.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from enum import Enum
 from .robot import FanLimits, Posture, RobotGeometry
 from .spatial import EulerAngles, wrap_angle
 from .trim import NoTrimError
+from .wrench import pitch_arms
 
 
 class ControlMode(str, Enum):
@@ -63,14 +68,6 @@ class ControllerGains:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass
-class FootCommand:
-    """Foot pitch commands (rad); the thrusts follow the ramp, not the controller."""
-
-    theta_left_cmd: float
-    theta_right_cmd: float
-
-
 @dataclass(frozen=True)
 class ThrustRamp:
     """Equal preplanned per-fan thrust: linear ramp from zero, then hold."""
@@ -83,10 +80,6 @@ class ThrustRamp:
             raise ValueError("target_per_fan must be >= 0")
         if self.ramp_time < 0.0:
             raise ValueError("ramp_time must be >= 0")
-
-
-def pd_step(kp: float, kd: float, error: float, error_rate: float) -> float:
-    return kp * error + kd * error_rate
 
 
 def thrust_schedule(t: float, ramp: ThrustRamp) -> float:
@@ -110,9 +103,9 @@ def tune_gains(geo: RobotGeometry, hover_thrust_per_fan: float, trim_foot_angle:
     degrees of steady-state error. Raises NoTrimError where b <= 0.
     """
     f = hover_thrust_per_fan
-    x_c, z_c = geo.com_body[0], geo.com_body[2]
+    _, _, arm_v, arm_h = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
     ct, st = math.cos(trim_foot_angle), math.sin(trim_foot_angle)
-    b_pitch = 2.0 * f * (ct * (z_c - geo.fan_foot_z) + st * (x_c - geo.fan_foot_x))
+    b_pitch = 2.0 * f * (ct * arm_h + st * arm_v)
     b_yaw = geo.fan_spacing_feet * f * ct
     if b_pitch <= 0.0 or b_yaw <= 0.0:
         raise NoTrimError(
@@ -133,64 +126,54 @@ def tune_gains(geo: RobotGeometry, hover_thrust_per_fan: float, trim_foot_angle:
 
 
 class AttitudeController:
-    """Fixed-rate dual PD loop producing slew-limited foot pitch commands."""
+    """Fixed-rate dual PD loop producing slew-limited foot pitch commands; it
+    keeps only what a tick reads."""
 
-    def __init__(
-        self,
-        gains: ControllerGains,
-        mode: ControlMode,
-        posture: Posture,
-        limits: FanLimits,
-        trim_offset: float,
-        setpoint: EulerAngles | None = None,
-    ):
+    def __init__(self, gains: ControllerGains, mode: ControlMode, posture: Posture,
+                 limits: FanLimits, trim_offset: float, setpoint: EulerAngles | None = None):
         self.gains = gains
         self.mode = mode
-        self.posture = posture
-        self._foot_range = posture.foot_pitch_range  # rad, converted once
-        self.limits = limits
+        self._foot_lo, self._foot_hi = posture.foot_pitch_range  # rad, converted once
+        self._rate_max = limits.foot_pitch_rate_max
         self.trim_offset = trim_offset
-        self.setpoint = setpoint or EulerAngles(0.0, 0.0, 0.0)
-        self._prev_left = trim_offset
-        self._prev_right = trim_offset
-        self._int_pitch = 0.0
-        self._int_yaw = 0.0
+        setpoint = setpoint or EulerAngles(0.0, 0.0, 0.0)
+        self._setpoint_pitch, self._setpoint_yaw = setpoint.pitch, setpoint.yaw
+        self._prev_left = self._prev_right = trim_offset
+        self._int_pitch = self._int_yaw = 0.0
 
-    def step(self, attitude: EulerAngles, body_rates, dt: float) -> FootCommand:
-        """One controller tick; dt is the controller period.
-
-        Reads the attitude and body rates only: the thrust ramp is preplanned
-        and never modulated for attitude. Commands are clamped to the
+    def step(self, pitch: float, yaw: float, rate_y: float, rate_z: float,
+             dt: float) -> tuple[float, float]:
+        """One tick: the (left, right) foot commands in rad, clamped to the
         posture's foot range and slew-limited to the ankle rate bound, never
-        rejected.
-        """
+        rejected. dt is the controller period; the thrust ramp is preplanned
+        and never modulated for attitude."""
         if dt <= 0.0:
             raise ValueError("dt must be positive")
+        g = self.gains
         if self.mode is ControlMode.ALL_OFF:
             mean, delta = self.trim_offset, 0.0
         else:
-            err_pitch = self.setpoint.pitch - attitude.pitch
+            err_pitch = self._setpoint_pitch - pitch
             self._int_pitch += err_pitch * dt
-            u_pitch = pd_step(self.gains.kp_pitch, self.gains.kd_pitch,
-                              err_pitch, -float(body_rates[1]))
-            u_pitch += self.gains.ki_pitch * self._int_pitch
             # feet below the CoM: positive mean angle is a nose-up torque
-            mean = self.trim_offset - u_pitch
+            mean = self.trim_offset - (g.kp_pitch * err_pitch + g.kd_pitch * -rate_y
+                                       + g.ki_pitch * self._int_pitch)
             delta = 0.0
             if self.mode is ControlMode.BOTH_ON:
-                err_yaw = wrap_angle(self.setpoint.yaw - attitude.yaw)
+                err_yaw = wrap_angle(self._setpoint_yaw - yaw)
                 self._int_yaw += err_yaw * dt
-                delta = pd_step(self.gains.kp_yaw, self.gains.kd_yaw,
-                                err_yaw, -float(body_rates[2]))
-                delta += self.gains.ki_yaw * self._int_yaw
+                delta = g.kp_yaw * err_yaw + g.kd_yaw * -rate_z + g.ki_yaw * self._int_yaw
 
-        left = self._limit(mean - delta, self._prev_left, dt)
-        right = self._limit(mean + delta, self._prev_right, dt)
+        lo, hi, slew = self._foot_lo, self._foot_hi, self._rate_max * dt
+        left = clamp(clamp(mean - delta, lo, hi), self._prev_left - slew, self._prev_left + slew)
+        right = clamp(clamp(mean + delta, lo, hi), self._prev_right - slew,
+                      self._prev_right + slew)
         self._prev_left, self._prev_right = left, right
-        return FootCommand(left, right)
+        return left, right
 
-    def _limit(self, cmd: float, prev: float, dt: float) -> float:
-        lo, hi = self._foot_range
-        cmd = min(hi, max(lo, cmd))
-        max_step = self.limits.foot_pitch_rate_max * dt
-        return min(prev + max_step, max(prev - max_step, cmd))
+
+def clamp(x: float, lo: float, hi: float) -> float:
+    """min(hi, max(lo, x)) by comparisons, in min's and max's tie order: a
+    tie or a signed zero comes out as they give it, and a NaN x reads lo."""
+    x = x if x > lo else lo
+    return x if x < hi else hi

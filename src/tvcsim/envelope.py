@@ -34,6 +34,7 @@ import numpy as np
 
 from .config import SWEEP_PITCH_RANGE, SWEEP_POINTS
 from .robot import EnvelopeInfeasibleError, FanLimits, Posture, RobotGeometry
+from .wrench import pitch_arms
 
 _FEAS_TOL = 1e-9
 
@@ -145,17 +146,15 @@ def lp_max_covering(c, a, r, upper):
     return np.where(feasible, value, -np.inf), x
 
 
-def _torque(geo: RobotGeometry, theta_feet, sign):
+def _torque(arms, theta_feet, sign):
     """Objective rows over (f_front, f_back, f_feet), one per foot angle: sign *
-    body pitch torque. The foot variable drives both feet, hence the twos."""
-    x_c = geo.com_body[0]
-    z_c = geo.com_body[2]
-    half_l = 0.5 * geo.fan_spacing_waist
+    body pitch torque on the pitch_arms arms. The foot variable drives both
+    feet, hence the twos."""
+    front, back, vertical, horizontal = arms
     return np.stack(np.broadcast_arrays(
-        sign * -(half_l - x_c),
-        sign * (half_l + x_c),
-        sign * (2.0 * (np.cos(theta_feet) * (x_c - geo.fan_foot_x)
-                       - np.sin(theta_feet) * (z_c - geo.fan_foot_z))),
+        sign * -front,
+        sign * back,
+        sign * (2.0 * (np.cos(theta_feet) * vertical - np.sin(theta_feet) * horizontal)),
     ), axis=-1)
 
 
@@ -184,14 +183,16 @@ def _sweep(geo, constraint, thetas) -> list[SweepPoint]:
     floors = np.repeat(constraint.min_vertical_force + np.array([-_FEAS_TOL, 0.0, _FEAS_TOL]), 3)
     waist = np.cos(phi) * np.tile([0.0, cap, 2.0 * cap], 3)
     acos = np.arccos(np.clip((floors - waist) / (2.0 * cap), -1.0, 1.0))
-    c_front, c_back, foot = _torque(geo, 0.0, 1.0)  # foot: 2 (x_c - x_foot)
-    c_w, b = np.array([0.0, c_front, c_back]), geo.fan_foot_z - geo.com_body[2]
+    arms = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
+    c_front, c_back, foot = _torque(arms, 0.0, 1.0)  # foot: 2 (x_c - x_foot)
+    # b = p_fz - z_c; 0.0 minus the arm, not its negation, keeps +0.0 where the two are equal
+    c_w, b = np.array([0.0, c_front, c_back]), 0.0 - arms[3]
     stationary = np.arctan2(b * np.cos(phi) + c_w * np.sin(phi), (foot / 2 - c_w) * np.cos(phi))
     free = np.concatenate([acos - phi, -acos - phi, stationary, stationary + math.pi], axis=1)
     feet = np.hstack([np.broadcast_to([0.0, lo, hi], (2 * n, 3)),
                       np.minimum(lo + np.mod(free - lo, 2.0 * math.pi), hi)])
     m = feet.shape[1]
-    value, _ = lp_max_covering(_torque(geo, feet.ravel(), np.repeat(sign, m)),
+    value, _ = lp_max_covering(_torque(arms, feet.ravel(), np.repeat(sign, m)),
                                _vertical(np.repeat(lane_pitch, m), feet.ravel()),
                                constraint.min_vertical_force, cap)
     value = value.reshape(-1, m)

@@ -21,8 +21,10 @@ A run builds one float kernel, run_kernel, from its geometry, perturbation,
 dt and integrator, and its loop carries plain floats: each step evaluates
 the kernel's wrench once, for the liftoff check on the ground or the step
 aloft, and a step aloft reads the new attitude's roll, pitch and yaw with
-one spatial.quat_angles call. Only the controller ticks build an
-EulerAngles. dynamics_step is the kernel's public one-step wrapper, as
+one spatial.quat_angles call. A controller tick passes the measured pitch,
+yaw and body rates about y and z to AttitudeController.step as floats and
+gets the two foot commands back; the feet slew toward them through
+controller.clamp. dynamics_step is the kernel's public one-step wrapper, as
 wrench.generalized_wrench_3d is of the wrench formula.
 
 Identical configurations produce bit-identical logs.
@@ -39,6 +41,7 @@ from .controller import (
     ControlMode,
     ControllerGains,
     ThrustRamp,
+    clamp,
     thrust_schedule,
     tune_gains,
 )
@@ -74,6 +77,7 @@ YAW_EVENT_DEG = 40.0
 POSITION_GUARD_M = 100.0
 RATE_GUARD_RAD_S = 100.0
 MAX_PHYSICS_DT = 0.002
+MAX_STEPS = 1_000_000  # 400 default runs; a grounded run ends only after all of them
 
 LOG_HEADER = [
     "time_s", "px", "py", "pz", "vx", "vy", "vz",
@@ -170,13 +174,18 @@ class ScenarioConfig:
             raise ValueError(f"physics dt must be in (0, {MAX_PHYSICS_DT}] s")
         if self.duration_s < self.dt_s:
             raise ValueError("duration must be >= dt")
-        if not math.isfinite(self.duration_s / self.dt_s):
-            raise ValueError(
-                f"duration {self.duration_s} s is not a finite number of {self.dt_s} s steps")
+        if not self.duration_s / self.dt_s <= MAX_STEPS:  # an overflow or a NaN fails too
+            raise ValueError(f"sim.duration_s / sim.dt_s must be at most {MAX_STEPS} steps, "
+                             f"got {self.duration_s} s / {self.dt_s} s")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError("integrator must be 'euler' or 'rk4'")
         if self.seed < 0:  # numpy's Generator takes no negative seed
             raise ValueError(f"sim.seed must be >= 0, got {self.seed}")
+        for key, value in (("damping_ratio", self.zeta),
+                           ("natural_freq_pitch_rad_s", self.omega_n_pitch),
+                           ("natural_freq_yaw_rad_s", self.omega_n_yaw)):
+            if not value >= 0.0:  # a NaN fails too
+                raise ValueError(f"controller.{key} must be >= 0, got {value:g}")
         if not abs(self.setpoint.pitch) <= 0.5 * math.pi:  # the Z-Y-X pitch's range; NaN fails
             raise ValueError("controller.setpoint_pitch_deg must lie in [-90, 90], "
                              f"got {math.degrees(self.setpoint.pitch):.10g}")
@@ -374,7 +383,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     # the loop carries plain floats: state tuples, four thrusts, two foot angles
     p, v, q, omega = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
     clock = 0.0  # the state time, summed step by step as dynamics_step does
-    roll, pitch, yaw, gimbal_lock = quat_angles(q)
+    roll, pitch, yaw, _ = quat_angles(q)
     airborne = False
     foot_left = foot_right = trim_angle
     control_every, sample_every = cfg._controller_substeps, cfg._sample_substeps
@@ -401,10 +410,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     for i in range(n_steps + 1):
         t = i * dt
         if i % control_every == 0:  # from i = 0 on, so the commands are always set
-            command = controller.step(
-                *_measure(EulerAngles(roll, pitch, yaw, gimbal_lock), omega, cfg, rng),
-                control_every * dt)
-            cmd_left, cmd_right = command.theta_left_cmd, command.theta_right_cmd
+            cmd_left, cmd_right = controller.step(*_measure(pitch, yaw, omega, cfg, rng),
+                                                  control_every * dt)
 
         rows = wrench(f_f, f_b, f_l, f_r, foot_left, foot_right)
         # the ground holds the body level until the net vertical force lifts it
@@ -438,8 +445,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
 
         # advance actuators toward the commands over (t, t + dt]
         if airborne:
-            foot_left = _toward(foot_left, cmd_left, foot_step)
-            foot_right = _toward(foot_right, cmd_right, foot_step)
+            foot_left = clamp(cmd_left, foot_left - foot_step, foot_left + foot_step)
+            foot_right = clamp(cmd_right, foot_right - foot_step, foot_right + foot_step)
         sched = thrust_schedule(t + dt, cfg.ramp)
         if tau > 0.0:
             f_f += alpha * (sched * k_f - f_f)
@@ -460,7 +467,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
             if p[2] < 0.0:
                 termination, touchdown = "touchdown", (i + 1) * dt
                 break
-            roll, pitch, yaw, gimbal_lock = quat_angles(q)
+            roll, pitch, yaw, _ = quat_angles(q)
         else:
             # held on the ground: the attitude, and so its angles, are unchanged
             clock = t + dt
@@ -486,17 +493,10 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     return log
 
 
-def _measure(euler, rates, cfg, rng):
-    if rng is not None:
-        noise = rng.normal(0.0, cfg.sensor_noise_std, 6).tolist()
-        euler = EulerAngles(euler.roll + noise[0], euler.pitch + noise[1],
-                            euler.yaw + noise[2], euler.gimbal_lock)
-        rates = tuple(r + n for r, n in zip(rates, noise[3:]))
-    return euler, rates
-
-
-def _toward(value: float, target: float, max_step: float) -> float:
-    """min(value + max_step, max(value - max_step, target)), in min's and max's tie order."""
-    lo, hi = value - max_step, value + max_step
-    value = target if target > lo else lo
-    return value if value < hi else hi
+def _measure(pitch, yaw, omega, cfg, rng):
+    """The tick's (pitch, yaw, rate_y, rate_z); noise draws all six channels."""
+    _, wy, wz = omega
+    if rng is None:
+        return pitch, yaw, wy, wz
+    _, n_pitch, n_yaw, _, n_wy, n_wz = rng.normal(0.0, cfg.sensor_noise_std, 6).tolist()
+    return pitch + n_pitch, yaw + n_yaw, wy + n_wy, wz + n_wz

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .robot import FanLimits, RobotGeometry
-from .wrench import FanState, total_wrench
+from .wrench import FanState, pitch_arms, total_wrench
 
 _TOL = 1e-10  # on the residual and lateral wrench norms
 
@@ -78,7 +78,7 @@ def hover_trim(
 
 def _solve_equal_thrust(geo: RobotGeometry) -> tuple[FanState, float]:
     x_c, _, z_c = geo.com_body
-    a, b = x_c - geo.fan_foot_x, z_c - geo.fan_foot_z
+    _, _, a, b = pitch_arms(geo, x_c, z_c)
     r = math.hypot(a, b)
     if abs(x_c) > r:
         raise NoTrimError(
@@ -105,11 +105,10 @@ def _solve_waist_differential(geo: RobotGeometry) -> tuple[FanState, float]:
     allows: x = e + C^T (C C^T)^-1 (d - C e), the 2x2 inverse by Cramer's
     rule.
     """
-    x_c = geo.com_body[0]
-    half_l = 0.5 * geo.fan_spacing_waist
+    front, back, vertical, _ = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
     weight = geo.weight
     c1 = (1.0, 1.0, 2.0)
-    c2 = (x_c - half_l, half_l + x_c, 2.0 * (x_c - geo.fan_foot_x))
+    c2 = (-front, back, 2.0 * vertical)
     even = 0.25 * weight
     r1, r2 = weight - even * sum(c1), -even * sum(c2)  # d - C e, d = (W, 0)
     g11, g12, g22 = (sum(p * q for p, q in zip(u, v)) for u, v in ((c1, c1), (c1, c2), (c2, c2)))

@@ -18,11 +18,13 @@ Force and torque conventions:
   L_f/2 arm plus the lateral CoM arm y_c: the whole vertical thrust rolls
   the body about an off-center CoM, the whole horizontal thrust yaws it.
 
-wrench_kernel is the one evaluator of these rows; generalized_wrench_3d
-wraps it for one fan state at one attitude, and total_wrench is its
-pitch-only case. The world-frame rows are floats too; numpy is imported
-only for the array forms of them and by fan_layout, which lists the per-fan
-forces for the independent oracle.
+pitch_arms is the one source of the four sagittal arms of these terms; the
+trims, the envelope LP and the controller gains read them there too.
+wrench_kernel is the one evaluator of the rows; generalized_wrench_3d wraps
+it for one fan state at one attitude, and total_wrench is its pitch-only
+case. The world-frame rows are floats too; numpy is imported only for the
+array forms of them and by fan_layout, which lists the per-fan forces for
+the independent oracle.
 """
 
 from __future__ import annotations
@@ -180,9 +182,8 @@ def wrench_kernel(geo: RobotGeometry, perturbation=None):
         bias_r = perturbation.foot_axis_misalignment_right
     x_c, y_c, z_c = geo.com_body
     x_c, y_c, z_c = x_c + dx, y_c + dy, z_c + dz
-    half_l, half_lf = 0.5 * geo.fan_spacing_waist, 0.5 * geo.fan_spacing_feet
-    arm_back, arm_front = half_l + x_c, half_l - x_c
-    arm_v, arm_h = x_c - geo.fan_foot_x, z_c - geo.fan_foot_z
+    arm_front, arm_back, arm_v, arm_h = pitch_arms(geo, x_c, z_c)
+    half_lf = 0.5 * geo.fan_spacing_feet
     sin, cos = math.sin, math.cos
 
     def rows(f_f, f_b, f_l, f_r, theta_l, theta_r):
@@ -196,3 +197,12 @@ def wrench_kernel(geo: RobotGeometry, perturbation=None):
                 half_lf * (h_r - h_l) + y_c * f_x)
 
     return rows
+
+
+def pitch_arms(geo: RobotGeometry, x_c: float, z_c: float) -> tuple[float, float, float, float]:
+    """(front, back, vertical, horizontal) = (L/2 - x_c, L/2 + x_c, x_c - p_fx,
+    z_c - p_fz), the pitch row's arms about a CoM at (x_c, z_c): its
+    control-effectiveness columns (Durham, "Constrained control allocation",
+    JGCD 1993)."""
+    half_l = 0.5 * geo.fan_spacing_waist
+    return half_l - x_c, half_l + x_c, x_c - geo.fan_foot_x, z_c - geo.fan_foot_z

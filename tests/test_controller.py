@@ -10,12 +10,10 @@ from tvcsim.controller import (
     ControlMode,
     ControllerGains,
     ThrustRamp,
-    pd_step,
     thrust_schedule,
     tune_gains,
 )
 from tvcsim.robot import FanLimits, builtin_posture, geometry_from_posture
-from tvcsim.spatial import EulerAngles
 from tvcsim.trim import hover_trim
 from tvcsim.wrench import FanState, total_wrench
 
@@ -33,13 +31,28 @@ def make_controller(mode=ControlMode.BOTH_ON, trim=0.1, gains=None,
 
 
 def test_pd_step_arithmetic():
-    assert pd_step(2.0, 0.5, 0.1, -0.2) == pytest.approx(0.1)
-    assert pd_step(2.0, 0.5, 0.0, 0.0) == 0.0
+    # mean = trim - (kp e + kd (-rate_y)), delta = kp_yaw e_yaw + kd_yaw (-rate_z),
+    # with e = setpoint - measured; no clamp or slew limit bites here
+    fast = FanLimits(foot_pitch_rate_max=1e6)
+    ctl = AttitudeController(ControllerGains(2.0, 0.5, 1.5, 0.25), ControlMode.BOTH_ON,
+                             POSTURE, fast, 0.1)
+    left, right = ctl.step(-0.1, 0.04, 0.2, -0.08, 0.004)
+    mean = 0.1 - (2.0 * 0.1 + 0.5 * -0.2)
+    delta = 1.5 * -0.04 + 0.25 * 0.08
+    assert (left, right) == pytest.approx((mean - delta, mean + delta), abs=1e-15)
+    ctl = AttitudeController(ControllerGains(2.0, 0.5, 1.5, 0.25), ControlMode.BOTH_ON,
+                             POSTURE, fast, 0.1)
+    assert ctl.step(0.0, 0.0, 0.0, 0.0, 0.004) == (0.1, 0.1)
 
 
 def test_pd_step_homogeneous():
-    base = pd_step(1.5, 0.3, 0.07, -0.01)
-    assert pd_step(3.0, 0.6, 0.07, -0.01) == pytest.approx(2.0 * base)
+    # doubling both pitch gains doubles the pitch correction about the trim
+    def correction(kp, kd):
+        ctl = AttitudeController(ControllerGains(kp, kd, 0.0, 0.0), ControlMode.PITCH_ONLY,
+                                 POSTURE, FanLimits(foot_pitch_rate_max=1e6), 0.0)
+        return ctl.step(-0.07, 0.0, 0.01, 0.0, 0.004)[0]
+
+    assert correction(3.0, 0.6) == pytest.approx(2.0 * correction(1.5, 0.3))
 
 
 def test_thrust_schedule_ramp():
@@ -74,23 +87,21 @@ def test_gains_validation():
 
 def test_zero_error_passes_trim_through():
     ctl = make_controller(trim=0.1)
-    cmd = ctl.step(EulerAngles(0.0, 0.0, 0.0), np.zeros(3), 0.004)
-    assert cmd.theta_left_cmd == pytest.approx(0.1, abs=1e-15)
-    assert cmd.theta_right_cmd == pytest.approx(0.1, abs=1e-15)
+    left, right = ctl.step(0.0, 0.0, 0.0, 0.0, 0.004)
+    assert left == pytest.approx(0.1, abs=1e-15)
+    assert right == pytest.approx(0.1, abs=1e-15)
 
 
 def test_all_off_holds_trim():
     ctl = make_controller(mode=ControlMode.ALL_OFF, trim=0.08)
     for pitch in (-0.5, 0.0, 0.4):
-        cmd = ctl.step(EulerAngles(0.0, pitch, 0.3), np.array([0.1, -0.2, 0.5]), 0.004)
-        assert cmd.theta_left_cmd == 0.08
-        assert cmd.theta_right_cmd == 0.08
+        assert ctl.step(pitch, 0.3, -0.2, 0.5, 0.004) == (0.08, 0.08)
 
 
 def test_pitch_only_keeps_feet_identical():
     ctl = make_controller(mode=ControlMode.PITCH_ONLY)
-    cmd = ctl.step(EulerAngles(0.0, 0.2, 0.9), np.array([0.0, 0.1, 0.7]), 0.004)
-    assert cmd.theta_left_cmd == cmd.theta_right_cmd
+    left, right = ctl.step(0.2, 0.9, 0.1, 0.7, 0.004)
+    assert left == right
 
 
 def test_commands_clamped_to_posture_range():
@@ -98,9 +109,9 @@ def test_commands_clamped_to_posture_range():
     lo, hi = POSTURE.foot_pitch_range
     for pitch in (-1.5, 1.5):
         ctl = make_controller(gains=gains, rate_max=1e6)
-        cmd = ctl.step(EulerAngles(0.0, pitch, 0.0), np.zeros(3), 1.0)
-        assert lo <= cmd.theta_left_cmd <= hi
-        assert lo <= cmd.theta_right_cmd <= hi
+        left, right = ctl.step(pitch, 0.0, 0.0, 0.0, 1.0)
+        assert lo <= left <= hi
+        assert lo <= right <= hi
 
 
 def test_slew_rate_limit():
@@ -109,9 +120,9 @@ def test_slew_rate_limit():
     dt = 0.004
     prev_left = 0.0
     for _ in range(20):
-        cmd = ctl.step(EulerAngles(0.0, 1.0, 0.0), np.zeros(3), dt)
-        assert abs(cmd.theta_left_cmd - prev_left) <= 8.0 * dt + 1e-12
-        prev_left = cmd.theta_left_cmd
+        left, _ = ctl.step(1.0, 0.0, 0.0, 0.0, dt)
+        assert abs(left - prev_left) <= 8.0 * dt + 1e-12
+        prev_left = left
 
 
 def test_pitch_feedback_is_restoring():
@@ -123,8 +134,7 @@ def test_pitch_feedback_is_restoring():
     def torque_at(pitch_dev):
         ctl = AttitudeController(gains, ControlMode.BOTH_ON, POSTURE, LIMITS,
                                  fs_trim.theta_left)
-        cmd = ctl.step(EulerAngles(0.0, pitch_dev, 0.0), np.zeros(3), 0.004)
-        fs = FanState(f, f, f, f, cmd.theta_left_cmd, cmd.theta_right_cmd)
+        fs = FanState(f, f, f, f, *ctl.step(pitch_dev, 0.0, 0.0, 0.0, 0.004))
         return total_wrench(fs, GEO, trim_pitch + pitch_dev).torque_world[1]
 
     delta = 1e-3
@@ -140,8 +150,7 @@ def test_yaw_feedback_is_restoring():
     def yaw_torque(yaw):
         ctl = AttitudeController(gains, ControlMode.BOTH_ON, POSTURE, LIMITS,
                                  fs_trim.theta_left)
-        cmd = ctl.step(EulerAngles(0.0, 0.0, yaw), np.zeros(3), 0.004)
-        fs = FanState(f, f, f, f, cmd.theta_left_cmd, cmd.theta_right_cmd)
+        fs = FanState(f, f, f, f, *ctl.step(0.0, yaw, 0.0, 0.0, 0.004))
         return total_wrench(fs, GEO, 0.0).torque_world[2]
 
     # negative yaw needs positive yaw torque and vice versa
@@ -152,17 +161,15 @@ def test_yaw_feedback_is_restoring():
 def test_yaw_error_counter_rotates_feet():
     # the two feet move in opposite directions about the mean command
     ctl = make_controller(trim=0.1)
-    cmd = ctl.step(EulerAngles(0.0, 0.0, -0.2), np.zeros(3), 0.004)
-    mean = 0.5 * (cmd.theta_left_cmd + cmd.theta_right_cmd)
-    assert cmd.theta_right_cmd > mean > cmd.theta_left_cmd
+    left, right = ctl.step(0.0, -0.2, 0.0, 0.0, 0.004)
+    assert right > 0.5 * (left + right) > left
 
 
 def test_rate_damping_sign():
     # a pure pitch-down rate commands more forward foot tilt than rest
-    level = EulerAngles(0.0, 0.0, 0.0)
-    still = make_controller(trim=0.1).step(level, np.zeros(3), 0.004)
-    diving = make_controller(trim=0.1).step(level, np.array([0.0, 0.5, 0.0]), 0.004)
-    assert diving.theta_left_cmd > still.theta_left_cmd
+    still, _ = make_controller(trim=0.1).step(0.0, 0.0, 0.0, 0.0, 0.004)
+    diving, _ = make_controller(trim=0.1).step(0.0, 0.0, 0.5, 0.0, 0.004)
+    assert diving > still
 
 
 def test_tune_gains_pole_placement():
@@ -196,13 +203,12 @@ def test_integral_term_defaults_off_but_works():
                                 ControlMode.BOTH_ON, POSTURE, fast, 0.0)
     without_i = AttitudeController(ControllerGains(1.0, 0.0, 0.5, 0.06),
                                    ControlMode.BOTH_ON, POSTURE, fast, 0.0)
-    attitude = EulerAngles(0.0, 0.1, 0.0)
     for _ in range(10):
-        cmd_i = with_i.step(attitude, np.zeros(3), 0.004)
-        cmd_p = without_i.step(attitude, np.zeros(3), 0.004)
+        left_i, _ = with_i.step(0.1, 0.0, 0.0, 0.0, 0.004)
+        left_p, _ = without_i.step(0.1, 0.0, 0.0, 0.0, 0.004)
     # the integrator keeps pushing while the pure PD command stands still
-    assert cmd_p.theta_left_cmd == pytest.approx(0.1, abs=1e-12)
-    assert cmd_i.theta_left_cmd > cmd_p.theta_left_cmd
+    assert left_p == pytest.approx(0.1, abs=1e-12)
+    assert left_i > left_p
 
 
 def test_mode_parse():

@@ -21,7 +21,7 @@ from tvcsim.envelope import (
 )
 from tvcsim.oracles import envelope_extrema_grid
 from tvcsim.robot import GRAVITY, FanLimits, Posture, builtin_posture, geometry_from_posture
-from tvcsim.wrench import FanState, total_wrench
+from tvcsim.wrench import FanState, pitch_arms, total_wrench
 
 P1_POSTURE = builtin_posture("P1")
 P1 = geometry_from_posture(P1_POSTURE)
@@ -294,7 +294,8 @@ def test_lp_rows_are_the_wrench_kernels():
             x = np.array([f_front, f_back, f_feet])
             w = total_wrench(FanState(f_front, f_back, f_feet, f_feet, theta_feet, theta_feet),
                              geo, theta_pitch)
-            assert _torque(geo, theta_feet, 1.0) @ x == pytest.approx(w.torque_body[1], rel=1e-9)
+            arms = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
+            assert _torque(arms, theta_feet, 1.0) @ x == pytest.approx(w.torque_body[1], rel=1e-9)
             assert _vertical(theta_pitch, theta_feet) @ x == pytest.approx(
                 w.force_world[2] + geo.weight, rel=1e-9)
 

@@ -3,8 +3,8 @@ events keys the bench reads, README, the package's envelope exports), on code
 that only tests call, on where numpy is imported and loaded, on what the
 oracles import from the package, on the one geometry construction, on the
 takeoff loop's and the hover trim's wrench evaluations, rotation-matrix builds
-and fan-state constructions, on the loop's attitude readouts and on the
-envelope solver's batching."""
+and fan-state constructions, on the loop's attitude readouts, on the one
+source of the pitch arms and on the envelope solver's batching."""
 
 import ast
 import importlib
@@ -224,7 +224,8 @@ def test_takeoff_loop_evaluates_the_wrench_once_per_step(monkeypatch):
 
 
 def test_takeoff_loop_reads_the_attitude_once_per_step_aloft(monkeypatch):
-    # one float readout per airborne step; an EulerAngles only per controller tick
+    # one float readout per airborne step; a controller tick reads floats too,
+    # so the loop builds no EulerAngles at all
     counts = {"quat_angles": 0, "EulerAngles": 0}
 
     def counted(name):
@@ -246,8 +247,31 @@ def test_takeoff_loop_reads_the_attitude_once_per_step_aloft(monkeypatch):
         steps = round(cfg.duration_s / cfg.dt_s)
         aloft = steps - round(log.events["liftoff_time_s"] / cfg.dt_s)
         assert 0 < aloft < steps
-        assert counts == {"quat_angles": 1 + aloft,
-                          "EulerAngles": steps // cfg._controller_substeps + 1}, integrator
+        assert counts == {"quat_angles": 1 + aloft, "EulerAngles": 0}, integrator
+
+
+def test_only_the_wrench_model_reads_the_pitch_arm_geometry():
+    # wrench.pitch_arms is the one source of the sagittal arms: no other module
+    # reads the foot fan position or the waist spacing off a geometry, bar the
+    # independent oracles, the geometry itself and cli's geometry report
+    fields = {"fan_foot_x", "fan_foot_z", "fan_spacing_waist"}
+    readers = []
+    for path in sorted((ROOT / "src" / "tvcsim").glob("*.py")):
+        if path.name in ("wrench.py", "robot.py", "oracles.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "cli.py":  # the report prints the geometry it ran with
+            (report,) = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name) and node.func.id == "print"
+                         and "geometry mass=" in ast.unparse(node)]
+            allowed = {id(node) for node in ast.walk(report)}
+        readers += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in fields
+                    and id(node) not in allowed
+                    # ScenarioConfig's own field of that name is no geometry
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    assert readers == []
 
 
 def test_takeoff_run_builds_no_fan_state_per_step(monkeypatch):

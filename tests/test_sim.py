@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 from dataclasses import replace
 
@@ -9,8 +10,18 @@ import numpy as np
 import pytest
 
 from tvcsim.config import scenario_from_config
-from tvcsim.controller import ControlMode, ThrustRamp
-from tvcsim.robot import GRAVITY, FanLimits, Posture, builtin_posture, geometry_from_posture
+from tvcsim.controller import ControlMode, ThrustRamp, clamp
+from tvcsim.envelope import EnvelopeConstraint, envelope_sweep, tvc_dt_ratio
+from tvcsim.robot import (
+    DEFAULT_FAN_MASS,
+    DEFAULT_MASS,
+    DEFAULT_THRUST_MAX,
+    GRAVITY,
+    FanLimits,
+    Posture,
+    builtin_posture,
+    geometry_from_posture,
+)
 from tvcsim.sim import (
     PHASE_AIRBORNE,
     PHASE_GROUND,
@@ -19,7 +30,6 @@ from tvcsim.sim import (
     RigidBodyState,
     ScenarioConfig,
     SimLog,
-    _toward,
     dynamics_step,
     run_scenario,
 )
@@ -392,6 +402,73 @@ def test_sagittal_mirror_run_is_the_mirror_image(mode, integrator):
                                    rtol=0.0, atol=1e-12, err_msg=name)
 
 
+def mass_thrust_scaled(k):
+    """The config keys that put every mass and every thrust at k times its default."""
+    return {"geometry.mass_kg": k * DEFAULT_MASS, "geometry.fan_mass_kg": k * DEFAULT_FAN_MASS,
+            "thrust.target_per_fan_n": k * ThrustRamp().target_per_fan,
+            "limits.thrust_max_per_fan_n": k * DEFAULT_THRUST_MAX}
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_mass_thrust_scaling_leaves_the_flight_unchanged(mode, integrator):
+    # k times every mass, inertia and thrust keeps every acceleration, so the
+    # tuned gains and the flight stay the same and the logged thrusts scale by k
+    options = MIRROR_BASE | {"mode": mode.value, "sim.integrator": integrator}
+    log = run_scenario(scenario_from_config(options | mass_thrust_scaled(1.0)))
+    thrusts = [log.header.index(name) for name in ("fF", "fB", "fL", "fR")]
+    states = [i for i in range(len(log.header) - 1) if i not in thrusts]  # not the phase
+    for k in (0.5, 2.0, 3.0):
+        image = run_scenario(scenario_from_config(options | mass_thrust_scaled(k)))
+        assert image.events["config"]["gains_used"] == log.events["config"]["gains_used"], k
+        assert [row[-1] for row in image.rows] == [row[-1] for row in log.rows], k  # phases
+        if k != 3.0:  # a power of two scales every product exactly
+            assert ({**image.events, "config": None} == {**log.events, "config": None}), k
+            assert ([repr([row[i] for i in states]) for row in image.rows]
+                    == [repr([row[i] for i in states]) for row in log.rows]), k
+            assert [[row[i] for i in thrusts] for row in image.rows] == [
+                [k * row[i] for i in thrusts] for row in log.rows], k
+            continue
+        # worst deviations seen at k = 3: 2.3e-13 in a state column, and 1.3e-15
+        # relative in a thrust
+        rows, scaled = np.array([row[:-1] for row in log.rows]), np.array(
+            [row[:-1] for row in image.rows])
+        np.testing.assert_allclose(scaled[:, states], rows[:, states], rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(scaled[:, thrusts], k * rows[:, thrusts], rtol=1e-13)
+
+
+def test_mass_thrust_scaling_scales_the_envelope_and_keeps_the_trim():
+    # the same scaling multiplies every attainable pitch torque by k and so
+    # keeps the TVC/DT ratios; the trim angles stay, the trim thrusts scale
+    for name in ("P1", "P2", "P3"):
+        cfg = scenario_from_config({"posture": name} | mass_thrust_scaled(1.0))
+        geo = cfg.geometry()
+        constraint = EnvelopeConstraint.hover(geo, cfg.posture, cfg.limits)
+        sweep = envelope_sweep(geo, constraint)
+        ratios = [tvc_dt_ratio(geo, constraint, theta) for theta in (-0.3, 0.0, 0.2)]
+        trims = [hover_trim(geo, equal_thrust, cfg.limits) for equal_thrust in (True, False)]
+        for k in (0.5, 2.0, 3.0):
+            scaled_cfg = scenario_from_config({"posture": name} | mass_thrust_scaled(k))
+            scaled_geo = scaled_cfg.geometry()
+            scaled = EnvelopeConstraint.hover(scaled_geo, scaled_cfg.posture, scaled_cfg.limits)
+            # worst deviations seen: 3.2e-10 relative in a torque, 1.3e-10 in a
+            # ratio; the LP's absolute feasibility tolerance does not scale
+            for point, image in zip(sweep, envelope_sweep(scaled_geo, scaled), strict=True):
+                for a, b in ((point.dt, image.dt), (point.tvc, image.tvc)):
+                    assert (a is None) == (b is None), (name, k)
+                    if a is not None:
+                        assert (b.tau_max, b.tau_min) == pytest.approx(
+                            (k * a.tau_max, k * a.tau_min), rel=1e-8, abs=0.0), (name, k)
+            for theta, ratio in zip((-0.3, 0.0, 0.2), ratios):
+                assert tvc_dt_ratio(scaled_geo, scaled, theta) == pytest.approx(
+                    ratio, rel=0.0, abs=1e-8), (name, k)
+            for equal_thrust, (fs, pitch) in zip((True, False), trims):
+                scaled_fs, scaled_pitch = hover_trim(scaled_geo, equal_thrust, scaled_cfg.limits)
+                assert (scaled_fs.theta_left, scaled_fs.theta_right, scaled_pitch) == (
+                    fs.theta_left, fs.theta_right, pitch), (name, k)
+                assert scaled_fs.f_left == pytest.approx(k * fs.f_left, rel=1e-14), (name, k)
+
+
 # metamorphic relations of the loop's bookkeeping: two runs of one perturbed
 # scenario that differ in a setting the trajectory must not see; the log rows
 # must then agree in every bit (repr keeps a float's sign of zero)
@@ -444,16 +521,20 @@ def test_the_seed_changes_nothing_without_sensor_noise(integrator):
 
 
 def test_foot_slew_is_the_min_max_clamp_bit_for_bit():
-    # _toward compares in place of min/max; ties, signed zeros and a NaN
-    # command must come out as min(value + step, max(value - step, target))
+    # controller.clamp compares in place of min/max; ties, signed zeros and a
+    # NaN input must come out as min(hi, max(lo, x)), for the controller's
+    # range clamp and slew limit and for the loop's foot slew toward a target
     rng = np.random.default_rng(17)
     cases = [(v, v + s * rng.choice((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)), s)
              for v, s in zip(rng.uniform(-0.5, 0.5, 2_000), rng.uniform(0.0, 0.01, 2_000))]
     cases += [(0.0, -0.0, 0.0), (-0.0, 0.0, 0.0), (0.01, -0.0, 0.01), (-0.01, 0.0, 0.01),
               (0.1, math.nan, 0.01), (0.0, 0.02, 0.02), (0.0, -0.02, 0.02)]
-    for value, target, step in cases:
-        expected = min(value + step, max(value - step, target))
-        assert struct.pack("<d", _toward(value, target, step)) == struct.pack("<d", expected)
+    triples = [(target, value - step, value + step) for value, target, step in cases]
+    triples += [(-0.0, 0.0, 0.0), (0.0, -0.0, 0.0), (0.0, 0.0, -0.0), (-0.0, -0.0, 0.0),
+                (-0.0, 0.0, 0.02), (0.0, -0.02, -0.0), (math.nan, -0.5, 0.5)]
+    for x, lo, hi in triples:
+        expected = min(hi, max(lo, x))
+        assert struct.pack("<d", clamp(x, lo, hi)) == struct.pack("<d", expected), (x, lo, hi)
 
 
 def test_scenario_config_rejects_an_unreachable_setpoint_pitch():
@@ -472,6 +553,36 @@ def test_scenario_config_rejects_an_unreachable_setpoint_pitch():
 def test_scenario_config_rejects_a_negative_seed():
     with pytest.raises(ValueError, match=r"^sim.seed must be >= 0, got -1$"):
         ScenarioConfig(seed=-1)
+
+
+def test_scenario_config_caps_the_step_count():
+    # a grounded run leaves its loop only after every step, so an input that
+    # asks for astronomically many steps would never end; both name both keys
+    for kwargs in ({"dt_s": 1e-300},
+                   {"ramp": ThrustRamp(target_per_fan=30.0), "duration_s": 1e9}):
+        with pytest.raises(ValueError, match=r"^sim\.duration_s / sim\.dt_s must be at most "
+                                             r"1000000 steps, got "):
+            ScenarioConfig(**kwargs)
+    with pytest.raises(ValueError, match="at most 1000000 steps"):
+        scenario_from_config({"sim.duration_s": 1000.001})
+    ScenarioConfig(duration_s=1000.0)  # exactly the cap is kept (not run here)
+
+
+def test_scenario_config_rejects_negative_pole_placement():
+    # kd = 2 zeta wn I / b: a negative zeta and wn together would tune the
+    # default gains, and a negative zeta alone would blame kd_pitch
+    for key in ("controller.damping_ratio", "controller.natural_freq_pitch_rad_s",
+                "controller.natural_freq_yaw_rad_s"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be >= 0, got -1$"):
+            scenario_from_config({key: -1.0})
+    with pytest.raises(ValueError, match=r"^controller\.damping_ratio must be >= 0, got -0\.7$"):
+        scenario_from_config({"controller.damping_ratio": -0.7,
+                              "controller.natural_freq_pitch_rad_s": -12.0,
+                              "controller.natural_freq_yaw_rad_s": -12.0})
+    with pytest.raises(ValueError, match=r"^controller\.natural_freq_yaw_rad_s must be >= 0"):
+        ScenarioConfig(omega_n_yaw=math.nan)
+    log = run_scenario(ScenarioConfig(zeta=0.0, duration_s=0.01))  # zero is kept
+    assert log.events["config"]["gains_used"]["kd_pitch"] == 0.0
 
 
 def test_perturbation_validation():
@@ -502,7 +613,7 @@ def test_scenario_config_validation():
         ScenarioConfig(controller_rate=333.0)  # not a multiple of dt
     with pytest.raises(ValueError, match="rate must be positive"):
         ScenarioConfig(controller_rate=0.0)
-    with pytest.raises(ValueError, match="not a finite number"):
+    with pytest.raises(ValueError, match="must be at most 1000000 steps"):
         ScenarioConfig(duration_s=1e308)  # finite, but duration / dt overflows
     # the ramp is checked by its one consumer, the takeoff run
     with pytest.raises(ValueError, match="per-fan limit"):

@@ -174,18 +174,23 @@ class ScenarioConfig:
             raise ValueError(f"physics dt must be in (0, {MAX_PHYSICS_DT}] s")
         if self.duration_s < self.dt_s:
             raise ValueError("duration must be >= dt")
-        if not self.duration_s / self.dt_s <= MAX_STEPS:  # an overflow or a NaN fails too
+        steps = self.duration_s / self.dt_s
+        if not steps <= MAX_STEPS:  # an overflow or a NaN fails too
             raise ValueError(f"sim.duration_s / sim.dt_s must be at most {MAX_STEPS} steps, "
                              f"got {self.duration_s} s / {self.dt_s} s")
+        if abs(steps - round(steps)) > 1e-9:  # whole steps, to _substeps' tolerance
+            raise ValueError(f"sim.duration_s {self.duration_s} s must be a whole number of "
+                             f"sim.dt_s {self.dt_s} s steps")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError("integrator must be 'euler' or 'rk4'")
         if self.seed < 0:  # numpy's Generator takes no negative seed
             raise ValueError(f"sim.seed must be >= 0, got {self.seed}")
-        for key, value in (("damping_ratio", self.zeta),
-                           ("natural_freq_pitch_rad_s", self.omega_n_pitch),
-                           ("natural_freq_yaw_rad_s", self.omega_n_yaw)):
+        for key, value in (("controller.damping_ratio", self.zeta),
+                           ("controller.natural_freq_pitch_rad_s", self.omega_n_pitch),
+                           ("controller.natural_freq_yaw_rad_s", self.omega_n_yaw),
+                           ("sim.sensor_noise_std", self.sensor_noise_std)):
             if not value >= 0.0:  # a NaN fails too
-                raise ValueError(f"controller.{key} must be >= 0, got {value:g}")
+                raise ValueError(f"{key} must be >= 0, got {value:g}")
         if not abs(self.setpoint.pitch) <= 0.5 * math.pi:  # the Z-Y-X pitch's range; NaN fails
             raise ValueError("controller.setpoint_pitch_deg must lie in [-90, 90], "
                              f"got {math.degrees(self.setpoint.pitch):.10g}")
@@ -267,7 +272,9 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
     its own attitude. 'euler' updates velocities first, positions with the
     velocity midpoint (exact for constant accelerations) and the attitude by
     the exponential map of the new body rate; 'rk4' is the classic
-    fourth-order step with each stage's quaternion renormalized.
+    fourth-order step written out on floats: each of its four stages calls
+    accel once, at a state whose quaternion is renormalized, and the step
+    adds the (1, 2, 2, 1) / 6 weighted sum of the stage derivatives.
     """
     if dt <= 0.0 or dt > MAX_PHYSICS_DT:
         raise ValueError(f"dt must be in (0, {MAX_PHYSICS_DT}] s")
@@ -308,39 +315,60 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
         return ((px + 0.5 * (vx + ux) * dt, py + 0.5 * (vy + uy) * dt,
                  pz + 0.5 * (vz + uz) * dt), (ux, uy, uz), quat_step(q, omega, dt), omega)
 
-    def deriv(y, load):
-        """d/dt of y = (v, omega, q): the acceleration, alpha and q (0, omega) / 2."""
-        _, _, _, wx, wy, wz, qw, qx, qy, qz = y
-        return (*accel(qw, qx, qy, qz, wx, wy, wz, *load),
-                0.5 * (qw * 0.0 - qx * wx - qy * wy - qz * wz),
-                0.5 * (qw * wx + qx * 0.0 + qy * wz - qz * wy),
-                0.5 * (qw * wy - qx * wz + qy * 0.0 + qz * wx),
-                0.5 * (qw * wz + qx * wy - qy * wx + qz * 0.0))
-
-    def stage(y, span, k):
-        vx, vy, vz, wx, wy, wz, qw, qx, qy, qz = y
-        ax, ay, az, bx, by, bz, dw, dx, dy, dz = k
-        return (vx + span * ax, vy + span * ay, vz + span * az,
-                wx + span * bx, wy + span * by, wz + span * bz,
-                *quat_unit((qw + span * dw, qx + span * dx, qy + span * dy, qz + span * dz)))
-
     def rk4(p, v, q, omega, rows):
-        # the position feeds no derivative, so the stages carry (v, omega, q) only
-        f_x, f_z, tx, ty1, ty2, ty3, tz = rows
-        load = (f_x, f_z, tx, ty1 + ty2 + ty3, tz)
-        y1 = (*v, *omega, *quat_unit(q))
-        k1 = deriv(y1, load)
-        y2 = stage(y1, h, k1)
-        k2 = deriv(y2, load)
-        y3 = stage(y1, h, k2)
-        k3 = deriv(y3, load)
-        y4 = stage(y1, dt, k3)
-        k4 = deriv(y4, load)
-        y = stage(y1, dt, [(a + 2.0 * b + 2.0 * c + d) / 6.0
-                           for a, b, c, d in zip(k1, k2, k3, k4)])
-        p = tuple(x + dt * ((a + 2.0 * b + 2.0 * c + d) / 6.0)
-                  for x, a, b, c, d in zip(p, y1, y2, y3, y4))
-        return p, y[0:3], y[6:10], y[3:6]
+        # The position feeds no derivative, so stage n carries (v, w, q)n only. Its
+        # derivative is accel's (a, b)n and q (0, omega) / 2 as (dw, dx, dy, dz)n,
+        # the quaternion product written out with its qw * 0.0 terms.
+        fx, fz, tx, ty1, ty2, ty3, tz = rows
+        ty = ty1 + ty2 + ty3
+        (px, py, pz), (vx1, vy1, vz1), (wx1, wy1, wz1) = p, v, omega
+        qw1, qx1, qy1, qz1 = quat_unit(q)
+        ax1, ay1, az1, bx1, by1, bz1 = accel(qw1, qx1, qy1, qz1, wx1, wy1, wz1, fx, fz, tx, ty, tz)
+        dw1 = 0.5 * (qw1 * 0.0 - qx1 * wx1 - qy1 * wy1 - qz1 * wz1)
+        dx1 = 0.5 * (qw1 * wx1 + qx1 * 0.0 + qy1 * wz1 - qz1 * wy1)
+        dy1 = 0.5 * (qw1 * wy1 - qx1 * wz1 + qy1 * 0.0 + qz1 * wx1)
+        dz1 = 0.5 * (qw1 * wz1 + qx1 * wy1 - qy1 * wx1 + qz1 * 0.0)
+        vx2, vy2, vz2 = vx1 + h * ax1, vy1 + h * ay1, vz1 + h * az1
+        wx2, wy2, wz2 = wx1 + h * bx1, wy1 + h * by1, wz1 + h * bz1
+        qw2, qx2, qy2, qz2 = quat_unit((qw1 + h * dw1, qx1 + h * dx1,
+                                        qy1 + h * dy1, qz1 + h * dz1))
+        ax2, ay2, az2, bx2, by2, bz2 = accel(qw2, qx2, qy2, qz2, wx2, wy2, wz2, fx, fz, tx, ty, tz)
+        dw2 = 0.5 * (qw2 * 0.0 - qx2 * wx2 - qy2 * wy2 - qz2 * wz2)
+        dx2 = 0.5 * (qw2 * wx2 + qx2 * 0.0 + qy2 * wz2 - qz2 * wy2)
+        dy2 = 0.5 * (qw2 * wy2 - qx2 * wz2 + qy2 * 0.0 + qz2 * wx2)
+        dz2 = 0.5 * (qw2 * wz2 + qx2 * wy2 - qy2 * wx2 + qz2 * 0.0)
+        vx3, vy3, vz3 = vx1 + h * ax2, vy1 + h * ay2, vz1 + h * az2
+        wx3, wy3, wz3 = wx1 + h * bx2, wy1 + h * by2, wz1 + h * bz2
+        qw3, qx3, qy3, qz3 = quat_unit((qw1 + h * dw2, qx1 + h * dx2,
+                                        qy1 + h * dy2, qz1 + h * dz2))
+        ax3, ay3, az3, bx3, by3, bz3 = accel(qw3, qx3, qy3, qz3, wx3, wy3, wz3, fx, fz, tx, ty, tz)
+        dw3 = 0.5 * (qw3 * 0.0 - qx3 * wx3 - qy3 * wy3 - qz3 * wz3)
+        dx3 = 0.5 * (qw3 * wx3 + qx3 * 0.0 + qy3 * wz3 - qz3 * wy3)
+        dy3 = 0.5 * (qw3 * wy3 - qx3 * wz3 + qy3 * 0.0 + qz3 * wx3)
+        dz3 = 0.5 * (qw3 * wz3 + qx3 * wy3 - qy3 * wx3 + qz3 * 0.0)
+        vx4, vy4, vz4 = vx1 + dt * ax3, vy1 + dt * ay3, vz1 + dt * az3
+        wx4, wy4, wz4 = wx1 + dt * bx3, wy1 + dt * by3, wz1 + dt * bz3
+        qw4, qx4, qy4, qz4 = quat_unit((qw1 + dt * dw3, qx1 + dt * dx3,
+                                        qy1 + dt * dy3, qz1 + dt * dz3))
+        ax4, ay4, az4, bx4, by4, bz4 = accel(qw4, qx4, qy4, qz4, wx4, wy4, wz4, fx, fz, tx, ty, tz)
+        dw4 = 0.5 * (qw4 * 0.0 - qx4 * wx4 - qy4 * wy4 - qz4 * wz4)
+        dx4 = 0.5 * (qw4 * wx4 + qx4 * 0.0 + qy4 * wz4 - qz4 * wy4)
+        dy4 = 0.5 * (qw4 * wy4 - qx4 * wz4 + qy4 * 0.0 + qz4 * wx4)
+        dz4 = 0.5 * (qw4 * wz4 + qx4 * wy4 - qy4 * wx4 + qz4 * 0.0)
+        # the (1, 2, 2, 1) / 6 sums keep this order; another one moves last digits of the logs
+        return ((px + dt * ((vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4) / 6.0),
+                 py + dt * ((vy1 + 2.0 * vy2 + 2.0 * vy3 + vy4) / 6.0),
+                 pz + dt * ((vz1 + 2.0 * vz2 + 2.0 * vz3 + vz4) / 6.0)),
+                (vx1 + dt * ((ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4) / 6.0),
+                 vy1 + dt * ((ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4) / 6.0),
+                 vz1 + dt * ((az1 + 2.0 * az2 + 2.0 * az3 + az4) / 6.0)),
+                quat_unit((qw1 + dt * ((dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4) / 6.0),
+                           qx1 + dt * ((dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4) / 6.0),
+                           qy1 + dt * ((dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4) / 6.0),
+                           qz1 + dt * ((dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4) / 6.0))),
+                (wx1 + dt * ((bx1 + 2.0 * bx2 + 2.0 * bx3 + bx4) / 6.0),
+                 wy1 + dt * ((by1 + 2.0 * by2 + 2.0 * by3 + by4) / 6.0),
+                 wz1 + dt * ((bz1 + 2.0 * bz2 + 2.0 * bz3 + bz4) / 6.0)))
 
     return wrench_kernel(geo, perturbation), euler if integrator == "euler" else rk4
 

@@ -126,6 +126,8 @@ CASES: dict[str, tuple[str | None, list[str]]] = {
     "config_negative_seed": ("sim.seed = -1\n", ["takeoff"]),
     "config_unreachable_setpoint_pitch": ("controller.setpoint_pitch_deg = 120\n", ["takeoff"]),
     "config_step_cap": ("thrust.target_per_fan_n = 30\nsim.duration_s = 1e9\n", ["takeoff"]),
+    "config_negative_noise": ("sim.sensor_noise_std = -1\nsim.duration_s = 1.0\n", ["takeoff"]),
+    "config_partial_step_duration": ("sim.duration_s = 1.0016\n", ["takeoff"]),
     "config_negative_pole_placement": (
         "controller.damping_ratio = -0.7\ncontroller.natural_freq_pitch_rad_s = -12\n"
         "controller.natural_freq_yaw_rad_s = -12\n", ["takeoff"]),

@@ -84,9 +84,13 @@ def strict_json(path):
         return json.load(fh, parse_constant=reject)
 
 
+# whole milliseconds in three files of four, a whole number of steps of the
+# default 1 ms dt; any float in the fourth, which that check mostly rejects
+WHOLE_MS = st.integers(1, 300).map(lambda n: n / 1000)
+DURATION = st.sampled_from([WHOLE_MS] * 3 + [st.floats(0.001, 0.3)]).flatmap(lambda s: s)
 # a few keys per file, so that most files pass validation and reach the simulation
 CONFIGS = st.lists(st.sampled_from(sorted(TAKEOFF_KEYS)), max_size=5, unique=True).flatmap(
-    lambda keys: st.fixed_dictionaries({"sim.duration_s": st.floats(0.001, 0.3)}
+    lambda keys: st.fixed_dictionaries({"sim.duration_s": DURATION}
                                        | {key: TAKEOFF_KEYS[key] for key in keys}))
 
 

@@ -3,8 +3,9 @@ events keys the bench reads, README, the package's envelope exports), on code
 that only tests call, on where numpy is imported and loaded, on what the
 oracles import from the package, on the one geometry construction, on the
 takeoff loop's and the hover trim's wrench evaluations, rotation-matrix builds
-and fan-state constructions, on the loop's attitude readouts, on the one
-source of the pitch arms and on the envelope solver's batching."""
+and fan-state constructions, on the loop's attitude readouts, on the run
+kernel's one accel, on the one source of the pitch arms and on the envelope
+solver's batching."""
 
 import ast
 import importlib
@@ -248,6 +249,27 @@ def test_takeoff_loop_reads_the_attitude_once_per_step_aloft(monkeypatch):
         aloft = steps - round(log.events["liftoff_time_s"] / cfg.dt_s)
         assert 0 < aloft < steps
         assert counts == {"quat_angles": 1 + aloft, "EulerAngles": 0}, integrator
+
+
+def test_run_kernel_steps_share_the_one_accel():
+    # accel is the one home of the equations of motion: the flat rk4 calls it
+    # once a stage and euler once, neither hides a stage in a nested function
+    # or a comprehension, and no other closure writes R(q) out
+    tree = ast.parse((ROOT / "src" / "tvcsim" / "sim.py").read_text())
+    (kernel,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "run_kernel"]
+    closures = {node.name: node for node in kernel.body if isinstance(node, ast.FunctionDef)}
+    nested = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
+              ast.GeneratorExp)
+    for name, n_calls in (("rk4", 4), ("euler", 1)):
+        body = list(ast.walk(closures[name]))[1:]
+        assert len([node for node in body if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "accel"]) == n_calls
+        assert not [node for node in body if isinstance(node, nested)], name
+    writers = [name for name, closure in closures.items()
+               if any(isinstance(node, ast.BinOp) and ast.unparse(node) == "1 - 2 * (yy + zz)"
+                      for node in ast.walk(closure))]
+    assert writers == ["accel"]
 
 
 def test_only_the_wrench_model_reads_the_pitch_arm_geometry():

@@ -31,9 +31,10 @@ from tvcsim.sim import (
     ScenarioConfig,
     SimLog,
     dynamics_step,
+    run_kernel,
     run_scenario,
 )
-from tvcsim.spatial import EulerAngles, quat_to_matrix
+from tvcsim.spatial import EulerAngles, quat_to_matrix, quat_unit
 from tvcsim.trim import hover_trim
 from tvcsim.wrench import FanState, generalized_wrench_3d
 
@@ -555,6 +556,35 @@ def test_scenario_config_rejects_a_negative_seed():
         ScenarioConfig(seed=-1)
 
 
+def test_scenario_config_rejects_a_negative_noise_sigma():
+    # the loop draws noise only for a sigma > 0, so a negative one ran as 0
+    for sigma in (-1.0, -1e-12, -math.inf):
+        with pytest.raises(ValueError, match=r"^sim\.sensor_noise_std must be >= 0, got -"):
+            ScenarioConfig(sensor_noise_std=sigma)
+    with pytest.raises(ValueError, match=r"^sim\.sensor_noise_std must be >= 0, got nan$"):
+        ScenarioConfig(sensor_noise_std=math.nan)
+    with pytest.raises(ValueError, match=r"got -1$"):
+        scenario_from_config({"sim.sensor_noise_std": -1.0})
+    ScenarioConfig(sensor_noise_std=0.0)  # zero, the default, is kept
+
+
+def test_scenario_config_rejects_a_duration_of_partial_steps():
+    # the loop runs whole steps, so a rounded step count would run past (or
+    # stop short of) the duration and still report it
+    for duration, dt in ((1.0016, 1e-3), (1.0014, 1e-3), (0.003, 2e-3), (1.00000001, 1e-3)):
+        with pytest.raises(ValueError, match=r"^sim\.duration_s \S+ s must be a whole number "
+                                             r"of sim\.dt_s \S+ s steps$"):
+            ScenarioConfig(duration_s=duration, dt_s=dt)
+    with pytest.raises(ValueError, match=r"^sim\.duration_s 1\.0016 s .* sim\.dt_s 0\.001 s"):
+        scenario_from_config({"sim.duration_s": 1.0016})
+    for duration in (0.8, 1.2, 1.5, 2.5, 4.0):  # every golden case's duration
+        for dt in (5e-4, 1e-3, 2e-3):
+            ScenarioConfig(duration_s=duration, dt_s=dt)
+    # the step cap is checked first and keeps its message
+    with pytest.raises(ValueError, match=r"^sim\.duration_s / sim\.dt_s must be at most"):
+        ScenarioConfig(duration_s=1000.0005)
+
+
 def test_scenario_config_caps_the_step_count():
     # a grounded run leaves its loop only after every step, so an input that
     # asks for astronomically many steps would never end; both name both keys
@@ -725,3 +755,111 @@ def test_float_step_guards(integrator):
     with pytest.raises(ValueError, match="zero quaternion"):
         dynamics_step(RigidBodyState(orientation=(0.0, 0.0, 0.0, 0.0)), ZERO_THRUST, P1, 1e-3,
                       integrator=integrator)
+
+
+# --- the flat rk4 step against the tuple form it replaced ------------------
+
+def _tuple_rk4(step):
+    """run_kernel's rk4 as it was written with deriv, stage and zip sums, on
+    the accel, dt and h that the flat step closes over."""
+    cells = dict(zip(step.__code__.co_freevars, (c.cell_contents for c in step.__closure__)))
+    accel, dt, h = cells["accel"], cells["dt"], cells["h"]
+
+    def deriv(y, load):
+        _, _, _, wx, wy, wz, qw, qx, qy, qz = y
+        return (*accel(qw, qx, qy, qz, wx, wy, wz, *load),
+                0.5 * (qw * 0.0 - qx * wx - qy * wy - qz * wz),
+                0.5 * (qw * wx + qx * 0.0 + qy * wz - qz * wy),
+                0.5 * (qw * wy - qx * wz + qy * 0.0 + qz * wx),
+                0.5 * (qw * wz + qx * wy - qy * wx + qz * 0.0))
+
+    def stage(y, span, k):
+        vx, vy, vz, wx, wy, wz, qw, qx, qy, qz = y
+        ax, ay, az, bx, by, bz, dw, dx, dy, dz = k
+        return (vx + span * ax, vy + span * ay, vz + span * az,
+                wx + span * bx, wy + span * by, wz + span * bz,
+                *quat_unit((qw + span * dw, qx + span * dx, qy + span * dy, qz + span * dz)))
+
+    def rk4(p, v, q, omega, rows):
+        f_x, f_z, tx, ty1, ty2, ty3, tz = rows
+        load = (f_x, f_z, tx, ty1 + ty2 + ty3, tz)
+        y1 = (*v, *omega, *quat_unit(q))
+        k1 = deriv(y1, load)
+        y2 = stage(y1, h, k1)
+        k2 = deriv(y2, load)
+        y3 = stage(y1, h, k2)
+        k3 = deriv(y3, load)
+        y4 = stage(y1, dt, k3)
+        k4 = deriv(y4, load)
+        y = stage(y1, dt, [(a + 2.0 * b + 2.0 * c + d) / 6.0
+                           for a, b, c, d in zip(k1, k2, k3, k4)])
+        p = tuple(x + dt * ((a + 2.0 * b + 2.0 * c + d) / 6.0)
+                  for x, a, b, c, d in zip(p, y1, y2, y3, y4))
+        return p, y[0:3], y[6:10], y[3:6]
+
+    return rk4
+
+
+def _bits(state):
+    return struct.pack("<13d", *(x for part in state for x in part))
+
+
+def _rk4_kernels():
+    """Flat rk4 steps over three postures, with and without perturbation, at three dts."""
+    return [run_kernel(geometry_from_posture(builtin_posture(name)), pert, dt, "rk4")[1]
+            for name in ("P1", "P2", "P3") for pert in (None, Perturbation.standard())
+            for dt in (2e-4, 1e-3, 2e-3)]
+
+
+def test_flat_rk4_step_is_the_tuple_step_bit_for_bit():
+    rng = np.random.default_rng(19)
+    steps = _rk4_kernels()
+    pairs = [(step, _tuple_rk4(step)) for step in steps]
+
+    def check(case, p, v, q, omega, rows):
+        flat, ref = pairs[case % len(pairs)]
+        assert _bits(flat(p, v, q, omega, rows)) == _bits(ref(p, v, q, omega, rows)), case
+
+    def draw(n, scale):
+        return tuple((rng.normal(0.0, 1.0, n) * scale).tolist())
+
+    for case in range(10_000):  # random states and loads over many magnitudes
+        scale = 10.0 ** rng.uniform(-6.0, 2.0, 5)
+        check(case, draw(3, scale[0]), draw(3, scale[1]), draw(4, 1.0),
+              draw(3, scale[2]), draw(5, scale[3]) + draw(2, scale[4]))
+    for case in range(2_000):  # signed zeros, where the qw * 0.0 terms matter
+        zeros = rng.choice([0.0, -0.0], 17).tolist()
+        q = list(zeros[6:10])
+        q[case % 4] = float(rng.choice([1.0, -1.0]))
+        check(case, tuple(zeros[0:3]), tuple(zeros[3:6]), tuple(q), tuple(zeros[10:13]),
+              tuple(zeros[13:17]) + draw(3, rng.choice([0.0, 1.0])))
+    for case in range(2_000):  # rates below quat_step's small-angle cutoff, subnormals too
+        rates = draw(3, float(rng.choice([1e-13, 1e-300, 5e-324])))
+        check(case, draw(3, 1.0), draw(3, 1.0), draw(4, 1.0), rates, draw(7, 50.0))
+    for slot in range(20):  # a NaN in any one state or load component
+        values = [0.1, -0.2, 0.3, 1.0, 0.5, -0.4, 0.9, 0.1, -0.3, 0.2, 0.7, -1.1, 0.4,
+                  40.0, 170.0, 2.0, -1.0, 0.5, -0.25, 0.1]
+        values[slot] = math.nan
+        state = (tuple(values[0:3]), tuple(values[3:6]), tuple(values[6:10]),
+                 tuple(values[10:13]), tuple(values[13:20]))
+        check(slot, *state)
+        assert any(math.isnan(x) for part in pairs[0][0](*state) for x in part)
+
+
+@pytest.mark.parametrize("integrator, lo, hi", [("rk4", 14.0, 18.0), ("euler", 1.8, 2.3)])
+def test_integrator_error_falls_with_the_order_of_the_method(integrator, lo, hi):
+    # halving dt divides the global error by 2^order: 16 for rk4, 2 for euler.
+    # An open-loop tumble under a fixed P1 wrench, against a run at 1/64 of the
+    # finest dt; a wrong stage that both rk4 copies shared would fail this
+    def final(dt):
+        wrench, step = run_kernel(P1, None, dt, integrator)
+        rows = wrench(45.0, 45.0, 42.0, 48.0, 0.2, -0.1)
+        state = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (1.0, 1.5, -0.8)
+        for _ in range(round(0.4 / dt)):
+            state = step(*state, rows)
+        return np.concatenate(state)
+
+    reference = final(5e-4 / 64)
+    errors = [np.linalg.norm(final(dt) - reference) for dt in (2e-3, 1e-3, 5e-4)]
+    assert lo <= errors[0] / errors[1] <= hi, errors
+    assert lo <= errors[1] / errors[2] <= hi, errors

@@ -199,13 +199,13 @@ def cmd_envelope(args, values) -> int:
         name = cfg.posture.name
         geo = cfg.geometry()
         constraint = EnvelopeConstraint.hover(geo, cfg.posture, cfg.limits)
-        if settings["min_vertical_force"] is not None:
-            constraint = replace(constraint, min_vertical_force=settings["min_vertical_force"])
+        if settings.min_vertical_force is not None:
+            constraint = replace(constraint, min_vertical_force=settings.min_vertical_force)
         # the comparison is meaningless if the robot cannot even hover level,
         # so that is reported ahead of an invalid sweep
         ratio_max, ratio_min = tvc_dt_ratio(geo, constraint)
-        points = envelope_sweep(geo, constraint, settings["theta_pitch_range"],
-                                settings["n_points"])
+        points = envelope_sweep(geo, constraint, settings.theta_pitch_range,
+                                settings.n_points)
         path = os.path.join(args.out, f"envelope_{name}.{args.format}")
         if args.format == "csv":
             _atomic_write(path, lambda tmp: write_envelope_csv(points, tmp))
@@ -220,7 +220,7 @@ def cmd_envelope(args, values) -> int:
               f"{geo.com_body[2]:.3f}) m feet=({geo.fan_foot_x:.3f}, {geo.fan_foot_z:.3f}) m")
         print(f"{name}: tvc/dt ratio @0deg: tau_max {ratio_max:.2f}, |tau_min| {ratio_min:.2f}")
     manifest = _write_manifest(args.out, "envelope", args.config, cfgs,
-                               {"envelope": settings}, outputs, started)
+                               {"envelope": asdict(settings)}, outputs, started)
     print(f"wrote {len(outputs)} envelope file(s) + {os.path.basename(manifest)}")
     return EXIT_OK
 
@@ -229,6 +229,7 @@ def cmd_takeoff(args, values) -> int:
     started = time.monotonic()
     cfg = scenario_from_config(values)
     log = run_scenario(cfg)
+    events = log.events_json() + "\n"  # a non-finite event fails before any file is written
 
     log_path = os.path.join(args.out, f"takeoff_log.{args.format}")
     if args.format == "csv":
@@ -236,7 +237,7 @@ def cmd_takeoff(args, values) -> int:
     else:
         _write_text(log_path, _rows_as_json(log.header, log.rows))
     events_path = os.path.join(args.out, "takeoff_events.json")
-    _atomic_write(events_path, log.write_events_json)
+    _write_text(events_path, events)
     _write_manifest(args.out, "takeoff", args.config, [cfg], {},
                     [log_path, events_path], started)
 

@@ -10,16 +10,16 @@ at all. SCHEMA below is the one table of keys, and the README's configuration
 table is their one description. scenario_from_config resolves every key
 through its row: one merge, _merged, sets the field (or tuple element) that
 the row names on its consumer's default, so an absent key keeps that default.
-Only the posture label and the envelope.* keys are read by name; the one set
-of defaults held here is the envelope sweep's, which envelope_sweep takes
-from this module. Every command resolves its robot through
-scenario_from_config, so the same file describes the same robot to all.
+Only the posture label is read by name. The one set of defaults held here is
+the envelope sweep's, EnvelopeSettings, which envelope_sweep takes from this
+module too. Every command resolves its robot through scenario_from_config, so
+the same file describes the same robot to all.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from .controller import ControlMode, ControllerGains, ThrustRamp
 from .robot import FanLimits, Posture, builtin_posture
@@ -30,14 +30,23 @@ SWEEP_PITCH_RANGE = (-math.pi / 6.0, math.pi / 6.0)  # rad, the default envelope
 SWEEP_POINTS = 61
 
 
+@dataclass(frozen=True)
+class EnvelopeSettings:
+    """The envelope command's sweep and vertical-force floor (None: M g)."""
+
+    theta_pitch_range: tuple[float, float] = SWEEP_PITCH_RANGE  # rad
+    n_points: int = SWEEP_POINTS
+    min_vertical_force: float | None = None
+
+
 class ConfigError(ValueError):
     """Malformed config file, unknown key, or invalid value."""
 
 
 # key -> (type, consumer, field[, index]): the value sets `field` of the consumer
 # dataclass, or element `index` of that tuple field; a *_deg value is converted
-# to radians unless the field is in degrees too. None marks the posture label
-# and the envelope keys, which are read by name
+# to radians unless the field is in degrees too. None marks the posture label,
+# which is read by name
 SCHEMA: dict[str, tuple] = {
     "posture": (str, None, None),
     "posture.com_x_m": (float, Posture, "com_sagittal", 0),
@@ -87,10 +96,10 @@ SCHEMA: dict[str, tuple] = {
     "sim.seed": (int, ScenarioConfig, "seed"),
     "sim.integrator": (str, ScenarioConfig, "integrator"),
     "sim.sensor_noise_std": (float, ScenarioConfig, "sensor_noise_std"),
-    "envelope.theta_pitch_min_deg": (float, None, None),
-    "envelope.theta_pitch_max_deg": (float, None, None),
-    "envelope.n_points": (int, None, None),
-    "envelope.min_vertical_force_n": (float, None, None),
+    "envelope.theta_pitch_min_deg": (float, EnvelopeSettings, "theta_pitch_range", 0),
+    "envelope.theta_pitch_max_deg": (float, EnvelopeSettings, "theta_pitch_range", 1),
+    "envelope.n_points": (int, EnvelopeSettings, "n_points"),
+    "envelope.min_vertical_force_n": (float, EnvelopeSettings, "min_vertical_force"),
 }
 
 
@@ -135,10 +144,6 @@ _REQUIRED_GAINS = ["controller.kp_pitch", "controller.kd_pitch",
                    "controller.kp_yaw", "controller.kd_yaw"]
 _TUNING_KEYS = ["controller.damping_ratio", "controller.natural_freq_pitch_rad_s",
                 "controller.natural_freq_yaw_rad_s"]
-
-
-def _radians(values: dict, key: str, default: float) -> float:
-    return math.radians(values[key]) if key in values else default
 
 
 def _sets(values: dict, consumer) -> bool:
@@ -207,12 +212,6 @@ def posture_from_config(values: dict) -> Posture:
                    else ScenarioConfig.posture)
 
 
-def envelope_settings_from_config(values: dict) -> dict:
-    """envelope_sweep arguments and the vertical-force floor (None: M g)."""
-    lo, hi = SWEEP_PITCH_RANGE
-    return {
-        "theta_pitch_range": (_radians(values, "envelope.theta_pitch_min_deg", lo),
-                              _radians(values, "envelope.theta_pitch_max_deg", hi)),
-        "n_points": values.get("envelope.n_points", SWEEP_POINTS),
-        "min_vertical_force": values.get("envelope.min_vertical_force_n"),
-    }
+def envelope_settings_from_config(values: dict) -> EnvelopeSettings:
+    """The envelope command's settings, with the fields that values sets."""
+    return _merged(values, EnvelopeSettings())

@@ -64,8 +64,9 @@ class ControllerGains:
 
     def __post_init__(self):
         for name in ("kp_pitch", "kd_pitch", "kp_yaw", "kd_yaw", "ki_pitch", "ki_yaw"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # a NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,8 @@ def tune_gains(geo: RobotGeometry, hover_thrust_per_fan: float, trim_foot_angle:
     rounded to four significant digits. ScenarioConfig's default natural
     frequency is chosen so the point-mass inertia surrogate holds attitude
     against the standard CoM-offset and joint-bias disturbances with a few
-    degrees of steady-state error. Raises NoTrimError where b <= 0.
+    degrees of steady-state error. Raises NoTrimError where b <= 0, and
+    ControllerGains' ValueError where a gain overflows a float.
     """
     f = hover_thrust_per_fan
     _, _, arm_v, arm_h = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
@@ -117,10 +119,10 @@ def tune_gains(geo: RobotGeometry, hover_thrust_per_fan: float, trim_foot_angle:
     def sig4(v: float) -> float:
         return float(f"{v:.4g}")
 
-    return ControllerGains(
-        kp_pitch=sig4(i_yy * omega_n_pitch**2 / b_pitch),
+    return ControllerGains(  # wn * wn overflows to inf, where wn**2 would raise
+        kp_pitch=sig4(i_yy * (omega_n_pitch * omega_n_pitch) / b_pitch),
         kd_pitch=sig4(2.0 * zeta * omega_n_pitch * i_yy / b_pitch),
-        kp_yaw=sig4(i_zz * omega_n_yaw**2 / b_yaw),
+        kp_yaw=sig4(i_zz * (omega_n_yaw * omega_n_yaw) / b_yaw),
         kd_yaw=sig4(2.0 * zeta * omega_n_yaw * i_zz / b_yaw),
     )
 

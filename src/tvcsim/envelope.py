@@ -124,7 +124,7 @@ def lp_max_covering(c, a, r, upper):
     # moves that raise a.x, cheapest objective loss per unit of slack first
     up = (x == 0.0) & (a > 0.0)
     movable = up | ((x == u) & (a < 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         order = np.argsort(np.where(movable, -(c / a), np.inf), axis=1, kind="stable")
         by_cost = (np.arange(len(c))[:, None], order)
         a_s, u_s, x_s, up_s, movable_s = (v[by_cost] for v in (a, u, x, up, movable))
@@ -182,20 +182,27 @@ def _sweep(geo, constraint, thetas) -> list[SweepPoint]:
     phi = lane_pitch[:, None]
     floors = np.repeat(constraint.min_vertical_force + np.array([-_FEAS_TOL, 0.0, _FEAS_TOL]), 3)
     waist = np.cos(phi) * np.tile([0.0, cap, 2.0 * cap], 3)
-    acos = np.arccos(np.clip((floors - waist) / (2.0 * cap), -1.0, 1.0))
     arms = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
     c_front, c_back, foot = _torque(arms, 0.0, 1.0)  # foot: 2 (x_c - x_foot)
     # b = p_fz - z_c; 0.0 minus the arm, not its negation, keeps +0.0 where the two are equal
     c_w, b = np.array([0.0, c_front, c_back]), 0.0 - arms[3]
-    stationary = np.arctan2(b * np.cos(phi) + c_w * np.sin(phi), (foot / 2 - c_w) * np.cos(phi))
-    free = np.concatenate([acos - phi, -acos - phi, stationary, stationary + math.pi], axis=1)
-    feet = np.hstack([np.broadcast_to([0.0, lo, hi], (2 * n, 3)),
-                      np.minimum(lo + np.mod(free - lo, 2.0 * math.pi), hi)])
-    m = feet.shape[1]
-    value, _ = lp_max_covering(_torque(arms, feet.ravel(), np.repeat(sign, m)),
-                               _vertical(np.repeat(lane_pitch, m), feet.ravel()),
-                               constraint.min_vertical_force, cap)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # a tiny cap sends the acos ratio to +-inf, which the clip takes; a cap or
+        # a floor near the float range overflows, and the check below reports it
+        acos = np.arccos(np.clip((floors - waist) / (2.0 * cap), -1.0, 1.0))
+        stationary = np.arctan2(b * np.cos(phi) + c_w * np.sin(phi),
+                                (foot / 2 - c_w) * np.cos(phi))
+        free = np.concatenate([acos - phi, -acos - phi, stationary, stationary + math.pi], axis=1)
+        feet = np.hstack([np.broadcast_to([0.0, lo, hi], (2 * n, 3)),
+                          np.minimum(lo + np.mod(free - lo, 2.0 * math.pi), hi)])
+        m = feet.shape[1]
+        value, _ = lp_max_covering(_torque(arms, feet.ravel(), np.repeat(sign, m)),
+                                   _vertical(np.repeat(lane_pitch, m), feet.ravel()),
+                                   constraint.min_vertical_force, cap)
     value = value.reshape(-1, m)
+    if not (value < math.inf).all():  # a NaN fails too
+        raise ValueError(f"the envelope LP overflows a float at a per-fan cap of {cap} N and "
+                         f"a vertical force floor of {constraint.min_vertical_force} N")
     dt = value[:, 0]
     tvc = value.max(axis=1) if lo <= 0.0 <= hi else value[:, 1:].max(axis=1)
 

@@ -172,15 +172,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.dt_s <= 0.0 or self.dt_s > MAX_PHYSICS_DT:
             raise ValueError(f"physics dt must be in (0, {MAX_PHYSICS_DT}] s")
-        if self.duration_s < self.dt_s:
-            raise ValueError("duration must be >= dt")
-        steps = self.duration_s / self.dt_s
-        if not steps <= MAX_STEPS:  # an overflow or a NaN fails too
-            raise ValueError(f"sim.duration_s / sim.dt_s must be at most {MAX_STEPS} steps, "
-                             f"got {self.duration_s} s / {self.dt_s} s")
-        if abs(steps - round(steps)) > 1e-9:  # whole steps, to _substeps' tolerance
-            raise ValueError(f"sim.duration_s {self.duration_s} s must be a whole number of "
-                             f"sim.dt_s {self.dt_s} s steps")
+        self._n_steps = _steps(self.duration_s, self.dt_s, "sim.duration_s")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError("integrator must be 'euler' or 'rk4'")
         if self.seed < 0:  # numpy's Generator takes no negative seed
@@ -194,8 +186,14 @@ class ScenarioConfig:
         if not abs(self.setpoint.pitch) <= 0.5 * math.pi:  # the Z-Y-X pitch's range; NaN fails
             raise ValueError("controller.setpoint_pitch_deg must lie in [-90, 90], "
                              f"got {math.degrees(self.setpoint.pitch):.10g}")
-        self._controller_substeps = _substeps(self.controller_rate, self.dt_s, "controller")
-        self._sample_substeps = _substeps(self.sample_rate_hz, self.dt_s, "sample")
+        for key, rate in (("controller.rate_hz", self.controller_rate),
+                          ("sim.sample_rate_hz", self.sample_rate_hz)):
+            if not rate > 0.0:
+                raise ValueError(f"{key} must be positive, got {rate} Hz")
+        self._controller_substeps = _steps(1.0 / self.controller_rate, self.dt_s,
+                                           "the controller.rate_hz period")
+        self._sample_substeps = _steps(1.0 / self.sample_rate_hz, self.dt_s,
+                                       "the sim.sample_rate_hz period")
 
     def geometry(self) -> RobotGeometry:
         return geometry_from_posture(
@@ -203,14 +201,17 @@ class ScenarioConfig:
             fan_spacing_feet=self.fan_spacing_feet, fan_mass=self.fan_mass, com_y=self.com_y)
 
 
-def _substeps(rate: float, dt: float, what: str) -> int:
-    if not rate > 0.0:
-        raise ValueError(f"{what} rate must be positive, got {rate} Hz")
-    period = 1.0 / rate
-    n = period / dt
-    if abs(n - round(n)) > 1e-9 or round(n) < 1:
-        raise ValueError(f"{what} period {period} s must be an integer multiple of dt {dt} s")
-    return int(round(n))
+def _steps(span: float, dt: float, what: str) -> int:
+    """The whole number of dt steps in span s, from 1 to MAX_STEPS; what names span."""
+    n = span / dt
+    if not n <= MAX_STEPS:  # an overflow or a NaN fails too
+        raise ValueError(f"{what} / sim.dt_s must be at most {MAX_STEPS} steps, "
+                         f"got {span} s / {dt} s")
+    if n < 1.0 - 1e-9:  # -inf too, which round() cannot take
+        raise ValueError(f"{what} {span} s must be at least one sim.dt_s {dt} s step")
+    if abs(n - round(n)) > 1e-9:
+        raise ValueError(f"{what} {span} s must be a whole number of sim.dt_s {dt} s steps")
+    return round(n)
 
 
 class SimLog:
@@ -318,43 +319,43 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
     def rk4(p, v, q, omega, rows):
         # The position feeds no derivative, so stage n carries (v, w, q)n only. Its
         # derivative is accel's (a, b)n and q (0, omega) / 2 as (dw, dx, dy, dz)n,
-        # the quaternion product written out with its qw * 0.0 terms.
+        # the quaternion product written out without the terms of omega's zero w.
         fx, fz, tx, ty1, ty2, ty3, tz = rows
         ty = ty1 + ty2 + ty3
         (px, py, pz), (vx1, vy1, vz1), (wx1, wy1, wz1) = p, v, omega
         qw1, qx1, qy1, qz1 = quat_unit(q)
         ax1, ay1, az1, bx1, by1, bz1 = accel(qw1, qx1, qy1, qz1, wx1, wy1, wz1, fx, fz, tx, ty, tz)
-        dw1 = 0.5 * (qw1 * 0.0 - qx1 * wx1 - qy1 * wy1 - qz1 * wz1)
-        dx1 = 0.5 * (qw1 * wx1 + qx1 * 0.0 + qy1 * wz1 - qz1 * wy1)
-        dy1 = 0.5 * (qw1 * wy1 - qx1 * wz1 + qy1 * 0.0 + qz1 * wx1)
-        dz1 = 0.5 * (qw1 * wz1 + qx1 * wy1 - qy1 * wx1 + qz1 * 0.0)
+        dw1 = 0.5 * (-qx1 * wx1 - qy1 * wy1 - qz1 * wz1)
+        dx1 = 0.5 * (qw1 * wx1 + qy1 * wz1 - qz1 * wy1)
+        dy1 = 0.5 * (qw1 * wy1 - qx1 * wz1 + qz1 * wx1)
+        dz1 = 0.5 * (qw1 * wz1 + qx1 * wy1 - qy1 * wx1)
         vx2, vy2, vz2 = vx1 + h * ax1, vy1 + h * ay1, vz1 + h * az1
         wx2, wy2, wz2 = wx1 + h * bx1, wy1 + h * by1, wz1 + h * bz1
         qw2, qx2, qy2, qz2 = quat_unit((qw1 + h * dw1, qx1 + h * dx1,
                                         qy1 + h * dy1, qz1 + h * dz1))
         ax2, ay2, az2, bx2, by2, bz2 = accel(qw2, qx2, qy2, qz2, wx2, wy2, wz2, fx, fz, tx, ty, tz)
-        dw2 = 0.5 * (qw2 * 0.0 - qx2 * wx2 - qy2 * wy2 - qz2 * wz2)
-        dx2 = 0.5 * (qw2 * wx2 + qx2 * 0.0 + qy2 * wz2 - qz2 * wy2)
-        dy2 = 0.5 * (qw2 * wy2 - qx2 * wz2 + qy2 * 0.0 + qz2 * wx2)
-        dz2 = 0.5 * (qw2 * wz2 + qx2 * wy2 - qy2 * wx2 + qz2 * 0.0)
+        dw2 = 0.5 * (-qx2 * wx2 - qy2 * wy2 - qz2 * wz2)
+        dx2 = 0.5 * (qw2 * wx2 + qy2 * wz2 - qz2 * wy2)
+        dy2 = 0.5 * (qw2 * wy2 - qx2 * wz2 + qz2 * wx2)
+        dz2 = 0.5 * (qw2 * wz2 + qx2 * wy2 - qy2 * wx2)
         vx3, vy3, vz3 = vx1 + h * ax2, vy1 + h * ay2, vz1 + h * az2
         wx3, wy3, wz3 = wx1 + h * bx2, wy1 + h * by2, wz1 + h * bz2
         qw3, qx3, qy3, qz3 = quat_unit((qw1 + h * dw2, qx1 + h * dx2,
                                         qy1 + h * dy2, qz1 + h * dz2))
         ax3, ay3, az3, bx3, by3, bz3 = accel(qw3, qx3, qy3, qz3, wx3, wy3, wz3, fx, fz, tx, ty, tz)
-        dw3 = 0.5 * (qw3 * 0.0 - qx3 * wx3 - qy3 * wy3 - qz3 * wz3)
-        dx3 = 0.5 * (qw3 * wx3 + qx3 * 0.0 + qy3 * wz3 - qz3 * wy3)
-        dy3 = 0.5 * (qw3 * wy3 - qx3 * wz3 + qy3 * 0.0 + qz3 * wx3)
-        dz3 = 0.5 * (qw3 * wz3 + qx3 * wy3 - qy3 * wx3 + qz3 * 0.0)
+        dw3 = 0.5 * (-qx3 * wx3 - qy3 * wy3 - qz3 * wz3)
+        dx3 = 0.5 * (qw3 * wx3 + qy3 * wz3 - qz3 * wy3)
+        dy3 = 0.5 * (qw3 * wy3 - qx3 * wz3 + qz3 * wx3)
+        dz3 = 0.5 * (qw3 * wz3 + qx3 * wy3 - qy3 * wx3)
         vx4, vy4, vz4 = vx1 + dt * ax3, vy1 + dt * ay3, vz1 + dt * az3
         wx4, wy4, wz4 = wx1 + dt * bx3, wy1 + dt * by3, wz1 + dt * bz3
         qw4, qx4, qy4, qz4 = quat_unit((qw1 + dt * dw3, qx1 + dt * dx3,
                                         qy1 + dt * dy3, qz1 + dt * dz3))
         ax4, ay4, az4, bx4, by4, bz4 = accel(qw4, qx4, qy4, qz4, wx4, wy4, wz4, fx, fz, tx, ty, tz)
-        dw4 = 0.5 * (qw4 * 0.0 - qx4 * wx4 - qy4 * wy4 - qz4 * wz4)
-        dx4 = 0.5 * (qw4 * wx4 + qx4 * 0.0 + qy4 * wz4 - qz4 * wy4)
-        dy4 = 0.5 * (qw4 * wy4 - qx4 * wz4 + qy4 * 0.0 + qz4 * wx4)
-        dz4 = 0.5 * (qw4 * wz4 + qx4 * wy4 - qy4 * wx4 + qz4 * 0.0)
+        dw4 = 0.5 * (-qx4 * wx4 - qy4 * wy4 - qz4 * wz4)
+        dx4 = 0.5 * (qw4 * wx4 + qy4 * wz4 - qz4 * wy4)
+        dy4 = 0.5 * (qw4 * wy4 - qx4 * wz4 + qz4 * wx4)
+        dz4 = 0.5 * (qw4 * wz4 + qx4 * wy4 - qy4 * wx4)
         # the (1, 2, 2, 1) / 6 sums keep this order; another one moves last digits of the logs
         return ((px + dt * ((vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4) / 6.0),
                  py + dt * ((vy1 + 2.0 * vy2 + 2.0 * vy3 + vy4) / 6.0),
@@ -425,7 +426,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     else:
         f_f = f_b = f_l = f_r = 0.0
         alpha = 1.0 - math.exp(-dt / tau)  # spool lag per step
-    n_steps = int(round(cfg.duration_s / dt))
+    n_steps = cfg._n_steps
     i_2s = int(round(2.0 / dt)) if cfg.duration_s >= 2.0 else None
     liftoff = altitude = pitch_time = yaw_time = reason = touchdown = None
     termination = "duration"

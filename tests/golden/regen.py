@@ -68,6 +68,8 @@ CASES: dict[str, tuple[str | None, list[str]]] = {
     "envelope_thrust_floor": ("limits.thrust_min_n = 2\n", ["envelope", "--postures", "P1"]),
     "envelope_unknown_posture": (None, ["envelope", "--postures", "P9"]),
     "envelope_config_posture": ("posture = P2\nenvelope.n_points = 5\n", ["envelope"]),
+    "envelope_overflowing_cap": ("limits.thrust_max_per_fan_n = 1e308\n",
+                                 ["envelope", "--postures", "P1"]),
     "takeoff_default": (None, ["takeoff"]),
     "takeoff_both_on_euler": (None, ["takeoff", "--mode", "both-on"]),
     "takeoff_pitch_only_euler": (None, ["takeoff", "--mode", "pitch-only"]),
@@ -97,6 +99,8 @@ CASES: dict[str, tuple[str | None, list[str]]] = {
         ["takeoff"]),
     "takeoff_ramp_over_cap": ("limits.thrust_max_per_fan_n = 47\n", ["takeoff"]),
     "takeoff_no_foot_authority": ("posture.foot_z_m = -0.1\n", ["takeoff"]),
+    "takeoff_overflowing_gain": ("controller.damping_ratio = 1e308\nsim.duration_s = 0.05\n",
+                                 ["takeoff"]),
     "takeoff_unknown_mode_option": (None, ["takeoff", "--mode", "sideways"]),
     "trim_p1": (None, ["trim", "--posture", "P1"]),
     "trim_p2": (None, ["trim", "--posture", "P2"]),
@@ -128,6 +132,7 @@ CASES: dict[str, tuple[str | None, list[str]]] = {
     "config_step_cap": ("thrust.target_per_fan_n = 30\nsim.duration_s = 1e9\n", ["takeoff"]),
     "config_negative_noise": ("sim.sensor_noise_std = -1\nsim.duration_s = 1.0\n", ["takeoff"]),
     "config_partial_step_duration": ("sim.duration_s = 1.0016\n", ["takeoff"]),
+    "config_tiny_rate": ("controller.rate_hz = 1e-308\n", ["trim"]),
     "config_negative_pole_placement": (
         "controller.damping_ratio = -0.7\ncontroller.natural_freq_pitch_rad_s = -12\n"
         "controller.natural_freq_yaw_rad_s = -12\n", ["takeoff"]),

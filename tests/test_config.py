@@ -10,6 +10,7 @@ import pytest
 from tvcsim.config import (
     SCHEMA,
     ConfigError,
+    EnvelopeSettings,
     envelope_settings_from_config,
     load_config,
     parse_config_text,
@@ -136,9 +137,9 @@ def test_invalid_scenario_value_maps_to_config_error():
 def test_envelope_settings():
     settings = envelope_settings_from_config(
         parse_config_text("envelope.n_points = 21\nenvelope.theta_pitch_max_deg = 10"))
-    assert settings["n_points"] == 21
-    assert settings["theta_pitch_range"] == (-math.pi / 6.0, pytest.approx(math.radians(10.0)))
-    assert settings["min_vertical_force"] is None
+    assert settings == EnvelopeSettings(theta_pitch_range=(-math.pi / 6.0, math.radians(10.0)),
+                                        n_points=21, min_vertical_force=None)
+    assert envelope_settings_from_config({}) == EnvelopeSettings()
 
 
 def test_posture_field_overrides():
@@ -255,9 +256,9 @@ def test_every_key_changes_what_it_resolves_to(key):
 def test_schema_rows_name_fields_of_their_consumers():
     assert set(TWO_VALUES) == set(SCHEMA)
     consumers = (ScenarioConfig, FanLimits, ThrustRamp, ControllerGains, Posture,
-                 Perturbation, EulerAngles)
+                 Perturbation, EulerAngles, EnvelopeSettings)
     for key, (_, consumer, name, *index) in SCHEMA.items():
-        if key == "posture" or key.startswith("envelope."):  # read by name
+        if key == "posture":  # read by name
             assert (consumer, name, index) == (None, None, []), key
             continue
         assert consumer in consumers, key
@@ -283,9 +284,12 @@ ELEMENTS = {
     "perturbation.thrust_scale_back": ("perturbation", "thrust_scale", 1),
     "perturbation.thrust_scale_left": ("perturbation", "thrust_scale", 2),
     "perturbation.thrust_scale_right": ("perturbation", "thrust_scale", 3),
+    "envelope.theta_pitch_min_deg": ("envelope", "theta_pitch_range", 0),
+    "envelope.theta_pitch_max_deg": ("envelope", "theta_pitch_range", 1),
 }
-# the default that a posture or perturbation key changes
-DEFAULTS = {"posture": builtin_posture("P1"), "perturbation": Perturbation()}
+# the default that a posture, perturbation or envelope key changes
+DEFAULTS = {"posture": builtin_posture("P1"), "perturbation": Perturbation(),
+            "envelope": EnvelopeSettings()}
 
 
 def test_schema_indexes_exactly_the_tuple_element_keys():
@@ -300,8 +304,14 @@ def test_each_indexed_key_changes_exactly_its_own_element(key):
     default = DEFAULTS[attribute]
     value = TWO_VALUES[key][1]
     element = list(getattr(default, name))
-    assert element[index] != value
-    element[index] = value
-    expected = replace(scenario_from_config({}),
-                       **{attribute: replace(default, **{name: tuple(element)})})
-    assert scenario_from_config({key: value}) == expected
+    # the envelope's pitch range is in radians, its keys in degrees
+    element_value = math.radians(value) if attribute == "envelope" else value
+    assert element[index] != element_value
+    element[index] = element_value
+    changed = replace(default, **{name: tuple(element)})
+    scenario, settings = scenario_from_config({}), EnvelopeSettings()
+    if attribute == "envelope":
+        settings = changed
+    else:
+        scenario = replace(scenario, **{attribute: changed})
+    assert _resolved({key: value}) == (asdict(scenario), settings)

@@ -1,5 +1,6 @@
 """Property-based fuzzing of the config files of every `tvcsim` command and of
-the `wrench-eval` fan-state options.
+the `wrench-eval` fan-state options, and a deterministic sweep of every float
+key over the extremes of the float range.
 
 Every input must end in a documented exit code (0 ok, 2 config error,
 3 infeasible, 4 divergence) with a one-line message, never in a traceback,
@@ -9,13 +10,17 @@ and every events or manifest file written must be strict JSON.
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
+import warnings
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tvcsim.cli import main
+from tvcsim.config import SCHEMA
 
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4}
 
@@ -209,3 +214,46 @@ def test_wrench_eval_fuzz_ends_in_a_documented_way(values, posture, options, tmp
     args += [f"{option}={value!r}" for option, value in options.items()]
     code, stdout, err = run_main(values, args, out)
     check_key_value_report(code, stdout, err, out / "wrench_eval_manifest.json")
+
+
+EXTREME_FLOATS = (1e308, -1e308, 1e200, 1e-200, 1e-308, 5e-324)
+COMMANDS = (["takeoff"], ["trim"], ["wrench-eval"], ["envelope", "--postures", "P1"])
+FLOAT_KEYS = sorted(key for key, (typ, *_) in SCHEMA.items() if typ is float)
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_extreme_float_values_end_in_a_documented_way(key, tmp_path):
+    # every float key at the edges of the float range, on every command: an
+    # overflow, an underflow or a subnormal ends in a documented exit with one
+    # line and strict outputs, never in a traceback, a warning or a nan
+    failures = []
+    for value, argv in itertools.product(EXTREME_FLOATS, COMMANDS):
+        out = tmp_path / f"{argv[0]}{value!r}"
+        out.mkdir()
+        base = {"sim.duration_s": 0.05, "envelope.n_points": 3}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code, stdout, err = run_main(base | {key: value}, argv, out)
+            except Exception as exc:  # main's caller would print a traceback
+                failures.append((value, argv[0], [f"raised {exc!r}"]))
+                continue
+        outputs = sorted(p.name for p in out.iterdir() if p.name != "fuzz.cfg")
+        problems = [f"exit {code}"] if code not in DOCUMENTED_EXIT_CODES else []
+        problems += [f"warning: {w.message}" for w in caught]
+        problems += ["nan in stdout"] * ("nan" in stdout)
+        if code == 2 and outputs:
+            problems.append(f"exit 2 left {outputs}")
+        if code in (2, 3) and len(err.strip().splitlines()) != 1:
+            problems.append(f"stderr {err!r}")
+        for name in outputs:
+            if name.endswith(".json"):
+                strict_json(out / name)
+            elif name.startswith("envelope_"):
+                with open(out / name) as fh:
+                    for row in list(csv.reader(fh))[1:]:
+                        if "nan" in row[1:5] and row[5] != "0":
+                            problems.append(f"{name}: nan in a feasible row {row}")
+        if problems:
+            failures.append((value, argv[0], problems))
+    assert failures == []

@@ -1,11 +1,10 @@
 """Guards on contracts kept outside the package (bench trace targets, the
-events keys the bench reads, README, the package's envelope exports), on code
-that only tests call, on where numpy is imported and loaded, on what the
-oracles import from the package, on the one geometry construction, on the
-takeoff loop's and the hover trim's wrench evaluations, rotation-matrix builds
-and fan-state constructions, on the loop's attitude readouts, on the run
-kernel's one accel, on the one source of the pitch arms and on the envelope
-solver's batching."""
+events keys the bench reads, README), on code that only tests call, on where
+numpy is imported and loaded, on what the oracles import from the package, on
+the one geometry construction, on the takeoff loop's and the hover trim's
+wrench evaluations, rotation-matrix builds and fan-state constructions, on
+the loop's attitude readouts, on the run kernel's one accel, on the one
+source of the pitch arms and on the envelope solver's batching."""
 
 import ast
 import importlib
@@ -17,7 +16,6 @@ import subprocess
 import sys
 import textwrap
 
-import tvcsim
 from tvcsim import envelope, robot, sim, spatial, wrench
 from tvcsim.config import SCHEMA
 from tvcsim.robot import builtin_posture, geometry_from_posture
@@ -102,14 +100,6 @@ def test_every_top_level_name_is_used_outside_the_tests():
               for node in ast.parse(path.read_text()).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
     assert unused == []
-
-
-def test_package_still_exports_every_envelope_name():
-    for name in ("EnvelopeConstraint", "EnvelopeInfeasibleError", "EnvelopePoint",
-                 "SweepPoint", "envelope_sweep", "max_pitch_torque_dt",
-                 "max_pitch_torque_tvc", "tvc_dt_ratio", "write_envelope_csv"):
-        assert getattr(tvcsim, name) is getattr(envelope, name), name
-    assert not hasattr(tvcsim, "lp_max_covering")
 
 
 def test_scalar_modules_import_no_numpy():

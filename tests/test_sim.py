@@ -641,8 +641,13 @@ def test_scenario_config_validation():
         ScenarioConfig(duration_s=1e-4)
     with pytest.raises(ValueError):
         ScenarioConfig(controller_rate=333.0)  # not a multiple of dt
-    with pytest.raises(ValueError, match="rate must be positive"):
+    with pytest.raises(ValueError, match=r"^controller\.rate_hz must be positive"):
         ScenarioConfig(controller_rate=0.0)
+    # a period of more than MAX_STEPS steps, an overflowing one too, names its key
+    for rate in (1e-4, 1e-308, 5e-324):
+        with pytest.raises(ValueError, match=r"^the sim\.sample_rate_hz period / sim\.dt_s "
+                                             r"must be at most 1000000 steps"):
+            ScenarioConfig(sample_rate_hz=rate)
     with pytest.raises(ValueError, match="must be at most 1000000 steps"):
         ScenarioConfig(duration_s=1e308)  # finite, but duration / dt overflows
     # the ramp is checked by its one consumer, the takeoff run

@@ -112,7 +112,8 @@ def lp_max_covering(c, a, r, upper):
     the greedy's steps in the order a row-by-row loop would.
     """
     u = np.broadcast_to(np.asarray(upper, dtype=float), c.shape)
-    cols = range(c.shape[1])
+    n, m = c.shape
+    cols = range(m)
 
     def row_sum(v):  # left to right, as a loop over the variables adds
         return sum(v[:, i] for i in cols)
@@ -126,8 +127,8 @@ def lp_max_covering(c, a, r, upper):
     movable = up | ((x == u) & (a < 0.0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         order = np.argsort(np.where(movable, -(c / a), np.inf), axis=1, kind="stable")
-        by_cost = (np.arange(len(c))[:, None], order)
-        a_s, u_s, x_s, up_s, movable_s = (v[by_cost] for v in (a, u, x, up, movable))
+        by_cost = order + m * np.arange(n)[:, None]  # flat positions, each row by cost
+        a_s, u_s, x_s, up_s, movable_s = (np.take(v, by_cost) for v in (a, u, x, up, movable))
         buying = gap > _FEAS_TOL
         for k in cols:
             move = buying & movable_s[:, k]
@@ -140,7 +141,7 @@ def lp_max_covering(c, a, r, upper):
             x_s[:, k] = np.where(last, part, np.where(move, full, x_s[:, k]))
             gap = np.where(last, 0.0, np.where(move, gap - gain, gap))
             buying &= ~last
-    x[by_cost] = x_s
+    np.put(x, by_cost, x_s)
     value = row_sum(c * x)
     feasible = ~(cap < r - _FEAS_TOL) & ~(gap > _FEAS_TOL)
     return np.where(feasible, value, -np.inf), x
@@ -203,22 +204,23 @@ def _sweep(geo, constraint, thetas) -> list[SweepPoint]:
     if not (value < math.inf).all():  # a NaN fails too
         raise ValueError(f"the envelope LP overflows a float at a per-fan cap of {cap} N and "
                          f"a vertical force floor of {constraint.min_vertical_force} N")
-    dt = value[:, 0]
-    tvc = value.max(axis=1) if lo <= 0.0 <= hi else value[:, 1:].max(axis=1)
+    dt = value[:, 0].tolist()
+    tvc = (value.max(axis=1) if lo <= 0.0 <= hi else value[:, 1:].max(axis=1)).tolist()
 
-    def point(best, j):  # None where a direction is infeasible
+    def point(best, j, th):  # None where a direction is infeasible
         return (None if best[j] == -math.inf or best[n + j] == -math.inf
-                else EnvelopePoint(float(thetas[j]), float(best[j]), float(-best[n + j])))
+                else EnvelopePoint(th, best[j], -best[n + j]))
 
-    return [SweepPoint(float(th), point(dt, j), point(tvc, j)) for j, th in enumerate(thetas)]
+    return [SweepPoint(th, point(dt, j, th), point(tvc, j, th))
+            for j, th in enumerate(thetas.tolist())]
 
 
 def _require(point, constraint, theta_pitch, search) -> EnvelopePoint:
     """The point, or EnvelopeInfeasibleError where a direction is infeasible."""
     if point is None:
         raise EnvelopeInfeasibleError(
-            f"vertical force floor {constraint.min_vertical_force:.2f} N unreachable "
-            f"at theta_pitch={math.degrees(theta_pitch):.2f} deg {search}"
+            f"vertical force floor {constraint.min_vertical_force:g} N unreachable "
+            f"at theta_pitch={math.degrees(theta_pitch):g} deg {search}"
         )
     return point
 

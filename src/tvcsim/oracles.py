@@ -1,19 +1,21 @@
 """Independent cross-check evaluators for the test suite.
 
 Each oracle recomputes a quantity by a different route than the production
-code so the two can be compared, and evaluates all four fans, or its whole
-grid, in one numpy array pass:
+code so the two can be compared:
 
 * wrench_brute_force sums per-fan world-frame point forces and world-frame
-  moment arms, instead of the body-frame torque rows.
+  moment arms, instead of the body-frame torque rows, on plain floats. It
+  lays the fans out from the geometry and the perturbation and rotates them
+  by its own Euler-Rodrigues matrix, so it shares neither wrench's fan model
+  nor spatial's rotation with production.
 * envelope_extrema_grid walks a fixed foot-angle grid and enumerates the
   vertices of the thrust polytope (box corners plus box-edge intersections
   with the vertical-force plane) at every angle, instead of the parametric
-  greedy over closed-form candidate angles.
+  greedy over closed-form candidate angles, in one numpy array pass.
 * trim_scan exploits the closed force balance of the equal-thrust trim
   (body pitch is minus half the foot angle, thrust follows from the weight)
   and scans the remaining torque equation on a fine angle grid, instead of
-  solving it in closed form.
+  solving it in closed form, in one numpy array pass.
 
 They are shipped with the package so reported numbers can be re-audited.
 """
@@ -26,8 +28,11 @@ import numpy as np
 
 from .envelope import EnvelopeConstraint
 from .robot import GRAVITY, RobotGeometry
-from .spatial import Quat, quat_to_matrix
-from .wrench import FanState, fan_layout
+from .spatial import (
+    Quat,
+    quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through oracles
+)
+from .wrench import FanState
 
 
 def _check_grid(name: str, value: float) -> None:
@@ -41,19 +46,51 @@ def wrench_brute_force(
     orientation: Quat,
     perturbation=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(force_world, torque_world) from per-fan world-frame cross products."""
-    positions, forces, com = fan_layout(fs, geo, perturbation)
-    rot_t = quat_to_matrix(orientation).T
-    # one row per fan: its world-frame force and world-frame moment arm
-    f_world = forces @ rot_t
-    arm_world = (positions - com) @ rot_t
-    force_w = f_world.sum(axis=0)
-    # each fan's arm x force, component-wise: np.cross's axis handling costs more
-    (ax, ay, az), (fx, fy, fz) = arm_world.T, f_world.T
-    torque_w = np.array([(ay * fz - az * fy).sum(), (az * fx - ax * fz).sum(),
-                         (ax * fy - ay * fx).sum()])
-    force_w[2] -= geo.mass_total * GRAVITY
-    return force_w, torque_w
+    """(force_world, torque_world) from per-fan world-frame cross products.
+
+    Each fan's body-frame force (the feet's tilted by the perturbation's axis
+    bias) and its arm about the perturbed CoM are rotated into {W} by the
+    Euler-Rodrigues matrix of the orientation, R = (w^2 - u.u) I + 2 u u^T +
+    2 w [u]x for the unit quaternion (w, u) (Diebel, "Representing Attitude",
+    2006), and F and r x F are summed fan by fan, on floats.
+    """
+    w, x, y, z = map(float, orientation)
+    norm = math.hypot(w, x, y, z)
+    if norm < 1e-300:
+        raise ValueError("cannot normalize a zero quaternion")
+    w, x, y, z = w / norm, x / norm, y / norm, z / norm
+    d = w * w - (x * x + y * y + z * z)
+    r00, r01, r02 = d + 2.0 * x * x, 2.0 * x * y - 2.0 * w * z, 2.0 * x * z + 2.0 * w * y
+    r10, r11, r12 = 2.0 * y * x + 2.0 * w * z, d + 2.0 * y * y, 2.0 * y * z - 2.0 * w * x
+    r20, r21, r22 = 2.0 * z * x - 2.0 * w * y, 2.0 * z * y + 2.0 * w * x, d + 2.0 * z * z
+
+    c_x, c_y, c_z = geo.com_body
+    theta_l, theta_r = float(fs.theta_left), float(fs.theta_right)
+    if perturbation is not None:
+        d_x, d_y, d_z = map(float, perturbation.com_offset)
+        c_x, c_y, c_z = c_x + d_x, c_y + d_y, c_z + d_z
+        theta_l += float(perturbation.foot_axis_misalignment_left)
+        theta_r += float(perturbation.foot_axis_misalignment_right)
+    f_l, f_r = float(fs.f_left), float(fs.f_right)
+    # body-frame forces of the front, back, left and right fans
+    forces = ((0.0, 0.0, float(fs.f_front)), (0.0, 0.0, float(fs.f_back)),
+              (f_l * math.sin(theta_l), 0.0, f_l * math.cos(theta_l)),
+              (f_r * math.sin(theta_r), 0.0, f_r * math.cos(theta_r)))
+    force_x = force_y = force_z = tau_x = tau_y = tau_z = 0.0
+    for (p_x, p_y, p_z), (b_x, b_y, b_z) in zip(geo.fan_positions(), forces):
+        f_x = r00 * b_x + r01 * b_y + r02 * b_z
+        f_y = r10 * b_x + r11 * b_y + r12 * b_z
+        f_z = r20 * b_x + r21 * b_y + r22 * b_z
+        p_x, p_y, p_z = p_x - c_x, p_y - c_y, p_z - c_z
+        a_x = r00 * p_x + r01 * p_y + r02 * p_z
+        a_y = r10 * p_x + r11 * p_y + r12 * p_z
+        a_z = r20 * p_x + r21 * p_y + r22 * p_z
+        force_x, force_y, force_z = force_x + f_x, force_y + f_y, force_z + f_z
+        tau_x += a_y * f_z - a_z * f_y
+        tau_y += a_z * f_x - a_x * f_z
+        tau_z += a_x * f_y - a_y * f_x
+    return (np.array([force_x, force_y, force_z - geo.mass_total * GRAVITY]),
+            np.array([tau_x, tau_y, tau_z]))
 
 
 def envelope_extrema_grid(

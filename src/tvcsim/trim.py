@@ -122,6 +122,6 @@ def _solve_waist_differential(geo: RobotGeometry) -> tuple[FanState, float]:
     if min(f_front, f_back, f_feet) < 0.0:
         raise NoTrimError(
             f"waist-differential trim needs negative thrust "
-            f"(front={f_front:.2f} N, back={f_back:.2f} N, feet={f_feet:.2f} N)"
+            f"(front={f_front:g} N, back={f_back:g} N, feet={f_feet:g} N)"
         )
     return FanState(f_front, f_back, f_feet, f_feet, 0.0, 0.0), 0.0

@@ -23,8 +23,7 @@ trims, the envelope LP and the controller gains read them there too.
 wrench_kernel is the one evaluator of the rows; generalized_wrench_3d wraps
 it for one fan state at one attitude, and total_wrench is its pitch-only
 case. The world-frame rows are floats too; numpy is imported only for the
-array forms of them and by fan_layout, which lists the per-fan forces for
-the independent oracle.
+array forms of them and by fan_layout, which lists the per-fan forces.
 """
 
 from __future__ import annotations
@@ -120,7 +119,11 @@ def fan_layout(
     geo: RobotGeometry,
     perturbation=None,
 ):
-    """Per-fan body-frame forces, the input of the brute-force wrench oracle.
+    """Per-fan body-frame forces as arrays.
+
+    Only the reference loop in tests/test_oracles.py and the bench tracer
+    read it: the brute-force oracle lays the fans out by its own route. It
+    moves to the tests or goes with the other array helpers.
 
     Returns numpy arrays (positions (4,3), forces (4,3), com (3,)). A
     perturbation shifts the effective CoM and biases each foot's thrust-axis

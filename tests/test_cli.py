@@ -563,6 +563,26 @@ def test_envelope_without_level_hover_exit_3(tmp_path, capsys):
         assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("text, argv, start", [
+    ("envelope.min_vertical_force_n = 1e308\n", ["envelope", "--postures", "P1"],
+     "infeasible: vertical force floor 1e+308 N unreachable at theta_pitch=0 deg"),
+    ("geometry.mass_kg = 1e300\nposture.com_x_m = 0.2\n", ["trim", "--waist-differential"],
+     "infeasible: waist-differential trim needs negative thrust (front=8.04693e+300 N"),
+], ids=["envelope_floor", "waist_differential_thrust"])
+def test_infeasible_messages_stay_short_at_huge_finite_values(tmp_path, capsys, text, argv,
+                                                               start):
+    # a huge finite floor or thrust prints in g form, not as hundreds of digits
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(["--config", str(cfg), "--out", str(tmp_path / "out"), *argv],
+                             capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(start)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err) < 200
+
+
 def test_outputs_ignore_a_stale_temp_path(tmp_path, capsys):
     # a fixed temp name would collide with this directory
     (tmp_path / "takeoff_log.csv.tmp").mkdir()

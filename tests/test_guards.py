@@ -116,8 +116,9 @@ def test_scalar_modules_import_no_numpy():
 
 def test_oracles_import_no_production_solver():
     # the oracles stay independent routes: from the package they take only the
-    # model's inputs and the rotation and fan layout they rebuild the wrench from,
-    # never a solver such as lp_max_covering, _sweep, hover_trim or wrench_kernel
+    # model's inputs, never a rotation, a fan layout or a solver such as
+    # lp_max_covering, _sweep, hover_trim or wrench_kernel; quat_to_matrix is
+    # imported uncalled, for bench/test_bench.py to rebind through oracles
     nodes = list(ast.walk(ast.parse((ROOT / "src" / "tvcsim" / "oracles.py").read_text())))
     assert not [alias.name for node in nodes if isinstance(node, ast.Import)
                 for alias in node.names if alias.name.split(".")[0] == "tvcsim"]
@@ -125,7 +126,8 @@ def test_oracles_import_no_production_solver():
                 and (node.level or (node.module or "").split(".")[0] == "tvcsim")
                 for alias in node.names}
     assert imported == {"EnvelopeConstraint", "GRAVITY", "RobotGeometry", "Quat",
-                        "quat_to_matrix", "FanState", "fan_layout"}
+                        "quat_to_matrix", "FanState"}
+    assert not [node for node in nodes if isinstance(node, ast.Name) and node.id == "quat_to_matrix"]
 
 
 def test_geometry_is_built_once(monkeypatch):

@@ -1,11 +1,12 @@
-"""The array oracles against scalar reference loops, and their grid arguments.
+"""The oracles against scalar reference loops, and their grid arguments.
 
-Each ``*_loop`` below is the per-candidate scalar form of an oracle: the
-angle-by-angle trim scan, the 20 separate candidate passes of the
-grid/vertex envelope and the per-fan cross-product sum. The array oracles
-evaluate the same formulas in the same operation order, so the scan and the
-grid must agree exactly; the brute-force wrench may sum its matrix products
-in another order and agrees to 1e-12.
+Each ``*_loop`` below is a second form of an oracle: the angle-by-angle trim
+scan, the 20 separate candidate passes of the grid/vertex envelope and the
+per-fan cross-product sum over wrench.fan_layout and quat_to_matrix. The two
+array oracles evaluate the same formulas in the same operation order, so the
+scan and the grid must agree exactly; the brute-force wrench rotates by its
+own Euler-Rodrigues matrix on floats and agrees to 1e-12. It must not agree
+with production once the production rotation rows are transposed.
 """
 
 import math
@@ -13,12 +14,13 @@ import math
 import numpy as np
 import pytest
 
+from tvcsim import spatial, wrench
 from tvcsim.envelope import EnvelopeConstraint
 from tvcsim.oracles import envelope_extrema_grid, trim_scan, wrench_brute_force
 from tvcsim.robot import GRAVITY, Posture, builtin_posture, geometry_from_posture
 from tvcsim.sim import Perturbation
 from tvcsim.spatial import quat_normalize, quat_to_matrix
-from tvcsim.wrench import FanState, fan_layout
+from tvcsim.wrench import FanState, fan_layout, generalized_wrench_3d
 
 
 def wrench_loop(fs, geo, orientation, perturbation=None):
@@ -169,6 +171,33 @@ def test_wrench_brute_force_matches_the_per_fan_sum():
             for got, want in zip(wrench_brute_force(fs, geo, q, pert),
                                  wrench_loop(fs, geo, q, pert)):
                 assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1e-6)
+
+
+def test_wrench_oracle_does_not_rotate_through_the_production_rows(monkeypatch):
+    # transposed rows in every module that binds them, as a mistake in
+    # spatial.quat_rotation_rows would be: production turns by R^T, and an
+    # oracle with its own rotation must then disagree at every attitude
+    rows = spatial.quat_rotation_rows
+
+    def transposed(q):
+        r = rows(q)
+        return (r[0], r[3], r[6], r[1], r[4], r[7], r[2], r[5], r[8])
+
+    for module in (spatial, wrench):
+        monkeypatch.setattr(module, "quat_rotation_rows", transposed)
+    rng, cases = geometries(4, 3)
+    gaps = []
+    for geo, posture in cases:
+        lo, hi = posture.foot_pitch_range
+        for _ in range(20):
+            fs = FanState(*rng.uniform(0.0, 50.0, 4), *rng.uniform(lo, hi, 2))
+            q = quat_normalize(rng.normal(size=4))
+            w = generalized_wrench_3d(fs, geo, q)
+            gaps.append(max(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-6)
+                            for got, want in zip((w.force_world, w.torque_world),
+                                                 wrench_brute_force(fs, geo, q))))
+    # 3.3e-3 at the closest of these 63 cases; agreement is 1e-12 or better
+    assert min(gaps) > 1e-4
 
 
 BAD_GRID_VALUES = (0.0, -0.01, math.nan, math.inf, -math.inf)

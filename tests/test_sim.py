@@ -868,3 +868,25 @@ def test_integrator_error_falls_with_the_order_of_the_method(integrator, lo, hi)
     errors = [np.linalg.norm(final(dt) - reference) for dt in (2e-3, 1e-3, 5e-4)]
     assert lo <= errors[0] / errors[1] <= hi, errors
     assert lo <= errors[1] / errors[2] <= hi, errors
+
+
+def test_torque_free_rk4_flight_keeps_the_world_angular_momentum():
+    # with no torque, R(q) I omega is constant in {W}. A flipped sign of the
+    # gyroscopic omega x I omega keeps |I omega| and the energy (the term is
+    # orthogonal to I omega either way) but turns this vector: relative drift
+    # measured at most 2.2e-12 over these 2 s, and up to 1.57 with the three
+    # signs flipped
+    wrench, step = run_kernel(P1, None, 1e-3, "rk4")
+    rows = (0.0,) * 7
+    inertia = np.array(P1.inertia_body)
+    state = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (1.5, -2.0, 3.0)
+
+    def momentum(q, omega):
+        return quat_to_matrix(q) @ inertia @ np.array(omega)
+
+    start = momentum(state[2], state[3])
+    drift = 0.0
+    for _ in range(2000):
+        state = step(*state, rows)
+        drift = max(drift, np.linalg.norm(momentum(state[2], state[3]) - start))
+    assert drift / np.linalg.norm(start) < 1e-9

@@ -97,6 +97,23 @@ CASES: dict[str, tuple[str | None, list[str]]] = {
         "controller.natural_freq_pitch_rad_s = 10\ncontroller.damping_ratio = 0.8\n"
         "sim.duration_s = 1.5\n",
         ["takeoff"]),
+    "takeoff_integral_gains": (
+        _GAINS + "controller.ki_pitch = 0.5\ncontroller.ki_yaw = 0.3\n"
+        "controller.setpoint_yaw_deg = 5\nsim.duration_s = 1.0\n", ["takeoff"]),
+    "takeoff_fast_foot_slew": ("limits.foot_pitch_rate_max_rad_s = 50\n"
+                               "controller.natural_freq_pitch_rad_s = 100\n"
+                               "controller.natural_freq_yaw_rad_s = 100\nsim.duration_s = 1.0\n",
+                               ["takeoff"]),
+    "takeoff_perturbed_com_z_and_scales": (
+        "perturbation.com_offset_z_m = 0.02\nperturbation.thrust_scale_back = 0.97\n"
+        "perturbation.thrust_scale_left = 1.03\nsim.duration_s = 1.0\n", ["takeoff"]),
+    "takeoff_posture_fields": (
+        "posture.com_z_m = -0.05\nposture.foot_x_m = 0.03\nposture.foot_pitch_max_deg = 60\n"
+        "sim.duration_s = 1.0\n", ["takeoff"]),
+    "takeoff_noise_euler": ("sim.sensor_noise_std = 0.01\nsim.seed = 3\nsim.duration_s = 1.0\n",
+                            ["takeoff"]),
+    "takeoff_noise_rk4": ("sim.sensor_noise_std = 0.01\nsim.seed = 3\nsim.duration_s = 1.0\n"
+                          "sim.integrator = rk4\n", ["takeoff"]),
     "takeoff_ramp_over_cap": ("limits.thrust_max_per_fan_n = 47\n", ["takeoff"]),
     "takeoff_no_foot_authority": ("posture.foot_z_m = -0.1\n", ["takeoff"]),
     "takeoff_overflowing_gain": ("controller.damping_ratio = 1e308\nsim.duration_s = 0.05\n",

@@ -18,13 +18,14 @@ joint position error, whose left/right asymmetry makes the yaw force couple
 that spins the uncontrolled robot.
 
 A run builds one float kernel, run_kernel, from its geometry, perturbation,
-dt and integrator, and its loop carries plain floats: each step evaluates
-the kernel's wrench once, for the liftoff check on the ground or the step
-aloft, and a step aloft reads the new attitude's roll, pitch and yaw with
-one spatial.quat_angles call. A controller tick passes the measured pitch,
-yaw and body rates about y and z to AttitudeController.step as floats and
-gets the two foot commands back; the feet slew toward them through
-controller.clamp. dynamics_step is the kernel's public one-step wrapper, as
+dt and integrator, and its loop carries plain floats, the 13 of the state
+among them: each step evaluates the kernel's wrench once, for the liftoff
+check on the ground or the step aloft, and a step aloft is one call of the
+kernel's step, which also checks the divergence guards and reads out the
+new attitude's roll, pitch and yaw. A controller tick passes the measured
+pitch, yaw and body rates about y and z to AttitudeController.step as
+floats and gets the two foot commands back; the feet slew toward them
+through controller.clamp. dynamics_step is the kernel's public one-step wrapper, as
 wrench.generalized_wrench_3d is of the wrench formula.
 
 Identical configurations produce bit-identical logs.
@@ -58,9 +59,8 @@ from .robot import (
     geometry_from_posture,
 )
 from .spatial import (
+    GIMBAL_LOCK_MARGIN,
     EulerAngles,
-    quat_angles,
-    quat_step,
     quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through sim
     quat_unit,
 )
@@ -241,25 +241,11 @@ def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry
     """Advance the free-flying rigid body by one step of run_kernel."""
     wrench, step = run_kernel(geo, perturbation, dt, integrator)
     fs = fan_state
-    p, v, q, omega = step(state.position_world, state.velocity_world, state.orientation,
-                          state.angular_velocity_body,
-                          wrench(fs.f_front, fs.f_back, fs.f_left, fs.f_right,
-                                 fs.theta_left, fs.theta_right))
     t = state.time + dt
-    _guard(p, omega, t)
-    return RigidBodyState(p, v, q, omega, t)
-
-
-def _guard(p, omega, t) -> None:
-    # "not <=" so that a NaN state trips the guards too
-    px, py, pz = p
-    if not math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:
-        raise DivergenceError(f"position ({px:.6g}, {py:.6g}, {pz:.6g}) left the "
-                              f"{POSITION_GUARD_M} m guard at t={t:.3f} s")
-    wx, wy, wz = omega
-    if not math.sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S:
-        raise DivergenceError(f"body rate ({wx:.6g}, {wy:.6g}, {wz:.6g}) exceeded "
-                              f"{RATE_GUARD_RAD_S} rad/s at t={t:.3f} s")
+    x = step(t, *state.position_world, *state.velocity_world, *state.orientation,
+             *state.angular_velocity_body,
+             wrench(fs.f_front, fs.f_back, fs.f_left, fs.f_right, fs.theta_left, fs.theta_right))
+    return RigidBodyState(x[0:3], x[3:6], x[6:10], x[10:13], t)
 
 
 def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
@@ -267,15 +253,21 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
     """The takeoff's float kernel, built once per run: (wrench, step).
 
     wrench(f_F, f_B, f_L, f_R, theta_L, theta_R) is wrench_kernel's body rows.
-    step(p, v, q, omega, rows) advances the free-flying rigid body by dt under
-    those rows, held over the step, and returns (p, v, q, omega) as float
-    tuples; q is renormalized first and every stage rotates the body force by
-    its own attitude. 'euler' updates velocities first, positions with the
-    velocity midpoint (exact for constant accelerations) and the attitude by
-    the exponential map of the new body rate; 'rk4' is the classic
-    fourth-order step written out on floats: each of its four stages calls
-    accel once, at a state whose quaternion is renormalized, and the step
-    adds the (1, 2, 2, 1) / 6 weighted sum of the stage derivatives.
+    step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows) advances
+    the free-flying rigid body by dt under those rows, held over the step, to
+    the state time t, and returns the 13 new state floats (p, v, q, omega)
+    followed by the new attitude's Z-Y-X (roll, pitch, yaw), zyx_angles of
+    its rotation rows. q is renormalized first and every stage rotates the
+    body force by its own attitude. 'euler' updates velocities first,
+    positions with the velocity midpoint (exact for constant accelerations)
+    and the attitude by the exponential map of the new body rate, quat_step
+    written out; 'rk4' is the classic fourth-order step written out on
+    floats: each of its four stages calls accel once, at a state whose
+    quaternion is renormalized, and the step adds the (1, 2, 2, 1) / 6
+    weighted sum of the stage derivatives. Either way the step ends in the
+    divergence guards: a new position beyond POSITION_GUARD_M, a body rate
+    beyond RATE_GUARD_RAD_S, or a NaN in either raises DivergenceError,
+    naming t.
     """
     if dt <= 0.0 or dt > MAX_PHYSICS_DT:
         raise ValueError(f"dt must be in (0, {MAX_PHYSICS_DT}] s")
@@ -286,6 +278,8 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
     j00, j01, j02, j10, j11, j12, j20, j21, j22 = geo.inertia_inverse_rows
     f_y = 0.0  # the body force's zero y row, rotated as any row so signed zeros agree
     h = 0.5 * dt
+    rk4 = integrator == "rk4"
+    lock = 0.5 * math.pi - GIMBAL_LOCK_MARGIN
 
     def accel(qw, qx, qy, qz, wx, wy, wz, f_x, f_z, tx, ty, tz):
         """R(q) F / m - g in {W} and I^-1 (tau - omega x I omega) in {B}."""
@@ -306,72 +300,110 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
                 j10 * rx + j11 * ry + j12 * rz,
                 j20 * rx + j21 * ry + j22 * rz)
 
-    def euler(p, v, q, omega, rows):
-        f_x, f_z, tx, ty1, ty2, ty3, tz = rows
-        q = quat_unit(q)
-        (px, py, pz), (vx, vy, vz), (wx, wy, wz) = p, v, omega
-        ax, ay, az, bx, by, bz = accel(*q, wx, wy, wz, f_x, f_z, tx, ty1 + ty2 + ty3, tz)
-        ux, uy, uz = vx + ax * dt, vy + ay * dt, vz + az * dt
-        omega = (wx + bx * dt, wy + by * dt, wz + bz * dt)
-        return ((px + 0.5 * (vx + ux) * dt, py + 0.5 * (vy + uy) * dt,
-                 pz + 0.5 * (vz + uz) * dt), (ux, uy, uz), quat_step(q, omega, dt), omega)
-
-    def rk4(p, v, q, omega, rows):
-        # The position feeds no derivative, so stage n carries (v, w, q)n only. Its
-        # derivative is accel's (a, b)n and q (0, omega) / 2 as (dw, dx, dy, dz)n,
-        # the quaternion product written out without the terms of omega's zero w.
+    def step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows):
         fx, fz, tx, ty1, ty2, ty3, tz = rows
         ty = ty1 + ty2 + ty3
-        (px, py, pz), (vx1, vy1, vz1), (wx1, wy1, wz1) = p, v, omega
-        qw1, qx1, qy1, qz1 = quat_unit(q)
-        ax1, ay1, az1, bx1, by1, bz1 = accel(qw1, qx1, qy1, qz1, wx1, wy1, wz1, fx, fz, tx, ty, tz)
-        dw1 = 0.5 * (-qx1 * wx1 - qy1 * wy1 - qz1 * wz1)
-        dx1 = 0.5 * (qw1 * wx1 + qy1 * wz1 - qz1 * wy1)
-        dy1 = 0.5 * (qw1 * wy1 - qx1 * wz1 + qz1 * wx1)
-        dz1 = 0.5 * (qw1 * wz1 + qx1 * wy1 - qy1 * wx1)
-        vx2, vy2, vz2 = vx1 + h * ax1, vy1 + h * ay1, vz1 + h * az1
-        wx2, wy2, wz2 = wx1 + h * bx1, wy1 + h * by1, wz1 + h * bz1
-        qw2, qx2, qy2, qz2 = quat_unit((qw1 + h * dw1, qx1 + h * dx1,
-                                        qy1 + h * dy1, qz1 + h * dz1))
-        ax2, ay2, az2, bx2, by2, bz2 = accel(qw2, qx2, qy2, qz2, wx2, wy2, wz2, fx, fz, tx, ty, tz)
-        dw2 = 0.5 * (-qx2 * wx2 - qy2 * wy2 - qz2 * wz2)
-        dx2 = 0.5 * (qw2 * wx2 + qy2 * wz2 - qz2 * wy2)
-        dy2 = 0.5 * (qw2 * wy2 - qx2 * wz2 + qz2 * wx2)
-        dz2 = 0.5 * (qw2 * wz2 + qx2 * wy2 - qy2 * wx2)
-        vx3, vy3, vz3 = vx1 + h * ax2, vy1 + h * ay2, vz1 + h * az2
-        wx3, wy3, wz3 = wx1 + h * bx2, wy1 + h * by2, wz1 + h * bz2
-        qw3, qx3, qy3, qz3 = quat_unit((qw1 + h * dw2, qx1 + h * dx2,
-                                        qy1 + h * dy2, qz1 + h * dz2))
-        ax3, ay3, az3, bx3, by3, bz3 = accel(qw3, qx3, qy3, qz3, wx3, wy3, wz3, fx, fz, tx, ty, tz)
-        dw3 = 0.5 * (-qx3 * wx3 - qy3 * wy3 - qz3 * wz3)
-        dx3 = 0.5 * (qw3 * wx3 + qy3 * wz3 - qz3 * wy3)
-        dy3 = 0.5 * (qw3 * wy3 - qx3 * wz3 + qz3 * wx3)
-        dz3 = 0.5 * (qw3 * wz3 + qx3 * wy3 - qy3 * wx3)
-        vx4, vy4, vz4 = vx1 + dt * ax3, vy1 + dt * ay3, vz1 + dt * az3
-        wx4, wy4, wz4 = wx1 + dt * bx3, wy1 + dt * by3, wz1 + dt * bz3
-        qw4, qx4, qy4, qz4 = quat_unit((qw1 + dt * dw3, qx1 + dt * dx3,
-                                        qy1 + dt * dy3, qz1 + dt * dz3))
-        ax4, ay4, az4, bx4, by4, bz4 = accel(qw4, qx4, qy4, qz4, wx4, wy4, wz4, fx, fz, tx, ty, tz)
-        dw4 = 0.5 * (-qx4 * wx4 - qy4 * wy4 - qz4 * wz4)
-        dx4 = 0.5 * (qw4 * wx4 + qy4 * wz4 - qz4 * wy4)
-        dy4 = 0.5 * (qw4 * wy4 - qx4 * wz4 + qz4 * wx4)
-        dz4 = 0.5 * (qw4 * wz4 + qx4 * wy4 - qy4 * wx4)
-        # the (1, 2, 2, 1) / 6 sums keep this order; another one moves last digits of the logs
-        return ((px + dt * ((vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4) / 6.0),
-                 py + dt * ((vy1 + 2.0 * vy2 + 2.0 * vy3 + vy4) / 6.0),
-                 pz + dt * ((vz1 + 2.0 * vz2 + 2.0 * vz3 + vz4) / 6.0)),
-                (vx1 + dt * ((ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4) / 6.0),
-                 vy1 + dt * ((ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4) / 6.0),
-                 vz1 + dt * ((az1 + 2.0 * az2 + 2.0 * az3 + az4) / 6.0)),
-                quat_unit((qw1 + dt * ((dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4) / 6.0),
-                           qx1 + dt * ((dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4) / 6.0),
-                           qy1 + dt * ((dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4) / 6.0),
-                           qz1 + dt * ((dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4) / 6.0))),
-                (wx1 + dt * ((bx1 + 2.0 * bx2 + 2.0 * bx3 + bx4) / 6.0),
-                 wy1 + dt * ((by1 + 2.0 * by2 + 2.0 * by3 + by4) / 6.0),
-                 wz1 + dt * ((bz1 + 2.0 * bz2 + 2.0 * bz3 + bz4) / 6.0)))
+        n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)  # quat_unit written out
+        if n < 1e-300:
+            raise ValueError("cannot normalize a zero quaternion")
+        qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
+        if rk4:
+            # The position feeds no derivative, so stage n carries (v, w, q)n only,
+            # stage 1 the step's own. Its derivative is accel's (a, b)n and
+            # q (0, omega) / 2 as (dw, dx, dy, dz)n, the quaternion product
+            # written out without the terms of omega's zero w.
+            ax1, ay1, az1, bx1, by1, bz1 = accel(qw, qx, qy, qz, wx, wy, wz, fx, fz, tx, ty, tz)
+            dw1 = 0.5 * (-qx * wx - qy * wy - qz * wz)
+            dx1 = 0.5 * (qw * wx + qy * wz - qz * wy)
+            dy1 = 0.5 * (qw * wy - qx * wz + qz * wx)
+            dz1 = 0.5 * (qw * wz + qx * wy - qy * wx)
+            vx2, vy2, vz2 = vx + h * ax1, vy + h * ay1, vz + h * az1
+            wx2, wy2, wz2 = wx + h * bx1, wy + h * by1, wz + h * bz1
+            qw2, qx2, qy2, qz2 = quat_unit((qw + h * dw1, qx + h * dx1,
+                                            qy + h * dy1, qz + h * dz1))
+            ax2, ay2, az2, bx2, by2, bz2 = accel(qw2, qx2, qy2, qz2, wx2, wy2, wz2,
+                                                 fx, fz, tx, ty, tz)
+            dw2 = 0.5 * (-qx2 * wx2 - qy2 * wy2 - qz2 * wz2)
+            dx2 = 0.5 * (qw2 * wx2 + qy2 * wz2 - qz2 * wy2)
+            dy2 = 0.5 * (qw2 * wy2 - qx2 * wz2 + qz2 * wx2)
+            dz2 = 0.5 * (qw2 * wz2 + qx2 * wy2 - qy2 * wx2)
+            vx3, vy3, vz3 = vx + h * ax2, vy + h * ay2, vz + h * az2
+            wx3, wy3, wz3 = wx + h * bx2, wy + h * by2, wz + h * bz2
+            qw3, qx3, qy3, qz3 = quat_unit((qw + h * dw2, qx + h * dx2,
+                                            qy + h * dy2, qz + h * dz2))
+            ax3, ay3, az3, bx3, by3, bz3 = accel(qw3, qx3, qy3, qz3, wx3, wy3, wz3,
+                                                 fx, fz, tx, ty, tz)
+            dw3 = 0.5 * (-qx3 * wx3 - qy3 * wy3 - qz3 * wz3)
+            dx3 = 0.5 * (qw3 * wx3 + qy3 * wz3 - qz3 * wy3)
+            dy3 = 0.5 * (qw3 * wy3 - qx3 * wz3 + qz3 * wx3)
+            dz3 = 0.5 * (qw3 * wz3 + qx3 * wy3 - qy3 * wx3)
+            vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
+            wx4, wy4, wz4 = wx + dt * bx3, wy + dt * by3, wz + dt * bz3
+            qw4, qx4, qy4, qz4 = quat_unit((qw + dt * dw3, qx + dt * dx3,
+                                            qy + dt * dy3, qz + dt * dz3))
+            ax4, ay4, az4, bx4, by4, bz4 = accel(qw4, qx4, qy4, qz4, wx4, wy4, wz4,
+                                                 fx, fz, tx, ty, tz)
+            dw4 = 0.5 * (-qx4 * wx4 - qy4 * wy4 - qz4 * wz4)
+            dx4 = 0.5 * (qw4 * wx4 + qy4 * wz4 - qz4 * wy4)
+            dy4 = 0.5 * (qw4 * wy4 - qx4 * wz4 + qz4 * wx4)
+            dz4 = 0.5 * (qw4 * wz4 + qx4 * wy4 - qy4 * wx4)
+            # the (1, 2, 2, 1) / 6 sums keep this order; another one moves last
+            # digits of the logs. p before v: the positions read the old v
+            px, py, pz = (px + dt * ((vx + 2.0 * vx2 + 2.0 * vx3 + vx4) / 6.0),
+                          py + dt * ((vy + 2.0 * vy2 + 2.0 * vy3 + vy4) / 6.0),
+                          pz + dt * ((vz + 2.0 * vz2 + 2.0 * vz3 + vz4) / 6.0))
+            vx, vy, vz = (vx + dt * ((ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4) / 6.0),
+                          vy + dt * ((ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4) / 6.0),
+                          vz + dt * ((az1 + 2.0 * az2 + 2.0 * az3 + az4) / 6.0))
+            qw, qx, qy, qz = quat_unit((qw + dt * ((dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4) / 6.0),
+                                        qx + dt * ((dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4) / 6.0),
+                                        qy + dt * ((dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4) / 6.0),
+                                        qz + dt * ((dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4) / 6.0)))
+            wx, wy, wz = (wx + dt * ((bx1 + 2.0 * bx2 + 2.0 * bx3 + bx4) / 6.0),
+                          wy + dt * ((by1 + 2.0 * by2 + 2.0 * by3 + by4) / 6.0),
+                          wz + dt * ((bz1 + 2.0 * bz2 + 2.0 * bz3 + bz4) / 6.0))
+        else:
+            ax, ay, az, bx, by, bz = accel(qw, qx, qy, qz, wx, wy, wz, fx, fz, tx, ty, tz)
+            ux, uy, uz = vx + ax * dt, vy + ay * dt, vz + az * dt
+            px, py, pz = (px + 0.5 * (vx + ux) * dt, py + 0.5 * (vy + uy) * dt,
+                          pz + 0.5 * (vz + uz) * dt)
+            vx, vy, vz = ux, uy, uz
+            wx, wy, wz = wx + bx * dt, wy + by * dt, wz + bz * dt
+            # quat_step(q, omega, dt) written out: q times the exponential-map
+            # increment, renormalized (the product of unit quaternions is never 0)
+            ex, ey, ez = wx * dt, wy * dt, wz * dt
+            angle = math.sqrt(ex * ex + ey * ey + ez * ez)
+            if angle < 1e-12:
+                dw, dx, dy, dz = 1.0, 0.5 * ex, 0.5 * ey, 0.5 * ez
+            else:
+                half = 0.5 * angle
+                s = math.sin(half) / angle
+                dw, dx, dy, dz = math.cos(half), ex * s, ey * s, ez * s
+            qw, qx, qy, qz = (qw * dw - qx * dx - qy * dy - qz * dz,
+                              qw * dx + qx * dw + qy * dz - qz * dy,
+                              qw * dy - qx * dz + qy * dw + qz * dx,
+                              qw * dz + qx * dy - qy * dx + qz * dw)
+            n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+            qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
+        # "not <=" so that a NaN state trips the guards too
+        if not math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:
+            raise DivergenceError(f"position ({px:.6g}, {py:.6g}, {pz:.6g}) left the "
+                                  f"{POSITION_GUARD_M} m guard at t={t:.3f} s")
+        if not math.sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S:
+            raise DivergenceError(f"body rate ({wx:.6g}, {wy:.6g}, {wz:.6g}) exceeded "
+                                  f"{RATE_GUARD_RAD_S} rad/s at t={t:.3f} s")
+        # zyx_angles of R(q)'s entries, each with quat_rotation_rows' expression
+        sp = -(2 * (qx * qz - qw * qy))
+        sp = sp if sp > -1.0 else -1.0  # min(1, max(-1, sp)), NaN included
+        pitch = math.asin(sp if sp < 1.0 else 1.0)
+        if abs(pitch) > lock:  # the degenerate rotation folds into yaw
+            roll, yaw = 0.0, math.atan2(-(2 * (qx * qy - qw * qz)), 1 - 2 * (qx * qx + qz * qz))
+        else:
+            roll = math.atan2(2 * (qy * qz + qw * qx), 1 - 2 * (qx * qx + qy * qy))
+            yaw = math.atan2(2 * (qx * qy + qw * qz), 1 - 2 * (qy * qy + qz * qz))
+        return px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, roll, pitch, yaw
 
-    return wrench_kernel(geo, perturbation), euler if integrator == "euler" else rk4
+    return wrench_kernel(geo, perturbation), step
 
 
 def run_scenario(cfg: ScenarioConfig) -> SimLog:
@@ -409,10 +441,12 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     wrench, step = run_kernel(geo, cfg.perturbation, dt, cfg.integrator)
     weight = geo.weight
 
-    # the loop carries plain floats: state tuples, four thrusts, two foot angles
-    p, v, q, omega = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+    # the loop carries plain floats: 13 state floats, four thrusts, two foot angles
+    px = py = pz = vx = vy = vz = qx = qy = qz = wx = wy = wz = 0.0
+    qw = 1.0
     clock = 0.0  # the state time, summed step by step as dynamics_step does
-    roll, pitch, yaw, _ = quat_angles(q)
+    # the identity's readout: its pitch is asin(-(2 * 0.0)), which the first log row prints as -0
+    roll, pitch, yaw = 0.0, -0.0, 0.0
     airborne = False
     foot_left = foot_right = trim_angle
     control_every, sample_every = cfg._controller_substeps, cfg._sample_substeps
@@ -439,7 +473,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     for i in range(n_steps + 1):
         t = i * dt
         if i % control_every == 0:  # from i = 0 on, so the commands are always set
-            cmd_left, cmd_right = controller.step(*_measure(pitch, yaw, omega, cfg, rng),
+            cmd_left, cmd_right = controller.step(*_measure(pitch, yaw, wy, wz, cfg, rng),
                                                   control_every * dt)
 
         rows = wrench(f_f, f_b, f_l, f_r, foot_left, foot_right)
@@ -461,11 +495,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
             if yaw_time is None and degrees(a_yaw) >= YAW_EVENT_DEG:
                 yaw_time = t
         if i == i_2s:
-            altitude = p[2]
+            altitude = pz
 
         if i % sample_every == 0:
-            append((t, *p, *v, degrees(roll), degrees(pitch), degrees(yaw),
-                    *omega, degrees(cmd_left), degrees(cmd_right),
+            append((t, px, py, pz, vx, vy, vz, degrees(roll), degrees(pitch), degrees(yaw),
+                    wx, wy, wz, degrees(cmd_left), degrees(cmd_right),
                     degrees(foot_left), degrees(foot_right), f_f, f_b, f_l, f_r,
                     PHASE_AIRBORNE if airborne else PHASE_GROUND))
 
@@ -486,17 +520,17 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
             f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
 
         if airborne:
-            p, v, q, omega = step(p, v, q, omega, rows)
             clock += dt
             try:
-                _guard(p, omega, clock)
+                (px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz,
+                 roll, pitch, yaw) = step(clock, px, py, pz, vx, vy, vz, qw, qx, qy, qz,
+                                          wx, wy, wz, rows)
             except DivergenceError as err:
                 termination, reason = "diverged", str(err)
                 break
-            if p[2] < 0.0:
+            if pz < 0.0:
                 termination, touchdown = "touchdown", (i + 1) * dt
                 break
-            roll, pitch, yaw, _ = quat_angles(q)
         else:
             # held on the ground: the attitude, and so its angles, are unchanged
             clock = t + dt
@@ -522,9 +556,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     return log
 
 
-def _measure(pitch, yaw, omega, cfg, rng):
+def _measure(pitch, yaw, wy, wz, cfg, rng):
     """The tick's (pitch, yaw, rate_y, rate_z); noise draws all six channels."""
-    _, wy, wz = omega
     if rng is None:
         return pitch, yaw, wy, wz
     _, n_pitch, n_yaw, _, n_wy, n_wz = rng.normal(0.0, cfg.sensor_noise_std, 6).tolist()

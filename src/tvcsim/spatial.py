@@ -7,14 +7,16 @@ Conventions used across the package:
 * Quaternions are scalar-first ``[w, x, y, z]`` and map body vectors into
   the world: ``v_w = R(q) @ v_b``.
 * Two forms of the same operations: float-tuple kernels at the end
-  (quat_unit, quat_step, quat_rotation_rows, quat_angles, zyx_angles) for
-  the takeoff loop, the trim gate and the world-frame wrench, and
-  numpy-array helpers (quat_identity, quat_normalize, quat_to_matrix,
-  quat_integrate, quat_to_euler) for the oracles and callers that hold
-  arrays; quat_to_euler and quat_angles share zyx_angles. The array
-  helpers import numpy when first called, so importing this module, or any
-  command that runs on floats, does not load it. quat_from_pitch returns a
-  float tuple that both forms accept.
+  (quat_unit, quat_step, quat_rotation_rows, zyx_angles), and numpy-array
+  helpers (quat_identity, quat_normalize, quat_to_matrix, quat_integrate,
+  quat_to_euler) for the oracles and callers that hold arrays, built on
+  those kernels. The rk4 stages and the world-frame wrench call quat_unit
+  and quat_rotation_rows; the takeoff step (sim.run_kernel) writes its
+  opening quat_unit, euler's quat_step and the zyx_angles readout of its
+  new attitude out on floats, and tests pin each copy bit for bit to the
+  kernel here. The array helpers import numpy when first called, so
+  importing this module, or any command that runs on floats, does not load
+  it. quat_from_pitch returns a float tuple that both forms accept.
 * Euler angles are Z-Y-X intrinsic (yaw, then pitch, then roll), so "pitch"
   equals the single rotation angle about body y when roll = yaw = 0.
   Positive pitch tips the body x-axis downward (a forward dive).
@@ -140,15 +142,6 @@ def quat_rotation_rows(q) -> tuple[float, ...]:
         2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
         2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
     )
-
-
-def quat_angles(q) -> tuple[float, float, float, bool]:
-    """zyx_angles of a unit quaternion, from the seven entries of R(q) that
-    it reads, each with quat_rotation_rows' expression."""
-    w, x, y, z = q
-    return zyx_angles(2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-                      2 * (x * y + w * z), 1 - 2 * (y * y + z * z),
-                      2 * (x * y - w * z), 1 - 2 * (x * x + z * z))
 
 
 def zyx_angles(r20, r21, r22, r10, r00, r01, r11) -> tuple[float, float, float, bool]:

@@ -217,51 +217,70 @@ def test_takeoff_loop_evaluates_the_wrench_once_per_step(monkeypatch):
 
 
 def test_takeoff_loop_reads_the_attitude_once_per_step_aloft(monkeypatch):
-    # one float readout per airborne step; a controller tick reads floats too,
-    # so the loop builds no EulerAngles at all
-    counts = {"quat_angles": 0, "EulerAngles": 0}
+    # a step aloft is one call of the kernel's step, which also reads out the
+    # new attitude; a controller tick reads floats too, so the loop builds no
+    # EulerAngles at all
+    counts = {"step": 0, "EulerAngles": 0}
+    build, euler_angles = sim.run_kernel, sim.EulerAngles
 
-    def counted(name):
-        original = getattr(sim, name)
+    def counted_build(*args):
+        wrench, step = build(*args)
 
-        def wrapper(*args):
-            counts[name] += 1
-            return original(*args)
+        def counted_step(*state):
+            counts["step"] += 1
+            return step(*state)
 
-        monkeypatch.setattr(sim, name, wrapper)
+        return wrench, counted_step
 
-    counted("quat_angles")
-    counted("EulerAngles")
+    def counted_angles(*args):
+        counts["EulerAngles"] += 1
+        return euler_angles(*args)
+
+    monkeypatch.setattr(sim, "run_kernel", counted_build)
+    monkeypatch.setattr(sim, "EulerAngles", counted_angles)
     for integrator in ("euler", "rk4"):
         cfg = sim.ScenarioConfig(duration_s=0.8, integrator=integrator)
-        counts.update(quat_angles=0, EulerAngles=0)
+        counts.update(step=0, EulerAngles=0)
         log = sim.run_scenario(cfg)
         assert log.events["termination"] == "duration"
         steps = round(cfg.duration_s / cfg.dt_s)
         aloft = steps - round(log.events["liftoff_time_s"] / cfg.dt_s)
         assert 0 < aloft < steps
-        assert counts == {"quat_angles": 1 + aloft, "EulerAngles": 0}, integrator
+        assert counts == {"step": aloft, "EulerAngles": 0}, integrator
 
 
 def test_run_kernel_steps_share_the_one_accel():
-    # accel is the one home of the equations of motion: the flat rk4 calls it
-    # once a stage and euler once, neither hides a stage in a nested function
-    # or a comprehension, and no other closure writes R(q) out
+    # accel is the one home of the equations of motion: the one step closure
+    # calls it once a stage of its flat rk4 branch and once in its euler
+    # branch, hides no stage in a nested function or a comprehension, and no
+    # other closure writes R(q) out. The step's tail, the divergence guards
+    # and the attitude readout, is written once, after the branch
     tree = ast.parse((ROOT / "src" / "tvcsim" / "sim.py").read_text())
     (kernel,) = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "run_kernel"]
     closures = {node.name: node for node in kernel.body if isinstance(node, ast.FunctionDef)}
+    assert sorted(closures) == ["accel", "step"]
+    step = closures["step"]
+    (branch,) = [node for node in step.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "rk4"]
+    for name, body, n_calls in (("rk4", branch.body, 4), ("euler", branch.orelse, 1)):
+        nodes = [node for stmt in body for node in ast.walk(stmt)]
+        assert len([node for node in nodes if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "accel"]) == n_calls
     nested = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
               ast.GeneratorExp)
-    for name, n_calls in (("rk4", 4), ("euler", 1)):
-        body = list(ast.walk(closures[name]))[1:]
-        assert len([node for node in body if isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name) and node.func.id == "accel"]) == n_calls
-        assert not [node for node in body if isinstance(node, nested)], name
+    assert not [node for node in list(ast.walk(step))[1:] if isinstance(node, nested)]
+    tail = step.body[step.body.index(branch) + 1:]
+    in_kernel = list(ast.walk(kernel))
+    for pattern, count in (("DivergenceError", 2), ("math.asin", 1)):
+        assert len([node for node in in_kernel if ast.unparse(node) == pattern]) == count
+        assert len([node for stmt in tail for node in ast.walk(stmt)
+                    if ast.unparse(node) == pattern]) == count
     writers = [name for name, closure in closures.items()
                if any(isinstance(node, ast.BinOp) and ast.unparse(node) == "1 - 2 * (yy + zz)"
                       for node in ast.walk(closure))]
     assert writers == ["accel"]
+    assert not hasattr(sim, "_guard") and not hasattr(spatial, "quat_angles")
 
 
 def test_only_the_wrench_model_reads_the_pitch_arm_geometry():

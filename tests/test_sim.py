@@ -25,6 +25,8 @@ from tvcsim.robot import (
 from tvcsim.sim import (
     PHASE_AIRBORNE,
     PHASE_GROUND,
+    POSITION_GUARD_M,
+    RATE_GUARD_RAD_S,
     DivergenceError,
     Perturbation,
     RigidBodyState,
@@ -34,7 +36,16 @@ from tvcsim.sim import (
     run_kernel,
     run_scenario,
 )
-from tvcsim.spatial import EulerAngles, quat_to_matrix, quat_unit
+from tvcsim.spatial import (
+    GIMBAL_LOCK_MARGIN,
+    EulerAngles,
+    quat_normalize,
+    quat_rotation_rows,
+    quat_step,
+    quat_to_matrix,
+    quat_unit,
+    zyx_angles,
+)
 from tvcsim.trim import hover_trim
 from tvcsim.wrench import FanState, generalized_wrench_3d
 
@@ -762,12 +773,36 @@ def test_float_step_guards(integrator):
                       integrator=integrator)
 
 
-# --- the flat rk4 step against the tuple form it replaced ------------------
+# --- the flat kernel step against the tuple forms it replaced --------------
+
+def _cells(step):
+    """The values that a kernel step closes over, by name."""
+    return dict(zip(step.__code__.co_freevars, (c.cell_contents for c in step.__closure__)))
+
+
+def _tuple_euler(step):
+    """run_kernel's euler as it was written with quat_unit and quat_step
+    calls, on the accel and dt that the flat step closes over."""
+    cells = _cells(step)
+    accel, dt = cells["accel"], cells["dt"]
+
+    def euler(p, v, q, omega, rows):
+        f_x, f_z, tx, ty1, ty2, ty3, tz = rows
+        q = quat_unit(q)
+        (px, py, pz), (vx, vy, vz), (wx, wy, wz) = p, v, omega
+        ax, ay, az, bx, by, bz = accel(*q, wx, wy, wz, f_x, f_z, tx, ty1 + ty2 + ty3, tz)
+        ux, uy, uz = vx + ax * dt, vy + ay * dt, vz + az * dt
+        omega = (wx + bx * dt, wy + by * dt, wz + bz * dt)
+        return ((px + 0.5 * (vx + ux) * dt, py + 0.5 * (vy + uy) * dt,
+                 pz + 0.5 * (vz + uz) * dt), (ux, uy, uz), quat_step(q, omega, dt), omega)
+
+    return euler
+
 
 def _tuple_rk4(step):
     """run_kernel's rk4 as it was written with deriv, stage and zip sums, on
     the accel, dt and h that the flat step closes over."""
-    cells = dict(zip(step.__code__.co_freevars, (c.cell_contents for c in step.__closure__)))
+    cells = _cells(step)
     accel, dt, h = cells["accel"], cells["dt"], cells["h"]
 
     def deriv(y, load):
@@ -809,46 +844,72 @@ def _bits(state):
     return struct.pack("<13d", *(x for part in state for x in part))
 
 
-def _rk4_kernels():
-    """Flat rk4 steps over three postures, with and without perturbation, at three dts."""
-    return [run_kernel(geometry_from_posture(builtin_posture(name)), pert, dt, "rk4")[1]
+def _kernels(integrator):
+    """Flat steps over three postures, with and without perturbation, at three dts."""
+    return [run_kernel(geometry_from_posture(builtin_posture(name)), pert, dt, integrator)[1]
             for name in ("P1", "P2", "P3") for pert in (None, Perturbation.standard())
             for dt in (2e-4, 1e-3, 2e-3)]
 
 
-def test_flat_rk4_step_is_the_tuple_step_bit_for_bit():
-    rng = np.random.default_rng(19)
-    steps = _rk4_kernels()
-    pairs = [(step, _tuple_rk4(step)) for step in steps]
+def _check_step(flat, ref, p, v, q, omega, rows):
+    """flat's 13 new state floats are ref's bit for bit, or flat raises
+    DivergenceError where ref's new state leaves a guard; returns ref's."""
+    expected = ref(p, v, q, omega, rows)
+    (px, py, pz), _, _, (wx, wy, wz) = expected
+    if (math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M
+            and math.sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S):
+        x = flat(0.5, *p, *v, *q, *omega, rows)
+        assert _bits((x[0:3], x[3:6], x[6:10], x[10:13])) == _bits(expected)
+    else:
+        with pytest.raises(DivergenceError):
+            flat(0.5, *p, *v, *q, *omega, rows)
+    return expected
 
-    def check(case, p, v, q, omega, rows):
-        flat, ref = pairs[case % len(pairs)]
-        assert _bits(flat(p, v, q, omega, rows)) == _bits(ref(p, v, q, omega, rows)), case
 
+def _step_cases(rng):
+    """(case, p, v, q, omega, rows) over random states and loads, signed
+    zeros, tiny rates and a NaN in each state or load component."""
     def draw(n, scale):
         return tuple((rng.normal(0.0, 1.0, n) * scale).tolist())
 
     for case in range(10_000):  # random states and loads over many magnitudes
         scale = 10.0 ** rng.uniform(-6.0, 2.0, 5)
-        check(case, draw(3, scale[0]), draw(3, scale[1]), draw(4, 1.0),
-              draw(3, scale[2]), draw(5, scale[3]) + draw(2, scale[4]))
+        yield (case, draw(3, scale[0]), draw(3, scale[1]), draw(4, 1.0),
+               draw(3, scale[2]), draw(5, scale[3]) + draw(2, scale[4]))
     for case in range(2_000):  # signed zeros, where the qw * 0.0 terms matter
         zeros = rng.choice([0.0, -0.0], 17).tolist()
         q = list(zeros[6:10])
         q[case % 4] = float(rng.choice([1.0, -1.0]))
-        check(case, tuple(zeros[0:3]), tuple(zeros[3:6]), tuple(q), tuple(zeros[10:13]),
-              tuple(zeros[13:17]) + draw(3, rng.choice([0.0, 1.0])))
+        yield (case, tuple(zeros[0:3]), tuple(zeros[3:6]), tuple(q), tuple(zeros[10:13]),
+               tuple(zeros[13:17]) + draw(3, rng.choice([0.0, 1.0])))
     for case in range(2_000):  # rates below quat_step's small-angle cutoff, subnormals too
         rates = draw(3, float(rng.choice([1e-13, 1e-300, 5e-324])))
-        check(case, draw(3, 1.0), draw(3, 1.0), draw(4, 1.0), rates, draw(7, 50.0))
+        yield case, draw(3, 1.0), draw(3, 1.0), draw(4, 1.0), rates, draw(7, 50.0)
     for slot in range(20):  # a NaN in any one state or load component
         values = [0.1, -0.2, 0.3, 1.0, 0.5, -0.4, 0.9, 0.1, -0.3, 0.2, 0.7, -1.1, 0.4,
                   40.0, 170.0, 2.0, -1.0, 0.5, -0.25, 0.1]
         values[slot] = math.nan
-        state = (tuple(values[0:3]), tuple(values[3:6]), tuple(values[6:10]),
-                 tuple(values[10:13]), tuple(values[13:20]))
-        check(slot, *state)
-        assert any(math.isnan(x) for part in pairs[0][0](*state) for x in part)
+        yield (slot, tuple(values[0:3]), tuple(values[3:6]), tuple(values[6:10]),
+               tuple(values[10:13]), tuple(values[13:20]))
+
+
+def _check_against_the_tuple_step(integrator, reference, seed):
+    pairs = [(step, reference(step)) for step in _kernels(integrator)]
+    for case, *state in _step_cases(np.random.default_rng(seed)):
+        flat, ref = pairs[case % len(pairs)]
+        expected = _check_step(flat, ref, *state)
+        if any(math.isnan(x) for part in state for x in part):
+            assert any(math.isnan(x) for part in expected for x in part), case
+
+
+def test_flat_rk4_step_is_the_tuple_step_bit_for_bit():
+    _check_against_the_tuple_step("rk4", _tuple_rk4, 19)
+
+
+def test_flat_euler_step_is_the_tuple_step_bit_for_bit():
+    # the written-out quat_unit and quat_step: the new attitude is
+    # quat_step(quat_unit(q), omega', dt), and p, v and omega the tuple formulas
+    _check_against_the_tuple_step("euler", _tuple_euler, 23)
 
 
 @pytest.mark.parametrize("integrator, lo, hi", [("rk4", 14.0, 18.0), ("euler", 1.8, 2.3)])
@@ -859,10 +920,10 @@ def test_integrator_error_falls_with_the_order_of_the_method(integrator, lo, hi)
     def final(dt):
         wrench, step = run_kernel(P1, None, dt, integrator)
         rows = wrench(45.0, 45.0, 42.0, 48.0, 0.2, -0.1)
-        state = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (1.0, 1.5, -0.8)
-        for _ in range(round(0.4 / dt)):
-            state = step(*state, rows)
-        return np.concatenate(state)
+        state = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.5, -0.8)
+        for k in range(round(0.4 / dt)):
+            state = step((k + 1) * dt, *state, rows)[:13]
+        return np.array(state)
 
     reference = final(5e-4 / 64)
     errors = [np.linalg.norm(final(dt) - reference) for dt in (2e-3, 1e-3, 5e-4)]
@@ -879,14 +940,81 @@ def test_torque_free_rk4_flight_keeps_the_world_angular_momentum():
     wrench, step = run_kernel(P1, None, 1e-3, "rk4")
     rows = (0.0,) * 7
     inertia = np.array(P1.inertia_body)
-    state = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (1.5, -2.0, 3.0)
+    state = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.5, -2.0, 3.0)
 
     def momentum(q, omega):
         return quat_to_matrix(q) @ inertia @ np.array(omega)
 
-    start = momentum(state[2], state[3])
+    start = momentum(state[6:10], state[10:13])
     drift = 0.0
-    for _ in range(2000):
-        state = step(*state, rows)
-        drift = max(drift, np.linalg.norm(momentum(state[2], state[3]) - start))
+    for k in range(2000):
+        state = step((k + 1) * 1e-3, *state, rows)[:13]
+        drift = max(drift, np.linalg.norm(momentum(state[6:10], state[10:13]) - start))
     assert drift / np.linalg.norm(start) < 1e-9
+
+
+# --- the guards and the readout that end the step ---------------------------
+
+REST = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_step_readout_is_the_zyx_split_of_the_rotation_rows(integrator):
+    # the step's (roll, pitch, yaw) is zyx_angles of its new q's rotation rows,
+    # bit for bit. Zero rows and rate leave q where it was, so the attitudes
+    # at, inside and just outside the gimbal-lock margin reach that branch
+    rng = np.random.default_rng(16)
+    qs = [quat_normalize(rng.normal(size=4)).tolist() for _ in range(20_000)]
+    for pitch in (0.5 * math.pi, -0.5 * math.pi, 0.5 * math.pi - 0.5 * GIMBAL_LOCK_MARGIN,
+                  -0.5 * math.pi + 2.0 * GIMBAL_LOCK_MARGIN):
+        qs += [euler_quat(0.1, pitch, yaw) for yaw in rng.uniform(-3.0, 3.0, 50)]
+    wrench, step = run_kernel(P1, None, 1e-3, integrator)
+    rows = (0.0,) * 7
+    locked = 0
+    for q in qs:
+        x = step(1e-3, *REST[0:6], *q, *REST[10:13], rows)
+        r = quat_rotation_rows(x[6:10])
+        roll, pitch, yaw, lock = zyx_angles(r[6], r[7], r[8], r[3], r[0], r[1], r[4])
+        assert struct.pack("<3d", *x[13:16]) == struct.pack("<3d", roll, pitch, yaw), q
+        locked += lock
+    assert 100 <= locked < 200
+
+
+def test_the_log_and_the_step_read_a_negative_zero_pitch_at_the_identity(tmp_path):
+    # R's entry 6 is +0.0 at the identity, so the pitch is asin(-0.0): the
+    # takeoff log's first row prints it as -0, and so does a step that stays there
+    log = run_scenario(ScenarioConfig(duration_s=0.05))
+    log.write_csv(tmp_path / "log.csv")
+    header, first = (tmp_path / "log.csv").read_text().splitlines()[:2]
+    assert first.split(",")[header.split(",").index("pitch_deg")] == "-0"
+    for integrator in ("euler", "rk4"):
+        wrench, step = run_kernel(P1, None, 1e-3, integrator)
+        x = step(1e-3, *REST, (0.0,) * 7)
+        assert x[6:10] == (1.0, 0.0, 0.0, 0.0)
+        assert struct.pack("<3d", *x[13:16]) == struct.pack("<3d", 0.0, -0.0, 0.0)
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_step_guard_messages(integrator):
+    # the messages that the divergence events carry, naming the step's time
+    wrench, step = run_kernel(P1, None, 1e-3, integrator)
+    rows = (0.0,) * 7
+
+    def raised(*state, rows=rows):
+        with pytest.raises(DivergenceError) as err:
+            step(0.501, *state, rows)
+        return str(err.value)
+
+    assert raised(99.95, 0.0, 0.0, 60.0, 0.0, 0.0, *REST[6:]) == (
+        "position (100.01, 0, -4.905e-06) left the 100.0 m guard at t=0.501 s")
+    assert raised(*REST[:12], 101.0) == (
+        "body rate (0, 0, 101) exceeded 100.0 rad/s at t=0.501 s")
+    nan_thrust = wrench(math.nan, 40.0, 40.0, 40.0, 0.0, 0.0)
+    assert raised(*REST, rows=nan_thrust) == (
+        "position (nan, nan, nan) left the 100.0 m guard at t=0.501 s")
+    # euler's new position reads no rate, rk4's later stages do
+    assert raised(*REST[:11], math.nan, 0.0) == {
+        "euler": "body rate (nan, nan, nan) exceeded 100.0 rad/s at t=0.501 s",
+        "rk4": "position (nan, nan, nan) left the 100.0 m guard at t=0.501 s"}[integrator]
+    with pytest.raises(ValueError, match="^cannot normalize a zero quaternion$"):
+        step(0.501, *REST[:6], 0.0, 0.0, 0.0, 0.0, *REST[10:], rows)

@@ -8,7 +8,6 @@ import pytest
 from tvcsim.spatial import (
     GIMBAL_LOCK_MARGIN,
     EulerAngles,
-    quat_angles,
     quat_from_pitch,
     quat_identity,
     quat_integrate,
@@ -18,6 +17,7 @@ from tvcsim.spatial import (
     quat_to_euler,
     quat_to_matrix,
     wrap_angle,
+    zyx_angles,
 )
 
 
@@ -127,7 +127,7 @@ def test_quat_integrate_matches_matrix_composition():
     np.testing.assert_allclose(quat_to_matrix(q), r, atol=1e-12)
 
 
-def test_quat_integrate_norm_contract():
+def test_quat_step_norm_contract():
     # renormalization contract over a million random inputs, each off the
     # unit norm by up to 1e-6 so that a step without it fails the bound
     rng = np.random.default_rng(11)
@@ -170,7 +170,7 @@ def test_quat_step_is_the_product_with_the_increment_renormalized():
 
 
 def zyx_from_rows(q):
-    """The Z-Y-X split of quat_rotation_rows(q), as a float tuple like quat_angles."""
+    """The Z-Y-X split of quat_rotation_rows(q), as a float tuple like zyx_angles."""
     r = quat_rotation_rows(q)
     pitch = math.asin(min(1.0, max(-1.0, -r[6])))
     if abs(pitch) > 0.5 * math.pi - GIMBAL_LOCK_MARGIN:
@@ -178,31 +178,21 @@ def zyx_from_rows(q):
     return (math.atan2(r[7], r[8]), pitch, math.atan2(r[3], r[0]), False)
 
 
-def test_quat_angles_is_the_zyx_split_of_the_rotation_rows():
+def test_quat_to_euler_is_the_zyx_split_of_the_rotation_rows():
+    # the array helper splits the normalized quaternion as zyx_angles does,
+    # the gimbal-lock branch included (sim's step readout is pinned to
+    # zyx_angles in tests/test_sim.py)
     rng = np.random.default_rng(16)
-    qs = [random_quat(rng).tolist() for _ in range(20_000)]
-    # the gimbal-lock branch: pitch at, inside and just outside the margin
-    for pitch in (0.5 * math.pi, -0.5 * math.pi, 0.5 * math.pi - 0.5 * GIMBAL_LOCK_MARGIN,
-                  -0.5 * math.pi + 2.0 * GIMBAL_LOCK_MARGIN):
-        qs += [euler_quat(EulerAngles(0.1, pitch, yaw)) for yaw in rng.uniform(-3.0, 3.0, 50)]
+    qs = list(rng.normal(size=(100, 4)))
+    qs += [euler_quat(EulerAngles(0.1, pitch, 0.4)) for pitch in (
+        0.5 * math.pi, -0.5 * math.pi, 0.5 * math.pi - 0.5 * GIMBAL_LOCK_MARGIN)]
     locked = 0
     for q in qs:
-        angles = quat_angles(q)
-        assert bits(angles) == bits(zyx_from_rows(q)), q
-        locked += angles[3]
-    assert 100 <= locked < 200
-    # the array helper splits the normalized quaternion the same way
-    for q in rng.normal(size=(100, 4)):
         e = quat_to_euler(q)
         assert bits((e.roll, e.pitch, e.yaw, e.gimbal_lock)) == bits(
             zyx_from_rows(quat_normalize(q).tolist()))
-
-
-def test_quat_angles_of_the_identity_reads_a_negative_zero_pitch():
-    # R's entry 6 is +0.0, so the pitch is asin(-0.0); the takeoff log's first
-    # row prints it as -0
-    roll, pitch, yaw, locked = quat_angles((1.0, 0.0, 0.0, 0.0))
-    assert bits((roll, pitch, yaw)) == bits((0.0, -0.0, 0.0)) and not locked
+        locked += e.gimbal_lock
+    assert locked == 3
 
 
 def test_quat_to_euler_identity():
@@ -225,16 +215,23 @@ def test_quat_from_pitch_matches_rot_y():
 
 
 def test_euler_round_trip_property():
-    # quat -> euler -> quat round-trips away from gimbal lock
+    # quat -> euler -> quat round-trips away from gimbal lock, on the float
+    # route: zyx_angles of the quat_rotation_rows entries. The draws are
+    # random_quat's, one normal quadruple per quaternion, taken in one batch
     rng = np.random.default_rng(12)
+    draws = iter(rng.normal(size=(110_000, 4)).tolist())
     checked = 0
     while checked < 100_000:
-        q = random_quat(rng)
-        e = quat_to_euler(q)
-        if abs(e.pitch) > 0.5 * math.pi - 1e-2:
+        w, x, y, z = next(draws)
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        q = (w / n, x / n, y / n, z / n)
+        r = quat_rotation_rows(q)
+        roll, pitch, yaw, _ = zyx_angles(r[6], r[7], r[8], r[3], r[0], r[1], r[4])
+        if abs(pitch) > 0.5 * math.pi - 1e-2:
             continue
-        q2 = np.array(euler_quat(e))
-        err = min(np.abs(q - q2).max(), np.abs(q + q2).max())
+        q2 = euler_quat(EulerAngles(roll, pitch, yaw))
+        err = min(max(abs(a - b) for a, b in zip(q, q2)),
+                  max(abs(a + b) for a, b in zip(q, q2)))
         assert err < 1e-9
         checked += 1
 

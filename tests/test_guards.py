@@ -280,7 +280,6 @@ def test_run_kernel_steps_share_the_one_accel():
                if any(isinstance(node, ast.BinOp) and ast.unparse(node) == "1 - 2 * (yy + zz)"
                       for node in ast.walk(closure))]
     assert writers == ["accel"]
-    assert not hasattr(sim, "_guard") and not hasattr(spatial, "quat_angles")
 
 
 def test_only_the_wrench_model_reads_the_pitch_arm_geometry():

@@ -62,7 +62,6 @@ from .spatial import (
     GIMBAL_LOCK_MARGIN,
     EulerAngles,
     quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through sim
-    quat_unit,
 )
 from .trim import hover_trim
 from .wrench import FanState, wrench_kernel
@@ -170,7 +169,7 @@ class ScenarioConfig:
     omega_n_yaw: float = 12.0
 
     def __post_init__(self):
-        if self.dt_s <= 0.0 or self.dt_s > MAX_PHYSICS_DT:
+        if not 0.0 < self.dt_s <= MAX_PHYSICS_DT:  # a NaN fails too
             raise ValueError(f"physics dt must be in (0, {MAX_PHYSICS_DT}] s")
         self._n_steps = _steps(self.duration_s, self.dt_s, "sim.duration_s")
         if self.integrator not in ("euler", "rk4"):
@@ -262,14 +261,15 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
     positions with the velocity midpoint (exact for constant accelerations)
     and the attitude by the exponential map of the new body rate, quat_step
     written out; 'rk4' is the classic fourth-order step written out on
-    floats: each of its four stages calls accel once, at a state whose
-    quaternion is renormalized, and the step adds the (1, 2, 2, 1) / 6
-    weighted sum of the stage derivatives. Either way the step ends in the
-    divergence guards: a new position beyond POSITION_GUARD_M, a body rate
-    beyond RATE_GUARD_RAD_S, or a NaN in either raises DivergenceError,
-    naming t.
+    floats: each of its four stages evaluates accel's expressions written
+    out, at a state whose quaternion is renormalized as quat_unit does it,
+    and the step adds the (1, 2, 2, 1) / 6 weighted sum of the stage
+    derivatives, so an rk4 step makes no Python-level call. Either way the
+    step ends in the divergence guards: a new position beyond
+    POSITION_GUARD_M, a body rate beyond RATE_GUARD_RAD_S, or a NaN in
+    either raises DivergenceError, naming t.
     """
-    if dt <= 0.0 or dt > MAX_PHYSICS_DT:
+    if not 0.0 < dt <= MAX_PHYSICS_DT:  # a NaN fails too
         raise ValueError(f"dt must be in (0, {MAX_PHYSICS_DT}] s")
     if integrator not in ("euler", "rk4"):
         raise ValueError("integrator must be 'euler' or 'rk4'")
@@ -285,10 +285,11 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
         """R(q) F / m - g in {W} and I^-1 (tau - omega x I omega) in {B}."""
         xx, yy, zz = qx * qx, qy * qy, qz * qz
         xy, xz, yz, sx, sy, sz = qx * qy, qx * qz, qy * qz, qw * qx, qw * qy, qw * qz
-        # R(q) F, with quat_rotation_rows' entries
-        fx = (1 - 2 * (yy + zz)) * f_x + 2 * (xy - sz) * f_y + 2 * (xz + sy) * f_z
-        fy = 2 * (xy + sz) * f_x + (1 - 2 * (xx + zz)) * f_y + 2 * (yz - sx) * f_z
-        fz = 2 * (xz - sy) * f_x + 2 * (yz + sx) * f_y + (1 - 2 * (xx + yy)) * f_z
+        # R(q) F, with quat_rotation_rows' entries; 1.0 and 2.0 give the same
+        # doubles as its int 1 and 2 without a mixed int-float operation
+        fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
+        fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
+        fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
         hx = i00 * wx + i01 * wy + i02 * wz  # angular momentum I omega
         hy = i10 * wx + i11 * wy + i12 * wz
         hz = i20 * wx + i21 * wy + i22 * wz
@@ -301,7 +302,7 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
                 j20 * rx + j21 * ry + j22 * rz)
 
     def step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows):
-        fx, fz, tx, ty1, ty2, ty3, tz = rows
+        f_x, f_z, tx, ty1, ty2, ty3, tz = rows
         ty = ty1 + ty2 + ty3
         n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)  # quat_unit written out
         if n < 1e-300:
@@ -309,40 +310,107 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
         qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
         if rk4:
             # The position feeds no derivative, so stage n carries (v, w, q)n only,
-            # stage 1 the step's own. Its derivative is accel's (a, b)n and
-            # q (0, omega) / 2 as (dw, dx, dy, dz)n, the quaternion product
-            # written out without the terms of omega's zero w.
-            ax1, ay1, az1, bx1, by1, bz1 = accel(qw, qx, qy, qz, wx, wy, wz, fx, fz, tx, ty, tz)
+            # stage 1 the step's own. Its derivative is (a, b)n, accel's body
+            # written out operand for operand, and q (0, omega) / 2 as
+            # (dw, dx, dy, dz)n, the quaternion product written out without the
+            # terms of omega's zero w. Stages 2-4 and the step renormalize their
+            # quaternion as quat_unit does, so the branch calls only math.sqrt
+            xx, yy, zz = qx * qx, qy * qy, qz * qz
+            xy, xz, yz = qx * qy, qx * qz, qy * qz
+            sx, sy, sz = qw * qx, qw * qy, qw * qz
+            fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
+            fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
+            fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
+            ax1, ay1, az1 = fx / m, fy / m, (fz - weight) / m
+            hx = i00 * wx + i01 * wy + i02 * wz
+            hy = i10 * wx + i11 * wy + i12 * wz
+            hz = i20 * wx + i21 * wy + i22 * wz
+            rx, ry = tx - (wy * hz - wz * hy), ty - (wz * hx - wx * hz)
+            rz = tz - (wx * hy - wy * hx)
+            bx1 = j00 * rx + j01 * ry + j02 * rz
+            by1 = j10 * rx + j11 * ry + j12 * rz
+            bz1 = j20 * rx + j21 * ry + j22 * rz
             dw1 = 0.5 * (-qx * wx - qy * wy - qz * wz)
             dx1 = 0.5 * (qw * wx + qy * wz - qz * wy)
             dy1 = 0.5 * (qw * wy - qx * wz + qz * wx)
             dz1 = 0.5 * (qw * wz + qx * wy - qy * wx)
             vx2, vy2, vz2 = vx + h * ax1, vy + h * ay1, vz + h * az1
             wx2, wy2, wz2 = wx + h * bx1, wy + h * by1, wz + h * bz1
-            qw2, qx2, qy2, qz2 = quat_unit((qw + h * dw1, qx + h * dx1,
-                                            qy + h * dy1, qz + h * dz1))
-            ax2, ay2, az2, bx2, by2, bz2 = accel(qw2, qx2, qy2, qz2, wx2, wy2, wz2,
-                                                 fx, fz, tx, ty, tz)
+            qw2, qx2 = qw + h * dw1, qx + h * dx1
+            qy2, qz2 = qy + h * dy1, qz + h * dz1
+            n = math.sqrt(qw2 * qw2 + qx2 * qx2 + qy2 * qy2 + qz2 * qz2)
+            if n < 1e-300:
+                raise ValueError("cannot normalize a zero quaternion")
+            qw2, qx2, qy2, qz2 = qw2 / n, qx2 / n, qy2 / n, qz2 / n
+            xx, yy, zz = qx2 * qx2, qy2 * qy2, qz2 * qz2
+            xy, xz, yz = qx2 * qy2, qx2 * qz2, qy2 * qz2
+            sx, sy, sz = qw2 * qx2, qw2 * qy2, qw2 * qz2
+            fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
+            fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
+            fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
+            ax2, ay2, az2 = fx / m, fy / m, (fz - weight) / m
+            hx = i00 * wx2 + i01 * wy2 + i02 * wz2
+            hy = i10 * wx2 + i11 * wy2 + i12 * wz2
+            hz = i20 * wx2 + i21 * wy2 + i22 * wz2
+            rx, ry = tx - (wy2 * hz - wz2 * hy), ty - (wz2 * hx - wx2 * hz)
+            rz = tz - (wx2 * hy - wy2 * hx)
+            bx2 = j00 * rx + j01 * ry + j02 * rz
+            by2 = j10 * rx + j11 * ry + j12 * rz
+            bz2 = j20 * rx + j21 * ry + j22 * rz
             dw2 = 0.5 * (-qx2 * wx2 - qy2 * wy2 - qz2 * wz2)
             dx2 = 0.5 * (qw2 * wx2 + qy2 * wz2 - qz2 * wy2)
             dy2 = 0.5 * (qw2 * wy2 - qx2 * wz2 + qz2 * wx2)
             dz2 = 0.5 * (qw2 * wz2 + qx2 * wy2 - qy2 * wx2)
             vx3, vy3, vz3 = vx + h * ax2, vy + h * ay2, vz + h * az2
             wx3, wy3, wz3 = wx + h * bx2, wy + h * by2, wz + h * bz2
-            qw3, qx3, qy3, qz3 = quat_unit((qw + h * dw2, qx + h * dx2,
-                                            qy + h * dy2, qz + h * dz2))
-            ax3, ay3, az3, bx3, by3, bz3 = accel(qw3, qx3, qy3, qz3, wx3, wy3, wz3,
-                                                 fx, fz, tx, ty, tz)
+            qw3, qx3 = qw + h * dw2, qx + h * dx2
+            qy3, qz3 = qy + h * dy2, qz + h * dz2
+            n = math.sqrt(qw3 * qw3 + qx3 * qx3 + qy3 * qy3 + qz3 * qz3)
+            if n < 1e-300:
+                raise ValueError("cannot normalize a zero quaternion")
+            qw3, qx3, qy3, qz3 = qw3 / n, qx3 / n, qy3 / n, qz3 / n
+            xx, yy, zz = qx3 * qx3, qy3 * qy3, qz3 * qz3
+            xy, xz, yz = qx3 * qy3, qx3 * qz3, qy3 * qz3
+            sx, sy, sz = qw3 * qx3, qw3 * qy3, qw3 * qz3
+            fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
+            fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
+            fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
+            ax3, ay3, az3 = fx / m, fy / m, (fz - weight) / m
+            hx = i00 * wx3 + i01 * wy3 + i02 * wz3
+            hy = i10 * wx3 + i11 * wy3 + i12 * wz3
+            hz = i20 * wx3 + i21 * wy3 + i22 * wz3
+            rx, ry = tx - (wy3 * hz - wz3 * hy), ty - (wz3 * hx - wx3 * hz)
+            rz = tz - (wx3 * hy - wy3 * hx)
+            bx3 = j00 * rx + j01 * ry + j02 * rz
+            by3 = j10 * rx + j11 * ry + j12 * rz
+            bz3 = j20 * rx + j21 * ry + j22 * rz
             dw3 = 0.5 * (-qx3 * wx3 - qy3 * wy3 - qz3 * wz3)
             dx3 = 0.5 * (qw3 * wx3 + qy3 * wz3 - qz3 * wy3)
             dy3 = 0.5 * (qw3 * wy3 - qx3 * wz3 + qz3 * wx3)
             dz3 = 0.5 * (qw3 * wz3 + qx3 * wy3 - qy3 * wx3)
             vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
             wx4, wy4, wz4 = wx + dt * bx3, wy + dt * by3, wz + dt * bz3
-            qw4, qx4, qy4, qz4 = quat_unit((qw + dt * dw3, qx + dt * dx3,
-                                            qy + dt * dy3, qz + dt * dz3))
-            ax4, ay4, az4, bx4, by4, bz4 = accel(qw4, qx4, qy4, qz4, wx4, wy4, wz4,
-                                                 fx, fz, tx, ty, tz)
+            qw4, qx4 = qw + dt * dw3, qx + dt * dx3
+            qy4, qz4 = qy + dt * dy3, qz + dt * dz3
+            n = math.sqrt(qw4 * qw4 + qx4 * qx4 + qy4 * qy4 + qz4 * qz4)
+            if n < 1e-300:
+                raise ValueError("cannot normalize a zero quaternion")
+            qw4, qx4, qy4, qz4 = qw4 / n, qx4 / n, qy4 / n, qz4 / n
+            xx, yy, zz = qx4 * qx4, qy4 * qy4, qz4 * qz4
+            xy, xz, yz = qx4 * qy4, qx4 * qz4, qy4 * qz4
+            sx, sy, sz = qw4 * qx4, qw4 * qy4, qw4 * qz4
+            fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
+            fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
+            fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
+            ax4, ay4, az4 = fx / m, fy / m, (fz - weight) / m
+            hx = i00 * wx4 + i01 * wy4 + i02 * wz4
+            hy = i10 * wx4 + i11 * wy4 + i12 * wz4
+            hz = i20 * wx4 + i21 * wy4 + i22 * wz4
+            rx, ry = tx - (wy4 * hz - wz4 * hy), ty - (wz4 * hx - wx4 * hz)
+            rz = tz - (wx4 * hy - wy4 * hx)
+            bx4 = j00 * rx + j01 * ry + j02 * rz
+            by4 = j10 * rx + j11 * ry + j12 * rz
+            bz4 = j20 * rx + j21 * ry + j22 * rz
             dw4 = 0.5 * (-qx4 * wx4 - qy4 * wy4 - qz4 * wz4)
             dx4 = 0.5 * (qw4 * wx4 + qy4 * wz4 - qz4 * wy4)
             dy4 = 0.5 * (qw4 * wy4 - qx4 * wz4 + qz4 * wx4)
@@ -355,15 +423,19 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
             vx, vy, vz = (vx + dt * ((ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4) / 6.0),
                           vy + dt * ((ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4) / 6.0),
                           vz + dt * ((az1 + 2.0 * az2 + 2.0 * az3 + az4) / 6.0))
-            qw, qx, qy, qz = quat_unit((qw + dt * ((dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4) / 6.0),
-                                        qx + dt * ((dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4) / 6.0),
-                                        qy + dt * ((dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4) / 6.0),
-                                        qz + dt * ((dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4) / 6.0)))
+            qw, qx, qy, qz = (qw + dt * ((dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4) / 6.0),
+                              qx + dt * ((dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4) / 6.0),
+                              qy + dt * ((dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4) / 6.0),
+                              qz + dt * ((dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4) / 6.0))
+            n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+            if n < 1e-300:
+                raise ValueError("cannot normalize a zero quaternion")
+            qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
             wx, wy, wz = (wx + dt * ((bx1 + 2.0 * bx2 + 2.0 * bx3 + bx4) / 6.0),
                           wy + dt * ((by1 + 2.0 * by2 + 2.0 * by3 + by4) / 6.0),
                           wz + dt * ((bz1 + 2.0 * bz2 + 2.0 * bz3 + bz4) / 6.0))
         else:
-            ax, ay, az, bx, by, bz = accel(qw, qx, qy, qz, wx, wy, wz, fx, fz, tx, ty, tz)
+            ax, ay, az, bx, by, bz = accel(qw, qx, qy, qz, wx, wy, wz, f_x, f_z, tx, ty, tz)
             ux, uy, uz = vx + ax * dt, vy + ay * dt, vz + az * dt
             px, py, pz = (px + 0.5 * (vx + ux) * dt, py + 0.5 * (vy + uy) * dt,
                           pz + 0.5 * (vz + uz) * dt)

@@ -250,11 +250,13 @@ def test_takeoff_loop_reads_the_attitude_once_per_step_aloft(monkeypatch):
 
 
 def test_run_kernel_steps_share_the_one_accel():
-    # accel is the one home of the equations of motion: the one step closure
-    # calls it once a stage of its flat rk4 branch and once in its euler
-    # branch, hides no stage in a nested function or a comprehension, and no
-    # other closure writes R(q) out. The step's tail, the divergence guards
-    # and the attitude readout, is written once, after the branch
+    # accel is the one home of the equations of motion: the euler branch of
+    # the one step closure calls it once, and the flat rk4 branch writes its
+    # R(q) rows out once a stage and calls nothing but math.sqrt, once for
+    # each of the three stage quaternions and the new one (a zero norm raises
+    # ValueError). No other code writes R(q) out, and step hides no stage in
+    # a nested function or a comprehension. The step's tail, the divergence
+    # guards and the attitude readout, is written once, after the branch
     tree = ast.parse((ROOT / "src" / "tvcsim" / "sim.py").read_text())
     (kernel,) = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "run_kernel"]
@@ -263,10 +265,15 @@ def test_run_kernel_steps_share_the_one_accel():
     step = closures["step"]
     (branch,) = [node for node in step.body if isinstance(node, ast.If)
                  and ast.unparse(node.test) == "rk4"]
-    for name, body, n_calls in (("rk4", branch.body, 4), ("euler", branch.orelse, 1)):
-        nodes = [node for stmt in body for node in ast.walk(stmt)]
-        assert len([node for node in nodes if isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name) and node.func.id == "accel"]) == n_calls
+    rk4 = [node for stmt in branch.body for node in ast.walk(stmt)]
+    euler = [node for stmt in branch.orelse for node in ast.walk(stmt)]
+    assert [ast.unparse(node.func) for node in euler if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "accel"] == ["accel"]
+    raised = {id(node.exc) for node in rk4 if isinstance(node, ast.Raise)}
+    assert [ast.unparse(node.func) for node in rk4
+            if isinstance(node, ast.Call) and id(node) not in raised] == ["math.sqrt"] * 4
+    assert [ast.unparse(node) for node in rk4 if isinstance(node, ast.Raise)] == (
+        ["raise ValueError('cannot normalize a zero quaternion')"] * 4)
     nested = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
               ast.GeneratorExp)
     assert not [node for node in list(ast.walk(step))[1:] if isinstance(node, nested)]
@@ -276,10 +283,12 @@ def test_run_kernel_steps_share_the_one_accel():
         assert len([node for node in in_kernel if ast.unparse(node) == pattern]) == count
         assert len([node for stmt in tail for node in ast.walk(stmt)
                     if ast.unparse(node) == pattern]) == count
-    writers = [name for name, closure in closures.items()
-               if any(isinstance(node, ast.BinOp) and ast.unparse(node) == "1 - 2 * (yy + zz)"
-                      for node in ast.walk(closure))]
-    assert writers == ["accel"]
+    row = "1.0 - 2.0 * (yy + zz)"  # R(q)'s first entry, as accel writes it
+    in_tree = [node for node in ast.walk(tree)
+               if isinstance(node, ast.BinOp) and ast.unparse(node) == row]
+    assert len(in_tree) == 5
+    assert len([node for node in ast.walk(closures["accel"]) if node in in_tree]) == 1
+    assert len([node for node in rk4 if node in in_tree]) == 4
 
 
 def test_only_the_wrench_model_reads_the_pitch_arm_geometry():

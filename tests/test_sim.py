@@ -130,6 +130,11 @@ def test_dt_guard():
         dynamics_step(RigidBodyState(), ZERO_THRUST, P1, 3e-3)
     with pytest.raises(ValueError):
         dynamics_step(RigidBodyState(), ZERO_THRUST, P1, 0.0)
+    # a NaN dt fails the range check itself, not a divergence guard after the step
+    for integrator in ("euler", "rk4"):
+        with pytest.raises(ValueError, match=r"^dt must be in \(0, 0\.002\] s$"):
+            dynamics_step(RigidBodyState(), FanState(40.0, 40.0, 40.0, 40.0, 0.0, 0.0), P1,
+                          math.nan, integrator=integrator)
 
 
 def test_divergence_guards():
@@ -648,6 +653,9 @@ def test_perturbation_holds_float_tuples_and_rejects_a_nan_scale():
 def test_scenario_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(dt_s=0.003)
+    # a NaN dt gets the dt message, not the step count's
+    with pytest.raises(ValueError, match=r"^physics dt must be in \(0, 0\.002\] s$"):
+        ScenarioConfig(dt_s=math.nan)
     with pytest.raises(ValueError):
         ScenarioConfig(duration_s=1e-4)
     with pytest.raises(ValueError):

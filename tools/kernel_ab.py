@@ -11,10 +11,11 @@ whose takeoff generator makes the runs of check 2. The script
    and without Perturbation.standard() at dt 0.2, 1 and 2 ms, and requires
    the 16 returned floats bit for bit, or the same exception and message;
 2. runs the bench takeoffs Takeoff(seed, integrator).make(i) for seeds 3, 7
-   and 11, ops 0-14, both integrators, with and without
-   sim.sensor_noise_std, through tvcsim.cli.main, each tree in its own
-   subprocess, and compares the hash of every output: the log, the events,
-   the manifest without wall_clock_s, stdout, stderr and the exit code;
+   and 11, ops 0-14, both integrators, as generated and with
+   sim.sensor_noise_std and sim.seed = i, through tvcsim.cli.main, each
+   tree in its own subprocess, and compares the hash of every output: the
+   log, the events, the manifest without wall_clock_s, stdout, stderr and
+   the exit code;
 3. times each tree's step in this process, the two trees interleaved in a
    random order each round, and prints the minimum and median us per step.
 
@@ -27,6 +28,7 @@ import argparse
 import hashlib
 import importlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -37,9 +39,11 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 SEEDS = (3, 7, 11)
 OPS = 15
-NOISE_STD = 0.01
+NOISE_STD = 0.005
 POSTURES = ("P1", "P2", "P3")
 DTS = (2e-4, 1e-3, 2e-3)
 INTEGRATORS = ("euler", "rk4")
@@ -96,8 +100,6 @@ def outcome(step, state, rows):
 
 def compare_steps(a, b) -> int:
     """Mismatches between the two trees' steps over the step cases."""
-    import numpy as np
-
     bad = total = 0
     for seed, integrator in enumerate(INTEGRATORS, start=41):
         pairs = list(zip(kernels(*a, integrator), kernels(*b, integrator)))
@@ -119,31 +121,28 @@ def takeoff_hashes(root: str, bench_dir: str) -> dict:
 
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in SEEDS:
-            for integrator in INTEGRATORS:
-                gen = workloads.Takeoff(seed, integrator)
-                for noise in (0.0, NOISE_STD):
-                    for index in range(OPS):
-                        out = os.path.join(tmp, f"{seed}-{integrator}-{noise}-{index}")
-                        os.mkdir(out)
-                        values = gen.make(index).values
-                        if noise:
-                            values = values | {"sim.sensor_noise_std": noise}
-                        config = os.path.join(out, "op.cfg")
-                        workloads.write_config(config, values)
-                        code, stdout, stderr = workloads._run_cli(
-                            ["--config", config, "--out", out, "takeoff"])
-                        h = hashlib.sha256(f"{code}\n{stdout}\n{stderr}\n".encode())
-                        for name in sorted(os.listdir(out)):
-                            with open(os.path.join(out, name), "rb") as fh:
-                                data = fh.read()
-                            if name.endswith("_manifest.json"):
-                                manifest = json.loads(data)
-                                manifest.pop("wall_clock_s")
-                                data = json.dumps(manifest, sort_keys=True).encode()
-                            h.update(name.encode() + b"\0" + data)
-                        hashes[f"seed {seed} {integrator} noise {noise} op {index}"] = (
-                            h.hexdigest())
+        for seed, integrator, noise, index in itertools.product(
+                SEEDS, INTEGRATORS, (0.0, NOISE_STD), range(OPS)):
+            key = f"seed {seed} {integrator} noise {noise} op {index}"
+            out = os.path.join(tmp, key.replace(" ", "-"))
+            os.mkdir(out)
+            values = workloads.Takeoff(seed, integrator).make(index).values
+            if noise:
+                values = values | {"sim.sensor_noise_std": noise, "sim.seed": index}
+            config = os.path.join(out, "op.cfg")
+            workloads.write_config(config, values)
+            argv = ["--config", config, "--out", out, "takeoff"]
+            code, stdout, stderr = workloads._run_cli(argv)
+            h = hashlib.sha256(f"{code}\n{stdout}\n{stderr}\n".encode())
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    data = fh.read()
+                if name.endswith("_manifest.json"):
+                    manifest = json.loads(data)
+                    manifest.pop("wall_clock_s")
+                    data = json.dumps(manifest, sort_keys=True).encode()
+                h.update(name.encode() + b"\0" + data)
+            hashes[key] = h.hexdigest()
     return hashes
 
 
@@ -153,8 +152,7 @@ def compare_outputs(parent: str, change: str) -> int:
     runs = []
     for root in (parent, change):
         proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--hash-takeoffs",
-                               root, bench_dir], capture_output=True, text=True, check=True,
-                              env=os.environ | {"PYTHONHASHSEED": "0"})
+                               root, bench_dir], capture_output=True, text=True, check=True)
         runs.append(json.loads(proc.stdout))
     bad = [key for key in runs[0] if runs[0][key] != runs[1].get(key)]
     bad += [key for key in runs[1] if key not in runs[0]]
@@ -166,16 +164,15 @@ def compare_outputs(parent: str, change: str) -> int:
 
 def time_steps(a, b, rounds: int, calls: int = 200) -> None:
     """Interleaved in-process us per step of each tree, on airborne-like states."""
-    import numpy as np
-
     rng = np.random.default_rng(5)
     states = []
     for _ in range(calls):
-        q = rng.normal(0.0, 1.0, 4) * (0.05, 0.05, 0.05, 0.05) + (1.0, 0.0, 0.0, 0.0)
+        q = rng.normal(0.0, 0.05, 4) + (1.0, 0.0, 0.0, 0.0)  # near level
         states.append((*rng.normal(0.0, 0.3, 6).tolist(), *(q / np.linalg.norm(q)).tolist(),
                        *rng.normal(0.0, 1.0, 3).tolist()))
     rows = (0.3, 190.0, 0.05, 0.4, -0.2, 0.1, 0.02)
     for integrator in INTEGRATORS:
+        # kernels()[4] is P1 with Perturbation.standard() at 1 ms
         steps = {"parent": kernels(*a, integrator)[4], "change": kernels(*b, integrator)[4]}
         times = {name: [] for name in steps}
         for _ in range(rounds):

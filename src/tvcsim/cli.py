@@ -178,9 +178,8 @@ def cmd_envelope(args, values) -> int:
     from .envelope import (
         ENVELOPE_CSV_HEADER,
         EnvelopeConstraint,
+        _level_ratio_and_sweep,
         envelope_rows,
-        envelope_sweep,
-        tvc_dt_ratio,
         write_envelope_csv,
     )
 
@@ -201,11 +200,11 @@ def cmd_envelope(args, values) -> int:
         constraint = EnvelopeConstraint.hover(geo, cfg.posture, cfg.limits)
         if settings.min_vertical_force is not None:
             constraint = replace(constraint, min_vertical_force=settings.min_vertical_force)
-        # the comparison is meaningless if the robot cannot even hover level,
-        # so that is reported ahead of an invalid sweep
-        ratio_max, ratio_min = tvc_dt_ratio(geo, constraint)
-        points = envelope_sweep(geo, constraint, settings.theta_pitch_range,
-                                settings.n_points)
+        # one LP call: the level lane of the TVC/DT ratio rides along with the
+        # sweep, and since the comparison is meaningless if the robot cannot
+        # even hover level, that is reported ahead of an invalid sweep
+        (ratio_max, ratio_min), points = _level_ratio_and_sweep(
+            geo, constraint, settings.theta_pitch_range, settings.n_points)
         path = os.path.join(args.out, f"envelope_{name}.{args.format}")
         if args.format == "csv":
             _atomic_write(path, lambda tmp: write_envelope_csv(points, tmp))

@@ -15,10 +15,11 @@ the LP at foot angle 0. For TVC the LP optimum at a fixed pitch and foot angle
 is a vertex with at most one fractional thrust (Durham, "Constrained control
 allocation", JGCD 1993; Bodson, "Evaluation of optimization methods for
 control allocation", JGCD 2002), so the maximum over the foot range is reached
-at one of a few angles written down in closed form (see _sweep). One LP call
+at one of a few angles written down in closed form (see _lanes). One LP call
 evaluates 0 and every candidate for every lane of a sweep: DT reads the 0
 column and TVC keeps each lane's best. A single-pitch search or ratio is a
-one-pitch sweep. The independent cross-check lives in tvcsim.oracles.
+one-pitch sweep, and the envelope command's level ratio is one more lane of
+its sweep. The independent cross-check lives in tvcsim.oracles.
 
 Legs are assumed parallel: both feet share one thrust value and one pitch
 angle throughout the search.
@@ -26,7 +27,6 @@ angle throughout the search.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -165,22 +165,21 @@ def _vertical(theta_pitch, theta_feet):
     return np.stack(np.broadcast_arrays(cp, cp, 2.0 * np.cos(theta_pitch + theta_feet)), axis=-1)
 
 
-def _sweep(geo, constraint, thetas) -> list[SweepPoint]:
-    """DT and TVC extrema at every pitch of thetas, from one LP call.
+def _lanes(geo, constraint, thetas):
+    """Every lane's LP value at each candidate foot angle, from one LP call.
 
-    A lane is one pitch and one direction (tau_max, or tau_min as the
-    maximum of the negated torque). Its candidate foot angles are 0 (the DT
-    column), the range ends, the angles where both capped feet just meet the
-    floor (and the floor +- _FEAS_TOL) beside 0, 1 or 2 capped waist fans,
-    and the stationary angles of the torque with the feet capped while a
-    waist fan of torque arm c_w, or none, is fractional. DT is column 0; TVC
-    is the best of the others, and of column 0 too where 0 is in the range.
+    A lane is one pitch and one direction: tau_max, or tau_min as the maximum
+    of the negated torque. The result is indexed (direction, pitch,
+    candidate). The candidates hang on the pitch alone, so both directions
+    share them: 0 (the DT column), the range ends, the angles where both
+    capped feet just meet the floor (and the floor +- _FEAS_TOL) beside 0, 1
+    or 2 capped waist fans, and the stationary angles of the torque with the
+    feet capped while a waist fan of torque arm c_w, or none, is fractional.
     """
     lo, hi = constraint.foot_angle_range
     cap = constraint.per_fan_max
     n = len(thetas)
-    lane_pitch, sign = np.tile(thetas, 2), np.repeat([1.0, -1.0], n)
-    phi = lane_pitch[:, None]
+    phi = thetas[:, None]
     floors = np.repeat(constraint.min_vertical_force + np.array([-_FEAS_TOL, 0.0, _FEAS_TOL]), 3)
     waist = np.cos(phi) * np.tile([0.0, cap, 2.0 * cap], 3)
     arms = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
@@ -189,30 +188,47 @@ def _sweep(geo, constraint, thetas) -> list[SweepPoint]:
     c_w, b = np.array([0.0, c_front, c_back]), 0.0 - arms[3]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # a tiny cap sends the acos ratio to +-inf, which the clip takes; a cap or
-        # a floor near the float range overflows, and the check below reports it
+        # a floor near the float range overflows, and _points reports it
         acos = np.arccos(np.clip((floors - waist) / (2.0 * cap), -1.0, 1.0))
         stationary = np.arctan2(b * np.cos(phi) + c_w * np.sin(phi),
                                 (foot / 2 - c_w) * np.cos(phi))
         free = np.concatenate([acos - phi, -acos - phi, stationary, stationary + math.pi], axis=1)
-        feet = np.hstack([np.broadcast_to([0.0, lo, hi], (2 * n, 3)),
+        feet = np.hstack([np.broadcast_to([0.0, lo, hi], (n, 3)),
                           np.minimum(lo + np.mod(free - lo, 2.0 * math.pi), hi)])
-        m = feet.shape[1]
-        value, _ = lp_max_covering(_torque(arms, feet.ravel(), np.repeat(sign, m)),
-                                   _vertical(np.repeat(lane_pitch, m), feet.ravel()),
+        c = _torque(arms, feet, 1.0).reshape(-1, 3)
+        a = _vertical(phi, feet).reshape(-1, 3)
+        value, _ = lp_max_covering(np.concatenate([c, -c]), np.concatenate([a, a]),
                                    constraint.min_vertical_force, cap)
-    value = value.reshape(-1, m)
+    return value.reshape(2, n, -1)
+
+
+def _points(value, constraint, thetas) -> list[SweepPoint]:
+    """DT and TVC extrema at the pitches thetas from their _lanes values.
+
+    DT is candidate 0; TVC is the best of the others, and of candidate 0 too
+    where 0 is in the foot range. A strategy is None where a direction is
+    infeasible.
+    """
     if not (value < math.inf).all():  # a NaN fails too
-        raise ValueError(f"the envelope LP overflows a float at a per-fan cap of {cap} N and "
-                         f"a vertical force floor of {constraint.min_vertical_force} N")
-    dt = value[:, 0].tolist()
-    tvc = (value.max(axis=1) if lo <= 0.0 <= hi else value[:, 1:].max(axis=1)).tolist()
+        raise ValueError(f"the envelope LP overflows a float at a per-fan cap of "
+                         f"{constraint.per_fan_max} N and a vertical force floor of "
+                         f"{constraint.min_vertical_force} N")
+    lo, hi = constraint.foot_angle_range
+    (dt_max, dt_min), (tvc_max, tvc_min) = (
+        value[:, :, 0].tolist(),
+        (value if lo <= 0.0 <= hi else value[:, :, 1:]).max(axis=2).tolist())
 
-    def point(best, j, th):  # None where a direction is infeasible
-        return (None if best[j] == -math.inf or best[n + j] == -math.inf
-                else EnvelopePoint(th, best[j], -best[n + j]))
+    def point(th, best, worst):
+        return None if best == -math.inf or worst == -math.inf else EnvelopePoint(th, best, -worst)
 
-    return [SweepPoint(th, point(dt, j, th), point(tvc, j, th))
-            for j, th in enumerate(thetas.tolist())]
+    return [SweepPoint(th, point(th, d_max, d_min), point(th, t_max, t_min))
+            for th, d_max, d_min, t_max, t_min
+            in zip(thetas.tolist(), dt_max, dt_min, tvc_max, tvc_min)]
+
+
+def _sweep(geo, constraint, thetas) -> list[SweepPoint]:
+    """DT and TVC extrema at every pitch of thetas, from one LP call."""
+    return _points(_lanes(geo, constraint, thetas), constraint, thetas)
 
 
 def _require(point, constraint, theta_pitch, search) -> EnvelopePoint:
@@ -241,6 +257,17 @@ def max_pitch_torque_tvc(
     return _require(point.tvc, constraint, theta_pitch, "over the foot range")
 
 
+def _abscissae(theta_pitch_range, n_points):
+    """envelope_sweep's pitches: n_points evenly spaced, or the one pitch of a
+    zero-width range."""
+    if n_points < 2:
+        raise ValueError("n_points must be >= 2")
+    lo, hi = theta_pitch_range
+    if lo > hi:
+        raise ValueError("theta_pitch_range must be ordered (min, max)")
+    return np.array([lo]) if lo == hi else np.linspace(lo, hi, n_points)
+
+
 def envelope_sweep(
     geo: RobotGeometry,
     constraint: EnvelopeConstraint,
@@ -252,12 +279,7 @@ def envelope_sweep(
     Infeasible points are kept in the output with the affected strategy set
     to None rather than aborting the sweep.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    lo, hi = theta_pitch_range
-    if lo > hi:
-        raise ValueError("theta_pitch_range must be ordered (min, max)")
-    return _sweep(geo, constraint, np.array([lo]) if lo == hi else np.linspace(lo, hi, n_points))
+    return _sweep(geo, constraint, _abscissae(theta_pitch_range, n_points))
 
 
 ENVELOPE_CSV_HEADER = [
@@ -268,6 +290,8 @@ ENVELOPE_CSV_HEADER = [
     "tvc_tau_max",
     "feasible_flag",
 ]
+# one envelope_rows row as csv.writer prints the cells, with nan for None
+_ROW_FORMAT = "%.6g,%.10g,%.10g,%.10g,%.10g,%d\r\n"
 
 
 def envelope_rows(points: list[SweepPoint]) -> list[list]:
@@ -286,14 +310,24 @@ def envelope_rows(points: list[SweepPoint]) -> list[list]:
 
 
 def write_envelope_csv(points: list[SweepPoint], path) -> None:
-    """One row per sweep point; nan marks an infeasible strategy."""
+    """One row per sweep point; nan marks an infeasible strategy.
+
+    The bytes are csv.writer's: rows end in \\r\\n, and no cell needs quoting.
+    """
+    nan = math.nan
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ENVELOPE_CSV_HEADER)
-        for theta, *taus, flag in envelope_rows(points):
-            writer.writerow([f"{theta:.6g}",
-                             *("nan" if tau is None else f"{tau:.10g}" for tau in taus),
-                             str(flag)])
+        fh.write(",".join(ENVELOPE_CSV_HEADER) + "\r\n")
+        fh.writelines(_ROW_FORMAT % tuple([nan if x is None else x for x in row])
+                      for row in envelope_rows(points))
+
+
+def _ratio(point: SweepPoint, constraint: EnvelopeConstraint) -> tuple[float, float]:
+    """(tau_max ratio, |tau_min| ratio) of TVC over DT at the point's pitch."""
+    dt = _require(point.dt, constraint, point.theta_pitch, "with feet up")
+    tvc = _require(point.tvc, constraint, point.theta_pitch, "over the foot range")
+    ratio_max = math.inf if dt.tau_max <= 0.0 else tvc.tau_max / dt.tau_max
+    ratio_min = math.inf if dt.tau_min >= 0.0 else tvc.tau_min / dt.tau_min
+    return ratio_max, ratio_min
 
 
 def tvc_dt_ratio(
@@ -304,8 +338,26 @@ def tvc_dt_ratio(
     Raises EnvelopeInfeasibleError where either strategy is infeasible.
     """
     (point,) = _sweep(geo, constraint, np.array([theta_pitch]))
-    dt = _require(point.dt, constraint, point.theta_pitch, "with feet up")
-    tvc = _require(point.tvc, constraint, point.theta_pitch, "over the foot range")
-    ratio_max = math.inf if dt.tau_max <= 0.0 else tvc.tau_max / dt.tau_max
-    ratio_min = math.inf if dt.tau_min >= 0.0 else tvc.tau_min / dt.tau_min
-    return ratio_max, ratio_min
+    return _ratio(point, constraint)
+
+
+def _level_ratio_and_sweep(geo, constraint, theta_pitch_range, n_points):
+    """(tvc_dt_ratio(geo, constraint), envelope_sweep(geo, constraint,
+    theta_pitch_range, n_points)), from one LP call.
+
+    The level pitch is one more lane of the sweep, checked first: its
+    overflow, then its feasibility, then the sweep settings (with invalid
+    settings the call holds the level lane alone), then an overflow at any
+    other lane. So a robot that cannot hover level is reported ahead of an
+    invalid sweep.
+    """
+    try:
+        thetas, invalid = _abscissae(theta_pitch_range, n_points), None
+    except ValueError as exc:
+        thetas, invalid = np.empty(0), exc
+    value = _lanes(geo, constraint, np.concatenate([[0.0], thetas]))
+    (level,) = _points(value[:, :1], constraint, np.zeros(1))
+    ratio = _ratio(level, constraint)
+    if invalid is not None:
+        raise invalid
+    return ratio, _points(value[:, 1:], constraint, thetas)

@@ -285,8 +285,8 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
         """R(q) F / m - g in {W} and I^-1 (tau - omega x I omega) in {B}."""
         xx, yy, zz = qx * qx, qy * qy, qz * qz
         xy, xz, yz, sx, sy, sz = qx * qy, qx * qz, qy * qz, qw * qx, qw * qy, qw * qz
-        # R(q) F, with quat_rotation_rows' entries; 1.0 and 2.0 give the same
-        # doubles as its int 1 and 2 without a mixed int-float operation
+        # R(q) F, with quat_rotation_rows' entries; float 1.0 and 2.0 spare
+        # Python's mixed int-float operation, with the same doubles
         fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
         fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
         fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
@@ -465,14 +465,15 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
             raise DivergenceError(f"body rate ({wx:.6g}, {wy:.6g}, {wz:.6g}) exceeded "
                                   f"{RATE_GUARD_RAD_S} rad/s at t={t:.3f} s")
         # zyx_angles of R(q)'s entries, each with quat_rotation_rows' expression
-        sp = -(2 * (qx * qz - qw * qy))
+        sp = -(2.0 * (qx * qz - qw * qy))
         sp = sp if sp > -1.0 else -1.0  # min(1, max(-1, sp)), NaN included
         pitch = math.asin(sp if sp < 1.0 else 1.0)
         if abs(pitch) > lock:  # the degenerate rotation folds into yaw
-            roll, yaw = 0.0, math.atan2(-(2 * (qx * qy - qw * qz)), 1 - 2 * (qx * qx + qz * qz))
+            roll, yaw = 0.0, math.atan2(-(2.0 * (qx * qy - qw * qz)),
+                                        1.0 - 2.0 * (qx * qx + qz * qz))
         else:
-            roll = math.atan2(2 * (qy * qz + qw * qx), 1 - 2 * (qx * qx + qy * qy))
-            yaw = math.atan2(2 * (qx * qy + qw * qz), 1 - 2 * (qy * qy + qz * qz))
+            roll = math.atan2(2.0 * (qy * qz + qw * qx), 1.0 - 2.0 * (qx * qx + qy * qy))
+            yaw = math.atan2(2.0 * (qx * qy + qw * qz), 1.0 - 2.0 * (qy * qy + qz * qz))
         return px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, roll, pitch, yaw
 
     return wrench_kernel(geo, perturbation), step
@@ -517,7 +518,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     px = py = pz = vx = vy = vz = qx = qy = qz = wx = wy = wz = 0.0
     qw = 1.0
     clock = 0.0  # the state time, summed step by step as dynamics_step does
-    # the identity's readout: its pitch is asin(-(2 * 0.0)), which the first log row prints as -0
+    # the identity's readout: its pitch is asin(-(2.0 * 0.0)), which the first log row prints as -0
     roll, pitch, yaw = 0.0, -0.0, 0.0
     airborne = False
     foot_left = foot_right = trim_angle

@@ -3,13 +3,15 @@
 import csv
 import json
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 from tvcsim.cli import _atomic_write, main
-from tvcsim.config import load_config, scenario_from_config
+from tvcsim import envelope
+from tvcsim.config import envelope_settings_from_config, load_config, scenario_from_config
 from tvcsim.oracles import wrench_brute_force
 from tvcsim.spatial import quat_from_pitch
 from tvcsim.wrench import FanState, total_wrench
@@ -370,7 +372,8 @@ def test_envelope_out_of_memory_is_one_line_exit_2(tmp_path, capsys, monkeypatch
     def sweep(*args):
         raise MemoryError("Unable to allocate 13.4 GiB for an array with shape (200000000, 9)")
 
-    monkeypatch.setattr(tvcsim.envelope, "envelope_sweep", sweep)
+    # the command's one solve: the level lane and the sweep in one LP call
+    monkeypatch.setattr(tvcsim.envelope, "_level_ratio_and_sweep", sweep)
     code, out, err = run_cli(["--out", str(tmp_path), "envelope", "--postures", "P1"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: out of memory: Unable to allocate 13.4 GiB for an array with " \
@@ -562,6 +565,54 @@ def test_envelope_without_level_hover_exit_3(tmp_path, capsys):
         assert err.count("\n") == 1
         assert list(out_dir.iterdir()) == []
 
+
+
+@pytest.mark.parametrize("text, postures, code", [
+    ("", "P1,P2,P3", 0),
+    ("envelope.n_points = 4\n", "P1,P2,P3", 0),  # no abscissa at pitch 0
+    ("envelope.n_points = 1\n", "P1", 2),
+    ("limits.thrust_max_per_fan_n = 41\n", "P1", 3),  # cannot hover level
+], ids=["default", "even_n_points", "one_point", "no_level_hover"])
+def test_envelope_reports_what_the_public_searches_solve_apart(tmp_path, capsys, monkeypatch,
+                                                               text, postures, code):
+    # the command solves the level lane and the sweep in one LP call; its ratio
+    # is tvc_dt_ratio's bit for bit, its points envelope_sweep's, and its exits
+    # the ones those two raise, the level pitch first
+    solved = []
+    combined = envelope._level_ratio_and_sweep
+
+    def recorded(*args):
+        solved.append(combined(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(envelope, "_level_ratio_and_sweep", recorded)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    got, out, err = run_cli(["--config", str(cfg), "--out", str(tmp_path / "out"), "envelope",
+                             "--postures", postures], capsys)
+    assert got == code
+    values = load_config(str(cfg))
+    settings = envelope_settings_from_config(values)
+    names = postures.split(",")
+    assert len(solved) == (len(names) if code == 0 else 0)
+    for name, result in zip(names, solved + [None] * len(names)):
+        scenario = scenario_from_config(values | {"posture": name})
+        geo = scenario.geometry()
+        constraint = envelope.EnvelopeConstraint.hover(geo, scenario.posture, scenario.limits)
+        try:
+            ratio = envelope.tvc_dt_ratio(geo, constraint)
+            points = envelope.envelope_sweep(geo, constraint, settings.theta_pitch_range,
+                                             settings.n_points)
+        except envelope.EnvelopeInfeasibleError as exc:
+            assert (code, out, err) == (3, "", f"infeasible: {exc}\n")
+            continue
+        except ValueError as exc:
+            assert (code, out, err) == (2, "", f"error: {exc}\n")
+            continue
+        assert struct.pack("<2d", *result[0]) == struct.pack("<2d", *ratio)
+        assert repr(result[1]) == repr(points)
+        assert (f"{name}: tvc/dt ratio @0deg: tau_max {ratio[0]:.2f}, "
+                f"|tau_min| {ratio[1]:.2f}\n") in out
 
 @pytest.mark.parametrize("text, argv, start", [
     ("envelope.min_vertical_force_n = 1e308\n", ["envelope", "--postures", "P1"],

@@ -379,3 +379,28 @@ def test_envelope_sweep_makes_one_kernel_call_per_strategy(monkeypatch):
             calls = 0
             search()
             assert calls == 1, name
+
+
+def test_envelope_command_makes_one_kernel_call_per_posture(tmp_path, monkeypatch):
+    # the level lane of the TVC/DT ratio joins the sweep's LP call, also where no
+    # abscissa sits at pitch 0, where the sweep settings are invalid (the call
+    # then holds the level lane alone) and where the robot cannot hover level
+    from tvcsim import cli
+
+    calls = 0
+    kernel = envelope.lp_max_covering
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(envelope, "lp_max_covering", counted)
+    cases = (("", "P1,P2,P3", 0), ("envelope.n_points = 4\n", "P1,P2,P3", 0),
+             ("envelope.n_points = 1\n", "P1", 2), ("limits.thrust_max_per_fan_n = 41\n", "P1", 3))
+    for text, postures, code in cases:
+        calls = 0
+        (tmp_path / "run.cfg").write_text(text)
+        assert cli.main(["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out"),
+                         "envelope", "--postures", postures]) == code, text
+        assert calls == len(postures.split(",")), text

@@ -3,19 +3,21 @@
     python tools/kernel_ab.py PARENT_ROOT CHANGE_ROOT [--rounds N]
 
 Each root is a checkout with src/tvcsim; CHANGE_ROOT also needs bench/,
-whose takeoff generator makes the runs of check 2. The script
+whose takeoff and envelope generators make the runs of check 2. The script
 
 1. steps both trees' sim.run_kernel on the same step cases (random states
    and loads over many magnitudes, signed zeros, rates below the small-angle
    cutoff, a NaN in each state or load slot), both integrators, P1-P3 with
    and without Perturbation.standard() at dt 0.2, 1 and 2 ms, and requires
    the 16 returned floats bit for bit, or the same exception and message;
-2. runs the bench takeoffs Takeoff(seed, integrator).make(i) for seeds 3, 7
-   and 11, ops 0-14, both integrators, as generated and with
-   sim.sensor_noise_std and sim.seed = i, through tvcsim.cli.main, each
-   tree in its own subprocess, and compares the hash of every output: the
-   log, the events, the manifest without wall_clock_s, stdout, stderr and
-   the exit code;
+2. runs, through tvcsim.cli.main, each tree in its own subprocess:
+   - the bench takeoffs Takeoff(seed, integrator).make(i) for seeds 3, 7
+     and 11, ops 0-14, both integrators, as generated and with
+     sim.sensor_noise_std and sim.seed = i;
+   - the bench envelope ops Envelope(seed).make(i) for the same seeds and
+     ops, with --format csv and json;
+   and compares the hash of every output: the files, the manifest without
+   wall_clock_s, stdout, stderr and the exit code;
 3. times each tree's step in this process, the two trees interleaved in a
    random order each round, and prints the minimum and median us per step.
 
@@ -47,6 +49,7 @@ NOISE_STD = 0.005
 POSTURES = ("P1", "P2", "P3")
 DTS = (2e-4, 1e-3, 2e-3)
 INTEGRATORS = ("euler", "rk4")
+FORMATS = ("csv", "json")
 
 
 def load(root: str, alias: str):
@@ -114,51 +117,69 @@ def compare_steps(a, b) -> int:
     return bad
 
 
-def takeoff_hashes(root: str, bench_dir: str) -> dict:
-    """Run in a subprocess: {op key: sha256 of all its outputs} for root's tree."""
+def run_hash(workloads, argv, out: str) -> str:
+    """sha256 of one CLI run: exit code, stdout, stderr and every file in out."""
+    code, stdout, stderr = workloads._run_cli(argv)
+    h = hashlib.sha256(f"{code}\n{stdout}\n{stderr}\n".encode())
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            data = fh.read()
+        if name.endswith("_manifest.json"):
+            manifest = json.loads(data)
+            manifest.pop("wall_clock_s")
+            data = json.dumps(manifest, sort_keys=True).encode()
+        h.update(name.encode() + b"\0" + data)
+    return h.hexdigest()
+
+
+def output_hashes(root: str, bench_dir: str) -> dict:
+    """Run in a subprocess: {run key: run_hash} for root's tree, takeoffs and envelopes."""
     sys.path[:0] = [os.path.join(os.path.abspath(root), "src"), bench_dir]
     import workloads
 
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for seed, integrator, noise, index in itertools.product(
-                SEEDS, INTEGRATORS, (0.0, NOISE_STD), range(OPS)):
-            key = f"seed {seed} {integrator} noise {noise} op {index}"
+        def fresh(key):
             out = os.path.join(tmp, key.replace(" ", "-"))
             os.mkdir(out)
+            return out
+
+        for seed, integrator, noise, index in itertools.product(
+                SEEDS, INTEGRATORS, (0.0, NOISE_STD), range(OPS)):
+            key = f"takeoff seed {seed} {integrator} noise {noise} op {index}"
+            out = fresh(key)
             values = workloads.Takeoff(seed, integrator).make(index).values
             if noise:
                 values = values | {"sim.sensor_noise_std": noise, "sim.seed": index}
             config = os.path.join(out, "op.cfg")
             workloads.write_config(config, values)
-            argv = ["--config", config, "--out", out, "takeoff"]
-            code, stdout, stderr = workloads._run_cli(argv)
-            h = hashlib.sha256(f"{code}\n{stdout}\n{stderr}\n".encode())
-            for name in sorted(os.listdir(out)):
-                with open(os.path.join(out, name), "rb") as fh:
-                    data = fh.read()
-                if name.endswith("_manifest.json"):
-                    manifest = json.loads(data)
-                    manifest.pop("wall_clock_s")
-                    data = json.dumps(manifest, sort_keys=True).encode()
-                h.update(name.encode() + b"\0" + data)
-            hashes[key] = h.hexdigest()
+            hashes[key] = run_hash(workloads, ["--config", config, "--out", out, "takeoff"], out)
+        for seed, fmt, index in itertools.product(SEEDS, FORMATS, range(OPS)):
+            key = f"envelope seed {seed} {fmt} op {index}"
+            out = fresh(key)
+            gen = workloads.Envelope(seed)
+            spec = gen.make(index)
+            gen.prepare(spec, out)  # writes op.cfg and the argv
+            hashes[key] = run_hash(workloads, ["--format", fmt, *spec.argv], out)
     return hashes
 
 
 def compare_outputs(parent: str, change: str) -> int:
-    """Mismatches between the two trees' takeoff outputs, each tree run apart."""
+    """Mismatches between the two trees' run outputs, each tree run apart."""
     bench_dir = os.path.join(os.path.abspath(change), "bench")
     runs = []
     for root in (parent, change):
-        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--hash-takeoffs",
+        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--hash-outputs",
                                root, bench_dir], capture_output=True, text=True, check=True)
         runs.append(json.loads(proc.stdout))
     bad = [key for key in runs[0] if runs[0][key] != runs[1].get(key)]
     bad += [key for key in runs[1] if key not in runs[0]]
     for key in bad[:5]:
         print(f"  output mismatch: {key}")
-    print(f"takeoffs: {len(runs[0])} runs, {len(bad)} mismatches")
+    for command in ("takeoff", "envelope"):
+        total = sum(key.startswith(command) for key in runs[0])
+        wrong = sum(key.startswith(command) for key in bad)
+        print(f"{command}s: {total} runs, {wrong} mismatches")
     return len(bad)
 
 
@@ -206,7 +227,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--hash-takeoffs"]:
-        print(json.dumps(takeoff_hashes(*sys.argv[2:4])))
+    if sys.argv[1:2] == ["--hash-outputs"]:
+        print(json.dumps(output_hashes(*sys.argv[2:4])))
     else:
         sys.exit(main())

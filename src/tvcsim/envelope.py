@@ -147,15 +147,15 @@ def lp_max_covering(c, a, r, upper):
     return np.where(feasible, value, -np.inf), x
 
 
-def _torque(arms, theta_feet, sign):
-    """Objective rows over (f_front, f_back, f_feet), one per foot angle: sign *
-    body pitch torque on the pitch_arms arms. The foot variable drives both
-    feet, hence the twos."""
+def _torque(arms, theta_feet):
+    """Objective rows over (f_front, f_back, f_feet), one per foot angle: body
+    pitch torque on the pitch_arms arms. The foot variable drives both feet,
+    hence the twos."""
     front, back, vertical, horizontal = arms
     return np.stack(np.broadcast_arrays(
-        sign * -front,
-        sign * back,
-        sign * (2.0 * (np.cos(theta_feet) * vertical - np.sin(theta_feet) * horizontal)),
+        -front,
+        back,
+        2.0 * (np.cos(theta_feet) * vertical - np.sin(theta_feet) * horizontal),
     ), axis=-1)
 
 
@@ -183,7 +183,7 @@ def _lanes(geo, constraint, thetas):
     floors = np.repeat(constraint.min_vertical_force + np.array([-_FEAS_TOL, 0.0, _FEAS_TOL]), 3)
     waist = np.cos(phi) * np.tile([0.0, cap, 2.0 * cap], 3)
     arms = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
-    c_front, c_back, foot = _torque(arms, 0.0, 1.0)  # foot: 2 (x_c - x_foot)
+    c_front, c_back, foot = _torque(arms, 0.0)  # foot: 2 (x_c - x_foot)
     # b = p_fz - z_c; 0.0 minus the arm, not its negation, keeps +0.0 where the two are equal
     c_w, b = np.array([0.0, c_front, c_back]), 0.0 - arms[3]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -195,7 +195,7 @@ def _lanes(geo, constraint, thetas):
         free = np.concatenate([acos - phi, -acos - phi, stationary, stationary + math.pi], axis=1)
         feet = np.hstack([np.broadcast_to([0.0, lo, hi], (n, 3)),
                           np.minimum(lo + np.mod(free - lo, 2.0 * math.pi), hi)])
-        c = _torque(arms, feet, 1.0).reshape(-1, 3)
+        c = _torque(arms, feet).reshape(-1, 3)
         a = _vertical(phi, feet).reshape(-1, 3)
         value, _ = lp_max_covering(np.concatenate([c, -c]), np.concatenate([a, a]),
                                    constraint.min_vertical_force, cap)

@@ -595,7 +595,7 @@ def test_envelope_reports_what_the_public_searches_solve_apart(tmp_path, capsys,
     settings = envelope_settings_from_config(values)
     names = postures.split(",")
     assert len(solved) == (len(names) if code == 0 else 0)
-    for name, result in zip(names, solved + [None] * len(names)):
+    for k, name in enumerate(names):
         scenario = scenario_from_config(values | {"posture": name})
         geo = scenario.geometry()
         constraint = envelope.EnvelopeConstraint.hover(geo, scenario.posture, scenario.limits)
@@ -609,8 +609,8 @@ def test_envelope_reports_what_the_public_searches_solve_apart(tmp_path, capsys,
         except ValueError as exc:
             assert (code, out, err) == (2, "", f"error: {exc}\n")
             continue
-        assert struct.pack("<2d", *result[0]) == struct.pack("<2d", *ratio)
-        assert repr(result[1]) == repr(points)
+        assert struct.pack("<2d", *solved[k][0]) == struct.pack("<2d", *ratio)
+        assert repr(solved[k][1]) == repr(points)
         assert (f"{name}: tvc/dt ratio @0deg: tau_max {ratio[0]:.2f}, "
                 f"|tau_min| {ratio[1]:.2f}\n") in out
 

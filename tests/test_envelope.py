@@ -298,7 +298,7 @@ def test_lp_rows_are_the_wrench_kernels():
             w = total_wrench(FanState(f_front, f_back, f_feet, f_feet, theta_feet, theta_feet),
                              geo, theta_pitch)
             arms = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
-            assert _torque(arms, theta_feet, 1.0) @ x == pytest.approx(w.torque_body[1], rel=1e-9)
+            assert _torque(arms, theta_feet) @ x == pytest.approx(w.torque_body[1], rel=1e-9)
             assert _vertical(theta_pitch, theta_feet) @ x == pytest.approx(
                 w.force_world[2] + geo.weight, rel=1e-9)
 

@@ -148,18 +148,18 @@ def output_hashes(root: str, bench_dir: str) -> dict:
                 SEEDS, INTEGRATORS, (0.0, NOISE_STD), range(OPS)):
             key = f"takeoff seed {seed} {integrator} noise {noise} op {index}"
             out = fresh(key)
-            values = workloads.Takeoff(seed, integrator).make(index).values
+            gen = workloads.Takeoff(seed, integrator)
+            spec = gen.make(index)
             if noise:
-                values = values | {"sim.sensor_noise_std": noise, "sim.seed": index}
-            config = os.path.join(out, "op.cfg")
-            workloads.write_config(config, values)
-            hashes[key] = run_hash(workloads, ["--config", config, "--out", out, "takeoff"], out)
+                spec.values |= {"sim.sensor_noise_std": noise, "sim.seed": index}
+            gen.prepare(spec, out)  # writes op.cfg and the argv
+            hashes[key] = run_hash(workloads, spec.argv, out)
         for seed, fmt, index in itertools.product(SEEDS, FORMATS, range(OPS)):
             key = f"envelope seed {seed} {fmt} op {index}"
             out = fresh(key)
             gen = workloads.Envelope(seed)
             spec = gen.make(index)
-            gen.prepare(spec, out)  # writes op.cfg and the argv
+            gen.prepare(spec, out)
             hashes[key] = run_hash(workloads, ["--format", fmt, *spec.argv], out)
     return hashes
 

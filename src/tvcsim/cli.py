@@ -9,12 +9,12 @@ Subcommands:
 
 Angles are degrees at this boundary, SI units otherwise. Exit codes: 0 ok,
 2 config/usage error or out of memory, 3 infeasible geometry, 4 takeoff run ended before its
-duration (divergence or touchdown). Every run writes a manifest naming its
-outputs and their hashes; outputs are written atomically (temp file +
-rename) and contain no timestamps, so a rerun with identical inputs is
-byte-identical. Every command resolves its robot from the config file
-through scenario_from_config, after main merges the options that override
-config keys (OVERRIDES) into the file's values.
+duration (divergence or touchdown). Every run writes a manifest with the sha256
+of the config bytes it parsed and of the bytes written to each output; outputs
+are written atomically (temp file + rename) and contain no timestamps, so a
+rerun with identical inputs is byte-identical. Every command resolves its robot
+from the config file through scenario_from_config, after main merges the
+options that override config keys (OVERRIDES) into the file's values.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .config import (
 )
 from .controller import ControlMode
 from .robot import EnvelopeInfeasibleError
-from .sim import run_scenario
+from .sim import run_scenario, write_text
 from .trim import NoTrimError, hover_trim
 from .wrench import FanState, total_wrench
 
@@ -56,14 +56,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        values = load_config(args.config) if args.config else {}
+        values, config_digest = load_config(args.config) if args.config else ({}, None)
         values |= {key: getattr(args, option) for option, key in OVERRIDES.items()
                    if getattr(args, option, None) is not None}
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {args.out}: {exc}") from None
-        return args.func(args, values)
+        return args.func(args, values, config_digest)
     except ValueError as exc:  # ConfigError and UnknownPostureError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -117,54 +117,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _atomic_write(path: str, write) -> None:
-    """Publish path atomically: write(tmp) fills a unique temp file beside it.
+def _publish(path: str, write) -> str:
+    """Publish path atomically; return the sha256 hex digest of its bytes.
 
-    The temp file is removed if writing or the rename fails.
-    """
+    write(fd) writes through the descriptor of a unique temp file beside path,
+    closes it and returns the bytes written; the temp file then replaces path,
+    or is removed if writing or the rename fails."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=os.path.basename(path) + ".")
-    os.close(fd)
     try:
-        os.chmod(tmp, 0o644)  # mkstemp's 0600 would make outputs private
-        write(tmp)
+        os.fchmod(fd, 0o644)  # mkstemp's 0600 would make outputs private
+        data = write(fd)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
-def _write_text(path: str, text: str) -> None:
-    def write(tmp):
-        with open(tmp, "w") as fh:
-            fh.write(text)
-
-    _atomic_write(path, write)
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
-
-
-def _write_manifest(out_dir, name, config_path, cfgs, extra, outputs, started):
+def _write_manifest(out_dir, name, config_digest, scenarios, extra, outputs, started):
     """Manifest with the resolved scenario of every posture the command ran."""
     manifest = {
         "tool": "tvcsim",
         "version": __version__,
         "command": name,
-        "resolved_config": {"scenarios": [asdict(cfg) for cfg in cfgs]} | extra,
-        "input_hashes": {
-            "config": _sha256(config_path) if config_path else None,
-        },
-        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
+        "resolved_config": {"scenarios": scenarios} | extra,
+        "input_hashes": {"config": config_digest},
+        "outputs": outputs,
         "wall_clock_s": round(time.monotonic() - started, 3),
     }
     path = os.path.join(out_dir, f"{name}_manifest.json")
-    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
-    _write_text(path, text + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _publish(path, lambda fd: write_text(fd, text))
     return path
 
 
@@ -173,7 +157,7 @@ def _rows_as_json(header, rows) -> str:
                       indent=2, allow_nan=False) + "\n"
 
 
-def cmd_envelope(args, values) -> int:
+def cmd_envelope(args, values, config_digest) -> int:
     # the one command that solves arrays of LPs, so the one that loads numpy
     from .envelope import (
         ENVELOPE_CSV_HEADER,
@@ -192,7 +176,7 @@ def cmd_envelope(args, values) -> int:
     if not postures:
         raise ConfigError("no postures given")
     cfgs = [scenario_from_config(values | {"posture": name}) for name in postures]
-    outputs = []
+    outputs = {}
     reports = []
     for cfg in cfgs:
         name = cfg.posture.name
@@ -207,10 +191,11 @@ def cmd_envelope(args, values) -> int:
             geo, constraint, settings.theta_pitch_range, settings.n_points)
         path = os.path.join(args.out, f"envelope_{name}.{args.format}")
         if args.format == "csv":
-            _atomic_write(path, lambda tmp: write_envelope_csv(points, tmp))
+            digest = _publish(path, lambda fd: write_envelope_csv(points, fd))
         else:
-            _write_text(path, _rows_as_json(ENVELOPE_CSV_HEADER, envelope_rows(points)))
-        outputs.append(path)
+            text = _rows_as_json(ENVELOPE_CSV_HEADER, envelope_rows(points))
+            digest = _publish(path, lambda fd: write_text(fd, text))
+        outputs[os.path.basename(path)] = digest
         reports.append((name, geo, ratio_max, ratio_min))
 
     for name, geo, ratio_max, ratio_min in reports:
@@ -218,27 +203,32 @@ def cmd_envelope(args, values) -> int:
               f"L_f={geo.fan_spacing_feet} m com=({geo.com_body[0]:.3f}, "
               f"{geo.com_body[2]:.3f}) m feet=({geo.fan_foot_x:.3f}, {geo.fan_foot_z:.3f}) m")
         print(f"{name}: tvc/dt ratio @0deg: tau_max {ratio_max:.2f}, |tau_min| {ratio_min:.2f}")
-    manifest = _write_manifest(args.out, "envelope", args.config, cfgs,
+    manifest = _write_manifest(args.out, "envelope", config_digest,
+                               [asdict(cfg) for cfg in cfgs],
                                {"envelope": asdict(settings)}, outputs, started)
-    print(f"wrote {len(outputs)} envelope file(s) + {os.path.basename(manifest)}")
+    print(f"wrote {len(cfgs)} envelope file(s) + {os.path.basename(manifest)}")
     return EXIT_OK
 
 
-def cmd_takeoff(args, values) -> int:
+def cmd_takeoff(args, values, config_digest) -> int:
     started = time.monotonic()
     cfg = scenario_from_config(values)
     log = run_scenario(cfg)
     events = log.events_json() + "\n"  # a non-finite event fails before any file is written
 
-    log_path = os.path.join(args.out, f"takeoff_log.{args.format}")
+    log_name = f"takeoff_log.{args.format}"
     if args.format == "csv":
-        _atomic_write(log_path, log.write_csv)
+        log_digest = _publish(os.path.join(args.out, log_name), log.write_csv)
     else:
-        _write_text(log_path, _rows_as_json(log.header, log.rows))
-    events_path = os.path.join(args.out, "takeoff_events.json")
-    _write_text(events_path, events)
-    _write_manifest(args.out, "takeoff", args.config, [cfg], {},
-                    [log_path, events_path], started)
+        text = _rows_as_json(log.header, log.rows)
+        log_digest = _publish(os.path.join(args.out, log_name), lambda fd: write_text(fd, text))
+    events_digest = _publish(os.path.join(args.out, "takeoff_events.json"),
+                             lambda fd: write_text(fd, events))
+    # the events' record of the scenario is asdict(cfg) plus what the run resolved
+    scenario = {key: value for key, value in log.events["config"].items()
+                if key not in ("gains_used", "trim_foot_angle_deg")}
+    _write_manifest(args.out, "takeoff", config_digest, [scenario], {},
+                    {log_name: log_digest, "takeoff_events.json": events_digest}, started)
 
     ev = log.events
     liftoff = ev["liftoff_time_s"]
@@ -252,7 +242,7 @@ def cmd_takeoff(args, values) -> int:
     return EXIT_OK if ev["termination"] == "duration" else EXIT_ENDED_EARLY
 
 
-def cmd_trim(args, values) -> int:
+def cmd_trim(args, values, config_digest) -> int:
     started = time.monotonic()
     cfg = scenario_from_config(values)
     geo = cfg.geometry()
@@ -269,12 +259,12 @@ def cmd_trim(args, values) -> int:
     print(f"foot_angle_right_deg={math.degrees(fs.theta_right):.6f}")
     print(f"theta_pitch_deg={math.degrees(theta_pitch):.6f}")
     print(f"residual_wrench_norm={residual:.3e}")
-    _write_manifest(args.out, "trim", args.config, [cfg],
-                    {"waist_differential": args.waist_differential}, [], started)
+    _write_manifest(args.out, "trim", config_digest, [asdict(cfg)],
+                    {"waist_differential": args.waist_differential}, {}, started)
     return EXIT_OK
 
 
-def cmd_wrench_eval(args, values) -> int:
+def cmd_wrench_eval(args, values, config_digest) -> int:
     started = time.monotonic()
     cfg = scenario_from_config(values)
     geo = cfg.geometry()
@@ -297,11 +287,11 @@ def cmd_wrench_eval(args, values) -> int:
     print(f"ty1={w.t_y1:.6f}")
     print(f"ty2={w.t_y2:.6f}")
     print(f"ty3={w.t_y3:.6f}")
-    _write_manifest(args.out, "wrench_eval", args.config, [cfg],
+    _write_manifest(args.out, "wrench_eval", config_digest, [asdict(cfg)],
                     {"fan_state": {"f_front": args.thrust_ff, "f_back": args.thrust_fb,
                                    "f_left": args.thrust_fl, "f_right": args.thrust_fr,
                                    "theta_l_deg": args.theta_l, "theta_r_deg": args.theta_r,
-                                   "theta_pitch_deg": args.theta_pitch}}, [], started)
+                                   "theta_pitch_deg": args.theta_pitch}}, {}, started)
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ the same file describes the same robot to all.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -131,13 +132,16 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return values
 
 
-def load_config(path) -> dict:
+def load_config(path) -> tuple[dict, str]:
+    """The parsed values of the file at path and the sha256 hex digest of the
+    bytes parsed, read as UTF-8 text with universal newlines."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(text, source=str(path)), hashlib.sha256(data).hexdigest()
 
 
 _REQUIRED_GAINS = ["controller.kp_pitch", "controller.kd_pitch",

@@ -34,6 +34,7 @@ import numpy as np
 
 from .config import SWEEP_PITCH_RANGE, SWEEP_POINTS
 from .robot import EnvelopeInfeasibleError, FanLimits, Posture, RobotGeometry
+from .sim import write_text
 from .wrench import pitch_arms
 
 _FEAS_TOL = 1e-9
@@ -102,14 +103,15 @@ class SweepPoint:
 def lp_max_covering(c, a, r, upper):
     """Maximize c.x s.t. a.x >= r, 0 <= x_i <= upper_i, for each row. Exact.
 
-    c and a are (n, k) float arrays holding one LP per row; r and upper
-    broadcast against the rows and against (n, k). Returns (value, x):
-    value is -inf on infeasible rows, whose x means nothing. With a single
-    covering constraint the optimum is reached by starting from the
-    unconstrained box optimum and buying constraint slack from the variables
-    with the best objective-per-slack ratio, ties to the lower index; at
-    most one variable ends up strictly between its bounds. Every row takes
-    the greedy's steps in the order a row-by-row loop would.
+    c and a are (n, k) float arrays holding one LP per row; r broadcasts
+    against the rows and upper against (n, k). Returns (value, x): value is
+    -inf on infeasible rows, whose x means nothing. With a single covering
+    constraint the optimum is reached by starting from the unconstrained box
+    optimum and buying constraint slack from the variables with the best
+    objective-per-slack ratio, ties to the lower index; at most one variable
+    ends up strictly between its bounds. Every row takes the greedy's steps in
+    the order a row-by-row loop would. It gathers a and x into cost order, one
+    array per step, and upper only where it differs between a row's variables.
     """
     u = np.broadcast_to(np.asarray(upper, dtype=float), c.shape)
     n, m = c.shape
@@ -122,47 +124,46 @@ def lp_max_covering(c, a, r, upper):
     cap = row_sum(np.where(a > 0.0, a * u, 0.0))
     gap = r - row_sum(a * x)
 
-    # moves that raise a.x, cheapest objective loss per unit of slack first
-    up = (x == 0.0) & (a > 0.0)
-    movable = up | ((x == u) & (a < 0.0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # moves that raise a.x, cheapest objective loss per unit of slack first
+        movable = ((x == 0.0) & (a > 0.0)) | ((x == u) & (a < 0.0))
         order = np.argsort(np.where(movable, -(c / a), np.inf), axis=1, kind="stable")
-        by_cost = order + m * np.arange(n)[:, None]  # flat positions, each row by cost
-        a_s, u_s, x_s, up_s, movable_s = (np.take(v, by_cost) for v in (a, u, x, up, movable))
+        by_cost = (order + m * np.arange(n)[:, None]).T  # flat positions, one row per step
+        a_s, x_s = np.take(a, by_cost), np.take(x, by_cost)
+        u_s = u.T if u.strides[1] == 0 else np.take(u, by_cost)  # a shared cap: no gather
+        up = (x_s == 0.0) & (a_s > 0.0)
+        movable = up | ((x_s == u_s) & (a_s < 0.0))
+        slope = np.abs(a_s)
+        gain, full = slope * u_s, np.where(up, u_s, 0.0)
         buying = gap > _FEAS_TOL
         for k in cols:
-            move = buying & movable_s[:, k]
-            slope, bound = np.abs(a_s[:, k]), u_s[:, k]
-            gain = slope * bound
-            last = move & (gain >= gap - _FEAS_TOL)
-            span = gap / slope  # > 0: only rows still buying (gap > tol) use it
-            full = np.where(up_s[:, k], bound, 0.0)
-            part = np.where(up_s[:, k], span, bound - span)
-            x_s[:, k] = np.where(last, part, np.where(move, full, x_s[:, k]))
-            gap = np.where(last, 0.0, np.where(move, gap - gain, gap))
+            move = buying & movable[k]
+            last = move & (gain[k] >= gap - _FEAS_TOL)
+            span = gap / slope[k]  # > 0: only rows still buying (gap > tol) use it
+            np.copyto(x_s[k], full[k], where=move)
+            np.copyto(x_s[k], np.where(up[k], span, u_s[k] - span), where=last)
+            np.subtract(gap, gain[k], out=gap, where=move)
+            np.copyto(gap, 0.0, where=last)
             buying &= ~last
-    np.put(x, by_cost, x_s)
+    x.reshape(-1)[by_cost] = x_s  # x is contiguous, so this writes x
     value = row_sum(c * x)
     feasible = ~(cap < r - _FEAS_TOL) & ~(gap > _FEAS_TOL)
     return np.where(feasible, value, -np.inf), x
 
 
-def _torque(arms, theta_feet):
-    """Objective rows over (f_front, f_back, f_feet), one per foot angle: body
-    pitch torque on the pitch_arms arms. The foot variable drives both feet,
-    hence the twos."""
+def _rows(arms, theta_pitch, theta_feet):
+    """LP rows (c, a) over (f_front, f_back, f_feet) at pitches (n, 1) and foot angles
+    (n, k), filled in place: c the body pitch torque on the arms (tau_max rows, then
+    tau_min's negated), a the vertical thrust per unit. f_feet drives both feet, hence the twos."""
     front, back, vertical, horizontal = arms
-    return np.stack(np.broadcast_arrays(
-        -front,
-        back,
-        2.0 * (np.cos(theta_feet) * vertical - np.sin(theta_feet) * horizontal),
-    ), axis=-1)
-
-
-def _vertical(theta_pitch, theta_feet):
-    """Constraint rows: world vertical thrust per unit of each variable."""
-    cp = np.cos(theta_pitch)
-    return np.stack(np.broadcast_arrays(cp, cp, 2.0 * np.cos(theta_pitch + theta_feet)), axis=-1)
+    c, a = np.empty((2, 2) + theta_feet.shape + (3,))
+    c[0, ..., :2] = -front, back
+    c[0, ..., 2] = 2.0 * (np.cos(theta_feet) * vertical - np.sin(theta_feet) * horizontal)
+    np.negative(c[0], out=c[1])  # x * -1.0 and -x are the same double
+    a[0, ..., :2] = np.cos(theta_pitch)[..., None]
+    a[0, ..., 2] = 2.0 * np.cos(theta_pitch + theta_feet)
+    a[1] = a[0]
+    return c.reshape(-1, 3), a.reshape(-1, 3)
 
 
 def _lanes(geo, constraint, thetas):
@@ -177,29 +178,30 @@ def _lanes(geo, constraint, thetas):
     feet capped while a waist fan of torque arm c_w, or none, is fractional.
     """
     lo, hi = constraint.foot_angle_range
-    cap = constraint.per_fan_max
-    n = len(thetas)
+    floor, cap = constraint.min_vertical_force, constraint.per_fan_max
     phi = thetas[:, None]
-    floors = np.repeat(constraint.min_vertical_force + np.array([-_FEAS_TOL, 0.0, _FEAS_TOL]), 3)
-    waist = np.cos(phi) * np.tile([0.0, cap, 2.0 * cap], 3)
+    cp = np.cos(phi)
     arms = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
-    c_front, c_back, foot = _torque(arms, 0.0)  # foot: 2 (x_c - x_foot)
+    front, back, vertical, horizontal = arms
+    foot = 2.0 * (vertical - 0.0 * horizontal)  # _rows' foot column at 0: 2 (x_c - x_foot)
     # b = p_fz - z_c; 0.0 minus the arm, not its negation, keeps +0.0 where the two are equal
-    c_w, b = np.array([0.0, c_front, c_back]), 0.0 - arms[3]
+    c_w, b = np.array([0.0, -front, back]), 0.0 - horizontal
+    feet = np.empty((len(thetas), 27))
+    feet[:, :3] = 0.0, lo, hi
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # a tiny cap sends the acos ratio to +-inf, which the clip takes; a cap or
-        # a floor near the float range overflows, and _points reports it
-        acos = np.arccos(np.clip((floors - waist) / (2.0 * cap), -1.0, 1.0))
-        stationary = np.arctan2(b * np.cos(phi) + c_w * np.sin(phi),
-                                (foot / 2 - c_w) * np.cos(phi))
-        free = np.concatenate([acos - phi, -acos - phi, stationary, stationary + math.pi], axis=1)
-        feet = np.hstack([np.broadcast_to([0.0, lo, hi], (n, 3)),
-                          np.minimum(lo + np.mod(free - lo, 2.0 * math.pi), hi)])
-        c = _torque(arms, feet).reshape(-1, 3)
-        a = _vertical(phi, feet).reshape(-1, 3)
-        value, _ = lp_max_covering(np.concatenate([c, -c]), np.concatenate([a, a]),
-                                   constraint.min_vertical_force, cap)
-    return value.reshape(2, n, -1)
+        # a floor near the float range overflows, and _points reports it; the
+        # (floor, waist) pairs run floor-major
+        floors = floor + np.array([[-_FEAS_TOL], [0.0], [_FEAS_TOL]])
+        waist = cp[:, :, None] * np.array([0.0, cap, 2.0 * cap])
+        acos = np.arccos(np.clip((floors - waist) / (2.0 * cap), -1.0, 1.0)).reshape(-1, 9)
+        np.subtract(acos, phi, out=feet[:, 3:12])
+        np.subtract(-acos, phi, out=feet[:, 12:21])
+        feet[:, 21:24] = np.arctan2(b * cp + c_w * np.sin(phi), (foot / 2 - c_w) * cp)
+        np.add(feet[:, 21:24], math.pi, out=feet[:, 24:])
+        feet[:, 3:] = np.minimum(lo + np.mod(feet[:, 3:] - lo, 2.0 * math.pi), hi)
+        value, _ = lp_max_covering(*_rows(arms, phi, feet), floor, cap)
+    return value.reshape(2, len(thetas), -1)
 
 
 def _points(value, constraint, thetas) -> list[SweepPoint]:
@@ -309,16 +311,17 @@ def envelope_rows(points: list[SweepPoint]) -> list[list]:
     return rows
 
 
-def write_envelope_csv(points: list[SweepPoint], path) -> None:
-    """One row per sweep point; nan marks an infeasible strategy.
+def write_envelope_csv(points: list[SweepPoint], path) -> bytes:
+    """One row per sweep point, written to path, a file name or descriptor;
+    nan marks an infeasible strategy. Returns the bytes written.
 
     The bytes are csv.writer's: rows end in \\r\\n, and no cell needs quoting.
     """
     nan = math.nan
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(ENVELOPE_CSV_HEADER) + "\r\n")
-        fh.writelines(_ROW_FORMAT % tuple([nan if x is None else x for x in row])
-                      for row in envelope_rows(points))
+    return write_text(path, "".join([
+        ",".join(ENVELOPE_CSV_HEADER) + "\r\n",
+        *(_ROW_FORMAT % tuple([nan if x is None else x for x in row])
+          for row in envelope_rows(points))]))
 
 
 def _ratio(point: SweepPoint, constraint: EnvelopeConstraint) -> tuple[float, float]:

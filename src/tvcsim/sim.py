@@ -221,17 +221,20 @@ class SimLog:
         self.rows: list[tuple] = []
         self.events: dict = {}
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.header) + "\n")
-            fh.writelines(_ROW_FORMAT % row for row in self.rows)
+    def write_csv(self, path) -> bytes:
+        """Write the log CSV to path, a file name or descriptor; return its bytes."""
+        return write_text(path, "".join([",".join(self.header) + "\n",
+                                         *(_ROW_FORMAT % row for row in self.rows)]))
 
     def events_json(self) -> str:
         return json.dumps(self.events, indent=2, sort_keys=True, allow_nan=False)
 
-    def write_events_json(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.events_json() + "\n")
+
+def write_text(file, text: str) -> bytes:
+    """Write text as UTF-8 to file, a file name or descriptor; return the bytes."""
+    with open(file, "wb") as fh:
+        fh.write(data := text.encode())
+    return data
 
 
 def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry, dt: float,

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, exit codes, manifests, reproducibility."""
 
 import csv
+import hashlib
 import json
 import math
 import struct
@@ -9,8 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from tvcsim.cli import _atomic_write, main
-from tvcsim import envelope
+from tvcsim.cli import _publish, main
+from tvcsim import cli, envelope
 from tvcsim.config import envelope_settings_from_config, load_config, scenario_from_config
 from tvcsim.oracles import wrench_brute_force
 from tvcsim.spatial import quat_from_pitch
@@ -298,7 +299,7 @@ def test_wrench_eval_lateral_com_matches_oracle(tmp_path, capsys):
     ], capsys)
     assert code == 0
     values = dict(line.split("=", 1) for line in out.strip().splitlines())
-    geo = scenario_from_config(load_config(cfg)).geometry()
+    geo = scenario_from_config(load_config(cfg)[0]).geometry()
     fs = FanState(30.0, 20.0, 40.0, 35.0, math.radians(10.0), math.radians(-5.0))
     theta = math.radians(7.0)
     w = total_wrench(fs, geo, theta)
@@ -591,7 +592,7 @@ def test_envelope_reports_what_the_public_searches_solve_apart(tmp_path, capsys,
     got, out, err = run_cli(["--config", str(cfg), "--out", str(tmp_path / "out"), "envelope",
                              "--postures", postures], capsys)
     assert got == code
-    values = load_config(str(cfg))
+    values, _ = load_config(str(cfg))
     settings = envelope_settings_from_config(values)
     names = postures.split(",")
     assert len(solved) == (len(names) if code == 0 else 0)
@@ -648,12 +649,51 @@ def test_outputs_ignore_a_stale_temp_path(tmp_path, capsys):
 
 
 def test_atomic_write_removes_its_temp_file_on_failure(tmp_path):
-    def fail(path):
-        with open(path, "w") as fh:
+    def fail(fd):
+        with open(fd, "w") as fh:
             fh.write("partial")
         raise OSError("disk full")
 
     target = tmp_path / "out.csv"
     with pytest.raises(OSError, match="disk full"):
-        _atomic_write(str(target), fail)
+        _publish(str(target), fail)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [["envelope", "--postures", "P1,P3"], ["takeoff"], ["trim"],
+                                  ["wrench-eval", "--thrust-ff", "30"]])
+def test_manifest_digests_are_the_bytes_on_disk(tmp_path, capsys, argv, fmt):
+    # the digests are taken from the bytes as written; the directory keeps no temp file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"sim.duration_s = 0.05\r\nenvelope.n_points = 5\n")
+    out = tmp_path / "out"
+    code, _, _ = run_cli(["--config", str(cfg), "--out", str(out), "--format", fmt, *argv],
+                         capsys)
+    assert code == 0
+    manifest_name = f"{argv[0].replace('-', '_')}_manifest.json"
+    manifest = json.loads((out / manifest_name).read_text())
+    assert manifest["input_hashes"]["config"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+    assert manifest["outputs"] == {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                                   for name in manifest["outputs"]}
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["outputs"], manifest_name])
+    assert len(manifest["outputs"]) == {"envelope": 2, "takeoff": 2}.get(argv[0], 0)
+
+
+def test_manifest_hashes_the_config_bytes_the_run_parsed(tmp_path, capsys, monkeypatch):
+    # a config edited while the command runs is not the one it ran
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("posture = P2\n")
+    parsed = hashlib.sha256(cfg.read_bytes()).hexdigest()
+    resolve = cli.scenario_from_config
+
+    def edit_then_resolve(values):
+        cfg.write_text("posture = P3\n")
+        return resolve(values)
+
+    monkeypatch.setattr(cli, "scenario_from_config", edit_then_resolve)
+    code, out, _ = run_cli(["--config", str(cfg), "--out", str(tmp_path), "trim"], capsys)
+    assert code == 0 and out.startswith("posture=P2\n")
+    manifest = json.loads((tmp_path / "trim_manifest.json").read_text())
+    assert manifest["input_hashes"]["config"] == parsed
+    assert parsed != hashlib.sha256(cfg.read_bytes()).hexdigest()

@@ -1,5 +1,6 @@
 """Config file parsing and scenario construction."""
 
+import hashlib
 import math
 import re
 from dataclasses import asdict, fields, replace
@@ -180,8 +181,21 @@ def test_load_config_names_a_file_that_is_not_utf8(tmp_path, capsys):
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(SAMPLE)
-    values = load_config(path)
+    values, digest = load_config(path)
     assert values["posture"] == "P2"
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_load_config_reads_universal_newlines(tmp_path):
+    # \r\n and \r end lines as \n does; the digest is of the bytes as stored
+    path = tmp_path / "run.cfg"
+    path.write_bytes(SAMPLE.replace("\n", "\r\n").encode())
+    values, digest = load_config(path)
+    assert values == parse_config_text(SAMPLE)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    path.write_bytes(b"posture = P2\r\nsim.seed = 3\rgeometry.mass_kgs = 1\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:3: unknown key 'geometry\.mass_kgs'$"):
+        load_config(path)
 
 
 GAINS = {"controller.kp_pitch": 1.0, "controller.kd_pitch": 0.1,

@@ -12,8 +12,7 @@ from tvcsim.envelope import (
     EnvelopeInfeasibleError,
     EnvelopePoint,
     SweepPoint,
-    _torque,
-    _vertical,
+    _rows,
     envelope_rows,
     envelope_sweep,
     lp_max_covering,
@@ -129,6 +128,26 @@ def test_lp_against_vertex_enumeration():
     assert infeasible >= 3  # the three degenerate infeasible rows, at least
     # equal objective-per-slack ratios go to the lower index
     np.testing.assert_array_equal(x[500 + 4], [30.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("cap", [40.0, 2.0, 0.5])
+def test_lp_with_one_shared_cap_is_the_row_by_row_greedy(cap):
+    # the envelope passes one scalar cap, which the kernel reads without a
+    # gather: the random rows, the degenerate rows and integer rows in -2..2,
+    # where ties and zero coefficients abound, each take the greedy's steps
+    rng = np.random.default_rng(21)
+    ties = rng.integers(-2, 3, (3, 500, 3)).astype(float)
+    extra_c, extra_a, extra_r, _ = zip(*DEGENERATE_LPS)
+    c = np.vstack([rng.uniform(-1.0, 1.0, (500, 3)), extra_c, ties[0]])
+    a = np.vstack([rng.uniform(-1.0, 2.0, (500, 3)), extra_a, ties[1]])
+    r = np.concatenate([rng.uniform(-20.0, 120.0, 500), extra_r, ties[2][:, 0]])
+    value, x = lp_max_covering(c, a, r, cap)
+    for i in range(len(r)):
+        ref = greedy_reference(c[i].tolist(), a[i].tolist(), float(r[i]), [cap] * 3)
+        if ref is None:
+            assert value[i] == -math.inf
+        else:
+            assert value[i] == ref[0] and x[i].tolist() == ref[1], i
 
 
 def test_dt_extrema_hand_arithmetic():
@@ -298,9 +317,11 @@ def test_lp_rows_are_the_wrench_kernels():
             w = total_wrench(FanState(f_front, f_back, f_feet, f_feet, theta_feet, theta_feet),
                              geo, theta_pitch)
             arms = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
-            assert _torque(arms, theta_feet) @ x == pytest.approx(w.torque_body[1], rel=1e-9)
-            assert _vertical(theta_pitch, theta_feet) @ x == pytest.approx(
-                w.force_world[2] + geo.weight, rel=1e-9)
+            c, a = _rows(arms, np.array([[theta_pitch]]), np.array([[theta_feet]]))
+            assert c[0] @ x == pytest.approx(w.torque_body[1], rel=1e-9)
+            assert a[0] @ x == pytest.approx(w.force_world[2] + geo.weight, rel=1e-9)
+            # tau_min's row is the negated torque over the same constraint row
+            assert c[1].tolist() == (-c[0]).tolist() and a[1].tolist() == a[0].tolist()
 
 
 def test_sweep_enclosure_and_shape():

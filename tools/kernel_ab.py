@@ -1,15 +1,21 @@
-"""Compare the takeoff kernel of two tvcsim checkouts: bits, outputs, time.
+"""Compare the kernels of two tvcsim checkouts: bits, outputs, time.
 
     python tools/kernel_ab.py PARENT_ROOT CHANGE_ROOT [--rounds N]
 
 Each root is a checkout with src/tvcsim; CHANGE_ROOT also needs bench/,
-whose takeoff and envelope generators make the runs of check 2. The script
+whose takeoff and envelope generators make the runs of checks 2 and 4. The
+script
 
 1. steps both trees' sim.run_kernel on the same step cases (random states
    and loads over many magnitudes, signed zeros, rates below the small-angle
    cutoff, a NaN in each state or load slot), both integrators, P1-P3 with
    and without Perturbation.standard() at dt 0.2, 1 and 2 ms, and requires
    the 16 returned floats bit for bit, or the same exception and message;
+   it also requires the bits of both trees' envelope.lp_max_covering on
+   random, extreme and integer (tie-heavy) rows with a scalar cap, one cap
+   per row and one per element, and the reprs of max_pitch_torque_dt/_tvc,
+   tvc_dt_ratio and envelope_sweep, or the same exception and message, on
+   random robots and searches, infeasible and overflowing ones among them;
 2. runs, through tvcsim.cli.main, each tree in its own subprocess:
    - the bench takeoffs Takeoff(seed, integrator).make(i) for seeds 3, 7
      and 11, ops 0-14, both integrators, as generated and with
@@ -19,7 +25,10 @@ whose takeoff and envelope generators make the runs of check 2. The script
    and compares the hash of every output: the files, the manifest without
    wall_clock_s, stdout, stderr and the exit code;
 3. times each tree's step in this process, the two trees interleaved in a
-   random order each round, and prints the minimum and median us per step.
+   random order each round, and prints the minimum and median us per step;
+4. times one bench envelope op (Envelope(7).make(i), ops 0-14, through
+   cli.main, each tree into its own output directory) the same way, and
+   prints the minimum and median ms per op.
 
 It exits 1 on any mismatch in 1 or 2.
 """
@@ -27,8 +36,10 @@ It exits 1 on any mismatch in 1 or 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib
+import io
 import importlib.util
 import itertools
 import json
@@ -52,19 +63,21 @@ INTEGRATORS = ("euler", "rk4")
 FORMATS = ("csv", "json")
 
 
-def load(root: str, alias: str):
-    """root's tvcsim package, imported under the name alias."""
+def load(root: str, alias: str) -> dict:
+    """root's tvcsim package, imported under the name alias: {name: module}."""
     pkg_dir = os.path.join(os.path.abspath(root), "src", "tvcsim")
     spec = importlib.util.spec_from_file_location(
         alias, os.path.join(pkg_dir, "__init__.py"), submodule_search_locations=[pkg_dir])
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[alias] = pkg
     spec.loader.exec_module(pkg)
-    return importlib.import_module(f"{alias}.sim"), importlib.import_module(f"{alias}.robot")
+    return {name: importlib.import_module(f"{alias}.{name}")
+            for name in ("sim", "robot", "envelope", "cli")}
 
 
-def kernels(sim, robot, integrator: str) -> list:
+def kernels(tree, integrator: str) -> list:
     """The step closures over postures x perturbation x dts, in one fixed order."""
+    sim, robot = tree["sim"], tree["robot"]
     return [sim.run_kernel(robot.geometry_from_posture(robot.builtin_posture(name)), pert, dt,
                            integrator)[1]
             for name in POSTURES for pert in (None, sim.Perturbation.standard()) for dt in DTS]
@@ -105,7 +118,7 @@ def compare_steps(a, b) -> int:
     """Mismatches between the two trees' steps over the step cases."""
     bad = total = 0
     for seed, integrator in enumerate(INTEGRATORS, start=41):
-        pairs = list(zip(kernels(*a, integrator), kernels(*b, integrator)))
+        pairs = list(zip(kernels(a, integrator), kernels(b, integrator)))
         for case, (state, rows) in enumerate(step_cases(np.random.default_rng(seed))):
             fa, fb = pairs[case % len(pairs)]
             total += 1
@@ -115,6 +128,101 @@ def compare_steps(a, b) -> int:
                     print(f"  step mismatch: {integrator} case {case} state {state} rows {rows}")
     print(f"steps: {total} cases, {bad} mismatches")
     return bad
+
+
+def lp_cases(rng):
+    """(c, a, r, upper) for envelope.lp_max_covering: random rows, rows of
+    signed zeros, tiny and huge values, and integer rows in -2..2, where ties
+    and zero coefficients abound; each with a scalar cap, one per row and one
+    per element."""
+    n = 3000
+    extreme = np.array([0.0, -0.0, 5e-324, -1e-300, 1.0, -2.0, 1e300, -1.7976931348623157e308])
+    batches = [
+        (rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 2.0, (n, 3)),
+         rng.uniform(-20.0, 120.0, n), lambda shape: rng.uniform(0.5, 60.0, shape)),
+        (rng.choice(extreme, (n, 3)), rng.choice(extreme, (n, 3)), rng.choice(extreme, n),
+         lambda shape: np.abs(rng.choice(extreme, shape))),
+        (*(rng.integers(-2, 3, shape).astype(float) for shape in ((n, 3), (n, 3), n)),
+         lambda shape: rng.integers(0, 3, shape).astype(float)),
+    ]
+    for c, a, r, caps in batches:
+        for shape in ((), (n, 1), (n, 3)):
+            yield c, a, r, caps(shape)
+
+
+def lp_outcome(envelope, case) -> bytes | str:
+    """The LP's value and x as bytes, or its exception's type and message."""
+    try:
+        with np.errstate(all="ignore"):  # huge rows overflow alike in both trees
+            value, x = envelope.lp_max_covering(*case)
+        return value.tobytes() + x.tobytes()
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def envelope_cases(rng, count: int = 600):
+    """Random robots and searches as plain numbers; one case in five has an
+    overflowing cap or floor, an unreachable floor or a vanishing cap."""
+    for k in range(count):
+        lo = float(rng.uniform(-90.0, 20.0))
+        mass, weight_share = float(rng.uniform(5.0, 25.0)), float(rng.uniform(0.5, 2.0))
+        cap = weight_share * mass * 9.81 / 4.0
+        floor = mass * 9.81 * float(rng.uniform(0.2, 1.2))
+        cap, floor = {0: (1e308, floor), 1: (cap, 1e308), 2: (cap, 5.0 * cap),
+                      3: (1e-300, 1e-300)}.get(k % 20, (cap, floor))
+        span = float(rng.uniform(0.0, 1.2))
+        yield {
+            "com": tuple(rng.uniform([-0.1, -0.3], [0.1, 0.3]).tolist()),
+            "foot": tuple(rng.uniform([-0.3, -1.2], [0.3, -0.2]).tolist()),
+            "range_deg": (lo, float(rng.uniform(lo + 0.5, 90.0))),
+            "mass": mass, "waist": float(rng.uniform(0.05, 1.0)),
+            "feet": float(rng.uniform(0.05, 0.5)), "cap": cap, "floor": floor,
+            "pitch": float(rng.uniform(-0.8, 0.8)),
+            "sweep": ((-span, float(rng.uniform(-span, 1.2))) if k % 7 else (span, span),
+                      int(rng.integers(1, 10))),
+        }
+
+
+def envelope_outcomes(tree, cases) -> list:
+    """Each case's search results as reprs, or exception types and messages."""
+    robot, env = tree["robot"], tree["envelope"]
+    outcomes = []
+    for case in cases:
+        posture = robot.Posture("X", case["com"], case["foot"], case["range_deg"])
+        geo = robot.geometry_from_posture(posture, mass_total=case["mass"],
+                                          fan_spacing_waist=case["waist"],
+                                          fan_spacing_feet=case["feet"])
+        constraint = env.EnvelopeConstraint(case["floor"], case["cap"],
+                                            posture.foot_pitch_range)
+        th = case["pitch"]
+        for search in (lambda: env.max_pitch_torque_dt(geo, th, constraint),
+                       lambda: env.max_pitch_torque_tvc(geo, th, constraint),
+                       lambda: env.tvc_dt_ratio(geo, constraint, th),
+                       lambda: env.envelope_sweep(geo, constraint, *case["sweep"])):
+            try:
+                outcomes.append(repr(search()))
+            except Exception as err:  # EnvelopeInfeasibleError is one class per tree
+                outcomes.append(f"{type(err).__name__}: {err}")
+    return outcomes
+
+
+def compare_envelope(a, b) -> int:
+    """Mismatches between the two trees' LP and envelope searches."""
+    bad_lp = total_lp = 0
+    for case in lp_cases(np.random.default_rng(43)):
+        total_lp += 1
+        if lp_outcome(a["envelope"], case) != lp_outcome(b["envelope"], case):
+            bad_lp += 1
+            print(f"  lp mismatch: batch {total_lp}, cap shape {np.shape(case[3])}")
+    print(f"lp_max_covering: {total_lp} batches of 3000 rows, {bad_lp} mismatches")
+    cases = list(envelope_cases(np.random.default_rng(44)))
+    pairs = list(zip(envelope_outcomes(a, cases), envelope_outcomes(b, cases)))
+    bad = [i for i, (x, y) in enumerate(pairs) if x != y]
+    for i in bad[:5]:
+        print(f"  envelope mismatch: case {cases[i // 4]}, search {i % 4}")
+    errors = sum(not x.startswith(("EnvelopePoint", "(", "[")) for x, _ in pairs)
+    print(f"envelope searches: {len(pairs)} calls ({errors} raise), {len(bad)} mismatches")
+    return bad_lp + len(bad)
 
 
 def run_hash(workloads, argv, out: str) -> str:
@@ -183,6 +291,27 @@ def compare_outputs(parent: str, change: str) -> int:
     return len(bad)
 
 
+def interleaved(runs: dict, rounds: int) -> dict:
+    """{name: seconds of each round}: every round calls each run() once, in a random order."""
+    times = {name: [] for name in runs}
+    for _ in range(rounds):
+        for name in random.sample(sorted(runs), 2):
+            t0 = time.perf_counter()
+            runs[name]()
+            times[name].append(time.perf_counter() - t0)
+    return times
+
+
+def report(label: str, unit: str, scale: float, times: dict) -> None:
+    """One line: each tree's minimum and median, in unit, and parent/change of the minima."""
+    best = {name: min(ts) * scale for name, ts in times.items()}
+    mid = {name: sorted(ts)[len(ts) // 2] * scale for name, ts in times.items()}
+    print(f"{label}, {unit} over {len(times['parent'])} rounds: "
+          f"parent min {best['parent']:.2f} median {mid['parent']:.2f}, "
+          f"change min {best['change']:.2f} median {mid['change']:.2f}, "
+          f"parent/change min {best['parent'] / best['change']:.3f}")
+
+
 def time_steps(a, b, rounds: int, calls: int = 200) -> None:
     """Interleaved in-process us per step of each tree, on airborne-like states."""
     rng = np.random.default_rng(5)
@@ -193,22 +322,46 @@ def time_steps(a, b, rounds: int, calls: int = 200) -> None:
                        *rng.normal(0.0, 1.0, 3).tolist()))
     rows = (0.3, 190.0, 0.05, 0.4, -0.2, 0.1, 0.02)
     for integrator in INTEGRATORS:
-        # kernels()[4] is P1 with Perturbation.standard() at 1 ms
-        steps = {"parent": kernels(*a, integrator)[4], "change": kernels(*b, integrator)[4]}
-        times = {name: [] for name in steps}
-        for _ in range(rounds):
-            for name in random.sample(sorted(steps), 2):
-                step = steps[name]
-                t0 = time.perf_counter()
+        def stepping(step):
+            def run():
                 for state in states:
                     step(0.5, *state, rows)
-                times[name].append((time.perf_counter() - t0) / calls * 1e6)
-        best = {name: min(ts) for name, ts in times.items()}
-        mid = {name: sorted(ts)[len(ts) // 2] for name, ts in times.items()}
-        print(f"{integrator} step (P1 perturbed, 1 ms), us per step over {rounds} rounds: "
-              f"parent min {best['parent']:.2f} median {mid['parent']:.2f}, "
-              f"change min {best['change']:.2f} median {mid['change']:.2f}, "
-              f"parent/change min {best['parent'] / best['change']:.3f}")
+            return run
+
+        # kernels()[4] is P1 with Perturbation.standard() at 1 ms
+        times = interleaved({"parent": stepping(kernels(a, integrator)[4]),
+                             "change": stepping(kernels(b, integrator)[4])}, rounds)
+        report(f"{integrator} step (P1 perturbed, 1 ms)", "us per step", 1e6 / calls, times)
+
+
+def time_envelope(a, b, change_root: str, rounds: int) -> None:
+    """Interleaved in-process ms per bench envelope op of each tree, through cli.main."""
+    sys.path[:0] = [os.path.join(os.path.abspath(change_root), "src"),
+                    os.path.join(os.path.abspath(change_root), "bench")]
+    import workloads
+
+    gen = workloads.Envelope(7)
+    with tempfile.TemporaryDirectory() as tmp:
+        specs = []
+        for index in range(OPS):
+            spec = gen.make(index)
+            os.mkdir(os.path.join(tmp, f"op{index}"))
+            gen.prepare(spec, os.path.join(tmp, f"op{index}"))  # writes op.cfg and the argv
+            specs.append(spec.argv)
+
+        def ops(tree, name):
+            out = os.path.join(tmp, name)
+            os.mkdir(out)
+            argvs = [[*argv[:3], out, *argv[4:]] for argv in specs]  # argv[3] is --out's
+
+            def run():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes = [tree["cli"].main(argv) for argv in argvs]
+                assert codes == [0] * OPS, codes
+            return run
+
+        times = interleaved({"parent": ops(a, "parent"), "change": ops(b, "change")}, rounds)
+    report(f"envelope op (Envelope(7) ops 0-{OPS - 1})", "ms per op", 1e3 / OPS, times)
 
 
 def main(argv=None) -> int:
@@ -219,9 +372,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     a = load(args.parent_root, "tvcsim_parent")
     b = load(args.change_root, "tvcsim_change")
-    bad = compare_steps(a, b) + compare_outputs(args.parent_root, args.change_root)
+    bad = (compare_steps(a, b) + compare_envelope(a, b)
+           + compare_outputs(args.parent_root, args.change_root))
     if args.rounds > 0:
         time_steps(a, b, args.rounds)
+        time_envelope(a, b, args.change_root, args.rounds)
     print("MISMATCH" if bad else "identical")
     return 1 if bad else 0
 

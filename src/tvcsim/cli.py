@@ -149,7 +149,6 @@ def _write_manifest(out_dir, name, config_digest, scenarios, extra, outputs, sta
     path = os.path.join(out_dir, f"{name}_manifest.json")
     text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _publish(path, lambda fd: write_text(fd, text))
-    return path
 
 
 def _rows_as_json(header, rows) -> str:
@@ -203,10 +202,9 @@ def cmd_envelope(args, values, config_digest) -> int:
               f"L_f={geo.fan_spacing_feet} m com=({geo.com_body[0]:.3f}, "
               f"{geo.com_body[2]:.3f}) m feet=({geo.fan_foot_x:.3f}, {geo.fan_foot_z:.3f}) m")
         print(f"{name}: tvc/dt ratio @0deg: tau_max {ratio_max:.2f}, |tau_min| {ratio_min:.2f}")
-    manifest = _write_manifest(args.out, "envelope", config_digest,
-                               [asdict(cfg) for cfg in cfgs],
-                               {"envelope": asdict(settings)}, outputs, started)
-    print(f"wrote {len(cfgs)} envelope file(s) + {os.path.basename(manifest)}")
+    _write_manifest(args.out, "envelope", config_digest, [asdict(cfg) for cfg in cfgs],
+                    {"envelope": asdict(settings)}, outputs, started)
+    print(f"wrote {len(cfgs)} envelope file(s) + envelope_manifest.json")
     return EXIT_OK
 
 

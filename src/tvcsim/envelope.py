@@ -181,8 +181,7 @@ def _lanes(geo, constraint, thetas):
     floor, cap = constraint.min_vertical_force, constraint.per_fan_max
     phi = thetas[:, None]
     cp = np.cos(phi)
-    arms = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
-    front, back, vertical, horizontal = arms
+    front, back, vertical, horizontal = arms = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
     foot = 2.0 * (vertical - 0.0 * horizontal)  # _rows' foot column at 0: 2 (x_c - x_foot)
     # b = p_fz - z_c; 0.0 minus the arm, not its negation, keeps +0.0 where the two are equal
     c_w, b = np.array([0.0, -front, back]), 0.0 - horizontal

@@ -229,6 +229,9 @@ class SimLog:
     def events_json(self) -> str:
         return json.dumps(self.events, indent=2, sort_keys=True, allow_nan=False)
 
+    def write_events_json(self, path) -> bytes:
+        return write_text(path, self.events_json() + "\n")
+
 
 def write_text(file, text: str) -> bytes:
     """Write text as UTF-8 to file, a file name or descriptor; return the bytes."""

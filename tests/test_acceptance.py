@@ -47,7 +47,6 @@ from tvcsim.sim import (
     ScenarioConfig,
     dynamics_step,
     run_scenario,
-    write_text,
 )
 from tvcsim.spatial import quat_from_pitch, quat_normalize
 from tvcsim.trim import hover_trim
@@ -253,8 +252,8 @@ def test_criterion_8_determinism(tmp_path):
     first.write_csv(a)
     second.write_csv(b)
     ea, eb = tmp_path / "a.json", tmp_path / "b.json"
-    write_text(ea, first.events_json() + "\n")  # the bytes of takeoff_events.json
-    write_text(eb, second.events_json() + "\n")
+    first.write_events_json(ea)
+    second.write_events_json(eb)
     assert a.read_bytes() == b.read_bytes()
     assert ea.read_bytes() == eb.read_bytes()
     _report(8, "determinism",

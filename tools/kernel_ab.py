@@ -39,8 +39,8 @@ import argparse
 import contextlib
 import hashlib
 import importlib
-import io
 import importlib.util
+import io
 import itertools
 import json
 import math

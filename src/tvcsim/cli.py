@@ -38,8 +38,8 @@ from .config import (
     scenario_from_config,
 )
 from .controller import ControlMode
-from .robot import EnvelopeInfeasibleError
-from .sim import run_scenario, write_text
+from .robot import EnvelopeInfeasibleError, write_text
+from .sim import run_scenario
 from .trim import NoTrimError, hover_trim
 from .wrench import FanState, total_wrench
 
@@ -120,14 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _publish(path: str, write) -> str:
     """Publish path atomically; return the sha256 hex digest of its bytes.
 
-    write(fd) writes through the descriptor of a unique temp file beside path,
-    closes it and returns the bytes written; the temp file then replaces path,
-    or is removed if writing or the rename fails."""
+    write(fh) fills fh, a binary file on the descriptor of a unique temp file
+    beside path, and returns the bytes written; fh is closed on every path, and
+    the temp file then replaces path, or is removed if writing or the rename fails."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=os.path.basename(path) + ".")
     try:
-        os.fchmod(fd, 0o644)  # mkstemp's 0600 would make outputs private
-        data = write(fd)
+        with open(fd, "wb") as fh:
+            os.fchmod(fd, 0o644)  # mkstemp's 0600 would make outputs private
+            data = write(fh)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -135,8 +136,8 @@ def _publish(path: str, write) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_manifest(out_dir, name, config_digest, scenarios, extra, outputs, started):
-    """Manifest with the resolved scenario of every posture the command ran."""
+def _write_manifest(out_dir, name, config_digest, scenarios, extra, outputs, started) -> str:
+    """Manifest with the resolved scenario of every posture run; returns its file name."""
     manifest = {
         "tool": "tvcsim",
         "version": __version__,
@@ -148,7 +149,8 @@ def _write_manifest(out_dir, name, config_digest, scenarios, extra, outputs, sta
     }
     path = os.path.join(out_dir, f"{name}_manifest.json")
     text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _publish(path, lambda fd: write_text(fd, text))
+    _publish(path, lambda fh: write_text(fh, text))
+    return os.path.basename(path)
 
 
 def _rows_as_json(header, rows) -> str:
@@ -190,10 +192,10 @@ def cmd_envelope(args, values, config_digest) -> int:
             geo, constraint, settings.theta_pitch_range, settings.n_points)
         path = os.path.join(args.out, f"envelope_{name}.{args.format}")
         if args.format == "csv":
-            digest = _publish(path, lambda fd: write_envelope_csv(points, fd))
+            digest = _publish(path, lambda fh: write_envelope_csv(points, fh))
         else:
             text = _rows_as_json(ENVELOPE_CSV_HEADER, envelope_rows(points))
-            digest = _publish(path, lambda fd: write_text(fd, text))
+            digest = _publish(path, lambda fh: write_text(fh, text))
         outputs[os.path.basename(path)] = digest
         reports.append((name, geo, ratio_max, ratio_min))
 
@@ -202,9 +204,9 @@ def cmd_envelope(args, values, config_digest) -> int:
               f"L_f={geo.fan_spacing_feet} m com=({geo.com_body[0]:.3f}, "
               f"{geo.com_body[2]:.3f}) m feet=({geo.fan_foot_x:.3f}, {geo.fan_foot_z:.3f}) m")
         print(f"{name}: tvc/dt ratio @0deg: tau_max {ratio_max:.2f}, |tau_min| {ratio_min:.2f}")
-    _write_manifest(args.out, "envelope", config_digest, [asdict(cfg) for cfg in cfgs],
-                    {"envelope": asdict(settings)}, outputs, started)
-    print(f"wrote {len(cfgs)} envelope file(s) + envelope_manifest.json")
+    manifest = _write_manifest(args.out, "envelope", config_digest, [asdict(c) for c in cfgs],
+                               {"envelope": asdict(settings)}, outputs, started)
+    print(f"wrote {len(cfgs)} envelope file(s) + {manifest}")
     return EXIT_OK
 
 
@@ -219,13 +221,10 @@ def cmd_takeoff(args, values, config_digest) -> int:
         log_digest = _publish(os.path.join(args.out, log_name), log.write_csv)
     else:
         text = _rows_as_json(log.header, log.rows)
-        log_digest = _publish(os.path.join(args.out, log_name), lambda fd: write_text(fd, text))
+        log_digest = _publish(os.path.join(args.out, log_name), lambda fh: write_text(fh, text))
     events_digest = _publish(os.path.join(args.out, "takeoff_events.json"),
-                             lambda fd: write_text(fd, events))
-    # the events' record of the scenario is asdict(cfg) plus what the run resolved
-    scenario = {key: value for key, value in log.events["config"].items()
-                if key not in ("gains_used", "trim_foot_angle_deg")}
-    _write_manifest(args.out, "takeoff", config_digest, [scenario], {},
+                             lambda fh: write_text(fh, events))
+    _write_manifest(args.out, "takeoff", config_digest, [log.scenario], {},
                     {log_name: log_digest, "takeoff_events.json": events_digest}, started)
 
     ev = log.events

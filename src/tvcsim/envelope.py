@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SWEEP_PITCH_RANGE, SWEEP_POINTS
-from .robot import EnvelopeInfeasibleError, FanLimits, Posture, RobotGeometry
-from .sim import write_text
+from .robot import EnvelopeInfeasibleError, FanLimits, Posture, RobotGeometry, write_text
 from .wrench import pitch_arms
 
 _FEAS_TOL = 1e-9
@@ -109,9 +108,8 @@ def lp_max_covering(c, a, r, upper):
     constraint the optimum is reached by starting from the unconstrained box
     optimum and buying constraint slack from the variables with the best
     objective-per-slack ratio, ties to the lower index; at most one variable
-    ends up strictly between its bounds. Every row takes the greedy's steps in
-    the order a row-by-row loop would. It gathers a and x into cost order, one
-    array per step, and upper only where it differs between a row's variables.
+    ends up strictly between its bounds. a, x and upper are gathered into cost
+    order, one array per step, so each row takes the steps a row-by-row loop would.
     """
     u = np.broadcast_to(np.asarray(upper, dtype=float), c.shape)
     n, m = c.shape
@@ -129,8 +127,7 @@ def lp_max_covering(c, a, r, upper):
         movable = ((x == 0.0) & (a > 0.0)) | ((x == u) & (a < 0.0))
         order = np.argsort(np.where(movable, -(c / a), np.inf), axis=1, kind="stable")
         by_cost = (order + m * np.arange(n)[:, None]).T  # flat positions, one row per step
-        a_s, x_s = np.take(a, by_cost), np.take(x, by_cost)
-        u_s = u.T if u.strides[1] == 0 else np.take(u, by_cost)  # a shared cap: no gather
+        a_s, x_s, u_s = np.take(a, by_cost), np.take(x, by_cost), np.take(u, by_cost)
         up = (x_s == 0.0) & (a_s > 0.0)
         movable = up | ((x_s == u_s) & (a_s < 0.0))
         slope = np.abs(a_s)
@@ -311,7 +308,7 @@ def envelope_rows(points: list[SweepPoint]) -> list[list]:
 
 
 def write_envelope_csv(points: list[SweepPoint], path) -> bytes:
-    """One row per sweep point, written to path, a file name or descriptor;
+    """One row per sweep point, written to path, a file name or binary file;
     nan marks an infeasible strategy. Returns the bytes written.
 
     The bytes are csv.writer's: rows end in \\r\\n, and no cell needs quoting.

@@ -232,3 +232,12 @@ def geometry_from_posture(
         fan_spacing_feet=fan_spacing_feet,
         fan_mass=fan_mass,
     )
+
+
+def write_text(file, text: str) -> bytes:
+    """Write text as UTF-8 to file, a file name or binary file; return the bytes."""
+    if not hasattr(file, "write"):
+        with open(file, "wb") as fh:
+            return write_text(fh, text)
+    file.write(data := text.encode())
+    return data

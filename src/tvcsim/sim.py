@@ -57,6 +57,7 @@ from .robot import (
     RobotGeometry,
     builtin_posture,
     geometry_from_posture,
+    write_text,
 )
 from .spatial import (
     GIMBAL_LOCK_MARGIN,
@@ -220,9 +221,10 @@ class SimLog:
         self.header = list(LOG_HEADER)
         self.rows: list[tuple] = []
         self.events: dict = {}
+        self.scenario: dict = {}  # asdict of the run's ScenarioConfig, as manifests record it
 
     def write_csv(self, path) -> bytes:
-        """Write the log CSV to path, a file name or descriptor; return its bytes."""
+        """Write the log CSV to path, a file name or binary file; return its bytes."""
         return write_text(path, "".join([",".join(self.header) + "\n",
                                          *(_ROW_FORMAT % row for row in self.rows)]))
 
@@ -231,13 +233,6 @@ class SimLog:
 
     def write_events_json(self, path) -> bytes:
         return write_text(path, self.events_json() + "\n")
-
-
-def write_text(file, text: str) -> bytes:
-    """Write text as UTF-8 to file, a file name or descriptor; return the bytes."""
-    with open(file, "wb") as fh:
-        fh.write(data := text.encode())
-    return data
 
 
 def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry, dt: float,
@@ -614,10 +609,10 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
             # held on the ground: the attitude, and so its angles, are unchanged
             clock = t + dt
 
+    log.scenario = asdict(cfg)
     log.events = {
-        # the manifests' record of the scenario, plus what the run resolved
-        "config": asdict(cfg) | {"gains_used": vars(gains) | {},
-                                 "trim_foot_angle_deg": degrees(trim_angle)},
+        "config": log.scenario | {"gains_used": vars(gains) | {},
+                                  "trim_foot_angle_deg": degrees(trim_angle)},
         "liftoff_time_s": liftoff,
         "never_lifted": liftoff is None,
         "altitude_at_2s_m": altitude,

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: outputs, exit codes, manifests, reproducibility."""
 
 import csv
+import errno
 import hashlib
 import json
 import math
+import os
 import struct
 import warnings
 
@@ -649,15 +651,30 @@ def test_outputs_ignore_a_stale_temp_path(tmp_path, capsys):
 
 
 def test_atomic_write_removes_its_temp_file_on_failure(tmp_path):
-    def fail(fd):
-        with open(fd, "w") as fh:
-            fh.write("partial")
+    def fail(fh):
+        fh.write(b"partial")
         raise OSError("disk full")
 
     target = tmp_path / "out.csv"
     with pytest.raises(OSError, match="disk full"):
         _publish(str(target), fail)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_closes_its_temp_file_when_the_writer_fails_first(tmp_path):
+    # a writer that raises while formatting, before it writes a byte
+    descriptors = []
+
+    def fail(fh):
+        descriptors.append(fh.fileno())
+        raise MemoryError
+
+    with pytest.raises(MemoryError):
+        _publish(str(tmp_path / "out.csv"), fail)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(OSError) as closed:
+        os.fstat(descriptors[0])
+    assert closed.value.errno == errno.EBADF
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -126,8 +126,8 @@ def lp_max_covering(c, a, r, upper):
         # moves that raise a.x, cheapest objective loss per unit of slack first
         movable = ((x == 0.0) & (a > 0.0)) | ((x == u) & (a < 0.0))
         order = np.argsort(np.where(movable, -(c / a), np.inf), axis=1, kind="stable")
-        by_cost = (order + m * np.arange(n)[:, None]).T  # flat positions, one row per step
-        a_s, x_s, u_s = np.take(a, by_cost), np.take(x, by_cost), np.take(u, by_cost)
+        by_cost = np.add(order.T, m * np.arange(n), order="C")  # flat positions, a row a step
+        a_s, x_s, u_s = (v.reshape(-1)[by_cost] for v in (a, x, u))
         up = (x_s == 0.0) & (a_s > 0.0)
         movable = up | ((x_s == u_s) & (a_s < 0.0))
         slope = np.abs(a_s)

@@ -669,12 +669,14 @@ def test_atomic_write_closes_its_temp_file_when_the_writer_fails_first(tmp_path)
         descriptors.append(fh.fileno())
         raise MemoryError
 
-    with pytest.raises(MemoryError):
+    # the traceback keeps the failed call's frame alive, so the descriptor is
+    # closed by _publish itself, not by collecting an unreferenced file object
+    with pytest.raises(MemoryError) as raised:
         _publish(str(tmp_path / "out.csv"), fail)
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(OSError) as closed:
         os.fstat(descriptors[0])
-    assert closed.value.errno == errno.EBADF
+    assert closed.value.errno == errno.EBADF and raised.value.__traceback__ is not None
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -22,19 +22,24 @@ dt and integrator, and its loop carries plain floats, the 13 of the state
 among them: each step evaluates the kernel's wrench once, for the liftoff
 check on the ground or the step aloft, and a step aloft is one call of the
 kernel's step, which also checks the divergence guards and reads out the
-new attitude's roll, pitch and yaw. A controller tick passes the measured
-pitch, yaw and body rates about y and z to AttitudeController.step as
-floats and gets the two foot commands back; the feet slew toward them
-through controller.clamp. dynamics_step is the kernel's public one-step wrapper, as
-wrench.generalized_wrench_3d is of the wrench formula.
+new attitude's roll, pitch and yaw; each integrator's step is compiled on
+first use from one template of the equations of motion. A controller tick
+passes the measured pitch, yaw and body rates about y and z to
+AttitudeController.step as floats and gets the two foot commands back; the
+feet slew toward them through controller.clamp. dynamics_step is the
+kernel's public one-step wrapper, as wrench.generalized_wrench_3d is of the
+wrench formula.
 
 Identical configurations produce bit-identical logs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import linecache
 import math
+import textwrap
 from dataclasses import asdict, dataclass, field
 
 from .controller import (
@@ -248,6 +253,145 @@ def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry
     return RigidBodyState(x[0:3], x[3:6], x[6:10], x[10:13], t)
 
 
+# The takeoff step's source, one template per set of equations, which
+# _step_builder writes out per integrator. A template reads the state with
+# suffix {s} ("" for the step's own) and writes the derivative {k} or the
+# stage state {n}; m, weight, i00..i22, j00..j22, f_y, h, dt and lock are
+# closure cells. The text fixes the operations and their order, so the bits.
+# quat_unit written out, as the step opens and every rk4 stage and step ends
+_UNIT = """\
+n = math.sqrt(qw{n} * qw{n} + qx{n} * qx{n} + qy{n} * qy{n} + qz{n} * qz{n})
+if n < 1e-300:
+    raise ValueError("cannot normalize a zero quaternion")
+qw{n}, qx{n}, qy{n}, qz{n} = qw{n} / n, qx{n} / n, qy{n} / n, qz{n} / n
+"""
+# R(q) F / m - g in {W} as (ax, ay, az), with quat_rotation_rows' entries,
+# and I^-1 (tau - omega x I omega) in {B} as (bx, by, bz); float 1.0 and
+# 2.0 spare Python's mixed int-float operation, with the same doubles
+_DERIVATIVE = """\
+xx, yy, zz = qx{s} * qx{s}, qy{s} * qy{s}, qz{s} * qz{s}
+xy, xz, yz = qx{s} * qy{s}, qx{s} * qz{s}, qy{s} * qz{s}
+sx, sy, sz = qw{s} * qx{s}, qw{s} * qy{s}, qw{s} * qz{s}
+fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
+fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
+fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
+ax{k}, ay{k}, az{k} = fx / m, fy / m, (fz - weight) / m
+hx = i00 * wx{s} + i01 * wy{s} + i02 * wz{s}
+hy = i10 * wx{s} + i11 * wy{s} + i12 * wz{s}
+hz = i20 * wx{s} + i21 * wy{s} + i22 * wz{s}
+rx, ry = tx - (wy{s} * hz - wz{s} * hy), ty - (wz{s} * hx - wx{s} * hz)
+rz = tz - (wx{s} * hy - wy{s} * hx)
+bx{k} = j00 * rx + j01 * ry + j02 * rz
+by{k} = j10 * rx + j11 * ry + j12 * rz
+bz{k} = j20 * rx + j21 * ry + j22 * rz
+"""
+# q (0, omega) / 2, the quaternion product without the terms of omega's zero w
+_QUAT_RATE = """\
+dw{k} = 0.5 * (-qx{s} * wx{s} - qy{s} * wy{s} - qz{s} * wz{s})
+dx{k} = 0.5 * (qw{s} * wx{s} + qy{s} * wz{s} - qz{s} * wy{s})
+dy{k} = 0.5 * (qw{s} * wy{s} - qx{s} * wz{s} + qz{s} * wx{s})
+dz{k} = 0.5 * (qw{s} * wz{s} + qx{s} * wy{s} - qy{s} * wx{s})
+"""
+# rk4's stage state n: the step's own (v, omega, q) plus span times derivative
+# k, q renormalized. The position feeds no derivative, so no stage carries one
+_ADVANCE = """\
+vx{n}, vy{n}, vz{n} = vx + {span} * ax{k}, vy + {span} * ay{k}, vz + {span} * az{k}
+wx{n}, wy{n}, wz{n} = wx + {span} * bx{k}, wy + {span} * by{k}, wz + {span} * bz{k}
+qw{n}, qx{n} = qw + {span} * dw{k}, qx + {span} * dx{k}
+qy{n}, qz{n} = qy + {span} * dy{k}, qz + {span} * dz{k}
+""" + _UNIT
+_RK4_SUM = """\
+# the (1, 2, 2, 1) / 6 sums keep this order; another one moves last
+# digits of the logs. p before v: the positions read the old v
+px, py, pz = (px + dt * ((vx + 2.0 * vx2 + 2.0 * vx3 + vx4) / 6.0),
+              py + dt * ((vy + 2.0 * vy2 + 2.0 * vy3 + vy4) / 6.0),
+              pz + dt * ((vz + 2.0 * vz2 + 2.0 * vz3 + vz4) / 6.0))
+vx, vy, vz = (vx + dt * ((ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4) / 6.0),
+              vy + dt * ((ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4) / 6.0),
+              vz + dt * ((az1 + 2.0 * az2 + 2.0 * az3 + az4) / 6.0))
+qw, qx, qy, qz = (qw + dt * ((dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4) / 6.0),
+                  qx + dt * ((dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4) / 6.0),
+                  qy + dt * ((dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4) / 6.0),
+                  qz + dt * ((dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4) / 6.0))
+""" + _UNIT.format(n="") + """\
+wx, wy, wz = (wx + dt * ((bx1 + 2.0 * bx2 + 2.0 * bx3 + bx4) / 6.0),
+              wy + dt * ((by1 + 2.0 * by2 + 2.0 * by3 + by4) / 6.0),
+              wz + dt * ((bz1 + 2.0 * bz2 + 2.0 * bz3 + bz4) / 6.0))
+"""
+_EULER = """\
+ux, uy, uz = vx + ax * dt, vy + ay * dt, vz + az * dt
+px, py, pz = (px + 0.5 * (vx + ux) * dt, py + 0.5 * (vy + uy) * dt,
+              pz + 0.5 * (vz + uz) * dt)
+vx, vy, vz = ux, uy, uz
+wx, wy, wz = wx + bx * dt, wy + by * dt, wz + bz * dt
+# quat_step(q, omega, dt) written out: q times the exponential-map
+# increment, renormalized (the product of unit quaternions is never 0)
+ex, ey, ez = wx * dt, wy * dt, wz * dt
+angle = math.sqrt(ex * ex + ey * ey + ez * ez)
+if angle < 1e-12:
+    dw, dx, dy, dz = 1.0, 0.5 * ex, 0.5 * ey, 0.5 * ez
+else:
+    half = 0.5 * angle
+    s = math.sin(half) / angle
+    dw, dx, dy, dz = math.cos(half), ex * s, ey * s, ez * s
+qw, qx, qy, qz = (qw * dw - qx * dx - qy * dy - qz * dz,
+                  qw * dx + qx * dw + qy * dz - qz * dy,
+                  qw * dy - qx * dz + qy * dw + qz * dx,
+                  qw * dz + qx * dy - qy * dx + qz * dw)
+n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
+"""
+# the divergence guards ("not <=", so that a NaN state trips them too), then
+# zyx_angles of R(q)'s entries, each with quat_rotation_rows' expression
+_TAIL = """\
+if not math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:
+    raise DivergenceError(f"position ({px:.6g}, {py:.6g}, {pz:.6g}) left the "
+                          f"{POSITION_GUARD_M} m guard at t={t:.3f} s")
+if not math.sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S:
+    raise DivergenceError(f"body rate ({wx:.6g}, {wy:.6g}, {wz:.6g}) exceeded "
+                          f"{RATE_GUARD_RAD_S} rad/s at t={t:.3f} s")
+sp = -(2.0 * (qx * qz - qw * qy))
+sp = sp if sp > -1.0 else -1.0  # min(1, max(-1, sp)), NaN included
+pitch = math.asin(sp if sp < 1.0 else 1.0)
+if abs(pitch) > lock:  # the degenerate rotation folds into yaw
+    roll, yaw = 0.0, math.atan2(-(2.0 * (qx * qy - qw * qz)),
+                                1.0 - 2.0 * (qx * qx + qz * qz))
+else:
+    roll = math.atan2(2.0 * (qy * qz + qw * qx), 1.0 - 2.0 * (qx * qx + qy * qy))
+    yaw = math.atan2(2.0 * (qx * qy + qw * qz), 1.0 - 2.0 * (qy * qy + qz * qz))
+return px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, roll, pitch, yaw
+"""
+_BUILD = """\
+def build(m, weight, i00, i01, i02, i10, i11, i12, i20, i21, i22,
+          j00, j01, j02, j10, j11, j12, j20, j21, j22, f_y, h, dt, lock):
+    def step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows):
+        f_x, f_z, tx, ty1, ty2, ty3, tz = rows
+        ty = ty1 + ty2 + ty3
+{body}
+    return step
+"""
+
+
+@functools.cache
+def _step_builder(integrator: str):
+    """build(m, weight, i00..i22, j00..j22, f_y, h, dt, lock) -> step for
+    integrator, compiled from the templates above on first use. Its source
+    is registered with linecache, so tracebacks and inspect show its lines."""
+    if integrator == "rk4":  # stage k's derivative, then stage k + 1's state or the sum
+        body = ""
+        for k, s, span in ((1, "", "h"), (2, 2, "h"), (3, 3, "dt"), (4, 4, None)):
+            body += (_DERIVATIVE + _QUAT_RATE).format(s=s, k=k)
+            body += _ADVANCE.format(n=k + 1, k=k, span=span) if span else _RK4_SUM
+    else:
+        body = _DERIVATIVE.format(s="", k="") + _EULER
+    source = _BUILD.format(body=textwrap.indent(_UNIT.format(n="") + body + _TAIL, " " * 8))
+    filename = f"<tvcsim.sim {integrator} step>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["build"]
+
+
 def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
                integrator: str):
     """The takeoff's float kernel, built once per run: (wrench, step).
@@ -257,226 +401,27 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
     the free-flying rigid body by dt under those rows, held over the step, to
     the state time t, and returns the 13 new state floats (p, v, q, omega)
     followed by the new attitude's Z-Y-X (roll, pitch, yaw), zyx_angles of
-    its rotation rows. q is renormalized first and every stage rotates the
-    body force by its own attitude. 'euler' updates velocities first,
+    its rotation rows. q is renormalized first and every derivative rotates
+    the body force by its own attitude. 'euler' updates velocities first,
     positions with the velocity midpoint (exact for constant accelerations)
     and the attitude by the exponential map of the new body rate, quat_step
-    written out; 'rk4' is the classic fourth-order step written out on
-    floats: each of its four stages evaluates accel's expressions written
-    out, at a state whose quaternion is renormalized as quat_unit does it,
-    and the step adds the (1, 2, 2, 1) / 6 weighted sum of the stage
-    derivatives, so an rk4 step makes no Python-level call. Either way the
-    step ends in the divergence guards: a new position beyond
-    POSITION_GUARD_M, a body rate beyond RATE_GUARD_RAD_S, or a NaN in
-    either raises DivergenceError, naming t.
+    written out; 'rk4' is the classic fourth-order step, each stage
+    quaternion renormalized as quat_unit does it. step is _step_builder's
+    source: the equations of motion are one template, written out once for
+    euler and once a stage for rk4, so a step calls nothing but math's
+    functions, and it reads the geometry as closure cells. Either way it
+    ends in the divergence guards: a new position beyond POSITION_GUARD_M, a
+    body rate beyond RATE_GUARD_RAD_S, or a NaN in either raises
+    DivergenceError, naming t.
     """
     if not 0.0 < dt <= MAX_PHYSICS_DT:  # a NaN fails too
         raise ValueError(f"dt must be in (0, {MAX_PHYSICS_DT}] s")
     if integrator not in ("euler", "rk4"):
         raise ValueError("integrator must be 'euler' or 'rk4'")
-    m, weight = geo.mass_total, geo.weight
-    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = geo.inertia_body
-    j00, j01, j02, j10, j11, j12, j20, j21, j22 = geo.inertia_inverse_rows
-    f_y = 0.0  # the body force's zero y row, rotated as any row so signed zeros agree
-    h = 0.5 * dt
-    rk4 = integrator == "rk4"
-    lock = 0.5 * math.pi - GIMBAL_LOCK_MARGIN
-
-    def accel(qw, qx, qy, qz, wx, wy, wz, f_x, f_z, tx, ty, tz):
-        """R(q) F / m - g in {W} and I^-1 (tau - omega x I omega) in {B}."""
-        xx, yy, zz = qx * qx, qy * qy, qz * qz
-        xy, xz, yz, sx, sy, sz = qx * qy, qx * qz, qy * qz, qw * qx, qw * qy, qw * qz
-        # R(q) F, with quat_rotation_rows' entries; float 1.0 and 2.0 spare
-        # Python's mixed int-float operation, with the same doubles
-        fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
-        fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
-        fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
-        hx = i00 * wx + i01 * wy + i02 * wz  # angular momentum I omega
-        hy = i10 * wx + i11 * wy + i12 * wz
-        hz = i20 * wx + i21 * wy + i22 * wz
-        rx = tx - (wy * hz - wz * hy)
-        ry = ty - (wz * hx - wx * hz)
-        rz = tz - (wx * hy - wy * hx)
-        return (fx / m, fy / m, (fz - weight) / m,
-                j00 * rx + j01 * ry + j02 * rz,
-                j10 * rx + j11 * ry + j12 * rz,
-                j20 * rx + j21 * ry + j22 * rz)
-
-    def step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows):
-        f_x, f_z, tx, ty1, ty2, ty3, tz = rows
-        ty = ty1 + ty2 + ty3
-        n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)  # quat_unit written out
-        if n < 1e-300:
-            raise ValueError("cannot normalize a zero quaternion")
-        qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
-        if rk4:
-            # The position feeds no derivative, so stage n carries (v, w, q)n only,
-            # stage 1 the step's own. Its derivative is (a, b)n, accel's body
-            # written out operand for operand, and q (0, omega) / 2 as
-            # (dw, dx, dy, dz)n, the quaternion product written out without the
-            # terms of omega's zero w. Stages 2-4 and the step renormalize their
-            # quaternion as quat_unit does, so the branch calls only math.sqrt
-            xx, yy, zz = qx * qx, qy * qy, qz * qz
-            xy, xz, yz = qx * qy, qx * qz, qy * qz
-            sx, sy, sz = qw * qx, qw * qy, qw * qz
-            fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
-            fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
-            fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
-            ax1, ay1, az1 = fx / m, fy / m, (fz - weight) / m
-            hx = i00 * wx + i01 * wy + i02 * wz
-            hy = i10 * wx + i11 * wy + i12 * wz
-            hz = i20 * wx + i21 * wy + i22 * wz
-            rx, ry = tx - (wy * hz - wz * hy), ty - (wz * hx - wx * hz)
-            rz = tz - (wx * hy - wy * hx)
-            bx1 = j00 * rx + j01 * ry + j02 * rz
-            by1 = j10 * rx + j11 * ry + j12 * rz
-            bz1 = j20 * rx + j21 * ry + j22 * rz
-            dw1 = 0.5 * (-qx * wx - qy * wy - qz * wz)
-            dx1 = 0.5 * (qw * wx + qy * wz - qz * wy)
-            dy1 = 0.5 * (qw * wy - qx * wz + qz * wx)
-            dz1 = 0.5 * (qw * wz + qx * wy - qy * wx)
-            vx2, vy2, vz2 = vx + h * ax1, vy + h * ay1, vz + h * az1
-            wx2, wy2, wz2 = wx + h * bx1, wy + h * by1, wz + h * bz1
-            qw2, qx2 = qw + h * dw1, qx + h * dx1
-            qy2, qz2 = qy + h * dy1, qz + h * dz1
-            n = math.sqrt(qw2 * qw2 + qx2 * qx2 + qy2 * qy2 + qz2 * qz2)
-            if n < 1e-300:
-                raise ValueError("cannot normalize a zero quaternion")
-            qw2, qx2, qy2, qz2 = qw2 / n, qx2 / n, qy2 / n, qz2 / n
-            xx, yy, zz = qx2 * qx2, qy2 * qy2, qz2 * qz2
-            xy, xz, yz = qx2 * qy2, qx2 * qz2, qy2 * qz2
-            sx, sy, sz = qw2 * qx2, qw2 * qy2, qw2 * qz2
-            fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
-            fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
-            fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
-            ax2, ay2, az2 = fx / m, fy / m, (fz - weight) / m
-            hx = i00 * wx2 + i01 * wy2 + i02 * wz2
-            hy = i10 * wx2 + i11 * wy2 + i12 * wz2
-            hz = i20 * wx2 + i21 * wy2 + i22 * wz2
-            rx, ry = tx - (wy2 * hz - wz2 * hy), ty - (wz2 * hx - wx2 * hz)
-            rz = tz - (wx2 * hy - wy2 * hx)
-            bx2 = j00 * rx + j01 * ry + j02 * rz
-            by2 = j10 * rx + j11 * ry + j12 * rz
-            bz2 = j20 * rx + j21 * ry + j22 * rz
-            dw2 = 0.5 * (-qx2 * wx2 - qy2 * wy2 - qz2 * wz2)
-            dx2 = 0.5 * (qw2 * wx2 + qy2 * wz2 - qz2 * wy2)
-            dy2 = 0.5 * (qw2 * wy2 - qx2 * wz2 + qz2 * wx2)
-            dz2 = 0.5 * (qw2 * wz2 + qx2 * wy2 - qy2 * wx2)
-            vx3, vy3, vz3 = vx + h * ax2, vy + h * ay2, vz + h * az2
-            wx3, wy3, wz3 = wx + h * bx2, wy + h * by2, wz + h * bz2
-            qw3, qx3 = qw + h * dw2, qx + h * dx2
-            qy3, qz3 = qy + h * dy2, qz + h * dz2
-            n = math.sqrt(qw3 * qw3 + qx3 * qx3 + qy3 * qy3 + qz3 * qz3)
-            if n < 1e-300:
-                raise ValueError("cannot normalize a zero quaternion")
-            qw3, qx3, qy3, qz3 = qw3 / n, qx3 / n, qy3 / n, qz3 / n
-            xx, yy, zz = qx3 * qx3, qy3 * qy3, qz3 * qz3
-            xy, xz, yz = qx3 * qy3, qx3 * qz3, qy3 * qz3
-            sx, sy, sz = qw3 * qx3, qw3 * qy3, qw3 * qz3
-            fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
-            fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
-            fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
-            ax3, ay3, az3 = fx / m, fy / m, (fz - weight) / m
-            hx = i00 * wx3 + i01 * wy3 + i02 * wz3
-            hy = i10 * wx3 + i11 * wy3 + i12 * wz3
-            hz = i20 * wx3 + i21 * wy3 + i22 * wz3
-            rx, ry = tx - (wy3 * hz - wz3 * hy), ty - (wz3 * hx - wx3 * hz)
-            rz = tz - (wx3 * hy - wy3 * hx)
-            bx3 = j00 * rx + j01 * ry + j02 * rz
-            by3 = j10 * rx + j11 * ry + j12 * rz
-            bz3 = j20 * rx + j21 * ry + j22 * rz
-            dw3 = 0.5 * (-qx3 * wx3 - qy3 * wy3 - qz3 * wz3)
-            dx3 = 0.5 * (qw3 * wx3 + qy3 * wz3 - qz3 * wy3)
-            dy3 = 0.5 * (qw3 * wy3 - qx3 * wz3 + qz3 * wx3)
-            dz3 = 0.5 * (qw3 * wz3 + qx3 * wy3 - qy3 * wx3)
-            vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
-            wx4, wy4, wz4 = wx + dt * bx3, wy + dt * by3, wz + dt * bz3
-            qw4, qx4 = qw + dt * dw3, qx + dt * dx3
-            qy4, qz4 = qy + dt * dy3, qz + dt * dz3
-            n = math.sqrt(qw4 * qw4 + qx4 * qx4 + qy4 * qy4 + qz4 * qz4)
-            if n < 1e-300:
-                raise ValueError("cannot normalize a zero quaternion")
-            qw4, qx4, qy4, qz4 = qw4 / n, qx4 / n, qy4 / n, qz4 / n
-            xx, yy, zz = qx4 * qx4, qy4 * qy4, qz4 * qz4
-            xy, xz, yz = qx4 * qy4, qx4 * qz4, qy4 * qz4
-            sx, sy, sz = qw4 * qx4, qw4 * qy4, qw4 * qz4
-            fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
-            fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
-            fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
-            ax4, ay4, az4 = fx / m, fy / m, (fz - weight) / m
-            hx = i00 * wx4 + i01 * wy4 + i02 * wz4
-            hy = i10 * wx4 + i11 * wy4 + i12 * wz4
-            hz = i20 * wx4 + i21 * wy4 + i22 * wz4
-            rx, ry = tx - (wy4 * hz - wz4 * hy), ty - (wz4 * hx - wx4 * hz)
-            rz = tz - (wx4 * hy - wy4 * hx)
-            bx4 = j00 * rx + j01 * ry + j02 * rz
-            by4 = j10 * rx + j11 * ry + j12 * rz
-            bz4 = j20 * rx + j21 * ry + j22 * rz
-            dw4 = 0.5 * (-qx4 * wx4 - qy4 * wy4 - qz4 * wz4)
-            dx4 = 0.5 * (qw4 * wx4 + qy4 * wz4 - qz4 * wy4)
-            dy4 = 0.5 * (qw4 * wy4 - qx4 * wz4 + qz4 * wx4)
-            dz4 = 0.5 * (qw4 * wz4 + qx4 * wy4 - qy4 * wx4)
-            # the (1, 2, 2, 1) / 6 sums keep this order; another one moves last
-            # digits of the logs. p before v: the positions read the old v
-            px, py, pz = (px + dt * ((vx + 2.0 * vx2 + 2.0 * vx3 + vx4) / 6.0),
-                          py + dt * ((vy + 2.0 * vy2 + 2.0 * vy3 + vy4) / 6.0),
-                          pz + dt * ((vz + 2.0 * vz2 + 2.0 * vz3 + vz4) / 6.0))
-            vx, vy, vz = (vx + dt * ((ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4) / 6.0),
-                          vy + dt * ((ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4) / 6.0),
-                          vz + dt * ((az1 + 2.0 * az2 + 2.0 * az3 + az4) / 6.0))
-            qw, qx, qy, qz = (qw + dt * ((dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4) / 6.0),
-                              qx + dt * ((dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4) / 6.0),
-                              qy + dt * ((dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4) / 6.0),
-                              qz + dt * ((dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4) / 6.0))
-            n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-            if n < 1e-300:
-                raise ValueError("cannot normalize a zero quaternion")
-            qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
-            wx, wy, wz = (wx + dt * ((bx1 + 2.0 * bx2 + 2.0 * bx3 + bx4) / 6.0),
-                          wy + dt * ((by1 + 2.0 * by2 + 2.0 * by3 + by4) / 6.0),
-                          wz + dt * ((bz1 + 2.0 * bz2 + 2.0 * bz3 + bz4) / 6.0))
-        else:
-            ax, ay, az, bx, by, bz = accel(qw, qx, qy, qz, wx, wy, wz, f_x, f_z, tx, ty, tz)
-            ux, uy, uz = vx + ax * dt, vy + ay * dt, vz + az * dt
-            px, py, pz = (px + 0.5 * (vx + ux) * dt, py + 0.5 * (vy + uy) * dt,
-                          pz + 0.5 * (vz + uz) * dt)
-            vx, vy, vz = ux, uy, uz
-            wx, wy, wz = wx + bx * dt, wy + by * dt, wz + bz * dt
-            # quat_step(q, omega, dt) written out: q times the exponential-map
-            # increment, renormalized (the product of unit quaternions is never 0)
-            ex, ey, ez = wx * dt, wy * dt, wz * dt
-            angle = math.sqrt(ex * ex + ey * ey + ez * ez)
-            if angle < 1e-12:
-                dw, dx, dy, dz = 1.0, 0.5 * ex, 0.5 * ey, 0.5 * ez
-            else:
-                half = 0.5 * angle
-                s = math.sin(half) / angle
-                dw, dx, dy, dz = math.cos(half), ex * s, ey * s, ez * s
-            qw, qx, qy, qz = (qw * dw - qx * dx - qy * dy - qz * dz,
-                              qw * dx + qx * dw + qy * dz - qz * dy,
-                              qw * dy - qx * dz + qy * dw + qz * dx,
-                              qw * dz + qx * dy - qy * dx + qz * dw)
-            n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-            qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
-        # "not <=" so that a NaN state trips the guards too
-        if not math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:
-            raise DivergenceError(f"position ({px:.6g}, {py:.6g}, {pz:.6g}) left the "
-                                  f"{POSITION_GUARD_M} m guard at t={t:.3f} s")
-        if not math.sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S:
-            raise DivergenceError(f"body rate ({wx:.6g}, {wy:.6g}, {wz:.6g}) exceeded "
-                                  f"{RATE_GUARD_RAD_S} rad/s at t={t:.3f} s")
-        # zyx_angles of R(q)'s entries, each with quat_rotation_rows' expression
-        sp = -(2.0 * (qx * qz - qw * qy))
-        sp = sp if sp > -1.0 else -1.0  # min(1, max(-1, sp)), NaN included
-        pitch = math.asin(sp if sp < 1.0 else 1.0)
-        if abs(pitch) > lock:  # the degenerate rotation folds into yaw
-            roll, yaw = 0.0, math.atan2(-(2.0 * (qx * qy - qw * qz)),
-                                        1.0 - 2.0 * (qx * qx + qz * qz))
-        else:
-            roll = math.atan2(2.0 * (qy * qz + qw * qx), 1.0 - 2.0 * (qx * qx + qy * qy))
-            yaw = math.atan2(2.0 * (qx * qy + qw * qz), 1.0 - 2.0 * (qy * qy + qz * qz))
-        return px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, roll, pitch, yaw
-
+    # f_y = 0.0: the body force's zero y row, rotated as any row so signed zeros agree
+    step = _step_builder(integrator)(
+        geo.mass_total, geo.weight, *(x for row in geo.inertia_body for x in row),
+        *geo.inertia_inverse_rows, 0.0, 0.5 * dt, dt, 0.5 * math.pi - GIMBAL_LOCK_MARGIN)
     return wrench_kernel(geo, perturbation), step
 
 

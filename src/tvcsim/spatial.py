@@ -10,11 +10,11 @@ Conventions used across the package:
   (quat_unit, quat_step, quat_rotation_rows, zyx_angles), and numpy-array
   helpers (quat_identity, quat_normalize, quat_to_matrix, quat_integrate,
   quat_to_euler) for the oracles and callers that hold arrays, built on
-  those kernels. The rk4 stages and the world-frame wrench call quat_unit
-  and quat_rotation_rows; the takeoff step (sim.run_kernel) writes its
-  opening quat_unit, euler's quat_step and the zyx_angles readout of its
-  new attitude out on floats, and tests pin each copy bit for bit to the
-  kernel here. The array helpers import numpy when first called, so
+  those kernels. The world-frame wrench calls quat_unit and
+  quat_rotation_rows; the takeoff step (sim.run_kernel) writes quat_unit
+  (opening the step and each rk4 stage), R(q)'s entries, euler's quat_step
+  and the zyx_angles readout out on floats, and tests pin each copy bit for
+  bit to the kernel here. The array helpers import numpy when first called, so
   importing this module, or any command that runs on floats, does not load
   it. quat_from_pitch returns a float tuple that both forms accept.
 * Euler angles are Z-Y-X intrinsic (yaw, then pitch, then roll), so "pitch"

@@ -3,11 +3,13 @@ events keys the bench reads, README), on code that only tests call, on where
 numpy is imported and loaded, on what the oracles import from the package, on
 the one geometry construction, on the takeoff loop's and the hover trim's
 wrench evaluations, rotation-matrix builds and fan-state constructions, on
-the loop's attitude readouts, on the run kernel's one accel, on the one
-source of the pitch arms and on the envelope solver's batching."""
+the loop's attitude readouts, on the takeoff step's one derivative template
+and the commands that compile it, on the one source of the pitch arms and on
+the envelope solver's batching."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -249,46 +251,71 @@ def test_takeoff_loop_reads_the_attitude_once_per_step_aloft(monkeypatch):
         assert counts == {"step": aloft, "EulerAngles": 0}, integrator
 
 
-def test_run_kernel_steps_share_the_one_accel():
-    # accel is the one home of the equations of motion: the euler branch of
-    # the one step closure calls it once, and the flat rk4 branch writes its
-    # R(q) rows out once a stage and calls nothing but math.sqrt, once for
-    # each of the three stage quaternions and the new one (a zero norm raises
-    # ValueError). No other code writes R(q) out, and step hides no stage in
-    # a nested function or a comprehension. The step's tail, the divergence
-    # guards and the attitude readout, is written once, after the branch
-    tree = ast.parse((ROOT / "src" / "tvcsim" / "sim.py").read_text())
-    (kernel,) = [node for node in tree.body
-                 if isinstance(node, ast.FunctionDef) and node.name == "run_kernel"]
-    closures = {node.name: node for node in kernel.body if isinstance(node, ast.FunctionDef)}
-    assert sorted(closures) == ["accel", "step"]
-    step = closures["step"]
-    (branch,) = [node for node in step.body if isinstance(node, ast.If)
-                 and ast.unparse(node.test) == "rk4"]
-    rk4 = [node for stmt in branch.body for node in ast.walk(stmt)]
-    euler = [node for stmt in branch.orelse for node in ast.walk(stmt)]
-    assert [ast.unparse(node.func) for node in euler if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name) and node.func.id == "accel"] == ["accel"]
-    raised = {id(node.exc) for node in rk4 if isinstance(node, ast.Raise)}
-    assert [ast.unparse(node.func) for node in rk4
-            if isinstance(node, ast.Call) and id(node) not in raised] == ["math.sqrt"] * 4
-    assert [ast.unparse(node) for node in rk4 if isinstance(node, ast.Raise)] == (
-        ["raise ValueError('cannot normalize a zero quaternion')"] * 4)
+def test_step_sources_write_the_equations_of_motion_from_one_template():
+    # sim.py holds the equations of motion once, in the derivative template
+    # that _step_builder writes out once for euler and once a stage for rk4;
+    # no accel is left. A generated step hides no stage in a nested function
+    # or a comprehension and calls only math's functions (and the readout's
+    # abs); rk4 calls math.sqrt for the opening, the three stage and the new
+    # quaternions, each followed by its zero-norm ValueError. The tail, the
+    # divergence guards and the attitude readout, ends every step once
+    text = (ROOT / "src" / "tvcsim" / "sim.py").read_text()
+    row = "1.0 - 2.0 * (yy + zz)"  # R(q)'s first entry
+    assert not re.search(r"\baccel\b", text)
+    assert text.count(row) == 1
+    unit = ("if n < 1e-300:\n    raise ValueError('cannot normalize a zero quaternion')")
     nested = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
               ast.GeneratorExp)
-    assert not [node for node in list(ast.walk(step))[1:] if isinstance(node, nested)]
-    tail = step.body[step.body.index(branch) + 1:]
-    in_kernel = list(ast.walk(kernel))
-    for pattern, count in (("DivergenceError", 2), ("math.asin", 1)):
-        assert len([node for node in in_kernel if ast.unparse(node) == pattern]) == count
-        assert len([node for stmt in tail for node in ast.walk(stmt)
-                    if ast.unparse(node) == pattern]) == count
-    row = "1.0 - 2.0 * (yy + zz)"  # R(q)'s first entry, as accel writes it
-    in_tree = [node for node in ast.walk(tree)
-               if isinstance(node, ast.BinOp) and ast.unparse(node) == row]
-    assert len(in_tree) == 5
-    assert len([node for node in ast.walk(closures["accel"]) if node in in_tree]) == 1
-    assert len([node for node in rk4 if node in in_tree]) == 4
+    p1 = geometry_from_posture(builtin_posture("P1"))
+    for integrator, rows, sqrts in (("euler", 1, 3), ("rk4", 4, 5)):
+        build = sim._step_builder(integrator)
+        step_code = sim.run_kernel(p1, None, 1e-3, integrator)[1].__code__
+        assert step_code in build.__code__.co_consts, integrator
+        source = inspect.getsource(build)
+        assert source.count(row) == rows, integrator
+        (step,) = [node for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef) and node.name == "step"]
+        assert not [node for node in list(ast.walk(step))[1:] if isinstance(node, nested)]
+        raised = {id(node.exc) for node in ast.walk(step) if isinstance(node, ast.Raise)}
+        calls = [ast.unparse(node.func) for node in ast.walk(step)
+                 if isinstance(node, ast.Call) and id(node) not in raised]
+        assert all(call.startswith("math.") or call == "abs" for call in calls), calls
+        guard = next(i for i, node in enumerate(step.body)
+                     if "DivergenceError" in ast.unparse(node))
+        body, tail = step.body[:guard], step.body[guard:]
+        in_body = [node for stmt in body for node in ast.walk(stmt)]
+        assert len([node for node in in_body if ast.unparse(node) == "math.sqrt"]) == sqrts
+        units = [i for i, stmt in enumerate(body) if ast.unparse(stmt) == unit]
+        assert len(units) == (5 if integrator == "rk4" else 1), integrator
+        assert all(ast.unparse(body[i - 1]).startswith("n = math.sqrt(") for i in units)
+        assert len([node for node in in_body if isinstance(node, ast.Raise)]) == len(units)
+        for pattern, count in (("DivergenceError", 2), ("math.asin", 1)):
+            assert source.count(pattern) == count, (integrator, pattern)
+            assert len([node for stmt in tail for node in ast.walk(stmt)
+                        if ast.unparse(node) == pattern]) == count, (integrator, pattern)
+
+
+def test_only_a_takeoff_step_compiles_a_step_source(tmp_path):
+    # _step_builder compiles on first use, once per integrator: importing the
+    # package and the commands that never step the rigid body compile nothing
+    from tvcsim import cli
+
+    code = "from tvcsim import cli, sim; assert sim._step_builder.cache_info().misses == 0"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    sim._step_builder.cache_clear()
+    for argv in (["trim"], ["wrench-eval", "--thrust-fl", "40"], ["envelope", "--postures", "P1"]):
+        (tmp_path / "run.cfg").write_text("envelope.n_points = 2\n")
+        assert cli.main(["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path),
+                         *argv]) == 0, argv
+    assert sim._step_builder.cache_info().misses == 0
+    p1 = geometry_from_posture(builtin_posture("P1"))
+    for integrator in ("euler", "rk4", "euler", "rk4"):
+        sim.run_kernel(p1, None, 1e-3, integrator)
+    assert sim._step_builder.cache_info().misses == 2
+    assert sim._step_builder.cache_info().hits == 2
 
 
 def test_only_the_wrench_model_reads_the_pitch_arm_geometry():

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -788,11 +789,40 @@ def _cells(step):
     return dict(zip(step.__code__.co_freevars, (c.cell_contents for c in step.__closure__)))
 
 
-def _tuple_euler(step):
-    """run_kernel's euler as it was written with quat_unit and quat_step
-    calls, on the accel and dt that the flat step closes over."""
+def _accel(step):
+    """run_kernel's accel as it was written by hand, on the m, weight,
+    inertia rows i.., inverse rows j.. and f_y that the flat step closes
+    over: the reference that the step's derivative template is pinned to."""
     cells = _cells(step)
-    accel, dt = cells["accel"], cells["dt"]
+    m, weight, f_y = cells["m"], cells["weight"], cells["f_y"]
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = (cells[f"i{r}{c}"] for r in "012" for c in "012")
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = (cells[f"j{r}{c}"] for r in "012" for c in "012")
+
+    def accel(qw, qx, qy, qz, wx, wy, wz, f_x, f_z, tx, ty, tz):
+        """R(q) F / m - g in {W} and I^-1 (tau - omega x I omega) in {B}."""
+        xx, yy, zz = qx * qx, qy * qy, qz * qz
+        xy, xz, yz, sx, sy, sz = qx * qy, qx * qz, qy * qz, qw * qx, qw * qy, qw * qz
+        fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
+        fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
+        fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
+        hx = i00 * wx + i01 * wy + i02 * wz  # angular momentum I omega
+        hy = i10 * wx + i11 * wy + i12 * wz
+        hz = i20 * wx + i21 * wy + i22 * wz
+        rx = tx - (wy * hz - wz * hy)
+        ry = ty - (wz * hx - wx * hz)
+        rz = tz - (wx * hy - wy * hx)
+        return (fx / m, fy / m, (fz - weight) / m,
+                j00 * rx + j01 * ry + j02 * rz,
+                j10 * rx + j11 * ry + j12 * rz,
+                j20 * rx + j21 * ry + j22 * rz)
+
+    return accel
+
+
+def _tuple_euler(step):
+    """run_kernel's euler as it was written with accel, quat_unit and
+    quat_step calls, on the geometry and dt that the flat step closes over."""
+    accel, dt = _accel(step), _cells(step)["dt"]
 
     def euler(p, v, q, omega, rows):
         f_x, f_z, tx, ty1, ty2, ty3, tz = rows
@@ -808,10 +838,10 @@ def _tuple_euler(step):
 
 
 def _tuple_rk4(step):
-    """run_kernel's rk4 as it was written with deriv, stage and zip sums, on
-    the accel, dt and h that the flat step closes over."""
+    """run_kernel's rk4 as it was written with accel, deriv, stage and zip
+    sums, on the geometry, dt and h that the flat step closes over."""
     cells = _cells(step)
-    accel, dt, h = cells["accel"], cells["dt"], cells["h"]
+    accel, dt, h = _accel(step), cells["dt"], cells["h"]
 
     def deriv(y, load):
         _, _, _, wx, wy, wz, qw, qx, qy, qz = y
@@ -964,6 +994,22 @@ def test_torque_free_rk4_flight_keeps_the_world_angular_momentum():
 # --- the guards and the readout that end the step ---------------------------
 
 REST = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_step_tracebacks_show_the_raising_line(integrator):
+    # the step is compiled from generated source, which linecache holds, so a
+    # traceback from inside it prints the line that raised
+    wrench, step = run_kernel(P1, None, 1e-3, integrator)
+    zero_q = (*REST[0:6], 0.0, 0.0, 0.0, 0.0, *REST[10:13])
+    for state, rows, error, line in (
+            (zero_q, (0.0,) * 7, ValueError,
+             'raise ValueError("cannot normalize a zero quaternion")'),
+            (REST, (math.nan,) + (0.0,) * 6, DivergenceError,
+             'raise DivergenceError(f"position ({px:.6g}, {py:.6g}, {pz:.6g}) left the "')):
+        with pytest.raises(error) as info:
+            step(1e-3, *state, rows)
+        assert line in "".join(traceback.format_exception(info.value))
 
 
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])

@@ -137,7 +137,8 @@ def test_quat_step_norm_contract():
     dts = rng.uniform(1e-5, 2e-3, size=1_000_000)
     qs *= rng.uniform(1.0 - 1e-6, 1.0 + 1e-6, size=(1_000_000, 1))
     worst = 0.0
-    # on quat_step, the float kernel the takeoff loop calls
+    # on quat_step, the reference that tests/test_sim.py's _tuple_euler pins the
+    # takeoff step's euler branch to, bit for bit
     for q, omega, dt in zip(qs.tolist(), omegas.tolist(), dts.tolist()):
         w, x, y, z = quat_step(q, omega, dt)
         worst = max(worst, abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0))

@@ -253,11 +253,10 @@ def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry
     return RigidBodyState(x[0:3], x[3:6], x[6:10], x[10:13], t)
 
 
-# The takeoff step's source, one template per set of equations, which
-# _step_builder writes out per integrator. A template reads the state with
-# suffix {s} ("" for the step's own) and writes the derivative {k} or the
-# stage state {n}; m, weight, i00..i22, j00..j22, f_y, h, dt and lock are
-# closure cells. The text fixes the operations and their order, so the bits.
+# The takeoff step's source, one template per set of equations, which _step_builder
+# writes out per integrator. A template reads the state suffixed {s} ("" for the
+# step's own) and writes the derivative {k} or the stage state {n}; m, weight, i00..i22,
+# j00..j22, f_y, h, dt and lock are closure cells. The text fixes the operations, so the bits.
 # quat_unit written out, as the step opens and every rk4 stage and step ends
 _UNIT = """\
 n = math.sqrt(qw{n} * qw{n} + qx{n} * qx{n} + qy{n} * qy{n} + qz{n} * qz{n})
@@ -361,7 +360,9 @@ else:
     yaw = math.atan2(2.0 * (qx * qy + qw * qz), 1.0 - 2.0 * (qy * qy + qz * qz))
 return px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, roll, pitch, yaw
 """
+# importing math makes the compiler load math.f as sim.py does (LOAD_ATTR, not LOAD_METHOD)
 _BUILD = """\
+import math
 def build(m, weight, i00, i01, i02, i10, i11, i12, i20, i21, i22,
           j00, j01, j02, j10, j11, j12, j20, j21, j22, f_y, h, dt, lock):
     def step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows):
@@ -374,9 +375,8 @@ def build(m, weight, i00, i01, i02, i10, i11, i12, i20, i21, i22,
 
 @functools.cache
 def _step_builder(integrator: str):
-    """build(m, weight, i00..i22, j00..j22, f_y, h, dt, lock) -> step for
-    integrator, compiled from the templates above on first use. Its source
-    is registered with linecache, so tracebacks and inspect show its lines."""
+    """build(m, weight, i00..i22, j00..j22, f_y, h, dt, lock) -> step, compiled for
+    integrator on first use; linecache holds its source for tracebacks and inspect."""
     if integrator == "rk4":  # stage k's derivative, then stage k + 1's state or the sum
         body = ""
         for k, s, span in ((1, "", "h"), (2, 2, "h"), (3, 3, "dt"), (4, 4, None)):

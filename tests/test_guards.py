@@ -8,6 +8,7 @@ and the commands that compile it, on the one source of the pitch arms and on
 the envelope solver's batching."""
 
 import ast
+import dis
 import importlib
 import inspect
 import json
@@ -263,14 +264,17 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
     row = "1.0 - 2.0 * (yy + zz)"  # R(q)'s first entry
     assert not re.search(r"\baccel\b", text)
     assert text.count(row) == 1
-    unit = ("if n < 1e-300:\n    raise ValueError('cannot normalize a zero quaternion')")
+    unit = "if n < 1e-300:\n    raise ValueError('cannot normalize a zero quaternion')"
     nested = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
               ast.GeneratorExp)
     p1 = geometry_from_posture(builtin_posture("P1"))
-    for integrator, rows, sqrts in (("euler", 1, 3), ("rk4", 4, 5)):
+    # (integrator, R(q) rows written, math.sqrt calls and zero-norm checks before the tail)
+    for integrator, rows, sqrts, checks in (("euler", 1, 3, 1), ("rk4", 4, 5, 5)):
         build = sim._step_builder(integrator)
         step_code = sim.run_kernel(p1, None, 1e-3, integrator)[1].__code__
         assert step_code in build.__code__.co_consts, integrator
+        # math.f loads as a module attribute, as in sim.py, not as a method
+        assert "LOAD_METHOD" not in [op.opname for op in dis.get_instructions(step_code)]
         source = inspect.getsource(build)
         assert source.count(row) == rows, integrator
         (step,) = [node for node in ast.walk(ast.parse(source))
@@ -286,7 +290,7 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
         in_body = [node for stmt in body for node in ast.walk(stmt)]
         assert len([node for node in in_body if ast.unparse(node) == "math.sqrt"]) == sqrts
         units = [i for i, stmt in enumerate(body) if ast.unparse(stmt) == unit]
-        assert len(units) == (5 if integrator == "rk4" else 1), integrator
+        assert len(units) == checks, integrator
         assert all(ast.unparse(body[i - 1]).startswith("n = math.sqrt(") for i in units)
         assert len([node for node in in_body if isinstance(node, ast.Raise)]) == len(units)
         for pattern, count in (("DivergenceError", 2), ("math.asin", 1)):
@@ -306,8 +310,8 @@ def test_only_a_takeoff_step_compiles_a_step_source(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     sim._step_builder.cache_clear()
+    (tmp_path / "run.cfg").write_text("envelope.n_points = 2\n")
     for argv in (["trim"], ["wrench-eval", "--thrust-fl", "40"], ["envelope", "--postures", "P1"]):
-        (tmp_path / "run.cfg").write_text("envelope.n_points = 2\n")
         assert cli.main(["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path),
                          *argv]) == 0, argv
     assert sim._step_builder.cache_info().misses == 0

@@ -408,8 +408,8 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
     written out; 'rk4' is the classic fourth-order step, each stage
     quaternion renormalized as quat_unit does it. step is _step_builder's
     source: the equations of motion are one template, written out once for
-    euler and once a stage for rk4, so a step calls nothing but math's
-    functions, and it reads the geometry as closure cells. Either way it
+    euler and once a stage for rk4, so a step calls only math's functions
+    and abs, and it reads the geometry as closure cells. Either way it
     ends in the divergence guards: a new position beyond POSITION_GUARD_M, a
     body rate beyond RATE_GUARD_RAD_S, or a NaN in either raises
     DivergenceError, naming t.

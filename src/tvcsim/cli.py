@@ -8,13 +8,15 @@ Subcommands:
 * ``wrench-eval`` - one-shot wrench evaluation as key=value lines
 
 Angles are degrees at this boundary, SI units otherwise. Exit codes: 0 ok,
-2 config/usage error or out of memory, 3 infeasible geometry, 4 takeoff run ended before its
-duration (divergence or touchdown). Every run writes a manifest with the sha256
-of the config bytes it parsed and of the bytes written to each output; outputs
-are written atomically (temp file + rename) and contain no timestamps, so a
-rerun with identical inputs is byte-identical. Every command resolves its robot
-from the config file through scenario_from_config, after main merges the
-options that override config keys (OVERRIDES) into the file's values.
+2 config/usage error, out of memory or an output that cannot be written, 3
+infeasible geometry, 4 takeoff run ended before its duration (divergence or
+touchdown). Every command resolves its robot from the config file through
+scenario_from_config, after main merges the options that override config keys
+(OVERRIDES) into the file's values, then prints its report and returns its
+outputs as writers. main alone publishes them and the manifest, with the sha256
+of the config bytes it parsed and of the bytes written to each output, and
+reads the one clock: outputs are written atomically (temp file + rename) and
+contain no timestamps, so a rerun with identical inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ OVERRIDES = {"seed": "sim.seed", "mode": "mode", "posture": "posture"}
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
         values, config_digest = load_config(args.config) if args.config else ({}, None)
         values |= {key: getattr(args, option) for option, key in OVERRIDES.items()
@@ -63,7 +66,21 @@ def main(argv=None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {args.out}: {exc}") from None
-        return args.func(args, values, config_digest)
+        code, outputs, scenarios, extra = args.func(args, values)
+        digests = {name: _publish(os.path.join(args.out, name), write)
+                   for name, write in outputs.items()}
+        name = args.command.replace("-", "_")
+        text = json.dumps({
+            "tool": "tvcsim",
+            "version": __version__,
+            "command": name,
+            "resolved_config": {"scenarios": scenarios} | extra,
+            "input_hashes": {"config": config_digest},
+            "outputs": digests,
+            "wall_clock_s": round(time.monotonic() - started, 3),
+        }, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        _publish(os.path.join(args.out, f"{name}_manifest.json"), _text_writer(text))
+        return code
     except ValueError as exc:  # ConfigError and UnknownPostureError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -122,35 +139,27 @@ def _publish(path: str, write) -> str:
 
     write(fh) fills fh, a binary file on the descriptor of a unique temp file
     beside path, and returns the bytes written; fh is closed on every path, and
-    the temp file then replaces path, or is removed if writing or the rename fails."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".")
+    the temp file then replaces path, or is removed if writing or the rename fails.
+    An OSError becomes a ConfigError that names path, not the random temp name."""
     try:
-        with open(fd, "wb") as fh:
-            os.fchmod(fd, 0o644)  # mkstemp's 0600 would make outputs private
-            data = write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   prefix=os.path.basename(path) + ".")
+        try:
+            with open(fd, "wb") as fh:
+                os.fchmod(fd, 0o644)  # mkstemp's 0600 would make outputs private
+                data = write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_manifest(out_dir, name, config_digest, scenarios, extra, outputs, started) -> str:
-    """Manifest with the resolved scenario of every posture run; returns its file name."""
-    manifest = {
-        "tool": "tvcsim",
-        "version": __version__,
-        "command": name,
-        "resolved_config": {"scenarios": scenarios} | extra,
-        "input_hashes": {"config": config_digest},
-        "outputs": outputs,
-        "wall_clock_s": round(time.monotonic() - started, 3),
-    }
-    path = os.path.join(out_dir, f"{name}_manifest.json")
-    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _publish(path, lambda fh: write_text(fh, text))
-    return os.path.basename(path)
+def _text_writer(text):
+    """A _publish writer of text; binding text here keeps each writer made in a loop its own."""
+    return lambda fh: write_text(fh, text)
 
 
 def _rows_as_json(header, rows) -> str:
@@ -158,7 +167,7 @@ def _rows_as_json(header, rows) -> str:
                       indent=2, allow_nan=False) + "\n"
 
 
-def cmd_envelope(args, values, config_digest) -> int:
+def cmd_envelope(args, values):
     # the one command that solves arrays of LPs, so the one that loads numpy
     from .envelope import (
         ENVELOPE_CSV_HEADER,
@@ -168,7 +177,6 @@ def cmd_envelope(args, values, config_digest) -> int:
         write_envelope_csv,
     )
 
-    started = time.monotonic()
     settings = envelope_settings_from_config(values)
     if args.postures is not None:
         postures = [p.strip() for p in args.postures.split(",") if p.strip()]
@@ -190,13 +198,11 @@ def cmd_envelope(args, values, config_digest) -> int:
         # even hover level, that is reported ahead of an invalid sweep
         (ratio_max, ratio_min), points = _level_ratio_and_sweep(
             geo, constraint, settings.theta_pitch_range, settings.n_points)
-        path = os.path.join(args.out, f"envelope_{name}.{args.format}")
         if args.format == "csv":
-            digest = _publish(path, lambda fh: write_envelope_csv(points, fh))
+            write = functools.partial(write_envelope_csv, points)
         else:
-            text = _rows_as_json(ENVELOPE_CSV_HEADER, envelope_rows(points))
-            digest = _publish(path, lambda fh: write_text(fh, text))
-        outputs[os.path.basename(path)] = digest
+            write = _text_writer(_rows_as_json(ENVELOPE_CSV_HEADER, envelope_rows(points)))
+        outputs[f"envelope_{name}.{args.format}"] = write
         reports.append((name, geo, ratio_max, ratio_min))
 
     for name, geo, ratio_max, ratio_min in reports:
@@ -204,28 +210,19 @@ def cmd_envelope(args, values, config_digest) -> int:
               f"L_f={geo.fan_spacing_feet} m com=({geo.com_body[0]:.3f}, "
               f"{geo.com_body[2]:.3f}) m feet=({geo.fan_foot_x:.3f}, {geo.fan_foot_z:.3f}) m")
         print(f"{name}: tvc/dt ratio @0deg: tau_max {ratio_max:.2f}, |tau_min| {ratio_min:.2f}")
-    manifest = _write_manifest(args.out, "envelope", config_digest, [asdict(c) for c in cfgs],
-                               {"envelope": asdict(settings)}, outputs, started)
-    print(f"wrote {len(cfgs)} envelope file(s) + {manifest}")
-    return EXIT_OK
+    print(f"wrote {len(cfgs)} envelope file(s) + envelope_manifest.json")
+    return EXIT_OK, outputs, [asdict(c) for c in cfgs], {"envelope": asdict(settings)}
 
 
-def cmd_takeoff(args, values, config_digest) -> int:
-    started = time.monotonic()
+def cmd_takeoff(args, values):
     cfg = scenario_from_config(values)
     log = run_scenario(cfg)
     events = log.events_json() + "\n"  # a non-finite event fails before any file is written
-
-    log_name = f"takeoff_log.{args.format}"
-    if args.format == "csv":
-        log_digest = _publish(os.path.join(args.out, log_name), log.write_csv)
-    else:
-        text = _rows_as_json(log.header, log.rows)
-        log_digest = _publish(os.path.join(args.out, log_name), lambda fh: write_text(fh, text))
-    events_digest = _publish(os.path.join(args.out, "takeoff_events.json"),
-                             lambda fh: write_text(fh, events))
-    _write_manifest(args.out, "takeoff", config_digest, [log.scenario], {},
-                    {log_name: log_digest, "takeoff_events.json": events_digest}, started)
+    outputs = {
+        f"takeoff_log.{args.format}": log.write_csv if args.format == "csv"
+        else _text_writer(_rows_as_json(log.header, log.rows)),
+        "takeoff_events.json": _text_writer(events),
+    }
 
     ev = log.events
     liftoff = ev["liftoff_time_s"]
@@ -236,11 +233,11 @@ def cmd_takeoff(args, values, config_digest) -> int:
         f"max|pitch|={ev['max_abs_pitch_deg']:.1f} deg max|yaw|={ev['max_abs_yaw_deg']:.1f} deg"
         + ("" if ev["termination"] == "duration" else f" [{ev['termination'].upper()}]")
     )
-    return EXIT_OK if ev["termination"] == "duration" else EXIT_ENDED_EARLY
+    code = EXIT_OK if ev["termination"] == "duration" else EXIT_ENDED_EARLY
+    return code, outputs, [log.scenario], {}
 
 
-def cmd_trim(args, values, config_digest) -> int:
-    started = time.monotonic()
+def cmd_trim(args, values):
     cfg = scenario_from_config(values)
     geo = cfg.geometry()
     fs, theta_pitch = hover_trim(geo, equal_thrust=not args.waist_differential,
@@ -256,13 +253,10 @@ def cmd_trim(args, values, config_digest) -> int:
     print(f"foot_angle_right_deg={math.degrees(fs.theta_right):.6f}")
     print(f"theta_pitch_deg={math.degrees(theta_pitch):.6f}")
     print(f"residual_wrench_norm={residual:.3e}")
-    _write_manifest(args.out, "trim", config_digest, [asdict(cfg)],
-                    {"waist_differential": args.waist_differential}, {}, started)
-    return EXIT_OK
+    return EXIT_OK, {}, [asdict(cfg)], {"waist_differential": args.waist_differential}
 
 
-def cmd_wrench_eval(args, values, config_digest) -> int:
-    started = time.monotonic()
+def cmd_wrench_eval(args, values):
     cfg = scenario_from_config(values)
     geo = cfg.geometry()
     for name in ("thrust_ff", "thrust_fb", "thrust_fl", "thrust_fr", "theta_l", "theta_r",
@@ -284,12 +278,11 @@ def cmd_wrench_eval(args, values, config_digest) -> int:
     print(f"ty1={w.t_y1:.6f}")
     print(f"ty2={w.t_y2:.6f}")
     print(f"ty3={w.t_y3:.6f}")
-    _write_manifest(args.out, "wrench_eval", config_digest, [asdict(cfg)],
-                    {"fan_state": {"f_front": args.thrust_ff, "f_back": args.thrust_fb,
-                                   "f_left": args.thrust_fl, "f_right": args.thrust_fr,
-                                   "theta_l_deg": args.theta_l, "theta_r_deg": args.theta_r,
-                                   "theta_pitch_deg": args.theta_pitch}}, {}, started)
-    return EXIT_OK
+    return EXIT_OK, {}, [asdict(cfg)], {"fan_state": {
+        "f_front": args.thrust_ff, "f_back": args.thrust_fb,
+        "f_left": args.thrust_fl, "f_right": args.thrust_fr,
+        "theta_l_deg": args.theta_l, "theta_r_deg": args.theta_r,
+        "theta_pitch_deg": args.theta_pitch}}
 
 
 if __name__ == "__main__":

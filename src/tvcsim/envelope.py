@@ -99,52 +99,51 @@ class SweepPoint:
     tvc: EnvelopePoint | None
 
 
-def lp_max_covering(c, a, r, upper):
-    """Maximize c.x s.t. a.x >= r, 0 <= x_i <= upper_i, for each row. Exact.
+def lp_max_covering(c, a, floor, cap):
+    """Maximize c.x s.t. a.x >= floor, 0 <= x_i <= cap, for each row. Exact.
 
-    c and a are (n, k) float arrays holding one LP per row; r broadcasts
-    against the rows and upper against (n, k). Returns (value, x): value is
-    -inf on infeasible rows, whose x means nothing. With a single covering
+    c and a are (n, k) float arrays holding one LP per row; floor and cap are
+    floats shared by every row. Returns (value, x): value is -inf on
+    infeasible rows, whose x means nothing. With a single covering
     constraint the optimum is reached by starting from the unconstrained box
     optimum and buying constraint slack from the variables with the best
     objective-per-slack ratio, ties to the lower index; at most one variable
-    ends up strictly between its bounds. a, x and upper are gathered into cost
+    ends up strictly between its bounds. a and x are gathered into cost
     order, one array per step, so each row takes the steps a row-by-row loop would.
     """
-    u = np.broadcast_to(np.asarray(upper, dtype=float), c.shape)
     n, m = c.shape
     cols = range(m)
 
     def row_sum(v):  # left to right, as a loop over the variables adds
         return sum(v[:, i] for i in cols)
 
-    x = np.where((c > 0.0) | ((c == 0.0) & (a > 0.0)), u, 0.0)
-    cap = row_sum(np.where(a > 0.0, a * u, 0.0))
-    gap = r - row_sum(a * x)
+    x = np.where((c > 0.0) | ((c == 0.0) & (a > 0.0)), cap, 0.0)
+    reach = row_sum(np.where(a > 0.0, a * cap, 0.0))
+    gap = floor - row_sum(a * x)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # moves that raise a.x, cheapest objective loss per unit of slack first
-        movable = ((x == 0.0) & (a > 0.0)) | ((x == u) & (a < 0.0))
+        movable = ((x == 0.0) & (a > 0.0)) | ((x == cap) & (a < 0.0))
         order = np.argsort(np.where(movable, -(c / a), np.inf), axis=1, kind="stable")
         by_cost = np.add(order.T, m * np.arange(n), order="C")  # flat positions, a row a step
-        a_s, x_s, u_s = (v.reshape(-1)[by_cost] for v in (a, x, u))
+        a_s, x_s = (v.reshape(-1)[by_cost] for v in (a, x))
         up = (x_s == 0.0) & (a_s > 0.0)
-        movable = up | ((x_s == u_s) & (a_s < 0.0))
+        movable = up | ((x_s == cap) & (a_s < 0.0))
         slope = np.abs(a_s)
-        gain, full = slope * u_s, np.where(up, u_s, 0.0)
+        gain, full = slope * cap, np.where(up, cap, 0.0)
         buying = gap > _FEAS_TOL
         for k in cols:
             move = buying & movable[k]
             last = move & (gain[k] >= gap - _FEAS_TOL)
             span = gap / slope[k]  # > 0: only rows still buying (gap > tol) use it
             np.copyto(x_s[k], full[k], where=move)
-            np.copyto(x_s[k], np.where(up[k], span, u_s[k] - span), where=last)
+            np.copyto(x_s[k], np.where(up[k], span, cap - span), where=last)
             np.subtract(gap, gain[k], out=gap, where=move)
             np.copyto(gap, 0.0, where=last)
             buying &= ~last
     x.reshape(-1)[by_cost] = x_s  # x is contiguous, so this writes x
     value = row_sum(c * x)
-    feasible = ~(cap < r - _FEAS_TOL) & ~(gap > _FEAS_TOL)
+    feasible = ~(reach < floor - _FEAS_TOL) & ~(gap > _FEAS_TOL)
     return np.where(feasible, value, -np.inf), x
 
 

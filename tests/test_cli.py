@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import warnings
 
@@ -14,7 +15,12 @@ import pytest
 
 from tvcsim.cli import _publish, main
 from tvcsim import cli, envelope
-from tvcsim.config import envelope_settings_from_config, load_config, scenario_from_config
+from tvcsim.config import (
+    ConfigError,
+    envelope_settings_from_config,
+    load_config,
+    scenario_from_config,
+)
 from tvcsim.oracles import wrench_brute_force
 from tvcsim.spatial import quat_from_pitch
 from tvcsim.wrench import FanState, total_wrench
@@ -655,10 +661,58 @@ def test_atomic_write_removes_its_temp_file_on_failure(tmp_path):
         fh.write(b"partial")
         raise OSError("disk full")
 
+    # the message names the output, not the random temp file
     target = tmp_path / "out.csv"
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(target))}: disk full$"):
         _publish(str(target), fail)
     assert list(tmp_path.iterdir()) == []
+
+
+# (command, the output blocked by a directory, the files published before it)
+BLOCKED_OUTPUTS = [
+    ("takeoff", "takeoff_log.csv", []),
+    ("takeoff", "takeoff_manifest.json", ["takeoff_events.json", "takeoff_log.csv"]),
+    ("envelope", "envelope_P1.csv", []),
+    ("envelope", "envelope_manifest.json", ["envelope_P1.csv"]),
+    ("trim", "trim_manifest.json", []),
+    ("wrench-eval", "wrench_eval_manifest.json", []),
+]
+
+
+@pytest.mark.parametrize("command, blocked, published", BLOCKED_OUTPUTS)
+def test_an_output_that_cannot_be_written_is_one_line_exit_2(tmp_path, capsys, command,
+                                                              blocked, published):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration_s = 0.05\nenvelope.n_points = 5\n")
+    code, _, err = run_cli(["--config", str(cfg), "--out", str(out), *COMMANDS[command]],
+                           capsys)
+    assert code == 2
+    assert err == f"error: cannot write {out / blocked}: Is a directory\n"
+    # the files published before the failure remain; no temp file does
+    assert sorted(p.name for p in out.iterdir()) == sorted([*published, blocked])
+    assert list((out / blocked).iterdir()) == []
+
+
+@pytest.mark.parametrize("error, code", [(envelope.EnvelopeInfeasibleError, 3), (ValueError, 2)])
+def test_a_failed_later_posture_leaves_no_orphan_files(tmp_path, capsys, monkeypatch, error,
+                                                        code):
+    # the first posture's file goes with the run: nothing is published without a manifest
+    solve, calls = envelope._level_ratio_and_sweep, []
+
+    def fail_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise error("the second posture fails")
+        return solve(*args)
+
+    monkeypatch.setattr(envelope, "_level_ratio_and_sweep", fail_second)
+    out = tmp_path / "out"
+    got, stdout, err = run_cli(["--out", str(out), "envelope", "--postures", "P1,P2"], capsys)
+    assert (got, stdout, len(calls)) == (code, "", 2)
+    assert err.endswith(": the second posture fails\n")
+    assert list(out.iterdir()) == []
 
 
 def test_atomic_write_closes_its_temp_file_when_the_writer_fails_first(tmp_path):

@@ -30,124 +30,103 @@ P1 = geometry_from_posture(P1_POSTURE)
 HOVER = EnvelopeConstraint.hover(P1, P1_POSTURE)
 
 
-def lp_oracle(c, a, r, upper):
+def lp_oracle(c, a, floor, cap):
     """Vertex enumeration for the covering-constraint LP."""
     best = None
-    corners = [(x, y, z) for x in (0.0, upper[0]) for y in (0.0, upper[1])
-               for z in (0.0, upper[2])]
-    candidates = list(corners)
+    candidates = [(x, y, z) for x in (0.0, cap) for y in (0.0, cap) for z in (0.0, cap)]
     for free in range(3):
         if a[free] == 0.0:
             continue
         others = [k for k in range(3) if k != free]
-        for b1 in (0.0, upper[others[0]]):
-            for b2 in (0.0, upper[others[1]]):
-                val = (r - a[others[0]] * b1 - a[others[1]] * b2) / a[free]
-                if -1e-9 <= val <= upper[free] + 1e-9:
+        for b1 in (0.0, cap):
+            for b2 in (0.0, cap):
+                val = (floor - a[others[0]] * b1 - a[others[1]] * b2) / a[free]
+                if -1e-9 <= val <= cap + 1e-9:
                     point = [0.0, 0.0, 0.0]
                     point[others[0]], point[others[1]] = b1, b2
-                    point[free] = min(max(val, 0.0), upper[free])
+                    point[free] = min(max(val, 0.0), cap)
                     candidates.append(tuple(point))
     for point in candidates:
-        if sum(ai * xi for ai, xi in zip(a, point)) >= r - 1e-9:
+        if sum(ai * xi for ai, xi in zip(a, point)) >= floor - 1e-9:
             value = sum(ci * xi for ci, xi in zip(c, point))
             if best is None or value > best:
                 best = value
     return best
 
 
-def greedy_reference(c, a, r, upper):
+def greedy_reference(c, a, floor, cap):
     """The greedy one row at a time in plain floats: (value, x) or None."""
     n = len(c)
-    cap = sum(a[i] * upper[i] for i in range(n) if a[i] > 0.0)
-    if cap < r - 1e-9:
+    reach = sum(a[i] * cap for i in range(n) if a[i] > 0.0)
+    if reach < floor - 1e-9:
         return None
-    x = [upper[i] if c[i] > 0.0 or (c[i] == 0.0 and a[i] > 0.0) else 0.0 for i in range(n)]
-    gap = r - sum(a[i] * x[i] for i in range(n))
+    x = [cap if c[i] > 0.0 or (c[i] == 0.0 and a[i] > 0.0) else 0.0 for i in range(n)]
+    gap = floor - sum(a[i] * x[i] for i in range(n))
     moves = sorted((-(c[i] / a[i]), i, 1.0 if x[i] == 0.0 else -1.0) for i in range(n)
-                   if (x[i] == 0.0 and a[i] > 0.0) or (x[i] == upper[i] and a[i] < 0.0))
+                   if (x[i] == 0.0 and a[i] > 0.0) or (x[i] == cap and a[i] < 0.0))
     for _, i, direction in moves if gap > 1e-9 else ():
-        gain = abs(a[i]) * upper[i]
+        gain = abs(a[i]) * cap
         if gain >= gap - 1e-9:
             span = max(0.0, gap / abs(a[i]))
-            x[i] = span if direction > 0.0 else upper[i] - span
+            x[i] = span if direction > 0.0 else cap - span
             gap = 0.0
             break
-        x[i] = upper[i] if direction > 0.0 else 0.0
+        x[i] = cap if direction > 0.0 else 0.0
         gap -= gain
     if gap > 1e-9:
         return None
     return sum(c[i] * x[i] for i in range(n)), x
 
 
-# (c, a, r, upper) rows the random draw almost never produces
+# (c, a, floor) rows the random draw almost never produces, each solved at a cap of 40
 DEGENERATE_LPS = [
-    ([0.5, -0.3, 0.2], [1.0, 0.0, 0.5], 30.0, [40.0, 40.0, 40.0]),  # a_i = 0
-    ([-0.4, 0.0, 0.3], [2.0, 0.0, -1.0], 10.0, [40.0, 40.0, 40.0]),  # a_i = 0 with c_i = 0
-    ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 50.0, [40.0, 40.0, 40.0]),  # c = 0: every point ties
-    ([0.0, -0.2, 0.4], [-1.0, 0.5, 1.0], 20.0, [40.0, 40.0, 40.0]),  # c_i = 0, a_i < 0
-    ([-0.5, -0.5, -1.0], [1.0, 1.0, 2.0], 30.0, [40.0, 40.0, 40.0]),  # equal ratios
-    ([-1.0, 1.0, -0.5], [1.0, 1.0, 1.0], 0.0, [40.0, 40.0, 40.0]),  # r = 0
-    ([-1.0, 1.0, -0.5], [-1.0, 1.0, 1.0], -5.0, [40.0, 40.0, 40.0]),  # r < 0
-    ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 121.0, [40.0, 40.0, 40.0]),  # above the box
-    ([1.0, 0.0, 0.0], [-1.0, -1.0, -0.5], 1.0, [40.0, 40.0, 40.0]),  # no a_i > 0
-    ([0.3, 0.3, 0.3], [0.0, 0.0, 0.0], 1.0, [40.0, 40.0, 40.0]),  # a = 0, r > 0
+    ([0.5, -0.3, 0.2], [1.0, 0.0, 0.5], 30.0),  # a_i = 0
+    ([-0.4, 0.0, 0.3], [2.0, 0.0, -1.0], 10.0),  # a_i = 0 with c_i = 0
+    ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 50.0),  # c = 0: every point ties
+    ([0.0, -0.2, 0.4], [-1.0, 0.5, 1.0], 20.0),  # c_i = 0, a_i < 0
+    ([-0.5, -0.5, -1.0], [1.0, 1.0, 2.0], 30.0),  # equal ratios
+    ([-1.0, 1.0, -0.5], [1.0, 1.0, 1.0], 0.0),  # floor = 0
+    ([-1.0, 1.0, -0.5], [-1.0, 1.0, 1.0], -5.0),  # floor < 0
+    ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 121.0),  # above the box
+    ([1.0, 0.0, 0.0], [-1.0, -1.0, -0.5], 1.0),  # no a_i > 0
+    ([0.3, 0.3, 0.3], [0.0, 0.0, 0.0], 1.0),  # a = 0, floor > 0
 ]
+EQUAL_RATIOS = 4  # the DEGENERATE_LPS row whose moves all cost the same
 
 
-def test_lp_against_vertex_enumeration():
-    # one kernel call solves every row, each checked against the scalar oracle
+@pytest.mark.parametrize("floor, cap", sorted(
+    {(floor, 40.0) for *_, floor in DEGENERATE_LPS} | {(2.0, 2.0), (-1.0, 2.0), (1.0, 0.5)}))
+def test_lp_is_the_row_by_row_greedy_and_meets_vertex_enumeration(floor, cap):
+    # the envelope passes one floor and one cap: one kernel call solves the
+    # random rows, the degenerate rows (each at its own floor with a cap of 40
+    # among the pairs) and integer rows in -2..2, where ties and zero
+    # coefficients abound; each row takes the greedy's steps bit for bit and
+    # meets the scalar oracle
     rng = np.random.default_rng(21)
-    c = rng.uniform(-1.0, 1.0, (500, 3))
-    a = rng.uniform(-1.0, 2.0, (500, 3))
-    upper = rng.uniform(0.5, 60.0, (500, 3))
-    r = rng.uniform(-20.0, 120.0, 500)
-    extra_c, extra_a, extra_r, extra_upper = (np.array(col) for col in zip(*DEGENERATE_LPS))
-    c, a = np.vstack([c, extra_c]), np.vstack([a, extra_a])
-    r, upper = np.concatenate([r, extra_r]), np.vstack([upper, extra_upper])
-    value, x = lp_max_covering(c, a, r, upper)
-    assert value.shape == (len(r),) and x.shape == c.shape
-    infeasible = 0
-    for i in range(len(r)):
-        # bit-identical to the greedy run on this row alone
-        ref = greedy_reference(*(list(map(float, v)) for v in (c[i], a[i])), float(r[i]),
-                               list(map(float, upper[i])))
-        if ref is None:
-            assert value[i] == -math.inf
-        else:
-            assert value[i] == ref[0] and x[i].tolist() == ref[1]
-        want = lp_oracle(c[i], a[i], r[i], upper[i])
-        if want is None:
-            assert value[i] == -math.inf
-            infeasible += 1
-            continue
-        assert value[i] == pytest.approx(want, abs=1e-7)
-        assert c[i] @ x[i] == pytest.approx(value[i], abs=1e-9)
-        assert a[i] @ x[i] >= r[i] - 1e-7
-        assert np.all(x[i] >= -1e-9) and np.all(x[i] <= upper[i] + 1e-9)
-    assert infeasible >= 3  # the three degenerate infeasible rows, at least
-    # equal objective-per-slack ratios go to the lower index
-    np.testing.assert_array_equal(x[500 + 4], [30.0, 0.0, 0.0])
-
-
-@pytest.mark.parametrize("cap", [40.0, 2.0, 0.5])
-def test_lp_with_one_shared_cap_is_the_row_by_row_greedy(cap):
-    # the envelope passes one scalar cap, which the kernel reads without a
-    # gather: the random rows, the degenerate rows and integer rows in -2..2,
-    # where ties and zero coefficients abound, each take the greedy's steps
-    rng = np.random.default_rng(21)
-    ties = rng.integers(-2, 3, (3, 500, 3)).astype(float)
-    extra_c, extra_a, extra_r, _ = zip(*DEGENERATE_LPS)
+    ties = rng.integers(-2, 3, (2, 500, 3)).astype(float)
+    extra_c, extra_a, _ = zip(*DEGENERATE_LPS)
     c = np.vstack([rng.uniform(-1.0, 1.0, (500, 3)), extra_c, ties[0]])
     a = np.vstack([rng.uniform(-1.0, 2.0, (500, 3)), extra_a, ties[1]])
-    r = np.concatenate([rng.uniform(-20.0, 120.0, 500), extra_r, ties[2][:, 0]])
-    value, x = lp_max_covering(c, a, r, cap)
-    for i in range(len(r)):
-        ref = greedy_reference(c[i].tolist(), a[i].tolist(), float(r[i]), [cap] * 3)
+    value, x = lp_max_covering(c, a, floor, cap)
+    assert value.shape == (len(c),) and x.shape == c.shape
+    for i in range(len(c)):
+        ref = greedy_reference(c[i].tolist(), a[i].tolist(), floor, cap)
         if ref is None:
             assert value[i] == -math.inf
         else:
             assert value[i] == ref[0] and x[i].tolist() == ref[1], i
+        want = lp_oracle(c[i], a[i], floor, cap)
+        if want is None:
+            assert value[i] == -math.inf
+            continue
+        assert value[i] == pytest.approx(want, abs=1e-7)
+        assert c[i] @ x[i] == pytest.approx(value[i], abs=1e-9)
+        assert a[i] @ x[i] >= floor - 1e-7
+        assert np.all(x[i] >= -1e-9) and np.all(x[i] <= cap + 1e-9)
+    # x = 0 meets a floor <= 0; the a = 0 row misses every floor above 0
+    assert (value == -math.inf).any() == (floor > 0.0)
+    if 0.0 < floor <= cap:  # equal objective-per-slack ratios go to the lower index
+        assert x[500 + EQUAL_RATIOS].tolist() == [floor, 0.0, 0.0]
 
 
 def test_dt_extrema_hand_arithmetic():

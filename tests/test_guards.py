@@ -4,8 +4,8 @@ numpy is imported and loaded, on what the oracles import from the package, on
 the one geometry construction, on the takeoff loop's and the hover trim's
 wrench evaluations, rotation-matrix builds and fan-state constructions, on
 the loop's attitude readouts, on the takeoff step's one derivative template
-and the commands that compile it, on the one source of the pitch arms and on
-the envelope solver's batching."""
+and the commands that compile it, on the one source of the pitch arms, on
+the envelope solver's batching and on the one home of the run record."""
 
 import ast
 import dis
@@ -435,3 +435,12 @@ def test_envelope_command_makes_one_kernel_call_per_posture(tmp_path, monkeypatc
         assert cli.main(["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out"),
                          "envelope", "--postures", postures]) == code, text
         assert calls == len(postures.split(",")), text
+
+
+def test_only_cli_main_publishes_outputs_and_reads_the_clock():
+    # the run record has one home: each command returns its outputs, and main
+    # alone times the run and publishes the outputs and the one manifest
+    tree = ast.parse((ROOT / "src" / "tvcsim" / "cli.py").read_text())
+    users = {(node.id, top.name) for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Name) and node.id in ("_publish", "time")}
+    assert users == {("_publish", "main"), ("time", "main")}

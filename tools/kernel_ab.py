@@ -12,8 +12,8 @@ script
    and without Perturbation.standard() at dt 0.2, 1 and 2 ms, and requires
    the 16 returned floats bit for bit, or the same exception and message;
    it also requires the bits of both trees' envelope.lp_max_covering on
-   random, extreme and integer (tie-heavy) rows with a scalar cap, one cap
-   per row and one per element, and the reprs of max_pitch_torque_dt/_tvc,
+   random, extreme and integer (tie-heavy) rows, with one scalar floor and
+   one scalar cap per batch, and the reprs of max_pitch_torque_dt/_tvc,
    tvc_dt_ratio and envelope_sweep, or the same exception and message, on
    random robots and searches, infeasible and overflowing ones among them;
 2. runs, through tvcsim.cli.main, each tree in its own subprocess:
@@ -131,23 +131,25 @@ def compare_steps(a, b) -> int:
 
 
 def lp_cases(rng):
-    """(c, a, r, upper) for envelope.lp_max_covering: random rows, rows of
+    """(c, a, floor, cap) for envelope.lp_max_covering: random rows, rows of
     signed zeros, tiny and huge values, and integer rows in -2..2, where ties
-    and zero coefficients abound; each with a scalar cap, one per row and one
-    per element."""
+    and zero coefficients abound; three batches of each, with one scalar
+    floor and one scalar cap drawn per batch."""
     n = 3000
     extreme = np.array([0.0, -0.0, 5e-324, -1e-300, 1.0, -2.0, 1e300, -1.7976931348623157e308])
-    batches = [
-        (rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 2.0, (n, 3)),
-         rng.uniform(-20.0, 120.0, n), lambda shape: rng.uniform(0.5, 60.0, shape)),
-        (rng.choice(extreme, (n, 3)), rng.choice(extreme, (n, 3)), rng.choice(extreme, n),
-         lambda shape: np.abs(rng.choice(extreme, shape))),
-        (*(rng.integers(-2, 3, shape).astype(float) for shape in ((n, 3), (n, 3), n)),
-         lambda shape: rng.integers(0, 3, shape).astype(float)),
+    families = [
+        (lambda: rng.uniform(-1.0, 1.0, (n, 3)), lambda: rng.uniform(-1.0, 2.0, (n, 3)),
+         lambda: rng.uniform(-20.0, 120.0), lambda: rng.uniform(0.5, 60.0)),
+        (lambda: rng.choice(extreme, (n, 3)), lambda: rng.choice(extreme, (n, 3)),
+         lambda: rng.choice(extreme), lambda: abs(rng.choice(extreme))),
+        (lambda: rng.integers(-2, 3, (n, 3)).astype(float),
+         lambda: rng.integers(-2, 3, (n, 3)).astype(float),
+         lambda: rng.integers(-2, 3), lambda: rng.integers(0, 3)),
     ]
-    for c, a, r, caps in batches:
-        for shape in ((), (n, 1), (n, 3)):
-            yield c, a, r, caps(shape)
+    for draws in families:
+        for _ in range(3):
+            c, a, floor, cap = (draw() for draw in draws)
+            yield c, a, float(floor), float(cap)
 
 
 def lp_outcome(envelope, case) -> bytes | str:
@@ -213,7 +215,7 @@ def compare_envelope(a, b) -> int:
         total_lp += 1
         if lp_outcome(a["envelope"], case) != lp_outcome(b["envelope"], case):
             bad_lp += 1
-            print(f"  lp mismatch: batch {total_lp}, cap shape {np.shape(case[3])}")
+            print(f"  lp mismatch: batch {total_lp}, floor {case[2]!r}, cap {case[3]!r}")
     print(f"lp_max_covering: {total_lp} batches of 3000 rows, {bad_lp} mismatches")
     cases = list(envelope_cases(np.random.default_rng(44)))
     pairs = list(zip(envelope_outcomes(a, cases), envelope_outcomes(b, cases)))

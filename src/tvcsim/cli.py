@@ -184,6 +184,9 @@ def cmd_envelope(args, values):
         postures = [values["posture"]] if "posture" in values else ["P1", "P2", "P3"]
     if not postures:
         raise ConfigError("no postures given")
+    for k, name in enumerate(postures):  # each label names its own output file
+        if name in postures[:k]:
+            raise ConfigError(f"posture {name} is given twice in --postures")
     cfgs = [scenario_from_config(values | {"posture": name}) for name in postures]
     outputs = {}
     reports = []

@@ -83,6 +83,7 @@ POSITION_GUARD_M = 100.0
 RATE_GUARD_RAD_S = 100.0
 MAX_PHYSICS_DT = 0.002
 MAX_STEPS = 1_000_000  # 400 default runs; a grounded run ends only after all of them
+MAX_FOOT_AXIS_BIAS = math.radians(10.0)  # |Perturbation.foot_axis_misalignment_*|
 
 LOG_HEADER = [
     "time_s", "px", "py", "pz", "vx", "vy", "vz",
@@ -131,12 +132,16 @@ class Perturbation:
         self.thrust_scale = tuple(map(float, self.thrust_scale))
         if len(self.com_offset) != 3 or len(self.thrust_scale) != 4:
             raise ValueError("com_offset needs 3 values and thrust_scale 4")
-        cap = math.radians(10.0)
-        for name in ("foot_axis_misalignment_left", "foot_axis_misalignment_right"):
-            if abs(getattr(self, name)) > cap:
-                raise ValueError(f"|{name}| must be <= 10 deg")
-        if not all(0.8 <= k <= 1.2 for k in self.thrust_scale):  # a NaN fails too
+        if not abs(self.foot_axis_misalignment_left) <= MAX_FOOT_AXIS_BIAS:  # a NaN fails too
+            raise ValueError("|foot_axis_misalignment_left| must be <= 10 deg")
+        if not abs(self.foot_axis_misalignment_right) <= MAX_FOOT_AXIS_BIAS:
+            raise ValueError("|foot_axis_misalignment_right| must be <= 10 deg")
+        front, back, left, right = self.thrust_scale
+        if not (0.8 <= front <= 1.2 and 0.8 <= back <= 1.2 and 0.8 <= left <= 1.2
+                and 0.8 <= right <= 1.2):
             raise ValueError("thrust_scale factors must lie in [0.8, 1.2]")
+        if not all(map(math.isfinite, self.com_offset)):
+            raise ValueError("com_offset must be finite")
 
     @classmethod
     def standard(cls) -> "Perturbation":

@@ -29,8 +29,7 @@ array forms of them and by fan_layout, which lists the per-fan forces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .robot import RobotGeometry
 from .spatial import (
@@ -44,7 +43,7 @@ from .spatial import (
 
 @dataclass
 class FanState:
-    """Commanded or actual thrusts (N) and foot fan pitch angles (rad)."""
+    """Commanded or actual thrusts (N) and foot fan pitch angles (rad), as floats."""
 
     f_front: float
     f_back: float
@@ -54,9 +53,12 @@ class FanState:
     theta_right: float = 0.0
 
     def __post_init__(self):
-        for name in ("f_front", "f_back", "f_left", "f_right"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        thrusts = self.f_front, self.f_back, self.f_left, self.f_right
+        for name, f in zip(("f_front", "f_back", "f_left", "f_right"), thrusts):
+            if f < 0.0:  # a NaN passes, for the takeoff's divergence guards
+                raise ValueError(f"{name} must be >= 0, got {f}")
+        self.f_front, self.f_back, self.f_left, self.f_right = map(float, thrusts)
+        self.theta_left, self.theta_right = float(self.theta_left), float(self.theta_right)
 
     @classmethod
     def uniform(cls, thrust: float, theta: float = 0.0) -> "FanState":
@@ -66,7 +68,7 @@ class FanState:
 @dataclass
 class Wrench:
     """The fan force/torque in {B} with the pitch decomposition, and the net
-    force/torque in {W} at the attitude, computed on first access.
+    force/torque in {W} at the attitude, computed when the wrench is built.
 
     force_body excludes gravity; like torque_body it is a float 3-tuple that
     does not depend on the attitude.
@@ -79,22 +81,22 @@ class Wrench:
     t_y3: float
     orientation: tuple[float, float, float, float]
     weight: float  # M g, subtracted from the world-frame force
+    # (F_x, F_y, F_z, tau_x, tau_y, tau_z) in {W}: R(q) rotates the body rows,
+    # and the force loses the weight
+    world: tuple = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def world(self) -> tuple[float, float, float, float, float, float]:
-        """(F_x, F_y, F_z, tau_x, tau_y, tau_z) in {W}: R(q) rotates the body
-        rows, and the force loses the weight."""
+    def __post_init__(self):
         rot = quat_rotation_rows(quat_unit(self.orientation))
         f_x, f_y, f_z = _rotate(rot, self.force_body)
-        return (f_x, f_y, f_z - self.weight, *_rotate(rot, self.torque_body))
+        self.world = (f_x, f_y, f_z - self.weight, *_rotate(rot, self.torque_body))
 
-    @cached_property
+    @property
     def force_world(self):
         """The net world-frame force as a numpy array."""
         import numpy as np
         return np.array(self.world[:3])
 
-    @cached_property
+    @property
     def torque_world(self):
         """The world-frame torque as a numpy array."""
         import numpy as np
@@ -153,10 +155,9 @@ def fan_layout(
 def generalized_wrench_3d(fs: FanState, geo: RobotGeometry, orientation: Quat,
                           perturbation=None) -> Wrench:
     """Wrench at an arbitrary attitude: wrench_kernel's rows for one fan state,
-    which R(q) rotates into {W} on first access to a world-frame field."""
+    which R(q) rotates into {W}."""
     f_x, f_z, t_x, t_y1, t_y2, t_y3, t_z = wrench_kernel(geo, perturbation)(
         fs.f_front, fs.f_back, fs.f_left, fs.f_right, fs.theta_left, fs.theta_right)
-    # a float copy: a caller's array may change before the first world-frame access
     return Wrench((f_x, 0.0, f_z), (t_x, t_y1 + t_y2 + t_y3, t_z), t_y1, t_y2, t_y3,
                   tuple(map(float, orientation)), geo.weight)
 

@@ -70,6 +70,21 @@ def test_envelope_unknown_posture_exit_2(tmp_path, capsys):
     assert "P9" in err
 
 
+def test_envelope_repeated_posture_exit_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    # each label names one output file, so a repeated one is refused up front
+    def no_solve(*args):
+        raise AssertionError("solved a posture")
+
+    monkeypatch.setattr(envelope, "_level_ratio_and_sweep", no_solve)
+    for postures, name in (("P1,P1", "P1"), ("P2, P1,P2", "P2"), ("P3,P1,P1,P3", "P1")):
+        out = tmp_path / postures.replace(",", "_").replace(" ", "")
+        code, stdout, err = run_cli(["--out", str(out), "envelope", "--postures", postures],
+                                    capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: posture {name} is given twice in --postures\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_takeoff_both_on_events(tmp_path, capsys):
     code, out, _ = run_cli(["--out", str(tmp_path), "takeoff", "--mode", "both-on"],
                            capsys)

@@ -649,6 +649,18 @@ def test_perturbation_holds_float_tuples_and_rejects_a_nan_scale():
     assert all(type(v) is float for v in pert.com_offset + pert.thrust_scale)
     with pytest.raises(ValueError, match="thrust_scale"):
         Perturbation(thrust_scale=(1.0, math.nan, 1.0, 1.0))
+    # a NaN bias fails its cap like any other value past it, with the same message
+    for side in ("left", "right"):
+        for bias in (math.nan, math.radians(10.5), -math.inf):
+            with pytest.raises(ValueError,
+                               match=rf"^\|foot_axis_misalignment_{side}\| must be <= 10 deg$"):
+                Perturbation(**{f"foot_axis_misalignment_{side}": bias})
+        edge = Perturbation(**{f"foot_axis_misalignment_{side}": -math.radians(10.0)})
+        assert getattr(edge, f"foot_axis_misalignment_{side}") == -math.radians(10.0)
+    for offset in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), np.array([0.0, 0.0, -math.inf])):
+        with pytest.raises(ValueError, match=r"^com_offset must be finite$"):
+            Perturbation(com_offset=offset)
+    assert Perturbation(com_offset=(1e308, 1e308, -1e308)).com_offset == (1e308, 1e308, -1e308)
 
 
 def test_scenario_config_validation():

@@ -218,3 +218,32 @@ def test_misalignment_couple_produces_yaw_torque():
 def test_negative_thrust_rejected():
     with pytest.raises(ValueError):
         FanState(-1.0, 0.0, 0.0, 0.0)
+
+
+def test_fan_state_stores_floats_and_its_wrench_is_the_float_ones_bits():
+    # numpy scalars (as rng.uniform gives them) and ints are stored as floats,
+    # and their wrench is the plain-float state's, bit for bit
+    rng = np.random.default_rng(7)
+    thrusts, angles = rng.uniform(0.0, 50.0, 4), rng.uniform(-1.2, 1.5, 2)
+    q = quat_normalize(rng.normal(size=4))
+    for given, floats in (((*thrusts, *angles), (*thrusts.tolist(), *angles.tolist())),
+                          ((40, 35, 0, 12, 1, 0), (40.0, 35.0, 0.0, 12.0, 1.0, 0.0))):
+        fs = FanState(*given)
+        assert all(type(getattr(fs, name)) is float for name in
+                   ("f_front", "f_back", "f_left", "f_right", "theta_left", "theta_right"))
+        for pert in (None, Perturbation.standard()):
+            w, ref = (generalized_wrench_3d(state, P1, q, pert)
+                      for state in (fs, FanState(*floats)))
+            assert w == ref and w.world == ref.world
+            assert all(type(x) is float for x in w.world + w.force_body + w.torque_body)
+            assert w.force_world.tobytes() == ref.force_world.tobytes()
+            assert w.torque_world.tobytes() == ref.torque_world.tobytes()
+    with pytest.raises(ValueError, match=r"^f_right must be >= 0, got -3$"):
+        FanState(1, 2, 3, -3)  # the message shows the value as given
+
+
+def test_zero_quaternion_raises_at_the_call():
+    fs = FanState.uniform(HOVER_THRUST)
+    for q in ((0.0, 0.0, 0.0, 0.0), np.zeros(4)):
+        with pytest.raises(ValueError, match=r"^cannot normalize a zero quaternion$"):
+            generalized_wrench_3d(fs, P1, q)

@@ -3,8 +3,8 @@
     python tools/kernel_ab.py PARENT_ROOT CHANGE_ROOT [--rounds N]
 
 Each root is a checkout with src/tvcsim; CHANGE_ROOT also needs bench/,
-whose takeoff and envelope generators make the runs of checks 2 and 4. The
-script
+whose audit, takeoff and envelope generators make the cases of checks 1, 2
+and 4. The script
 
 1. steps both trees' sim.run_kernel on the same step cases (random states
    and loads over many magnitudes, signed zeros, rates below the small-angle
@@ -16,6 +16,14 @@ script
    one scalar cap per batch, and the reprs of max_pitch_torque_dt/_tvc,
    tvc_dt_ratio and envelope_sweep, or the same exception and message, on
    random robots and searches, infeasible and overflowing ones among them;
+   and it requires the same outcome of the wrench API on the states of the
+   bench audit ops Audit(seed).make(i), seeds 3, 7 and 11, ops 0-14, passed
+   as the op passes them (numpy scalars and arrays) and as plain floats, and
+   on int, negative, -0.0 and NaN thrusts, out-of-range perturbations and
+   zero quaternions: the stored fields of FanState and Perturbation, then
+   generalized_wrench_3d with its world, force_body, torque_body and t_y1-3
+   and the force_world and torque_world bytes, read as one unit, or the
+   first exception's type and message;
 2. runs, through tvcsim.cli.main, each tree in its own subprocess:
    - the bench takeoffs Takeoff(seed, integrator).make(i) for seeds 3, 7
      and 11, ops 0-14, both integrators, as generated and with
@@ -72,7 +80,16 @@ def load(root: str, alias: str) -> dict:
     sys.modules[alias] = pkg
     spec.loader.exec_module(pkg)
     return {name: importlib.import_module(f"{alias}.{name}")
-            for name in ("sim", "robot", "envelope", "cli")}
+            for name in ("sim", "robot", "envelope", "cli", "wrench")}
+
+
+def bench_workloads(change_root: str):
+    """change_root's bench/workloads.py, importing change_root's tvcsim."""
+    for path in (os.path.join(os.path.abspath(change_root), name) for name in ("bench", "src")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    import workloads
+    return workloads
 
 
 def kernels(tree, integrator: str) -> list:
@@ -227,6 +244,80 @@ def compare_envelope(a, b) -> int:
     return bad_lp + len(bad)
 
 
+def wrench_cases(workloads) -> list:
+    """(posture, fan state, quaternion, perturbation kwargs or None) cases:
+    the audit ops' states as the op passes them, then as plain floats, then
+    the edge cases."""
+    cases = []
+    for seed, index in itertools.product(SEEDS, range(OPS)):
+        values = workloads.Audit(seed).make(index).values
+        cases += [(values["posture"], (*thrusts, *angles), q, pert)
+                  for thrusts, angles, q, pert in values["states"]]
+    cases += [(name, tuple(float(x) for x in fan), tuple(q.tolist()),
+               None if pert is None else {k: np.asarray(v).tolist() for k, v in pert.items()})
+              for name, fan, q, pert in cases]
+    level, tilted = (1.0, 0.0, 0.0, 0.0), (0.9, 0.1, -0.3, 0.2)  # the second is not unit
+    biased = {"com_offset": (0.01, -0.02, 0.005), "foot_axis_misalignment_left": 0.1,
+              "foot_axis_misalignment_right": -0.05, "thrust_scale": (0.9, 1.1, 1.0, 1.2)}
+    ints = {"com_offset": (0, 0, 0), "foot_axis_misalignment_left": 0,
+            "foot_axis_misalignment_right": 0, "thrust_scale": (1, 1, 1, 1)}
+    edges = [(40, 35, 20, 12, 0, 1), (0, 0, 0, 0), (40.0, 35.0, 20.0, 12.0, 0.2, -0.3),
+             (-0.0, 0.0, -0.0, 5.0, -0.0, 0.0), (1e300, 1e300, 1e300, 1e300, 0.5, 0.5)]
+    for slot in range(6):
+        for value in (-1.0, -5e-324, -2, math.nan, math.inf, np.float64(-3.5)):
+            fan = [30.0, 25.0, 40.0, 35.0, 0.2, -0.1]
+            fan[slot] = value
+            edges.append(tuple(fan))
+    quats = (level, tilted, np.array(tilted), (0.0, 0.0, 0.0, 0.0), np.zeros(4), (0, 0, 0, 0))
+    cases += [("P1", fan, q, pert) for fan in edges for q in quats
+              for pert in (None, biased, ints)]
+    for bad in ({"foot_axis_misalignment_left": 0.2}, {"foot_axis_misalignment_right": -0.2},
+                {"thrust_scale": (1.0, 1.3, 1.0, 1.0)},
+                {"thrust_scale": (1.0, math.nan, 1.0, 1.0)},
+                {"com_offset": (0.0, 0.0)}, {"thrust_scale": (1.0, 1.0, 1.0)}):
+        cases.append(("P2", (30.0, 25.0, 40.0, 35.0, 0.2, -0.1), level, bad))
+    return cases
+
+
+def wrench_outcome(tree, geos, case) -> bytes | str:
+    """The case's FanState and Perturbation fields, then its wrench's values,
+    as bytes, or the first exception's type and message."""
+    name, fan, q, pert = case
+    wrench, sim = tree["wrench"], tree["sim"]
+    try:
+        fs = wrench.FanState(*fan)
+        got = struct.pack("<6d", fs.f_front, fs.f_back, fs.f_left, fs.f_right,
+                          fs.theta_left, fs.theta_right)
+        p = None
+        if pert is not None:
+            p = sim.Perturbation(**pert)
+            got += struct.pack("<9d", *p.com_offset, p.foot_axis_misalignment_left,
+                               p.foot_axis_misalignment_right, *p.thrust_scale)
+        w = wrench.generalized_wrench_3d(fs, geos[name], q, p)
+        got += struct.pack("<15d", *w.world, *w.force_body, *w.torque_body,
+                           w.t_y1, w.t_y2, w.t_y3)
+        return got + w.force_world.tobytes() + w.torque_world.tobytes()
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def compare_wrench(a, b, change_root: str) -> int:
+    """Mismatches between the two trees' wrench API outcomes over wrench_cases."""
+    cases = wrench_cases(bench_workloads(change_root))
+    outcomes = []
+    for tree in (a, b):
+        robot = tree["robot"]
+        geos = {name: robot.geometry_from_posture(robot.builtin_posture(name))
+                for name in POSTURES}
+        outcomes.append([wrench_outcome(tree, geos, case) for case in cases])
+    bad = [i for i, (x, y) in enumerate(zip(*outcomes)) if x != y]
+    for i in bad[:5]:
+        print(f"  wrench mismatch: case {i}, {cases[i]}")
+    errors = sum(isinstance(x, str) for x in outcomes[0])
+    print(f"wrench API: {len(cases)} cases ({errors} raise), {len(bad)} mismatches")
+    return len(bad)
+
+
 def run_hash(workloads, argv, out: str) -> str:
     """sha256 of one CLI run: exit code, stdout, stderr and every file in out."""
     code, stdout, stderr = workloads._run_cli(argv)
@@ -338,11 +429,7 @@ def time_steps(a, b, rounds: int, calls: int = 200) -> None:
 
 def time_envelope(a, b, change_root: str, rounds: int) -> None:
     """Interleaved in-process ms per bench envelope op of each tree, through cli.main."""
-    sys.path[:0] = [os.path.join(os.path.abspath(change_root), "src"),
-                    os.path.join(os.path.abspath(change_root), "bench")]
-    import workloads
-
-    gen = workloads.Envelope(7)
+    gen = bench_workloads(change_root).Envelope(7)
     with tempfile.TemporaryDirectory() as tmp:
         specs = []
         for index in range(OPS):
@@ -374,7 +461,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     a = load(args.parent_root, "tvcsim_parent")
     b = load(args.change_root, "tvcsim_change")
-    bad = (compare_steps(a, b) + compare_envelope(a, b)
+    bad = (compare_steps(a, b) + compare_envelope(a, b) + compare_wrench(a, b, args.change_root)
            + compare_outputs(args.parent_root, args.change_root))
     if args.rounds > 0:
         time_steps(a, b, args.rounds)

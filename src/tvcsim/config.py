@@ -11,9 +11,10 @@ table is their one description. scenario_from_config resolves every key
 through its row: one merge, _merged, sets the field (or tuple element) that
 the row names on its consumer's default, so an absent key keeps that default.
 Only the posture label is read by name. The one set of defaults held here is
-the envelope sweep's, EnvelopeSettings, which envelope_sweep takes from this
-module too. Every command resolves its robot through scenario_from_config, so
-the same file describes the same robot to all.
+the envelope sweep's, EnvelopeSettings, the one check of the sweep settings,
+which envelope_sweep takes from this module too. Every command resolves its
+robot through scenario_from_config, which checks the envelope.* values first,
+so the same file describes the same robot to all and is refused by all alike.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ class EnvelopeSettings:
     theta_pitch_range: tuple[float, float] = SWEEP_PITCH_RANGE  # rad
     n_points: int = SWEEP_POINTS
     min_vertical_force: float | None = None
+
+    def __post_init__(self):  # a NaN fails each check too
+        if not (self.min_vertical_force is None or self.min_vertical_force > 0.0):
+            raise ValueError("min_vertical_force must be positive")
+        if not self.n_points >= 2:
+            raise ValueError("n_points must be >= 2")
+        if not self.theta_pitch_range[0] <= self.theta_pitch_range[1]:
+            raise ValueError("theta_pitch_range must be ordered (min, max)")
 
 
 class ConfigError(ValueError):
@@ -180,9 +189,10 @@ def scenario_from_config(values: dict) -> ScenarioConfig:
 
     Every command builds its posture, geometry and limits from the result;
     CLI options that override the file (--mode, --seed, --posture) are merged
-    into values first. Invalid values raise ConfigError.
+    into values first. Invalid values raise ConfigError, the envelope.* ones first.
     """
     try:
+        envelope_settings_from_config(values)  # every command checks the sweep settings
         if "mode" in values:
             values = values | {"mode": ControlMode.parse(values["mode"])}
         gains = None  # tuned at scenario start

@@ -77,9 +77,9 @@ class ThrustRamp:
     ramp_time: float = 0.5
 
     def __post_init__(self):
-        if self.target_per_fan < 0.0:
+        if not self.target_per_fan >= 0.0:  # a NaN fails too
             raise ValueError("target_per_fan must be >= 0")
-        if self.ramp_time < 0.0:
+        if not self.ramp_time >= 0.0:
             raise ValueError("ramp_time must be >= 0")
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SWEEP_PITCH_RANGE, SWEEP_POINTS
+from .config import SWEEP_PITCH_RANGE, SWEEP_POINTS, EnvelopeSettings
 from .robot import EnvelopeInfeasibleError, FanLimits, Posture, RobotGeometry, write_text
 from .wrench import pitch_arms
 
@@ -47,13 +47,13 @@ class EnvelopeConstraint:
     per_fan_max: float
     foot_angle_range: tuple[float, float]
 
-    def __post_init__(self):
-        if self.min_vertical_force <= 0.0:
+    def __post_init__(self):  # a NaN fails each check too
+        if not self.min_vertical_force > 0.0:
             raise ValueError("min_vertical_force must be positive")
-        if self.per_fan_max <= 0.0:
+        if not self.per_fan_max > 0.0:
             raise ValueError("per_fan_max must be positive")
         lo, hi = self.foot_angle_range
-        if lo > hi:
+        if not lo <= hi:
             raise ValueError("foot_angle_range must be ordered (min, max)")
 
     @classmethod
@@ -254,15 +254,11 @@ def max_pitch_torque_tvc(
     return _require(point.tvc, constraint, theta_pitch, "over the foot range")
 
 
-def _abscissae(theta_pitch_range, n_points):
-    """envelope_sweep's pitches: n_points evenly spaced, or the one pitch of a
-    zero-width range."""
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    lo, hi = theta_pitch_range
-    if lo > hi:
-        raise ValueError("theta_pitch_range must be ordered (min, max)")
-    return np.array([lo]) if lo == hi else np.linspace(lo, hi, n_points)
+def _abscissae(settings):
+    """envelope_sweep's pitches: settings.n_points evenly spaced, or the one
+    pitch of a zero-width range."""
+    lo, hi = settings.theta_pitch_range
+    return np.array([lo]) if lo == hi else np.linspace(lo, hi, settings.n_points)
 
 
 def envelope_sweep(
@@ -273,10 +269,11 @@ def envelope_sweep(
 ) -> list[SweepPoint]:
     """Evaluate DT and TVC extrema over an evenly spaced pitch-angle sweep.
 
+    The range and point count are checked as EnvelopeSettings checks them.
     Infeasible points are kept in the output with the affected strategy set
     to None rather than aborting the sweep.
     """
-    return _sweep(geo, constraint, _abscissae(theta_pitch_range, n_points))
+    return _sweep(geo, constraint, _abscissae(EnvelopeSettings(theta_pitch_range, n_points)))
 
 
 ENVELOPE_CSV_HEADER = [
@@ -339,23 +336,15 @@ def tvc_dt_ratio(
     return _ratio(point, constraint)
 
 
-def _level_ratio_and_sweep(geo, constraint, theta_pitch_range, n_points):
-    """(tvc_dt_ratio(geo, constraint), envelope_sweep(geo, constraint,
-    theta_pitch_range, n_points)), from one LP call.
+def _level_ratio_and_sweep(geo, constraint, settings):
+    """(tvc_dt_ratio(geo, constraint), envelope_sweep(geo, constraint) over the
+    range and point count of settings, an EnvelopeSettings), from one LP call.
 
-    The level pitch is one more lane of the sweep, checked first: its
-    overflow, then its feasibility, then the sweep settings (with invalid
-    settings the call holds the level lane alone), then an overflow at any
-    other lane. So a robot that cannot hover level is reported ahead of an
-    invalid sweep.
+    The level pitch is one more lane of the sweep, checked first: its overflow,
+    then its feasibility, then an overflow at any other lane. So a robot that
+    cannot hover level is reported ahead of the sweep.
     """
-    try:
-        thetas, invalid = _abscissae(theta_pitch_range, n_points), None
-    except ValueError as exc:
-        thetas, invalid = np.empty(0), exc
+    thetas = _abscissae(settings)
     value = _lanes(geo, constraint, np.concatenate([[0.0], thetas]))
     (level,) = _points(value[:, :1], constraint, np.zeros(1))
-    ratio = _ratio(level, constraint)
-    if invalid is not None:
-        raise invalid
-    return ratio, _points(value[:, 1:], constraint, thetas)
+    return _ratio(level, constraint), _points(value[:, 1:], constraint, thetas)

@@ -106,9 +106,9 @@ class FanLimits:
                 f"need 0 <= thrust_min < thrust_max_per_fan, got "
                 f"({self.thrust_min}, {self.thrust_max_per_fan})"
             )
-        if self.foot_pitch_rate_max <= 0.0:
+        if not self.foot_pitch_rate_max > 0.0:  # a NaN fails too
             raise ValueError("foot_pitch_rate_max must be positive")
-        if self.thrust_time_constant < 0.0:
+        if not self.thrust_time_constant >= 0.0:
             raise ValueError("thrust_time_constant must be >= 0")
 
 
@@ -142,9 +142,9 @@ class RobotGeometry:
         self.com_body = tuple(map(float, self.com_body))
         if len(self.com_body) != 3:
             raise ValueError("com_body must hold 3 coordinates")
-        if self.mass_total <= 0.0:
+        if not self.mass_total > 0.0:  # a NaN fails too
             raise ValueError("mass_total must be positive")
-        if self.fan_spacing_waist <= 0.0 or self.fan_spacing_feet <= 0.0:
+        if not (self.fan_spacing_waist > 0.0 and self.fan_spacing_feet > 0.0):
             raise ValueError("fan spacings must be positive")
         if self.inertia_measured is not None:
             self.inertia_measured = tuple(tuple(map(float, row)) for row in self.inertia_measured)
@@ -194,7 +194,7 @@ def point_mass_inertia(geo: RobotGeometry) -> tuple:
     available.
     """
     fan_mass = geo.fan_mass
-    if fan_mass < 0.0 or 4.0 * fan_mass > geo.mass_total:
+    if not (fan_mass >= 0.0 and 4.0 * fan_mass <= geo.mass_total):  # a NaN fails too
         raise ValueError("fan_mass must be >= 0 and four fans must not exceed total mass")
     x_c, y_c, z_c = geo.com_body
     i_xx = i_yy = i_zz = 0.0

@@ -129,6 +129,7 @@ CASES: dict[str, tuple[str | None, list[str]]] = {
     "trim_light_robot": ("geometry.mass_kg = 1.5\ngeometry.fan_mass_kg = 0.1\n", ["trim"]),
     "trim_lateral_com": ("geometry.com_y_m = 0.02\n", ["trim"]),
     "trim_config_posture": ("posture = P2\n", ["trim"]),
+    "trim_bad_envelope_setting": ("envelope.n_points = 1\n", ["trim"]),
     "wrench_eval": (None, ["wrench-eval", "--posture", "P2", "--thrust-ff", "41",
                            "--thrust-fb", "43", "--thrust-fl", "40", "--thrust-fr", "39",
                            "--theta-l", "5", "--theta-r", "-3", "--theta-pitch", "7"]),

@@ -367,6 +367,11 @@ def run_with_config(tmp_path, capsys, text, command, name="run.cfg"):
     "geometry.mass_kg = -1\n",
     "controller.kp_pitch = 1.0\n",
     "geometry.mass_kgs = 17.0\n",
+    "envelope.n_points = 1\n",
+    "envelope.theta_pitch_min_deg = 40\n",
+    "envelope.min_vertical_force_n = -5\n",
+    "sim.dt_s = 0.01\nenvelope.n_points = 1\n",
+    "limits.thrust_max_per_fan_n = 41\nenvelope.n_points = 1\n",  # before any solve
 ])
 def test_every_command_rejects_a_bad_file_alike(tmp_path, capsys, text):
     results = {command: run_with_config(tmp_path, capsys, text, command)
@@ -575,7 +580,8 @@ def test_envelope_json_marks_infeasible_cells_null(tmp_path, capsys):
 
 def test_envelope_without_level_hover_exit_3(tmp_path, capsys):
     # 4 x 41 N cannot hold 17 kg even level: no ratio, no envelope file, with
-    # and without an abscissa at pitch 0 and ahead of an invalid sweep's exit 2
+    # and without an abscissa at pitch 0; an invalid sweep is refused with the
+    # config, before any solve
     for n_points in (None, 1, 4):
         out_dir = tmp_path / str(n_points)
         cfg = tmp_path / f"weaker_{n_points}.cfg"
@@ -583,10 +589,13 @@ def test_envelope_without_level_hover_exit_3(tmp_path, capsys):
                        + ("" if n_points is None else f"envelope.n_points = {n_points}\n"))
         code, out, err = run_cli(["--config", str(cfg), "--out", str(out_dir),
                                   "envelope", "--postures", "P1"], capsys)
-        assert code == 3, n_points
         assert out == ""
-        assert err.startswith("infeasible: vertical force floor") and "with feet up" in err
-        assert err.count("\n") == 1
+        if n_points == 1:
+            assert (code, err) == (2, "error: n_points must be >= 2\n")
+        else:
+            assert code == 3, n_points
+            assert err.startswith("infeasible: vertical force floor") and "with feet up" in err
+            assert err.count("\n") == 1
         assert list(out_dir.iterdir()) == []
 
 
@@ -601,7 +610,7 @@ def test_envelope_reports_what_the_public_searches_solve_apart(tmp_path, capsys,
                                                                text, postures, code):
     # the command solves the level lane and the sweep in one LP call; its ratio
     # is tvc_dt_ratio's bit for bit, its points envelope_sweep's, and its exits
-    # the ones those two raise, the level pitch first
+    # the ones the config and those two raise, the level pitch first
     solved = []
     combined = envelope._level_ratio_and_sweep
 
@@ -616,14 +625,15 @@ def test_envelope_reports_what_the_public_searches_solve_apart(tmp_path, capsys,
                              "--postures", postures], capsys)
     assert got == code
     values, _ = load_config(str(cfg))
-    settings = envelope_settings_from_config(values)
     names = postures.split(",")
     assert len(solved) == (len(names) if code == 0 else 0)
     for k, name in enumerate(names):
-        scenario = scenario_from_config(values | {"posture": name})
-        geo = scenario.geometry()
-        constraint = envelope.EnvelopeConstraint.hover(geo, scenario.posture, scenario.limits)
         try:
+            settings = envelope_settings_from_config(values)
+            scenario = scenario_from_config(values | {"posture": name})
+            geo = scenario.geometry()
+            constraint = envelope.EnvelopeConstraint.hover(geo, scenario.posture,
+                                                           scenario.limits)
             ratio = envelope.tvc_dt_ratio(geo, constraint)
             points = envelope.envelope_sweep(geo, constraint, settings.theta_pitch_range,
                                              settings.n_points)

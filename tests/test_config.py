@@ -143,6 +143,32 @@ def test_envelope_settings():
     assert envelope_settings_from_config({}) == EnvelopeSettings()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("envelope.n_points = 1", "n_points must be >= 2"),
+    ("envelope.n_points = -3", "n_points must be >= 2"),
+    ("envelope.theta_pitch_min_deg = 40", r"theta_pitch_range must be ordered \(min, max\)"),
+    ("envelope.min_vertical_force_n = -5", "min_vertical_force must be positive"),
+    ("envelope.min_vertical_force_n = 0", "min_vertical_force must be positive"),
+    ("sim.dt_s = 0.01\nenvelope.n_points = 1", "n_points must be >= 2"),  # checked first
+])
+def test_envelope_settings_are_checked_by_the_one_resolver(text, message):
+    # every command resolves through scenario_from_config, so it refuses them too
+    values = parse_config_text(text)
+    for resolve in (envelope_settings_from_config, scenario_from_config):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            resolve(values)
+
+
+def test_envelope_settings_reject_nan():
+    with pytest.raises(ValueError, match="^min_vertical_force must be positive$"):
+        EnvelopeSettings(min_vertical_force=math.nan)
+    with pytest.raises(ValueError, match="^n_points must be >= 2$"):
+        EnvelopeSettings(n_points=math.nan)
+    for bounds in ((math.nan, 0.1), (-0.1, math.nan)):
+        with pytest.raises(ValueError, match=r"^theta_pitch_range must be ordered"):
+            EnvelopeSettings(theta_pitch_range=bounds)
+
+
 def test_posture_field_overrides():
     assert posture_from_config({}) == builtin_posture("P1")
     assert posture_from_config({"posture": "P3"}) == builtin_posture("P3")

@@ -80,6 +80,13 @@ def test_thrust_schedule_rejects_negative_time():
         thrust_schedule(-0.1, ThrustRamp())
 
 
+def test_ramp_validation():
+    for field in ("target_per_fan", "ramp_time"):
+        for bad in (-1.0, math.nan):  # a NaN fails too
+            with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
+                ThrustRamp(**{field: bad})
+
+
 def test_gains_validation():
     with pytest.raises(ValueError):
         ControllerGains(-1.0, 0.1, 0.5, 0.06)

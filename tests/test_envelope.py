@@ -329,6 +329,18 @@ def test_sweep_marks_infeasible_points():
     assert feasible and infeasible  # marked, not fatal
 
 
+@pytest.mark.parametrize("theta_pitch_range, n_points, message", [
+    ((-0.1, 0.1), 1, "n_points must be >= 2"),
+    ((0.1, -0.1), 5, r"theta_pitch_range must be ordered \(min, max\)"),
+    ((math.nan, 0.1), 5, r"theta_pitch_range must be ordered \(min, max\)"),
+    ((-0.1, math.nan), 5, r"theta_pitch_range must be ordered \(min, max\)"),
+])
+def test_sweep_checks_its_settings_as_envelope_settings_does(theta_pitch_range, n_points,
+                                                             message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        envelope_sweep(P1, HOVER, theta_pitch_range, n_points)
+
+
 def test_zero_width_sweep_matches_point_operations():
     points = envelope_sweep(P1, HOVER, theta_pitch_range=(0.1, 0.1), n_points=5)
     assert len(points) == 1
@@ -394,6 +406,13 @@ def test_constraint_validation():
     with pytest.raises(ValueError):
         EnvelopeConstraint(min_vertical_force=100.0, per_fan_max=50.0,
                            foot_angle_range=(1.0, -1.0))
+    # a NaN fails with its field's message, not later in the search
+    with pytest.raises(ValueError, match="^min_vertical_force must be positive$"):
+        EnvelopeConstraint(math.nan, 50.0, (-1.0, 1.0))
+    with pytest.raises(ValueError, match="^per_fan_max must be positive$"):
+        EnvelopeConstraint(P1.weight, math.nan, (-1.0, 1.0))
+    with pytest.raises(ValueError, match=r"^foot_angle_range must be ordered \(min, max\)$"):
+        EnvelopeConstraint(P1.weight, 50.0, (math.nan, 1.0))
     with pytest.raises(ValueError, match="thrust floor"):
         # the LP's per-fan floor is 0 N; a nonzero one is refused, not ignored
         EnvelopeConstraint.hover(P1, P1_POSTURE, FanLimits(thrust_min=1.0))

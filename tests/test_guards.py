@@ -414,8 +414,8 @@ def test_envelope_sweep_makes_one_kernel_call_per_strategy(monkeypatch):
 
 def test_envelope_command_makes_one_kernel_call_per_posture(tmp_path, monkeypatch):
     # the level lane of the TVC/DT ratio joins the sweep's LP call, also where no
-    # abscissa sits at pitch 0, where the sweep settings are invalid (the call
-    # then holds the level lane alone) and where the robot cannot hover level
+    # abscissa sits at pitch 0 and where the robot cannot hover level; invalid
+    # sweep settings are refused with the config, before any LP call
     from tvcsim import cli
 
     calls = 0
@@ -427,14 +427,15 @@ def test_envelope_command_makes_one_kernel_call_per_posture(tmp_path, monkeypatc
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(envelope, "lp_max_covering", counted)
-    cases = (("", "P1,P2,P3", 0), ("envelope.n_points = 4\n", "P1,P2,P3", 0),
-             ("envelope.n_points = 1\n", "P1", 2), ("limits.thrust_max_per_fan_n = 41\n", "P1", 3))
-    for text, postures, code in cases:
+    cases = (("", "P1,P2,P3", 0, 3), ("envelope.n_points = 4\n", "P1,P2,P3", 0, 3),
+             ("envelope.n_points = 1\n", "P1", 2, 0),
+             ("limits.thrust_max_per_fan_n = 41\n", "P1", 3, 1))
+    for text, postures, code, kernel_calls in cases:
         calls = 0
         (tmp_path / "run.cfg").write_text(text)
         assert cli.main(["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out"),
                          "envelope", "--postures", postures]) == code, text
-        assert calls == len(postures.split(",")), text
+        assert calls == kernel_calls, text
 
 
 def test_only_cli_main_publishes_outputs_and_reads_the_clock():

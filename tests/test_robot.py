@@ -1,5 +1,6 @@
 """Posture tables, geometry construction, and actuator limit contracts."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +79,10 @@ def test_fan_limits_validation():
         FanLimits(foot_pitch_rate_max=0.0)
     with pytest.raises(ValueError):
         FanLimits(thrust_time_constant=-0.1)
+    with pytest.raises(ValueError, match="^foot_pitch_rate_max must be positive$"):
+        FanLimits(foot_pitch_rate_max=math.nan)
+    with pytest.raises(ValueError, match="^thrust_time_constant must be >= 0$"):
+        FanLimits(thrust_time_constant=math.nan)
 
 
 def test_posture_validation():
@@ -92,6 +97,14 @@ def test_geometry_validation():
         RobotGeometry(mass_total=0.0)
     with pytest.raises(ValueError):
         RobotGeometry(fan_spacing_waist=-0.1)
+    # a NaN fails with its field's message, not the inertia's
+    with pytest.raises(ValueError, match="^mass_total must be positive$"):
+        RobotGeometry(mass_total=math.nan)
+    for spacing in ("fan_spacing_waist", "fan_spacing_feet"):
+        with pytest.raises(ValueError, match="^fan spacings must be positive$"):
+            RobotGeometry(**{spacing: math.nan})
+    with pytest.raises(ValueError, match="^fan_mass must be >= 0 and four fans"):
+        RobotGeometry(fan_mass=math.nan)
     with pytest.raises(ValueError):
         RobotGeometry(inertia_measured=np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):

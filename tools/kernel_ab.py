@@ -36,7 +36,12 @@ and 4. The script
    random order each round, and prints the minimum and median us per step;
 4. times one bench envelope op (Envelope(7).make(i), ops 0-14, through
    cli.main, each tree into its own output directory) the same way, and
-   prints the minimum and median ms per op.
+   prints the minimum and median ms per op;
+5. runs the config files of BAD_ENVELOPE_FILES, each a bad envelope.* value
+   alone or beside another fault, on all four commands through each tree's
+   cli.main, and lists every run whose exit code, stdout, stderr or output
+   file names differ. These are runs that fail by design, so a difference is
+   a change of error behaviour to review, not a mismatch.
 
 It exits 1 on any mismatch in 1 or 2.
 """
@@ -384,6 +389,45 @@ def compare_outputs(parent: str, change: str) -> int:
     return len(bad)
 
 
+BAD_ENVELOPE_FILES = (
+    "envelope.n_points = 1\n",
+    "envelope.theta_pitch_min_deg = 40\n",
+    "envelope.min_vertical_force_n = -5\n",
+    "sim.dt_s = 0.01\nenvelope.n_points = 1\n",
+    "limits.thrust_max_per_fan_n = 41\nenvelope.n_points = 1\n",  # no level hover
+)
+COMMANDS = (["envelope", "--postures", "P1"], ["takeoff"], ["trim"],
+            ["wrench-eval", "--thrust-fl", "40"])
+
+
+def config_error_outcome(tree, text: str, argv: list, tmp: str) -> tuple:
+    """(exit code, stdout, stderr, output file names) of one run of tree's cli.main."""
+    cfg, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")
+    with open(cfg, "w") as fh:
+        fh.write(text)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = tree["cli"].main(["--config", cfg, "--out", out, *argv])
+    return code, stdout.getvalue(), stderr.getvalue(), sorted(os.listdir(out))
+
+
+def compare_config_errors(a, b) -> None:
+    """Lists the runs of BAD_ENVELOPE_FILES x COMMANDS whose outcome differs."""
+    changed = 0
+    for text, argv in itertools.product(BAD_ENVELOPE_FILES, COMMANDS):
+        outcomes = []
+        for tree in (a, b):
+            with tempfile.TemporaryDirectory() as tmp:
+                outcomes.append(config_error_outcome(tree, text, argv, tmp))
+        (code_a, _, err_a, _), (code_b, _, err_b, _) = outcomes
+        if outcomes[0] != outcomes[1]:
+            changed += 1
+            print(f"  {argv[0]} with {text.strip()!r}: exit {code_a} -> {code_b}, "
+                  f"{err_a.strip()!r} -> {err_b.strip()!r}")
+    print(f"bad envelope settings: {len(BAD_ENVELOPE_FILES) * len(COMMANDS)} runs, "
+          f"{changed} changed (listed, not counted as mismatches)")
+
+
 def interleaved(runs: dict, rounds: int) -> dict:
     """{name: seconds of each round}: every round calls each run() once, in a random order."""
     times = {name: [] for name in runs}
@@ -463,6 +507,7 @@ def main(argv=None) -> int:
     b = load(args.change_root, "tvcsim_change")
     bad = (compare_steps(a, b) + compare_envelope(a, b) + compare_wrench(a, b, args.change_root)
            + compare_outputs(args.parent_root, args.change_root))
+    compare_config_errors(a, b)
     if args.rounds > 0:
         time_steps(a, b, args.rounds)
         time_envelope(a, b, args.change_root, args.rounds)

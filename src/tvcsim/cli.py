@@ -196,8 +196,7 @@ def cmd_envelope(args, values):
         constraint = EnvelopeConstraint.hover(geo, cfg.posture, cfg.limits)
         if settings.min_vertical_force is not None:
             constraint = replace(constraint, min_vertical_force=settings.min_vertical_force)
-        # one LP call: the level lane of the TVC/DT ratio rides along with the sweep,
-        # checked first, as the comparison means nothing if the robot cannot hover level
+        # one LP call: the level lane of the TVC/DT ratio is the sweep's first lane
         (ratio_max, ratio_min), points = _level_ratio_and_sweep(geo, constraint, settings)
         if args.format == "csv":
             write = functools.partial(write_envelope_csv, points)

@@ -32,6 +32,10 @@ SWEEP_PITCH_RANGE = (-math.pi / 6.0, math.pi / 6.0)  # rad, the default envelope
 SWEEP_POINTS = 61
 
 
+class ConfigError(ValueError):
+    """Malformed config file, unknown key, or invalid value."""
+
+
 @dataclass(frozen=True)
 class EnvelopeSettings:
     """The envelope command's sweep and vertical-force floor (None: M g)."""
@@ -42,15 +46,11 @@ class EnvelopeSettings:
 
     def __post_init__(self):  # a NaN fails each check too
         if not (self.min_vertical_force is None or self.min_vertical_force > 0.0):
-            raise ValueError("min_vertical_force must be positive")
+            raise ConfigError("min_vertical_force must be positive")
         if not self.n_points >= 2:
-            raise ValueError("n_points must be >= 2")
+            raise ConfigError("n_points must be >= 2")
         if not self.theta_pitch_range[0] <= self.theta_pitch_range[1]:
-            raise ValueError("theta_pitch_range must be ordered (min, max)")
-
-
-class ConfigError(ValueError):
-    """Malformed config file, unknown key, or invalid value."""
+            raise ConfigError("theta_pitch_range must be ordered (min, max)")
 
 
 # key -> (type, consumer, field[, index]): the value sets `field` of the consumer
@@ -211,19 +211,14 @@ def scenario_from_config(values: dict) -> ScenarioConfig:
         return _merged(values, ScenarioConfig(
             gains=gains,
             perturbation=_merged(values, perturbation),
-            posture=posture_from_config(values),
+            posture=_merged(values, builtin_posture(values["posture"]) if "posture" in values
+                            else ScenarioConfig.posture),
             ramp=_merged(values, ThrustRamp()),
             limits=_merged(values, FanLimits()),
             setpoint=_merged(values, EulerAngles(0.0, 0.0, 0.0)),
         ))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def posture_from_config(values: dict) -> Posture:
-    """The posture labelled in values, with any posture.* fields overridden."""
-    return _merged(values, builtin_posture(values["posture"]) if "posture" in values
-                   else ScenarioConfig.posture)
 
 
 def envelope_settings_from_config(values: dict) -> EnvelopeSettings:

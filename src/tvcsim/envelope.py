@@ -18,7 +18,7 @@ control allocation", JGCD 2002), so the maximum over the foot range is reached
 at one of a few angles written down in closed form (see _lanes). One LP call
 evaluates 0 and every candidate for every lane of a sweep: DT reads the 0
 column and TVC keeps each lane's best. A single-pitch search or ratio is a
-one-pitch sweep, and the envelope command's level ratio is one more lane of
+one-pitch sweep, and the envelope command's level ratio is the first lane of
 its sweep. The independent cross-check lives in tvcsim.oracles.
 
 Legs are assumed parallel: both feet share one thrust value and one pitch
@@ -185,7 +185,7 @@ def _lanes(geo, constraint, thetas):
     feet[:, :3] = 0.0, lo, hi
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # a tiny cap sends the acos ratio to +-inf, which the clip takes; a cap or
-        # a floor near the float range overflows, and _points reports it; the
+        # a floor near the float range overflows, and _sweep reports it; the
         # (floor, waist) pairs run floor-major
         floors = floor + np.array([[-_FEAS_TOL], [0.0], [_FEAS_TOL]])
         waist = cp[:, :, None] * np.array([0.0, cap, 2.0 * cap])
@@ -199,13 +199,12 @@ def _lanes(geo, constraint, thetas):
     return value.reshape(2, len(thetas), -1)
 
 
-def _points(value, constraint, thetas) -> list[SweepPoint]:
-    """DT and TVC extrema at the pitches thetas from their _lanes values.
-
-    DT is candidate 0; TVC is the best of the others, and of candidate 0 too
-    where 0 is in the foot range. A strategy is None where a direction is
-    infeasible.
-    """
+def _sweep(geo, constraint, thetas) -> list[SweepPoint]:
+    """DT and TVC extrema at every pitch of thetas, from one LP call; ValueError
+    if an LP value overflows a float. DT is _lanes' candidate 0; TVC is the best
+    of the others, and of candidate 0 too where 0 is in the foot range. A
+    strategy is None where a direction is infeasible."""
+    value = _lanes(geo, constraint, thetas)
     if not (value < math.inf).all():  # a NaN fails too
         raise ValueError(f"the envelope LP overflows a float at a per-fan cap of "
                          f"{constraint.per_fan_max} N and a vertical force floor of "
@@ -221,11 +220,6 @@ def _points(value, constraint, thetas) -> list[SweepPoint]:
     return [SweepPoint(th, point(th, d_max, d_min), point(th, t_max, t_min))
             for th, d_max, d_min, t_max, t_min
             in zip(thetas.tolist(), dt_max, dt_min, tvc_max, tvc_min)]
-
-
-def _sweep(geo, constraint, thetas) -> list[SweepPoint]:
-    """DT and TVC extrema at every pitch of thetas, from one LP call."""
-    return _points(_lanes(geo, constraint, thetas), constraint, thetas)
 
 
 def _require(point, constraint, theta_pitch, search) -> EnvelopePoint:
@@ -338,13 +332,7 @@ def tvc_dt_ratio(
 
 def _level_ratio_and_sweep(geo, constraint, settings):
     """(tvc_dt_ratio(geo, constraint), envelope_sweep(geo, constraint) over the
-    range and point count of settings, an EnvelopeSettings), from one LP call.
-
-    The level pitch is one more lane of the sweep, checked first: its overflow,
-    then its feasibility, then an overflow at any other lane. So a robot that
-    cannot hover level is reported ahead of the sweep.
-    """
-    thetas = _abscissae(settings)
-    value = _lanes(geo, constraint, np.concatenate([[0.0], thetas]))
-    (level,) = _points(value[:, :1], constraint, np.zeros(1))
-    return _ratio(level, constraint), _points(value[:, 1:], constraint, thetas)
+    range and point count of settings, an EnvelopeSettings), from one LP call
+    whose first lane is the level pitch."""
+    level, *points = _sweep(geo, constraint, np.concatenate([[0.0], _abscissae(settings)]))
+    return _ratio(level, constraint), points

@@ -206,32 +206,16 @@ def point_mass_inertia(geo: RobotGeometry) -> tuple:
     return ((i_xx, 0.0, 0.0), (0.0, i_yy, 0.0), (0.0, 0.0, i_zz))
 
 
-def geometry_from_posture(
-    posture: Posture,
-    *,
-    mass_total: float = DEFAULT_MASS,
-    fan_spacing_waist: float = DEFAULT_WAIST_FAN_SPACING,
-    fan_spacing_feet: float = DEFAULT_FOOT_FAN_SPACING,
-    fan_mass: float = DEFAULT_FAN_MASS,
-    com_y: float = 0.0,
-) -> RobotGeometry:
+def geometry_from_posture(posture: Posture, *, com_y: float = 0.0, **fields) -> RobotGeometry:
     """Build the rigid-body geometry for a takeoff posture.
 
-    com_y defaults to zero under the sagittal-symmetry assumption but can be
-    overridden. The inertia is the point-mass surrogate for fan_mass; a
-    measured tensor goes in through dataclasses.replace(geo, inertia_measured=...).
+    fields are RobotGeometry's other fields by name (mass_total, the fan
+    spacings, fan_mass, ...), at its defaults where absent. com_y defaults to
+    zero under the sagittal-symmetry assumption but can be overridden.
     """
     x_c, z_c = posture.com_sagittal
     p_fx, p_fz = posture.foot_fan
-    return RobotGeometry(
-        mass_total=mass_total,
-        com_body=(x_c, com_y, z_c),
-        fan_spacing_waist=fan_spacing_waist,
-        fan_foot_x=p_fx,
-        fan_foot_z=p_fz,
-        fan_spacing_feet=fan_spacing_feet,
-        fan_mass=fan_mass,
-    )
+    return RobotGeometry(com_body=(x_c, com_y, z_c), fan_foot_x=p_fx, fan_foot_z=p_fz, **fields)
 
 
 def write_text(file, text: str) -> bytes:

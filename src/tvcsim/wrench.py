@@ -79,16 +79,9 @@ class Wrench:
     t_y1: float
     t_y2: float
     t_y3: float
-    orientation: tuple[float, float, float, float]
-    weight: float  # M g, subtracted from the world-frame force
     # (F_x, F_y, F_z, tau_x, tau_y, tau_z) in {W}: R(q) rotates the body rows,
     # and the force loses the weight
-    world: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        rot = quat_rotation_rows(quat_unit(self.orientation))
-        f_x, f_y, f_z = _rotate(rot, self.force_body)
-        self.world = (f_x, f_y, f_z - self.weight, *_rotate(rot, self.torque_body))
+    world: tuple = field(repr=False)
 
     @property
     def force_world(self):
@@ -158,8 +151,11 @@ def generalized_wrench_3d(fs: FanState, geo: RobotGeometry, orientation: Quat,
     which R(q) rotates into {W}."""
     f_x, f_z, t_x, t_y1, t_y2, t_y3, t_z = wrench_kernel(geo, perturbation)(
         fs.f_front, fs.f_back, fs.f_left, fs.f_right, fs.theta_left, fs.theta_right)
-    return Wrench((f_x, 0.0, f_z), (t_x, t_y1 + t_y2 + t_y3, t_z), t_y1, t_y2, t_y3,
-                  tuple(map(float, orientation)), geo.weight)
+    force, torque = (f_x, 0.0, f_z), (t_x, t_y1 + t_y2 + t_y3, t_z)
+    rot = quat_rotation_rows(quat_unit(tuple(map(float, orientation))))
+    w_x, w_y, w_z = _rotate(rot, force)
+    return Wrench(force, torque, t_y1, t_y2, t_y3,
+                  (w_x, w_y, w_z - geo.weight, *_rotate(rot, torque)))
 
 
 def wrench_kernel(geo: RobotGeometry, perturbation=None):

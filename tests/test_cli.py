@@ -9,6 +9,7 @@ import os
 import re
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -605,7 +606,13 @@ def test_envelope_without_level_hover_exit_3(tmp_path, capsys):
     ("envelope.n_points = 4\n", "P1,P2,P3", 0),  # no abscissa at pitch 0
     ("envelope.n_points = 1\n", "P1", 2),
     ("limits.thrust_max_per_fan_n = 41\n", "P1", 3),  # cannot hover level
-], ids=["default", "even_n_points", "one_point", "no_level_hover"])
+    # TVC cannot hover level, DT can: the foot range leaves out 0
+    ("posture.foot_pitch_min_deg = 10\nlimits.thrust_max_per_fan_n = 41.8\n", "P1", 3),
+    ("limits.thrust_max_per_fan_n = 1e308\n", "P1", 2),  # the LP overflows
+    ("limits.thrust_max_per_fan_n = 4e307\nenvelope.min_vertical_force_n = 1.7e308\n",
+     "P1", 3),  # four capped fans fall short of the floor
+], ids=["default", "even_n_points", "one_point", "no_level_hover", "no_level_tvc_hover",
+        "overflow", "huge_floor"])
 def test_envelope_reports_what_the_public_searches_solve_apart(tmp_path, capsys, monkeypatch,
                                                                text, postures, code):
     # the command solves the level lane and the sweep in one LP call; its ratio
@@ -634,6 +641,9 @@ def test_envelope_reports_what_the_public_searches_solve_apart(tmp_path, capsys,
             geo = scenario.geometry()
             constraint = envelope.EnvelopeConstraint.hover(geo, scenario.posture,
                                                            scenario.limits)
+            if settings.min_vertical_force is not None:
+                constraint = replace(constraint,
+                                     min_vertical_force=settings.min_vertical_force)
             ratio = envelope.tvc_dt_ratio(geo, constraint)
             points = envelope.envelope_sweep(geo, constraint, settings.theta_pitch_range,
                                              settings.n_points)

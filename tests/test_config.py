@@ -15,7 +15,6 @@ from tvcsim.config import (
     envelope_settings_from_config,
     load_config,
     parse_config_text,
-    posture_from_config,
     scenario_from_config,
 )
 from tvcsim.controller import ControlMode, ControllerGains, ThrustRamp
@@ -155,7 +154,7 @@ def test_envelope_settings_are_checked_by_the_one_resolver(text, message):
     # every command resolves through scenario_from_config, so it refuses them too
     values = parse_config_text(text)
     for resolve in (envelope_settings_from_config, scenario_from_config):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             resolve(values)
 
 
@@ -170,13 +169,12 @@ def test_envelope_settings_reject_nan():
 
 
 def test_posture_field_overrides():
-    assert posture_from_config({}) == builtin_posture("P1")
-    assert posture_from_config({"posture": "P3"}) == builtin_posture("P3")
+    assert scenario_from_config({}).posture == builtin_posture("P1")
+    assert scenario_from_config({"posture": "P3"}).posture == builtin_posture("P3")
     values = parse_config_text("posture.com_x_m = 0.0\nposture.foot_x_m = 0.0")
-    posture = posture_from_config(values)
-    assert posture.com_sagittal == (0.0, -0.243)  # z kept from the builtin
-    assert posture.foot_fan == (0.0, -0.610)
     cfg = scenario_from_config(values)
+    assert cfg.posture.com_sagittal == (0.0, -0.243)  # z kept from the builtin
+    assert cfg.posture.foot_fan == (0.0, -0.610)
     assert cfg.geometry().com_body[0] == 0.0
 
 

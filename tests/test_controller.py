@@ -90,6 +90,9 @@ def test_ramp_validation():
 def test_gains_validation():
     with pytest.raises(ValueError):
         ControllerGains(-1.0, 0.1, 0.5, 0.06)
+    for dt in (0.0, -0.004):  # a controller tick needs a positive period too
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            make_controller().step(0.0, 0.0, 0.0, 0.0, dt)
 
 
 def test_zero_error_passes_trim_through():

@@ -95,6 +95,8 @@ def test_posture_validation():
 def test_geometry_validation():
     with pytest.raises(ValueError):
         RobotGeometry(mass_total=0.0)
+    with pytest.raises(ValueError, match="^com_body must hold 3 coordinates$"):
+        RobotGeometry(com_body=(0.0, 0.0))
     with pytest.raises(ValueError):
         RobotGeometry(fan_spacing_waist=-0.1)
     # a NaN fails with its field's message, not the inertia's

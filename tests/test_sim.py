@@ -136,6 +136,9 @@ def test_dt_guard():
         with pytest.raises(ValueError, match=r"^dt must be in \(0, 0\.002\] s$"):
             dynamics_step(RigidBodyState(), FanState(40.0, 40.0, 40.0, 40.0, 0.0, 0.0), P1,
                           math.nan, integrator=integrator)
+    # run_kernel's own check: the step builder would compile euler for any other name
+    with pytest.raises(ValueError, match="^integrator must be 'euler' or 'rk4'$"):
+        dynamics_step(RigidBodyState(), ZERO_THRUST, P1, 1e-3, integrator="rk5")
 
 
 def test_divergence_guards():

@@ -247,3 +247,8 @@ def test_zero_quaternion_raises_at_the_call():
     for q in ((0.0, 0.0, 0.0, 0.0), np.zeros(4)):
         with pytest.raises(ValueError, match=r"^cannot normalize a zero quaternion$"):
             generalized_wrench_3d(fs, P1, q)
+        # the oracle and the array normalizer refuse it alike
+        with pytest.raises(ValueError, match=r"^cannot normalize a zero quaternion$"):
+            wrench_brute_force(fs, P1, q)
+        with pytest.raises(ValueError, match=r"^cannot normalize a zero quaternion$"):
+            quat_normalize(q)

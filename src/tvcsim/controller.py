@@ -149,7 +149,7 @@ class AttitudeController:
         posture's foot range and slew-limited to the ankle rate bound, never
         rejected. dt is the controller period; the thrust ramp is preplanned
         and never modulated for attitude."""
-        if dt <= 0.0:
+        if not dt > 0.0:  # a NaN fails too
             raise ValueError("dt must be positive")
         g = self.gains
         if self.mode is ControlMode.ALL_OFF:

@@ -18,17 +18,18 @@ joint position error, whose left/right asymmetry makes the yaw force couple
 that spins the uncontrolled robot.
 
 A run builds one float kernel, run_kernel, from its geometry, perturbation,
-dt and integrator, and its loop carries plain floats, the 13 of the state
-among them: each step evaluates the kernel's wrench once, for the liftoff
-check on the ground or the step aloft, and a step aloft is one call of the
-kernel's step, which also checks the divergence guards and reads out the
-new attitude's roll, pitch and yaw; each integrator's step is compiled on
-first use from one template of the equations of motion. A controller tick
-passes the measured pitch, yaw and body rates about y and z to
-AttitudeController.step as floats and gets the two foot commands back; the
-feet slew toward them through controller.clamp. dynamics_step is the
-kernel's public one-step wrapper, as wrench.generalized_wrench_3d is of the
-wrench formula.
+dt and integrator: wrench_kernel's rows, the rigid-body step and the takeoff
+loop, run, the last two compiled apart once per integrator, on first use,
+from one template of the equations of motion. run carries plain floats, the
+13 of the state among them; each step writes out the wrench rows
+(wrench.ROWS) once, for the liftoff check on the ground or the step aloft,
+and a step aloft writes out step's body, guards and attitude readout, so it
+calls only thrust_schedule, the two foot clamps and math's functions. A
+controller tick passes the measured pitch, yaw and body rates about y and z
+(_measure) to AttitudeController.step as floats and gets the two foot
+commands back; the feet slew toward them through controller.clamp.
+dynamics_step is the kernel's public one-step wrapper, as
+wrench.generalized_wrench_3d is of the wrench formula.
 
 Identical configurations produce bit-identical logs.
 """
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import json
-import linecache
 import math
 import textwrap
 from dataclasses import asdict, dataclass, field
@@ -70,7 +70,7 @@ from .spatial import (
     quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through sim
 )
 from .trim import hover_trim
-from .wrench import FanState, wrench_kernel
+from .wrench import ROW_CONSTANTS, ROWS, FanState, compile_build, rows_builder, wrench_constants
 
 PHASE_GROUND = "GROUND"
 PHASE_AIRBORNE = "AIRBORNE"
@@ -249,7 +249,7 @@ def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry
                   perturbation: Perturbation | None = None,
                   integrator: str = "euler") -> RigidBodyState:
     """Advance the free-flying rigid body by one step of run_kernel."""
-    wrench, step = run_kernel(geo, perturbation, dt, integrator)
+    wrench, step, _ = run_kernel(geo, perturbation, dt, integrator)
     fs = fan_state
     t = state.time + dt
     x = step(t, *state.position_world, *state.velocity_world, *state.orientation,
@@ -363,25 +363,133 @@ if abs(pitch) > lock:  # the degenerate rotation folds into yaw
 else:
     roll = math.atan2(2.0 * (qy * qz + qw * qx), 1.0 - 2.0 * (qx * qx + qy * qy))
     yaw = math.atan2(2.0 * (qx * qy + qw * qz), 1.0 - 2.0 * (qy * qy + qz * qz))
-return px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, roll, pitch, yaw
+"""
+# The takeoff loop, run_scenario's body: {rows} is wrench.ROWS, and {step} step's
+# body in the airborne branch. t is the state time, summed step by step as
+# dynamics_step does, now = i dt the log's; doubled braces are literal ones
+_RUN = """\
+def run(cfg, tick, trim_angle, rng, append):
+    # the loop carries plain floats: 13 state floats, four thrusts, two foot angles
+    px = py = pz = vx = vy = vz = qx = qy = qz = wx = wy = wz = t = 0.0
+    qw = 1.0
+    # the identity's readout: its pitch is asin(-(2.0 * 0.0)), which the first log row prints as -0
+    roll, pitch, yaw = 0.0, -0.0, 0.0
+    airborne = False
+    theta_l = theta_r = trim_angle
+    control_every, sample_every = cfg._controller_substeps, cfg._sample_substeps
+    period, foot_step = control_every * dt, cfg.limits.foot_pitch_rate_max * dt
+    k_f, k_b, k_l, k_r = cfg.perturbation.thrust_scale
+    tau, ramp, n_steps = cfg.limits.thrust_time_constant, cfg.ramp, cfg._n_steps
+    # an ideal actuator already sits on the schedule at t = 0
+    if tau == 0.0:
+        sched = thrust_schedule(0.0, ramp)
+        f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
+    else:
+        f_f = f_b = f_l = f_r = 0.0
+        alpha = 1.0 - math.exp(-dt / tau)  # spool lag per step
+    i_2s = int(round(2.0 / dt)) if cfg.duration_s >= 2.0 else None
+    liftoff = altitude = pitch_time = yaw_time = reason = touchdown = None
+    termination = "duration"
+    # event maxima in radians: math.degrees is monotone, so one conversion at
+    # the end gives the same maxima
+    max_roll = max_pitch = max_yaw = 0.0
+    sin, cos, degrees = math.sin, math.cos, math.degrees
+
+    for i in range(n_steps + 1):
+        now = i * dt
+        if i % control_every == 0:  # from i = 0 on, so the commands are always set
+            cmd_l, cmd_r = tick(*_measure(pitch, yaw, wy, wz, cfg, rng), period)
+{rows}        # the ground holds the body level until the net vertical force lifts it
+        if not airborne and f_z > weight:
+            airborne = True
+            liftoff = now
+
+        a_roll, a_pitch, a_yaw = abs(roll), abs(pitch), abs(yaw)
+        if a_roll > max_roll:
+            max_roll = a_roll
+        # a band's first crossing is always a new maximum
+        if a_pitch > max_pitch:
+            max_pitch = a_pitch
+            if pitch_time is None and degrees(a_pitch) >= PITCH_EVENT_DEG:
+                pitch_time = now
+        if a_yaw > max_yaw:
+            max_yaw = a_yaw
+            if yaw_time is None and degrees(a_yaw) >= YAW_EVENT_DEG:
+                yaw_time = now
+        if i == i_2s:
+            altitude = pz
+
+        if i % sample_every == 0:
+            append((now, px, py, pz, vx, vy, vz, degrees(roll), degrees(pitch), degrees(yaw),
+                    wx, wy, wz, degrees(cmd_l), degrees(cmd_r),
+                    degrees(theta_l), degrees(theta_r), f_f, f_b, f_l, f_r,
+                    PHASE_AIRBORNE if airborne else PHASE_GROUND))
+
+        if i == n_steps:
+            break
+
+        # advance actuators toward the commands over (now, now + dt]
+        if airborne:
+            theta_l = clamp(cmd_l, theta_l - foot_step, theta_l + foot_step)
+            theta_r = clamp(cmd_r, theta_r - foot_step, theta_r + foot_step)
+        sched = thrust_schedule(now + dt, ramp)
+        if tau > 0.0:
+            f_f += alpha * (sched * k_f - f_f)
+            f_b += alpha * (sched * k_b - f_b)
+            f_l += alpha * (sched * k_l - f_l)
+            f_r += alpha * (sched * k_r - f_r)
+        else:
+            f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
+
+        if airborne:  # the step under the rows of the step's start
+            t += dt
+            try:
+                ty = ty1 + ty2 + ty3
+{step}            except DivergenceError as err:
+                termination, reason = "diverged", str(err)
+                break
+            if pz < 0.0:
+                termination, touchdown = "touchdown", (i + 1) * dt
+                break
+        else:
+            # held on the ground: the attitude, and so its angles, are unchanged
+            t = now + dt
+
+    return {{
+        "liftoff_time_s": liftoff,
+        "never_lifted": liftoff is None,
+        "altitude_at_2s_m": altitude,
+        "max_abs_pitch_deg": degrees(max_pitch),
+        "max_abs_yaw_deg": degrees(max_yaw),
+        "max_abs_roll_deg": degrees(max_roll),
+        f"pitch_exceeds_{{PITCH_EVENT_DEG:.0f}}deg_time_s": pitch_time,
+        f"yaw_exceeds_{{YAW_EVENT_DEG:.0f}}deg_time_s": yaw_time,
+        "diverged": reason is not None,
+        "divergence_reason": reason,
+        "termination": termination,
+        "touchdown_time_s": touchdown,
+        "final_time_s": now,
+    }}
+"""
+_STEP = """\
+def step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows):
+    f_x, f_z, tx, ty1, ty2, ty3, tz = rows
+    ty = ty1 + ty2 + ty3
+{step}    return px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, roll, pitch, yaw
 """
 # importing math makes the compiler load math.f as sim.py does (LOAD_ATTR, not LOAD_METHOD)
 _BUILD = """\
 import math
 def build(m, weight, i00, i01, i02, i10, i11, i12, i20, i21, i22,
-          j00, j01, j02, j10, j11, j12, j20, j21, j22, f_y, h, dt, lock):
-    def step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows):
-        f_x, f_z, tx, ty1, ty2, ty3, tz = rows
-        ty = ty1 + ty2 + ty3
-{body}
-    return step
+          j00, j01, j02, j10, j11, j12, j20, j21, j22, f_y, h, dt, lock, {constants}):
+{function}    return {name}
 """
 
 
 @functools.cache
 def _step_builder(integrator: str):
-    """build(m, weight, i00..i22, j00..j22, f_y, h, dt, lock) -> step, compiled for
-    integrator on first use; linecache holds its source for tracebacks and inspect."""
+    """step's and run's build(m, weight, i00..i22, j00..j22, f_y, h, dt, lock, *ROW_CONSTANTS),
+    compiled apart on first use: one rk4 source of both peaks 1.4 MiB of RSS, not 0.5."""
     if integrator == "rk4":  # stage k's derivative, then stage k + 1's state or the sum
         body = ""
         for k, s, span in ((1, "", "h"), (2, 2, "h"), (3, 3, "dt"), (4, 4, None)):
@@ -389,17 +497,19 @@ def _step_builder(integrator: str):
             body += _ADVANCE.format(n=k + 1, k=k, span=span) if span else _RK4_SUM
     else:
         body = _DERIVATIVE.format(s="", k="") + _EULER
-    source = _BUILD.format(body=textwrap.indent(_UNIT.format(n="") + body + _TAIL, " " * 8))
-    filename = f"<tvcsim.sim {integrator} step>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    return namespace["build"]
+    body = _UNIT.format(n="") + body + _TAIL
+    functions = {"step": _STEP.format(step=textwrap.indent(body, " " * 4)),
+                 "run": _RUN.format(rows=textwrap.indent(ROWS, " " * 8),
+                                    step=textwrap.indent(body, " " * 16))}
+    return tuple(compile_build(_BUILD.format(constants=ROW_CONSTANTS, name=name,
+                                             function=textwrap.indent(text, " " * 4)),
+                               f"<tvcsim.sim {integrator} {name}>", globals())
+                 for name, text in functions.items())
 
 
 def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
                integrator: str):
-    """The takeoff's float kernel, built once per run: (wrench, step).
+    """The takeoff's float kernel, built once per run: (wrench, step, run).
 
     wrench(f_F, f_B, f_L, f_R, theta_L, theta_R) is wrench_kernel's body rows.
     step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows) advances
@@ -417,17 +527,18 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
     and abs, and it reads the geometry as closure cells. Either way it
     ends in the divergence guards: a new position beyond POSITION_GUARD_M, a
     body rate beyond RATE_GUARD_RAD_S, or a NaN in either raises
-    DivergenceError, naming t.
+    DivergenceError, naming t. run(cfg, tick, trim_angle, rng, append) is
+    run_scenario's loop, with wrench's rows and step's body written out.
     """
     if not 0.0 < dt <= MAX_PHYSICS_DT:  # a NaN fails too
         raise ValueError(f"dt must be in (0, {MAX_PHYSICS_DT}] s")
     if integrator not in ("euler", "rk4"):
         raise ValueError("integrator must be 'euler' or 'rk4'")
+    rows = wrench_constants(geo, perturbation)
     # f_y = 0.0: the body force's zero y row, rotated as any row so signed zeros agree
-    step = _step_builder(integrator)(
-        geo.mass_total, geo.weight, *(x for row in geo.inertia_body for x in row),
-        *geo.inertia_inverse_rows, 0.0, 0.5 * dt, dt, 0.5 * math.pi - GIMBAL_LOCK_MARGIN)
-    return wrench_kernel(geo, perturbation), step
+    args = (geo.mass_total, geo.weight, *(x for row in geo.inertia_body for x in row),
+            *geo.inertia_inverse_rows, 0.0, 0.5 * dt, dt, 0.5 * math.pi - GIMBAL_LOCK_MARGIN)
+    return rows_builder()(*rows), *(build(*args, *rows) for build in _step_builder(integrator))
 
 
 def run_scenario(cfg: ScenarioConfig) -> SimLog:
@@ -461,122 +572,12 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     if cfg.sensor_noise_std > 0.0:
         import numpy as np
         rng = np.random.default_rng(cfg.seed)
-    dt = cfg.dt_s
-    wrench, step = run_kernel(geo, cfg.perturbation, dt, cfg.integrator)
-    weight = geo.weight
-
-    # the loop carries plain floats: 13 state floats, four thrusts, two foot angles
-    px = py = pz = vx = vy = vz = qx = qy = qz = wx = wy = wz = 0.0
-    qw = 1.0
-    clock = 0.0  # the state time, summed step by step as dynamics_step does
-    # the identity's readout: its pitch is asin(-(2.0 * 0.0)), which the first log row prints as -0
-    roll, pitch, yaw = 0.0, -0.0, 0.0
-    airborne = False
-    foot_left = foot_right = trim_angle
-    control_every, sample_every = cfg._controller_substeps, cfg._sample_substeps
-    foot_step = cfg.limits.foot_pitch_rate_max * dt
-    k_f, k_b, k_l, k_r = cfg.perturbation.thrust_scale
-    tau = cfg.limits.thrust_time_constant
-    # an ideal actuator already sits on the schedule at t = 0
-    if tau == 0.0:
-        sched = thrust_schedule(0.0, cfg.ramp)
-        f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
-    else:
-        f_f = f_b = f_l = f_r = 0.0
-        alpha = 1.0 - math.exp(-dt / tau)  # spool lag per step
-    n_steps = cfg._n_steps
-    i_2s = int(round(2.0 / dt)) if cfg.duration_s >= 2.0 else None
-    liftoff = altitude = pitch_time = yaw_time = reason = touchdown = None
-    termination = "duration"
-    # event maxima in radians: math.degrees is monotone, so one conversion at
-    # the end gives the same maxima
-    max_roll = max_pitch = max_yaw = 0.0
+    run = run_kernel(geo, cfg.perturbation, cfg.dt_s, cfg.integrator)[2]
     log = SimLog()
-    append, degrees = log.rows.append, math.degrees
-
-    for i in range(n_steps + 1):
-        t = i * dt
-        if i % control_every == 0:  # from i = 0 on, so the commands are always set
-            cmd_left, cmd_right = controller.step(*_measure(pitch, yaw, wy, wz, cfg, rng),
-                                                  control_every * dt)
-
-        rows = wrench(f_f, f_b, f_l, f_r, foot_left, foot_right)
-        # the ground holds the body level until the net vertical force lifts it
-        if not airborne and rows[1] > weight:
-            airborne = True
-            liftoff = t
-
-        a_roll, a_pitch, a_yaw = abs(roll), abs(pitch), abs(yaw)
-        if a_roll > max_roll:
-            max_roll = a_roll
-        # a band's first crossing is always a new maximum
-        if a_pitch > max_pitch:
-            max_pitch = a_pitch
-            if pitch_time is None and degrees(a_pitch) >= PITCH_EVENT_DEG:
-                pitch_time = t
-        if a_yaw > max_yaw:
-            max_yaw = a_yaw
-            if yaw_time is None and degrees(a_yaw) >= YAW_EVENT_DEG:
-                yaw_time = t
-        if i == i_2s:
-            altitude = pz
-
-        if i % sample_every == 0:
-            append((t, px, py, pz, vx, vy, vz, degrees(roll), degrees(pitch), degrees(yaw),
-                    wx, wy, wz, degrees(cmd_left), degrees(cmd_right),
-                    degrees(foot_left), degrees(foot_right), f_f, f_b, f_l, f_r,
-                    PHASE_AIRBORNE if airborne else PHASE_GROUND))
-
-        if i == n_steps:
-            break
-
-        # advance actuators toward the commands over (t, t + dt]
-        if airborne:
-            foot_left = clamp(cmd_left, foot_left - foot_step, foot_left + foot_step)
-            foot_right = clamp(cmd_right, foot_right - foot_step, foot_right + foot_step)
-        sched = thrust_schedule(t + dt, cfg.ramp)
-        if tau > 0.0:
-            f_f += alpha * (sched * k_f - f_f)
-            f_b += alpha * (sched * k_b - f_b)
-            f_l += alpha * (sched * k_l - f_l)
-            f_r += alpha * (sched * k_r - f_r)
-        else:
-            f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
-
-        if airborne:
-            clock += dt
-            try:
-                (px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz,
-                 roll, pitch, yaw) = step(clock, px, py, pz, vx, vy, vz, qw, qx, qy, qz,
-                                          wx, wy, wz, rows)
-            except DivergenceError as err:
-                termination, reason = "diverged", str(err)
-                break
-            if pz < 0.0:
-                termination, touchdown = "touchdown", (i + 1) * dt
-                break
-        else:
-            # held on the ground: the attitude, and so its angles, are unchanged
-            clock = t + dt
-
+    events = run(cfg, controller.step, trim_angle, rng, log.rows.append)
     log.scenario = asdict(cfg)
-    log.events = {
-        "config": log.scenario | {"gains_used": vars(gains) | {},
-                                  "trim_foot_angle_deg": degrees(trim_angle)},
-        "liftoff_time_s": liftoff,
-        "never_lifted": liftoff is None,
-        "altitude_at_2s_m": altitude,
-        "max_abs_pitch_deg": degrees(max_pitch),
-        "max_abs_yaw_deg": degrees(max_yaw),
-        "max_abs_roll_deg": degrees(max_roll),
-        f"pitch_exceeds_{PITCH_EVENT_DEG:.0f}deg_time_s": pitch_time,
-        f"yaw_exceeds_{YAW_EVENT_DEG:.0f}deg_time_s": yaw_time,
-        "diverged": reason is not None,
-        "divergence_reason": reason,
-        "termination": termination,
-        "touchdown_time_s": touchdown,
-        "final_time_s": t,
-    }
+    config = {"gains_used": vars(gains) | {}, "trim_foot_angle_deg": math.degrees(trim_angle)}
+    log.events = {"config": log.scenario | config, **events}
     return log
 
 

@@ -91,7 +91,7 @@ def quat_integrate(q: Quat, omega: Vec3, dt: float) -> Quat:
 
     Exact for constant omega; always returns a unit quaternion.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:  # a NaN fails too
         raise ValueError(f"dt must be positive, got {dt}")
     import numpy as np
     return np.array(quat_step(q, omega, dt))

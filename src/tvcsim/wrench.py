@@ -20,15 +20,19 @@ Force and torque conventions:
 
 pitch_arms is the one source of the four sagittal arms of these terms; the
 trims, the envelope LP and the controller gains read them there too.
-wrench_kernel is the one evaluator of the rows; generalized_wrench_3d wraps
-it for one fan state at one attitude, and total_wrench is its pitch-only
-case. The world-frame rows are floats too; numpy is imported only for the
+ROWS is the one source of the rows: wrench_kernel compiles it and the
+takeoff loop (sim.run_kernel) writes it out. generalized_wrench_3d wraps
+wrench_kernel for one fan state at one attitude, and total_wrench is its
+pitch-only case. The world-frame rows are floats too; numpy is imported only for the
 array forms of them and by fan_layout, which lists the per-fan forces.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
+import textwrap
 from dataclasses import dataclass, field
 
 from .robot import RobotGeometry
@@ -158,6 +162,52 @@ def generalized_wrench_3d(fs: FanState, geo: RobotGeometry, orientation: Quat,
                   (w_x, w_y, w_z - geo.weight, *_rotate(rot, torque)))
 
 
+# wrench_kernel's rows as source, which the takeoff loop writes out too: the fan
+# state f_f, f_b, f_l, f_r, theta_l, theta_r in, the body rows f_x, f_z, tx,
+# ty1, ty2, ty3, tz out; it reads ROW_CONSTANTS and sin and cos as math's
+ROWS = """\
+a_l, a_r = theta_l + bias_l, theta_r + bias_r
+h_l, v_l = f_l * sin(a_l), f_l * cos(a_l)
+h_r, v_r = f_r * sin(a_r), f_r * cos(a_r)
+f_x = h_l + h_r
+f_z = f_f + f_b + v_l + v_r
+tx, tz = half_lf * (v_l - v_r) - y_c * f_z, half_lf * (h_r - h_l) + y_c * f_x
+ty1, ty2, ty3 = f_b * arm_back - f_f * arm_front, (v_l + v_r) * arm_v, -f_x * arm_h
+"""
+ROW_CONSTANTS = "bias_l, bias_r, half_lf, y_c, arm_front, arm_back, arm_v, arm_h"
+
+
+def compile_build(source: str, filename: str, scope: dict):
+    """source's build, run in scope; linecache keeps source for tracebacks."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), scope, namespace)
+    return namespace["build"]
+
+
+@functools.cache
+def rows_builder():
+    """build(*wrench_constants(geo, perturbation)) -> rows, compiled on first use."""
+    body = textwrap.indent(ROWS + "return f_x, f_z, tx, ty1, ty2, ty3, tz\n", " " * 8)
+    return compile_build(f"def build({ROW_CONSTANTS}):\n    sin, cos = math.sin, math.cos\n"
+                         f"    def rows(f_f, f_b, f_l, f_r, theta_l, theta_r):\n{body}"
+                         "    return rows\n", "<tvcsim.wrench rows>", globals())
+
+
+def wrench_constants(geo: RobotGeometry, perturbation=None) -> tuple[float, ...]:
+    """ROW_CONSTANTS: the foot-axis biases, half the foot spacing, the lateral
+    CoM and pitch_arms, with the perturbation's CoM shift."""
+    # -0.0 is the exact additive identity: no perturbation changes no bit
+    dx = dy = dz = bias_l = bias_r = -0.0
+    if perturbation is not None:
+        dx, dy, dz = perturbation.com_offset
+        bias_l = perturbation.foot_axis_misalignment_left
+        bias_r = perturbation.foot_axis_misalignment_right
+    x_c, y_c, z_c = geo.com_body
+    return (bias_l, bias_r, 0.5 * geo.fan_spacing_feet, y_c + dy,
+            *pitch_arms(geo, x_c + dx, z_c + dz))
+
+
 def wrench_kernel(geo: RobotGeometry, perturbation=None):
     """The one fan force/torque model, with the geometry hoisted out of it.
 
@@ -172,31 +222,10 @@ def wrench_kernel(geo: RobotGeometry, perturbation=None):
         yaw     L_f/2 (h_R - h_L) + y_c F_x
 
     A perturbation shifts the CoM and biases each foot's thrust axis; the
-    rows use the effective CoM and foot angles.
+    rows use the effective CoM and foot angles. rows is ROWS, compiled once
+    per process on first use.
     """
-    # -0.0 is the exact additive identity: no perturbation changes no bit
-    dx = dy = dz = bias_l = bias_r = -0.0
-    if perturbation is not None:
-        dx, dy, dz = perturbation.com_offset
-        bias_l = perturbation.foot_axis_misalignment_left
-        bias_r = perturbation.foot_axis_misalignment_right
-    x_c, y_c, z_c = geo.com_body
-    x_c, y_c, z_c = x_c + dx, y_c + dy, z_c + dz
-    arm_front, arm_back, arm_v, arm_h = pitch_arms(geo, x_c, z_c)
-    half_lf = 0.5 * geo.fan_spacing_feet
-    sin, cos = math.sin, math.cos
-
-    def rows(f_f, f_b, f_l, f_r, theta_l, theta_r):
-        theta_l, theta_r = theta_l + bias_l, theta_r + bias_r
-        h_l, v_l = f_l * sin(theta_l), f_l * cos(theta_l)
-        h_r, v_r = f_r * sin(theta_r), f_r * cos(theta_r)
-        f_x = h_l + h_r
-        f_z = f_f + f_b + v_l + v_r
-        return (f_x, f_z, half_lf * (v_l - v_r) - y_c * f_z,
-                f_b * arm_back - f_f * arm_front, (v_l + v_r) * arm_v, -f_x * arm_h,
-                half_lf * (h_r - h_l) + y_c * f_x)
-
-    return rows
+    return rows_builder()(*wrench_constants(geo, perturbation))
 
 
 def pitch_arms(geo: RobotGeometry, x_c: float, z_c: float) -> tuple[float, float, float, float]:

@@ -95,6 +95,19 @@ def test_gains_validation():
             make_controller().step(0.0, 0.0, 0.0, 0.0, dt)
 
 
+def test_a_nan_tick_period_is_refused_and_leaves_the_integral_alone():
+    # a NaN dt fails the positive check; it must not reach the I terms, whose
+    # NaN would stick to every later tick
+    gains = ControllerGains(1.0, 0.1, 0.5, 0.06, ki_pitch=1.0, ki_yaw=1.0)
+    controller, fresh = make_controller(gains=gains), make_controller(gains=gains)
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        controller.step(0.05, 0.1, 0.0, 0.0, math.nan)
+    for _ in range(3):
+        got = controller.step(0.05, 0.1, 0.2, -0.1, 0.004)
+        assert got == fresh.step(0.05, 0.1, 0.2, -0.1, 0.004)
+        assert all(map(math.isfinite, got))
+
+
 def test_zero_error_passes_trim_through():
     ctl = make_controller(trim=0.1)
     left, right = ctl.step(0.0, 0.0, 0.0, 0.0, 0.004)

@@ -8,10 +8,12 @@ and the commands that compile it, on the one source of the pitch arms, on
 the envelope solver's batching and on the one home of the run record."""
 
 import ast
+import collections
 import dis
 import importlib
 import inspect
 import json
+import linecache
 import os
 import pathlib
 import re
@@ -93,8 +95,13 @@ def test_every_top_level_name_is_used_outside_the_tests():
     package = ROOT / "src" / "tvcsim"
     paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     used = {part for target in _trace_targets() for part in target.split(".")[1:]}
-    for path in paths + sorted((ROOT / "bench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    # the sources that sim and wrench compile are code of src/ too
+    generated = [inspect.getsource(build) for integrator in ("euler", "rk4")
+                 for build in sim._step_builder(integrator)]
+    generated.append(inspect.getsource(wrench.rows_builder()))
+    for text in [path.read_text() for path in paths + sorted((ROOT / "bench").glob("*.py"))] + \
+            generated:
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -193,63 +200,77 @@ def test_takeoff_run_builds_no_rotation_matrix(monkeypatch):
         assert calls == 0, integrator
 
 
-def test_takeoff_loop_evaluates_the_wrench_once_per_step(monkeypatch):
-    calls = 0
-    build = sim.wrench_kernel
+def _run_line_counts(cfg):
+    """run_scenario(cfg)'s log and how often each line of the compiled run ran."""
+    counts = collections.Counter()
 
-    def counted_build(*args, **kwargs):
-        rows = build(*args, **kwargs)
+    def count(frame, event, arg):
+        if event == "line":
+            counts[frame.f_lineno] += 1
+        return count
 
-        def counted(*fan_state):
-            nonlocal calls
-            calls += 1
-            return rows(*fan_state)
+    def calls(frame, event, arg):  # trace the run's frame alone
+        code = frame.f_code
+        return count if code.co_name == "run" and code.co_filename.startswith("<tvcsim.sim") \
+            else None
 
-        return counted
-
-    monkeypatch.setattr(sim, "wrench_kernel", counted_build)
-    for integrator in ("euler", "rk4"):
-        calls = 0
-        cfg = sim.ScenarioConfig(duration_s=0.8, integrator=integrator)
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
         log = sim.run_scenario(cfg)
+    finally:
+        sys.settrace(previous)
+    return log, counts
+
+
+def _source_lines(integrator, text):
+    """The numbers of the lines of integrator's compiled run source that read text."""
+    filename = sim._step_builder(integrator)[1].__code__.co_filename
+    return [n for n, line in enumerate(linecache.getlines(filename), start=1)
+            if line.strip() == text]
+
+
+def test_takeoff_loop_evaluates_the_wrench_once_per_step():
+    # run writes wrench.ROWS out once, and its first line runs once per step:
+    # one evaluation feeds both the liftoff check on the ground and the step
+    # aloft, whose rk4 stages rotate it
+    first = wrench.ROWS.splitlines()[0]
+    for integrator in ("euler", "rk4"):
+        cfg = sim.ScenarioConfig(duration_s=0.8, integrator=integrator)
+        log, counts = _run_line_counts(cfg)
         assert 0.0 < log.events["liftoff_time_s"] < cfg.duration_s  # both phases run
-        # one evaluation of the run's kernel per step feeds both the liftoff
-        # check on the ground and the step aloft, whose rk4 stages rotate it
+        (line,) = _source_lines(integrator, first)
         loop_steps = round(cfg.duration_s / cfg.dt_s) + 1
-        assert calls == loop_steps, integrator
+        assert counts[line] == loop_steps, integrator
 
 
 def test_takeoff_loop_reads_the_attitude_once_per_step_aloft(monkeypatch):
-    # a step aloft is one call of the kernel's step, which also reads out the
-    # new attitude; a controller tick reads floats too, so the loop builds no
+    # a step aloft runs step's body, guards and attitude readout once, written
+    # out in run; a controller tick reads floats too, so the loop builds no
     # EulerAngles at all
-    counts = {"step": 0, "EulerAngles": 0}
-    build, euler_angles = sim.run_kernel, sim.EulerAngles
-
-    def counted_build(*args):
-        wrench, step = build(*args)
-
-        def counted_step(*state):
-            counts["step"] += 1
-            return step(*state)
-
-        return wrench, counted_step
+    built = 0
+    euler_angles = sim.EulerAngles
 
     def counted_angles(*args):
-        counts["EulerAngles"] += 1
+        nonlocal built
+        built += 1
         return euler_angles(*args)
 
-    monkeypatch.setattr(sim, "run_kernel", counted_build)
     monkeypatch.setattr(sim, "EulerAngles", counted_angles)
     for integrator in ("euler", "rk4"):
         cfg = sim.ScenarioConfig(duration_s=0.8, integrator=integrator)
-        counts.update(step=0, EulerAngles=0)
-        log = sim.run_scenario(cfg)
+        built = 0
+        log, counts = _run_line_counts(cfg)
         assert log.events["termination"] == "duration"
         steps = round(cfg.duration_s / cfg.dt_s)
         aloft = steps - round(log.events["liftoff_time_s"] / cfg.dt_s)
         assert 0 < aloft < steps
-        assert counts == {"step": aloft, "EulerAngles": 0}, integrator
+        # the tail's first guard and its readout
+        for text in ("if not math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:",
+                     "pitch = math.asin(sp if sp < 1.0 else 1.0)"):
+            (line,) = _source_lines(integrator, text)
+            assert counts[line] == aloft, (integrator, text)
+        assert built == 0, integrator
 
 
 def test_step_sources_write_the_equations_of_motion_from_one_template():
@@ -259,7 +280,10 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
     # or a comprehension and calls only math's functions (and the readout's
     # abs); rk4 calls math.sqrt for the opening, the three stage and the new
     # quaternions, each followed by its zero-norm ValueError. The tail, the
-    # divergence guards and the attitude readout, ends every step once
+    # divergence guards and the attitude readout, ends every step once. run,
+    # compiled apart from the same templates, writes wrench.ROWS out once at
+    # the top of its loop and step's body once, in its airborne branch, and
+    # calls no function per step but those
     text = (ROOT / "src" / "tvcsim" / "sim.py").read_text()
     row = "1.0 - 2.0 * (yy + zz)"  # R(q)'s first entry
     assert not re.search(r"\baccel\b", text)
@@ -267,19 +291,25 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
     unit = "if n < 1e-300:\n    raise ValueError('cannot normalize a zero quaternion')"
     nested = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
               ast.GeneratorExp)
+    rows = [ast.unparse(stmt) for stmt in ast.parse(wrench.ROWS).body]
     p1 = geometry_from_posture(builtin_posture("P1"))
     # (integrator, R(q) rows written, math.sqrt calls and zero-norm checks before the tail)
-    for integrator, rows, sqrts, checks in (("euler", 1, 3, 1), ("rk4", 4, 5, 5)):
-        build = sim._step_builder(integrator)
-        step_code = sim.run_kernel(p1, None, 1e-3, integrator)[1].__code__
-        assert step_code in build.__code__.co_consts, integrator
-        # math.f loads as a module attribute, as in sim.py, not as a method
-        assert "LOAD_METHOD" not in [op.opname for op in dis.get_instructions(step_code)]
-        source = inspect.getsource(build)
-        assert source.count(row) == rows, integrator
-        (step,) = [node for node in ast.walk(ast.parse(source))
-                   if isinstance(node, ast.FunctionDef) and node.name == "step"]
-        assert not [node for node in list(ast.walk(step))[1:] if isinstance(node, nested)]
+    for integrator, rotations, sqrts, checks in (("euler", 1, 3, 1), ("rk4", 4, 5, 5)):
+        builds = sim._step_builder(integrator)
+        sources = [inspect.getsource(build) for build in builds]
+        for build, function in zip(builds, sim.run_kernel(p1, None, 1e-3, integrator)[1:]):
+            assert function.__code__ in build.__code__.co_consts, integrator
+            # math.f loads as a module attribute, as in sim.py, not as a method
+            assert "LOAD_METHOD" not in [op.opname
+                                         for op in dis.get_instructions(function.__code__)]
+        assert [source.count(row) for source in sources] == [rotations] * 2, integrator
+        assert [source.count(wrench.ROWS.splitlines()[0]) for source in sources] == [0, 1]
+        step, run = [node for name, source in zip(("step", "run"), sources)
+                     for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.FunctionDef) and node.name == name]
+        for function in (step, run):
+            assert not [node for node in list(ast.walk(function))[1:]
+                        if isinstance(node, nested)]
         raised = {id(node.exc) for node in ast.walk(step) if isinstance(node, ast.Raise)}
         calls = [ast.unparse(node.func) for node in ast.walk(step)
                  if isinstance(node, ast.Call) and id(node) not in raised]
@@ -294,32 +324,54 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
         assert all(ast.unparse(body[i - 1]).startswith("n = math.sqrt(") for i in units)
         assert len([node for node in in_body if isinstance(node, ast.Raise)]) == len(units)
         for pattern, count in (("DivergenceError", 2), ("math.asin", 1)):
-            assert source.count(pattern) == count, (integrator, pattern)
             assert len([node for stmt in tail for node in ast.walk(stmt)
                         if ast.unparse(node) == pattern]) == count, (integrator, pattern)
+        # run: ROWS once, at the top of the loop, and step's body, bar the rows'
+        # unpacking and the return, once, as the airborne branch's try body
+        (loop,) = [node for node in ast.walk(run) if isinstance(node, ast.For)]
+        loop_text = [ast.unparse(stmt) for stmt in loop.body]
+        assert [i for i in range(len(loop_text)) if loop_text[i:i + len(rows)] == rows] == [2]
+        (branch,) = [node for node in ast.walk(run) if isinstance(node, ast.Try)]
+        assert ([ast.unparse(stmt) for stmt in branch.body]
+                == [ast.unparse(stmt) for stmt in step.body[1:-1]])
+        assert ast.unparse(branch.handlers[0].type) == "DivergenceError"
+        raised = {id(node.exc) for node in ast.walk(run) if isinstance(node, ast.Raise)}
+        calls = {ast.unparse(node.func) for node in ast.walk(run)
+                 if isinstance(node, ast.Call) and id(node) not in raised}
+        assert {call for call in calls if not call.startswith("math.")} == {
+            "abs", "sin", "cos", "degrees", "clamp", "thrust_schedule", "tick", "_measure",
+            "append", "range", "int", "round", "str"}, integrator
+        assert "EulerAngles" not in ast.unparse(run)
 
 
 def test_only_a_takeoff_step_compiles_a_step_source(tmp_path):
-    # _step_builder compiles on first use, once per integrator: importing the
-    # package and the commands that never step the rigid body compile nothing
+    # _step_builder compiles step and run on first use, once per integrator:
+    # importing the package and the commands that never step the rigid body
+    # compile nothing. The wrench rows compile once, on first use: not at
+    # import, but by the first wrench any command evaluates
     from tvcsim import cli
 
-    code = "from tvcsim import cli, sim; assert sim._step_builder.cache_info().misses == 0"
+    code = ("from tvcsim import cli, sim, wrench; "
+            "assert sim._step_builder.cache_info().misses == 0; "
+            "assert wrench.rows_builder.cache_info().misses == 0")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     sim._step_builder.cache_clear()
+    wrench.rows_builder.cache_clear()
     (tmp_path / "run.cfg").write_text("envelope.n_points = 2\n")
     for argv in (["trim"], ["wrench-eval", "--thrust-fl", "40"], ["envelope", "--postures", "P1"]):
         assert cli.main(["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path),
                          *argv]) == 0, argv
     assert sim._step_builder.cache_info().misses == 0
+    assert wrench.rows_builder.cache_info().misses == 1
     p1 = geometry_from_posture(builtin_posture("P1"))
     for integrator in ("euler", "rk4", "euler", "rk4"):
         sim.run_kernel(p1, None, 1e-3, integrator)
     assert sim._step_builder.cache_info().misses == 2
     assert sim._step_builder.cache_info().hits == 2
+    assert wrench.rows_builder.cache_info().misses == 1
 
 
 def test_only_the_wrench_model_reads_the_pitch_arm_geometry():

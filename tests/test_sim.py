@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 from tvcsim.config import scenario_from_config
-from tvcsim.controller import ControlMode, ThrustRamp, clamp
+from tvcsim.controller import (
+    AttitudeController,
+    ControlMode,
+    ControllerGains,
+    ThrustRamp,
+    clamp,
+    thrust_schedule,
+    tune_gains,
+)
 from tvcsim.envelope import EnvelopeConstraint, envelope_sweep, tvc_dt_ratio
 from tvcsim.robot import (
     DEFAULT_FAN_MASS,
@@ -26,13 +34,16 @@ from tvcsim.robot import (
 from tvcsim.sim import (
     PHASE_AIRBORNE,
     PHASE_GROUND,
+    PITCH_EVENT_DEG,
     POSITION_GUARD_M,
     RATE_GUARD_RAD_S,
+    YAW_EVENT_DEG,
     DivergenceError,
     Perturbation,
     RigidBodyState,
     ScenarioConfig,
     SimLog,
+    _measure,
     dynamics_step,
     run_kernel,
     run_scenario,
@@ -971,7 +982,7 @@ def test_integrator_error_falls_with_the_order_of_the_method(integrator, lo, hi)
     # An open-loop tumble under a fixed P1 wrench, against a run at 1/64 of the
     # finest dt; a wrong stage that both rk4 copies shared would fail this
     def final(dt):
-        wrench, step = run_kernel(P1, None, dt, integrator)
+        wrench, step, _ = run_kernel(P1, None, dt, integrator)
         rows = wrench(45.0, 45.0, 42.0, 48.0, 0.2, -0.1)
         state = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.5, -0.8)
         for k in range(round(0.4 / dt)):
@@ -990,7 +1001,7 @@ def test_torque_free_rk4_flight_keeps_the_world_angular_momentum():
     # orthogonal to I omega either way) but turns this vector: relative drift
     # measured at most 2.2e-12 over these 2 s, and up to 1.57 with the three
     # signs flipped
-    wrench, step = run_kernel(P1, None, 1e-3, "rk4")
+    wrench, step, _ = run_kernel(P1, None, 1e-3, "rk4")
     rows = (0.0,) * 7
     inertia = np.array(P1.inertia_body)
     state = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.5, -2.0, 3.0)
@@ -1015,7 +1026,7 @@ REST = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 def test_step_tracebacks_show_the_raising_line(integrator):
     # the step is compiled from generated source, which linecache holds, so a
     # traceback from inside it prints the line that raised
-    wrench, step = run_kernel(P1, None, 1e-3, integrator)
+    wrench, step, _ = run_kernel(P1, None, 1e-3, integrator)
     zero_q = (*REST[0:6], 0.0, 0.0, 0.0, 0.0, *REST[10:13])
     for state, rows, error, line in (
             (zero_q, (0.0,) * 7, ValueError,
@@ -1037,7 +1048,7 @@ def test_step_readout_is_the_zyx_split_of_the_rotation_rows(integrator):
     for pitch in (0.5 * math.pi, -0.5 * math.pi, 0.5 * math.pi - 0.5 * GIMBAL_LOCK_MARGIN,
                   -0.5 * math.pi + 2.0 * GIMBAL_LOCK_MARGIN):
         qs += [euler_quat(0.1, pitch, yaw) for yaw in rng.uniform(-3.0, 3.0, 50)]
-    wrench, step = run_kernel(P1, None, 1e-3, integrator)
+    wrench, step, _ = run_kernel(P1, None, 1e-3, integrator)
     rows = (0.0,) * 7
     locked = 0
     for q in qs:
@@ -1057,7 +1068,7 @@ def test_the_log_and_the_step_read_a_negative_zero_pitch_at_the_identity(tmp_pat
     header, first = (tmp_path / "log.csv").read_text().splitlines()[:2]
     assert first.split(",")[header.split(",").index("pitch_deg")] == "-0"
     for integrator in ("euler", "rk4"):
-        wrench, step = run_kernel(P1, None, 1e-3, integrator)
+        wrench, step, _ = run_kernel(P1, None, 1e-3, integrator)
         x = step(1e-3, *REST, (0.0,) * 7)
         assert x[6:10] == (1.0, 0.0, 0.0, 0.0)
         assert struct.pack("<3d", *x[13:16]) == struct.pack("<3d", 0.0, -0.0, 0.0)
@@ -1066,7 +1077,7 @@ def test_the_log_and_the_step_read_a_negative_zero_pitch_at_the_identity(tmp_pat
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
 def test_step_guard_messages(integrator):
     # the messages that the divergence events carry, naming the step's time
-    wrench, step = run_kernel(P1, None, 1e-3, integrator)
+    wrench, step, _ = run_kernel(P1, None, 1e-3, integrator)
     rows = (0.0,) * 7
 
     def raised(*state, rows=rows):
@@ -1087,3 +1098,186 @@ def test_step_guard_messages(integrator):
         "rk4": "position (nan, nan, nan) left the 100.0 m guard at t=0.501 s"}[integrator]
     with pytest.raises(ValueError, match="^cannot normalize a zero quaternion$"):
         step(0.501, *REST[:6], 0.0, 0.0, 0.0, 0.0, *REST[10:], rows)
+
+
+def python_loop(cfg):
+    """run_scenario's loop as it was written in Python around run_kernel's
+    wrench and step, before run wrote both out: (log rows, events without
+    the config)."""
+    geo = cfg.geometry()
+    trim_state, _ = hover_trim(geo, equal_thrust=True, limits=cfg.limits,
+                               foot_pitch_range=cfg.posture.foot_pitch_range)
+    trim_angle = trim_state.theta_left
+    gains = cfg.gains or tune_gains(
+        geo, hover_thrust_per_fan=trim_state.f_left, trim_foot_angle=trim_angle,
+        zeta=cfg.zeta, omega_n_pitch=cfg.omega_n_pitch, omega_n_yaw=cfg.omega_n_yaw)
+    controller = AttitudeController(gains, cfg.mode, cfg.posture, cfg.limits, trim_angle,
+                                    setpoint=cfg.setpoint)
+    rng = np.random.default_rng(cfg.seed) if cfg.sensor_noise_std > 0.0 else None
+    dt = cfg.dt_s
+    wrench, step, _ = run_kernel(geo, cfg.perturbation, dt, cfg.integrator)
+    weight = geo.weight
+
+    px = py = pz = vx = vy = vz = qx = qy = qz = wx = wy = wz = 0.0
+    qw = 1.0
+    clock = 0.0
+    roll, pitch, yaw = 0.0, -0.0, 0.0
+    airborne = False
+    foot_left = foot_right = trim_angle
+    control_every, sample_every = cfg._controller_substeps, cfg._sample_substeps
+    foot_step = cfg.limits.foot_pitch_rate_max * dt
+    k_f, k_b, k_l, k_r = cfg.perturbation.thrust_scale
+    tau = cfg.limits.thrust_time_constant
+    if tau == 0.0:
+        sched = thrust_schedule(0.0, cfg.ramp)
+        f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
+    else:
+        f_f = f_b = f_l = f_r = 0.0
+        alpha = 1.0 - math.exp(-dt / tau)
+    n_steps = cfg._n_steps
+    i_2s = int(round(2.0 / dt)) if cfg.duration_s >= 2.0 else None
+    liftoff = altitude = pitch_time = yaw_time = reason = touchdown = None
+    termination = "duration"
+    max_roll = max_pitch = max_yaw = 0.0
+    rows_logged, degrees = [], math.degrees
+
+    for i in range(n_steps + 1):
+        t = i * dt
+        if i % control_every == 0:
+            cmd_left, cmd_right = controller.step(*_measure(pitch, yaw, wy, wz, cfg, rng),
+                                                  control_every * dt)
+        rows = wrench(f_f, f_b, f_l, f_r, foot_left, foot_right)
+        if not airborne and rows[1] > weight:
+            airborne = True
+            liftoff = t
+        a_roll, a_pitch, a_yaw = abs(roll), abs(pitch), abs(yaw)
+        if a_roll > max_roll:
+            max_roll = a_roll
+        if a_pitch > max_pitch:
+            max_pitch = a_pitch
+            if pitch_time is None and degrees(a_pitch) >= PITCH_EVENT_DEG:
+                pitch_time = t
+        if a_yaw > max_yaw:
+            max_yaw = a_yaw
+            if yaw_time is None and degrees(a_yaw) >= YAW_EVENT_DEG:
+                yaw_time = t
+        if i == i_2s:
+            altitude = pz
+        if i % sample_every == 0:
+            rows_logged.append((t, px, py, pz, vx, vy, vz, degrees(roll), degrees(pitch),
+                                degrees(yaw), wx, wy, wz, degrees(cmd_left), degrees(cmd_right),
+                                degrees(foot_left), degrees(foot_right), f_f, f_b, f_l, f_r,
+                                PHASE_AIRBORNE if airborne else PHASE_GROUND))
+        if i == n_steps:
+            break
+        if airborne:
+            foot_left = clamp(cmd_left, foot_left - foot_step, foot_left + foot_step)
+            foot_right = clamp(cmd_right, foot_right - foot_step, foot_right + foot_step)
+        sched = thrust_schedule(t + dt, cfg.ramp)
+        if tau > 0.0:
+            f_f += alpha * (sched * k_f - f_f)
+            f_b += alpha * (sched * k_b - f_b)
+            f_l += alpha * (sched * k_l - f_l)
+            f_r += alpha * (sched * k_r - f_r)
+        else:
+            f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
+        if airborne:
+            clock += dt
+            try:
+                (px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz,
+                 roll, pitch, yaw) = step(clock, px, py, pz, vx, vy, vz, qw, qx, qy, qz,
+                                          wx, wy, wz, rows)
+            except DivergenceError as err:
+                termination, reason = "diverged", str(err)
+                break
+            if pz < 0.0:
+                termination, touchdown = "touchdown", (i + 1) * dt
+                break
+        else:
+            clock = t + dt
+
+    return rows_logged, {
+        "liftoff_time_s": liftoff, "never_lifted": liftoff is None,
+        "altitude_at_2s_m": altitude, "max_abs_pitch_deg": degrees(max_pitch),
+        "max_abs_yaw_deg": degrees(max_yaw), "max_abs_roll_deg": degrees(max_roll),
+        f"pitch_exceeds_{PITCH_EVENT_DEG:.0f}deg_time_s": pitch_time,
+        f"yaw_exceeds_{YAW_EVENT_DEG:.0f}deg_time_s": yaw_time,
+        "diverged": reason is not None, "divergence_reason": reason,
+        "termination": termination, "touchdown_time_s": touchdown, "final_time_s": t,
+    }
+
+
+def _exact(values):
+    """Floats as their bytes, so that signed zeros and NaNs compare too."""
+    return [struct.pack("<d", x) if isinstance(x, float) else x for x in values]
+
+
+SPIN = Perturbation(foot_axis_misalignment_left=math.radians(10.0),
+                    foot_axis_misalignment_right=math.radians(-10.0))
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_compiled_loop_is_the_python_loop_bit_for_bit(integrator):
+    # every posture and mode, sensor noise, I gains with a binding ankle slew
+    # and ideal fans, a diverging run and a touchdown
+    cases = [ScenarioConfig(posture=builtin_posture(name), mode=mode, integrator=integrator,
+                            duration_s=2.2)
+             for name in ("P1", "P2", "P3") for mode in ControlMode]
+    cases += [ScenarioConfig(integrator=integrator, sensor_noise_std=0.005, seed=4,
+                             duration_s=2.2),
+              ScenarioConfig(gains=ControllerGains(1.0, 0.12, 0.5, 0.06, 2.0, 2.0),
+                             limits=FanLimits(foot_pitch_rate_max=0.5, thrust_time_constant=0.0),
+                             integrator=integrator, duration_s=2.2),
+              ScenarioConfig(mode=ControlMode.PITCH_ONLY, perturbation=SPIN, duration_s=4.0,
+                             integrator=integrator),
+              ScenarioConfig(mode=ControlMode.ALL_OFF, integrator=integrator)]
+    ends = []
+    for cfg in cases:
+        log = run_scenario(cfg)
+        rows, events = python_loop(cfg)
+        assert [_exact(row) for row in log.rows] == [_exact(row) for row in rows], cfg
+        log.events.pop("config")
+        assert list(log.events) == list(events)
+        assert _exact(log.events.values()) == _exact(events.values()), cfg
+        ends.append(events["termination"])
+    assert ends[-4] == "duration" and ends[-2:] == ["diverged", "touchdown"]
+
+
+def _held(events):
+    """Criterion 5's bands: lifted, 1 m up by 2 s, |pitch| <= 10 deg, |yaw| <= 20 deg."""
+    return (events["liftoff_time_s"] is not None and events["altitude_at_2s_m"] is not None
+            and events["altitude_at_2s_m"] >= 1.0 and events["max_abs_pitch_deg"] <= 10.0
+            and events["max_abs_yaw_deg"] <= 20.0)
+
+
+def test_the_loops_hold_the_robot_over_drawn_perturbations():
+    # the paper's claim over a region, not Perturbation.standard() alone: six
+    # seeded draws on each axis that the pitch and yaw loops reject, the other
+    # axes at standard: CoM x in +-20 mm, each foot misalignment in +-5 deg,
+    # the front and back thrust scales in [0.95, 1.05]. Both-on holds
+    # criterion 5's bands in every draw. All-off leaves them in every draw,
+    # within 2 s of liftoff; it often rolls over and touches down before its
+    # pitch reaches criterion 6's 30 deg, so the dive is not read from that
+    # band. Pitch-only spins as criterion 6 says, yaw past 40 deg within 2 s
+    # of liftoff, wherever the foot biases differ by 0.3 deg or more: only a
+    # left/right difference makes the yaw couple (0.1 deg of difference
+    # spins it to 30 deg, 0.05 deg to 15 deg)
+    rng = np.random.default_rng(2108)
+    standard = Perturbation.standard()
+    draws = []
+    for _ in range(6):
+        left, right = np.radians(rng.uniform(-5.0, 5.0, 2)).tolist()
+        draws += [replace(standard, com_offset=(rng.uniform(-0.02, 0.02), 0.0, 0.0)),
+                  replace(standard, foot_axis_misalignment_left=left,
+                          foot_axis_misalignment_right=right),
+                  replace(standard, thrust_scale=(*rng.uniform(0.95, 1.05, 2).tolist(),
+                                                  1.0, 1.0))]
+    for pert in draws:
+        on, pitch_only, off = (run_scenario(ScenarioConfig(mode=mode, perturbation=pert)).events
+                               for mode in ControlMode)  # both-on, pitch-only, all-off
+        assert _held(on), pert
+        assert not _held(off) and off["final_time_s"] <= off["liftoff_time_s"] + 2.0, pert
+        couple = abs(pert.foot_axis_misalignment_left - pert.foot_axis_misalignment_right)
+        if couple >= math.radians(0.3):
+            spin = pitch_only["yaw_exceeds_40deg_time_s"]
+            assert spin is not None and spin <= pitch_only["liftoff_time_s"] + 2.0, pert

@@ -100,6 +100,12 @@ def test_quat_integrate_rejects_nonpositive_dt():
         quat_integrate(quat_identity(), np.zeros(3), 0.0)
 
 
+def test_quat_integrate_rejects_a_nan_dt():
+    # a NaN passed "dt <= 0.0" and gave a NaN quaternion
+    with pytest.raises(ValueError, match="^dt must be positive, got nan$"):
+        quat_integrate(quat_identity(), np.array([0.1, 0.2, -0.3]), math.nan)
+
+
 def test_quat_integrate_pi_about_y_in_substeps():
     # oracle: the closed-form rotation by pi about y
     q = quat_identity()

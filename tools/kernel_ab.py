@@ -3,8 +3,8 @@
     python tools/kernel_ab.py PARENT_ROOT CHANGE_ROOT [--rounds N]
 
 Each root is a checkout with src/tvcsim; CHANGE_ROOT also needs bench/,
-whose audit, takeoff and envelope generators make the cases of checks 1, 2
-and 4. The script
+whose audit, takeoff and envelope generators make the cases of checks 1 to
+4. The script
 
 1. steps both trees' sim.run_kernel on the same step cases (random states
    and loads over many magnitudes, signed zeros, rates below the small-angle
@@ -34,11 +34,11 @@ and 4. The script
      alone or beside another fault, on all four commands;
    and compares the hash of every output: the files, the manifest without
    wall_clock_s, stdout, stderr and the exit code;
-3. times each tree's step in this process, the two trees interleaved in a
-   random order each round, and prints the minimum and median us per step;
-4. times one bench envelope op (Envelope(7).make(i), ops 0-14, through
-   cli.main, each tree into its own output directory) the same way, and
-   prints the minimum and median ms per op.
+3. times whole bench takeoff ops, Takeoff(7, integrator).make(i) for ops
+   0-14 and both integrators, through each tree's cli.main in this process,
+   each tree into its own output directory, the two trees interleaved in a
+   random order each round, and prints the minimum and median ms per op;
+4. times the bench envelope ops Envelope(7).make(i), ops 0-14, the same way.
 
 It exits 1 on any mismatch in 1 or 2.
 """
@@ -427,31 +427,9 @@ def report(label: str, unit: str, scale: float, times: dict) -> None:
           f"parent/change min {best['parent'] / best['change']:.3f}")
 
 
-def time_steps(a, b, rounds: int, calls: int = 200) -> None:
-    """Interleaved in-process us per step of each tree, on airborne-like states."""
-    rng = np.random.default_rng(5)
-    states = []
-    for _ in range(calls):
-        q = rng.normal(0.0, 0.05, 4) + (1.0, 0.0, 0.0, 0.0)  # near level
-        states.append((*rng.normal(0.0, 0.3, 6).tolist(), *(q / np.linalg.norm(q)).tolist(),
-                       *rng.normal(0.0, 1.0, 3).tolist()))
-    rows = (0.3, 190.0, 0.05, 0.4, -0.2, 0.1, 0.02)
-    for integrator in INTEGRATORS:
-        def stepping(step):
-            def run():
-                for state in states:
-                    step(0.5, *state, rows)
-            return run
-
-        # kernels()[4] is P1 with Perturbation.standard() at 1 ms
-        times = interleaved({"parent": stepping(kernels(a, integrator)[4]),
-                             "change": stepping(kernels(b, integrator)[4])}, rounds)
-        report(f"{integrator} step (P1 perturbed, 1 ms)", "us per step", 1e6 / calls, times)
-
-
-def time_envelope(a, b, change_root: str, rounds: int) -> None:
-    """Interleaved in-process ms per bench envelope op of each tree, through cli.main."""
-    gen = bench_workloads(change_root).Envelope(7)
+def time_ops(a, b, gen, label: str, rounds: int) -> None:
+    """Interleaved in-process ms per bench op of gen, ops 0-14, of each tree,
+    through cli.main, each tree into its own output directory."""
     with tempfile.TemporaryDirectory() as tmp:
         specs = []
         for index in range(OPS):
@@ -468,11 +446,12 @@ def time_envelope(a, b, change_root: str, rounds: int) -> None:
             def run():
                 with contextlib.redirect_stdout(io.StringIO()):
                     codes = [tree["cli"].main(argv) for argv in argvs]
-                assert codes == [0] * OPS, codes
+                assert all(code in gen.expected_exit for code in codes), codes
             return run
 
         times = interleaved({"parent": ops(a, "parent"), "change": ops(b, "change")}, rounds)
-    report(f"envelope op (Envelope(7) ops 0-{OPS - 1})", "ms per op", 1e3 / OPS, times)
+    report(f"{label} op ({type(gen).__name__}(7) ops 0-{OPS - 1})", "ms per op", 1e3 / OPS,
+           times)
 
 
 def main(argv=None) -> int:
@@ -486,8 +465,10 @@ def main(argv=None) -> int:
     bad = (compare_steps(a, b) + compare_envelope(a, b) + compare_wrench(a, b, args.change_root)
            + compare_outputs(args.parent_root, args.change_root))
     if args.rounds > 0:
-        time_steps(a, b, args.rounds)
-        time_envelope(a, b, args.change_root, args.rounds)
+        workloads = bench_workloads(args.change_root)
+        for integrator in INTEGRATORS:
+            time_ops(a, b, workloads.Takeoff(7, integrator), f"takeoff {integrator}", args.rounds)
+        time_ops(a, b, workloads.Envelope(7), "envelope", args.rounds)
     print("MISMATCH" if bad else "identical")
     return 1 if bad else 0
 

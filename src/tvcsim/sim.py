@@ -534,11 +534,11 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
         raise ValueError(f"dt must be in (0, {MAX_PHYSICS_DT}] s")
     if integrator not in ("euler", "rk4"):
         raise ValueError("integrator must be 'euler' or 'rk4'")
-    rows = wrench_constants(geo, perturbation)
+    consts = wrench_constants(geo, perturbation)  # ROW_CONSTANTS
     # f_y = 0.0: the body force's zero y row, rotated as any row so signed zeros agree
     args = (geo.mass_total, geo.weight, *(x for row in geo.inertia_body for x in row),
             *geo.inertia_inverse_rows, 0.0, 0.5 * dt, dt, 0.5 * math.pi - GIMBAL_LOCK_MARGIN)
-    return rows_builder()(*rows), *(build(*args, *rows) for build in _step_builder(integrator))
+    return rows_builder()(*consts), *(build(*args, *consts) for build in _step_builder(integrator))
 
 
 def run_scenario(cfg: ScenarioConfig) -> SimLog:

@@ -323,7 +323,10 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
         assert len(units) == checks, integrator
         assert all(ast.unparse(body[i - 1]).startswith("n = math.sqrt(") for i in units)
         assert len([node for node in in_body if isinstance(node, ast.Raise)]) == len(units)
+        # the guards and the readout, in the tail alone; run adds its except clause
         for pattern, count in (("DivergenceError", 2), ("math.asin", 1)):
+            assert sources[0].count(pattern) == count, (integrator, pattern)
+            assert sources[1].count(pattern) == count + (pattern == "DivergenceError")
             assert len([node for stmt in tail for node in ast.walk(stmt)
                         if ast.unparse(node) == pattern]) == count, (integrator, pattern)
         # run: ROWS once, at the top of the loop, and step's body, bar the rows'

@@ -1255,11 +1255,12 @@ def test_the_loops_hold_the_robot_over_drawn_perturbations():
     # seeded draws on each axis that the pitch and yaw loops reject, the other
     # axes at standard: CoM x in +-20 mm, each foot misalignment in +-5 deg,
     # the front and back thrust scales in [0.95, 1.05]. Both-on holds
-    # criterion 5's bands in every draw. All-off leaves them in every draw,
-    # within 2 s of liftoff; it often rolls over and touches down before its
-    # pitch reaches criterion 6's 30 deg, so the dive is not read from that
-    # band. Pitch-only spins as criterion 6 says, yaw past 40 deg within 2 s
-    # of liftoff, wherever the foot biases differ by 0.3 deg or more: only a
+    # criterion 5's bands in every draw. All-off dives out of the 10 deg pitch
+    # band in every draw, within 2 s of liftoff (21.6 deg at the least of these
+    # draws); it often rolls over and touches down before its pitch reaches
+    # criterion 6's 30 deg, so the dive is not read from that band.
+    # Pitch-only spins as criterion 6 says, yaw past 40 deg within 2 s of
+    # liftoff, wherever the foot biases differ by 0.3 deg or more: only a
     # left/right difference makes the yaw couple (0.1 deg of difference
     # spins it to 30 deg, 0.05 deg to 15 deg)
     rng = np.random.default_rng(2108)
@@ -1276,7 +1277,8 @@ def test_the_loops_hold_the_robot_over_drawn_perturbations():
         on, pitch_only, off = (run_scenario(ScenarioConfig(mode=mode, perturbation=pert)).events
                                for mode in ControlMode)  # both-on, pitch-only, all-off
         assert _held(on), pert
-        assert not _held(off) and off["final_time_s"] <= off["liftoff_time_s"] + 2.0, pert
+        assert off["max_abs_pitch_deg"] > 10.0, pert  # so criterion 5 fails on its pitch band
+        assert off["final_time_s"] <= off["liftoff_time_s"] + 2.0, pert
         couple = abs(pert.foot_axis_misalignment_left - pert.foot_axis_misalignment_right)
         if couple >= math.radians(0.3):
             spin = pitch_only["yaw_exceeds_40deg_time_s"]

@@ -12,11 +12,13 @@ Angles are degrees at this boundary, SI units otherwise. Exit codes: 0 ok,
 infeasible geometry, 4 takeoff run ended before its duration (divergence or
 touchdown). Every command resolves its robot from the config file through
 scenario_from_config, after main merges the options that override config keys
-(OVERRIDES) into the file's values, then prints its report and returns its
-outputs as writers. main alone publishes them and the manifest, with the sha256
-of the config bytes it parsed and of the bytes written to each output, and
-reads the one clock: outputs are written atomically (temp file + rename) and
-contain no timestamps, so a rerun with identical inputs is byte-identical.
+(OVERRIDES) into the file's values, and returns its report lines and its
+outputs as writers. main alone reads the one clock and publishes the outputs
+and the manifest, with the sha256 of the config bytes it parsed and of the
+bytes written to each output; it prints the report only then, so a run that
+fails prints only its error line. Outputs are written atomically (temp file +
+rename) and contain no timestamps, so a rerun with identical inputs is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def main(argv=None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {args.out}: {exc}") from None
-        code, outputs, scenarios, extra = args.func(args, values)
+        code, report, outputs, scenarios, extra = args.func(args, values)
         digests = {name: _publish(os.path.join(args.out, name), write)
                    for name, write in outputs.items()}
         name = args.command.replace("-", "_")
@@ -80,6 +82,7 @@ def main(argv=None) -> int:
             "wall_clock_s": round(time.monotonic() - started, 3),
         }, indent=2, sort_keys=True, allow_nan=False) + "\n"
         _publish(os.path.join(args.out, f"{name}_manifest.json"), _text_writer(text))
+        print("\n".join(report))
         return code
     except ValueError as exc:  # ConfigError and UnknownPostureError among them
         print(f"error: {exc}", file=sys.stderr)
@@ -188,8 +191,7 @@ def cmd_envelope(args, values):
         if name in postures[:k]:
             raise ConfigError(f"posture {name} is given twice in --postures")
     cfgs = [scenario_from_config(values | {"posture": name}) for name in postures]
-    outputs = {}
-    reports = []
+    outputs, report = {}, []
     for cfg in cfgs:
         name = cfg.posture.name
         geo = cfg.geometry()
@@ -203,15 +205,13 @@ def cmd_envelope(args, values):
         else:
             write = _text_writer(_rows_as_json(ENVELOPE_CSV_HEADER, envelope_rows(points)))
         outputs[f"envelope_{name}.{args.format}"] = write
-        reports.append((name, geo, ratio_max, ratio_min))
-
-    for name, geo, ratio_max, ratio_min in reports:
-        print(f"{name}: geometry mass={geo.mass_total} kg L={geo.fan_spacing_waist} m "
-              f"L_f={geo.fan_spacing_feet} m com=({geo.com_body[0]:.3f}, "
-              f"{geo.com_body[2]:.3f}) m feet=({geo.fan_foot_x:.3f}, {geo.fan_foot_z:.3f}) m")
-        print(f"{name}: tvc/dt ratio @0deg: tau_max {ratio_max:.2f}, |tau_min| {ratio_min:.2f}")
-    print(f"wrote {len(cfgs)} envelope file(s) + envelope_manifest.json")
-    return EXIT_OK, outputs, [asdict(c) for c in cfgs], {"envelope": asdict(settings)}
+        report += [
+            f"{name}: geometry mass={geo.mass_total} kg L={geo.fan_spacing_waist} m "
+            f"L_f={geo.fan_spacing_feet} m com=({geo.com_body[0]:.3f}, "
+            f"{geo.com_body[2]:.3f}) m feet=({geo.fan_foot_x:.3f}, {geo.fan_foot_z:.3f}) m",
+            f"{name}: tvc/dt ratio @0deg: tau_max {ratio_max:.2f}, |tau_min| {ratio_min:.2f}"]
+    report.append(f"wrote {len(cfgs)} envelope file(s) + envelope_manifest.json")
+    return EXIT_OK, report, outputs, [asdict(c) for c in cfgs], {"envelope": asdict(settings)}
 
 
 def cmd_takeoff(args, values):
@@ -227,14 +227,14 @@ def cmd_takeoff(args, values):
     ev = log.events
     liftoff = ev["liftoff_time_s"]
     alt = ev["altitude_at_2s_m"]
-    print(
+    report = [
         f"mode={cfg.mode.value} liftoff_t={'never' if liftoff is None else f'{liftoff:.3f} s'} "
         f"altitude@2s={'n/a' if alt is None else f'{alt:.3f} m'} "
         f"max|pitch|={ev['max_abs_pitch_deg']:.1f} deg max|yaw|={ev['max_abs_yaw_deg']:.1f} deg"
         + ("" if ev["termination"] == "duration" else f" [{ev['termination'].upper()}]")
-    )
+    ]
     code = EXIT_OK if ev["termination"] == "duration" else EXIT_ENDED_EARLY
-    return code, outputs, [log.scenario], {}
+    return code, report, outputs, [log.scenario], {}
 
 
 def cmd_trim(args, values):
@@ -244,16 +244,18 @@ def cmd_trim(args, values):
                                  limits=cfg.limits,
                                  foot_pitch_range=cfg.posture.foot_pitch_range)
     residual = math.hypot(*total_wrench(fs, geo, theta_pitch).world)
-    print(f"posture={cfg.posture.name}")
-    print(f"f_front_n={fs.f_front:.6f}")
-    print(f"f_back_n={fs.f_back:.6f}")
-    print(f"f_left_n={fs.f_left:.6f}")
-    print(f"f_right_n={fs.f_right:.6f}")
-    print(f"foot_angle_left_deg={math.degrees(fs.theta_left):.6f}")
-    print(f"foot_angle_right_deg={math.degrees(fs.theta_right):.6f}")
-    print(f"theta_pitch_deg={math.degrees(theta_pitch):.6f}")
-    print(f"residual_wrench_norm={residual:.3e}")
-    return EXIT_OK, {}, [asdict(cfg)], {"waist_differential": args.waist_differential}
+    report = [
+        f"posture={cfg.posture.name}",
+        f"f_front_n={fs.f_front:.6f}",
+        f"f_back_n={fs.f_back:.6f}",
+        f"f_left_n={fs.f_left:.6f}",
+        f"f_right_n={fs.f_right:.6f}",
+        f"foot_angle_left_deg={math.degrees(fs.theta_left):.6f}",
+        f"foot_angle_right_deg={math.degrees(fs.theta_right):.6f}",
+        f"theta_pitch_deg={math.degrees(theta_pitch):.6f}",
+        f"residual_wrench_norm={residual:.3e}",
+    ]
+    return EXIT_OK, report, {}, [asdict(cfg)], {"waist_differential": args.waist_differential}
 
 
 def cmd_wrench_eval(args, values):
@@ -273,12 +275,10 @@ def cmd_wrench_eval(args, values):
     # |R v| = |v|: a finite body wrench norm keeps the world rows finite
     if not all(math.isfinite(math.hypot(*v)) for v in (w.force_body, w.torque_body)):
         raise ConfigError("the fan state's wrench overflows a float")
-    for name, value in zip(("fx", "fy", "fz", "tx", "ty", "tz"), w.world):
-        print(f"{name}={value:.6f}")
-    print(f"ty1={w.t_y1:.6f}")
-    print(f"ty2={w.t_y2:.6f}")
-    print(f"ty3={w.t_y3:.6f}")
-    return EXIT_OK, {}, [asdict(cfg)], {"fan_state": {
+    report = [f"{name}={value:.6f}" for name, value in zip(
+        ("fx", "fy", "fz", "tx", "ty", "tz", "ty1", "ty2", "ty3"),
+        (*w.world, w.t_y1, w.t_y2, w.t_y3))]
+    return EXIT_OK, report, {}, [asdict(cfg)], {"fan_state": {
         "f_front": args.thrust_ff, "f_back": args.thrust_fb,
         "f_left": args.thrust_fl, "f_right": args.thrust_fr,
         "theta_l_deg": args.theta_l, "theta_r_deg": args.theta_r,

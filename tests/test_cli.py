@@ -721,10 +721,11 @@ def test_an_output_that_cannot_be_written_is_one_line_exit_2(tmp_path, capsys, c
     (out / blocked).mkdir(parents=True)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sim.duration_s = 0.05\nenvelope.n_points = 5\n")
-    code, _, err = run_cli(["--config", str(cfg), "--out", str(out), *COMMANDS[command]],
-                           capsys)
+    code, stdout, err = run_cli(["--config", str(cfg), "--out", str(out), *COMMANDS[command]],
+                                capsys)
     assert code == 2
     assert err == f"error: cannot write {out / blocked}: Is a directory\n"
+    assert stdout == ""  # no report of outputs that were not all written
     # the files published before the failure remain; no temp file does
     assert sorted(p.name for p in out.iterdir()) == sorted([*published, blocked])
     assert list((out / blocked).iterdir()) == []

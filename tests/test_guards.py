@@ -389,8 +389,7 @@ def test_only_the_wrench_model_reads_the_pitch_arm_geometry():
         tree = ast.parse(path.read_text())
         allowed = set()
         if path.name == "cli.py":  # the report prints the geometry it ran with
-            (report,) = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                         and isinstance(node.func, ast.Name) and node.func.id == "print"
+            (report,) = [node for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
                          and "geometry mass=" in ast.unparse(node)]
             allowed = {id(node) for node in ast.walk(report)}
         readers += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)

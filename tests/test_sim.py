@@ -1283,3 +1283,29 @@ def test_the_loops_hold_the_robot_over_drawn_perturbations():
         if couple >= math.radians(0.3):
             spin = pitch_only["yaw_exceeds_40deg_time_s"]
             assert spin is not None and spin <= pitch_only["liftoff_time_s"] + 2.0, pert
+
+
+def _lateral(com_y=0.0, left=1.0, right=1.0):
+    standard = Perturbation.standard()
+    return replace(standard, com_offset=(standard.com_offset[0], com_y, standard.com_offset[2]),
+                   thrust_scale=(1.0, 1.0, left, right))
+
+
+@pytest.mark.parametrize("holds, fails", [
+    (_lateral(com_y=0.81e-3), _lateral(com_y=0.83e-3)),
+    (_lateral(com_y=-0.87e-3), _lateral(com_y=-0.89e-3)),
+    (_lateral(left=1.0139, right=0.9861), _lateral(left=1.0141, right=0.9859)),
+    (_lateral(left=0.9870, right=1.0130), _lateral(left=0.9868, right=1.0132)),
+], ids=["com-y-positive", "com-y-negative", "left-over-right", "right-over-left"])
+def test_the_lateral_edges_where_both_on_stops_holding(holds, fails):
+    # no loop acts on roll, so a lateral moment rolls the robot over: both-on
+    # meets criterion 5's bands just inside each edge that README states (the
+    # 1 m altitude by 2 s with 5-8 mm to spare) and fails 0.02 mm or 0.02% past
+    # it (3-6 mm short). Altitude is the band that breaks: pitch stays near 3.2
+    # deg and yaw below 4.2 deg, while the robot has rolled past 80 deg
+    inside, past = (run_scenario(ScenarioConfig(perturbation=p)).events for p in (holds, fails))
+    assert _held(inside)
+    assert not _held(past)
+    assert past["liftoff_time_s"] is not None and past["altitude_at_2s_m"] < 1.0
+    assert past["max_abs_pitch_deg"] <= 10.0 and past["max_abs_yaw_deg"] <= 20.0
+    assert inside["max_abs_roll_deg"] > 80.0 and past["max_abs_roll_deg"] > 80.0

@@ -1,46 +1,32 @@
-"""Compare the kernels of two tvcsim checkouts: bits, outputs, time.
+"""Compare two tvcsim checkouts in one process: bits, outputs, time.
 
     python tools/kernel_ab.py PARENT_ROOT CHANGE_ROOT [--rounds N]
 
-Each root is a checkout with src/tvcsim; CHANGE_ROOT also needs bench/,
-whose audit, takeoff and envelope generators make the cases of checks 1 to
-4. The script
+Each root is a checkout with src/tvcsim; CHANGE_ROOT also needs the bench/
+generators and tests/golden/'s cases. Both trees are imported here, and each
+family runs one case list, built once, through each tree:
 
-1. steps both trees' sim.run_kernel on the same step cases (random states
-   and loads over many magnitudes, signed zeros, rates below the small-angle
-   cutoff, a NaN in each state or load slot), both integrators, P1-P3 with
-   and without Perturbation.standard() at dt 0.2, 1 and 2 ms, and requires
-   the 16 returned floats bit for bit, or the same exception and message;
-   it also requires the bits of both trees' envelope.lp_max_covering on
-   random, extreme and integer (tie-heavy) rows, with one scalar floor and
-   one scalar cap per batch, and the reprs of max_pitch_torque_dt/_tvc,
-   tvc_dt_ratio and envelope_sweep, or the same exception and message, on
-   random robots and searches, infeasible and overflowing ones among them;
-   and it requires the same outcome of the wrench API on the states of the
-   bench audit ops Audit(seed).make(i), seeds 3, 7 and 11, ops 0-14, passed
-   as the op passes them (numpy scalars and arrays) and as plain floats, and
-   on int, negative, -0.0 and NaN thrusts, out-of-range perturbations and
-   zero quaternions: the stored fields of FanState and Perturbation, then
-   generalized_wrench_3d with its world, force_body, torque_body and t_y1-3
-   and the force_world and torque_world bytes, read as one unit, or the
-   first exception's type and message;
-2. runs, through tvcsim.cli.main, each tree in its own subprocess:
-   - the bench takeoffs Takeoff(seed, integrator).make(i) for seeds 3, 7
-     and 11, ops 0-14, both integrators, as generated and with
-     sim.sensor_noise_std and sim.seed = i;
-   - the bench envelope ops Envelope(seed).make(i) for the same seeds and
-     ops, with --format csv and json;
-   - the config files of BAD_ENVELOPE_FILES, each a bad envelope.* value
-     alone or beside another fault, on all four commands;
-   and compares the hash of every output: the files, the manifest without
-   wall_clock_s, stdout, stderr and the exit code;
-3. times whole bench takeoff ops, Takeoff(7, integrator).make(i) for ops
-   0-14 and both integrators, through each tree's cli.main in this process,
-   each tree into its own output directory, the two trees interleaved in a
-   random order each round, and prints the minimum and median ms per op;
-4. times the bench envelope ops Envelope(7).make(i), ops 0-14, the same way.
+- steps: sim.run_kernel's step, both integrators, P1-P3 with and without
+  Perturbation.standard() at dt 0.2, 1 and 2 ms, on random states and loads
+  over many magnitudes, signed zeros, tiny rates and a NaN in each slot;
+- lp_max_covering on random, extreme and integer (tie-heavy) rows;
+- envelope searches: max_pitch_torque_dt/_tvc, tvc_dt_ratio and
+  envelope_sweep on random robots, infeasible and overflowing ones among them;
+- wrench API: FanState, Perturbation and generalized_wrench_3d on the states
+  of the bench audit ops of seeds 3, 7 and 11, ops 0-14, as the op passes them
+  and as plain floats, and on bad thrusts, perturbations and quaternions;
+- CLI runs through cli.main: the bench takeoff ops of those seeds, both
+  integrators, as made and with sensor noise; the bench envelope ops in csv
+  and json; each of BAD_ENVELOPE_FILES on all four commands; and the CASES of
+  tests/golden/regen.py. Each run works in a fresh directory with relative
+  paths, and is hashed whole: exit code, stdout, stderr and output files.
 
-It exits 1 on any mismatch in 1 or 2.
+An outcome is bytes, or an exception's type name and message, so a str always
+means a raise. Each family prints its totals, raises and first five
+mismatches. Unless --rounds is 0, the seed-7 bench ops (takeoffs, both
+integrators, and envelopes) are then timed through each tree's cli.main, the
+trees in a random order each round: minimum and median ms per op. The script
+exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -57,10 +43,10 @@ import math
 import os
 import random
 import struct
-import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -70,7 +56,6 @@ NOISE_STD = 0.005
 POSTURES = ("P1", "P2", "P3")
 DTS = (2e-4, 1e-3, 2e-3)
 INTEGRATORS = ("euler", "rk4")
-FORMATS = ("csv", "json")
 
 
 def load(root: str, alias: str) -> dict:
@@ -85,21 +70,19 @@ def load(root: str, alias: str) -> dict:
             for name in ("sim", "robot", "envelope", "cli", "wrench")}
 
 
-def bench_workloads(change_root: str):
-    """change_root's bench/workloads.py, importing change_root's tvcsim."""
-    for path in (os.path.join(os.path.abspath(change_root), name) for name in ("bench", "src")):
-        if path not in sys.path:
-            sys.path.insert(0, path)
-    import workloads
-    return workloads
+def change_modules(change_root: str):
+    """change_root's bench/workloads.py and tests/golden/regen.py, importing its tvcsim."""
+    root = os.path.abspath(change_root)
+    sys.path[:0] = [os.path.join(root, path) for path in ("tests/golden", "bench", "src")]
+    return importlib.import_module("workloads"), importlib.import_module("regen")
 
 
-def kernels(tree, integrator: str) -> list:
-    """The step closures over postures x perturbation x dts, in one fixed order."""
-    sim, robot = tree["sim"], tree["robot"]
-    return [sim.run_kernel(robot.geometry_from_posture(robot.builtin_posture(name)), pert, dt,
-                           integrator)[1]
-            for name in POSTURES for pert in (None, sim.Perturbation.standard()) for dt in DTS]
+def attempt(call) -> bytes | str:
+    """call()'s bytes, or its exception's type name and message (one class per tree)."""
+    try:
+        return call()
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
 
 
 def step_cases(rng):
@@ -125,28 +108,20 @@ def step_cases(rng):
         yield values[0:13], tuple(values[13:20])
 
 
-def outcome(step, state, rows):
-    """The step's 16 floats as bytes, or its exception's type and message."""
-    try:
+def steps(tree, cases) -> list:
+    """Case k of an integrator on the (k mod 18)th of its postures x perturbations x dts."""
+    sim, robot = tree["sim"], tree["robot"]
+    kernels = {integrator: [
+        sim.run_kernel(robot.geometry_from_posture(robot.builtin_posture(name)), pert, dt,
+                       integrator)[1]
+        for name in POSTURES for pert in (None, sim.Perturbation.standard()) for dt in DTS]
+        for integrator in INTEGRATORS}
+
+    def run(integrator, k, state, rows):
+        step = kernels[integrator][k % len(kernels[integrator])]
         return struct.pack("<16d", *step(0.5, *state, rows))
-    except Exception as err:  # DivergenceError is one class per tree, so compare names
-        return f"{type(err).__name__}: {err}"
 
-
-def compare_steps(a, b) -> int:
-    """Mismatches between the two trees' steps over the step cases."""
-    bad = total = 0
-    for seed, integrator in enumerate(INTEGRATORS, start=41):
-        pairs = list(zip(kernels(a, integrator), kernels(b, integrator)))
-        for case, (state, rows) in enumerate(step_cases(np.random.default_rng(seed))):
-            fa, fb = pairs[case % len(pairs)]
-            total += 1
-            if outcome(fa, state, rows) != outcome(fb, state, rows):
-                bad += 1
-                if bad <= 5:
-                    print(f"  step mismatch: {integrator} case {case} state {state} rows {rows}")
-    print(f"steps: {total} cases, {bad} mismatches")
-    return bad
+    return [attempt(lambda: run(*case)) for case in cases]
 
 
 def lp_cases(rng):
@@ -171,14 +146,13 @@ def lp_cases(rng):
             yield c, a, float(floor), float(cap)
 
 
-def lp_outcome(envelope, case) -> bytes | str:
-    """The LP's value and x as bytes, or its exception's type and message."""
-    try:
-        with np.errstate(all="ignore"):  # huge rows overflow alike in both trees
-            value, x = envelope.lp_max_covering(*case)
+def lp(tree, cases) -> list:
+    def solve(case):
+        value, x = tree["envelope"].lp_max_covering(*case)
         return value.tobytes() + x.tobytes()
-    except Exception as err:
-        return f"{type(err).__name__}: {err}"
+
+    with np.errstate(all="ignore"):  # huge rows overflow alike in both trees
+        return [attempt(lambda: solve(case)) for case in cases]
 
 
 def envelope_cases(rng, count: int = 600):
@@ -204,46 +178,24 @@ def envelope_cases(rng, count: int = 600):
         }
 
 
-def envelope_outcomes(tree, cases) -> list:
-    """Each case's search results as reprs, or exception types and messages."""
+def envelope_searches(tree, cases) -> list:
+    """Each (robot, search number) case's result repr."""
     robot, env = tree["robot"], tree["envelope"]
-    outcomes = []
-    for case in cases:
+
+    def search(case, k):
         posture = robot.Posture("X", case["com"], case["foot"], case["range_deg"])
         geo = robot.geometry_from_posture(posture, mass_total=case["mass"],
                                           fan_spacing_waist=case["waist"],
                                           fan_spacing_feet=case["feet"])
         constraint = env.EnvelopeConstraint(case["floor"], case["cap"],
                                             posture.foot_pitch_range)
-        th = case["pitch"]
-        for search in (lambda: env.max_pitch_torque_dt(geo, th, constraint),
-                       lambda: env.max_pitch_torque_tvc(geo, th, constraint),
-                       lambda: env.tvc_dt_ratio(geo, constraint, th),
-                       lambda: env.envelope_sweep(geo, constraint, *case["sweep"])):
-            try:
-                outcomes.append(repr(search()))
-            except Exception as err:  # EnvelopeInfeasibleError is one class per tree
-                outcomes.append(f"{type(err).__name__}: {err}")
-    return outcomes
+        calls = (lambda: env.max_pitch_torque_dt(geo, case["pitch"], constraint),
+                 lambda: env.max_pitch_torque_tvc(geo, case["pitch"], constraint),
+                 lambda: env.tvc_dt_ratio(geo, constraint, case["pitch"]),
+                 lambda: env.envelope_sweep(geo, constraint, *case["sweep"]))
+        return repr(calls[k]()).encode()
 
-
-def compare_envelope(a, b) -> int:
-    """Mismatches between the two trees' LP and envelope searches."""
-    bad_lp = total_lp = 0
-    for case in lp_cases(np.random.default_rng(43)):
-        total_lp += 1
-        if lp_outcome(a["envelope"], case) != lp_outcome(b["envelope"], case):
-            bad_lp += 1
-            print(f"  lp mismatch: batch {total_lp}, floor {case[2]!r}, cap {case[3]!r}")
-    print(f"lp_max_covering: {total_lp} batches of 3000 rows, {bad_lp} mismatches")
-    cases = list(envelope_cases(np.random.default_rng(44)))
-    pairs = list(zip(envelope_outcomes(a, cases), envelope_outcomes(b, cases)))
-    bad = [i for i, (x, y) in enumerate(pairs) if x != y]
-    for i in bad[:5]:
-        print(f"  envelope mismatch: case {cases[i // 4]}, search {i % 4}")
-    errors = sum(not x.startswith(("EnvelopePoint", "(", "[")) for x, _ in pairs)
-    print(f"envelope searches: {len(pairs)} calls ({errors} raise), {len(bad)} mismatches")
-    return bad_lp + len(bad)
+    return [attempt(lambda: search(case, k)) for case, k in cases]
 
 
 def wrench_cases(workloads) -> list:
@@ -281,12 +233,12 @@ def wrench_cases(workloads) -> list:
     return cases
 
 
-def wrench_outcome(tree, geos, case) -> bytes | str:
-    """The case's FanState and Perturbation fields, then its wrench's values,
-    as bytes, or the first exception's type and message."""
-    name, fan, q, pert = case
-    wrench, sim = tree["wrench"], tree["sim"]
-    try:
+def wrench_api(tree, cases) -> list:
+    """Each case's FanState and Perturbation fields, then its wrench's values."""
+    wrench, sim, robot = tree["wrench"], tree["sim"], tree["robot"]
+    geos = {name: robot.geometry_from_posture(robot.builtin_posture(name)) for name in POSTURES}
+
+    def evaluate(name, fan, q, pert):
         fs = wrench.FanState(*fan)
         got = struct.pack("<6d", fs.f_front, fs.f_back, fs.f_left, fs.f_right,
                           fs.theta_left, fs.theta_right)
@@ -299,25 +251,8 @@ def wrench_outcome(tree, geos, case) -> bytes | str:
         got += struct.pack("<15d", *w.world, *w.force_body, *w.torque_body,
                            w.t_y1, w.t_y2, w.t_y3)
         return got + w.force_world.tobytes() + w.torque_world.tobytes()
-    except Exception as err:
-        return f"{type(err).__name__}: {err}"
 
-
-def compare_wrench(a, b, change_root: str) -> int:
-    """Mismatches between the two trees' wrench API outcomes over wrench_cases."""
-    cases = wrench_cases(bench_workloads(change_root))
-    outcomes = []
-    for tree in (a, b):
-        robot = tree["robot"]
-        geos = {name: robot.geometry_from_posture(robot.builtin_posture(name))
-                for name in POSTURES}
-        outcomes.append([wrench_outcome(tree, geos, case) for case in cases])
-    bad = [i for i, (x, y) in enumerate(zip(*outcomes)) if x != y]
-    for i in bad[:5]:
-        print(f"  wrench mismatch: case {i}, {cases[i]}")
-    errors = sum(isinstance(x, str) for x in outcomes[0])
-    print(f"wrench API: {len(cases)} cases ({errors} raise), {len(bad)} mismatches")
-    return len(bad)
+    return [attempt(lambda: evaluate(*case)) for case in cases]
 
 
 BAD_ENVELOPE_FILES = (
@@ -331,127 +266,116 @@ COMMANDS = (["envelope", "--postures", "P1"], ["takeoff"], ["trim"],
             ["wrench-eval", "--thrust-fl", "40"])
 
 
-def run_hash(workloads, argv, out: str) -> str:
-    """sha256 of one CLI run: exit code, stdout, stderr and every file in out."""
-    code, stdout, stderr = workloads._run_cli(argv)
-    h = hashlib.sha256(f"{code}\n{stdout}\n{stderr}\n".encode())
-    for name in sorted(os.listdir(out)):
-        with open(os.path.join(out, name), "rb") as fh:
-            data = fh.read()
-        if name.endswith("_manifest.json"):
-            manifest = json.loads(data)
-            manifest.pop("wall_clock_s")
-            data = json.dumps(manifest, sort_keys=True).encode()
-        h.update(name.encode() + b"\0" + data)
-    return h.hexdigest()
-
-
-def output_hashes(root: str, bench_dir: str) -> dict:
-    """Run in a subprocess: {run key: run_hash} for root's tree: takeoffs,
-    envelopes and the bad envelope settings."""
-    sys.path[:0] = [os.path.join(os.path.abspath(root), "src"), bench_dir]
-    import workloads
-
-    hashes = {}
+def bench_ops(gen, seed_noise: bool = False, prefix=()) -> list:
+    """(config text, argv after --config and --out) of gen's ops 0-14, as gen
+    writes them; with seed_noise, sim.sensor_noise_std and sim.seed = op index."""
+    cases = []
     with tempfile.TemporaryDirectory() as tmp:
-        def fresh(key):
-            out = os.path.join(tmp, key.replace(" ", "-"))
-            os.mkdir(out)
-            return out
-
-        for seed, integrator, noise, index in itertools.product(
-                SEEDS, INTEGRATORS, (0.0, NOISE_STD), range(OPS)):
-            key = f"takeoff seed {seed} {integrator} noise {noise} op {index}"
-            out = fresh(key)
-            gen = workloads.Takeoff(seed, integrator)
+        for index in range(OPS):
             spec = gen.make(index)
-            if noise:
-                spec.values |= {"sim.sensor_noise_std": noise, "sim.seed": index}
-            gen.prepare(spec, out)  # writes op.cfg and the argv
-            hashes[key] = run_hash(workloads, spec.argv, out)
-        for seed, fmt, index in itertools.product(SEEDS, FORMATS, range(OPS)):
-            key = f"envelope seed {seed} {fmt} op {index}"
-            out = fresh(key)
-            gen = workloads.Envelope(seed)
-            spec = gen.make(index)
-            gen.prepare(spec, out)
-            hashes[key] = run_hash(workloads, ["--format", fmt, *spec.argv], out)
-        for (k, text), argv in itertools.product(enumerate(BAD_ENVELOPE_FILES), COMMANDS):
-            key = f"bad-settings file {k} {argv[0]}"
-            out = fresh(key)
-            cfg = os.path.join(out, "run.cfg")
-            with open(cfg, "w") as fh:
-                fh.write(text)
-            hashes[key] = run_hash(workloads, ["--config", cfg, "--out", out, *argv], out)
-    return hashes
+            if seed_noise:
+                spec.values |= {"sim.sensor_noise_std": NOISE_STD, "sim.seed": index}
+            gen.prepare(spec, tmp)  # writes op.cfg and the argv
+            cases.append((Path(spec.argv[1]).read_text(), [*prefix, *spec.argv[4:]]))
+    return cases
 
 
-def compare_outputs(parent: str, change: str) -> int:
-    """Mismatches between the two trees' run outputs, each tree run apart."""
-    bench_dir = os.path.join(os.path.abspath(change), "bench")
-    runs = []
-    for root in (parent, change):
-        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--hash-outputs",
-                               root, bench_dir], capture_output=True, text=True, check=True)
-        runs.append(json.loads(proc.stdout))
-    bad = [key for key in runs[0] if runs[0][key] != runs[1].get(key)]
-    bad += [key for key in runs[1] if key not in runs[0]]
-    for key in bad[:5]:
-        print(f"  output mismatch: {key}")
-    for prefix, label in (("takeoff", "takeoffs"), ("envelope", "envelopes"),
-                          ("bad-settings", "bad envelope settings")):
-        total = sum(key.startswith(prefix) for key in runs[0])
-        wrong = sum(key.startswith(prefix) for key in bad)
-        print(f"{label}: {total} runs, {wrong} mismatches")
+def run_cli(tree, argv) -> tuple:
+    """(exit code, stdout, stderr) of tree's cli.main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = tree["cli"].main(argv)
+        except SystemExit as exc:  # argparse rejects usage errors this way
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_runs(tree, cases) -> list:
+    """Each (config text or None, argv) case run in a fresh directory as
+    --config case.cfg --out out: the sha256 of its exit code, stdout, stderr
+    and every file in out."""
+    def run(config, argv):
+        if config is not None:
+            Path("case.cfg").write_text(config)
+            argv = ["--config", "case.cfg", *argv]
+        code, stdout, stderr = run_cli(tree, ["--out", "out", *argv])
+        h = hashlib.sha256(f"{code}\n{stdout}\n{stderr}\n".encode())
+        for name in sorted(os.listdir("out")) if os.path.isdir("out") else ():
+            with open(os.path.join("out", name), "rb") as fh:
+                data = fh.read()
+            if name.endswith("_manifest.json"):  # wall_clock_s differs run to run
+                data = json.dumps(json.loads(data) | {"wall_clock_s": 0}, sort_keys=True).encode()
+            h.update(name.encode() + b"\0" + data)
+        return h.digest()
+
+    outcomes, home = [], os.getcwd()
+    for config, argv in cases:
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)  # so messages that name a path match across trees
+            try:
+                outcomes.append(attempt(lambda: run(config, argv)))
+            finally:
+                os.chdir(home)
+    return outcomes
+
+
+def battery(workloads, regen) -> list:
+    """(label, unit, family, cases) of every family, each case list built once."""
+    return [
+        ("steps", "cases", steps,
+         [(integrator, k, *case) for seed, integrator in enumerate(INTEGRATORS, start=41)
+          for k, case in enumerate(step_cases(np.random.default_rng(seed)))]),
+        ("lp_max_covering", "batches of 3000 rows", lp,
+         list(lp_cases(np.random.default_rng(43)))),
+        ("envelope searches", "calls", envelope_searches,
+         [(case, k) for case in envelope_cases(np.random.default_rng(44)) for k in range(4)]),
+        ("wrench API", "cases", wrench_api, wrench_cases(workloads)),
+        ("takeoffs", "runs", cli_runs,
+         [case for seed, integrator, noise in itertools.product(SEEDS, INTEGRATORS, (False, True))
+          for case in bench_ops(workloads.Takeoff(seed, integrator), noise)]),
+        ("envelopes", "runs", cli_runs,
+         [case for seed, fmt in itertools.product(SEEDS, ("csv", "json"))
+          for case in bench_ops(workloads.Envelope(seed), prefix=("--format", fmt))]),
+        ("bad envelope settings", "runs", cli_runs,
+         list(itertools.product(BAD_ENVELOPE_FILES, COMMANDS))),
+        ("golden cases", "runs", cli_runs, list(regen.CASES.values())),
+    ]
+
+
+def compare(label: str, unit: str, cases, parent: list, change: list) -> int:
+    """Print the family's totals, raises and first five mismatches; return the mismatches."""
+    bad = [i for i, (x, y) in enumerate(zip(parent, change, strict=True)) if x != y]
+    for i in bad[:5]:
+        print(f"  {label} mismatch: case {i}: {' '.join(repr(cases[i]).split())[:400]}")
+    raises = sum(isinstance(x, str) for x in parent)
+    print(f"{label}: {len(cases)} {unit} ({raises} raise), {len(bad)} mismatches")
     return len(bad)
 
 
-def interleaved(runs: dict, rounds: int) -> dict:
-    """{name: seconds of each round}: every round calls each run() once, in a random order."""
-    times = {name: [] for name in runs}
-    for _ in range(rounds):
-        for name in random.sample(sorted(runs), 2):
-            t0 = time.perf_counter()
-            runs[name]()
-            times[name].append(time.perf_counter() - t0)
-    return times
-
-
-def report(label: str, unit: str, scale: float, times: dict) -> None:
-    """One line: each tree's minimum and median, in unit, and parent/change of the minima."""
-    best = {name: min(ts) * scale for name, ts in times.items()}
-    mid = {name: sorted(ts)[len(ts) // 2] * scale for name, ts in times.items()}
-    print(f"{label}, {unit} over {len(times['parent'])} rounds: "
-          f"parent min {best['parent']:.2f} median {mid['parent']:.2f}, "
-          f"change min {best['change']:.2f} median {mid['change']:.2f}, "
-          f"parent/change min {best['parent'] / best['change']:.3f}")
-
-
 def time_ops(a, b, gen, label: str, rounds: int) -> None:
-    """Interleaved in-process ms per bench op of gen, ops 0-14, of each tree,
-    through cli.main, each tree into its own output directory."""
+    """Interleaved ms per bench op of gen, ops 0-14, through each tree's
+    cli.main, each tree into its own output directory."""
+    trees = {"parent": a, "change": b}
+    times = {name: [] for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
-        specs = []
-        for index in range(OPS):
-            spec = gen.make(index)
-            os.mkdir(os.path.join(tmp, f"op{index}"))
-            gen.prepare(spec, os.path.join(tmp, f"op{index}"))  # writes op.cfg and the argv
-            specs.append(spec.argv)
-
-        def ops(tree, name):
-            out = os.path.join(tmp, name)
-            os.mkdir(out)
-            argvs = [[*argv[:3], out, *argv[4:]] for argv in specs]  # argv[3] is --out's
-
-            def run():
-                with contextlib.redirect_stdout(io.StringIO()):
-                    codes = [tree["cli"].main(argv) for argv in argvs]
+        argvs = []
+        for k, (config, argv) in enumerate(bench_ops(gen)):
+            path = os.path.join(tmp, f"op{k}.cfg")
+            Path(path).write_text(config)
+            argvs.append(["--config", path, *argv])
+        for _ in range(rounds):
+            for name in random.sample(sorted(trees), 2):
+                out = ["--out", os.path.join(tmp, name)]
+                t0 = time.perf_counter()
+                codes = [run_cli(trees[name], out + argv)[0] for argv in argvs]
+                times[name].append(time.perf_counter() - t0)
                 assert all(code in gen.expected_exit for code in codes), codes
-            return run
-
-        times = interleaved({"parent": ops(a, "parent"), "change": ops(b, "change")}, rounds)
-    report(f"{label} op ({type(gen).__name__}(7) ops 0-{OPS - 1})", "ms per op", 1e3 / OPS,
-           times)
+    ms = {name: (min(ts) * 1e3 / OPS, sorted(ts)[len(ts) // 2] * 1e3 / OPS)
+          for name, ts in times.items()}
+    print(f"{label} ops (seed 7, ops 0-{OPS - 1}), ms per op over {rounds} rounds: "
+          + "".join(f"{name} min {lo:.2f} median {mid:.2f}, " for name, (lo, mid) in ms.items())
+          + f"parent/change min {ms['parent'][0] / ms['change'][0]:.3f}")
 
 
 def main(argv=None) -> int:
@@ -462,10 +386,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     a = load(args.parent_root, "tvcsim_parent")
     b = load(args.change_root, "tvcsim_change")
-    bad = (compare_steps(a, b) + compare_envelope(a, b) + compare_wrench(a, b, args.change_root)
-           + compare_outputs(args.parent_root, args.change_root))
+    workloads, regen = change_modules(args.change_root)
+    bad = sum(compare(label, unit, cases, family(a, cases), family(b, cases))
+              for label, unit, family, cases in battery(workloads, regen))
     if args.rounds > 0:
-        workloads = bench_workloads(args.change_root)
         for integrator in INTEGRATORS:
             time_ops(a, b, workloads.Takeoff(7, integrator), f"takeoff {integrator}", args.rounds)
         time_ops(a, b, workloads.Envelope(7), "envelope", args.rounds)
@@ -474,7 +398,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--hash-outputs"]:
-        print(json.dumps(output_hashes(*sys.argv[2:4])))
-    else:
-        sys.exit(main())
+    sys.exit(main())

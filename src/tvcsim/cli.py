@@ -176,7 +176,6 @@ def cmd_envelope(args, values):
         ENVELOPE_CSV_HEADER,
         EnvelopeConstraint,
         _level_ratio_and_sweep,
-        envelope_rows,
         write_envelope_csv,
     )
 
@@ -199,11 +198,12 @@ def cmd_envelope(args, values):
         if settings.min_vertical_force is not None:
             constraint = replace(constraint, min_vertical_force=settings.min_vertical_force)
         # one LP call: the level lane of the TVC/DT ratio is the sweep's first lane
-        (ratio_max, ratio_min), points = _level_ratio_and_sweep(geo, constraint, settings)
+        (ratio_max, ratio_min), rows = _level_ratio_and_sweep(geo, constraint, settings)
         if args.format == "csv":
-            write = functools.partial(write_envelope_csv, points)
-        else:
-            write = _text_writer(_rows_as_json(ENVELOPE_CSV_HEADER, envelope_rows(points)))
+            write = functools.partial(write_envelope_csv, rows)
+        else:  # an infeasible strategy's nan cells are null in JSON
+            write = _text_writer(_rows_as_json(ENVELOPE_CSV_HEADER, [
+                [None if x != x else x for x in row] for row in rows]))
         outputs[f"envelope_{name}.{args.format}"] = write
         report += [
             f"{name}: geometry mass={geo.mass_total} kg L={geo.fan_spacing_waist} m "

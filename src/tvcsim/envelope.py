@@ -15,11 +15,13 @@ the LP at foot angle 0. For TVC the LP optimum at a fixed pitch and foot angle
 is a vertex with at most one fractional thrust (Durham, "Constrained control
 allocation", JGCD 1993; Bodson, "Evaluation of optimization methods for
 control allocation", JGCD 2002), so the maximum over the foot range is reached
-at one of a few angles written down in closed form (see _lanes). One LP call
-evaluates 0 and every candidate for every lane of a sweep: DT reads the 0
-column and TVC keeps each lane's best. A single-pitch search or ratio is a
-one-pitch sweep, and the envelope command's level ratio is the first lane of
-its sweep. The independent cross-check lives in tvcsim.oracles.
+at one of a few angles written down in closed form (see _table). One LP call
+evaluates 0 and every candidate at every pitch of a sweep, and _table returns
+one row of floats per pitch in the CSV's column order: DT reads the 0 column
+and TVC keeps the best candidate. The envelope command writes these rows, its
+level ratio read from the first; only envelope_sweep and the single-pitch
+searches, each a one-pitch table, build point objects. The independent
+cross-check lives in tvcsim.oracles.
 
 Legs are assumed parallel: both feet share one thrust value and one pitch
 angle throughout the search.
@@ -162,16 +164,18 @@ def _rows(arms, theta_pitch, theta_feet):
     return c.reshape(-1, 3), a.reshape(-1, 3)
 
 
-def _lanes(geo, constraint, thetas):
-    """Every lane's LP value at each candidate foot angle, from one LP call.
+def _table(geo, constraint, thetas) -> list[list[float]]:
+    """One row per pitch of thetas, from one LP call: (dt_tau_min, dt_tau_max,
+    tvc_tau_min, tvc_tau_max) as floats, a pair nan where either direction of
+    its strategy is infeasible; ValueError if an LP value overflows a float.
 
-    A lane is one pitch and one direction: tau_max, or tau_min as the maximum
-    of the negated torque. The result is indexed (direction, pitch,
-    candidate). The candidates hang on the pitch alone, so both directions
-    share them: 0 (the DT column), the range ends, the angles where both
-    capped feet just meet the floor (and the floor +- _FEAS_TOL) beside 0, 1
-    or 2 capped waist fans, and the stationary angles of the torque with the
-    feet capped while a waist fan of torque arm c_w, or none, is fractional.
+    Each direction (tau_max, or tau_min as the maximum of the negated torque)
+    is solved at candidate foot angles that hang on the pitch alone: 0 (DT's),
+    the range ends, the angles where both capped feet just meet the floor (and
+    the floor +- _FEAS_TOL) beside 0, 1 or 2 capped waist fans, and the
+    stationary angles of the torque with the feet capped while a waist fan of
+    torque arm c_w, or none, is fractional. TVC takes the best candidate but 0,
+    or any where 0 is in the foot range.
     """
     lo, hi = constraint.foot_angle_range
     floor, cap = constraint.min_vertical_force, constraint.per_fan_max
@@ -185,7 +189,7 @@ def _lanes(geo, constraint, thetas):
     feet[:, :3] = 0.0, lo, hi
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # a tiny cap sends the acos ratio to +-inf, which the clip takes; a cap or
-        # a floor near the float range overflows, and _sweep reports it; the
+        # a floor near the float range overflows, which is reported below; the
         # (floor, waist) pairs run floor-major
         floors = floor + np.array([[-_FEAS_TOL], [0.0], [_FEAS_TOL]])
         waist = cp[:, :, None] * np.array([0.0, cap, 2.0 * cap])
@@ -196,61 +200,55 @@ def _lanes(geo, constraint, thetas):
         np.add(feet[:, 21:24], math.pi, out=feet[:, 24:])
         feet[:, 3:] = np.minimum(lo + np.mod(feet[:, 3:] - lo, 2.0 * math.pi), hi)
         value, _ = lp_max_covering(*_rows(arms, phi, feet), floor, cap)
-    return value.reshape(2, len(thetas), -1)
-
-
-def _sweep(geo, constraint, thetas) -> list[SweepPoint]:
-    """DT and TVC extrema at every pitch of thetas, from one LP call; ValueError
-    if an LP value overflows a float. DT is _lanes' candidate 0; TVC is the best
-    of the others, and of candidate 0 too where 0 is in the foot range. A
-    strategy is None where a direction is infeasible."""
-    value = _lanes(geo, constraint, thetas)
+    value = value.reshape(2, len(thetas), -1)  # (direction, pitch, candidate)
     if not (value < math.inf).all():  # a NaN fails too
         raise ValueError(f"the envelope LP overflows a float at a per-fan cap of "
                          f"{constraint.per_fan_max} N and a vertical force floor of "
                          f"{constraint.min_vertical_force} N")
-    lo, hi = constraint.foot_angle_range
     (dt_max, dt_min), (tvc_max, tvc_min) = (
         value[:, :, 0].tolist(),
         (value if lo <= 0.0 <= hi else value[:, :, 1:]).max(axis=2).tolist())
 
-    def point(th, best, worst):
-        return None if best == -math.inf or worst == -math.inf else EnvelopePoint(th, best, -worst)
+    def pair(best, worst):
+        return [math.nan, math.nan] if -math.inf in (best, worst) else [-worst, best]
 
-    return [SweepPoint(th, point(th, d_max, d_min), point(th, t_max, t_min))
-            for th, d_max, d_min, t_max, t_min
-            in zip(thetas.tolist(), dt_max, dt_min, tvc_max, tvc_min)]
+    return [pair(d_max, d_min) + pair(t_max, t_min)
+            for d_max, d_min, t_max, t_min in zip(dt_max, dt_min, tvc_max, tvc_min)]
 
 
-def _require(point, constraint, theta_pitch, search) -> EnvelopePoint:
-    """The point, or EnvelopeInfeasibleError where a direction is infeasible."""
-    if point is None:
+def _require(tau, constraint, theta_pitch, search) -> None:
+    """EnvelopeInfeasibleError where tau, a _table cell, is nan."""
+    if tau != tau:
         raise EnvelopeInfeasibleError(
             f"vertical force floor {constraint.min_vertical_force:g} N unreachable "
-            f"at theta_pitch={math.degrees(theta_pitch):g} deg {search}"
-        )
-    return point
+            f"at theta_pitch={math.degrees(theta_pitch):g} deg {search}")
+
+
+def _search(geo, constraint, theta_pitch, column, search) -> EnvelopePoint:
+    """The strategy whose pair starts at _table column (0 DT, 2 TVC) at one pitch."""
+    thetas = np.array([theta_pitch])
+    (row,), (th,) = _table(geo, constraint, thetas), thetas.tolist()
+    tau_min, tau_max = row[column:column + 2]
+    _require(tau_min, constraint, theta_pitch, search)
+    return EnvelopePoint(th, tau_max, tau_min)
 
 
 def max_pitch_torque_dt(
     geo: RobotGeometry, theta_pitch: float, constraint: EnvelopeConstraint
 ) -> EnvelopePoint:
     """Extremal pitch torque with feet locked thrust-up (DT strategy)."""
-    (point,) = _sweep(geo, constraint, np.array([theta_pitch]))
-    return _require(point.dt, constraint, theta_pitch, "with feet up")
+    return _search(geo, constraint, theta_pitch, 0, "with feet up")
 
 
 def max_pitch_torque_tvc(
     geo: RobotGeometry, theta_pitch: float, constraint: EnvelopeConstraint
 ) -> EnvelopePoint:
     """Extremal pitch torque with the foot pitch angle free in its range."""
-    (point,) = _sweep(geo, constraint, np.array([theta_pitch]))
-    return _require(point.tvc, constraint, theta_pitch, "over the foot range")
+    return _search(geo, constraint, theta_pitch, 2, "over the foot range")
 
 
 def _abscissae(settings):
-    """envelope_sweep's pitches: settings.n_points evenly spaced, or the one
-    pitch of a zero-width range."""
+    """envelope_sweep's pitches: n_points evenly spaced, or a zero-width range's one."""
     lo, hi = settings.theta_pitch_range
     return np.array([lo]) if lo == hi else np.linspace(lo, hi, settings.n_points)
 
@@ -263,11 +261,16 @@ def envelope_sweep(
 ) -> list[SweepPoint]:
     """Evaluate DT and TVC extrema over an evenly spaced pitch-angle sweep.
 
-    The range and point count are checked as EnvelopeSettings checks them.
-    Infeasible points are kept in the output with the affected strategy set
-    to None rather than aborting the sweep.
+    The range and point count are checked as EnvelopeSettings checks them. An
+    infeasible strategy is None at its point rather than aborting the sweep.
     """
-    return _sweep(geo, constraint, _abscissae(EnvelopeSettings(theta_pitch_range, n_points)))
+    thetas = _abscissae(EnvelopeSettings(theta_pitch_range, n_points))
+
+    def point(th, tau_min, tau_max):
+        return None if tau_min != tau_min else EnvelopePoint(th, tau_max, tau_min)
+
+    return [SweepPoint(th, point(th, *row[:2]), point(th, *row[2:]))
+            for th, row in zip(thetas.tolist(), _table(geo, constraint, thetas))]
 
 
 ENVELOPE_CSV_HEADER = [
@@ -278,44 +281,32 @@ ENVELOPE_CSV_HEADER = [
     "tvc_tau_max",
     "feasible_flag",
 ]
-# one envelope_rows row as csv.writer prints the cells, with nan for None
+# one envelope_rows row as csv.writer prints the cells
 _ROW_FORMAT = "%.6g,%.10g,%.10g,%.10g,%.10g,%d\r\n"
 
 
-def envelope_rows(points: list[SweepPoint]) -> list[list]:
-    """One row per sweep point in ENVELOPE_CSV_HEADER order, pitch in degrees.
-
-    None marks the torques of an infeasible strategy.
-    """
-    rows = []
-    for p in points:
-        row = [math.degrees(p.theta_pitch)]
-        for point in (p.dt, p.tvc):
-            row.extend([None, None] if point is None else [point.tau_min, point.tau_max])
-        row.append(1 if (p.dt is not None and p.tvc is not None) else 0)
-        rows.append(row)
-    return rows
+def envelope_rows(thetas, table) -> list[list]:
+    """One row per pitch of thetas (rad) in ENVELOPE_CSV_HEADER order: the pitch
+    in degrees, _table's row, and 1 where neither strategy's pair is nan."""
+    return [[math.degrees(th), *taus, int(taus[0] == taus[0] and taus[2] == taus[2])]
+            for th, taus in zip(thetas.tolist(), table)]
 
 
-def write_envelope_csv(points: list[SweepPoint], path) -> bytes:
-    """One row per sweep point, written to path, a file name or binary file;
-    nan marks an infeasible strategy. Returns the bytes written.
-
-    The bytes are csv.writer's: rows end in \\r\\n, and no cell needs quoting.
-    """
-    nan = math.nan
-    return write_text(path, "".join([
-        ",".join(ENVELOPE_CSV_HEADER) + "\r\n",
-        *(_ROW_FORMAT % tuple([nan if x is None else x for x in row])
-          for row in envelope_rows(points))]))
+def write_envelope_csv(rows: list[list], path) -> bytes:
+    """envelope_rows' rows under ENVELOPE_CSV_HEADER, written to path, a file name
+    or binary file, as csv.writer writes them: rows end in \\r\\n, no cell needs
+    quoting, and nan marks an infeasible strategy. Returns the bytes written."""
+    return write_text(path, "".join([",".join(ENVELOPE_CSV_HEADER) + "\r\n",
+                                     *(_ROW_FORMAT % tuple(row) for row in rows)]))
 
 
-def _ratio(point: SweepPoint, constraint: EnvelopeConstraint) -> tuple[float, float]:
-    """(tau_max ratio, |tau_min| ratio) of TVC over DT at the point's pitch."""
-    dt = _require(point.dt, constraint, point.theta_pitch, "with feet up")
-    tvc = _require(point.tvc, constraint, point.theta_pitch, "over the foot range")
-    ratio_max = math.inf if dt.tau_max <= 0.0 else tvc.tau_max / dt.tau_max
-    ratio_min = math.inf if dt.tau_min >= 0.0 else tvc.tau_min / dt.tau_min
+def _ratio(row, constraint, theta_pitch) -> tuple[float, float]:
+    """(tau_max ratio, |tau_min| ratio) of TVC over DT in _table's row at theta_pitch."""
+    dt_min, dt_max, tvc_min, tvc_max = row
+    _require(dt_min, constraint, theta_pitch, "with feet up")
+    _require(tvc_min, constraint, theta_pitch, "over the foot range")
+    ratio_max = math.inf if dt_max <= 0.0 else tvc_max / dt_max
+    ratio_min = math.inf if dt_min >= 0.0 else tvc_min / dt_min
     return ratio_max, ratio_min
 
 
@@ -326,13 +317,14 @@ def tvc_dt_ratio(
 
     Raises EnvelopeInfeasibleError where either strategy is infeasible.
     """
-    (point,) = _sweep(geo, constraint, np.array([theta_pitch]))
-    return _ratio(point, constraint)
+    (row,) = _table(geo, constraint, np.array([theta_pitch]))
+    return _ratio(row, constraint, theta_pitch)
 
 
 def _level_ratio_and_sweep(geo, constraint, settings):
-    """(tvc_dt_ratio(geo, constraint), envelope_sweep(geo, constraint) over the
-    range and point count of settings, an EnvelopeSettings), from one LP call
-    whose first lane is the level pitch."""
-    level, *points = _sweep(geo, constraint, np.concatenate([[0.0], _abscissae(settings)]))
-    return _ratio(level, constraint), points
+    """(tvc_dt_ratio(geo, constraint), envelope_rows over the range and point
+    count of settings, an EnvelopeSettings), from one LP call whose first row
+    is the level pitch."""
+    thetas = _abscissae(settings)
+    level, *table = _table(geo, constraint, np.concatenate([[0.0], thetas]))
+    return _ratio(level, constraint, 0.0), envelope_rows(thetas, table)

@@ -616,8 +616,8 @@ def test_envelope_without_level_hover_exit_3(tmp_path, capsys):
 def test_envelope_reports_what_the_public_searches_solve_apart(tmp_path, capsys, monkeypatch,
                                                                text, postures, code):
     # the command solves the level lane and the sweep in one LP call; its ratio
-    # is tvc_dt_ratio's bit for bit, its points envelope_sweep's, and its exits
-    # the ones the config and those two raise, the level pitch first
+    # is tvc_dt_ratio's bit for bit, its rows those of envelope_sweep's points,
+    # and its exits the ones the config and those two raise, the level pitch first
     solved = []
     combined = envelope._level_ratio_and_sweep
 
@@ -654,7 +654,11 @@ def test_envelope_reports_what_the_public_searches_solve_apart(tmp_path, capsys,
             assert (code, out, err) == (2, "", f"error: {exc}\n")
             continue
         assert struct.pack("<2d", *solved[k][0]) == struct.pack("<2d", *ratio)
-        assert repr(solved[k][1]) == repr(points)
+        rows = [[math.degrees(p.theta_pitch),
+                 *(x for s in (p.dt, p.tvc)
+                   for x in ((math.nan, math.nan) if s is None else (s.tau_min, s.tau_max))),
+                 int(p.dt is not None and p.tvc is not None)] for p in points]
+        assert repr(solved[k][1]) == repr(rows)  # a float's repr names its bits
         assert (f"{name}: tvc/dt ratio @0deg: tau_max {ratio[0]:.2f}, "
                 f"|tau_min| {ratio[1]:.2f}\n") in out
 

@@ -10,8 +10,7 @@ from tvcsim.envelope import (
     ENVELOPE_CSV_HEADER,
     EnvelopeConstraint,
     EnvelopeInfeasibleError,
-    EnvelopePoint,
-    SweepPoint,
+    _level_ratio_and_sweep,
     _rows,
     envelope_rows,
     envelope_sweep,
@@ -21,6 +20,7 @@ from tvcsim.envelope import (
     tvc_dt_ratio,
     write_envelope_csv,
 )
+from tvcsim.config import EnvelopeSettings
 from tvcsim.oracles import envelope_extrema_grid
 from tvcsim.robot import GRAVITY, FanLimits, Posture, builtin_posture, geometry_from_posture
 from tvcsim.wrench import FanState, pitch_arms, total_wrench
@@ -351,9 +351,9 @@ def test_zero_width_sweep_matches_point_operations():
 
 
 def test_envelope_csv_format(tmp_path):
-    points = envelope_sweep(P1, HOVER, theta_pitch_range=(-0.1, 0.1), n_points=5)
+    _, rows = _level_ratio_and_sweep(P1, HOVER, EnvelopeSettings((-0.1, 0.1), 5))
     path = tmp_path / "envelope.csv"
-    write_envelope_csv(points, path)
+    write_envelope_csv(rows, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ENVELOPE_CSV_HEADER
@@ -363,38 +363,40 @@ def test_envelope_csv_format(tmp_path):
         assert float(row[2]) >= float(row[1])  # dt max >= dt min
 
 
-
-def _csv_writer_reference(points, path):
+def _csv_writer_reference(rows, path):
     """The envelope CSV as csv.writer writes it, one formatted cell at a time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ENVELOPE_CSV_HEADER)
-        for theta, *taus, flag in envelope_rows(points):
+        for theta, *taus, flag in rows:
             writer.writerow([f"{theta:.6g}",
-                             *("nan" if tau is None else f"{tau:.10g}" for tau in taus),
+                             *("nan" if math.isnan(tau) else f"{tau:.10g}" for tau in taus),
                              str(flag)])
 
 
 def test_envelope_csv_rows_are_the_csv_writer_bytes(tmp_path):
     # one % operation per row writes what csv.writer writes cell by cell: signed
-    # zeros, the smallest subnormal, the largest doubles, None as nan, and
-    # values that round at the 6th (pitch) or 10th (torque) significant digit
+    # zeros, the smallest subnormal, the largest doubles, nan pairs, and values
+    # that round at the 6th (pitch) or 10th (torque) significant digit
     taus = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
             1.23456789049, 1.23456789051, -9999999999.5, 0.99999999995, 1e-5, 123456.78905]
     degrees = [29.9999999999, -29.9999999999, 0.0, -0.0, 9.9999995, 99999.95, 999999.5,
                1.234565, -1e-320, 180.0]
-    points = []
-    for k, deg in enumerate(degrees):
-        theta = math.radians(deg)
+    table, nan = [], math.nan
+    for k in range(len(degrees)):
         a, b, c, d = (taus[(k + j) % len(taus)] for j in range(4))
-        points.append(SweepPoint(theta, None if k % 3 == 1 else EnvelopePoint(theta, b, a),
-                                 None if k % 4 == 2 else EnvelopePoint(theta, d, c)))
+        table.append(([nan, nan] if k % 3 == 1 else [a, b])
+                     + ([nan, nan] if k % 4 == 2 else [c, d]))
+    rows = envelope_rows(np.radians(degrees), table)
     weak = EnvelopeConstraint.hover(P1, P1_POSTURE, FanLimits(thrust_max_per_fan=43.0))
-    points += envelope_sweep(P1, weak, n_points=21)  # infeasible at the ends
-    assert any(p.dt is None for p in points) and any(p.tvc is None for p in points)
-    write_envelope_csv(points, tmp_path / "rows.csv")
-    _csv_writer_reference(points, tmp_path / "reference.csv")
+    rows += _level_ratio_and_sweep(P1, weak, EnvelopeSettings(n_points=21))[1]  # infeasible ends
+    assert any(math.isnan(r[1]) for r in rows) and any(math.isnan(r[3]) for r in rows)
+    for _, *taus, flag in rows:  # the flag is 0 exactly where a pair is nan
+        assert flag == (0 if any(math.isnan(tau) for tau in taus) else 1)
+    write_envelope_csv(rows, tmp_path / "rows.csv")
+    _csv_writer_reference(rows, tmp_path / "reference.csv")
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
 
 def test_constraint_validation():
     with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ the one geometry construction, on the takeoff loop's and the hover trim's
 wrench evaluations, rotation-matrix builds and fan-state constructions, on
 the loop's attitude readouts, on the takeoff step's one derivative template
 and the commands that compile it, on the one source of the pitch arms, on
-the envelope solver's batching and on the one home of the run record."""
+the envelope solver's batching and point objects and on the one home of the
+run record."""
 
 import ast
 import collections
@@ -127,7 +128,7 @@ def test_scalar_modules_import_no_numpy():
 def test_oracles_import_no_production_solver():
     # the oracles stay independent routes: from the package they take only the
     # model's inputs, never a rotation, a fan layout or a solver such as
-    # lp_max_covering, _sweep, hover_trim or wrench_kernel; quat_to_matrix is
+    # lp_max_covering, _table, hover_trim or wrench_kernel; quat_to_matrix is
     # imported uncalled, for bench/test_bench.py to rebind through oracles
     nodes = list(ast.walk(ast.parse((ROOT / "src" / "tvcsim" / "oracles.py").read_text())))
     assert not [alias.name for node in nodes if isinstance(node, ast.Import)
@@ -490,6 +491,25 @@ def test_envelope_command_makes_one_kernel_call_per_posture(tmp_path, monkeypatc
         assert cli.main(["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out"),
                          "envelope", "--postures", postures]) == code, text
         assert calls == kernel_calls, text
+
+
+def test_envelope_command_builds_no_point_object(tmp_path, monkeypatch):
+    # the command writes the solve's float rows as they come, the level ratio
+    # included; only the public searches build SweepPoint and EnvelopePoint
+    from tvcsim import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a point object")
+
+    monkeypatch.setattr(envelope, "SweepPoint", refuse)
+    monkeypatch.setattr(envelope, "EnvelopePoint", refuse)
+    (tmp_path / "weak.cfg").write_text("limits.thrust_max_per_fan_n = 43\n")  # infeasible ends
+    assert cli.main(["--out", str(tmp_path / "csv"), "envelope"]) == 0
+    assert cli.main(["--config", str(tmp_path / "weak.cfg"), "--out", str(tmp_path / "json"),
+                     "--format", "json", "envelope", "--postures", "P1"]) == 0
+    rows = json.loads((tmp_path / "json" / "envelope_P1.json").read_text())["rows"]
+    assert None in rows[0] and None in rows[-1]  # at +-30 deg
+    assert {row[5] for row in rows if None in row} == {0}
 
 
 def test_only_cli_main_publishes_outputs_and_reads_the_clock():

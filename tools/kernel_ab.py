@@ -24,9 +24,11 @@ family runs one case list, built once, through each tree:
 An outcome is bytes, or an exception's type name and message, so a str always
 means a raise. Each family prints its totals, raises and first five
 mismatches. Unless --rounds is 0, the seed-7 bench ops (takeoffs, both
-integrators, and envelopes) are then timed through each tree's cli.main, the
-trees in a random order each round: minimum and median ms per op. The script
-exits 1 on any mismatch.
+integrators, and envelopes) are then timed through each tree's cli.main, and
+through a second load of the parent, the three in a random order each round:
+minimum and median ms per op, with parent/change of the minima beside
+parent/parent2, the A/A ratio that tells how far a ratio moves on identical
+code. The script exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -353,10 +355,10 @@ def compare(label: str, unit: str, cases, parent: list, change: list) -> int:
     return len(bad)
 
 
-def time_ops(a, b, gen, label: str, rounds: int) -> None:
+def time_ops(trees: dict, gen, label: str, rounds: int) -> None:
     """Interleaved ms per bench op of gen, ops 0-14, through each tree's
-    cli.main, each tree into its own output directory."""
-    trees = {"parent": a, "change": b}
+    cli.main, each tree into its own output directory; parent2, a second load
+    of the parent, gives the A/A ratio beside parent/change."""
     times = {name: [] for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
         argvs = []
@@ -365,7 +367,7 @@ def time_ops(a, b, gen, label: str, rounds: int) -> None:
             Path(path).write_text(config)
             argvs.append(["--config", path, *argv])
         for _ in range(rounds):
-            for name in random.sample(sorted(trees), 2):
+            for name in random.sample(sorted(trees), len(trees)):
                 out = ["--out", os.path.join(tmp, name)]
                 t0 = time.perf_counter()
                 codes = [run_cli(trees[name], out + argv)[0] for argv in argvs]
@@ -375,7 +377,8 @@ def time_ops(a, b, gen, label: str, rounds: int) -> None:
           for name, ts in times.items()}
     print(f"{label} ops (seed 7, ops 0-{OPS - 1}), ms per op over {rounds} rounds: "
           + "".join(f"{name} min {lo:.2f} median {mid:.2f}, " for name, (lo, mid) in ms.items())
-          + f"parent/change min {ms['parent'][0] / ms['change'][0]:.3f}")
+          + f"parent/change min {ms['parent'][0] / ms['change'][0]:.3f}, "
+          + f"parent/parent2 min {ms['parent'][0] / ms['parent2'][0]:.3f}")
 
 
 def main(argv=None) -> int:
@@ -390,9 +393,10 @@ def main(argv=None) -> int:
     bad = sum(compare(label, unit, cases, family(a, cases), family(b, cases))
               for label, unit, family, cases in battery(workloads, regen))
     if args.rounds > 0:
+        trees = {"parent": a, "change": b, "parent2": load(args.parent_root, "tvcsim_parent2")}
         for integrator in INTEGRATORS:
-            time_ops(a, b, workloads.Takeoff(7, integrator), f"takeoff {integrator}", args.rounds)
-        time_ops(a, b, workloads.Envelope(7), "envelope", args.rounds)
+            time_ops(trees, workloads.Takeoff(7, integrator), f"takeoff {integrator}", args.rounds)
+        time_ops(trees, workloads.Envelope(7), "envelope", args.rounds)
     print("MISMATCH" if bad else "identical")
     return 1 if bad else 0
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from tvcsim.config import EnvelopeSettings
 from tvcsim.envelope import (
     ENVELOPE_CSV_HEADER,
     EnvelopeConstraint,
@@ -20,7 +21,6 @@ from tvcsim.envelope import (
     tvc_dt_ratio,
     write_envelope_csv,
 )
-from tvcsim.config import EnvelopeSettings
 from tvcsim.oracles import envelope_extrema_grid
 from tvcsim.robot import GRAVITY, FanLimits, Posture, builtin_posture, geometry_from_posture
 from tvcsim.wrench import FanState, pitch_arms, total_wrench

@@ -199,8 +199,22 @@ def _table(geo, constraint, thetas) -> list[list[float]]:
         feet[:, 21:24] = np.arctan2(b * cp + c_w * np.sin(phi), (foot / 2 - c_w) * cp)
         np.add(feet[:, 21:24], math.pi, out=feet[:, 24:])
         feet[:, 3:] = np.minimum(lo + np.mod(feet[:, 3:] - lo, 2.0 * math.pi), hi)
-        value, _ = lp_max_covering(*_rows(arms, phi, feet), floor, cap)
-    value = value.reshape(2, len(thetas), -1)  # (direction, pitch, candidate)
+        # each pitch's distinct bit patterns go to the LP once, the first of each
+        # run of equal bits in rank order; a repeat takes its twin's values
+        n, m = feet.shape
+        bits = feet.view(np.int64)
+        order = np.argsort(bits, axis=1, kind="stable")
+        order += np.arange(0, n * m, m)[:, None]  # flat positions, a row in rank order
+        ranked = bits.ravel()[order]
+        first = np.empty((n, m), bool)
+        first[:, 0] = True
+        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+        kept = order[first]
+        solved, _ = lp_max_covering(
+            *_rows(arms, thetas[kept // m, None], feet.ravel()[kept, None]), floor, cap)
+    twin = np.empty(n * m, np.intp)  # each candidate's index among the solved ones
+    twin[order] = np.cumsum(first).reshape(n, m) - 1
+    value = solved.reshape(2, -1)[:, twin].reshape(2, n, m)  # (direction, pitch, candidate)
     if not (value < math.inf).all():  # a NaN fails too
         raise ValueError(f"the envelope LP overflows a float at a per-fan cap of "
                          f"{constraint.per_fan_max} N and a vertical force floor of "

@@ -67,6 +67,7 @@ from .robot import (
 from .spatial import (
     GIMBAL_LOCK_MARGIN,
     EulerAngles,
+    float_tuple,
     quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through sim
 )
 from .trim import hover_trim
@@ -128,8 +129,8 @@ class Perturbation:
     thrust_scale: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        self.com_offset = tuple(map(float, self.com_offset))
-        self.thrust_scale = tuple(map(float, self.thrust_scale))
+        self.com_offset = float_tuple(self.com_offset)
+        self.thrust_scale = float_tuple(self.thrust_scale)
         if len(self.com_offset) != 3 or len(self.thrust_scale) != 4:
             raise ValueError("com_offset needs 3 values and thrust_scale 4")
         if not abs(self.foot_axis_misalignment_left) <= MAX_FOOT_AXIS_BIAS:  # a NaN fails too

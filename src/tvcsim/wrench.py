@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from .robot import RobotGeometry
 from .spatial import (
     Quat,
+    float_tuple,
     quat_from_pitch,
     quat_rotation_rows,
     quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through wrench
@@ -156,7 +157,7 @@ def generalized_wrench_3d(fs: FanState, geo: RobotGeometry, orientation: Quat,
     f_x, f_z, t_x, t_y1, t_y2, t_y3, t_z = wrench_kernel(geo, perturbation)(
         fs.f_front, fs.f_back, fs.f_left, fs.f_right, fs.theta_left, fs.theta_right)
     force, torque = (f_x, 0.0, f_z), (t_x, t_y1 + t_y2 + t_y3, t_z)
-    rot = quat_rotation_rows(quat_unit(tuple(map(float, orientation))))
+    rot = quat_rotation_rows(quat_unit(float_tuple(orientation)))
     w_x, w_y, w_z = _rotate(rot, force)
     return Wrench(force, torque, t_y1, t_y2, t_y3,
                   (w_x, w_y, w_z - geo.weight, *_rotate(rot, torque)))

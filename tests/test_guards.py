@@ -467,6 +467,46 @@ def test_envelope_sweep_makes_one_kernel_call_per_strategy(monkeypatch):
             assert calls == 1, name
 
 
+def test_envelope_solves_each_distinct_candidate_once(monkeypatch):
+    # about half the candidate foot angles at a pitch repeat another bit for bit
+    # (a range end the wrap reaches, an acos ratio clipped to +-1); each
+    # (pitch, foot angle) bit pattern reaches the LP once, as two rows, tau_max's
+    # and tau_min's
+    import numpy as np
+
+    pairs, lp_rows = [], []
+    rows, kernel = envelope._rows, envelope.lp_max_covering
+
+    def recorded_rows(arms, theta_pitch, theta_feet):
+        pitch, feet = np.broadcast_arrays(theta_pitch, theta_feet)
+        pairs.append(np.stack([pitch.ravel(), feet.ravel()], axis=1))
+        return rows(arms, theta_pitch, theta_feet)
+
+    def recorded_kernel(c, a, floor, cap):
+        lp_rows.append(len(c))
+        return kernel(c, a, floor, cap)
+
+    monkeypatch.setattr(envelope, "_rows", recorded_rows)
+    monkeypatch.setattr(envelope, "lp_max_covering", recorded_kernel)
+    for name in ("P1", "P2"):
+        posture = builtin_posture(name)
+        geo = geometry_from_posture(posture)
+        constraint = envelope.EnvelopeConstraint.hover(geo, posture)
+        searches = [lambda n=n: envelope.envelope_sweep(geo, constraint, n_points=n)
+                    for n in (5, 61)]
+        searches += [lambda: envelope.max_pitch_torque_dt(geo, 0.1, constraint),
+                     lambda: envelope.max_pitch_torque_tvc(geo, 0.1, constraint),
+                     lambda: envelope.tvc_dt_ratio(geo, constraint)]
+        for k, search in enumerate(searches):
+            pairs.clear()
+            lp_rows.clear()
+            search()
+            (solved,) = pairs
+            keys = [pair.tobytes() for pair in solved]
+            assert len(set(keys)) == len(keys), (name, k)
+            assert lp_rows == [2 * len(keys)], (name, k)
+
+
 def test_envelope_command_makes_one_kernel_call_per_posture(tmp_path, monkeypatch):
     # the level lane of the TVC/DT ratio joins the sweep's LP call, also where no
     # abscissa sits at pitch 0 and where the robot cannot hover level; invalid

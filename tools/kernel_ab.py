@@ -11,7 +11,8 @@ family runs one case list, built once, through each tree:
   over many magnitudes, signed zeros, tiny rates and a NaN in each slot;
 - lp_max_covering on random, extreme and integer (tie-heavy) rows;
 - envelope searches: max_pitch_torque_dt/_tvc, tvc_dt_ratio and
-  envelope_sweep on random robots, infeasible and overflowing ones among them;
+  envelope_sweep on random robots, infeasible and overflowing ones among them,
+  and on robots whose candidate foot angles tie bit for bit;
 - wrench API: FanState, Perturbation and generalized_wrench_3d on the states
   of the bench audit ops of seeds 3, 7 and 11, ops 0-14, as the op passes them
   and as plain floats, and on bad thrusts, perturbations and quaternions;
@@ -171,7 +172,7 @@ def envelope_cases(rng, count: int = 600):
         yield {
             "com": tuple(rng.uniform([-0.1, -0.3], [0.1, 0.3]).tolist()),
             "foot": tuple(rng.uniform([-0.3, -1.2], [0.3, -0.2]).tolist()),
-            "range_deg": (lo, float(rng.uniform(lo + 0.5, 90.0))),
+            "range": (math.radians(lo), math.radians(float(rng.uniform(lo + 0.5, 90.0)))),
             "mass": mass, "waist": float(rng.uniform(0.05, 1.0)),
             "feet": float(rng.uniform(0.05, 0.5)), "cap": cap, "floor": floor,
             "pitch": float(rng.uniform(-0.8, 0.8)),
@@ -180,17 +181,36 @@ def envelope_cases(rng, count: int = 600):
         }
 
 
+def tie_cases():
+    """Robots whose candidate foot angles tie bit for bit, which the random draw
+    never makes: foot ranges of one angle (at 0.0, -0.0 and off zero) or ending
+    at +-0.0; the CoM over the foot fans (a zero vertical arm, so signed zeros
+    reach the objective), and on them too; caps at which both feet, or all four
+    fans, just meet the floor (an acos ratio of 1); searches at pitch +-0.0 and
+    +-pi/2, and sweeps through them."""
+    half_pi = math.pi / 2
+    ranges = ((0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (0.5, 0.5), (-half_pi, -half_pi),
+              (-1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (-0.0, half_pi))
+    robots = (((0.025, -0.243), (0.02, -0.61)), ((0.02, -0.243), (0.02, -0.61)),
+              ((0.0, -0.3), (0.0, -0.6)), ((0.02, -0.61), (0.02, -0.61)))
+    searches = ((0.0, ((-half_pi, half_pi), 3)), (-0.0, ((-0.0, 0.0), 2)),
+                (half_pi, ((-half_pi, -0.0), 4)), (-half_pi, ((0.0, half_pi), 5)))
+    for (com, foot), foot_range, cap in itertools.product(robots, ranges, (30.0, 49.05, 24.525)):
+        for pitch, sweep in searches:
+            yield {"com": com, "foot": foot, "range": foot_range, "mass": 10.0, "waist": 0.3,
+                   "feet": 0.2, "cap": cap, "floor": 98.1, "pitch": pitch, "sweep": sweep}
+
+
 def envelope_searches(tree, cases) -> list:
     """Each (robot, search number) case's result repr."""
     robot, env = tree["robot"], tree["envelope"]
 
     def search(case, k):
-        posture = robot.Posture("X", case["com"], case["foot"], case["range_deg"])
+        posture = robot.Posture("X", case["com"], case["foot"], (-90.0, 90.0))
         geo = robot.geometry_from_posture(posture, mass_total=case["mass"],
                                           fan_spacing_waist=case["waist"],
                                           fan_spacing_feet=case["feet"])
-        constraint = env.EnvelopeConstraint(case["floor"], case["cap"],
-                                            posture.foot_pitch_range)
+        constraint = env.EnvelopeConstraint(case["floor"], case["cap"], case["range"])
         calls = (lambda: env.max_pitch_torque_dt(geo, case["pitch"], constraint),
                  lambda: env.max_pitch_torque_tvc(geo, case["pitch"], constraint),
                  lambda: env.tvc_dt_ratio(geo, constraint, case["pitch"]),
@@ -331,7 +351,8 @@ def battery(workloads, regen) -> list:
         ("lp_max_covering", "batches of 3000 rows", lp,
          list(lp_cases(np.random.default_rng(43)))),
         ("envelope searches", "calls", envelope_searches,
-         [(case, k) for case in envelope_cases(np.random.default_rng(44)) for k in range(4)]),
+         [(case, k) for case in [*envelope_cases(np.random.default_rng(44)), *tie_cases()]
+          for k in range(4)]),
         ("wrench API", "cases", wrench_api, wrench_cases(workloads)),
         ("takeoffs", "runs", cli_runs,
          [case for seed, integrator, noise in itertools.product(SEEDS, INTEGRATORS, (False, True))

@@ -16,12 +16,13 @@ is a vertex with at most one fractional thrust (Durham, "Constrained control
 allocation", JGCD 1993; Bodson, "Evaluation of optimization methods for
 control allocation", JGCD 2002), so the maximum over the foot range is reached
 at one of a few angles written down in closed form (see _table). One LP call
-evaluates 0 and every candidate at every pitch of a sweep, and _table returns
-one row of floats per pitch in the CSV's column order: DT reads the 0 column
-and TVC keeps the best candidate. The envelope command writes these rows, its
-level ratio read from the first; only envelope_sweep and the single-pitch
-searches, each a one-pitch table, build point objects. The independent
-cross-check lives in tvcsim.oracles.
+per sweep solves each pitch's distinct candidates, 0 among them, once: about
+half repeat another bit for bit, and a repeat takes its twin's value. _table
+returns one row of floats per pitch in the CSV's column order: DT reads the 0
+column and TVC keeps the best candidate. The envelope command writes these
+rows, its level ratio read from the first; only envelope_sweep and the
+single-pitch searches, each a one-pitch table, build point objects. The
+independent cross-check lives in tvcsim.oracles.
 
 Legs are assumed parallel: both feet share one thrust value and one pitch
 angle throughout the search.
@@ -176,6 +177,13 @@ def _table(geo, constraint, thetas) -> list[list[float]]:
     stationary angles of the torque with the feet capped while a waist fan of
     torque arm c_w, or none, is fractional. TVC takes the best candidate but 0,
     or any where 0 is in the foot range.
+
+    About half the candidates at a pitch repeat another: a range end that the
+    wrap into the foot range reaches, an acos ratio clipped to +-1. An LP row
+    depends only on its pitch's and angle's bits, so each distinct (pitch,
+    angle) bit pattern is solved once and its repeats take its values: the
+    table is the full solve's, bit for bit. Comparing bits, not values, keeps
+    +0.0, -0.0 and NaN candidates apart.
     """
     lo, hi = constraint.foot_angle_range
     floor, cap = constraint.min_vertical_force, constraint.per_fan_max
@@ -200,7 +208,10 @@ def _table(geo, constraint, thetas) -> list[list[float]]:
         np.add(feet[:, 21:24], math.pi, out=feet[:, 24:])
         feet[:, 3:] = np.minimum(lo + np.mod(feet[:, 3:] - lo, 2.0 * math.pi), hi)
         # each pitch's distinct bit patterns go to the LP once, the first of each
-        # run of equal bits in rank order; a repeat takes its twin's values
+        # run of equal bits in rank order; a repeat takes its twin's values. Two
+        # patterns differ where their wrapping int64 difference is nonzero: int64
+        # not_equal, like cumsum and integer //, would page in 64-128 KiB of
+        # numpy loops that nothing else in the process runs
         n, m = feet.shape
         bits = feet.view(np.int64)
         order = np.argsort(bits, axis=1, kind="stable")
@@ -208,12 +219,14 @@ def _table(geo, constraint, thetas) -> list[list[float]]:
         ranked = bits.ravel()[order]
         first = np.empty((n, m), bool)
         first[:, 0] = True
-        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+        first[:, 1:] = ranked[:, 1:] - ranked[:, :-1]
         kept = order[first]
         solved, _ = lp_max_covering(
-            *_rows(arms, thetas[kept // m, None], feet.ravel()[kept, None]), floor, cap)
-    twin = np.empty(n * m, np.intp)  # each candidate's index among the solved ones
-    twin[order] = np.cumsum(first).reshape(n, m) - 1
+            *_rows(arms, np.repeat(thetas, m)[kept, None], feet.ravel()[kept, None]), floor, cap)
+    run = np.zeros(n * m, np.intp)  # each ranked candidate's index among the solved ones
+    run[first.ravel()] = np.arange(len(kept))
+    twin = np.empty(n * m, np.intp)
+    twin[order] = np.maximum.accumulate(run).reshape(n, m)
     value = solved.reshape(2, -1)[:, twin].reshape(2, n, m)  # (direction, pitch, candidate)
     if not (value < math.inf).all():  # a NaN fails too
         raise ValueError(f"the envelope LP overflows a float at a per-fan cap of "

@@ -17,7 +17,7 @@ allocation", JGCD 1993; Bodson, "Evaluation of optimization methods for
 control allocation", JGCD 2002), so the maximum over the foot range is reached
 at one of a few angles written down in closed form (see _table). One LP call
 per sweep solves each pitch's distinct candidates, 0 among them, once: about
-half repeat another bit for bit, and a repeat takes its twin's value. _table
+half repeat another bit for bit, and a repeat changes no maximum. _table
 returns one row of floats per pitch in the CSV's column order: DT reads the 0
 column and TVC keeps the best candidate. The envelope command writes these
 rows, its level ratio read from the first; only envelope_sweep and the
@@ -107,7 +107,8 @@ def lp_max_covering(c, a, floor, cap):
 
     c and a are (n, k) float arrays holding one LP per row; floor and cap are
     floats shared by every row. Returns (value, x): value is -inf on
-    infeasible rows, whose x means nothing. With a single covering
+    infeasible rows, whose x means nothing, and never -0.0, since the row sums
+    add from +0.0, so equal values have equal bits. With a single covering
     constraint the optimum is reached by starting from the unconstrained box
     optimum and buying constraint slack from the variables with the best
     objective-per-slack ratio, ties to the lower index; at most one variable
@@ -181,9 +182,9 @@ def _table(geo, constraint, thetas) -> list[list[float]]:
     About half the candidates at a pitch repeat another: a range end that the
     wrap into the foot range reaches, an acos ratio clipped to +-1. An LP row
     depends only on its pitch's and angle's bits, so each distinct (pitch,
-    angle) bit pattern is solved once and its repeats take its values: the
-    table is the full solve's, bit for bit. Comparing bits, not values, keeps
-    +0.0, -0.0 and NaN candidates apart.
+    angle) bit pattern is solved once, and the maxima over the distinct
+    candidates are the maxima over all of them, bit for bit. Comparing bits,
+    not values, keeps +0.0, -0.0 and NaN candidates apart.
     """
     lo, hi = constraint.foot_angle_range
     floor, cap = constraint.min_vertical_force, constraint.per_fan_max
@@ -208,10 +209,9 @@ def _table(geo, constraint, thetas) -> list[list[float]]:
         np.add(feet[:, 21:24], math.pi, out=feet[:, 24:])
         feet[:, 3:] = np.minimum(lo + np.mod(feet[:, 3:] - lo, 2.0 * math.pi), hi)
         # each pitch's distinct bit patterns go to the LP once, the first of each
-        # run of equal bits in rank order; a repeat takes its twin's values. Two
-        # patterns differ where their wrapping int64 difference is nonzero: int64
-        # not_equal, like cumsum and integer //, would page in 64-128 KiB of
-        # numpy loops that nothing else in the process runs
+        # run of equal bits in rank order. Two patterns differ where their
+        # wrapping int64 difference is nonzero: int64 not_equal, like integer //,
+        # would page in 64-128 KiB of numpy loops nothing else here runs
         n, m = feet.shape
         bits = feet.view(np.int64)
         order = np.argsort(bits, axis=1, kind="stable")
@@ -223,11 +223,13 @@ def _table(geo, constraint, thetas) -> list[list[float]]:
         kept = order[first]
         solved, _ = lp_max_covering(
             *_rows(arms, np.repeat(thetas, m)[kept, None], feet.ravel()[kept, None]), floor, cap)
-    run = np.zeros(n * m, np.intp)  # each ranked candidate's index among the solved ones
-    run[first.ravel()] = np.arange(len(kept))
-    twin = np.empty(n * m, np.intp)
-    twin[order] = np.maximum.accumulate(run).reshape(n, m)
-    value = solved.reshape(2, -1)[:, twin].reshape(2, n, m)  # (direction, pitch, candidate)
+    # a repeat reads -inf, which changes no maximum's bits: LP values are never
+    # -0.0, so equal values have equal bits; column 0, DT's, leads its run under
+    # the stable sort, and a candidate repeating it lies in the foot range, where
+    # TVC reads column 0 too
+    value = np.full((2, n * m), -math.inf)
+    value[:, kept] = solved.reshape(2, -1)
+    value = value.reshape(2, n, m)  # (direction, pitch, candidate)
     if not (value < math.inf).all():  # a NaN fails too
         raise ValueError(f"the envelope LP overflows a float at a per-fan cap of "
                          f"{constraint.per_fan_max} N and a vertical force floor of "

@@ -100,13 +100,13 @@ def test_lp_is_the_row_by_row_greedy_and_meets_vertex_enumeration(floor, cap):
     # the envelope passes one floor and one cap: one kernel call solves the
     # random rows, the degenerate rows (each at its own floor with a cap of 40
     # among the pairs) and integer rows in -2..2, where ties and zero
-    # coefficients abound; each row takes the greedy's steps bit for bit and
-    # meets the scalar oracle
+    # coefficients abound, also with c negated, so its zeros are -0.0; each row
+    # takes the greedy's steps bit for bit and meets the scalar oracle
     rng = np.random.default_rng(21)
     ties = rng.integers(-2, 3, (2, 500, 3)).astype(float)
     extra_c, extra_a, _ = zip(*DEGENERATE_LPS)
-    c = np.vstack([rng.uniform(-1.0, 1.0, (500, 3)), extra_c, ties[0]])
-    a = np.vstack([rng.uniform(-1.0, 2.0, (500, 3)), extra_a, ties[1]])
+    c = np.vstack([rng.uniform(-1.0, 1.0, (500, 3)), extra_c, ties[0], -ties[0]])
+    a = np.vstack([rng.uniform(-1.0, 2.0, (500, 3)), extra_a, ties[1], ties[1]])
     value, x = lp_max_covering(c, a, floor, cap)
     assert value.shape == (len(c),) and x.shape == c.shape
     for i in range(len(c)):
@@ -123,6 +123,8 @@ def test_lp_is_the_row_by_row_greedy_and_meets_vertex_enumeration(floor, cap):
         assert c[i] @ x[i] == pytest.approx(value[i], abs=1e-9)
         assert a[i] @ x[i] >= floor - 1e-7
         assert np.all(x[i] >= -1e-9) and np.all(x[i] <= cap + 1e-9)
+    # no value is -0.0, so _table's maxima do not depend on which tie they read
+    assert not (np.signbit(value) & (value == 0.0)).any()
     # x = 0 meets a floor <= 0; the a = 0 row misses every floor above 0
     assert (value == -math.inf).any() == (floor > 0.0)
     if 0.0 < floor <= cap:  # equal objective-per-slack ratios go to the lower index

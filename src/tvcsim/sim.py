@@ -17,25 +17,32 @@ the shifted CoM) and a fixed per-foot thrust-axis pitch bias standing in for
 joint position error, whose left/right asymmetry makes the yaw force couple
 that spins the uncontrolled robot.
 
-A run builds one float kernel, run_kernel, from its geometry, perturbation,
-dt and integrator: wrench_kernel's rows, the rigid-body step and the takeoff
-loop, run, the last two compiled apart once per integrator, on first use,
-from one template of the equations of motion. run carries plain floats, the
-13 of the state among them; each step writes out the wrench rows
-(wrench.ROWS) once, for the liftoff check on the ground or the step aloft,
-and a step aloft writes out step's body, guards and attitude readout, so it
-calls only thrust_schedule, the two foot clamps and math's functions. A
-controller tick passes the measured pitch, yaw and body rates about y and z
-(_measure) to AttitudeController.step as floats and gets the two foot
-commands back; the feet slew toward them through controller.clamp.
-dynamics_step is the kernel's public one-step wrapper, as
-wrench.generalized_wrench_3d is of the wrench formula.
+The float kernels come from one template of the equations of motion,
+compiled per integrator on first use, and read a geometry, perturbation and
+dt as closure cells. run_kernel gives wrench_kernel's rows and the
+rigid-body step; dynamics_step, its public one-step wrapper (as
+wrench.generalized_wrench_3d is of the wrench formula), compiles only that
+step. step keeps every product of the template, since it takes any state
+and any inertia tensor. loop_kernel gives run_scenario's takeoff loop, run,
+and a takeoff compiles only run. run flies the robots a ScenarioConfig
+describes, whose inertia is the diagonal point-mass surrogate; it leaves
+out the products by the body force's zero y row and by the products of
+inertia and of the inverse tensor, which change no bit there (see _ZEROS),
+and it refuses any other tensor. run carries plain floats, the 13 of the
+state among them; each step writes out the wrench rows (wrench.ROWS) once,
+for the liftoff check on the ground or the step aloft, and a step aloft
+writes out step's body, guards and attitude readout, so it calls only
+thrust_schedule, the two foot clamps and math's functions. A controller
+tick passes the measured pitch, yaw and body rates about y and z (_measure)
+to AttitudeController.step as floats and gets the two foot commands back;
+the feet slew toward them through controller.clamp.
 
 Identical configurations produce bit-identical logs.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import json
 import math
@@ -250,7 +257,7 @@ def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry
                   perturbation: Perturbation | None = None,
                   integrator: str = "euler") -> RigidBodyState:
     """Advance the free-flying rigid body by one step of run_kernel."""
-    wrench, step, _ = run_kernel(geo, perturbation, dt, integrator)
+    wrench, step = run_kernel(geo, perturbation, dt, integrator)
     fs = fan_state
     t = state.time + dt
     x = step(t, *state.position_world, *state.velocity_world, *state.orientation,
@@ -487,10 +494,53 @@ def build(m, weight, i00, i01, i02, i10, i11, i12, i20, i21, i22,
 """
 
 
+# The constants that are +0.0 for every robot the takeoff loop flies: the body
+# force's y row, as no fan pushes sideways, and the off-diagonal entries of the
+# inertia tensor and of its inverse, as a ScenarioConfig robot carries the
+# diagonal point_mass_inertia and no config key gives a measured tensor. run is
+# written without the products by them, and its bits stay the same:
+# - a step starts from a finite state, since the guards end the run otherwise,
+#   so such a product is a zero, and x + 0.0 * y is x up to the sign of a zero
+#   (an rk4 stage rate could still overflow, where 0.0 * inf is nan, but only
+#   for principal moments some hundred orders of magnitude apart);
+# - rates and velocities start at +0.0 and each update is x + y, which is -0.0
+#   only when both terms are, so no state is -0.0 and no derivative's signed
+#   zero reaches one.
+# step keeps every product, as dynamics_step takes any state and any tensor
+_ZEROS = frozenset({"f_y", *(f"{a}{r}{c}" for a in "ij" for r in "012" for c in "012" if r != c)})
+
+
+def _lean_term(node):
+    """node, a sum of products, with the terms that a _ZEROS name multiplies
+    taken out; None if node is one of them."""
+    if isinstance(node, ast.Name):
+        return None if node.id in _ZEROS else node
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return node if _lean_term(node.left) and _lean_term(node.right) else None
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        left, right = _lean_term(node.left), _lean_term(node.right)
+        return ast.BinOp(left, node.op, right) if left and right else left or right
+    return node
+
+
+def _lean(body: str) -> str:
+    """body with _lean_term applied to each assignment that reads a _ZEROS name,
+    rewritten in place; every other line keeps its text."""
+    lines = body.splitlines(True)
+    for stmt in reversed(ast.parse(body).body):
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(node, ast.Name) and node.id in _ZEROS for node in ast.walk(stmt)):
+            stmt.value = _lean_term(stmt.value)
+            lines[stmt.lineno - 1:stmt.end_lineno] = [ast.unparse(stmt) + "\n"]
+    return "".join(lines)
+
+
 @functools.cache
-def _step_builder(integrator: str):
-    """step's and run's build(m, weight, i00..i22, j00..j22, f_y, h, dt, lock, *ROW_CONSTANTS),
-    compiled apart on first use: one rk4 source of both peaks 1.4 MiB of RSS, not 0.5."""
+def _step_builder(integrator: str, name: str):
+    """name's build(m, weight, i00..i22, j00..j22, f_y, h, dt, lock, *ROW_CONSTANTS),
+    name "step" or "run", compiled on first use: run_scenario compiles run alone
+    and dynamics_step step alone, and one rk4 source of both would peak 1.4 MiB
+    of RSS, not 0.5. run's step body is _lean's."""
     if integrator == "rk4":  # stage k's derivative, then stage k + 1's state or the sum
         body = ""
         for k, s, span in ((1, "", "h"), (2, 2, "h"), (3, 3, "dt"), (4, 4, None)):
@@ -499,18 +549,28 @@ def _step_builder(integrator: str):
     else:
         body = _DERIVATIVE.format(s="", k="") + _EULER
     body = _UNIT.format(n="") + body + _TAIL
-    functions = {"step": _STEP.format(step=textwrap.indent(body, " " * 4)),
-                 "run": _RUN.format(rows=textwrap.indent(ROWS, " " * 8),
-                                    step=textwrap.indent(body, " " * 16))}
-    return tuple(compile_build(_BUILD.format(constants=ROW_CONSTANTS, name=name,
-                                             function=textwrap.indent(text, " " * 4)),
-                               f"<tvcsim.sim {integrator} {name}>", globals())
-                 for name, text in functions.items())
+    text = (_STEP.format(step=textwrap.indent(body, " " * 4)) if name == "step" else
+            _RUN.format(rows=textwrap.indent(ROWS, " " * 8),
+                        step=textwrap.indent(_lean(body), " " * 16)))
+    return compile_build(_BUILD.format(constants=ROW_CONSTANTS, name=name,
+                                       function=textwrap.indent(text, " " * 4)),
+                         f"<tvcsim.sim {integrator} {name}>", globals())
+
+
+def _build_args(geo: RobotGeometry, dt: float, integrator: str) -> tuple:
+    """A step build's arguments, bar ROW_CONSTANTS, after the checks of dt and integrator."""
+    if not 0.0 < dt <= MAX_PHYSICS_DT:  # a NaN fails too
+        raise ValueError(f"dt must be in (0, {MAX_PHYSICS_DT}] s")
+    if integrator not in ("euler", "rk4"):
+        raise ValueError("integrator must be 'euler' or 'rk4'")
+    # f_y = 0.0: the body force's zero y row, rotated as any row so signed zeros agree
+    return (geo.mass_total, geo.weight, *(x for row in geo.inertia_body for x in row),
+            *geo.inertia_inverse_rows, 0.0, 0.5 * dt, dt, 0.5 * math.pi - GIMBAL_LOCK_MARGIN)
 
 
 def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
                integrator: str):
-    """The takeoff's float kernel, built once per run: (wrench, step, run).
+    """The takeoff's one-step float kernel: (wrench, step).
 
     wrench(f_F, f_B, f_L, f_R, theta_L, theta_R) is wrench_kernel's body rows.
     step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows) advances
@@ -528,18 +588,31 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
     and abs, and it reads the geometry as closure cells. Either way it
     ends in the divergence guards: a new position beyond POSITION_GUARD_M, a
     body rate beyond RATE_GUARD_RAD_S, or a NaN in either raises
-    DivergenceError, naming t. run(cfg, tick, trim_angle, rng, append) is
-    run_scenario's loop, with wrench's rows and step's body written out.
+    DivergenceError, naming t. step keeps every product of the template, by
+    the zero y row of the body force and by the products of inertia too,
+    since it takes any state and any tensor; loop_kernel's run leaves them out.
     """
-    if not 0.0 < dt <= MAX_PHYSICS_DT:  # a NaN fails too
-        raise ValueError(f"dt must be in (0, {MAX_PHYSICS_DT}] s")
-    if integrator not in ("euler", "rk4"):
-        raise ValueError("integrator must be 'euler' or 'rk4'")
+    args = _build_args(geo, dt, integrator)
     consts = wrench_constants(geo, perturbation)  # ROW_CONSTANTS
-    # f_y = 0.0: the body force's zero y row, rotated as any row so signed zeros agree
-    args = (geo.mass_total, geo.weight, *(x for row in geo.inertia_body for x in row),
-            *geo.inertia_inverse_rows, 0.0, 0.5 * dt, dt, 0.5 * math.pi - GIMBAL_LOCK_MARGIN)
-    return rows_builder()(*consts), *(build(*args, *consts) for build in _step_builder(integrator))
+    return rows_builder()(*consts), _step_builder(integrator, "step")(*args, *consts)
+
+
+def loop_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
+                integrator: str):
+    """run(cfg, tick, trim_angle, rng, append), run_scenario's loop, for a
+    robot whose products of inertia are +0.0, as every ScenarioConfig robot's
+    are: wrench's rows and step's body written out, without the products by
+    the body force's zero y row and by the products of inertia and of the
+    inverse tensor (see _ZEROS). Raises ValueError for any other tensor.
+    """
+    args = _build_args(geo, dt, integrator)
+    (_, i01, i02), (i10, _, i12), (i20, i21, _) = geo.inertia_body
+    inverse = geo.inertia_inverse_rows
+    if not all(x == 0.0 and math.copysign(1.0, x) > 0.0  # a NaN or a -0.0 fails too
+               for x in (i01, i02, i10, i12, i20, i21, *(inverse[k] for k in (1, 2, 3, 5, 6, 7)))):
+        raise ValueError("the takeoff loop flies a diagonal inertia tensor only: its "
+                         "products of inertia, and those of its inverse, must be +0.0")
+    return _step_builder(integrator, "run")(*args, *wrench_constants(geo, perturbation))
 
 
 def run_scenario(cfg: ScenarioConfig) -> SimLog:
@@ -573,7 +646,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     if cfg.sensor_noise_std > 0.0:
         import numpy as np
         rng = np.random.default_rng(cfg.seed)
-    run = run_kernel(geo, cfg.perturbation, cfg.dt_s, cfg.integrator)[2]
+    run = loop_kernel(geo, cfg.perturbation, cfg.dt_s, cfg.integrator)
     log = SimLog()
     events = run(cfg, controller.step, trim_angle, rng, log.rows.append)
     log.scenario = asdict(cfg)

@@ -21,7 +21,7 @@ Force and torque conventions:
 pitch_arms is the one source of the four sagittal arms of these terms; the
 trims, the envelope LP and the controller gains read them there too.
 ROWS is the one source of the rows: wrench_kernel compiles it and the
-takeoff loop (sim.run_kernel) writes it out. generalized_wrench_3d wraps
+takeoff loop (sim.loop_kernel) writes it out. generalized_wrench_3d wraps
 wrench_kernel for one fan state at one attitude, and total_wrench is its
 pitch-only case. The world-frame rows are floats too; numpy is imported only for the
 array forms of them and by fan_layout, which lists the per-fan forces.

@@ -179,6 +179,58 @@ def test_takeoff_json_format(tmp_path, capsys):
     assert len(data["rows"]) > 100
 
 
+def _dumps(header, rows):
+    """The table JSON as json.dumps writes it, with the pure-Python encoder."""
+    return json.dumps({"header": list(header), "rows": [list(r) for r in rows]},
+                      indent=2, allow_nan=False) + "\n"
+
+
+def test_table_json_is_json_dumps_with_indent_bit_for_bit(tmp_path, capsys):
+    # _rows_as_json writes through the C encoder the bytes that json.dumps
+    # writes with indent=2: on the golden cases' JSON tables (which round-trip,
+    # as JSON floats are their shortest repr) and on drawn rows of nulls,
+    # signed zeros, subnormals, huge floats, ints, bools and strings with
+    # quotes, escapes and what looks like a row separator
+    from golden.regen import CASES
+
+    tables = 0
+    for name, (config, argv) in CASES.items():
+        if "json" not in argv:
+            continue
+        if config is not None:
+            (tmp_path / "case.cfg").write_text(config)
+            argv = ["--config", str(tmp_path / "case.cfg"), *argv]
+        assert run_cli(["--out", str(tmp_path / name), *argv], capsys)[0] == 0
+        for path in (tmp_path / name).glob("*.json"):
+            if not path.name.endswith(("_manifest.json", "_events.json")):
+                data = json.loads(path.read_text())
+                assert path.read_text() == _dumps(data["header"], data["rows"]), path.name
+                tables += 1
+    assert tables == 3
+    rng = np.random.default_rng(36)
+    pool = [None, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 1.0, 0.1, 7, -3,
+            True, False, "", 'say "hi"', "back\\slash", "tab\tnew\nline", "\u00e9",
+            "],\n      [", "x, y"]
+    for case in range(300):
+        rows = [[pool[k] for k in rng.integers(0, len(pool), rng.integers(1, 6))]
+                for _ in range(rng.integers(0, 5))]
+        rows += [tuple(rng.normal(0.0, 10.0 ** rng.uniform(-300, 300), 3).tolist())]
+        if case % 10 == 0:
+            rows.insert(rng.integers(0, len(rows) + 1), [])
+        header = [pool[k] for k in rng.integers(14, len(pool), rng.integers(0, 4))]
+        assert cli._rows_as_json(header, rows) == _dumps(header, rows), rows
+    for rows in ([], [[]], [[], []], [[1.0]]):
+        assert cli._rows_as_json(["x"], rows) == _dumps(["x"], rows), rows
+    # a non-finite float is refused with json.dumps's message, which names it
+    for bad in (math.nan, math.inf, -math.inf):
+        for rows in ([[1.0, bad]], [[1.0], [2.0, bad, 3.0]]):
+            with pytest.raises(ValueError) as expected:
+                _dumps(["x"], rows)
+            with pytest.raises(ValueError) as got:
+                cli._rows_as_json(["x"], rows)
+            assert str(got.value) == str(expected.value)
+
+
 def test_trim_report(tmp_path, capsys):
     code, out, _ = run_cli(["--out", str(tmp_path), "trim", "--posture", "P1"],
                            capsys)

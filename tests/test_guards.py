@@ -97,8 +97,8 @@ def test_every_top_level_name_is_used_outside_the_tests():
     paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     used = {part for target in _trace_targets() for part in target.split(".")[1:]}
     # the sources that sim and wrench compile are code of src/ too
-    generated = [inspect.getsource(build) for integrator in ("euler", "rk4")
-                 for build in sim._step_builder(integrator)]
+    generated = [inspect.getsource(sim._step_builder(integrator, name))
+                 for integrator in ("euler", "rk4") for name in ("step", "run")]
     generated.append(inspect.getsource(wrench.rows_builder()))
     for text in [path.read_text() for path in paths + sorted((ROOT / "bench").glob("*.py"))] + \
             generated:
@@ -226,7 +226,7 @@ def _run_line_counts(cfg):
 
 def _source_lines(integrator, text):
     """The numbers of the lines of integrator's compiled run source that read text."""
-    filename = sim._step_builder(integrator)[1].__code__.co_filename
+    filename = sim._step_builder(integrator, "run").__code__.co_filename
     return [n for n, line in enumerate(linecache.getlines(filename), start=1)
             if line.strip() == text]
 
@@ -274,6 +274,54 @@ def test_takeoff_loop_reads_the_attitude_once_per_step_aloft(monkeypatch):
         assert built == 0, integrator
 
 
+# the constants that are +0.0 for every robot the takeoff loop flies: the body
+# force's y row and the off-diagonal entries of the inertia tensor and its inverse
+ZEROS = {"f_y"} | {f"{a}{r}{c}" for a in "ij" for r in "012" for c in "012" if r != c}
+
+
+def _terms(node):
+    """The terms of a left-nested sum, in order."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _terms(node.left) + [node.right]
+    return [node]
+
+
+def _factors(node):
+    """The factors of a left-nested product, in order."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + [node.right]
+    return [node]
+
+
+def _names(node):
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def _dropped_products(full, lean):
+    """How many products by a ZEROS name full's statements lose in lean's, or
+    an AssertionError if the two differ by anything else: each statement is
+    the same, or an assignment to the same targets whose sum lost only terms
+    that are products with one ZEROS name as a factor."""
+    assert len(full) == len(lean)
+    dropped = 0
+    for a, b in zip(full, lean):
+        if ast.unparse(a) == ast.unparse(b):
+            continue
+        assert isinstance(a, ast.Assign) and isinstance(b, ast.Assign), ast.unparse(b)
+        assert [ast.unparse(t) for t in a.targets] == [ast.unparse(t) for t in b.targets]
+        kept = [ast.unparse(term) for term in _terms(b.value)]
+        left = []
+        for term in _terms(a.value):
+            zeros = [f for f in _factors(term) if isinstance(f, ast.Name) and f.id in ZEROS]
+            if zeros:
+                assert len(zeros) == 1 and len(_factors(term)) > 1, ast.unparse(term)
+                dropped += 1
+            else:
+                left.append(ast.unparse(term))
+        assert left == kept, (ast.unparse(a), ast.unparse(b))
+    return dropped
+
+
 def test_step_sources_write_the_equations_of_motion_from_one_template():
     # sim.py holds the equations of motion once, in the derivative template
     # that _step_builder writes out once for euler and once a stage for rk4;
@@ -283,8 +331,9 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
     # quaternions, each followed by its zero-norm ValueError. The tail, the
     # divergence guards and the attitude readout, ends every step once. run,
     # compiled apart from the same templates, writes wrench.ROWS out once at
-    # the top of its loop and step's body once, in its airborne branch, and
-    # calls no function per step but those
+    # the top of its loop and step's body once, in its airborne branch, less
+    # the 15 products by ZEROS of each derivative and nothing else, and calls
+    # no function per step but those
     text = (ROOT / "src" / "tvcsim" / "sim.py").read_text()
     row = "1.0 - 2.0 * (yy + zz)"  # R(q)'s first entry
     assert not re.search(r"\baccel\b", text)
@@ -296,9 +345,11 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
     p1 = geometry_from_posture(builtin_posture("P1"))
     # (integrator, R(q) rows written, math.sqrt calls and zero-norm checks before the tail)
     for integrator, rotations, sqrts, checks in (("euler", 1, 3, 1), ("rk4", 4, 5, 5)):
-        builds = sim._step_builder(integrator)
+        builds = [sim._step_builder(integrator, name) for name in ("step", "run")]
         sources = [inspect.getsource(build) for build in builds]
-        for build, function in zip(builds, sim.run_kernel(p1, None, 1e-3, integrator)[1:]):
+        functions = (sim.run_kernel(p1, None, 1e-3, integrator)[1],
+                     sim.loop_kernel(p1, None, 1e-3, integrator))
+        for build, function in zip(builds, functions):
             assert function.__code__ in build.__code__.co_consts, integrator
             # math.f loads as a module attribute, as in sim.py, not as a method
             assert "LOAD_METHOD" not in [op.opname
@@ -331,13 +382,15 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
             assert len([node for stmt in tail for node in ast.walk(stmt)
                         if ast.unparse(node) == pattern]) == count, (integrator, pattern)
         # run: ROWS once, at the top of the loop, and step's body, bar the rows'
-        # unpacking and the return, once, as the airborne branch's try body
+        # unpacking and the return, once, as the airborne branch's try body, with
+        # each derivative's products by ZEROS taken out of their sums: 3 by f_y
+        # and 6 each by the inertia's and its inverse's off-diagonal entries
         (loop,) = [node for node in ast.walk(run) if isinstance(node, ast.For)]
         loop_text = [ast.unparse(stmt) for stmt in loop.body]
         assert [i for i in range(len(loop_text)) if loop_text[i:i + len(rows)] == rows] == [2]
         (branch,) = [node for node in ast.walk(run) if isinstance(node, ast.Try)]
-        assert ([ast.unparse(stmt) for stmt in branch.body]
-                == [ast.unparse(stmt) for stmt in step.body[1:-1]])
+        assert _dropped_products(step.body[1:-1], branch.body) == 15 * rotations, integrator
+        assert _names(step) >= ZEROS and not _names(run) & ZEROS, integrator
         assert ast.unparse(branch.handlers[0].type) == "DivergenceError"
         raised = {id(node.exc) for node in ast.walk(run) if isinstance(node, ast.Raise)}
         calls = {ast.unparse(node.func) for node in ast.walk(run)
@@ -349,10 +402,11 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
 
 
 def test_only_a_takeoff_step_compiles_a_step_source(tmp_path):
-    # _step_builder compiles step and run on first use, once per integrator:
+    # _step_builder compiles step or run on first use, once per integrator:
     # importing the package and the commands that never step the rigid body
-    # compile nothing. The wrench rows compile once, on first use: not at
-    # import, but by the first wrench any command evaluates
+    # compile neither. A takeoff compiles run alone and dynamics_step step
+    # alone. The wrench rows compile once, on first use: not at import, but
+    # by the first wrench any command evaluates
     from tvcsim import cli
 
     code = ("from tvcsim import cli, sim, wrench; "
@@ -370,11 +424,23 @@ def test_only_a_takeoff_step_compiles_a_step_source(tmp_path):
                          *argv]) == 0, argv
     assert sim._step_builder.cache_info().misses == 0
     assert wrench.rows_builder.cache_info().misses == 1
+
+    def compiled(expected):
+        # which sources the cache holds: a call of a compiled one only hits it
+        info = sim._step_builder.cache_info()
+        assert info.currsize == len(expected)
+        for key in expected:
+            sim._step_builder(*key)
+        assert sim._step_builder.cache_info().misses == info.misses
+
+    for integrator in ("euler", "rk4", "euler", "rk4"):
+        sim.run_scenario(sim.ScenarioConfig(duration_s=0.01, integrator=integrator))
+    compiled([("euler", "run"), ("rk4", "run")])
     p1 = geometry_from_posture(builtin_posture("P1"))
     for integrator in ("euler", "rk4", "euler", "rk4"):
-        sim.run_kernel(p1, None, 1e-3, integrator)
-    assert sim._step_builder.cache_info().misses == 2
-    assert sim._step_builder.cache_info().hits == 2
+        sim.dynamics_step(sim.RigidBodyState(), wrench.FanState.uniform(40.0), p1, 1e-3,
+                          integrator=integrator)
+    compiled([("euler", "run"), ("rk4", "run"), ("euler", "step"), ("rk4", "step")])
     assert wrench.rows_builder.cache_info().misses == 1
 
 

@@ -45,6 +45,7 @@ from tvcsim.sim import (
     SimLog,
     _measure,
     dynamics_step,
+    loop_kernel,
     run_kernel,
     run_scenario,
 )
@@ -982,7 +983,7 @@ def test_integrator_error_falls_with_the_order_of_the_method(integrator, lo, hi)
     # An open-loop tumble under a fixed P1 wrench, against a run at 1/64 of the
     # finest dt; a wrong stage that both rk4 copies shared would fail this
     def final(dt):
-        wrench, step, _ = run_kernel(P1, None, dt, integrator)
+        wrench, step = run_kernel(P1, None, dt, integrator)
         rows = wrench(45.0, 45.0, 42.0, 48.0, 0.2, -0.1)
         state = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.5, -0.8)
         for k in range(round(0.4 / dt)):
@@ -1001,7 +1002,7 @@ def test_torque_free_rk4_flight_keeps_the_world_angular_momentum():
     # orthogonal to I omega either way) but turns this vector: relative drift
     # measured at most 2.2e-12 over these 2 s, and up to 1.57 with the three
     # signs flipped
-    wrench, step, _ = run_kernel(P1, None, 1e-3, "rk4")
+    wrench, step = run_kernel(P1, None, 1e-3, "rk4")
     rows = (0.0,) * 7
     inertia = np.array(P1.inertia_body)
     state = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.5, -2.0, 3.0)
@@ -1026,7 +1027,7 @@ REST = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 def test_step_tracebacks_show_the_raising_line(integrator):
     # the step is compiled from generated source, which linecache holds, so a
     # traceback from inside it prints the line that raised
-    wrench, step, _ = run_kernel(P1, None, 1e-3, integrator)
+    wrench, step = run_kernel(P1, None, 1e-3, integrator)
     zero_q = (*REST[0:6], 0.0, 0.0, 0.0, 0.0, *REST[10:13])
     for state, rows, error, line in (
             (zero_q, (0.0,) * 7, ValueError,
@@ -1048,7 +1049,7 @@ def test_step_readout_is_the_zyx_split_of_the_rotation_rows(integrator):
     for pitch in (0.5 * math.pi, -0.5 * math.pi, 0.5 * math.pi - 0.5 * GIMBAL_LOCK_MARGIN,
                   -0.5 * math.pi + 2.0 * GIMBAL_LOCK_MARGIN):
         qs += [euler_quat(0.1, pitch, yaw) for yaw in rng.uniform(-3.0, 3.0, 50)]
-    wrench, step, _ = run_kernel(P1, None, 1e-3, integrator)
+    wrench, step = run_kernel(P1, None, 1e-3, integrator)
     rows = (0.0,) * 7
     locked = 0
     for q in qs:
@@ -1068,7 +1069,7 @@ def test_the_log_and_the_step_read_a_negative_zero_pitch_at_the_identity(tmp_pat
     header, first = (tmp_path / "log.csv").read_text().splitlines()[:2]
     assert first.split(",")[header.split(",").index("pitch_deg")] == "-0"
     for integrator in ("euler", "rk4"):
-        wrench, step, _ = run_kernel(P1, None, 1e-3, integrator)
+        wrench, step = run_kernel(P1, None, 1e-3, integrator)
         x = step(1e-3, *REST, (0.0,) * 7)
         assert x[6:10] == (1.0, 0.0, 0.0, 0.0)
         assert struct.pack("<3d", *x[13:16]) == struct.pack("<3d", 0.0, -0.0, 0.0)
@@ -1077,7 +1078,7 @@ def test_the_log_and_the_step_read_a_negative_zero_pitch_at_the_identity(tmp_pat
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
 def test_step_guard_messages(integrator):
     # the messages that the divergence events carry, naming the step's time
-    wrench, step, _ = run_kernel(P1, None, 1e-3, integrator)
+    wrench, step = run_kernel(P1, None, 1e-3, integrator)
     rows = (0.0,) * 7
 
     def raised(*state, rows=rows):
@@ -1115,7 +1116,7 @@ def python_loop(cfg):
                                     setpoint=cfg.setpoint)
     rng = np.random.default_rng(cfg.seed) if cfg.sensor_noise_std > 0.0 else None
     dt = cfg.dt_s
-    wrench, step, _ = run_kernel(geo, cfg.perturbation, dt, cfg.integrator)
+    wrench, step = run_kernel(geo, cfg.perturbation, dt, cfg.integrator)
     weight = geo.weight
 
     px = py = pz = vx = vy = vz = qx = qy = qz = wx = wy = wz = 0.0
@@ -1231,6 +1232,31 @@ def test_compiled_loop_is_the_python_loop_bit_for_bit(integrator):
               ScenarioConfig(mode=ControlMode.PITCH_ONLY, perturbation=SPIN, duration_s=4.0,
                              integrator=integrator),
               ScenarioConfig(mode=ControlMode.ALL_OFF, integrator=integrator)]
+    named = len(cases)
+    # run leaves out the products by the zero force row and the products of
+    # inertia, so add the zeros those products could meet with a sign: no
+    # perturbation, and one of signed zeros; a lateral CoM error (a geometry
+    # off the plane of symmetry has no trim) on a -0.0 com_y; and, on P1-P3, the
+    # bench's near-limit draws, foot biases of 8.5-10 deg and thrust scales at
+    # 0.80-0.84 or 1.16-1.20
+    unperturbed = [Perturbation(), Perturbation((-0.0, -0.0, -0.0), -0.0, -0.0)]
+    cases += [ScenarioConfig(perturbation=pert, mode=mode, integrator=integrator,
+                             duration_s=2.2)
+              for pert in unperturbed for mode in (ControlMode.BOTH_ON, ControlMode.ALL_OFF)]
+    cases += [ScenarioConfig(com_y=com_y, perturbation=replace(SPIN, com_offset=(0.0, dy, 0.0)),
+                             integrator=integrator, duration_s=2.2)
+              for com_y, dy in ((0.0, 0.004), (-0.0, -0.003), (-0.0, -0.0))]
+    rng = np.random.default_rng(36)
+    for name in ("P1", "P2", "P3"):
+        for mode in ControlMode:
+            left, right = (rng.choice([-1.0, 1.0]) * np.radians(rng.uniform(8.5, 10.0, 2))).tolist()
+            scale = [float(rng.choice([rng.uniform(0.80, 0.84), rng.uniform(1.16, 1.20)]))
+                     for _ in range(3)] + [float(rng.choice([0.8, 1.2]))]
+            pert = Perturbation(tuple(rng.normal([0.010, 0.0, 0.0], 0.005).tolist()), left,
+                                right, tuple(scale))
+            cases.append(ScenarioConfig(posture=builtin_posture(name), mode=mode,
+                                        perturbation=pert, integrator=integrator,
+                                        duration_s=2.2))
     ends = []
     for cfg in cases:
         log = run_scenario(cfg)
@@ -1240,7 +1266,30 @@ def test_compiled_loop_is_the_python_loop_bit_for_bit(integrator):
         assert list(log.events) == list(events)
         assert _exact(log.events.values()) == _exact(events.values()), cfg
         ends.append(events["termination"])
-    assert ends[-4] == "duration" and ends[-2:] == ["diverged", "touchdown"]
+    assert ends[named - 4] == "duration"
+    assert ends[named - 2:named] == ["diverged", "touchdown"]
+    assert {"duration", "touchdown"} <= set(ends[-9:])  # the near-limit draws
+
+
+def test_the_loop_flies_only_a_tensor_with_positive_zero_products_of_inertia():
+    # run leaves out the products by the products of inertia, so its builder
+    # refuses a tensor where they are not +0.0: nonzero, or -0.0, whose
+    # products could carry a sign. step keeps them, and steps any tensor
+    diagonal = ((0.30, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.0, 0.12))
+    tensors = [((0.30, 0.01, 0.0), (0.01, 0.25, 0.0), (0.0, 0.0, 0.12)),
+               ((0.30, 0.0, -0.02), (0.0, 0.25, 0.0), (-0.02, 0.0, 0.12)),
+               ((0.30, -0.0, 0.0), (-0.0, 0.25, 0.0), (0.0, 0.0, 0.12)),
+               ((0.30, 0.0, 0.0), (0.0, 0.25, -0.0), (0.0, -0.0, 0.12))]
+    for integrator in ("euler", "rk4"):
+        geo = replace(P1, inertia_measured=diagonal)
+        assert callable(loop_kernel(geo, None, 1e-3, integrator))
+        for tensor in tensors:
+            geo = replace(P1, inertia_measured=tensor)
+            with pytest.raises(ValueError, match="diagonal inertia tensor"):
+                loop_kernel(geo, None, 1e-3, integrator)
+            wrench, step = run_kernel(geo, None, 1e-3, integrator)
+            x = step(1e-3, *REST[:10], 1.0, -2.0, 0.5, wrench(40.0, 40.0, 40.0, 40.0, 0.1, 0.0))
+            assert all(map(math.isfinite, x))
 
 
 def _held(events):

@@ -29,7 +29,10 @@ integrators, and envelopes) are then timed through each tree's cli.main, and
 through a second load of the parent, the three in a random order each round:
 minimum and median ms per op, with parent/change of the minima beside
 parent/parent2, the A/A ratio that tells how far a ratio moves on identical
-code. The script exits 1 on any mismatch.
+code. Whole CLI ops cannot resolve a move of a few percent in the loop, so
+sim.run_scenario alone is then timed on each seed-7 takeoff config, and
+cli._rows_as_json on the default takeoff log, the same way: minimum per
+case, summed. The script exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ def load(root: str, alias: str) -> dict:
     sys.modules[alias] = pkg
     spec.loader.exec_module(pkg)
     return {name: importlib.import_module(f"{alias}.{name}")
-            for name in ("sim", "robot", "envelope", "cli", "wrench")}
+            for name in ("sim", "robot", "envelope", "cli", "wrench", "config")}
 
 
 def change_modules(change_root: str):
@@ -402,6 +405,39 @@ def time_ops(trees: dict, gen, label: str, rounds: int) -> None:
           + f"parent/parent2 min {ms['parent'][0] / ms['parent2'][0]:.3f}")
 
 
+def time_cases(trees: dict, label: str, cases: dict, rounds: int) -> None:
+    """Interleaved minimum time of each case on each tree; cases maps a tree's
+    name to its zero-argument calls, one a case, in one order across trees.
+    Prints the per-case minima summed, parent/change and parent/parent2 of the
+    sums, and the range of parent/change over the cases."""
+    best = {name: [math.inf] * len(calls) for name, calls in cases.items()}
+    for _ in range(rounds):
+        for name in random.sample(sorted(trees), len(trees)):
+            for k, call in enumerate(cases[name]):
+                t0 = time.perf_counter()
+                call()
+                best[name][k] = min(best[name][k], time.perf_counter() - t0)
+    total = {name: sum(ts) * 1e3 for name, ts in best.items()}
+    ratios = sorted(p / c for p, c in zip(best["parent"], best["change"]))
+    print(f"{label}, {len(ratios)} cases, minima summed over {rounds} rounds (ms): "
+          + "".join(f"{name} {ms:.2f}, " for name, ms in total.items())
+          + f"parent/change {total['parent'] / total['change']:.3f}, "
+          + f"parent/parent2 {total['parent'] / total['parent2']:.3f}; "
+          + f"per-case parent/change {ratios[0]:.3f}-{ratios[-1]:.3f}")
+
+
+def run_scenario_cases(tree, gen) -> list:
+    """tree's run_scenario on the configs of gen's ops 0-14, one call a case."""
+    from_text = tree["config"].parse_config_text
+    cfgs = [tree["config"].scenario_from_config(from_text(text)) for text, _ in bench_ops(gen)]
+    return [lambda cfg=cfg: tree["sim"].run_scenario(cfg) for cfg in cfgs]
+
+
+def table_json_cases(tree, log) -> list:
+    """tree's cli._rows_as_json of log's header and rows, as --format json writes it."""
+    return [lambda: tree["cli"]._rows_as_json(log.header, log.rows)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_root")
@@ -418,6 +454,15 @@ def main(argv=None) -> int:
         for integrator in INTEGRATORS:
             time_ops(trees, workloads.Takeoff(7, integrator), f"takeoff {integrator}", args.rounds)
         time_ops(trees, workloads.Envelope(7), "envelope", args.rounds)
+        for integrator in INTEGRATORS:
+            gen = workloads.Takeoff(7, integrator)
+            time_cases(trees, f"run_scenario {integrator} (seed-7 takeoff configs)",
+                       {name: run_scenario_cases(tree, gen) for name, tree in trees.items()},
+                       args.rounds)
+        log = b["sim"].run_scenario(b["sim"].ScenarioConfig())
+        time_cases(trees, "table JSON (the default takeoff log)",
+                   {name: table_json_cases(tree, log) for name, tree in trees.items()},
+                   args.rounds)
     print("MISMATCH" if bad else "identical")
     return 1 if bad else 0
 

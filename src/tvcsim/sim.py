@@ -590,7 +590,9 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
     body rate beyond RATE_GUARD_RAD_S, or a NaN in either raises
     DivergenceError, naming t. step keeps every product of the template, by
     the zero y row of the body force and by the products of inertia too,
-    since it takes any state and any tensor; loop_kernel's run leaves them out.
+    since it takes any state and any tensor. loop_kernel's run leaves them
+    out: it flies only ScenarioConfig robots, whose point-mass inertia is
+    diagonal.
     """
     args = _build_args(geo, dt, integrator)
     consts = wrench_constants(geo, perturbation)  # ROW_CONSTANTS

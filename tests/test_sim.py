@@ -1236,7 +1236,7 @@ def test_compiled_loop_is_the_python_loop_bit_for_bit(integrator):
     # run leaves out the products by the zero force row and the products of
     # inertia, so add the zeros those products could meet with a sign: no
     # perturbation, and one of signed zeros; a lateral CoM error (a geometry
-    # off the plane of symmetry has no trim) on a -0.0 com_y; and, on P1-P3, the
+    # off the plane of symmetry has no trim) on a +-0.0 com_y; and, on P1-P3, the
     # bench's near-limit draws, foot biases of 8.5-10 deg and thrust scales at
     # 0.80-0.84 or 1.16-1.20
     unperturbed = [Perturbation(), Perturbation((-0.0, -0.0, -0.0), -0.0, -0.0)]
@@ -1249,7 +1249,8 @@ def test_compiled_loop_is_the_python_loop_bit_for_bit(integrator):
     rng = np.random.default_rng(36)
     for name in ("P1", "P2", "P3"):
         for mode in ControlMode:
-            left, right = (rng.choice([-1.0, 1.0]) * np.radians(rng.uniform(8.5, 10.0, 2))).tolist()
+            signs = rng.choice([-1.0, 1.0], 2)
+            left, right = (signs * np.radians(rng.uniform(8.5, 10.0, 2))).tolist()
             scale = [float(rng.choice([rng.uniform(0.80, 0.84), rng.uniform(1.16, 1.20)]))
                      for _ in range(3)] + [float(rng.choice([0.8, 1.2]))]
             pert = Perturbation(tuple(rng.normal([0.010, 0.0, 0.0], 0.005).tolist()), left,

@@ -172,19 +172,14 @@ _ROW_ITEMS = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": ")).e
 
 def _rows_as_json(header, rows) -> str:
     """json.dumps({"header": header, "rows": rows}, indent=2, allow_nan=False)
-    and a newline, for rows of scalars. The C encoder writes the rows, unless
-    one is empty or a float is not finite, whose message json.dumps names."""
-    if rows and all(rows):
-        try:
-            # a raw newline in the items is a separator, never a string's
-            items = _ROW_ITEMS(rows)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
-        except ValueError:
-            pass
-        else:
-            head = json.dumps(list(header), indent=2).replace("\n", "\n  ")
-            return f'{{\n  "header": {head},\n  "rows": [\n    [\n      {items}\n    ]\n  ]\n}}\n'
-    return json.dumps({"header": list(header), "rows": [list(r) for r in rows]},
-                      indent=2, allow_nan=False) + "\n"
+    and a newline, for one or more nonempty rows of scalars; a non-finite
+    float raises ValueError."""
+    if not (rows and all(rows)):
+        raise ValueError("a table needs one or more nonempty rows")
+    # a raw newline in the items is a separator, never a string's
+    items = _ROW_ITEMS(rows)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+    head = json.dumps(list(header), indent=2).replace("\n", "\n  ")
+    return f'{{\n  "header": {head},\n  "rows": [\n    [\n      {items}\n    ]\n  ]\n}}\n'
 
 
 def cmd_envelope(args, values):

@@ -23,6 +23,7 @@ from tvcsim.config import (
     scenario_from_config,
 )
 from tvcsim.oracles import wrench_brute_force
+from tvcsim.sim import run_scenario
 from tvcsim.spatial import quat_from_pitch
 from tvcsim.wrench import FanState, total_wrench
 
@@ -211,24 +212,31 @@ def test_table_json_is_json_dumps_with_indent_bit_for_bit(tmp_path, capsys):
     pool = [None, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 1.0, 0.1, 7, -3,
             True, False, "", 'say "hi"', "back\\slash", "tab\tnew\nline", "\u00e9",
             "],\n      [", "x, y"]
-    for case in range(300):
+    for _ in range(300):
         rows = [[pool[k] for k in rng.integers(0, len(pool), rng.integers(1, 6))]
                 for _ in range(rng.integers(0, 5))]
         rows += [tuple(rng.normal(0.0, 10.0 ** rng.uniform(-300, 300), 3).tolist())]
-        if case % 10 == 0:
-            rows.insert(rng.integers(0, len(rows) + 1), [])
         header = [pool[k] for k in rng.integers(14, len(pool), rng.integers(0, 4))]
         assert cli._rows_as_json(header, rows) == _dumps(header, rows), rows
-    for rows in ([], [[]], [[], []], [[1.0]]):
-        assert cli._rows_as_json(["x"], rows) == _dumps(["x"], rows), rows
-    # a non-finite float is refused with json.dumps's message, which names it
-    for bad in (math.nan, math.inf, -math.inf):
-        for rows in ([[1.0, bad]], [[1.0], [2.0, bad, 3.0]]):
-            with pytest.raises(ValueError) as expected:
-                _dumps(["x"], rows)
-            with pytest.raises(ValueError) as got:
-                cli._rows_as_json(["x"], rows)
-            assert str(got.value) == str(expected.value)
+    # a non-finite float, an empty table and an empty row are refused
+    for rows in ([[1.0, math.nan]], [[1.0], [2.0, math.inf]], [[-math.inf]], [], [[1.0], []]):
+        with pytest.raises(ValueError):
+            cli._rows_as_json(["x"], rows)
+
+
+def test_takeoff_json_refuses_a_non_finite_row_before_writing(tmp_path, capsys, monkeypatch):
+    # the guards end a run before a non-finite state is logged; were one logged,
+    # the JSON table refuses it and no file, the manifest included, is written
+    def run_with_a_nan_row(cfg):
+        log = run_scenario(cfg)
+        log.rows[-1] = (*log.rows[-1][:-1], math.nan)
+        return log
+
+    monkeypatch.setattr(cli, "run_scenario", run_with_a_nan_row)
+    code, out, err = run_cli(["--out", str(tmp_path), "--format", "json", "takeoff"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "JSON" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trim_report(tmp_path, capsys):

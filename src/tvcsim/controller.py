@@ -19,18 +19,26 @@ errors. There is no integral term by default; an optional I gain exists but
 ships at zero.
 
 A tick runs on floats, (pitch, yaw, rate_y, rate_z) in and (left, right)
-out. clamp is the foot chain's one clamp: the range clamp, the slew limit
-and the simulator's foot slew. tune_gains reads wrench.pitch_arms.
+out. It is one source text, TICK: AttitudeController.step compiles it, with
+the gains, mode, trim, setpoint, foot range and ankle rate as closure cells
+(TICK_CONSTANTS) and the previous commands and the integrals as its state
+(TICK_STATE), and the takeoff loop (sim.loop_kernel) writes it out with
+both as loop locals. CLAMP is the foot chain's one clamp, clamp compiled:
+TICK writes it out for the range clamp and the slew limit, and the takeoff
+loop for the foot slew. RAMP is the thrust ramp, thrust_schedule compiled,
+which the takeoff loop writes out too. tune_gains reads wrench.pitch_arms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import textwrap
 from dataclasses import dataclass
 from enum import Enum
 
 from .robot import FanLimits, Posture, RobotGeometry
-from .spatial import EulerAngles, wrap_angle
+from .spatial import WRAP, EulerAngles, compile_build
 from .trim import NoTrimError
 from .wrench import pitch_arms
 
@@ -83,13 +91,22 @@ class ThrustRamp:
             raise ValueError("ramp_time must be >= 0")
 
 
+# thrust_schedule's body as source, which the takeoff loop writes out too: the
+# time {t} and the ramp's target_per_fan and ramp_time in, sched out
+RAMP = """\
+if ramp_time == 0.0 or {t} >= ramp_time:
+    sched = target_per_fan
+else:
+    sched = target_per_fan * ({t} / ramp_time)
+"""
+thrust_schedule = compile_build(f'''\
 def thrust_schedule(t: float, ramp: ThrustRamp) -> float:
     """Per-fan thrust at time t >= 0 (monotone non-decreasing)."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    if ramp.ramp_time == 0.0 or t >= ramp.ramp_time:
-        return ramp.target_per_fan
-    return ramp.target_per_fan * (t / ramp.ramp_time)
+    target_per_fan, ramp_time = ramp.target_per_fan, ramp.ramp_time
+{textwrap.indent(RAMP.format(t="t"), "    ")}    return sched
+''', "<tvcsim.controller thrust_schedule>", globals(), "thrust_schedule")
 
 
 def tune_gains(geo: RobotGeometry, hover_thrust_per_fan: float, trim_foot_angle: float,
@@ -127,21 +144,78 @@ def tune_gains(geo: RobotGeometry, hover_thrust_per_fan: float, trim_foot_angle:
     )
 
 
+# clamp's body as source, which TICK and the takeoff loop's foot slew write
+# out too: {x}, {lo} and {hi} in, {out} out
+CLAMP = """\
+{out} = {x} if {x} > {lo} else {lo}
+{out} = {out} if {out} < {hi} else {hi}
+"""
+clamp = compile_build(f'''\
+def clamp(x: float, lo: float, hi: float) -> float:
+    """min(hi, max(lo, x)) by comparisons, in min's and max's tie order: a
+    tie or a signed zero comes out as they give it, and a NaN x reads lo."""
+{textwrap.indent(CLAMP.format(out="x", x="x", lo="lo", hi="hi"), "    ")}    return x
+''', "<tvcsim.controller clamp>", globals(), "clamp")
+
+# AttitudeController.step's tick as source, which the takeoff loop writes out
+# too: the measured pitch_m, yaw_m, rate_y and rate_z and the controller
+# period in; TICK_STATE, the previous commands cmd_l and cmd_r and the
+# integrals, read and written; TICK_CONSTANTS read
+TICK_CONSTANTS = ("kp_pitch, kd_pitch, ki_pitch, kp_yaw, kd_yaw, ki_yaw, all_off, both_on, "
+                  "trim_offset, setpoint_pitch, setpoint_yaw, foot_lo, foot_hi, rate_max")
+TICK_STATE = "cmd_l, cmd_r, int_pitch, int_yaw"
+TICK = """\
+if all_off:
+    mean, delta = trim_offset, 0.0
+else:
+    err_pitch = setpoint_pitch - pitch_m
+    int_pitch += err_pitch * period
+    # feet below the CoM: positive mean angle is a nose-up torque
+    mean = trim_offset - (kp_pitch * err_pitch + kd_pitch * -rate_y + ki_pitch * int_pitch)
+    delta = 0.0
+    if both_on:
+        err_yaw = setpoint_yaw - yaw_m
+{wrap}        int_yaw += err_yaw * period
+        delta = kp_yaw * err_yaw + kd_yaw * -rate_z + ki_yaw * int_yaw
+# the posture's range, then the ankle rate from the previous command
+slew = rate_max * period
+left, right = mean - delta, mean + delta
+{range_l}{range_r}lo, hi = cmd_l - slew, cmd_l + slew
+{slew_l}lo, hi = cmd_r - slew, cmd_r + slew
+{slew_r}""".format(wrap=textwrap.indent(WRAP.format(w="err_yaw"), " " * 8),
+                   range_l=CLAMP.format(out="left", x="left", lo="foot_lo", hi="foot_hi"),
+                   range_r=CLAMP.format(out="right", x="right", lo="foot_lo", hi="foot_hi"),
+                   slew_l=CLAMP.format(out="cmd_l", x="left", lo="lo", hi="hi"),
+                   slew_r=CLAMP.format(out="cmd_r", x="right", lo="lo", hi="hi"))
+
+
+@functools.cache
+def tick_builder():
+    """build(*TICK_CONSTANTS) -> tick(pitch_m, yaw_m, rate_y, rate_z, period,
+    *TICK_STATE) -> TICK_STATE, compiled on first use."""
+    body = textwrap.indent(TICK + f"return {TICK_STATE}\n", " " * 8)
+    return compile_build(f"def build({TICK_CONSTANTS}):\n"
+                         f"    def tick(pitch_m, yaw_m, rate_y, rate_z, period, {TICK_STATE}):\n"
+                         f"{body}    return tick\n", "<tvcsim.controller tick>", globals())
+
+
 class AttitudeController:
     """Fixed-rate dual PD loop producing slew-limited foot pitch commands; it
-    keeps only what a tick reads."""
+    keeps only what a tick reads: TICK_CONSTANTS and TICK_STATE."""
 
     def __init__(self, gains: ControllerGains, mode: ControlMode, posture: Posture,
                  limits: FanLimits, trim_offset: float, setpoint: EulerAngles | None = None):
-        self.gains = gains
-        self.mode = mode
-        self._foot_lo, self._foot_hi = posture.foot_pitch_range  # rad, converted once
-        self._rate_max = limits.foot_pitch_rate_max
-        self.trim_offset = trim_offset
         setpoint = setpoint or EulerAngles(0.0, 0.0, 0.0)
-        self._setpoint_pitch, self._setpoint_yaw = setpoint.pitch, setpoint.yaw
-        self._prev_left = self._prev_right = trim_offset
-        self._int_pitch = self._int_yaw = 0.0
+        # the foot range in rad, converted once
+        self.constants = (gains.kp_pitch, gains.kd_pitch, gains.ki_pitch, gains.kp_yaw,
+                          gains.kd_yaw, gains.ki_yaw, mode is ControlMode.ALL_OFF,
+                          mode is ControlMode.BOTH_ON, trim_offset, setpoint.pitch, setpoint.yaw,
+                          *posture.foot_pitch_range, limits.foot_pitch_rate_max)
+        self.state = (trim_offset, trim_offset, 0.0, 0.0)
+
+    @functools.cached_property
+    def _tick(self):
+        return tick_builder()(*self.constants)
 
     def step(self, pitch: float, yaw: float, rate_y: float, rate_z: float,
              dt: float) -> tuple[float, float]:
@@ -151,31 +225,5 @@ class AttitudeController:
         and never modulated for attitude."""
         if not dt > 0.0:  # a NaN fails too
             raise ValueError("dt must be positive")
-        g = self.gains
-        if self.mode is ControlMode.ALL_OFF:
-            mean, delta = self.trim_offset, 0.0
-        else:
-            err_pitch = self._setpoint_pitch - pitch
-            self._int_pitch += err_pitch * dt
-            # feet below the CoM: positive mean angle is a nose-up torque
-            mean = self.trim_offset - (g.kp_pitch * err_pitch + g.kd_pitch * -rate_y
-                                       + g.ki_pitch * self._int_pitch)
-            delta = 0.0
-            if self.mode is ControlMode.BOTH_ON:
-                err_yaw = wrap_angle(self._setpoint_yaw - yaw)
-                self._int_yaw += err_yaw * dt
-                delta = g.kp_yaw * err_yaw + g.kd_yaw * -rate_z + g.ki_yaw * self._int_yaw
-
-        lo, hi, slew = self._foot_lo, self._foot_hi, self._rate_max * dt
-        left = clamp(clamp(mean - delta, lo, hi), self._prev_left - slew, self._prev_left + slew)
-        right = clamp(clamp(mean + delta, lo, hi), self._prev_right - slew,
-                      self._prev_right + slew)
-        self._prev_left, self._prev_right = left, right
-        return left, right
-
-
-def clamp(x: float, lo: float, hi: float) -> float:
-    """min(hi, max(lo, x)) by comparisons, in min's and max's tie order: a
-    tie or a signed zero comes out as they give it, and a NaN x reads lo."""
-    x = x if x > lo else lo
-    return x if x < hi else hi
+        self.state = self._tick(pitch, yaw, rate_y, rate_z, dt, *self.state)
+        return self.state[:2]

@@ -29,13 +29,19 @@ describes, whose inertia is the diagonal point-mass surrogate; it leaves
 out the products by the body force's zero y row and by the products of
 inertia and of the inverse tensor, which change no bit there (see _ZEROS),
 and it refuses any other tensor. run carries plain floats, the 13 of the
-state among them; each step writes out the wrench rows (wrench.ROWS) once,
-for the liftoff check on the ground or the step aloft, and a step aloft
-writes out step's body, guards and attitude readout, so it calls only
-thrust_schedule, the two foot clamps and math's functions. A controller
-tick passes the measured pitch, yaw and body rates about y and z (_measure)
-to AttitudeController.step as floats and gets the two foot commands back;
-the feet slew toward them through controller.clamp.
+state and the controller's gains and state among them, and writes out every
+source a step runs, so a step calls only math's functions (sqrt, sin, cos,
+asin and atan2 bound as locals), abs and the log's append: the controller
+tick (controller.TICK) every control period, on the measured pitch, yaw and
+body rates about y and z, which _measure draws only under sensor noise; the
+foot slews (controller.CLAMP) and the thrust ramp (controller.RAMP). Each
+phase does only its own work. A step on the ground computes ROWS' f_z alone,
+from the held feet's cosines, for the liftoff test: the held body's
+attitude, +0.0/-0.0/+0.0, sets no maximum. A step aloft writes out the
+wrench rows (wrench.ROWS) and step's body, guards and attitude readout,
+then updates the attitude maxima; it recomputes a foot's sine and cosine
+(wrench.FOOT_TRIG) only when the foot's angle is a new float object, which
+between ticks it is only while the slew limit binds.
 
 Identical configurations produce bit-identical logs.
 """
@@ -46,15 +52,20 @@ import ast
 import functools
 import json
 import math
+import re
 import textwrap
 from dataclasses import asdict, dataclass, field
 
 from .controller import (
+    CLAMP,
+    RAMP,
+    TICK,
+    TICK_CONSTANTS,
+    TICK_STATE,
     AttitudeController,
     ControlMode,
     ControllerGains,
     ThrustRamp,
-    clamp,
     thrust_schedule,
     tune_gains,
 )
@@ -74,11 +85,12 @@ from .robot import (
 from .spatial import (
     GIMBAL_LOCK_MARGIN,
     EulerAngles,
+    compile_build,
     float_tuple,
     quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through sim
 )
 from .trim import hover_trim
-from .wrench import ROW_CONSTANTS, ROWS, FanState, compile_build, rows_builder, wrench_constants
+from .wrench import FOOT_TRIG, ROW_CONSTANTS, ROWS, FanState, rows_builder, wrench_constants
 
 PHASE_GROUND = "GROUND"
 PHASE_AIRBORNE = "AIRBORNE"
@@ -372,22 +384,28 @@ else:
     roll = math.atan2(2.0 * (qy * qz + qw * qx), 1.0 - 2.0 * (qx * qx + qy * qy))
     yaw = math.atan2(2.0 * (qx * qy + qw * qz), 1.0 - 2.0 * (qy * qy + qz * qz))
 """
-# The takeoff loop, run_scenario's body: {rows} is wrench.ROWS, and {step} step's
-# body in the airborne branch. t is the state time, summed step by step as
-# dynamics_step does, now = i dt the log's; doubled braces are literal ones
+# The takeoff loop, run_scenario's body: {tick} is controller.TICK, {ground} ROWS'
+# f_z, {rows} wrench.ROWS and {step} step's body in the airborne branch, {trig_*}
+# wrench.FOOT_TRIG, {slew_*} the foot slews' controller.CLAMP and {ramp}
+# controller.RAMP. t is the state time, summed step by step as dynamics_step
+# does, now = i dt the log's; doubled braces are literal ones
 _RUN = """\
-def run(cfg, tick, trim_angle, rng, append):
-    # the loop carries plain floats: 13 state floats, four thrusts, two foot angles
+def run(cfg, controller, rng, append):
+    # the loop carries plain floats: 13 state floats, four thrusts, two foot
+    # angles, and the controller's TICK_STATE and TICK_CONSTANTS
     px = py = pz = vx = vy = vz = qx = qy = qz = wx = wy = wz = t = 0.0
     qw = 1.0
     # the identity's readout: its pitch is asin(-(2.0 * 0.0)), which the first log row prints as -0
     roll, pitch, yaw = 0.0, -0.0, 0.0
     airborne = False
-    theta_l = theta_r = trim_angle
+    {tick_constants} = controller.constants
+    {tick_state} = controller.state
+    theta_l = theta_r = trim_offset
     control_every, sample_every = cfg._controller_substeps, cfg._sample_substeps
     period, foot_step = control_every * dt, cfg.limits.foot_pitch_rate_max * dt
     k_f, k_b, k_l, k_r = cfg.perturbation.thrust_scale
     tau, ramp, n_steps = cfg.limits.thrust_time_constant, cfg.ramp, cfg._n_steps
+    target_per_fan, ramp_time = ramp.target_per_fan, ramp.ramp_time
     # an ideal actuator already sits on the schedule at t = 0
     if tau == 0.0:
         sched = thrust_schedule(0.0, ramp)
@@ -401,29 +419,26 @@ def run(cfg, tick, trim_angle, rng, append):
     # event maxima in radians: math.degrees is monotone, so one conversion at
     # the end gives the same maxima
     max_roll = max_pitch = max_yaw = 0.0
-    sin, cos, degrees = math.sin, math.cos, math.degrees
-
+    sin, cos, sqrt, asin, atan2, degrees = (math.sin, math.cos, math.sqrt, math.asin,
+                                            math.atan2, math.degrees)
+    # each foot's sine and cosine, of the angle object held_l or held_r: the
+    # feet hold their trim on the ground, and aloft a foot keeps its angle
+    # object over the steps between ticks unless the slew limit binds
+    held_l, held_r = theta_l, theta_r
+{trig}
     for i in range(n_steps + 1):
         now = i * dt
         if i % control_every == 0:  # from i = 0 on, so the commands are always set
-            cmd_l, cmd_r = tick(*_measure(pitch, yaw, wy, wz, cfg, rng), period)
-{rows}        # the ground holds the body level until the net vertical force lifts it
-        if not airborne and f_z > weight:
-            airborne = True
-            liftoff = now
-
-        a_roll, a_pitch, a_yaw = abs(roll), abs(pitch), abs(yaw)
-        if a_roll > max_roll:
-            max_roll = a_roll
-        # a band's first crossing is always a new maximum
-        if a_pitch > max_pitch:
-            max_pitch = a_pitch
-            if pitch_time is None and degrees(a_pitch) >= PITCH_EVENT_DEG:
-                pitch_time = now
-        if a_yaw > max_yaw:
-            max_yaw = a_yaw
-            if yaw_time is None and degrees(a_yaw) >= YAW_EVENT_DEG:
-                yaw_time = now
+            if rng is None:
+                pitch_m, yaw_m, rate_y, rate_z = pitch, yaw, wy, wz
+            else:
+                pitch_m, yaw_m, rate_y, rate_z = _measure(pitch, yaw, wy, wz, cfg, rng)
+{tick}        if not airborne:
+            # the ground holds the body level until the net vertical force
+            # lifts it; the held feet's rows feed only this test
+{ground}            if f_z > weight:
+                airborne = True
+                liftoff = now
         if i == i_2s:
             altitude = pz
 
@@ -436,21 +451,13 @@ def run(cfg, tick, trim_angle, rng, append):
         if i == n_steps:
             break
 
-        # advance actuators toward the commands over (now, now + dt]
-        if airborne:
-            theta_l = clamp(cmd_l, theta_l - foot_step, theta_l + foot_step)
-            theta_r = clamp(cmd_r, theta_r - foot_step, theta_r + foot_step)
-        sched = thrust_schedule(now + dt, ramp)
-        if tau > 0.0:
-            f_f += alpha * (sched * k_f - f_f)
-            f_b += alpha * (sched * k_b - f_b)
-            f_l += alpha * (sched * k_l - f_l)
-            f_r += alpha * (sched * k_r - f_r)
-        else:
-            f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
-
+        t_end = now + dt
         if airborne:  # the step under the rows of the step's start
-            t += dt
+            if theta_l is not held_l:
+                held_l = theta_l
+{trig_l}            if theta_r is not held_r:
+                held_r = theta_r
+{trig_r}{rows}            t += dt
             try:
                 ty = ty1 + ty2 + ty3
 {step}            except DivergenceError as err:
@@ -459,9 +466,34 @@ def run(cfg, tick, trim_angle, rng, append):
             if pz < 0.0:
                 termination, touchdown = "touchdown", (i + 1) * dt
                 break
-        else:
+            # the maxima over the attitudes the steps start from, this one's at
+            # the next step's time; a held body's +0.0/-0.0/+0.0 sets none
+            a_roll, a_pitch, a_yaw = abs(roll), abs(pitch), abs(yaw)
+            if a_roll > max_roll:
+                max_roll = a_roll
+            # a band's first crossing is always a new maximum
+            if a_pitch > max_pitch:
+                max_pitch = a_pitch
+                if pitch_time is None and degrees(a_pitch) >= PITCH_EVENT_DEG:
+                    pitch_time = (i + 1) * dt
+            if a_yaw > max_yaw:
+                max_yaw = a_yaw
+                if yaw_time is None and degrees(a_yaw) >= YAW_EVENT_DEG:
+                    yaw_time = (i + 1) * dt
+            # the feet slew toward the commands over (now, now + dt]
+            lo, hi = theta_l - foot_step, theta_l + foot_step
+{slew_l}            lo, hi = theta_r - foot_step, theta_r + foot_step
+{slew_r}        else:
             # held on the ground: the attitude, and so its angles, are unchanged
-            t = now + dt
+            t = t_end
+        # advance the thrusts toward the schedule over (now, now + dt]
+{ramp}        if tau > 0.0:
+            f_f += alpha * (sched * k_f - f_f)
+            f_b += alpha * (sched * k_b - f_b)
+            f_l += alpha * (sched * k_l - f_l)
+            f_r += alpha * (sched * k_r - f_r)
+        else:
+            f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
 
     return {{
         "liftoff_time_s": liftoff,
@@ -535,12 +567,36 @@ def _lean(body: str) -> str:
     return "".join(lines)
 
 
+def _ground_lift() -> str:
+    """ROWS' f_z assignment with its v_l and v_r written in: the liftoff test,
+    which reads only the feet's cosines."""
+    stmts = ast.parse(ROWS).body
+    values = {}
+    for stmt in stmts:
+        (target,) = stmt.targets
+        pairs = (zip(target.elts, stmt.value.elts) if isinstance(target, ast.Tuple)
+                 else [(target, stmt.value)])
+        values.update((name.id, value) for name, value in pairs)
+    (f_z,) = [stmt for stmt in stmts if ast.unparse(stmt.targets) == "f_z"]
+    vertical = {"v_l": values["v_l"], "v_r": values["v_r"]}
+
+    class WriteIn(ast.NodeTransformer):
+        def visit_Name(self, node):
+            return vertical.get(node.id, node)
+
+    return ast.unparse(WriteIn().visit(f_z)) + "\n"
+
+
+# the math functions that run binds as locals and its step body calls by name
+_LOCAL_MATH = ("sin", "cos", "sqrt", "asin", "atan2")
+
+
 @functools.cache
 def _step_builder(integrator: str, name: str):
     """name's build(m, weight, i00..i22, j00..j22, f_y, h, dt, lock, *ROW_CONSTANTS),
     name "step" or "run", compiled on first use: run_scenario compiles run alone
     and dynamics_step step alone, and one rk4 source of both would peak 1.4 MiB
-    of RSS, not 0.5. run's step body is _lean's."""
+    of RSS, not 0.5. run's step body is _lean's, calling _LOCAL_MATH by name."""
     if integrator == "rk4":  # stage k's derivative, then stage k + 1's state or the sum
         body = ""
         for k, s, span in ((1, "", "h"), (2, 2, "h"), (3, 3, "dt"), (4, 4, None)):
@@ -549,9 +605,21 @@ def _step_builder(integrator: str, name: str):
     else:
         body = _DERIVATIVE.format(s="", k="") + _EULER
     body = _UNIT.format(n="") + body + _TAIL
-    text = (_STEP.format(step=textwrap.indent(body, " " * 4)) if name == "step" else
-            _RUN.format(rows=textwrap.indent(ROWS, " " * 8),
-                        step=textwrap.indent(_lean(body), " " * 16)))
+    indent = textwrap.indent
+    if name == "step":
+        text = _STEP.format(step=indent(body, " " * 4))
+    else:
+        body = re.sub(rf"\bmath\.({'|'.join(_LOCAL_MATH)})\(", r"\1(", _lean(body))
+        trig = [FOOT_TRIG.format(s=side) for side in "lr"]
+        slew = [CLAMP.format(out=f"theta_{side}", x=f"cmd_{side}", lo="lo", hi="hi")
+                for side in "lr"]
+        text = _RUN.format(
+            tick_constants=TICK_CONSTANTS, tick_state=TICK_STATE, trig=indent("".join(trig), " " * 4),
+            tick=indent(TICK, " " * 12), ground=indent(_ground_lift(), " " * 12),
+            trig_l=indent(trig[0], " " * 16), trig_r=indent(trig[1], " " * 16),
+            rows=indent(ROWS, " " * 12), step=indent(body, " " * 16),
+            slew_l=indent(slew[0], " " * 12), slew_r=indent(slew[1], " " * 12),
+            ramp=indent(RAMP.format(t="t_end"), " " * 8))
     return compile_build(_BUILD.format(constants=ROW_CONSTANTS, name=name,
                                        function=textwrap.indent(text, " " * 4)),
                          f"<tvcsim.sim {integrator} {name}>", globals())
@@ -601,9 +669,10 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
 
 def loop_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
                 integrator: str):
-    """run(cfg, tick, trim_angle, rng, append), run_scenario's loop, for a
-    robot whose products of inertia are +0.0, as every ScenarioConfig robot's
-    are: wrench's rows and step's body written out, without the products by
+    """run(cfg, controller, rng, append), run_scenario's loop, for a robot
+    whose products of inertia are +0.0, as every ScenarioConfig robot's are:
+    the controller's tick with its constants and state as locals, wrench's
+    rows and step's body written out, the latter without the products by
     the body force's zero y row and by the products of inertia and of the
     inverse tensor (see _ZEROS). Raises ValueError for any other tensor.
     """
@@ -650,7 +719,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
         rng = np.random.default_rng(cfg.seed)
     run = loop_kernel(geo, cfg.perturbation, cfg.dt_s, cfg.integrator)
     log = SimLog()
-    events = run(cfg, controller.step, trim_angle, rng, log.rows.append)
+    events = run(cfg, controller, rng, log.rows.append)
     log.scenario = asdict(cfg)
     config = {"gains_used": vars(gains) | {}, "trim_foot_angle_deg": math.degrees(trim_angle)}
     log.events = {"config": log.scenario | config, **events}

@@ -20,8 +20,9 @@ Force and torque conventions:
 
 pitch_arms is the one source of the four sagittal arms of these terms; the
 trims, the envelope LP and the controller gains read them there too.
-ROWS is the one source of the rows: wrench_kernel compiles it and the
-takeoff loop (sim.loop_kernel) writes it out. generalized_wrench_3d wraps
+ROWS is the one source of the rows, and FOOT_TRIG of the foot angles' sines
+and cosines they read: wrench_kernel compiles both and the takeoff loop
+(sim.loop_kernel) writes them out, its liftoff test ROWS' f_z alone. generalized_wrench_3d wraps
 wrench_kernel for one fan state at one attitude, and total_wrench is its
 pitch-only case. The world-frame rows are floats too; numpy is imported only for the
 array forms of them and by fan_layout, which lists the per-fan forces.
@@ -30,7 +31,6 @@ array forms of them and by fan_layout, which lists the per-fan forces.
 from __future__ import annotations
 
 import functools
-import linecache
 import math
 import textwrap
 from dataclasses import dataclass, field
@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from .robot import RobotGeometry
 from .spatial import (
     Quat,
+    compile_build,
     float_tuple,
     quat_from_pitch,
     quat_rotation_rows,
@@ -163,33 +164,31 @@ def generalized_wrench_3d(fs: FanState, geo: RobotGeometry, orientation: Quat,
                   (w_x, w_y, w_z - geo.weight, *_rotate(rot, torque)))
 
 
-# wrench_kernel's rows as source, which the takeoff loop writes out too: the fan
-# state f_f, f_b, f_l, f_r, theta_l, theta_r in, the body rows f_x, f_z, tx,
-# ty1, ty2, ty3, tz out; it reads ROW_CONSTANTS and sin and cos as math's
+# wrench_kernel's rows as source, which the takeoff loop writes out too: the
+# thrusts f_f, f_b, f_l, f_r and FOOT_TRIG's sin_l, cos_l, sin_r, cos_r in, the
+# body rows f_x, f_z, tx, ty1, ty2, ty3, tz out; it reads ROW_CONSTANTS
 ROWS = """\
-a_l, a_r = theta_l + bias_l, theta_r + bias_r
-h_l, v_l = f_l * sin(a_l), f_l * cos(a_l)
-h_r, v_r = f_r * sin(a_r), f_r * cos(a_r)
+h_l, v_l = f_l * sin_l, f_l * cos_l
+h_r, v_r = f_r * sin_r, f_r * cos_r
 f_x = h_l + h_r
 f_z = f_f + f_b + v_l + v_r
 tx, tz = half_lf * (v_l - v_r) - y_c * f_z, half_lf * (h_r - h_l) + y_c * f_x
 ty1, ty2, ty3 = f_b * arm_back - f_f * arm_front, (v_l + v_r) * arm_v, -f_x * arm_h
 """
 ROW_CONSTANTS = "bias_l, bias_r, half_lf, y_c, arm_front, arm_back, arm_v, arm_h"
-
-
-def compile_build(source: str, filename: str, scope: dict):
-    """source's build, run in scope; linecache keeps source for tracebacks."""
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {}
-    exec(compile(source, filename, "exec"), scope, namespace)
-    return namespace["build"]
+# the sine and cosine of foot {s}'s thrust axis, l or r, for ROWS: its angle
+# theta_{s} in; it reads the bias and sin and cos as math's
+FOOT_TRIG = """\
+a_{s} = theta_{s} + bias_{s}
+sin_{s}, cos_{s} = sin(a_{s}), cos(a_{s})
+"""
 
 
 @functools.cache
 def rows_builder():
     """build(*wrench_constants(geo, perturbation)) -> rows, compiled on first use."""
-    body = textwrap.indent(ROWS + "return f_x, f_z, tx, ty1, ty2, ty3, tz\n", " " * 8)
+    body = textwrap.indent(FOOT_TRIG.format(s="l") + FOOT_TRIG.format(s="r") + ROWS
+                           + "return f_x, f_z, tx, ty1, ty2, ty3, tz\n", " " * 8)
     return compile_build(f"def build({ROW_CONSTANTS}):\n    sin, cos = math.sin, math.cos\n"
                          f"    def rows(f_f, f_b, f_l, f_r, theta_l, theta_r):\n{body}"
                          "    return rows\n", "<tvcsim.wrench rows>", globals())
@@ -224,7 +223,7 @@ def wrench_kernel(geo: RobotGeometry, perturbation=None):
 
     A perturbation shifts the CoM and biases each foot's thrust axis; the
     rows use the effective CoM and foot angles. rows is ROWS, compiled once
-    per process on first use.
+    per process on first use, after FOOT_TRIG for each foot.
     """
     return rows_builder()(*wrench_constants(geo, perturbation))
 

@@ -1,6 +1,8 @@
 """PD loop arithmetic, command limiting, feedback signs, and gain tuning."""
 
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from tvcsim.controller import (
     tune_gains,
 )
 from tvcsim.robot import FanLimits, builtin_posture, geometry_from_posture
+from tvcsim.spatial import EulerAngles
 from tvcsim.trim import hover_trim
 from tvcsim.wrench import FanState, total_wrench
 
@@ -106,6 +109,88 @@ def test_a_nan_tick_period_is_refused_and_leaves_the_integral_alone():
         got = controller.step(0.05, 0.1, 0.2, -0.1, 0.004)
         assert got == fresh.step(0.05, 0.1, 0.2, -0.1, 0.004)
         assert all(map(math.isfinite, got))
+
+
+class PythonTick:
+    """AttitudeController's tick as it was written in Python before TICK, with
+    min and max for the clamps and the wrap written out as wrap_angle was."""
+
+    def __init__(self, gains, mode, posture, limits, trim_offset, setpoint):
+        self.gains, self.mode, self.trim_offset = gains, mode, trim_offset
+        self.lo, self.hi = posture.foot_pitch_range
+        self.rate_max = limits.foot_pitch_rate_max
+        self.setpoint = setpoint
+        self.prev_left = self.prev_right = trim_offset
+        self.int_pitch = self.int_yaw = 0.0
+
+    def step(self, pitch, yaw, rate_y, rate_z, dt):
+        g = self.gains
+        if self.mode is ControlMode.ALL_OFF:
+            mean, delta = self.trim_offset, 0.0
+        else:
+            err_pitch = self.setpoint.pitch - pitch
+            self.int_pitch += err_pitch * dt
+            mean = self.trim_offset - (g.kp_pitch * err_pitch + g.kd_pitch * -rate_y
+                                       + g.ki_pitch * self.int_pitch)
+            delta = 0.0
+            if self.mode is ControlMode.BOTH_ON:
+                w = math.fmod(self.setpoint.yaw - yaw + math.pi, 2.0 * math.pi)
+                if w <= 0.0:
+                    w += 2.0 * math.pi
+                err_yaw = w - math.pi
+                self.int_yaw += err_yaw * dt
+                delta = g.kp_yaw * err_yaw + g.kd_yaw * -rate_z + g.ki_yaw * self.int_yaw
+        slew = self.rate_max * dt
+        self.prev_left = min(self.prev_left + slew,
+                             max(self.prev_left - slew, min(self.hi, max(self.lo, mean - delta))))
+        self.prev_right = min(self.prev_right + slew,
+                              max(self.prev_right - slew, min(self.hi, max(self.lo, mean + delta))))
+        return self.prev_left, self.prev_right
+
+
+def test_compiled_tick_is_the_python_tick_bit_for_bit():
+    # AttitudeController.step runs TICK compiled, the source the takeoff loop
+    # writes out: over every mode, with and without I gains and setpoints, on
+    # drawn inputs with signed zeros, NaNs, errors that pin the commands at the
+    # posture's range ends, and ankle rates at which the slew limit binds or
+    # ties; each controller ticks through a whole input sequence
+    rng = np.random.default_rng(38)
+    specials = [0.0, -0.0, math.nan, 3.5, -3.5, math.pi, -math.pi, 1e-300]
+    inputs = []
+    for _ in range(40):
+        row = (rng.normal(0.0, 0.3, 4) * 10.0 ** rng.uniform(-3.0, 1.0, 4)).tolist()
+        if rng.random() < 0.3:
+            row[int(rng.integers(4))] = float(rng.choice(specials))
+        inputs.append(row)
+    posture = builtin_posture("P2")
+    gains = (ControllerGains(1.0, 0.12, 0.5, 0.06), ControllerGains(1.0, 0.12, 0.5, 0.06, 2.0, 2.0),
+             ControllerGains(80.0, 0.0, 80.0, 0.0, 5.0, 0.0))
+    setpoints = (EulerAngles(0.0, 0.0, 0.0), EulerAngles(0.0, -0.0, -0.0),
+                 EulerAngles(0.0, 0.2, -3.0), EulerAngles(0.0, -1.5, math.pi))
+    for mode, gain, setpoint, rate, trim in itertools.product(
+            ControlMode, gains, setpoints, (8.0, 0.05, 1e6), (0.1, -0.0, posture.foot_pitch_range[1])):
+        limits = FanLimits(foot_pitch_rate_max=rate)
+        compiled = AttitudeController(gain, mode, posture, limits, trim, setpoint=setpoint)
+        reference = PythonTick(gain, mode, posture, limits, trim, setpoint)
+        for row in inputs:
+            got, want = compiled.step(*row, 0.004), reference.step(*row, 0.004)
+            assert struct.pack("<2d", *got) == struct.pack("<2d", *want), (mode, gain, row)
+        assert struct.pack("<4d", *compiled.state) == struct.pack(
+            "<4d", reference.prev_left, reference.prev_right, reference.int_pitch,
+            reference.int_yaw)
+
+
+def test_an_infinite_yaw_error_is_refused_and_leaves_the_state_alone():
+    # the wrap's fmod refuses an infinite yaw error; the tick raises before it
+    # stores anything, so the integrals and commands stay those of the last tick
+    gains = ControllerGains(1.0, 0.1, 0.5, 0.06, ki_pitch=1.0, ki_yaw=1.0)
+    controller, fresh = make_controller(gains=gains), make_controller(gains=gains)
+    controller.step(0.05, 0.1, 0.2, -0.1, 0.004)
+    fresh.step(0.05, 0.1, 0.2, -0.1, 0.004)
+    with pytest.raises(ValueError, match="^math domain error$"):
+        controller.step(0.05, math.inf, 0.0, 0.0, 0.004)
+    assert controller.state == fresh.state
+    assert controller.step(0.05, 0.1, 0.2, -0.1, 0.004) == fresh.step(0.05, 0.1, 0.2, -0.1, 0.004)
 
 
 def test_zero_error_passes_trim_through():

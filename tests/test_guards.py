@@ -3,8 +3,8 @@ events keys the bench reads, README), on code that only tests call, on where
 numpy is imported and loaded, on what the oracles import from the package, on
 the one geometry construction, on the takeoff loop's and the hover trim's
 wrench evaluations, rotation-matrix builds and fan-state constructions, on
-the loop's attitude readouts, on the takeoff step's one derivative template
-and the commands that compile it, on the one source of the pitch arms, on
+the loop's attitude readouts, on the takeoff step's one derivative template,
+the loop's one controller tick and the commands that compile them, on the one source of the pitch arms, on
 the envelope solver's batching and point objects and on the one home of the
 run record."""
 
@@ -22,7 +22,7 @@ import subprocess
 import sys
 import textwrap
 
-from tvcsim import envelope, robot, sim, spatial, wrench
+from tvcsim import controller, envelope, robot, sim, spatial, wrench
 from tvcsim.config import SCHEMA
 from tvcsim.robot import builtin_posture, geometry_from_posture
 from tvcsim.trim import hover_trim
@@ -99,7 +99,8 @@ def test_every_top_level_name_is_used_outside_the_tests():
     # the sources that sim and wrench compile are code of src/ too
     generated = [inspect.getsource(sim._step_builder(integrator, name))
                  for integrator in ("euler", "rk4") for name in ("step", "run")]
-    generated.append(inspect.getsource(wrench.rows_builder()))
+    generated += [inspect.getsource(wrench.rows_builder()),
+                  inspect.getsource(controller.tick_builder())]
     for text in [path.read_text() for path in paths + sorted((ROOT / "bench").glob("*.py"))] + \
             generated:
         for node in ast.walk(ast.parse(text)):
@@ -201,13 +202,18 @@ def test_takeoff_run_builds_no_rotation_matrix(monkeypatch):
         assert calls == 0, integrator
 
 
-def _run_line_counts(cfg):
-    """run_scenario(cfg)'s log and how often each line of the compiled run ran."""
+def _run_line_counts(cfg, watch=None, names=()):
+    """run_scenario(cfg)'s log, how often each line of the compiled run ran,
+    and the values of the run's locals names each time its line watch starts."""
     counts = collections.Counter()
+    watched = []
 
     def count(frame, event, arg):
         if event == "line":
             counts[frame.f_lineno] += 1
+            if frame.f_lineno == watch:
+                values = frame.f_locals
+                watched.append(tuple(values[name] for name in names))
         return count
 
     def calls(frame, event, arg):  # trace the run's frame alone
@@ -221,7 +227,7 @@ def _run_line_counts(cfg):
         log = sim.run_scenario(cfg)
     finally:
         sys.settrace(previous)
-    return log, counts
+    return log, counts, watched
 
 
 def _source_lines(integrator, text):
@@ -232,23 +238,37 @@ def _source_lines(integrator, text):
 
 
 def test_takeoff_loop_evaluates_the_wrench_once_per_step():
-    # run writes wrench.ROWS out once, and its first line runs once per step:
-    # one evaluation feeds both the liftoff check on the ground and the step
-    # aloft, whose rk4 stages rotate it
+    # each phase does its own work: every step that starts on the ground, the
+    # liftoff step too, runs the liftoff test alone (ROWS' f_z of the held
+    # feet), and every step that advances the body aloft runs ROWS once, which
+    # the rk4 stages rotate; on a run to its duration the two counts sum to
+    # the loop's steps. A foot's sine and cosine run once at the start and
+    # again only for a new angle object, which a tick or a bound slew makes:
+    # the angles are kept alive here, so an object is never reused
     first = wrench.ROWS.splitlines()[0]
     for integrator in ("euler", "rk4"):
         cfg = sim.ScenarioConfig(duration_s=0.8, integrator=integrator)
-        log, counts = _run_line_counts(cfg)
-        assert 0.0 < log.events["liftoff_time_s"] < cfg.duration_s  # both phases run
         (line,) = _source_lines(integrator, first)
-        loop_steps = round(cfg.duration_s / cfg.dt_s) + 1
-        assert counts[line] == loop_steps, integrator
+        log, counts, feet = _run_line_counts(cfg, line, ("theta_l", "theta_r"))
+        assert log.events["termination"] == "duration"
+        steps = round(cfg.duration_s / cfg.dt_s)
+        liftoff = round(log.events["liftoff_time_s"] / cfg.dt_s)
+        assert 0 < liftoff < steps  # both phases run
+        (ground,) = _source_lines(integrator, "f_z = f_f + f_b + f_l * cos_l + f_r * cos_r")
+        assert counts[ground] == liftoff + 1, integrator
+        assert counts[line] == len(feet) == steps - liftoff, integrator
+        assert counts[ground] + counts[line] == steps + 1
+        for side, angles in zip("lr", zip(*feet)):
+            trig = _source_lines(integrator, wrench.FOOT_TRIG.format(s=side).splitlines()[-1])
+            changes = sum(a is not b for a, b in zip(angles, angles[1:]))
+            assert 0 < changes < len(angles) // 2, (integrator, side)
+            assert len(trig) == 2 and sum(counts[n] for n in trig) == 1 + changes, integrator
 
 
 def test_takeoff_loop_reads_the_attitude_once_per_step_aloft(monkeypatch):
     # a step aloft runs step's body, guards and attitude readout once, written
-    # out in run; a controller tick reads floats too, so the loop builds no
-    # EulerAngles at all
+    # out in run; the controller tick is written out on floats too, so the
+    # loop builds no EulerAngles at all
     built = 0
     euler_angles = sim.EulerAngles
 
@@ -261,14 +281,14 @@ def test_takeoff_loop_reads_the_attitude_once_per_step_aloft(monkeypatch):
     for integrator in ("euler", "rk4"):
         cfg = sim.ScenarioConfig(duration_s=0.8, integrator=integrator)
         built = 0
-        log, counts = _run_line_counts(cfg)
+        log, counts, _ = _run_line_counts(cfg)
         assert log.events["termination"] == "duration"
         steps = round(cfg.duration_s / cfg.dt_s)
         aloft = steps - round(log.events["liftoff_time_s"] / cfg.dt_s)
         assert 0 < aloft < steps
-        # the tail's first guard and its readout
-        for text in ("if not math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:",
-                     "pitch = math.asin(sp if sp < 1.0 else 1.0)"):
+        # the tail's first guard and its readout, which call run's local sqrt and asin
+        for text in ("if not sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:",
+                     "pitch = asin(sp if sp < 1.0 else 1.0)"):
             (line,) = _source_lines(integrator, text)
             assert counts[line] == aloft, (integrator, text)
         assert built == 0, integrator
@@ -322,6 +342,50 @@ def _dropped_products(full, lean):
     return dropped
 
 
+# the math functions that run binds as locals
+LOCAL_MATH = {"sin", "cos", "sqrt", "asin", "atan2", "degrees"}
+
+
+class _LocalMath(ast.NodeTransformer):
+    """math.f written f, for f in LOCAL_MATH: step's body as run calls it."""
+
+    def visit_Attribute(self, node):
+        if ast.unparse(node.value) == "math" and node.attr in LOCAL_MATH:
+            return ast.copy_location(ast.Name(node.attr, ast.Load()), node)
+        return self.generic_visit(node)
+
+
+def _blocks(text, function):
+    """(node, field) of each statement list of function that holds text's
+    statements in a row, once per occurrence."""
+    want = [ast.unparse(stmt) for stmt in ast.parse(text).body]
+    found = []
+    for node in ast.walk(function):
+        for name in ("body", "orelse"):
+            stmts = getattr(node, name, None)
+            if not (isinstance(stmts, list) and stmts and isinstance(stmts[0], ast.stmt)):
+                continue
+            have = [ast.unparse(stmt) for stmt in stmts]
+            found += [(node, name)] * sum(have[i:i + len(want)] == want for i in range(len(have)))
+    return found
+
+
+def _lift_test():
+    """ROWS' f_z assignment with v_l and v_r replaced by their expressions."""
+    rows = ast.parse(wrench.ROWS).body
+    vertical = {ast.unparse(name): value for stmt in rows if isinstance(stmt.targets[0], ast.Tuple)
+                for name, value in zip(stmt.targets[0].elts, stmt.value.elts)
+                if ast.unparse(name) in ("v_l", "v_r")}
+    (f_z,) = [stmt for stmt in rows if ast.unparse(stmt.targets[0]) == "f_z"]
+
+    class Substitute(ast.NodeTransformer):
+        def visit_Name(self, node):
+            return vertical.get(node.id, node)
+
+    assert len(vertical) == 2
+    return Substitute().visit(f_z)
+
+
 def test_step_sources_write_the_equations_of_motion_from_one_template():
     # sim.py holds the equations of motion once, in the derivative template
     # that _step_builder writes out once for euler and once a stage for rk4;
@@ -330,10 +394,14 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
     # abs); rk4 calls math.sqrt for the opening, the three stage and the new
     # quaternions, each followed by its zero-norm ValueError. The tail, the
     # divergence guards and the attitude readout, ends every step once. run,
-    # compiled apart from the same templates, writes wrench.ROWS out once at
-    # the top of its loop and step's body once, in its airborne branch, less
-    # the 15 products by ZEROS of each derivative and nothing else, and calls
-    # no function per step but those
+    # compiled apart from the same templates, writes step's body once, in its
+    # airborne branch, less the 15 products by ZEROS of each derivative and
+    # with LOCAL_MATH called by local name, and nothing else. It writes
+    # wrench.ROWS once, in that branch, FOOT_TRIG once per foot before the
+    # loop and once in that branch, ROWS' f_z alone for the liftoff test in
+    # the ground branch, controller.TICK once, in the tick's branch, and a
+    # step calls math's functions, abs and the log's append, and _measure
+    # under sensor noise alone
     text = (ROOT / "src" / "tvcsim" / "sim.py").read_text()
     row = "1.0 - 2.0 * (yy + zz)"  # R(q)'s first entry
     assert not re.search(r"\baccel\b", text)
@@ -341,7 +409,6 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
     unit = "if n < 1e-300:\n    raise ValueError('cannot normalize a zero quaternion')"
     nested = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
               ast.GeneratorExp)
-    rows = [ast.unparse(stmt) for stmt in ast.parse(wrench.ROWS).body]
     p1 = geometry_from_posture(builtin_posture("P1"))
     # (integrator, R(q) rows written, math.sqrt calls and zero-norm checks before the tail)
     for integrator, rotations, sqrts, checks in (("euler", 1, 3, 1), ("rk4", 4, 5, 5)):
@@ -378,26 +445,51 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
         # the guards and the readout, in the tail alone; run adds its except clause
         for pattern, count in (("DivergenceError", 2), ("math.asin", 1)):
             assert sources[0].count(pattern) == count, (integrator, pattern)
-            assert sources[1].count(pattern) == count + (pattern == "DivergenceError")
             assert len([node for stmt in tail for node in ast.walk(stmt)
                         if ast.unparse(node) == pattern]) == count, (integrator, pattern)
-        # run: ROWS once, at the top of the loop, and step's body, bar the rows'
-        # unpacking and the return, once, as the airborne branch's try body, with
-        # each derivative's products by ZEROS taken out of their sums: 3 by f_y
-        # and 6 each by the inertia's and its inverse's off-diagonal entries
+        assert sources[1].count("DivergenceError") == 3
+        assert len([node for node in ast.walk(run) if isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "asin"]) == 1
+        # run: step's body, bar the rows' unpacking and the return, once, as the
+        # airborne branch's try body, with each derivative's products by ZEROS
+        # taken out of their sums: 3 by f_y and 6 each by the inertia's and its
+        # inverse's off-diagonal entries
         (loop,) = [node for node in ast.walk(run) if isinstance(node, ast.For)]
-        loop_text = [ast.unparse(stmt) for stmt in loop.body]
-        assert [i for i in range(len(loop_text)) if loop_text[i:i + len(rows)] == rows] == [2]
+        branches = {ast.unparse(node.test): node for node in loop.body if isinstance(node, ast.If)}
+        tick, ground, airborne = (branches[test] for test in (
+            "i % control_every == 0", "not airborne", "airborne"))
         (branch,) = [node for node in ast.walk(run) if isinstance(node, ast.Try)]
-        assert _dropped_products(step.body[1:-1], branch.body) == 15 * rotations, integrator
+        assert branch in airborne.body
+        local = [_LocalMath().visit(stmt) for stmt in step.body[1:-1]]
+        assert _dropped_products(local, branch.body) == 15 * rotations, integrator
         assert _names(step) >= ZEROS and not _names(run) & ZEROS, integrator
         assert ast.unparse(branch.handlers[0].type) == "DivergenceError"
+        # ROWS once, aloft; FOOT_TRIG before the loop and aloft for a new angle;
+        # ROWS' f_z alone on the ground; TICK once, in the tick's branch
+        assert _blocks(wrench.ROWS, run) == [(airborne, "body")]
+        for side in "lr":
+            (start, _), (again, field) = _blocks(wrench.FOOT_TRIG.format(s=side), run)
+            assert start is run and field == "body" and again in airborne.body
+            assert ast.unparse(again.test) == f"theta_{side} is not held_{side}"
+        assert ast.dump(ground.body[0]) == ast.dump(_lift_test())
+        assert [ast.unparse(stmt).split("\n")[0] for stmt in ground.body[1:]] == [
+            "if f_z > weight:"]
+        assert _blocks(controller.TICK, run) == [(tick, "body")]
+        measure = next(node for node in tick.body if isinstance(node, ast.If))
+        assert ast.unparse(measure.test) == "rng is None"
+        assert "_measure" not in ast.unparse(measure.body) and "_measure" in ast.unparse(
+            measure.orelse)
         raised = {id(node.exc) for node in ast.walk(run) if isinstance(node, ast.Raise)}
-        calls = {ast.unparse(node.func) for node in ast.walk(run)
+        calls = {ast.unparse(node.func) for stmt in loop.body for node in ast.walk(stmt)
                  if isinstance(node, ast.Call) and id(node) not in raised}
-        assert {call for call in calls if not call.startswith("math.")} == {
-            "abs", "sin", "cos", "degrees", "clamp", "thrust_schedule", "tick", "_measure",
-            "append", "range", "int", "round", "str"}, integrator
+        assert {call for call in calls if not call.startswith("math.")} == LOCAL_MATH | {
+            "abs", "append", "_measure", "str"}, integrator
+        assert not {call for call in calls if call.startswith("math.")} & {
+            f"math.{name}" for name in LOCAL_MATH}, integrator
+        calls |= {ast.unparse(node.func) for node in ast.walk(run)
+                  if isinstance(node, ast.Call) and id(node) not in raised}
+        assert {call for call in calls if not call.startswith("math.")} == LOCAL_MATH | {
+            "abs", "append", "_measure", "str", "thrust_schedule", "range", "int", "round"}
         assert "EulerAngles" not in ast.unparse(run)
 
 
@@ -405,8 +497,10 @@ def test_only_a_takeoff_step_compiles_a_step_source(tmp_path):
     # _step_builder compiles step or run on first use, once per integrator:
     # importing the package and the commands that never step the rigid body
     # compile neither. A takeoff compiles run alone and dynamics_step step
-    # alone. The wrench rows compile once, on first use: not at import, but
-    # by the first wrench any command evaluates
+    # alone; run writes the controller tick out, so a takeoff never compiles
+    # the tick that AttitudeController.step runs. The wrench rows compile
+    # once, on first use: not at import, but by the first wrench any command
+    # evaluates
     from tvcsim import cli
 
     code = ("from tvcsim import cli, sim, wrench; "
@@ -433,9 +527,11 @@ def test_only_a_takeoff_step_compiles_a_step_source(tmp_path):
             sim._step_builder(*key)
         assert sim._step_builder.cache_info().misses == info.misses
 
+    controller.tick_builder.cache_clear()
     for integrator in ("euler", "rk4", "euler", "rk4"):
         sim.run_scenario(sim.ScenarioConfig(duration_s=0.01, integrator=integrator))
     compiled([("euler", "run"), ("rk4", "run")])
+    assert controller.tick_builder.cache_info().misses == 0
     p1 = geometry_from_posture(builtin_posture("P1"))
     for integrator in ("euler", "rk4", "euler", "rk4"):
         sim.dynamics_step(sim.RigidBodyState(), wrench.FanState.uniform(40.0), p1, 1e-3,

@@ -1,9 +1,11 @@
 """Integrator physics, ground phase, liftoff, events, and run determinism."""
 
 import json
+import linecache
 import math
 import re
 import struct
+import sys
 import traceback
 from dataclasses import replace
 
@@ -1258,6 +1260,8 @@ def test_compiled_loop_is_the_python_loop_bit_for_bit(integrator):
             cases.append(ScenarioConfig(posture=builtin_posture(name), mode=mode,
                                         perturbation=pert, integrator=integrator,
                                         duration_s=2.2))
+    drawn = len(cases)
+    cases += _loop_edges(integrator)
     ends = []
     for cfg in cases:
         log = run_scenario(cfg)
@@ -1266,10 +1270,89 @@ def test_compiled_loop_is_the_python_loop_bit_for_bit(integrator):
         log.events.pop("config")
         assert list(log.events) == list(events)
         assert _exact(log.events.values()) == _exact(events.values()), cfg
-        ends.append(events["termination"])
-    assert ends[named - 4] == "duration"
-    assert ends[named - 2:named] == ["diverged", "touchdown"]
-    assert {"duration", "touchdown"} <= set(ends[-9:])  # the near-limit draws
+        ends.append(events)
+    assert ends[named - 4]["termination"] == "duration"
+    assert [events["termination"] for events in ends[named - 2:named]] == ["diverged", "touchdown"]
+    # the near-limit draws
+    assert {"duration", "touchdown"} <= {events["termination"] for events in ends[drawn - 9:drawn]}
+    # the edges: liftoff at step 0; a run that never lifts off, whose maxima
+    # stay 0.0 and whose altitude at 2 s is the ground's; a run under 2 s
+    lifted_at_once, grounded, short = ends[drawn:drawn + 3]
+    assert lifted_at_once["liftoff_time_s"] == 0.0
+    assert grounded["never_lifted"] and grounded["altitude_at_2s_m"] == 0.0
+    assert [grounded[f"max_abs_{axis}_deg"] for axis in ("roll", "pitch", "yaw")] == [0.0] * 3
+    assert short["liftoff_time_s"] is not None and short["altitude_at_2s_m"] is None
+    assert short["termination"] == "duration"
+
+
+def _loop_locals(cfg, text):
+    """run_scenario(cfg)'s log and the compiled run's locals each time a line
+    that reads text starts."""
+    filename = loop_kernel(cfg.geometry(), None, cfg.dt_s, cfg.integrator).__code__.co_filename
+    lines = {n for n, line in enumerate(linecache.getlines(filename), start=1)
+             if line.strip() == text}
+    assert len(lines) == 1, text
+    seen = []
+
+    def line(frame, event, arg):
+        if event == "line" and frame.f_lineno in lines:
+            seen.append(dict(frame.f_locals))
+        return line
+
+    def calls(frame, event, arg):  # trace the run's frame alone
+        return line if frame.f_code.co_filename == filename else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        log = run_scenario(cfg)
+    finally:
+        sys.settrace(previous)
+    return log, seen
+
+
+def _loop_edges(integrator):
+    """Configs that reach the compiled loop's edges, each checked to reach it:
+    liftoff at step 0, no liftoff, a run under 2 s; pitch and yaw setpoints
+    with I gains and sensor noise in each mode, where the tick integrates on
+    the ground; a foot bound by its slew limit on every step aloft; commands
+    pinned at the posture's range ends; and the touchdown and the divergence
+    that end a run right after a step that sets a new maximum."""
+    ideal = FanLimits(thrust_time_constant=0.0)
+    cases = [ScenarioConfig(ramp=ThrustRamp(ramp_time=0.0), limits=ideal, integrator=integrator,
+                            duration_s=0.6),
+             ScenarioConfig(ramp=ThrustRamp(target_per_fan=30.0), integrator=integrator),
+             ScenarioConfig(integrator=integrator, duration_s=1.5)]
+    leaning = EulerAngles(0.0, 0.05, -0.1)
+    cases += [ScenarioConfig(mode=mode, setpoint=leaning, integrator=integrator, duration_s=2.2,
+                             gains=ControllerGains(1.0, 0.12, 0.5, 0.06, 2.0, 2.0))
+              for mode in ControlMode]
+    cases += [ScenarioConfig(mode=mode, sensor_noise_std=0.01, seed=38, integrator=integrator,
+                             duration_s=2.2)
+              for mode in ControlMode]
+    slow = ScenarioConfig(limits=FanLimits(foot_pitch_rate_max=0.05), integrator=integrator,
+                          setpoint=EulerAngles(0.0, 0.3, 0.5), duration_s=1.5)
+    _, aloft = _loop_locals(slow, "t += dt")
+    assert aloft and all(x["theta_l"] is not x["cmd_l"] and x["theta_r"] is not x["cmd_r"]
+                         for x in aloft)
+    pinned = ScenarioConfig(limits=FanLimits(foot_pitch_rate_max=50.0),
+                            setpoint=EulerAngles(0.0, 1.2, 3.0), integrator=integrator,
+                            gains=ControllerGains(50.0, 1.0, 50.0, 1.0), duration_s=1.0)
+    _, aloft = _loop_locals(pinned, "t += dt")
+    assert aloft and all({x["cmd_l"], x["cmd_r"]} == {x["foot_lo"], x["foot_hi"]} for x in aloft)
+    # the touchdown's state would set new maxima, and so would the state
+    # before the divergence, which the run has already counted
+    touchdown = ScenarioConfig(mode=ControlMode.ALL_OFF, integrator=integrator)
+    _, (last,) = _loop_locals(touchdown, 'termination, touchdown = "touchdown", (i + 1) * dt')
+    assert any(abs(last[axis]) > last[f"max_{axis}"] for axis in ("roll", "pitch", "yaw"))
+    climb = Perturbation(foot_axis_misalignment_left=math.radians(1.0),
+                         foot_axis_misalignment_right=math.radians(-1.0))
+    diverging = ScenarioConfig(perturbation=climb, ramp=ThrustRamp(target_per_fan=70.0),
+                               limits=FanLimits(thrust_max_per_fan=80.0), duration_s=8.0,
+                               integrator=integrator)
+    _, (last,) = _loop_locals(diverging, 'termination, reason = "diverged", str(err)')
+    assert abs(last["roll"]) == last["max_roll"] > 0.0
+    return cases + [slow, pinned, touchdown, diverging]
 
 
 def test_the_loop_flies_only_a_tensor_with_positive_zero_products_of_inertia():

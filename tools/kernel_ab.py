@@ -9,6 +9,12 @@ family runs one case list, built once, through each tree:
 - steps: sim.run_kernel's step, both integrators, P1-P3 with and without
   Perturbation.standard() at dt 0.2, 1 and 2 ms, on random states and loads
   over many magnitudes, signed zeros, tiny rates and a NaN in each slot;
+- ticks: controller.AttitudeController.step through sequences of drawn
+  inputs, every mode, with and without I gains and setpoints, on foot ranges
+  that end at +-0.0 too, with signed zeros, NaNs, bad periods, and commands
+  that tie the range ends and the slew bounds. An infinite yaw error raises
+  math's ValueError, and a sequence ends at it: the parent of the compiled
+  tick had added the pitch error to its integral before it raised;
 - lp_max_covering on random, extreme and integer (tie-heavy) rows;
 - envelope searches: max_pitch_torque_dt/_tvc, tvc_dt_ratio and
   envelope_sweep on random robots, infeasible and overflowing ones among them,
@@ -30,7 +36,8 @@ through a second load of the parent, the three in a random order each round:
 minimum and median ms per op, with parent/change of the minima beside
 parent/parent2, the A/A ratio that tells how far a ratio moves on identical
 code. Whole CLI ops cannot resolve a move of a few percent in the loop, so
-sim.run_scenario alone is then timed on each seed-7 takeoff config, and
+sim.run_scenario alone is then timed on each seed-7 takeoff config and on
+the default config (fewer of its steps are on the ground), and
 cli._rows_as_json on the default takeoff log, the same way: minimum per
 case, summed. The script exits 1 on any mismatch.
 """
@@ -73,7 +80,8 @@ def load(root: str, alias: str) -> dict:
     sys.modules[alias] = pkg
     spec.loader.exec_module(pkg)
     return {name: importlib.import_module(f"{alias}.{name}")
-            for name in ("sim", "robot", "envelope", "cli", "wrench", "config")}
+            for name in ("sim", "robot", "envelope", "cli", "wrench", "config", "controller",
+                         "spatial")}
 
 
 def change_modules(change_root: str):
@@ -126,6 +134,60 @@ def steps(tree, cases) -> list:
     def run(integrator, k, state, rows):
         step = kernels[integrator][k % len(kernels[integrator])]
         return struct.pack("<16d", *step(0.5, *state, rows))
+
+    return [attempt(lambda: run(*case)) for case in cases]
+
+
+def tick_cases(rng):
+    """(mode, gains, setpoint (pitch, yaw), ankle rate, trim, foot range in
+    deg, ticks) cases; a tick is (pitch, yaw, rate_y, rate_z, period)."""
+    specials = [0.0, -0.0, math.nan, math.inf, math.pi, -math.pi, 5e-324, 3.5]
+    ranges = ((-44.0, 78.0), (-90.0, 90.0), (-0.0, 30.0), (-30.0, 0.0), (-10.0, -0.0))
+    for k in range(2_400):  # random controllers and inputs
+        lo, hi = ranges[k % len(ranges)]
+        gains = (rng.uniform(0.0, 3.0, 4).tolist()
+                 + (rng.uniform(0.0, 3.0, 2).tolist() if k % 2 else [0.0, 0.0]))
+        setpoint = [float(rng.choice([0.0, -0.0])), float(rng.choice([0.0, -0.0]))]
+        if k % 3 == 0:
+            setpoint = [float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-4.0, 4.0))]
+        ticks = []
+        for _ in range(12):
+            tick = (rng.normal(0.0, 0.3, 4) * 10.0 ** rng.uniform(-3.0, 1.0, 4)).tolist()
+            if rng.random() < 0.2:
+                tick[int(rng.integers(4))] = float(rng.choice(specials))
+            ticks.append((*tick, float(rng.choice([0.004, 0.002, 1e-3]))))
+        if k % 50 == 0:  # a bad period is refused before it touches the state
+            ticks.insert(6, (0.1, 0.1, 0.0, 0.0, float(rng.choice([0.0, -1.0, math.nan]))))
+        trim = float(rng.choice([0.1, 0.0, -0.0, math.radians(lo), math.radians(hi)]))
+        yield (("both-on", "pitch-only", "all-off")[k % 3], gains, setpoint,
+               float(rng.choice([8.0, 0.5, 1e6])), trim, (lo, hi), ticks)
+    for (lo, hi), mode in itertools.product(ranges, ("both-on", "pitch-only", "all-off")):
+        # mean = pitch exactly under pitch-only gains (1, 0, 0, 0) at a trim of 0:
+        # measured pitches at +-slew tie the slew bounds, at the range ends the range
+        slew, ends = 8.0 * 0.004, (math.radians(lo), math.radians(hi))
+        ticks = [(x, 0.0, 0.0, 0.0, 0.004) for x in (slew, -slew, 0.0, -0.0, *ends)]
+        for rate in (8.0, 1e6):
+            for trim in (0.0, -0.0, *ends):
+                yield mode, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0], rate, trim, (lo, hi), ticks
+
+
+def ticks(tree, cases) -> list:
+    """Each case's commands, tick by tick, as bytes (a refused tick as its message)."""
+    controller, robot, spatial = tree["controller"], tree["robot"], tree["spatial"]
+
+    def run(mode, gains, setpoint, rate, trim, foot_range, inputs):
+        ctl = controller.AttitudeController(
+            controller.ControllerGains(*gains), controller.ControlMode.parse(mode),
+            robot.Posture("X", (0.02, -0.24), (0.02, -0.61), foot_range),
+            robot.FanLimits(foot_pitch_rate_max=rate), trim,
+            setpoint=spatial.EulerAngles(0.0, *setpoint))
+        out = b""
+        for tick in inputs:
+            result = attempt(lambda: struct.pack("<2d", *ctl.step(*tick)))
+            if isinstance(result, str) and result.startswith("ValueError: math"):
+                return out + result.encode()
+            out += result if isinstance(result, bytes) else result.encode()
+        return out
 
     return [attempt(lambda: run(*case)) for case in cases]
 
@@ -351,6 +413,7 @@ def battery(workloads, regen) -> list:
         ("steps", "cases", steps,
          [(integrator, k, *case) for seed, integrator in enumerate(INTEGRATORS, start=41)
           for k, case in enumerate(step_cases(np.random.default_rng(seed)))]),
+        ("ticks", "controllers", ticks, list(tick_cases(np.random.default_rng(45)))),
         ("lp_max_covering", "batches of 3000 rows", lp,
          list(lp_cases(np.random.default_rng(43)))),
         ("envelope searches", "calls", envelope_searches,
@@ -454,6 +517,10 @@ def main(argv=None) -> int:
             time_cases(trees, f"run_scenario {integrator} (seed-7 takeoff configs)",
                        {name: run_scenario_cases(tree, gen) for name, tree in trees.items()},
                        args.rounds)
+            time_cases(trees, f"run_scenario {integrator} (the default config)",
+                       {name: [lambda sim=tree["sim"], cfg=tree["sim"].ScenarioConfig(
+                           integrator=integrator): sim.run_scenario(cfg)]
+                        for name, tree in trees.items()}, args.rounds)
         log = b["sim"].run_scenario(b["sim"].ScenarioConfig())
         time_cases(trees, "table JSON (cli._rows_as_json, the default takeoff log)",
                    {name: [lambda cli=tree["cli"]: cli._rows_as_json(log.header, log.rows)]

@@ -614,8 +614,9 @@ def _step_builder(integrator: str, name: str):
         slew = [CLAMP.format(out=f"theta_{side}", x=f"cmd_{side}", lo="lo", hi="hi")
                 for side in "lr"]
         text = _RUN.format(
-            tick_constants=TICK_CONSTANTS, tick_state=TICK_STATE, trig=indent("".join(trig), " " * 4),
-            tick=indent(TICK, " " * 12), ground=indent(_ground_lift(), " " * 12),
+            tick_constants=TICK_CONSTANTS, tick_state=TICK_STATE,
+            trig=indent("".join(trig), " " * 4), tick=indent(TICK, " " * 12),
+            ground=indent(_ground_lift(), " " * 12),
             trig_l=indent(trig[0], " " * 16), trig_r=indent(trig[1], " " * 16),
             rows=indent(ROWS, " " * 12), step=indent(body, " " * 16),
             slew_l=indent(slew[0], " " * 12), slew_r=indent(slew[1], " " * 12),

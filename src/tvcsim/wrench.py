@@ -22,10 +22,11 @@ pitch_arms is the one source of the four sagittal arms of these terms; the
 trims, the envelope LP and the controller gains read them there too.
 ROWS is the one source of the rows, and FOOT_TRIG of the foot angles' sines
 and cosines they read: wrench_kernel compiles both and the takeoff loop
-(sim.loop_kernel) writes them out, its liftoff test ROWS' f_z alone. generalized_wrench_3d wraps
-wrench_kernel for one fan state at one attitude, and total_wrench is its
-pitch-only case. The world-frame rows are floats too; numpy is imported only for the
-array forms of them and by fan_layout, which lists the per-fan forces.
+(sim.loop_kernel) writes them out, its liftoff test ROWS' f_z alone.
+generalized_wrench_3d wraps wrench_kernel for one fan state at one attitude,
+and total_wrench is its pitch-only case. The world-frame rows are floats
+too; numpy is imported only for the array forms of them and by fan_layout,
+which lists the per-fan forces.
 """
 
 from __future__ import annotations

@@ -167,8 +167,9 @@ def test_compiled_tick_is_the_python_tick_bit_for_bit():
              ControllerGains(80.0, 0.0, 80.0, 0.0, 5.0, 0.0))
     setpoints = (EulerAngles(0.0, 0.0, 0.0), EulerAngles(0.0, -0.0, -0.0),
                  EulerAngles(0.0, 0.2, -3.0), EulerAngles(0.0, -1.5, math.pi))
+    trims = (0.1, -0.0, posture.foot_pitch_range[1])
     for mode, gain, setpoint, rate, trim in itertools.product(
-            ControlMode, gains, setpoints, (8.0, 0.05, 1e6), (0.1, -0.0, posture.foot_pitch_range[1])):
+            ControlMode, gains, setpoints, (8.0, 0.05, 1e6), trims):
         limits = FanLimits(foot_pitch_rate_max=rate)
         compiled = AttitudeController(gain, mode, posture, limits, trim, setpoint=setpoint)
         reference = PythonTick(gain, mode, posture, limits, trim, setpoint)

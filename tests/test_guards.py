@@ -4,9 +4,9 @@ numpy is imported and loaded, on what the oracles import from the package, on
 the one geometry construction, on the takeoff loop's and the hover trim's
 wrench evaluations, rotation-matrix builds and fan-state constructions, on
 the loop's attitude readouts, on the takeoff step's one derivative template,
-the loop's one controller tick and the commands that compile them, on the one source of the pitch arms, on
-the envelope solver's batching and point objects and on the one home of the
-run record."""
+the loop's one controller tick and the commands that compile them, on the
+one source of the pitch arms, on the envelope solver's batching and point
+objects and on the one home of the run record."""
 
 import ast
 import collections
@@ -212,8 +212,7 @@ def _run_line_counts(cfg, watch=None, names=()):
         if event == "line":
             counts[frame.f_lineno] += 1
             if frame.f_lineno == watch:
-                values = frame.f_locals
-                watched.append(tuple(values[name] for name in names))
+                watched.append(tuple(map(frame.f_locals.__getitem__, names)))
         return count
 
     def calls(frame, event, arg):  # trace the run's frame alone

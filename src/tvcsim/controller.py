@@ -23,10 +23,10 @@ out. It is one source text, TICK: AttitudeController.step compiles it, with
 the gains, mode, trim, setpoint, foot range and ankle rate as closure cells
 (TICK_CONSTANTS) and the previous commands and the integrals as its state
 (TICK_STATE), and the takeoff loop (sim.loop_kernel) writes it out with
-both as loop locals. CLAMP is the foot chain's one clamp, clamp compiled:
-TICK writes it out for the range clamp and the slew limit, and the takeoff
-loop for the foot slew. RAMP is the thrust ramp, thrust_schedule compiled,
-which the takeoff loop writes out too. tune_gains reads wrench.pitch_arms.
+both as loop locals. CLAMP is the foot chain's one clamp, source that TICK
+writes out for the range clamp and the slew limit, and the takeoff loop for
+the foot slew. RAMP is the thrust ramp, source that the takeoff loop writes
+out. tune_gains reads wrench.pitch_arms.
 """
 
 from __future__ import annotations
@@ -91,22 +91,14 @@ class ThrustRamp:
             raise ValueError("ramp_time must be >= 0")
 
 
-# thrust_schedule's body as source, which the takeoff loop writes out too: the
-# time {t} and the ramp's target_per_fan and ramp_time in, sched out
+# the per-fan thrust sched at time {t} >= 0 as source, which the takeoff loop
+# writes out: {t} and the ramp's target_per_fan and ramp_time in, sched out
 RAMP = """\
 if ramp_time == 0.0 or {t} >= ramp_time:
     sched = target_per_fan
 else:
     sched = target_per_fan * ({t} / ramp_time)
 """
-thrust_schedule = compile_build(f'''\
-def thrust_schedule(t: float, ramp: ThrustRamp) -> float:
-    """Per-fan thrust at time t >= 0 (monotone non-decreasing)."""
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    target_per_fan, ramp_time = ramp.target_per_fan, ramp.ramp_time
-{textwrap.indent(RAMP.format(t="t"), "    ")}    return sched
-''', "<tvcsim.controller thrust_schedule>", globals(), "thrust_schedule")
 
 
 def tune_gains(geo: RobotGeometry, hover_thrust_per_fan: float, trim_foot_angle: float,
@@ -144,18 +136,13 @@ def tune_gains(geo: RobotGeometry, hover_thrust_per_fan: float, trim_foot_angle:
     )
 
 
-# clamp's body as source, which TICK and the takeoff loop's foot slew write
-# out too: {x}, {lo} and {hi} in, {out} out
+# min(hi, max(lo, x)) by comparisons as source, which TICK and the takeoff
+# loop's foot slew write out: {x}, {lo} and {hi} in, {out} out. A tie or a
+# signed zero comes out as min and max give it, and a NaN x reads lo
 CLAMP = """\
 {out} = {x} if {x} > {lo} else {lo}
 {out} = {out} if {out} < {hi} else {hi}
 """
-clamp = compile_build(f'''\
-def clamp(x: float, lo: float, hi: float) -> float:
-    """min(hi, max(lo, x)) by comparisons, in min's and max's tie order: a
-    tie or a signed zero comes out as they give it, and a NaN x reads lo."""
-{textwrap.indent(CLAMP.format(out="x", x="x", lo="lo", hi="hi"), "    ")}    return x
-''', "<tvcsim.controller clamp>", globals(), "clamp")
 
 # AttitudeController.step's tick as source, which the takeoff loop writes out
 # too: the measured pitch_m, yaw_m, rate_y and rate_z and the controller

@@ -19,27 +19,28 @@ that spins the uncontrolled robot.
 
 The float kernels come from one template of the equations of motion,
 compiled per integrator on first use, and read a geometry, perturbation and
-dt as closure cells. run_kernel gives wrench_kernel's rows and the
-rigid-body step; dynamics_step, its public one-step wrapper (as
-wrench.generalized_wrench_3d is of the wrench formula), compiles only that
-step. step keeps every product of the template, since it takes any state
-and any inertia tensor. loop_kernel gives run_scenario's takeoff loop, run,
-and a takeoff compiles only run. run flies the robots a ScenarioConfig
-describes, whose inertia is the diagonal point-mass surrogate; it leaves
-out the products by the body force's zero y row and by the products of
-inertia and of the inverse tensor, which change no bit there (see _ZEROS),
-and it refuses any other tensor. run carries plain floats, the 13 of the
-state and the controller's gains and state among them, and writes out every
-source a step runs, so a step calls only math's functions (sqrt, sin, cos,
-asin and atan2 bound as locals), abs and the log's append: the controller
-tick (controller.TICK) every control period, on the measured pitch, yaw and
-body rates about y and z, which _measure draws only under sensor noise; the
-foot slews (controller.CLAMP) and the thrust ramp (controller.RAMP). Each
-phase does only its own work. A step on the ground computes ROWS' f_z alone,
-from the held feet's cosines, for the liftoff test: the held body's
+dt, and math's sqrt, sin, cos, asin and atan2, as closure cells. run_kernel
+gives wrench_kernel's rows and the rigid-body step; dynamics_step, its
+public one-step wrapper (as wrench.generalized_wrench_3d is of the wrench
+formula), compiles only that step. step keeps every product of the template,
+since it takes any state and any inertia tensor. loop_kernel gives
+run_scenario's takeoff loop, run, and a takeoff compiles only run. run flies
+the robots a ScenarioConfig describes, whose inertia is the diagonal
+point-mass surrogate; it leaves out the products by the body force's zero y
+row and by the products of inertia and of the inverse tensor, which change
+no bit there (see _ZEROS), and it refuses any other tensor. run carries
+plain floats, the 13 of the state and the controller's gains and state among
+them, and writes out each source a step runs as it stands, bar those
+products, so a step calls only math's functions (those five as locals), abs
+and the log's append: the controller tick (controller.TICK) every control
+period, on the measured pitch, yaw and body rates about y and z, which
+_measure draws only under sensor noise; the foot slews (controller.CLAMP)
+and the thrust ramp (controller.RAMP), at t = 0 too. Each phase does only
+its own work. A step on the ground runs only ROWS' head wrench.LIFT, the
+held feet's net vertical force, for the liftoff test; the held body's
 attitude, +0.0/-0.0/+0.0, sets no maximum. A step aloft writes out the
-wrench rows (wrench.ROWS) and step's body, guards and attitude readout,
-then updates the attitude maxima; it recomputes a foot's sine and cosine
+wrench rows (wrench.ROWS) and step's body, guards and attitude readout, then
+updates the attitude maxima; it recomputes a foot's sine and cosine
 (wrench.FOOT_TRIG) only when the foot's angle is a new float object, which
 between ticks it is only while the slew limit binds.
 
@@ -52,7 +53,6 @@ import ast
 import functools
 import json
 import math
-import re
 import textwrap
 from dataclasses import asdict, dataclass, field
 
@@ -66,7 +66,6 @@ from .controller import (
     ControlMode,
     ControllerGains,
     ThrustRamp,
-    thrust_schedule,
     tune_gains,
 )
 from .robot import (
@@ -90,7 +89,7 @@ from .spatial import (
     quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through sim
 )
 from .trim import hover_trim
-from .wrench import FOOT_TRIG, ROW_CONSTANTS, ROWS, FanState, rows_builder, wrench_constants
+from .wrench import FOOT_TRIG, LIFT, ROW_CONSTANTS, ROWS, FanState, rows_builder, wrench_constants
 
 PHASE_GROUND = "GROUND"
 PHASE_AIRBORNE = "AIRBORNE"
@@ -284,7 +283,7 @@ def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry
 # j00..j22, f_y, h, dt and lock are closure cells. The text fixes the operations, so the bits.
 # quat_unit written out, as the step opens and every rk4 stage and step ends
 _UNIT = """\
-n = math.sqrt(qw{n} * qw{n} + qx{n} * qx{n} + qy{n} * qy{n} + qz{n} * qz{n})
+n = sqrt(qw{n} * qw{n} + qx{n} * qx{n} + qy{n} * qy{n} + qz{n} * qz{n})
 if n < 1e-300:
     raise ValueError("cannot normalize a zero quaternion")
 qw{n}, qx{n}, qy{n}, qz{n} = qw{n} / n, qx{n} / n, qy{n} / n, qz{n} / n
@@ -351,44 +350,44 @@ wx, wy, wz = wx + bx * dt, wy + by * dt, wz + bz * dt
 # quat_step(q, omega, dt) written out: q times the exponential-map
 # increment, renormalized (the product of unit quaternions is never 0)
 ex, ey, ez = wx * dt, wy * dt, wz * dt
-angle = math.sqrt(ex * ex + ey * ey + ez * ez)
+angle = sqrt(ex * ex + ey * ey + ez * ez)
 if angle < 1e-12:
     dw, dx, dy, dz = 1.0, 0.5 * ex, 0.5 * ey, 0.5 * ez
 else:
     half = 0.5 * angle
-    s = math.sin(half) / angle
-    dw, dx, dy, dz = math.cos(half), ex * s, ey * s, ez * s
+    s = sin(half) / angle
+    dw, dx, dy, dz = cos(half), ex * s, ey * s, ez * s
 qw, qx, qy, qz = (qw * dw - qx * dx - qy * dy - qz * dz,
                   qw * dx + qx * dw + qy * dz - qz * dy,
                   qw * dy - qx * dz + qy * dw + qz * dx,
                   qw * dz + qx * dy - qy * dx + qz * dw)
-n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+n = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
 qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
 """
 # the divergence guards ("not <=", so that a NaN state trips them too), then
 # zyx_angles of R(q)'s entries, each with quat_rotation_rows' expression
 _TAIL = """\
-if not math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:
+if not sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:
     raise DivergenceError(f"position ({px:.6g}, {py:.6g}, {pz:.6g}) left the "
                           f"{POSITION_GUARD_M} m guard at t={t:.3f} s")
-if not math.sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S:
+if not sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S:
     raise DivergenceError(f"body rate ({wx:.6g}, {wy:.6g}, {wz:.6g}) exceeded "
                           f"{RATE_GUARD_RAD_S} rad/s at t={t:.3f} s")
 sp = -(2.0 * (qx * qz - qw * qy))
 sp = sp if sp > -1.0 else -1.0  # min(1, max(-1, sp)), NaN included
-pitch = math.asin(sp if sp < 1.0 else 1.0)
+pitch = asin(sp if sp < 1.0 else 1.0)
 if abs(pitch) > lock:  # the degenerate rotation folds into yaw
-    roll, yaw = 0.0, math.atan2(-(2.0 * (qx * qy - qw * qz)),
-                                1.0 - 2.0 * (qx * qx + qz * qz))
+    roll, yaw = 0.0, atan2(-(2.0 * (qx * qy - qw * qz)),
+                           1.0 - 2.0 * (qx * qx + qz * qz))
 else:
-    roll = math.atan2(2.0 * (qy * qz + qw * qx), 1.0 - 2.0 * (qx * qx + qy * qy))
-    yaw = math.atan2(2.0 * (qx * qy + qw * qz), 1.0 - 2.0 * (qy * qy + qz * qz))
+    roll = atan2(2.0 * (qy * qz + qw * qx), 1.0 - 2.0 * (qx * qx + qy * qy))
+    yaw = atan2(2.0 * (qx * qy + qw * qz), 1.0 - 2.0 * (qy * qy + qz * qz))
 """
-# The takeoff loop, run_scenario's body: {tick} is controller.TICK, {ground} ROWS'
-# f_z, {rows} wrench.ROWS and {step} step's body in the airborne branch, {trig_*}
-# wrench.FOOT_TRIG, {slew_*} the foot slews' controller.CLAMP and {ramp}
-# controller.RAMP. t is the state time, summed step by step as dynamics_step
-# does, now = i dt the log's; doubled braces are literal ones
+# The takeoff loop, run_scenario's body: {tick} is controller.TICK, {lift}
+# wrench.LIFT, {rows} wrench.ROWS and {step} step's body in the airborne branch,
+# {trig_*} wrench.FOOT_TRIG, {slew_*} the foot slews' controller.CLAMP and
+# {ramp_*} controller.RAMP. t is the state time, summed step by step as
+# dynamics_step does, now = i dt the log's; doubled braces are literal ones
 _RUN = """\
 def run(cfg, controller, rng, append):
     # the loop carries plain floats: 13 state floats, four thrusts, two foot
@@ -404,12 +403,11 @@ def run(cfg, controller, rng, append):
     control_every, sample_every = cfg._controller_substeps, cfg._sample_substeps
     period, foot_step = control_every * dt, cfg.limits.foot_pitch_rate_max * dt
     k_f, k_b, k_l, k_r = cfg.perturbation.thrust_scale
-    tau, ramp, n_steps = cfg.limits.thrust_time_constant, cfg.ramp, cfg._n_steps
-    target_per_fan, ramp_time = ramp.target_per_fan, ramp.ramp_time
+    tau, n_steps = cfg.limits.thrust_time_constant, cfg._n_steps
+    target_per_fan, ramp_time = cfg.ramp.target_per_fan, cfg.ramp.ramp_time
     # an ideal actuator already sits on the schedule at t = 0
     if tau == 0.0:
-        sched = thrust_schedule(0.0, ramp)
-        f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
+{ramp_0}        f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
     else:
         f_f = f_b = f_l = f_r = 0.0
         alpha = 1.0 - math.exp(-dt / tau)  # spool lag per step
@@ -436,7 +434,7 @@ def run(cfg, controller, rng, append):
 {tick}        if not airborne:
             # the ground holds the body level until the net vertical force
             # lifts it; the held feet's rows feed only this test
-{ground}            if f_z > weight:
+{lift}            if f_z > weight:
                 airborne = True
                 liftoff = now
         if i == i_2s:
@@ -487,7 +485,7 @@ def run(cfg, controller, rng, append):
             # held on the ground: the attitude, and so its angles, are unchanged
             t = t_end
         # advance the thrusts toward the schedule over (now, now + dt]
-{ramp}        if tau > 0.0:
+{ramp_t}        if tau > 0.0:
             f_f += alpha * (sched * k_f - f_f)
             f_b += alpha * (sched * k_b - f_b)
             f_l += alpha * (sched * k_l - f_l)
@@ -517,11 +515,12 @@ def step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows):
     ty = ty1 + ty2 + ty3
 {step}    return px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, roll, pitch, yaw
 """
-# importing math makes the compiler load math.f as sim.py does (LOAD_ATTR, not LOAD_METHOD)
+# importing math makes the compiler load run's math.f as sim.py does (LOAD_ATTR, not LOAD_METHOD)
 _BUILD = """\
 import math
 def build(m, weight, i00, i01, i02, i10, i11, i12, i20, i21, i22,
           j00, j01, j02, j10, j11, j12, j20, j21, j22, f_y, h, dt, lock, {constants}):
+    sin, cos, sqrt, asin, atan2 = math.sin, math.cos, math.sqrt, math.asin, math.atan2
 {function}    return {name}
 """
 
@@ -567,36 +566,13 @@ def _lean(body: str) -> str:
     return "".join(lines)
 
 
-def _ground_lift() -> str:
-    """ROWS' f_z assignment with its v_l and v_r written in: the liftoff test,
-    which reads only the feet's cosines."""
-    stmts = ast.parse(ROWS).body
-    values = {}
-    for stmt in stmts:
-        (target,) = stmt.targets
-        pairs = (zip(target.elts, stmt.value.elts) if isinstance(target, ast.Tuple)
-                 else [(target, stmt.value)])
-        values.update((name.id, value) for name, value in pairs)
-    (f_z,) = [stmt for stmt in stmts if ast.unparse(stmt.targets) == "f_z"]
-    vertical = {"v_l": values["v_l"], "v_r": values["v_r"]}
-
-    class WriteIn(ast.NodeTransformer):
-        def visit_Name(self, node):
-            return vertical.get(node.id, node)
-
-    return ast.unparse(WriteIn().visit(f_z)) + "\n"
-
-
-# the math functions that run binds as locals and its step body calls by name
-_LOCAL_MATH = ("sin", "cos", "sqrt", "asin", "atan2")
-
-
 @functools.cache
 def _step_builder(integrator: str, name: str):
     """name's build(m, weight, i00..i22, j00..j22, f_y, h, dt, lock, *ROW_CONSTANTS),
     name "step" or "run", compiled on first use: run_scenario compiles run alone
     and dynamics_step step alone, and one rk4 source of both would peak 1.4 MiB
-    of RSS, not 0.5. run's step body is _lean's, calling _LOCAL_MATH by name."""
+    of RSS, not 0.5. Each is its templates joined, bar _lean's rewrite of
+    run's step body."""
     if integrator == "rk4":  # stage k's derivative, then stage k + 1's state or the sum
         body = ""
         for k, s, span in ((1, "", "h"), (2, 2, "h"), (3, 3, "dt"), (4, 4, None)):
@@ -609,18 +585,18 @@ def _step_builder(integrator: str, name: str):
     if name == "step":
         text = _STEP.format(step=indent(body, " " * 4))
     else:
-        body = re.sub(rf"\bmath\.({'|'.join(_LOCAL_MATH)})\(", r"\1(", _lean(body))
         trig = [FOOT_TRIG.format(s=side) for side in "lr"]
         slew = [CLAMP.format(out=f"theta_{side}", x=f"cmd_{side}", lo="lo", hi="hi")
                 for side in "lr"]
         text = _RUN.format(
             tick_constants=TICK_CONSTANTS, tick_state=TICK_STATE,
             trig=indent("".join(trig), " " * 4), tick=indent(TICK, " " * 12),
-            ground=indent(_ground_lift(), " " * 12),
+            lift=indent(LIFT, " " * 12),
             trig_l=indent(trig[0], " " * 16), trig_r=indent(trig[1], " " * 16),
-            rows=indent(ROWS, " " * 12), step=indent(body, " " * 16),
+            rows=indent(ROWS, " " * 12), step=indent(_lean(body), " " * 16),
             slew_l=indent(slew[0], " " * 12), slew_r=indent(slew[1], " " * 12),
-            ramp=indent(RAMP.format(t="t_end"), " " * 8))
+            ramp_0=indent(RAMP.format(t="0.0"), " " * 8),
+            ramp_t=indent(RAMP.format(t="t_end"), " " * 8))
     return compile_build(_BUILD.format(constants=ROW_CONSTANTS, name=name,
                                        function=textwrap.indent(text, " " * 4)),
                          f"<tvcsim.sim {integrator} {name}>", globals())
@@ -728,8 +704,6 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
 
 
 def _measure(pitch, yaw, wy, wz, cfg, rng):
-    """The tick's (pitch, yaw, rate_y, rate_z); noise draws all six channels."""
-    if rng is None:
-        return pitch, yaw, wy, wz
+    """The tick's (pitch, yaw, rate_y, rate_z) under sensor noise, drawn on all six channels."""
     _, n_pitch, n_yaw, _, n_wy, n_wz = rng.normal(0.0, cfg.sensor_noise_std, 6).tolist()
     return pitch + n_pitch, yaw + n_yaw, wy + n_wy, wz + n_wz

@@ -14,10 +14,9 @@ Conventions used across the package:
   quat_rotation_rows; the takeoff step (sim.run_kernel) writes quat_unit
   (opening the step and each rk4 stage), R(q)'s entries, euler's quat_step
   and the zyx_angles readout out on floats, and tests pin each copy bit for
-  bit to the kernel here. wrap_angle is WRAP compiled, and the controller
-  tick (controller.TICK) writes WRAP out too. The array helpers import numpy when first called, so
-  importing this module, or any command that runs on floats, does not load
-  it. quat_from_pitch returns a float tuple that both forms accept.
+  bit to the kernel here. The array helpers import numpy when first called,
+  so importing this module, or any command that runs on floats, does not
+  load it. quat_from_pitch returns a float tuple that both forms accept.
 * Euler angles are Z-Y-X intrinsic (yaw, then pitch, then roll), so "pitch"
   equals the single rotation angle about body y when roll = yaw = 0.
   Positive pitch tips the body x-axis downward (a forward dive).
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import linecache
 import math
-import textwrap
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -59,27 +57,22 @@ def float_tuple(values: Sequence[float]) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-def compile_build(source: str, filename: str, scope: dict, name: str = "build"):
-    """source's function name, run in scope; linecache keeps source for tracebacks."""
+def compile_build(source: str, filename: str, scope: dict):
+    """source's function build, run in scope; linecache keeps source for tracebacks."""
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
     exec(compile(source, filename, "exec"), scope, namespace)
-    return namespace[name]
+    return namespace["build"]
 
 
-# wrap_angle's body as source, which controller.TICK writes out too: {w} in
-# and out
+# the wrap of an angle {w} to (-pi, pi] as source, which controller.TICK
+# writes out: {w} in and out
 WRAP = """\
 {w} = math.fmod({w} + math.pi, 2.0 * math.pi)
 if {w} <= 0.0:
     {w} += 2.0 * math.pi
 {w} -= math.pi
 """
-wrap_angle = compile_build(f'''\
-def wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-{textwrap.indent(WRAP.format(w="a"), "    ")}    return a
-''', "<tvcsim.spatial wrap_angle>", globals(), "wrap_angle")
 
 
 # ---------------------------------------------------------------------------

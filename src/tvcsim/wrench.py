@@ -22,7 +22,7 @@ pitch_arms is the one source of the four sagittal arms of these terms; the
 trims, the envelope LP and the controller gains read them there too.
 ROWS is the one source of the rows, and FOOT_TRIG of the foot angles' sines
 and cosines they read: wrench_kernel compiles both and the takeoff loop
-(sim.loop_kernel) writes them out, its liftoff test ROWS' f_z alone.
+(sim.loop_kernel) writes them out, its liftoff test ROWS' head LIFT alone.
 generalized_wrench_3d wraps wrench_kernel for one fan state at one attitude,
 and total_wrench is its pitch-only case. The world-frame rows are floats
 too; numpy is imported only for the array forms of them and by fan_layout,
@@ -165,14 +165,18 @@ def generalized_wrench_3d(fs: FanState, geo: RobotGeometry, orientation: Quat,
                   (w_x, w_y, w_z - geo.weight, *_rotate(rot, torque)))
 
 
+# ROWS' head, the net vertical force f_z, which the takeoff loop's liftoff test
+# writes out alone: the thrusts and the feet's cos_l and cos_r in
+LIFT = """\
+v_l, v_r = f_l * cos_l, f_r * cos_r
+f_z = f_f + f_b + v_l + v_r
+"""
 # wrench_kernel's rows as source, which the takeoff loop writes out too: the
 # thrusts f_f, f_b, f_l, f_r and FOOT_TRIG's sin_l, cos_l, sin_r, cos_r in, the
 # body rows f_x, f_z, tx, ty1, ty2, ty3, tz out; it reads ROW_CONSTANTS
-ROWS = """\
-h_l, v_l = f_l * sin_l, f_l * cos_l
-h_r, v_r = f_r * sin_r, f_r * cos_r
+ROWS = LIFT + """\
+h_l, h_r = f_l * sin_l, f_r * sin_r
 f_x = h_l + h_r
-f_z = f_f + f_b + v_l + v_r
 tx, tz = half_lf * (v_l - v_r) - y_c * f_z, half_lf * (h_r - h_l) + y_c * f_x
 ty1, ty2, ty3 = f_b * arm_back - f_f * arm_front, (v_l + v_r) * arm_v, -f_x * arm_h
 """

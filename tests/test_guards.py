@@ -88,11 +88,26 @@ def test_readme_config_table_lists_exactly_the_schema():
     assert set(keys) == set(SCHEMA)
 
 
+def _top_level_names(path):
+    """The functions and classes path's module binds at its top level: by def
+    or class, or by an assignment whose value is a function."""
+    module = vars(importlib.import_module(f"tvcsim.{path.stem}"))
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [name.id for target in node.targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and inspect.isfunction(module.get(name.id))]
+    return names
+
+
 def test_every_top_level_name_is_used_outside_the_tests():
-    # a function or class that only tests call is dead weight; the oracles are
-    # shipped for re-audits and exempt. A use is a name or an attribute in the
-    # code of src/ or bench/ (a comment or a string is none), or a bench trace
-    # target, which the tracer looks up by name
+    # a function or class that only tests call is dead weight, also one bound
+    # by assignment, such as a function compiled from a template; the oracles
+    # are shipped for re-audits and exempt. A use is a name or an attribute in
+    # the code of src/ or bench/ (a comment or a string is none), or a bench
+    # trace target, which the tracer looks up by name
     package = ROOT / "src" / "tvcsim"
     paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     used = {part for target in _trace_targets() for part in target.split(".")[1:]}
@@ -104,13 +119,12 @@ def test_every_top_level_name_is_used_outside_the_tests():
     for text in [path.read_text() for path in paths + sorted((ROOT / "bench").glob("*.py"))] + \
             generated:
         for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)  # an assignment's own target is no use
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    unused = [f"{path.stem}.{node.name}" for path in paths if path.name != "oracles.py"
-              for node in ast.parse(path.read_text()).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+    unused = [f"{path.stem}.{name}" for path in paths if path.name != "oracles.py"
+              for name in _top_level_names(path) if name not in used]
     assert unused == []
 
 
@@ -238,22 +252,22 @@ def _source_lines(integrator, text):
 
 def test_takeoff_loop_evaluates_the_wrench_once_per_step():
     # each phase does its own work: every step that starts on the ground, the
-    # liftoff step too, runs the liftoff test alone (ROWS' f_z of the held
-    # feet), and every step that advances the body aloft runs ROWS once, which
-    # the rk4 stages rotate; on a run to its duration the two counts sum to
-    # the loop's steps. A foot's sine and cosine run once at the start and
+    # liftoff step too, runs the liftoff test alone (LIFT, ROWS' head, of the
+    # held feet), and every step that advances the body aloft runs ROWS once,
+    # which the rk4 stages rotate; on a run to its duration the two counts sum
+    # to the loop's steps. A foot's sine and cosine run once at the start and
     # again only for a new angle object, which a tick or a bound slew makes:
     # the angles are kept alive here, so an object is never reused
-    first = wrench.ROWS.splitlines()[0]
+    assert wrench.ROWS.startswith(wrench.LIFT)
     for integrator in ("euler", "rk4"):
         cfg = sim.ScenarioConfig(duration_s=0.8, integrator=integrator)
-        (line,) = _source_lines(integrator, first)
+        # LIFT's first line, in the ground branch and then as ROWS' first line aloft
+        ground, line = _source_lines(integrator, wrench.LIFT.splitlines()[0])
         log, counts, feet = _run_line_counts(cfg, line, ("theta_l", "theta_r"))
         assert log.events["termination"] == "duration"
         steps = round(cfg.duration_s / cfg.dt_s)
         liftoff = round(log.events["liftoff_time_s"] / cfg.dt_s)
         assert 0 < liftoff < steps  # both phases run
-        (ground,) = _source_lines(integrator, "f_z = f_f + f_b + f_l * cos_l + f_r * cos_r")
         assert counts[ground] == liftoff + 1, integrator
         assert counts[line] == len(feet) == steps - liftoff, integrator
         assert counts[ground] + counts[line] == steps + 1
@@ -285,7 +299,7 @@ def test_takeoff_loop_reads_the_attitude_once_per_step_aloft(monkeypatch):
         steps = round(cfg.duration_s / cfg.dt_s)
         aloft = steps - round(log.events["liftoff_time_s"] / cfg.dt_s)
         assert 0 < aloft < steps
-        # the tail's first guard and its readout, which call run's local sqrt and asin
+        # the tail's first guard and its readout, which call sqrt and asin
         for text in ("if not sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:",
                      "pitch = asin(sp if sp < 1.0 else 1.0)"):
             (line,) = _source_lines(integrator, text)
@@ -341,17 +355,10 @@ def _dropped_products(full, lean):
     return dropped
 
 
-# the math functions that run binds as locals
-LOCAL_MATH = {"sin", "cos", "sqrt", "asin", "atan2", "degrees"}
-
-
-class _LocalMath(ast.NodeTransformer):
-    """math.f written f, for f in LOCAL_MATH: step's body as run calls it."""
-
-    def visit_Attribute(self, node):
-        if ast.unparse(node.value) == "math" and node.attr in LOCAL_MATH:
-            return ast.copy_location(ast.Name(node.attr, ast.Load()), node)
-        return self.generic_visit(node)
+# the math functions that a step calls by name: the closure cells of the step
+# build, and the locals of run, which adds degrees
+STEP_MATH = {"sin", "cos", "sqrt", "asin", "atan2"}
+LOCAL_MATH = STEP_MATH | {"degrees"}
 
 
 def _blocks(text, function):
@@ -369,36 +376,20 @@ def _blocks(text, function):
     return found
 
 
-def _lift_test():
-    """ROWS' f_z assignment with v_l and v_r replaced by their expressions."""
-    rows = ast.parse(wrench.ROWS).body
-    vertical = {ast.unparse(name): value for stmt in rows if isinstance(stmt.targets[0], ast.Tuple)
-                for name, value in zip(stmt.targets[0].elts, stmt.value.elts)
-                if ast.unparse(name) in ("v_l", "v_r")}
-    (f_z,) = [stmt for stmt in rows if ast.unparse(stmt.targets[0]) == "f_z"]
-
-    class Substitute(ast.NodeTransformer):
-        def visit_Name(self, node):
-            return vertical.get(node.id, node)
-
-    assert len(vertical) == 2
-    return Substitute().visit(f_z)
-
-
 def test_step_sources_write_the_equations_of_motion_from_one_template():
     # sim.py holds the equations of motion once, in the derivative template
     # that _step_builder writes out once for euler and once a stage for rk4;
     # no accel is left. A generated step hides no stage in a nested function
-    # or a comprehension and calls only math's functions (and the readout's
-    # abs); rk4 calls math.sqrt for the opening, the three stage and the new
-    # quaternions, each followed by its zero-norm ValueError. The tail, the
-    # divergence guards and the attitude readout, ends every step once. run,
-    # compiled apart from the same templates, writes step's body once, in its
-    # airborne branch, less the 15 products by ZEROS of each derivative and
-    # with LOCAL_MATH called by local name, and nothing else. It writes
+    # or a comprehension and calls only STEP_MATH, the closure cells its build
+    # binds to math's functions (and the readout's abs); rk4 calls sqrt for
+    # the opening, the three stage and the new quaternions, each followed by
+    # its zero-norm ValueError. The tail, the divergence guards and the
+    # attitude readout, ends every step once. run, compiled apart from the
+    # same templates, writes step's body once, in its airborne branch, less
+    # the 15 products by ZEROS of each derivative, and nothing else. It writes
     # wrench.ROWS once, in that branch, FOOT_TRIG once per foot before the
-    # loop and once in that branch, ROWS' f_z alone for the liftoff test in
-    # the ground branch, controller.TICK once, in the tick's branch, and a
+    # loop and once in that branch, ROWS' head LIFT alone for the liftoff test
+    # in the ground branch, controller.TICK once, in the tick's branch, and a
     # step calls math's functions, abs and the log's append, and _measure
     # under sensor noise alone
     text = (ROOT / "src" / "tvcsim" / "sim.py").read_text()
@@ -409,7 +400,7 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
     nested = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
               ast.GeneratorExp)
     p1 = geometry_from_posture(builtin_posture("P1"))
-    # (integrator, R(q) rows written, math.sqrt calls and zero-norm checks before the tail)
+    # (integrator, R(q) rows written, sqrt calls and zero-norm checks before the tail)
     for integrator, rotations, sqrts, checks in (("euler", 1, 3, 1), ("rk4", 4, 5, 5)):
         builds = [sim._step_builder(integrator, name) for name in ("step", "run")]
         sources = [inspect.getsource(build) for build in builds]
@@ -421,7 +412,9 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
             assert "LOAD_METHOD" not in [op.opname
                                          for op in dis.get_instructions(function.__code__)]
         assert [source.count(row) for source in sources] == [rotations] * 2, integrator
-        assert [source.count(wrench.ROWS.splitlines()[0]) for source in sources] == [0, 1]
+        # the rows aloft alone; their head LIFT, the ground's liftoff test too
+        for rows, count in ((wrench.ROWS.removeprefix(wrench.LIFT), 1), (wrench.LIFT, 2)):
+            assert [source.count(rows.splitlines()[0]) for source in sources] == [0, count]
         step, run = [node for name, source in zip(("step", "run"), sources)
                      for node in ast.walk(ast.parse(source))
                      if isinstance(node, ast.FunctionDef) and node.name == name]
@@ -431,21 +424,23 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
         raised = {id(node.exc) for node in ast.walk(step) if isinstance(node, ast.Raise)}
         calls = [ast.unparse(node.func) for node in ast.walk(step)
                  if isinstance(node, ast.Call) and id(node) not in raised]
-        assert all(call.startswith("math.") or call == "abs" for call in calls), calls
+        assert set(calls) <= STEP_MATH | {"abs"} and "math" not in _names(step), calls
+        assert set(calls) - {"abs"} <= set(functions[0].__code__.co_freevars), integrator
         guard = next(i for i, node in enumerate(step.body)
                      if "DivergenceError" in ast.unparse(node))
         body, tail = step.body[:guard], step.body[guard:]
         in_body = [node for stmt in body for node in ast.walk(stmt)]
-        assert len([node for node in in_body if ast.unparse(node) == "math.sqrt"]) == sqrts
+        assert len([node for node in in_body if ast.unparse(node) == "sqrt"]) == sqrts
         units = [i for i, stmt in enumerate(body) if ast.unparse(stmt) == unit]
         assert len(units) == checks, integrator
-        assert all(ast.unparse(body[i - 1]).startswith("n = math.sqrt(") for i in units)
+        assert all(ast.unparse(body[i - 1]).startswith("n = sqrt(") for i in units)
         assert len([node for node in in_body if isinstance(node, ast.Raise)]) == len(units)
         # the guards and the readout, in the tail alone; run adds its except clause
-        for pattern, count in (("DivergenceError", 2), ("math.asin", 1)):
-            assert sources[0].count(pattern) == count, (integrator, pattern)
-            assert len([node for stmt in tail for node in ast.walk(stmt)
-                        if ast.unparse(node) == pattern]) == count, (integrator, pattern)
+        assert sources[0].count("DivergenceError") == 2, integrator
+        for name, count in (("DivergenceError", 2), ("asin", 1)):
+            for stmts in (step.body, tail):
+                assert len([node for stmt in stmts for node in ast.walk(stmt)
+                            if ast.unparse(node) == name]) == count, (integrator, name)
         assert sources[1].count("DivergenceError") == 3
         assert len([node for node in ast.walk(run) if isinstance(node, ast.Call)
                     and ast.unparse(node.func) == "asin"]) == 1
@@ -459,20 +454,19 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
             "i % control_every == 0", "not airborne", "airborne"))
         (branch,) = [node for node in ast.walk(run) if isinstance(node, ast.Try)]
         assert branch in airborne.body
-        local = [_LocalMath().visit(stmt) for stmt in step.body[1:-1]]
-        assert _dropped_products(local, branch.body) == 15 * rotations, integrator
+        assert _dropped_products(step.body[1:-1], branch.body) == 15 * rotations, integrator
         assert _names(step) >= ZEROS and not _names(run) & ZEROS, integrator
         assert ast.unparse(branch.handlers[0].type) == "DivergenceError"
         # ROWS once, aloft; FOOT_TRIG before the loop and aloft for a new angle;
-        # ROWS' f_z alone on the ground; TICK once, in the tick's branch
+        # ROWS' head LIFT alone on the ground; TICK once, in the tick's branch
         assert _blocks(wrench.ROWS, run) == [(airborne, "body")]
         for side in "lr":
             (start, _), (again, field) = _blocks(wrench.FOOT_TRIG.format(s=side), run)
             assert start is run and field == "body" and again in airborne.body
             assert ast.unparse(again.test) == f"theta_{side} is not held_{side}"
-        assert ast.dump(ground.body[0]) == ast.dump(_lift_test())
-        assert [ast.unparse(stmt).split("\n")[0] for stmt in ground.body[1:]] == [
-            "if f_z > weight:"]
+        assert _blocks(wrench.LIFT, run) == [(ground, "body"), (airborne, "body")]
+        assert [ast.unparse(stmt).split("\n")[0] for stmt in ground.body] == [
+            ast.unparse(stmt) for stmt in ast.parse(wrench.LIFT).body] + ["if f_z > weight:"]
         assert _blocks(controller.TICK, run) == [(tick, "body")]
         measure = next(node for node in tick.body if isinstance(node, ast.If))
         assert ast.unparse(measure.test) == "rng is None"
@@ -488,8 +482,24 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
         calls |= {ast.unparse(node.func) for node in ast.walk(run)
                   if isinstance(node, ast.Call) and id(node) not in raised}
         assert {call for call in calls if not call.startswith("math.")} == LOCAL_MATH | {
-            "abs", "append", "_measure", "str", "thrust_schedule", "range", "int", "round"}
+            "abs", "append", "_measure", "str", "range", "int", "round"}
         assert "EulerAngles" not in ast.unparse(run)
+
+
+def test_importing_the_package_compiles_no_source():
+    # compile_build keeps each source it compiles in linecache, under a
+    # <tvcsim.…> name: importing every module in a fresh interpreter leaves
+    # none there, so an import builds nothing that only a command may run
+    names = sorted(p.stem for p in (ROOT / "src" / "tvcsim").glob("*.py"))
+    code = ("import importlib, linecache\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module('tvcsim' if name == '__init__' else 'tvcsim.' + name)\n"
+            "print(sorted(key for key in linecache.cache if key.startswith('<tvcsim.')))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(names) > 10 and proc.stdout == "[]\n"
 
 
 def test_only_a_takeoff_step_compiles_a_step_source(tmp_path):

@@ -6,6 +6,7 @@ import math
 import re
 import struct
 import sys
+import textwrap
 import traceback
 from dataclasses import replace
 
@@ -14,12 +15,11 @@ import pytest
 
 from tvcsim.config import scenario_from_config
 from tvcsim.controller import (
+    CLAMP,
     AttitudeController,
     ControlMode,
     ControllerGains,
     ThrustRamp,
-    clamp,
-    thrust_schedule,
     tune_gains,
 )
 from tvcsim.envelope import EnvelopeConstraint, envelope_sweep, tvc_dt_ratio
@@ -556,9 +556,13 @@ def test_the_seed_changes_nothing_without_sensor_noise(integrator):
 
 
 def test_foot_slew_is_the_min_max_clamp_bit_for_bit():
-    # controller.clamp compares in place of min/max; ties, signed zeros and a
+    # controller.CLAMP compares in place of min/max; ties, signed zeros and a
     # NaN input must come out as min(hi, max(lo, x)), for the controller's
     # range clamp and slew limit and for the loop's foot slew toward a target
+    scope = {}
+    exec("def clamp(x, lo, hi):\n" + textwrap.indent(
+        CLAMP.format(out="out", x="x", lo="lo", hi="hi") + "return out\n", "    "), scope)
+    clamp = scope["clamp"]
     rng = np.random.default_rng(17)
     cases = [(v, v + s * rng.choice((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)), s)
              for v, s in zip(rng.uniform(-0.5, 0.5, 2_000), rng.uniform(0.0, 0.01, 2_000))]
@@ -1131,8 +1135,13 @@ def python_loop(cfg):
     foot_step = cfg.limits.foot_pitch_rate_max * dt
     k_f, k_b, k_l, k_r = cfg.perturbation.thrust_scale
     tau = cfg.limits.thrust_time_constant
+    target, ramp_time = cfg.ramp.target_per_fan, cfg.ramp.ramp_time
+
+    def schedule(t):  # the ramp from zero, then the hold: the target from ramp_time on
+        return target if t >= ramp_time else target * (t / ramp_time)
+
     if tau == 0.0:
-        sched = thrust_schedule(0.0, cfg.ramp)
+        sched = schedule(0.0)
         f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
     else:
         f_f = f_b = f_l = f_r = 0.0
@@ -1147,8 +1156,9 @@ def python_loop(cfg):
     for i in range(n_steps + 1):
         t = i * dt
         if i % control_every == 0:
-            cmd_left, cmd_right = controller.step(*_measure(pitch, yaw, wy, wz, cfg, rng),
-                                                  control_every * dt)
+            measured = ((pitch, yaw, wy, wz) if rng is None
+                        else _measure(pitch, yaw, wy, wz, cfg, rng))
+            cmd_left, cmd_right = controller.step(*measured, control_every * dt)
         rows = wrench(f_f, f_b, f_l, f_r, foot_left, foot_right)
         if not airborne and rows[1] > weight:
             airborne = True
@@ -1174,9 +1184,9 @@ def python_loop(cfg):
         if i == n_steps:
             break
         if airborne:
-            foot_left = clamp(cmd_left, foot_left - foot_step, foot_left + foot_step)
-            foot_right = clamp(cmd_right, foot_right - foot_step, foot_right + foot_step)
-        sched = thrust_schedule(t + dt, cfg.ramp)
+            foot_left = min(foot_left + foot_step, max(foot_left - foot_step, cmd_left))
+            foot_right = min(foot_right + foot_step, max(foot_right - foot_step, cmd_right))
+        sched = schedule(t + dt)
         if tau > 0.0:
             f_f += alpha * (sched * k_f - f_f)
             f_b += alpha * (sched * k_b - f_b)

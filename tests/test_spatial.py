@@ -7,6 +7,7 @@ import pytest
 
 from tvcsim.spatial import (
     GIMBAL_LOCK_MARGIN,
+    WRAP,
     EulerAngles,
     quat_from_pitch,
     quat_identity,
@@ -16,7 +17,6 @@ from tvcsim.spatial import (
     quat_step,
     quat_to_euler,
     quat_to_matrix,
-    wrap_angle,
     zyx_angles,
 )
 
@@ -267,6 +267,13 @@ def test_quat_multiply_composition():
             quat_to_matrix(q1) @ quat_to_matrix(q2),
             atol=1e-12,
         )
+
+
+def wrap_angle(a):
+    """spatial.WRAP, the source controller.TICK writes out, run on a."""
+    scope = {"math": math, "a": a}
+    exec(WRAP.format(w="a"), scope)
+    return scope["a"]
 
 
 def test_wrap_angle():

@@ -119,10 +119,9 @@ class RobotGeometry:
     Waist fans sit at (+-L/2, 0, 0) blowing along +z; foot fans sit at
     (p_fx, +-L_f/2, p_fz) with the left foot on +y (the y axis points left).
     com_body is a float 3-tuple, converted here from any float sequence.
-    inertia_body is derived, as three float row tuples: the measured tensor
-    inertia_measured if one is given, else the point-mass surrogate for
-    fan_mass, so dataclasses.replace recomputes it. It is checked once, on
-    floats, as it is inverted.
+    inertia_body is derived, as three float row tuples: the diagonal
+    point-mass surrogate for fan_mass, so dataclasses.replace recomputes it.
+    It is checked once, on floats, as it is inverted.
     """
 
     mass_total: float = DEFAULT_MASS
@@ -132,11 +131,10 @@ class RobotGeometry:
     fan_foot_z: float = 0.0  # p_fz
     fan_spacing_feet: float = DEFAULT_FOOT_FAN_SPACING  # L_f
     fan_mass: float = DEFAULT_FAN_MASS  # per fan, read by the inertia surrogate
-    inertia_measured: tuple | None = None  # 3x3 rows about the CoM, in {B}
     inertia_body: tuple = field(init=False)
-    # the inverse of inertia_body as a row-major float 9-tuple, for the
-    # float rigid-body step of the takeoff loop
-    inertia_inverse_rows: tuple = field(init=False, repr=False, compare=False)
+    # the diagonal of inertia_body's inverse as a float 3-tuple, for the float
+    # rigid-body step of the takeoff loop
+    inertia_inverse: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.com_body = tuple(map(float, self.com_body))
@@ -146,11 +144,8 @@ class RobotGeometry:
             raise ValueError("mass_total must be positive")
         if not (self.fan_spacing_waist > 0.0 and self.fan_spacing_feet > 0.0):
             raise ValueError("fan spacings must be positive")
-        if self.inertia_measured is not None:
-            self.inertia_measured = tuple(tuple(map(float, row)) for row in self.inertia_measured)
-        self.inertia_body = (point_mass_inertia(self) if self.inertia_measured is None
-                             else self.inertia_measured)
-        self.inertia_inverse_rows = _inverse_rows(self.inertia_body)
+        self.inertia_body = point_mass_inertia(self)
+        self.inertia_inverse = _inverse(self.inertia_body)
 
     @property
     def weight(self) -> float:
@@ -165,20 +160,15 @@ class RobotGeometry:
                 (self.fan_foot_x, -half_lf, self.fan_foot_z))
 
 
-def _inverse_rows(rows) -> tuple:
-    """Row-major inverse of the tensor, and its one check, on floats: symmetry,
-    then Sylvester's leading principal minors, the last being the determinant
-    the adjugate is divided by. An underflowed minor, a NaN, an overflow or a
-    non-finite inverse fails it."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    if abs(b - d) > 1e-12 or abs(c - g) > 1e-12 or abs(f - h) > 1e-12:
-        raise ValueError("inertia_body must be symmetric")
-    adjugate = (e * i - f * h, c * h - b * i, b * f - c * e,
-                f * g - d * i, a * i - c * g, c * d - a * f,
-                d * h - e * g, b * g - a * h, a * e - b * d)
-    det = a * adjugate[0] + b * adjugate[3] + c * adjugate[6]
-    if a > 0.0 and a * e - b * d > 0.0 and det > 0.0:
-        inverse = tuple(x / det for x in adjugate)
+def _inverse(rows) -> tuple:
+    """The diagonal tensor's inverse as its adjugate's diagonal quotients, and
+    its one check, on floats: Sylvester's leading principal minors, the last
+    being the determinant the adjugate is divided by. An underflowed minor, a
+    NaN, an overflow or a non-finite inverse fails it."""
+    (a, _, _), (_, e, _), (_, _, i) = rows
+    det = a * (e * i)
+    if a > 0.0 and a * e > 0.0 and det > 0.0:
+        inverse = (e * i / det, a * i / det, a * e / det)
         if all(map(math.isfinite, inverse)):
             return inverse
     raise ValueError("inertia_body must be finite and positive-definite")
@@ -190,8 +180,7 @@ def point_mass_inertia(geo: RobotGeometry) -> tuple:
     Places one point mass of geo.fan_mass per fan at its mounting position
     and the remaining mass at the CoM (zero contribution). Off-diagonal
     products are dropped so the tensor stays diagonal; this is a
-    reproducible, order-of-magnitude stand-in when no measured tensor is
-    available.
+    reproducible, order-of-magnitude stand-in for a measured tensor.
     """
     fan_mass = geo.fan_mass
     if not (fan_mass >= 0.0 and 4.0 * fan_mass <= geo.mass_total):  # a NaN fails too

@@ -19,37 +19,33 @@ that spins the uncontrolled robot.
 
 The float kernels come from one template of the equations of motion,
 compiled per integrator on first use, and read a geometry, perturbation and
-dt, and math's sqrt, sin, cos, asin and atan2, as closure cells. run_kernel
-gives wrench_kernel's rows and the rigid-body step; dynamics_step, its
-public one-step wrapper (as wrench.generalized_wrench_3d is of the wrench
-formula), compiles only that step. step keeps every product of the template,
-since it takes any state and any inertia tensor. loop_kernel gives
-run_scenario's takeoff loop, run, and a takeoff compiles only run. run flies
-the robots a ScenarioConfig describes, whose inertia is the diagonal
-point-mass surrogate; it leaves out the products by the body force's zero y
-row and by the products of inertia and of the inverse tensor, which change
-no bit there (see _ZEROS), and it refuses any other tensor. run carries
-plain floats, the 13 of the state and the controller's gains and state among
-them, and writes out each source a step runs as it stands, bar those
-products, so a step calls only math's functions (those five as locals), abs
-and the log's append: the controller tick (controller.TICK) every control
-period, on the measured pitch, yaw and body rates about y and z, which
-_measure draws only under sensor noise; the foot slews (controller.CLAMP)
-and the thrust ramp (controller.RAMP), at t = 0 too. Each phase does only
-its own work. A step on the ground runs only ROWS' head wrench.LIFT, the
-held feet's net vertical force, for the liftoff test; the held body's
-attitude, +0.0/-0.0/+0.0, sets no maximum. A step aloft writes out the
-wrench rows (wrench.ROWS) and step's body, guards and attitude readout, then
-updates the attitude maxima; it recomputes a foot's sine and cosine
-(wrench.FOOT_TRIG) only when the foot's angle is a new float object, which
-between ticks it is only while the slew limit binds.
+dt, and math's sqrt, sin, cos, asin and atan2, as closure cells. The
+template is written for the one inertia model, the diagonal point-mass
+surrogate, and for a body force with no y row, as no fan pushes sideways.
+run_kernel gives wrench_kernel's rows and the rigid-body step;
+dynamics_step, its public one-step wrapper (as
+wrench.generalized_wrench_3d is of the wrench formula), compiles only that
+step. loop_kernel gives run_scenario's takeoff loop, run, and a takeoff
+compiles only run. run carries plain floats, the 13 of the state and the
+controller's gains and state among them, and writes out each source a step
+runs as it stands, so a step calls only math's functions (those five as
+locals), abs and the log's append: the controller tick (controller.TICK)
+every control period, on the measured pitch, yaw and body rates about y and
+z, which _measure draws only under sensor noise; the foot slews
+(controller.CLAMP) and the thrust ramp (controller.RAMP), at t = 0 too.
+Each phase does only its own work. A step on the ground runs only ROWS'
+head wrench.LIFT, the held feet's net vertical force, for the liftoff test;
+the held body's attitude, +0.0/-0.0/+0.0, sets no maximum. A step aloft
+writes out the wrench rows (wrench.ROWS) and step's body, guards and
+attitude readout, then updates the attitude maxima; it recomputes a foot's
+sine and cosine (wrench.FOOT_TRIG) only when the foot's angle is a new float
+object, which between ticks it is only while the slew limit binds.
 
 Identical configurations produce bit-identical logs.
 """
 
 from __future__ import annotations
 
-import ast
 import functools
 import json
 import math
@@ -279,8 +275,9 @@ def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry
 
 # The takeoff step's source, one template per set of equations, which _step_builder
 # writes out per integrator. A template reads the state suffixed {s} ("" for the
-# step's own) and writes the derivative {k} or the stage state {n}; m, weight, i00..i22,
-# j00..j22, f_y, h, dt and lock are closure cells. The text fixes the operations, so the bits.
+# step's own) and writes the derivative {k} or the stage state {n}; m, weight, i00, i11,
+# i22, j00, j11, j22, h, dt and lock are closure cells. The text fixes the operations,
+# so the bits.
 # quat_unit written out, as the step opens and every rk4 stage and step ends
 _UNIT = """\
 n = sqrt(qw{n} * qw{n} + qx{n} * qx{n} + qy{n} * qy{n} + qz{n} * qz{n})
@@ -288,25 +285,27 @@ if n < 1e-300:
     raise ValueError("cannot normalize a zero quaternion")
 qw{n}, qx{n}, qy{n}, qz{n} = qw{n} / n, qx{n} / n, qy{n} / n, qz{n} / n
 """
-# R(q) F / m - g in {W} as (ax, ay, az), with quat_rotation_rows' entries,
-# and I^-1 (tau - omega x I omega) in {B} as (bx, by, bz); float 1.0 and
-# 2.0 spare Python's mixed int-float operation, with the same doubles
+# R(q) F / m - g in {W} as (ax, ay, az), with quat_rotation_rows' entries
+# for a body force (f_x, 0, f_z), as no fan pushes sideways, and
+# I^-1 (tau - omega x I omega) in {B} as (bx, by, bz), for the principal
+# moments i00, i11, i22 and their inverses j00, j11, j22; float 1.0 and 2.0
+# spare Python's mixed int-float operation, with the same doubles
 _DERIVATIVE = """\
 xx, yy, zz = qx{s} * qx{s}, qy{s} * qy{s}, qz{s} * qz{s}
 xy, xz, yz = qx{s} * qy{s}, qx{s} * qz{s}, qy{s} * qz{s}
 sx, sy, sz = qw{s} * qx{s}, qw{s} * qy{s}, qw{s} * qz{s}
-fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xy - sz) * f_y + 2.0 * (xz + sy) * f_z
-fy = 2.0 * (xy + sz) * f_x + (1.0 - 2.0 * (xx + zz)) * f_y + 2.0 * (yz - sx) * f_z
-fz = 2.0 * (xz - sy) * f_x + 2.0 * (yz + sx) * f_y + (1.0 - 2.0 * (xx + yy)) * f_z
+fx = (1.0 - 2.0 * (yy + zz)) * f_x + 2.0 * (xz + sy) * f_z
+fy = 2.0 * (xy + sz) * f_x + 2.0 * (yz - sx) * f_z
+fz = 2.0 * (xz - sy) * f_x + (1.0 - 2.0 * (xx + yy)) * f_z
 ax{k}, ay{k}, az{k} = fx / m, fy / m, (fz - weight) / m
-hx = i00 * wx{s} + i01 * wy{s} + i02 * wz{s}
-hy = i10 * wx{s} + i11 * wy{s} + i12 * wz{s}
-hz = i20 * wx{s} + i21 * wy{s} + i22 * wz{s}
+hx = i00 * wx{s}
+hy = i11 * wy{s}
+hz = i22 * wz{s}
 rx, ry = tx - (wy{s} * hz - wz{s} * hy), ty - (wz{s} * hx - wx{s} * hz)
 rz = tz - (wx{s} * hy - wy{s} * hx)
-bx{k} = j00 * rx + j01 * ry + j02 * rz
-by{k} = j10 * rx + j11 * ry + j12 * rz
-bz{k} = j20 * rx + j21 * ry + j22 * rz
+bx{k} = j00 * rx
+by{k} = j11 * ry
+bz{k} = j22 * rz
 """
 # q (0, omega) / 2, the quaternion product without the terms of omega's zero w
 _QUAT_RATE = """\
@@ -518,61 +517,19 @@ def step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows):
 # importing math makes the compiler load run's math.f as sim.py does (LOAD_ATTR, not LOAD_METHOD)
 _BUILD = """\
 import math
-def build(m, weight, i00, i01, i02, i10, i11, i12, i20, i21, i22,
-          j00, j01, j02, j10, j11, j12, j20, j21, j22, f_y, h, dt, lock, {constants}):
+def build(m, weight, i00, i11, i22, j00, j11, j22, h, dt, lock, {constants}):
     sin, cos, sqrt, asin, atan2 = math.sin, math.cos, math.sqrt, math.asin, math.atan2
 {function}    return {name}
 """
 
 
-# The constants that are +0.0 for every robot the takeoff loop flies: the body
-# force's y row, as no fan pushes sideways, and the off-diagonal entries of the
-# inertia tensor and of its inverse, as a ScenarioConfig robot carries the
-# diagonal point_mass_inertia and no config key gives a measured tensor. run is
-# written without the products by them, and its bits stay the same:
-# - a step starts from a finite state, since the guards end the run otherwise,
-#   so such a product is a zero, and x + 0.0 * y is x up to the sign of a zero
-#   (an rk4 stage rate could still overflow, where 0.0 * inf is nan, but only
-#   for principal moments some hundred orders of magnitude apart);
-# - rates and velocities start at +0.0 and each update is x + y, which is -0.0
-#   only when both terms are, so no state is -0.0 and no derivative's signed
-#   zero reaches one.
-# step keeps every product, as dynamics_step takes any state and any tensor
-_ZEROS = frozenset({"f_y", *(f"{a}{r}{c}" for a in "ij" for r in "012" for c in "012" if r != c)})
-
-
-def _lean_term(node):
-    """node, a sum of products, with the terms that a _ZEROS name multiplies
-    taken out; None if node is one of them."""
-    if isinstance(node, ast.Name):
-        return None if node.id in _ZEROS else node
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        return node if _lean_term(node.left) and _lean_term(node.right) else None
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        left, right = _lean_term(node.left), _lean_term(node.right)
-        return ast.BinOp(left, node.op, right) if left and right else left or right
-    return node
-
-
-def _lean(body: str) -> str:
-    """body with _lean_term applied to each assignment that reads a _ZEROS name,
-    rewritten in place; every other line keeps its text."""
-    lines = body.splitlines(True)
-    for stmt in reversed(ast.parse(body).body):
-        if isinstance(stmt, ast.Assign) and any(
-                isinstance(node, ast.Name) and node.id in _ZEROS for node in ast.walk(stmt)):
-            stmt.value = _lean_term(stmt.value)
-            lines[stmt.lineno - 1:stmt.end_lineno] = [ast.unparse(stmt) + "\n"]
-    return "".join(lines)
-
-
 @functools.cache
 def _step_builder(integrator: str, name: str):
-    """name's build(m, weight, i00..i22, j00..j22, f_y, h, dt, lock, *ROW_CONSTANTS),
-    name "step" or "run", compiled on first use: run_scenario compiles run alone
-    and dynamics_step step alone, and one rk4 source of both would peak 1.4 MiB
-    of RSS, not 0.5. Each is its templates joined, bar _lean's rewrite of
-    run's step body."""
+    """name's build(m, weight, i00, i11, i22, j00, j11, j22, h, dt, lock,
+    *ROW_CONSTANTS), name "step" or "run", compiled on first use: run_scenario
+    compiles run alone and dynamics_step step alone, and one rk4 source of both
+    would peak 1.4 MiB of RSS, not 0.5. Each is its templates joined as they
+    stand."""
     if integrator == "rk4":  # stage k's derivative, then stage k + 1's state or the sum
         body = ""
         for k, s, span in ((1, "", "h"), (2, 2, "h"), (3, 3, "dt"), (4, 4, None)):
@@ -593,7 +550,7 @@ def _step_builder(integrator: str, name: str):
             trig=indent("".join(trig), " " * 4), tick=indent(TICK, " " * 12),
             lift=indent(LIFT, " " * 12),
             trig_l=indent(trig[0], " " * 16), trig_r=indent(trig[1], " " * 16),
-            rows=indent(ROWS, " " * 12), step=indent(_lean(body), " " * 16),
+            rows=indent(ROWS, " " * 12), step=indent(body, " " * 16),
             slew_l=indent(slew[0], " " * 12), slew_r=indent(slew[1], " " * 12),
             ramp_0=indent(RAMP.format(t="0.0"), " " * 8),
             ramp_t=indent(RAMP.format(t="t_end"), " " * 8))
@@ -608,9 +565,9 @@ def _build_args(geo: RobotGeometry, dt: float, integrator: str) -> tuple:
         raise ValueError(f"dt must be in (0, {MAX_PHYSICS_DT}] s")
     if integrator not in ("euler", "rk4"):
         raise ValueError("integrator must be 'euler' or 'rk4'")
-    # f_y = 0.0: the body force's zero y row, rotated as any row so signed zeros agree
-    return (geo.mass_total, geo.weight, *(x for row in geo.inertia_body for x in row),
-            *geo.inertia_inverse_rows, 0.0, 0.5 * dt, dt, 0.5 * math.pi - GIMBAL_LOCK_MARGIN)
+    (i00, _, _), (_, i11, _), (_, _, i22) = geo.inertia_body
+    return (geo.mass_total, geo.weight, i00, i11, i22, *geo.inertia_inverse, 0.5 * dt, dt,
+            0.5 * math.pi - GIMBAL_LOCK_MARGIN)
 
 
 def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
@@ -630,14 +587,10 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
     quaternion renormalized as quat_unit does it. step is _step_builder's
     source: the equations of motion are one template, written out once for
     euler and once a stage for rk4, so a step calls only math's functions
-    and abs, and it reads the geometry as closure cells. Either way it
-    ends in the divergence guards: a new position beyond POSITION_GUARD_M, a
-    body rate beyond RATE_GUARD_RAD_S, or a NaN in either raises
-    DivergenceError, naming t. step keeps every product of the template, by
-    the zero y row of the body force and by the products of inertia too,
-    since it takes any state and any tensor. loop_kernel's run leaves them
-    out: it flies only ScenarioConfig robots, whose point-mass inertia is
-    diagonal.
+    and abs, and it reads the geometry's mass, principal moments and their
+    inverses as closure cells. Either way it ends in the divergence guards: a
+    new position beyond POSITION_GUARD_M, a body rate beyond
+    RATE_GUARD_RAD_S, or a NaN in either raises DivergenceError, naming t.
     """
     args = _build_args(geo, dt, integrator)
     consts = wrench_constants(geo, perturbation)  # ROW_CONSTANTS
@@ -646,20 +599,11 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
 
 def loop_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
                 integrator: str):
-    """run(cfg, controller, rng, append), run_scenario's loop, for a robot
-    whose products of inertia are +0.0, as every ScenarioConfig robot's are:
-    the controller's tick with its constants and state as locals, wrench's
-    rows and step's body written out, the latter without the products by
-    the body force's zero y row and by the products of inertia and of the
-    inverse tensor (see _ZEROS). Raises ValueError for any other tensor.
+    """run(cfg, controller, rng, append), run_scenario's loop: the
+    controller's tick with its constants and state as locals, and wrench's
+    rows and step's body written out as they stand.
     """
     args = _build_args(geo, dt, integrator)
-    (_, i01, i02), (i10, _, i12), (i20, i21, _) = geo.inertia_body
-    inverse = geo.inertia_inverse_rows
-    if not all(x == 0.0 and math.copysign(1.0, x) > 0.0  # a NaN or a -0.0 fails too
-               for x in (i01, i02, i10, i12, i20, i21, *(inverse[k] for k in (1, 2, 3, 5, 6, 7)))):
-        raise ValueError("the takeoff loop flies a diagonal inertia tensor only: its "
-                         "products of inertia, and those of its inverse, must be +0.0")
     return _step_builder(integrator, "run")(*args, *wrench_constants(geo, perturbation))
 
 
@@ -673,7 +617,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     events["divergence_reason"]) or took the CoM below its start height
     ("touchdown", with the step's end in events["touchdown_time_s"]). No log
     row or event comes from the state that ended the run. Raises ValueError
-    if the thrust ramp exceeds the per-fan cap.
+    if the thrust ramp exceeds the per-fan cap, or if a sensor-noise draw
+    overflows a measurement.
     """
     # checked here, not in ScenarioConfig: the ramp is the takeoff run's alone
     if cfg.ramp.target_per_fan > cfg.limits.thrust_max_per_fan:
@@ -704,6 +649,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
 
 
 def _measure(pitch, yaw, wy, wz, cfg, rng):
-    """The tick's (pitch, yaw, rate_y, rate_z) under sensor noise, drawn on all six channels."""
+    """The tick's (pitch, yaw, rate_y, rate_z) under sensor noise, drawn on all
+    six channels. Raises ValueError where a draw overflows a measurement."""
     _, n_pitch, n_yaw, _, n_wy, n_wz = rng.normal(0.0, cfg.sensor_noise_std, 6).tolist()
-    return pitch + n_pitch, yaw + n_yaw, wy + n_wy, wz + n_wz
+    measured = pitch + n_pitch, yaw + n_yaw, wy + n_wy, wz + n_wz
+    if not all(map(math.isfinite, measured)):
+        raise ValueError(f"sim.sensor_noise_std {cfg.sensor_noise_std:g} drew a "
+                         "non-finite measurement")
+    return measured

@@ -553,6 +553,25 @@ def test_overflowing_surrogate_inertia_exit_2(tmp_path, capsys):
     assert err == "error: inertia_body must be finite and positive-definite\n"
 
 
+def test_zero_fan_mass_exit_2(tmp_path, capsys):
+    # massless fans give a surrogate of zero moments, which has no inverse
+    for command in COMMANDS:
+        code, out, err = run_with_config(tmp_path, capsys, "geometry.fan_mass_kg = 0\n", command)
+        assert (code, out) == (2, ""), command
+        assert err == "error: inertia_body must be finite and positive-definite\n"
+
+
+@pytest.mark.parametrize("mode", ["both-on", "pitch-only", "all-off"])
+def test_an_overflowing_noise_draw_exits_2_in_every_mode(tmp_path, capsys, mode):
+    # a draw that overflows a measurement ends the run as one exit-2 line,
+    # naming the key, whatever the tick then does with the measurement
+    text = f"sim.sensor_noise_std = 1e308\nmode = {mode}\n"
+    code, out, err = run_with_config(tmp_path, capsys, text, "takeoff")
+    assert (code, out) == (2, "")
+    assert err == "error: sim.sensor_noise_std 1e+308 drew a non-finite measurement\n"
+    assert not list(tmp_path.glob("takeoff/*"))
+
+
 def test_lateral_com_has_no_trim(tmp_path, capsys):
     # symmetric thrusts cannot cancel the roll torque of a CoM off the plane of symmetry
     for command in ("trim", "takeoff"):

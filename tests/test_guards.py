@@ -307,52 +307,8 @@ def test_takeoff_loop_reads_the_attitude_once_per_step_aloft(monkeypatch):
         assert built == 0, integrator
 
 
-# the constants that are +0.0 for every robot the takeoff loop flies: the body
-# force's y row and the off-diagonal entries of the inertia tensor and its inverse
-ZEROS = {"f_y"} | {f"{a}{r}{c}" for a in "ij" for r in "012" for c in "012" if r != c}
-
-
-def _terms(node):
-    """The terms of a left-nested sum, in order."""
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        return _terms(node.left) + [node.right]
-    return [node]
-
-
-def _factors(node):
-    """The factors of a left-nested product, in order."""
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        return _factors(node.left) + [node.right]
-    return [node]
-
-
 def _names(node):
     return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
-
-
-def _dropped_products(full, lean):
-    """How many products by a ZEROS name full's statements lose in lean's, or
-    an AssertionError if the two differ by anything else: each statement is
-    the same, or an assignment to the same targets whose sum lost only terms
-    that are products with one ZEROS name as a factor."""
-    assert len(full) == len(lean)
-    dropped = 0
-    for a, b in zip(full, lean):
-        if ast.unparse(a) == ast.unparse(b):
-            continue
-        assert isinstance(a, ast.Assign) and isinstance(b, ast.Assign), ast.unparse(b)
-        assert [ast.unparse(t) for t in a.targets] == [ast.unparse(t) for t in b.targets]
-        kept = [ast.unparse(term) for term in _terms(b.value)]
-        left = []
-        for term in _terms(a.value):
-            zeros = [f for f in _factors(term) if isinstance(f, ast.Name) and f.id in ZEROS]
-            if zeros:
-                assert len(zeros) == 1 and len(_factors(term)) > 1, ast.unparse(term)
-                dropped += 1
-            else:
-                left.append(ast.unparse(term))
-        assert left == kept, (ast.unparse(a), ast.unparse(b))
-    return dropped
 
 
 # the math functions that a step calls by name: the closure cells of the step
@@ -385,8 +341,8 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
     # the opening, the three stage and the new quaternions, each followed by
     # its zero-norm ValueError. The tail, the divergence guards and the
     # attitude readout, ends every step once. run, compiled apart from the
-    # same templates, writes step's body once, in its airborne branch, less
-    # the 15 products by ZEROS of each derivative, and nothing else. It writes
+    # same templates, writes step's body once, verbatim, in its airborne
+    # branch: no rewrite stands between a template and a build. It writes
     # wrench.ROWS once, in that branch, FOOT_TRIG once per foot before the
     # loop and once in that branch, ROWS' head LIFT alone for the liftoff test
     # in the ground branch, controller.TICK once, in the tick's branch, and a
@@ -444,18 +400,16 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
         assert sources[1].count("DivergenceError") == 3
         assert len([node for node in ast.walk(run) if isinstance(node, ast.Call)
                     and ast.unparse(node.func) == "asin"]) == 1
-        # run: step's body, bar the rows' unpacking and the return, once, as the
-        # airborne branch's try body, with each derivative's products by ZEROS
-        # taken out of their sums: 3 by f_y and 6 each by the inertia's and its
-        # inverse's off-diagonal entries
+        # run: step's body, bar the rows' unpacking and the return, once and
+        # verbatim, as the airborne branch's try body
         (loop,) = [node for node in ast.walk(run) if isinstance(node, ast.For)]
         branches = {ast.unparse(node.test): node for node in loop.body if isinstance(node, ast.If)}
         tick, ground, airborne = (branches[test] for test in (
             "i % control_every == 0", "not airborne", "airborne"))
         (branch,) = [node for node in ast.walk(run) if isinstance(node, ast.Try)]
         assert branch in airborne.body
-        assert _dropped_products(step.body[1:-1], branch.body) == 15 * rotations, integrator
-        assert _names(step) >= ZEROS and not _names(run) & ZEROS, integrator
+        assert [ast.unparse(stmt) for stmt in step.body[1:-1]] == [
+            ast.unparse(stmt) for stmt in branch.body], integrator
         assert ast.unparse(branch.handlers[0].type) == "DivergenceError"
         # ROWS once, aloft; FOOT_TRIG before the loop and aloft for a new angle;
         # ROWS' head LIFT alone on the ground; TICK once, in the tick's branch

@@ -107,20 +107,15 @@ def test_geometry_validation():
             RobotGeometry(**{spacing: math.nan})
     with pytest.raises(ValueError, match="^fan_mass must be >= 0 and four fans"):
         RobotGeometry(fan_mass=math.nan)
-    with pytest.raises(ValueError):
-        RobotGeometry(inertia_measured=np.diag([1.0, -1.0, 1.0]))
-    with pytest.raises(ValueError):
-        RobotGeometry(inertia_measured=np.arange(9.0).reshape(3, 3))
+    # massless fans give zero moments, which have no inverse
+    with pytest.raises(ValueError, match="^inertia_body must be finite and positive-definite$"):
+        RobotGeometry(fan_mass=0.0)
     # positive-definite, but the minors underflow: no float inverse exists
     with pytest.raises(ValueError, match="positive-definite"):
         geometry_from_posture(builtin_posture("P1"), fan_mass=3.6e-190)
-    # the surrogate overflows, one moment is infinite, or the determinant
-    # overflows: none has a finite float inverse
-    for kwargs in ({"mass_total": 1e300, "fan_mass": 1e299, "fan_foot_z": -1e10},
-                   {"inertia_measured": np.diag([np.inf, 1.0, 1.0])},
-                   {"inertia_measured": np.diag([1e200, 1e200, 1e200])}):
-        with pytest.raises(ValueError, match="finite and positive-definite"):
-            RobotGeometry(**kwargs)
+    # the surrogate overflows: it has no finite float inverse
+    with pytest.raises(ValueError, match="finite and positive-definite"):
+        RobotGeometry(mass_total=1e300, fan_mass=1e299, fan_foot_z=-1e10)
 
 
 @pytest.mark.parametrize("mass, fan_mass, fits", [
@@ -152,6 +147,7 @@ def test_point_mass_inertia_is_diagonal_spd():
     inertia = np.array(geo.inertia_body)
     assert np.all(inertia == np.diag(np.diag(inertia)))
     assert np.linalg.eigvalsh(inertia).min() > 0.0
+    np.testing.assert_allclose(geo.inertia_inverse, 1.0 / np.diag(inertia), rtol=1e-15)
 
 
 def test_point_mass_inertia_scales_with_fan_mass():
@@ -159,14 +155,6 @@ def test_point_mass_inertia_scales_with_fan_mass():
     doubled = point_mass_inertia(replace(geo, fan_mass=2.0 * 0.488))
     np.testing.assert_allclose(doubled, 2.0 * np.array(point_mass_inertia(geo)))
     assert point_mass_inertia(geo) == geo.inertia_body
-
-
-def test_inertia_override_respected():
-    override = np.diag([0.5, 0.6, 0.3])
-    geo = replace(geometry_from_posture(builtin_posture("P1")), inertia_measured=override)
-    np.testing.assert_allclose(geo.inertia_body, override)
-    np.testing.assert_allclose(geo.inertia_inverse_rows,
-                               np.linalg.inv(override).ravel(), rtol=1e-15)
 
 
 @pytest.mark.parametrize("changes", [
@@ -187,11 +175,7 @@ def test_replace_recomputes_the_surrogate_inertia(changes):
         fresh, mass_total=geo.mass_total, fan_spacing_waist=geo.fan_spacing_waist,
         fan_spacing_feet=geo.fan_spacing_feet, fan_mass=geo.fan_mass, com_y=geo.com_body[1])
     assert geo == expected  # inertia_body among the compared fields
-    assert geo.inertia_inverse_rows == expected.inertia_inverse_rows
-    # a measured tensor survives the same replace
-    measured = ((0.5, 0.0, 0.01), (0.0, 0.6, 0.0), (0.01, 0.0, 0.3))
-    kept = replace(replace(geometry_from_posture(posture), inertia_measured=measured), **changes)
-    assert kept.inertia_body == kept.inertia_measured == measured
+    assert geo.inertia_inverse == expected.inertia_inverse
 
 
 def test_geometry_deterministic():

@@ -6,9 +6,12 @@ Each root is a checkout with src/tvcsim; CHANGE_ROOT also needs the bench/
 generators and tests/golden/'s cases. Both trees are imported here, and each
 family runs one case list, built once, through each tree:
 
-- steps: sim.run_kernel's step, both integrators, P1-P3 with and without
+- steps: sim.run_kernel's step, both integrators, on P1-P3 and on six drawn
+  surrogate robots (fan mass and both fan spacings log-uniform, so the
+  principal moments span about six decades), each with and without
   Perturbation.standard() at dt 0.2, 1 and 2 ms, on random states and loads
-  over many magnitudes, signed zeros, tiny rates and a NaN in each slot;
+  over many magnitudes, signed zeros, tiny rates and a NaN in each slot,
+  reported block by block;
 - ticks: controller.AttitudeController.step through sequences of drawn
   inputs, every mode, with and without I gains and setpoints, on foot ranges
   that end at +-0.0 too, with signed zeros, NaNs, bad periods, and commands
@@ -99,39 +102,59 @@ def attempt(call) -> bytes | str:
         return f"{type(err).__name__}: {err}"
 
 
+STEP_BLOCKS = ("random states", "signed zeros", "tiny rates", "NaNs")
+
+
 def step_cases(rng):
-    """26,000 (state, rows) pairs: 13 state floats and 7 wrench rows each."""
+    """26,000 (block, state, rows) triples: one of STEP_BLOCKS, 13 state floats
+    and 7 wrench rows."""
     def draw(n, scale):
         return [x * scale for x in rng.normal(0.0, 1.0, n).tolist()]
 
     for _ in range(20_000):  # random states and loads over many magnitudes
         scale = (10.0 ** rng.uniform(-6.0, 2.0, 5)).tolist()
-        yield (draw(3, scale[0]) + draw(3, scale[1]) + draw(4, 1.0) + draw(3, scale[2]),
+        yield ("random states",
+               draw(3, scale[0]) + draw(3, scale[1]) + draw(4, 1.0) + draw(3, scale[2]),
                tuple(draw(5, scale[3]) + draw(2, scale[4])))
     for case in range(3_000):  # signed zeros, a unit quaternion axis
         zeros = rng.choice([0.0, -0.0], 17).tolist()
         zeros[6 + case % 4] = float(rng.choice([1.0, -1.0]))
-        yield zeros[0:13], tuple(zeros[13:17] + draw(3, float(rng.choice([0.0, 1.0]))))
+        yield ("signed zeros", zeros[0:13],
+               tuple(zeros[13:17] + draw(3, float(rng.choice([0.0, 1.0])))))
     for _ in range(2_980):  # rates below the small-angle cutoff, subnormals too
         rates = draw(3, float(rng.choice([1e-13, 1e-300, 5e-324])))
-        yield draw(10, 1.0) + rates, tuple(draw(7, 50.0))
+        yield "tiny rates", draw(10, 1.0) + rates, tuple(draw(7, 50.0))
     for slot in range(20):  # a NaN in any one state or load component
         values = [0.1, -0.2, 0.3, 1.0, 0.5, -0.4, 0.9, 0.1, -0.3, 0.2, 0.7, -1.1, 0.4,
                   40.0, 170.0, 2.0, -1.0, 0.5, -0.25, 0.1]
         values[slot] = math.nan
-        yield values[0:13], tuple(values[13:20])
+        yield "NaNs", values[0:13], tuple(values[13:20])
+
+
+def step_robots(rng, count: int = 6) -> list:
+    """geometry_from_posture arguments: P1-P3 as built, then count surrogate
+    robots on drawn postures, with fan mass in [1e-6, 1] kg and each fan
+    spacing in [0.01, 3] m, both log-uniform."""
+    robots = [(name, {}) for name in POSTURES]
+    for _ in range(count):
+        fan_mass, waist, feet = (10.0 ** rng.uniform([-6.0, -2.0, -2.0], [0.0, 0.5, 0.5])).tolist()
+        robots.append((str(rng.choice(POSTURES)), {"fan_mass": fan_mass,
+                                                    "fan_spacing_waist": waist,
+                                                    "fan_spacing_feet": feet}))
+    return robots
 
 
 def steps(tree, cases) -> list:
-    """Case k of an integrator on the (k mod 18)th of its postures x perturbations x dts."""
+    """Case k of an integrator on the (k mod 54)th of its robots x perturbations x dts."""
     sim, robot = tree["sim"], tree["robot"]
     kernels = {integrator: [
-        sim.run_kernel(robot.geometry_from_posture(robot.builtin_posture(name)), pert, dt,
-                       integrator)[1]
-        for name in POSTURES for pert in (None, sim.Perturbation.standard()) for dt in DTS]
+        sim.run_kernel(robot.geometry_from_posture(robot.builtin_posture(name), **fields), pert,
+                       dt, integrator)[1]
+        for name, fields in step_robots(np.random.default_rng(46))
+        for pert in (None, sim.Perturbation.standard()) for dt in DTS]
         for integrator in INTEGRATORS}
 
-    def run(integrator, k, state, rows):
+    def run(integrator, k, _block, state, rows):
         step = kernels[integrator][k % len(kernels[integrator])]
         return struct.pack("<16d", *step(0.5, *state, rows))
 
@@ -409,10 +432,11 @@ def cli_runs(tree, cases) -> list:
 
 def battery(workloads, regen) -> list:
     """(label, unit, family, cases) of every family, each case list built once."""
+    step_list = [(integrator, k, *case) for seed, integrator in enumerate(INTEGRATORS, start=41)
+                 for k, case in enumerate(step_cases(np.random.default_rng(seed)))]
     return [
-        ("steps", "cases", steps,
-         [(integrator, k, *case) for seed, integrator in enumerate(INTEGRATORS, start=41)
-          for k, case in enumerate(step_cases(np.random.default_rng(seed)))]),
+        *((f"steps, {block}", "cases", steps, [case for case in step_list if case[2] == block])
+          for block in STEP_BLOCKS),
         ("ticks", "controllers", ticks, list(tick_cases(np.random.default_rng(45)))),
         ("lp_max_covering", "batches of 3000 rows", lp,
          list(lp_cases(np.random.default_rng(43)))),

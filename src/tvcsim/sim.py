@@ -23,25 +23,27 @@ dt, and math's sqrt, sin, cos, asin and atan2, as closure cells. The
 template is written for the one inertia model, the diagonal point-mass
 surrogate, and for a body force with no y row, as no fan pushes sideways.
 run_kernel gives wrench_kernel's rows and the rigid-body step;
-dynamics_step, its public one-step wrapper (as
-wrench.generalized_wrench_3d is of the wrench formula), compiles only that
-step. loop_kernel gives run_scenario's takeoff loop, run, and a takeoff
-compiles only run. run carries plain floats, the 13 of the state and the
-controller's gains and state among them, and writes out each source a step
-runs as it stands, so a step calls only math's functions (those five as
-locals), abs and the log's append: the controller tick (controller.TICK)
-every control period, on the measured pitch, yaw and body rates about y and
-z, which _measure draws only under sensor noise; the foot slews
-(controller.CLAMP) and the thrust ramp (controller.RAMP), at t = 0 too.
-Each phase does only its own work. A step on the ground runs only ROWS'
-head wrench.LIFT, the held feet's net vertical force, for the liftoff test;
-the held body's attitude, +0.0/-0.0/+0.0, sets no maximum. A step aloft
-writes out the wrench rows (wrench.ROWS) and step's body, guards and
-attitude readout, then updates the attitude maxima; it recomputes a foot's
-sine and cosine (wrench.FOOT_TRIG) only when the foot's angle is a new float
-object, which between ticks it is only while the slew limit binds.
+dynamics_step, its public one-step wrapper (as wrench.generalized_wrench_3d
+is of the wrench formula), compiles only that step. loop_kernel gives
+run_scenario's takeoff loop, run, and a takeoff compiles only run. run
+carries plain floats, the 13 of the state and the controller's gains and
+state among them, and writes out each source a step runs as it stands, so a
+step calls only math's functions (those five as locals), abs and the log's
+append: the controller tick (controller.TICK) every control period, on the
+measured pitch, yaw and body rates about y and z, which _measure draws only
+under sensor noise, from random.Random(seed); the foot slews
+(controller.CLAMP) and the thrust ramp (controller.RAMP), at t = 0 too. Each
+phase does only its own work. A step on the ground runs only ROWS' head
+wrench.LIFT, the held feet's net vertical force, for the liftoff test; the
+held body's attitude, +0.0/-0.0/+0.0, sets no maximum. A step aloft writes
+out the wrench rows (wrench.ROWS) and step's body, guards and attitude
+readout, then updates the attitude maxima; it recomputes a foot's sine and
+cosine (wrench.FOOT_TRIG) only when the foot's angle is a new float object,
+which between ticks it is only while the slew limit binds.
 
-Identical configurations produce bit-identical logs.
+Identical configurations produce bit-identical logs. Python keeps the
+noise's random() stream across versions; Random(-s) repeats Random(s)'s, so
+a negative seed is refused.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import random
 import textwrap
 from dataclasses import asdict, dataclass, field
 
@@ -200,7 +203,7 @@ class ScenarioConfig:
         self._n_steps = _steps(self.duration_s, self.dt_s, "sim.duration_s")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError("integrator must be 'euler' or 'rk4'")
-        if self.seed < 0:  # numpy's Generator takes no negative seed
+        if self.seed < 0:  # random.Random(-s) seeds as Random(s): one stream, one seed
             raise ValueError(f"sim.seed must be >= 0, got {self.seed}")
         for key, value in (("controller.damping_ratio", self.zeta),
                            ("controller.natural_freq_pitch_rad_s", self.omega_n_pitch),
@@ -584,13 +587,10 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
     positions with the velocity midpoint (exact for constant accelerations)
     and the attitude by the exponential map of the new body rate, quat_step
     written out; 'rk4' is the classic fourth-order step, each stage
-    quaternion renormalized as quat_unit does it. step is _step_builder's
-    source: the equations of motion are one template, written out once for
-    euler and once a stage for rk4, so a step calls only math's functions
-    and abs, and it reads the geometry's mass, principal moments and their
-    inverses as closure cells. Either way it ends in the divergence guards: a
-    new position beyond POSITION_GUARD_M, a body rate beyond
-    RATE_GUARD_RAD_S, or a NaN in either raises DivergenceError, naming t.
+    quaternion renormalized as quat_unit does it. Either way it ends in the
+    divergence guards: a new position beyond POSITION_GUARD_M, a body rate
+    beyond RATE_GUARD_RAD_S, or a NaN in either raises DivergenceError,
+    naming t.
     """
     args = _build_args(geo, dt, integrator)
     consts = wrench_constants(geo, perturbation)  # ROW_CONSTANTS
@@ -635,10 +635,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
         zeta=cfg.zeta, omega_n_pitch=cfg.omega_n_pitch, omega_n_yaw=cfg.omega_n_yaw)
     controller = AttitudeController(gains, cfg.mode, cfg.posture, cfg.limits, trim_angle,
                                     setpoint=cfg.setpoint)
-    rng = None  # the seeded noise source, the loop's one use of numpy
-    if cfg.sensor_noise_std > 0.0:
-        import numpy as np
-        rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed) if cfg.sensor_noise_std > 0.0 else None  # the noise stream
     run = loop_kernel(geo, cfg.perturbation, cfg.dt_s, cfg.integrator)
     log = SimLog()
     events = run(cfg, controller, rng, log.rows.append)
@@ -649,11 +646,14 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
 
 
 def _measure(pitch, yaw, wy, wz, cfg, rng):
-    """The tick's (pitch, yaw, rate_y, rate_z) under sensor noise, drawn on all
-    six channels. Raises ValueError where a draw overflows a measurement."""
-    _, n_pitch, n_yaw, _, n_wy, n_wz = rng.normal(0.0, cfg.sensor_noise_std, 6).tolist()
-    measured = pitch + n_pitch, yaw + n_yaw, wy + n_wy, wz + n_wz
+    """The tick's (pitch, yaw, rate_y, rate_z) under sensor noise: Box-Muller
+    on four rng.random() draws, each radius of 1 - u so that log never sees 0.
+    Raises ValueError where a draw overflows a measurement."""
+    sigma, u = cfg.sensor_noise_std, rng.random
+    r1, a1 = sigma * math.sqrt(-2.0 * math.log(1.0 - u())), math.tau * u()
+    r2, a2 = sigma * math.sqrt(-2.0 * math.log(1.0 - u())), math.tau * u()
+    measured = (pitch + r1 * math.cos(a1), yaw + r1 * math.sin(a1),
+                wy + r2 * math.cos(a2), wz + r2 * math.sin(a2))
     if not all(map(math.isfinite, measured)):
-        raise ValueError(f"sim.sensor_noise_std {cfg.sensor_noise_std:g} drew a "
-                         "non-finite measurement")
+        raise ValueError(f"sim.sensor_noise_std {sigma:g} drew a non-finite measurement")
     return measured

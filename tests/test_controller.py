@@ -16,9 +16,10 @@ from tvcsim.controller import (
     tune_gains,
 )
 from tvcsim.robot import FanLimits, builtin_posture, geometry_from_posture
-from tvcsim.spatial import EulerAngles
+from tvcsim.sim import Perturbation, RigidBodyState, dynamics_step
+from tvcsim.spatial import EulerAngles, quat_from_pitch, quat_to_euler
 from tvcsim.trim import hover_trim
-from tvcsim.wrench import FanState, total_wrench
+from tvcsim.wrench import FanState, generalized_wrench_3d, total_wrench
 
 GEO = geometry_from_posture(builtin_posture("P1"))
 POSTURE = builtin_posture("P1")
@@ -295,6 +296,84 @@ def test_tune_gains_pole_placement():
                          + math.sin(theta) * (GEO.com_body[0] - GEO.fan_foot_x))
     wn = math.sqrt(b_pitch * gains.kp_pitch / GEO.inertia_body[1][1])
     assert wn == pytest.approx(12.0, rel=1e-3)
+
+
+HOVER, _ = hover_trim(GEO, limits=LIMITS, foot_pitch_range=POSTURE.foot_pitch_range)
+
+
+def fly_hover(omega_n, orientation, perturbation=None, seconds=1.0):
+    """The 250 Hz (pitch, yaw) samples of a hover flown from orientation
+    through the public dynamics_step (euler, 1 ms) and AttitudeController.step
+    at gains tuned for zeta 0.7 and omega_n, and those gains. The thrusts hold
+    the equal-thrust trim, and the feet slew toward the commands at the ankle
+    rate bound, as the takeoff loop moves them."""
+    f, trim = HOVER.f_left, HOVER.theta_left
+    gains = tune_gains(GEO, hover_thrust_per_fan=f, trim_foot_angle=trim, zeta=0.7,
+                       omega_n_pitch=omega_n, omega_n_yaw=omega_n)
+    ctl = AttitudeController(gains, ControlMode.BOTH_ON, POSTURE, LIMITS, trim)
+    state, left, right = RigidBodyState(orientation=orientation), trim, trim
+    foot_step = LIMITS.foot_pitch_rate_max * 1e-3
+    samples = []
+    for i in range(round(seconds / 1e-3)):
+        if i % 4 == 0:
+            e = quat_to_euler(state.orientation)
+            samples.append((e.pitch, e.yaw))
+            cmd_l, cmd_r = ctl.step(e.pitch, e.yaw, *state.angular_velocity_body[1:], 0.004)
+        state = dynamics_step(state, FanState(f, f, f, f, left, right), GEO, 1e-3, perturbation)
+        left = min(left + foot_step, max(left - foot_step, cmd_l))
+        right = min(right + foot_step, max(right - foot_step, cmd_r))
+    return np.array(samples), gains
+
+
+def ar2_poles(x, period=0.004):
+    """(omega_n, zeta) of the AR(2) model x[k] = a1 x[k-1] + a2 x[k-2] fitted
+    to the samples x by least squares, its pole z mapped to s = ln(z) / period."""
+    a1, a2 = np.linalg.lstsq(np.column_stack([x[1:-1], x[:-2]]), x[2:], rcond=None)[0]
+    s = np.log(complex(np.roots([1.0, -a1, -a2])[0])) / period
+    return abs(s), -s.real / abs(s)
+
+
+@pytest.mark.parametrize("omega_n", [6.0, 12.0, 24.0])
+def test_closed_loop_hover_realizes_the_designed_poles(omega_n):
+    # tune_gains places the poles of two continuous double integrators; the
+    # loop samples at 250 Hz and holds its command, which raises the fitted
+    # omega_n a little more at each higher one: after a 0.01 rad kick, pitch
+    # read 6.08, 12.30 and 24.44 rad/s with zeta 0.701, 0.702 and 0.682 (the
+    # ankle slew bound binds on the first tick at 24), and yaw 6.08, 12.31 and
+    # 25.03 with zeta 0.701, 0.702 and 0.697. At 12 rad/s a halved kd reads
+    # zeta 0.34, pitch gains from i_zz omega_n 5.10, and cos and sin swapped
+    # in b_pitch omega_n 9.90
+    kick = 0.01
+    pitch_kick = quat_from_pitch(kick)
+    yaw_kick = (math.cos(0.5 * kick), 0.0, 0.0, math.sin(0.5 * kick))
+    for axis, orientation in ((0, pitch_kick), (1, yaw_kick)):
+        samples, _ = fly_hover(omega_n, orientation)
+        fitted, zeta = ar2_poles(samples[:, axis])
+        assert 1.0 < fitted / omega_n < 1.06, (axis, fitted)
+        assert zeta == pytest.approx(0.7, abs=0.025), (axis, zeta)
+
+
+def test_closed_loop_hover_static_errors_are_torque_over_b_kp():
+    # under Perturbation.standard() the PD loop settles where the feet's
+    # torque cancels the disturbance's: error = tau / (b kp), b the body
+    # torque per radian of mean (pitch) or differential (yaw) foot angle, here
+    # by central differences of the perturbed wrench at the trim. At the
+    # default 12 rad/s that is 3.13 deg of pitch and -3.82 deg of yaw
+    pert = Perturbation.standard()
+    f, trim = HOVER.f_left, HOVER.theta_left
+
+    def torque(left, right):
+        fs = FanState(f, f, f, f, left, right)
+        return generalized_wrench_3d(fs, GEO, (1.0, 0.0, 0.0, 0.0), pert).torque_body
+
+    d = 1e-6
+    _, tau_y, tau_z = torque(trim, trim)
+    b_pitch = (torque(trim - d, trim - d)[1] - torque(trim + d, trim + d)[1]) / (2.0 * d)
+    b_yaw = (torque(trim - d, trim + d)[2] - torque(trim + d, trim - d)[2]) / (2.0 * d)
+    samples, gains = fly_hover(12.0, (1.0, 0.0, 0.0, 0.0), pert, seconds=2.0)
+    pitch, yaw = samples[-1]
+    assert pitch == pytest.approx(tau_y / (b_pitch * gains.kp_pitch), rel=2e-3)
+    assert yaw == pytest.approx(tau_z / (b_yaw * gains.kp_yaw), rel=2e-3)
 
 
 def test_tune_gains_rejects_degenerate_geometry():

@@ -8,6 +8,7 @@ the loop's one controller tick and the commands that compile them, on the
 one source of the pitch arms, on the envelope solver's batching and point
 objects and on the one home of the run record."""
 
+import argparse
 import ast
 import collections
 import dis
@@ -22,7 +23,7 @@ import subprocess
 import sys
 import textwrap
 
-from tvcsim import controller, envelope, robot, sim, spatial, wrench
+from tvcsim import cli, controller, envelope, robot, sim, spatial, wrench
 from tvcsim.config import SCHEMA
 from tvcsim.robot import builtin_posture, geometry_from_posture
 from tvcsim.trim import hover_trim
@@ -69,8 +70,6 @@ def _takeoff_record_keys() -> set[str]:
 
 def test_takeoff_events_record_every_key_the_bench_reads(tmp_path):
     # a renamed ScenarioConfig field would otherwise fail every benchmark takeoff op
-    from tvcsim import cli
-
     keys = _takeoff_record_keys()
     assert keys
     (tmp_path / "short.cfg").write_text("sim.duration_s = 0.01\n")
@@ -86,6 +85,18 @@ def test_readme_config_table_lists_exactly_the_schema():
     keys = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
     assert len(keys) == len(set(keys))
     assert set(keys) == set(SCHEMA)
+
+
+def test_every_cli_override_names_a_schema_key_and_a_parsed_option():
+    # cli.main merges each parsed option of OVERRIDES into the config's
+    # values under its key: the key must be a SCHEMA key, and the option an
+    # argument of the top-level parser (--seed) or of a subcommand, or
+    # getattr finds no option and the override is dropped without a word
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {action.dest for p in (parser, *commands.choices.values()) for action in p._actions}
+    assert set(cli.OVERRIDES.values()) <= set(SCHEMA)
+    assert set(cli.OVERRIDES) <= options
 
 
 def _top_level_names(path):
@@ -130,7 +141,7 @@ def test_every_top_level_name_is_used_outside_the_tests():
 
 def test_scalar_modules_import_no_numpy():
     # the scalar model runs on floats; numpy stays where arrays pay, and the
-    # array helpers of spatial, wrench and sim import it in their bodies
+    # array helpers of spatial and wrench import it in their bodies
     for name in ("spatial", "robot", "wrench", "controller", "trim", "sim", "config", "cli"):
         tree = ast.parse((ROOT / "src" / "tvcsim" / f"{name}.py").read_text())
         imported = [alias.name for node in tree.body if isinstance(node, ast.Import)
@@ -173,17 +184,23 @@ def test_geometry_is_built_once(monkeypatch):
 
 def test_float_commands_never_load_numpy(tmp_path):
     # takeoff, trim and wrench-eval run on floats in a fresh interpreter, a
-    # takeoff that diverges (exit 4) too; envelope, the one command that needs
-    # arrays, still loads numpy and runs
+    # takeoff that diverges (exit 4) and euler and rk4 takeoffs with sensor
+    # noise too; envelope, the one command that needs arrays, still loads
+    # numpy and runs
     spin = tmp_path / "spin.cfg"
     spin.write_text("mode = pitch-only\nperturbation.foot_misalignment_left_deg = 10\n"
                     "perturbation.foot_misalignment_right_deg = -10\nsim.duration_s = 4.0\n")
+    for integrator in ("euler", "rk4"):
+        (tmp_path / f"noise_{integrator}.cfg").write_text(
+            f"sim.sensor_noise_std = 0.01\nsim.integrator = {integrator}\nsim.duration_s = 1.0\n")
     code = textwrap.dedent("""
         import sys
         from tvcsim import cli
         out, spin = sys.argv[1:]
         for argv in (["takeoff"], ["trim"],
-                     ["wrench-eval", "--thrust-fl", "40", "--theta-pitch", "5"]):
+                     ["wrench-eval", "--thrust-fl", "40", "--theta-pitch", "5"],
+                     ["--config", f"{out}/noise_euler.cfg", "takeoff"],
+                     ["--config", f"{out}/noise_rk4.cfg", "takeoff"]):
             assert cli.main(["--out", out, *argv]) == 0, argv
         assert cli.main(["--out", out, "--config", spin, "takeoff"]) == 4
         assert "numpy" not in sys.modules

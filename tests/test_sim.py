@@ -3,6 +3,7 @@
 import json
 import linecache
 import math
+import random
 import re
 import struct
 import sys
@@ -589,6 +590,20 @@ def test_scenario_config_rejects_an_unreachable_setpoint_pitch():
         ScenarioConfig(setpoint=EulerAngles(0.0, math.radians(deg), 0.0))
 
 
+def test_a_yaw_setpoint_is_flown_modulo_a_turn():
+    # the tick wraps the yaw error into (-180, 180] deg, so any finite yaw
+    # setpoint is accepted and flown, 1e308 deg among them, and one a turn
+    # away flies the same run but for the last bits of the error
+    def max_yaw(deg):
+        cfg = scenario_from_config({"controller.setpoint_yaw_deg": deg, "sim.duration_s": 1.5})
+        return run_scenario(cfg).events["max_abs_yaw_deg"]
+
+    held = max_yaw(5.0)
+    assert abs(held - max_yaw(0.0)) > 1.0  # the setpoint is flown
+    assert max_yaw(365.0) == pytest.approx(held, abs=1e-9)
+    assert math.isfinite(max_yaw(1e308))
+
+
 def test_scenario_config_rejects_a_negative_seed():
     with pytest.raises(ValueError, match=r"^sim.seed must be >= 0, got -1$"):
         ScenarioConfig(seed=-1)
@@ -1114,7 +1129,7 @@ def python_loop(cfg):
         zeta=cfg.zeta, omega_n_pitch=cfg.omega_n_pitch, omega_n_yaw=cfg.omega_n_yaw)
     controller = AttitudeController(gains, cfg.mode, cfg.posture, cfg.limits, trim_angle,
                                     setpoint=cfg.setpoint)
-    rng = np.random.default_rng(cfg.seed) if cfg.sensor_noise_std > 0.0 else None
+    rng = random.Random(cfg.seed) if cfg.sensor_noise_std > 0.0 else None
     dt = cfg.dt_s
     wrench, step = run_kernel(geo, cfg.perturbation, dt, cfg.integrator)
     weight = geo.weight

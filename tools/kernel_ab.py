@@ -26,10 +26,12 @@ family runs one case list, built once, through each tree:
   of the bench audit ops of seeds 3, 7 and 11, ops 0-14, as the op passes them
   and as plain floats, and on bad thrusts, perturbations and quaternions;
 - CLI runs through cli.main: the bench takeoff ops of those seeds, both
-  integrators, as made and with sensor noise; the bench envelope ops in csv
-  and json; each of BAD_ENVELOPE_FILES on all four commands; and the CASES of
-  tests/golden/regen.py. Each run works in a fresh directory with relative
-  paths, and is hashed whole: exit code, stdout, stderr and output files.
+  integrators, in two blocks, as made and with sensor noise, so that a change
+  of the noise stream cannot hide a mismatch among the runs without it; the
+  bench envelope ops in csv and json; each of BAD_ENVELOPE_FILES on all four
+  commands; and the CASES of tests/golden/regen.py. Each run works in a fresh
+  directory with relative paths, and is hashed whole: exit code, stdout,
+  stderr and output files.
 
 An outcome is bytes, or an exception's type name and message, so a str always
 means a raise. Each family prints its totals, raises and first five
@@ -444,9 +446,10 @@ def battery(workloads, regen) -> list:
          [(case, k) for case in [*envelope_cases(np.random.default_rng(44)), *tie_cases()]
           for k in range(4)]),
         ("wrench API", "cases", wrench_api, wrench_cases(workloads)),
-        ("takeoffs", "runs", cli_runs,
-         [case for seed, integrator, noise in itertools.product(SEEDS, INTEGRATORS, (False, True))
-          for case in bench_ops(workloads.Takeoff(seed, integrator), noise)]),
+        *((f"takeoffs, {block}", "runs", cli_runs,
+           [case for seed, integrator in itertools.product(SEEDS, INTEGRATORS)
+            for case in bench_ops(workloads.Takeoff(seed, integrator), noise)])
+          for block, noise in (("as made", False), ("with sensor noise", True))),
         ("envelopes", "runs", cli_runs,
          [case for seed, fmt in itertools.product(SEEDS, ("csv", "json"))
           for case in bench_ops(workloads.Envelope(seed), prefix=("--format", fmt))]),

@@ -165,21 +165,9 @@ def _text_writer(text):
     return lambda fh: write_text(fh, text)
 
 
-# the rows' items, one a line at the rows' indent, in one call of the C encoder,
-# which json.dumps does not take with indent=2
-_ROW_ITEMS = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": ")).encode
-
-
 def _rows_as_json(header, rows) -> str:
-    """json.dumps({"header": header, "rows": rows}, indent=2, allow_nan=False)
-    and a newline, for one or more nonempty rows of scalars; a non-finite
-    float raises ValueError."""
-    if not (rows and all(rows)):
-        raise ValueError("a table needs one or more nonempty rows")
-    # a raw newline in the items is a separator, never a string's
-    items = _ROW_ITEMS(rows)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
-    head = json.dumps(list(header), indent=2).replace("\n", "\n  ")
-    return f'{{\n  "header": {head},\n  "rows": [\n    [\n      {items}\n    ]\n  ]\n}}\n'
+    """The table as {"header", "rows"} JSON text; a non-finite float raises ValueError."""
+    return json.dumps({"header": list(header), "rows": rows}, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_envelope(args, values):

@@ -143,11 +143,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 def load_config(path) -> tuple[dict, str]:
     """The parsed values of the file at path and the sha256 hex digest of the
-    bytes parsed, read as UTF-8 text with universal newlines."""
+    bytes parsed, read as UTF-8 text, after any byte-order mark, with
+    universal newlines."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text, source=str(path)), hashlib.sha256(data).hexdigest()

@@ -180,46 +180,27 @@ def test_takeoff_json_format(tmp_path, capsys):
     assert len(data["rows"]) > 100
 
 
-def _dumps(header, rows):
-    """The table JSON as json.dumps writes it, with the pure-Python encoder."""
-    return json.dumps({"header": list(header), "rows": [list(r) for r in rows]},
-                      indent=2, allow_nan=False) + "\n"
-
-
-def test_table_json_is_json_dumps_with_indent_bit_for_bit(tmp_path, capsys):
-    # _rows_as_json writes through the C encoder the bytes that json.dumps
-    # writes with indent=2: on the golden cases' JSON tables (which round-trip,
-    # as JSON floats are their shortest repr) and on drawn rows of nulls,
-    # signed zeros, subnormals, huge floats, ints, bools and strings with
-    # quotes, escapes and what looks like a row separator
+def test_every_json_output_is_canonical(tmp_path, capsys):
+    # every JSON file the CLI writes (tables, events and manifests) is
+    # json.dumps text with indent=2, sorted keys and a final newline: on the
+    # golden cases that write JSON tables and on a default takeoff
     from golden.regen import CASES
 
-    tables = 0
-    for name, (config, argv) in CASES.items():
-        if "json" not in argv:
-            continue
+    cases = [(name, case) for name, case in CASES.items() if "json" in case[1]]
+    files = 0
+    for name, (config, argv) in [*cases, ("takeoff_default", (None, ["takeoff"]))]:
         if config is not None:
             (tmp_path / "case.cfg").write_text(config)
             argv = ["--config", str(tmp_path / "case.cfg"), *argv]
         assert run_cli(["--out", str(tmp_path / name), *argv], capsys)[0] == 0
         for path in (tmp_path / name).glob("*.json"):
-            if not path.name.endswith(("_manifest.json", "_events.json")):
-                data = json.loads(path.read_text())
-                assert path.read_text() == _dumps(data["header"], data["rows"]), path.name
-                tables += 1
-    assert tables == 3
-    rng = np.random.default_rng(36)
-    pool = [None, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 1.0, 0.1, 7, -3,
-            True, False, "", 'say "hi"', "back\\slash", "tab\tnew\nline", "\u00e9",
-            "],\n      [", "x, y"]
-    for _ in range(300):
-        rows = [[pool[k] for k in rng.integers(0, len(pool), rng.integers(1, 6))]
-                for _ in range(rng.integers(0, 5))]
-        rows += [tuple(rng.normal(0.0, 10.0 ** rng.uniform(-300, 300), 3).tolist())]
-        header = [pool[k] for k in rng.integers(14, len(pool), rng.integers(0, 4))]
-        assert cli._rows_as_json(header, rows) == _dumps(header, rows), rows
-    # a non-finite float, an empty table and an empty row are refused
-    for rows in ([[1.0, math.nan]], [[1.0], [2.0, math.inf]], [[-math.inf]], [], [[1.0], []]):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True,
+                                      allow_nan=False) + "\n", path.name
+            files += 1
+    assert (len(cases), files) == (3, 9)
+    # a non-finite float is refused
+    for rows in ([[1.0, math.nan]], [[1.0], [2.0, math.inf]], [[-math.inf]]):
         with pytest.raises(ValueError):
             cli._rows_as_json(["x"], rows)
 
@@ -889,3 +870,25 @@ def test_manifest_hashes_the_config_bytes_the_run_parsed(tmp_path, capsys, monke
     manifest = json.loads((tmp_path / "trim_manifest.json").read_text())
     assert manifest["input_hashes"]["config"] == parsed
     assert parsed != hashlib.sha256(cfg.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [["envelope", "--postures", "P1,P3"], ["takeoff"], ["trim"],
+                                  ["wrench-eval", "--thrust-ff", "30"]])
+def test_a_config_file_may_start_with_a_utf8_byte_order_mark(tmp_path, capsys, argv):
+    # a BOM is valid UTF-8: the run is the one without it, and only the
+    # manifest's config digest, of the bytes as read, tells them apart
+    text = b"sim.duration_s = 0.05\nenvelope.n_points = 5\nposture = P2\n"
+    runs = {}
+    for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(data)
+        out = tmp_path / name
+        runs[name] = run_cli(["--config", str(cfg), "--out", str(out), *argv], capsys)
+        manifest_name = f"{argv[0].replace('-', '_')}_manifest.json"
+        manifest = json.loads((out / manifest_name).read_text())
+        assert manifest.pop("input_hashes") == {"config": hashlib.sha256(data).hexdigest()}
+        del manifest["wall_clock_s"]
+        runs[name] += (manifest, {path.name: path.read_bytes() for path in out.iterdir()
+                                  if path.name != manifest_name})
+    assert runs["bom"] == runs["plain"]
+    assert runs["plain"][0] == 0

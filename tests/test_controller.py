@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import struct
 
 import numpy as np
@@ -353,13 +354,26 @@ def test_closed_loop_hover_realizes_the_designed_poles(omega_n):
         assert zeta == pytest.approx(0.7, abs=0.025), (axis, zeta)
 
 
-def test_closed_loop_hover_static_errors_are_torque_over_b_kp():
-    # under Perturbation.standard() the PD loop settles where the feet's
-    # torque cancels the disturbance's: error = tau / (b kp), b the body
-    # torque per radian of mean (pitch) or differential (yaw) foot angle, here
-    # by central differences of the perturbed wrench at the trim. At the
-    # default 12 rad/s that is 3.13 deg of pitch and -3.82 deg of yaw
-    pert = Perturbation.standard()
+def drawn_perturbation(seed):
+    """A CoM x error within +-15 mm and each foot's axis bias within +-3 deg, drawn apart."""
+    rng = random.Random(seed)
+    return Perturbation(com_offset=(rng.uniform(-0.015, 0.015), 0.0, 0.0),
+                        foot_axis_misalignment_left=math.radians(rng.uniform(-3.0, 3.0)),
+                        foot_axis_misalignment_right=math.radians(rng.uniform(-3.0, 3.0)))
+
+
+@pytest.mark.parametrize("seed", [None, *range(6)],
+                         ids=["standard", *(f"drawn{seed}" for seed in range(6))])
+def test_closed_loop_hover_static_errors_are_torque_over_b_kp(seed):
+    # under a perturbation the PD loop settles where the feet's torque
+    # cancels the disturbance's: error = tau / (b kp), b the body torque per
+    # radian of mean (pitch) or differential (yaw) foot angle, here by central
+    # differences of the perturbed wrench at the trim. At the default
+    # 12 rad/s Perturbation.standard() gives 3.13 deg of pitch and -3.82 deg
+    # of yaw. b is taken at the trim, so the prediction drifts as the settled
+    # feet move from it: the pitches read within 4.6e-3 (-5.27 deg, drawn1)
+    # and the yaws within 7.3e-4 (-5.10 deg, drawn2)
+    pert = Perturbation.standard() if seed is None else drawn_perturbation(seed)
     f, trim = HOVER.f_left, HOVER.theta_left
 
     def torque(left, right):
@@ -372,8 +386,8 @@ def test_closed_loop_hover_static_errors_are_torque_over_b_kp():
     b_yaw = (torque(trim - d, trim + d)[2] - torque(trim + d, trim - d)[2]) / (2.0 * d)
     samples, gains = fly_hover(12.0, (1.0, 0.0, 0.0, 0.0), pert, seconds=2.0)
     pitch, yaw = samples[-1]
-    assert pitch == pytest.approx(tau_y / (b_pitch * gains.kp_pitch), rel=2e-3)
-    assert yaw == pytest.approx(tau_z / (b_yaw * gains.kp_yaw), rel=2e-3)
+    assert pitch == pytest.approx(tau_y / (b_pitch * gains.kp_pitch), rel=5e-3)
+    assert yaw == pytest.approx(tau_z / (b_yaw * gains.kp_yaw), rel=1e-3)
 
 
 def test_tune_gains_rejects_degenerate_geometry():

@@ -225,6 +225,20 @@ def test_instant_full_thrust_lifts_immediately():
     assert log.events["liftoff_time_s"] == 0.0
 
 
+@pytest.mark.parametrize("tau", [0.1, 0.03])
+def test_spool_lag_is_the_exact_first_order_response(tau):
+    # a step to the target, held over each step, through the lag tau: every
+    # logged thrust is 48 (1 - exp(-t / tau)), read 5.2e-15 and 2.2e-15 apart
+    # at most; alpha = dt / tau in place of 1 - exp(-dt / tau) is 4.9e-3 and
+    # 1.6e-2 off
+    cfg = scenario_from_config({"thrust.ramp_time_s": 0.0,
+                                "limits.thrust_time_constant_s": tau})
+    log = run_scenario(cfg)
+    assert len(log.rows) == 626
+    for t, f in zip(column(log, "time_s"), column(log, "fF")):
+        assert f == pytest.approx(48.0 * -math.expm1(-t / tau), rel=1e-12, abs=0.0), t
+
+
 def test_phase_transitions_once():
     log = run_scenario(ScenarioConfig())
     phases = [row[log.header.index("phase")] for row in log.rows]

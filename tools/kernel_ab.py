@@ -32,6 +32,10 @@ family runs one case list, built once, through each tree:
   commands; and the CASES of tests/golden/regen.py. Each run works in a fresh
   directory with relative paths, and is hashed whole: exit code, stdout,
   stderr and output files.
+- generated sources: the source text that spatial.compile_build compiles
+  for sim._step_builder's step and run, each integrator,
+  wrench.rows_builder and controller.tick_builder, read back from
+  linecache, where compile_build keeps it.
 
 An outcome is bytes, or an exception's type name and message, so a str always
 means a raise. Each family prints its totals, raises and first five
@@ -42,9 +46,8 @@ minimum and median ms per op, with parent/change of the minima beside
 parent/parent2, the A/A ratio that tells how far a ratio moves on identical
 code. Whole CLI ops cannot resolve a move of a few percent in the loop, so
 sim.run_scenario alone is then timed on each seed-7 takeoff config and on
-the default config (fewer of its steps are on the ground), and
-cli._rows_as_json on the default takeoff log, the same way: minimum per
-case, summed. The script exits 1 on any mismatch.
+the default config (fewer of its steps are on the ground), the same way:
+minimum per case, summed. The script exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ import importlib.util
 import io
 import itertools
 import json
+import linecache
 import math
 import os
 import random
@@ -432,6 +436,24 @@ def cli_runs(tree, cases) -> list:
     return outcomes
 
 
+BUILDS = (*(("sim", "_step_builder", (integrator, name))
+            for integrator in INTEGRATORS for name in ("step", "run")),
+          ("wrench", "rows_builder", ()), ("controller", "tick_builder", ()))
+
+
+def generated_sources(tree, cases) -> list:
+    """Each (module, builder, arguments) case's source text, as compiled.
+
+    The builder's cached result would skip compile_build, and both trees
+    file a build under one linecache name, so each case builds afresh and
+    reads the text back at once."""
+    def source(module, builder, args):
+        build = getattr(tree[module], builder).__wrapped__(*args)
+        return "".join(linecache.cache[build.__code__.co_filename][2]).encode()
+
+    return [attempt(lambda: source(*case)) for case in cases]
+
+
 def battery(workloads, regen) -> list:
     """(label, unit, family, cases) of every family, each case list built once."""
     step_list = [(integrator, k, *case) for seed, integrator in enumerate(INTEGRATORS, start=41)
@@ -456,6 +478,7 @@ def battery(workloads, regen) -> list:
         ("bad envelope settings", "runs", cli_runs,
          list(itertools.product(BAD_ENVELOPE_FILES, COMMANDS))),
         ("golden cases", "runs", cli_runs, list(regen.CASES.values())),
+        ("generated sources", "builds", generated_sources, list(BUILDS)),
     ]
 
 
@@ -548,10 +571,6 @@ def main(argv=None) -> int:
                        {name: [lambda sim=tree["sim"], cfg=tree["sim"].ScenarioConfig(
                            integrator=integrator): sim.run_scenario(cfg)]
                         for name, tree in trees.items()}, args.rounds)
-        log = b["sim"].run_scenario(b["sim"].ScenarioConfig())
-        time_cases(trees, "table JSON (cli._rows_as_json, the default takeoff log)",
-                   {name: [lambda cli=tree["cli"]: cli._rows_as_json(log.header, log.rows)]
-                    for name, tree in trees.items()}, args.rounds)
     print("MISMATCH" if bad else "identical")
     return 1 if bad else 0
 

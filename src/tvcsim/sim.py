@@ -407,9 +407,10 @@ def run(cfg, controller, rng, append):
     k_f, k_b, k_l, k_r = cfg.perturbation.thrust_scale
     tau, n_steps = cfg.limits.thrust_time_constant, cfg._n_steps
     target_per_fan, ramp_time = cfg.ramp.target_per_fan, cfg.ramp.ramp_time
-    # an ideal actuator already sits on the schedule at t = 0
+    # an ideal actuator sits on the schedule from t = 0, and alpha = 1 copies it exactly
     if tau == 0.0:
 {ramp_0}        f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
+        alpha = 1.0
     else:
         f_f = f_b = f_l = f_r = 0.0
         alpha = 1.0 - math.exp(-dt / tau)  # spool lag per step
@@ -487,13 +488,10 @@ def run(cfg, controller, rng, append):
             # held on the ground: the attitude, and so its angles, are unchanged
             t = t_end
         # advance the thrusts toward the schedule over (now, now + dt]
-{ramp_t}        if tau > 0.0:
-            f_f += alpha * (sched * k_f - f_f)
-            f_b += alpha * (sched * k_b - f_b)
-            f_l += alpha * (sched * k_l - f_l)
-            f_r += alpha * (sched * k_r - f_r)
-        else:
-            f_f, f_b, f_l, f_r = sched * k_f, sched * k_b, sched * k_l, sched * k_r
+{ramp_t}        f_f += alpha * (sched * k_f - f_f)
+        f_b += alpha * (sched * k_b - f_b)
+        f_l += alpha * (sched * k_l - f_l)
+        f_r += alpha * (sched * k_r - f_r)
 
     return {{
         "liftoff_time_s": liftoff,

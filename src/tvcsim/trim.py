@@ -24,7 +24,9 @@ import math
 from .robot import FanLimits, RobotGeometry
 from .wrench import FanState, pitch_arms, total_wrench
 
-_TOL = 1e-10  # on the residual and lateral wrench norms
+# of the weight (forces, and the thrust limits' allowance) or of the weight times
+# the largest pitch arm (torques): on P1, 1e-10 N, 1e-10 N*m and 1e-9 N
+_FORCE_TOL, _TORQUE_TOL, _THRUST_TOL = 6e-13, 1.63e-12, 6e-12
 
 
 class NoTrimError(Exception):
@@ -53,18 +55,17 @@ def hover_trim(
         fs, theta_pitch = _solve_waist_differential(geo)
 
     fx, fy, fz, tx, ty, tz = total_wrench(fs, geo, theta_pitch).world
-    norm = math.hypot(fx, fz, ty)
-    if not norm <= _TOL:  # a NaN fails too
-        raise NoTrimError(
-            f"trim leaves a residual wrench norm {norm:.3e} "
-            f"(fx={fx:.3e} N, fz={fz:.3e} N, ty={ty:.3e} N*m)"
-        )
-    if not math.hypot(fy, tx, tz) <= _TOL:
+    force = _FORCE_TOL * geo.weight
+    torque = _TORQUE_TOL * geo.weight * max(map(abs, pitch_arms(geo, *geo.com_body[::2])))
+    if not (math.hypot(fx, fz) <= force and abs(ty) <= torque):  # a NaN fails too
+        raise NoTrimError(f"trim leaves a residual wrench fx={fx:.3e} N, fz={fz:.3e} N, "
+                          f"ty={ty:.3e} N*m")
+    if not (abs(fy) <= force and math.hypot(tx, tz) <= torque):
         raise NoTrimError(f"trim leaves a roll torque tx={tx:.3e} N*m with the CoM "
                           f"{geo.com_body[1]} m off the plane of symmetry")
     thrusts = (fs.f_front, fs.f_back, fs.f_left, fs.f_right)
     worst = max(max(thrusts) - limits.thrust_max_per_fan, limits.thrust_min - min(thrusts))
-    if worst > 1e-9:
+    if worst > _THRUST_TOL * geo.weight:
         raise NoTrimError(
             f"trim needs per-fan thrust outside [{limits.thrust_min}, "
             f"{limits.thrust_max_per_fan}] N (state: {fs})"

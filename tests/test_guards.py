@@ -1,12 +1,13 @@
 """Guards on contracts kept outside the package (bench trace targets, the
-events keys the bench reads, README), on code that only tests call, on where
-numpy is imported and loaded, on what the oracles import from the package, on
-the one geometry construction, on the takeoff loop's and the hover trim's
-wrench evaluations, rotation-matrix builds and fan-state constructions, on
-the loop's attitude readouts, on the takeoff step's one derivative template,
-the loop's one controller tick and the commands that compile them, on the
-one source of the pitch arms, on the envelope solver's batching and point
-objects and on the one home of the run record."""
+events keys the bench reads, the builds kernel_ab compares, README), on code
+that only tests call, on where numpy is imported and loaded, on what the
+oracles import from the package, on the one geometry construction, on the
+takeoff loop's and the hover trim's wrench evaluations, rotation-matrix
+builds and fan-state constructions, on the loop's attitude readouts, on the
+takeoff step's one derivative template, the loop's one controller tick and
+the commands that compile them, on the one source of the pitch arms, on the
+envelope solver's batching and point objects and on the one home of the run
+record."""
 
 import argparse
 import ast
@@ -50,6 +51,27 @@ def test_every_bench_trace_target_resolves():
         for attr in method:
             obj = vars(obj)[attr]
         assert callable(obj), target
+
+
+def test_kernel_ab_compares_the_source_of_every_build():
+    # tools/kernel_ab.py's generated-sources family reads back what each of
+    # BUILDS compiles; a builder missing from it would change its source unseen
+    tree = ast.parse((ROOT / "tools" / "kernel_ab.py").read_text())
+    (builds,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["BUILDS"]]
+    named = {(entry.elts[0].value, entry.elts[1].value) for entry in ast.walk(builds)
+             if isinstance(entry, ast.Tuple) and len(entry.elts) == 3
+             and all(isinstance(e, ast.Constant) for e in entry.elts[:2])}
+    compiling = set()
+    for path in (ROOT / "src" / "tvcsim").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and "compile_build" in (
+                        getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                    for call in ast.walk(node)):
+                compiling.add((path.stem, node.name))
+    assert named == compiling == {("sim", "_step_builder"), ("wrench", "rows_builder"),
+                                  ("controller", "tick_builder")}
 
 
 def _takeoff_record_keys() -> set[str]:

@@ -239,6 +239,42 @@ def test_spool_lag_is_the_exact_first_order_response(tau):
         assert f == pytest.approx(48.0 * -math.expm1(-t / tau), rel=1e-12, abs=0.0), t
 
 
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("dt", [2e-4, 1e-3, 2e-3])
+def test_an_ideal_fan_logs_the_ramp_schedule_bit_for_bit(dt, integrator):
+    # tau = 0 runs the spool-lag update with alpha = 1, f + (sched * k - f):
+    # RAMP never falls, and from one nonzero step to the next never more than
+    # doubles (the second step's is exactly twice the first's), so the
+    # difference is exact (Sterbenz) and the sum is sched * k. Row 0 logs the
+    # schedule at t = 0, row i that at the end of step i - 1, (i - 1) dt + dt
+    scale = (1.02, 0.97, 1.2, 0.8)
+
+    def run(target, ramp_time):
+        cfg = ScenarioConfig(ramp=ThrustRamp(target_per_fan=target, ramp_time=ramp_time),
+                             limits=FanLimits(thrust_time_constant=0.0), dt_s=dt,
+                             sample_rate_hz=1.0 / dt, duration_s=0.52, integrator=integrator,
+                             perturbation=Perturbation(thrust_scale=scale))
+        log = run_scenario(cfg)
+        thrusts = [[row[log.header.index(name)] for name in ("fF", "fB", "fL", "fR")]
+                   for row in log.rows]
+        return thrusts, cfg._n_steps
+
+    for target in (0.0, 17.3, 48.0, DEFAULT_THRUST_MAX):
+        for ramp_time in (0.0, 0.4 * dt, 1.5 * dt, 0.5):
+            thrusts, n_steps = run(target, ramp_time)
+            assert len(thrusts) == n_steps + 1, (target, ramp_time)
+            for i, logged in enumerate(thrusts):
+                t = 0.0 if i == 0 else (i - 1) * dt + dt
+                sched = (target if ramp_time == 0.0 or t >= ramp_time
+                         else target * (t / ramp_time))
+                assert repr(logged) == repr([sched * k for k in scale]), (target, ramp_time, i)
+    # a -0.0 target logs -0 at t = 0, then 0: -0.0 + (-0.0 - -0.0) is +0.0
+    for ramp_time in (0.0, 0.5):
+        thrusts, _ = run(-0.0, ramp_time)
+        assert repr(thrusts[0]) == repr([-0.0] * 4)
+        assert all(repr(logged) == repr([0.0] * 4) for logged in thrusts[1:]), ramp_time
+
+
 def test_phase_transitions_once():
     log = run_scenario(ScenarioConfig())
     phases = [row[log.header.index("phase")] for row in log.rows]
@@ -463,14 +499,17 @@ def mass_thrust_scaled(k):
 @pytest.mark.parametrize("mode", list(ControlMode))
 def test_mass_thrust_scaling_leaves_the_flight_unchanged(mode, integrator):
     # k times every mass, inertia and thrust keeps every acceleration, so the
-    # tuned gains and the flight stay the same and the logged thrusts scale by k
+    # trim angle, the tuned gains and the flight stay the same and the logged
+    # thrusts scale by k; the trim's tolerances scale with the robot, so a
+    # power of two far from the default mass flies the same bits too
     options = MIRROR_BASE | {"mode": mode.value, "sim.integrator": integrator}
     log = run_scenario(scenario_from_config(options | mass_thrust_scaled(1.0)))
     thrusts = [log.header.index(name) for name in ("fF", "fB", "fL", "fR")]
     states = [i for i in range(len(log.header) - 1) if i not in thrusts]  # not the phase
-    for k in (0.5, 2.0, 3.0):
+    for k in (2.0 ** -20, 2.0 ** -7, 0.5, 2.0, 2.0 ** 12, 2.0 ** 20, 3.0):
         image = run_scenario(scenario_from_config(options | mass_thrust_scaled(k)))
-        assert image.events["config"]["gains_used"] == log.events["config"]["gains_used"], k
+        for key in ("gains_used", "trim_foot_angle_deg"):
+            assert image.events["config"][key] == log.events["config"][key], (key, k)
         assert [row[-1] for row in image.rows] == [row[-1] for row in log.rows], k  # phases
         if k != 3.0:  # a power of two scales every product exactly
             assert ({**image.events, "config": None} == {**log.events, "config": None}), k

@@ -112,3 +112,7 @@ def test_trim_respects_thrust_limits():
     geo = geometry_from_posture(builtin_posture("P1"))
     with pytest.raises(NoTrimError):
         hover_trim(geo, limits=FanLimits(thrust_max_per_fan=41.0))
+    # the allowance scales with the weight, not with the cap: a 1e308 N cap
+    # forgives no floor above the trim's 41.7 N
+    with pytest.raises(NoTrimError, match="outside"):
+        hover_trim(geo, limits=FanLimits(thrust_max_per_fan=1e308, thrust_min=45.0))

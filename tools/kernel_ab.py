@@ -39,21 +39,20 @@ family runs one case list, built once, through each tree:
 
 An outcome is bytes, or an exception's type name and message, so a str always
 means a raise. Each family prints its totals, raises and first five
-mismatches. Unless --rounds is 0, the seed-7 bench ops (takeoffs, both
-integrators, and envelopes) are then timed through each tree's cli.main, and
-through a second load of the parent, the three in a random order each round:
-minimum and median ms per op, with parent/change of the minima beside
-parent/parent2, the A/A ratio that tells how far a ratio moves on identical
-code. Whole CLI ops cannot resolve a move of a few percent in the loop, so
-sim.run_scenario alone is then timed on each seed-7 takeoff config and on
-the default config (fewer of its steps are on the ground), the same way:
-minimum per case, summed. The script exits 1 on any mismatch.
+mismatches. Unless --rounds is 0, each case of the seed-7 bench ops
+(takeoffs, both integrators, and envelopes) through cli.main, and of
+sim.run_scenario alone on their takeoff configs and on the default config,
+is then timed on each tree and on a second load of the parent, the three in
+a random order each round. Per-case minima and medians are summed;
+parent/parent2, the A/A ratio, tells how far parent/change moves on
+identical code. The script exits 1 on any mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib
 import importlib.util
@@ -64,6 +63,7 @@ import linecache
 import math
 import os
 import random
+import statistics
 import struct
 import sys
 import tempfile
@@ -492,58 +492,66 @@ def compare(label: str, unit: str, cases, parent: list, change: list) -> int:
     return len(bad)
 
 
-def time_ops(trees: dict, gen, label: str, rounds: int) -> None:
-    """Interleaved ms per bench op of gen, ops 0-14, through each tree's
-    cli.main, each tree into its own output directory; parent2, a second load
-    of the parent, gives the A/A ratio beside parent/change."""
-    times = {name: [] for name in trees}
-    with tempfile.TemporaryDirectory() as tmp:
-        argvs = []
-        for k, (config, argv) in enumerate(bench_ops(gen)):
-            path = os.path.join(tmp, f"op{k}.cfg")
-            Path(path).write_text(config)
-            argvs.append(["--config", path, *argv])
+def timed(workloads) -> list:
+    """(label, cases) of every timed family, a case as timed_calls takes it: the
+    seed-7 bench ops, then run_scenario alone on their takeoff configs and on
+    the default config (fewer of its steps are on the ground)."""
+    takeoffs = [workloads.Takeoff(7, integrator) for integrator in INTEGRATORS]
+    ops = [(f"takeoff {gen.integrator}", gen) for gen in takeoffs]
+    return ([(f"{label} ops", [(*op, gen.expected_exit) for op in bench_ops(gen)])
+             for label, gen in [*ops, ("envelope", workloads.Envelope(7))]]
+            + [(f"run_scenario {gen.integrator} ({what})", [(text, None, None) for text in texts])
+               for gen in takeoffs
+               for what, texts in (("seed-7 takeoff configs", [t for t, _ in bench_ops(gen)]),
+                                   ("the default config", [f"sim.integrator = {gen.integrator}"]))])
+
+
+def timed_calls(tree, work: str, cases: list) -> list:
+    """tree's zero-argument call of each (config text, argv, exit codes) case:
+    cli.main on the config written into work, with --out work and argv,
+    asserting one of the exit codes, or, where argv is None, run_scenario
+    alone on the config's scenario."""
+    def cli(argv, codes):
+        code = run_cli(tree, argv)[0]
+        assert code in codes, code
+
+    config, calls = tree["config"], []
+    for k, (text, argv, codes) in enumerate(cases):
+        if argv is None:
+            cfg = config.scenario_from_config(config.parse_config_text(text))
+            calls.append(functools.partial(tree["sim"].run_scenario, cfg))
+        else:
+            path = os.path.join(work, f"op{k}.cfg")
+            Path(path).write_text(text)
+            calls.append(functools.partial(cli, ["--config", path, "--out", work, *argv], codes))
+    return calls
+
+
+def time_cases(trees: dict, label: str, cases: list, rounds: int) -> None:
+    """Interleaved time of each case on each tree, the trees in a random order
+    each round: the per-case minima and medians summed, parent/change and
+    parent/parent2 of the minima, and parent/change's range over the cases."""
+    times = {name: [[] for _ in cases] for name in trees}
+    with tempfile.TemporaryDirectory() as tmp:  # mkdtemp's names are of one length
+        calls = {name: timed_calls(tree, tempfile.mkdtemp(dir=tmp), cases)
+                 for name, tree in trees.items()}
         for _ in range(rounds):
             for name in random.sample(sorted(trees), len(trees)):
-                out = ["--out", os.path.join(tmp, name)]
-                t0 = time.perf_counter()
-                codes = [run_cli(trees[name], out + argv)[0] for argv in argvs]
-                times[name].append(time.perf_counter() - t0)
-                assert all(code in gen.expected_exit for code in codes), codes
-    ms = {name: (min(ts) * 1e3 / OPS, sorted(ts)[len(ts) // 2] * 1e3 / OPS)
-          for name, ts in times.items()}
-    print(f"{label} ops (seed 7, ops 0-{OPS - 1}), ms per op over {rounds} rounds: "
-          + "".join(f"{name} min {lo:.2f} median {mid:.2f}, " for name, (lo, mid) in ms.items())
-          + f"parent/change min {ms['parent'][0] / ms['change'][0]:.3f}, "
-          + f"parent/parent2 min {ms['parent'][0] / ms['parent2'][0]:.3f}")
-
-
-def time_cases(trees: dict, label: str, cases: dict, rounds: int) -> None:
-    """Interleaved minimum time of each case on each tree; cases maps a tree's
-    name to its zero-argument calls, one a case, in one order across trees.
-    Prints the per-case minima summed, parent/change and parent/parent2 of the
-    sums, and the range of parent/change over the cases."""
-    best = {name: [math.inf] * len(calls) for name, calls in cases.items()}
-    for _ in range(rounds):
-        for name in random.sample(sorted(trees), len(trees)):
-            for k, call in enumerate(cases[name]):
-                t0 = time.perf_counter()
-                call()
-                best[name][k] = min(best[name][k], time.perf_counter() - t0)
+                for k, call in enumerate(calls[name]):
+                    t0 = time.perf_counter()
+                    call()
+                    times[name][k].append(time.perf_counter() - t0)
+    best = {name: [min(ts) for ts in per_case] for name, per_case in times.items()}
     total = {name: sum(ts) * 1e3 for name, ts in best.items()}
+    median = {name: sum(statistics.median(ts) for ts in per_case) * 1e3
+              for name, per_case in times.items()}
     ratios = sorted(p / c for p, c in zip(best["parent"], best["change"]))
-    print(f"{label}, {len(ratios)} cases, minima summed over {rounds} rounds (ms): "
-          + "".join(f"{name} {ms:.2f}, " for name, ms in total.items())
+    print(f"{label}, {len(ratios)} cases over {rounds} rounds, ms summed over the cases: "
+          + "".join(f"{name} min {total[name]:.2f} median {median[name]:.2f}, "
+                    for name in trees)
           + f"parent/change {total['parent'] / total['change']:.3f}, "
           + f"parent/parent2 {total['parent'] / total['parent2']:.3f}; "
           + f"per-case parent/change {ratios[0]:.3f}-{ratios[-1]:.3f}")
-
-
-def run_scenario_cases(tree, gen) -> list:
-    """tree's run_scenario on the configs of gen's ops 0-14, one call a case."""
-    from_text = tree["config"].parse_config_text
-    cfgs = [tree["config"].scenario_from_config(from_text(text)) for text, _ in bench_ops(gen)]
-    return [lambda cfg=cfg: tree["sim"].run_scenario(cfg) for cfg in cfgs]
 
 
 def main(argv=None) -> int:
@@ -559,18 +567,8 @@ def main(argv=None) -> int:
               for label, unit, family, cases in battery(workloads, regen))
     if args.rounds > 0:
         trees = {"parent": a, "change": b, "parent2": load(args.parent_root, "tvcsim_parent2")}
-        for integrator in INTEGRATORS:
-            time_ops(trees, workloads.Takeoff(7, integrator), f"takeoff {integrator}", args.rounds)
-        time_ops(trees, workloads.Envelope(7), "envelope", args.rounds)
-        for integrator in INTEGRATORS:
-            gen = workloads.Takeoff(7, integrator)
-            time_cases(trees, f"run_scenario {integrator} (seed-7 takeoff configs)",
-                       {name: run_scenario_cases(tree, gen) for name, tree in trees.items()},
-                       args.rounds)
-            time_cases(trees, f"run_scenario {integrator} (the default config)",
-                       {name: [lambda sim=tree["sim"], cfg=tree["sim"].ScenarioConfig(
-                           integrator=integrator): sim.run_scenario(cfg)]
-                        for name, tree in trees.items()}, args.rounds)
+        for label, cases in timed(workloads):
+            time_cases(trees, label, cases, args.rounds)
     print("MISMATCH" if bad else "identical")
     return 1 if bad else 0
 

@@ -38,11 +38,12 @@ from . import __version__
 from .config import (
     ConfigError,
     envelope_settings_from_config,
+    keyed,
     load_config,
     scenario_from_config,
 )
 from .controller import ControlMode
-from .robot import EnvelopeInfeasibleError, write_text
+from .robot import EnvelopeInfeasibleError, FieldError, write_text
 from .sim import run_scenario
 from .trim import NoTrimError, hover_trim
 from .wrench import FanState, total_wrench
@@ -84,8 +85,8 @@ def main(argv=None) -> int:
         _publish(os.path.join(args.out, f"{name}_manifest.json"), _text_writer(text))
         print("\n".join(report))
         return code
-    except ValueError as exc:  # ConfigError and UnknownPostureError among them
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # ConfigError, FieldError and UnknownPostureError among them
+        print(f"error: {keyed(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:  # an envelope sweep too large to allocate, say
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
@@ -197,8 +198,11 @@ def cmd_envelope(args, values):
         constraint = EnvelopeConstraint.hover(geo, cfg.posture, cfg.limits)
         if settings.min_vertical_force is not None:
             constraint = replace(constraint, min_vertical_force=settings.min_vertical_force)
-        # one LP call: the level lane of the TVC/DT ratio is the sweep's first lane
-        (ratio_max, ratio_min), rows = _level_ratio_and_sweep(geo, constraint, settings)
+        try:  # one LP call: the level lane of the TVC/DT ratio is the sweep's first lane
+            (ratio_max, ratio_min), rows = _level_ratio_and_sweep(geo, constraint, settings)
+        except MemoryError as exc:  # the sweep's arrays grow with n_points
+            raise FieldError("out of memory" + (f": {exc}" if str(exc) else ""),
+                             "n_points") from None
         if args.format == "csv":
             write = functools.partial(write_envelope_csv, rows)
         else:  # an infeasible strategy's nan cells are null in JSON
@@ -263,8 +267,11 @@ def cmd_wrench_eval(args, values):
     geo = cfg.geometry()
     for name in ("thrust_ff", "thrust_fb", "thrust_fl", "thrust_fr", "theta_l", "theta_r",
                  "theta_pitch"):
-        if not math.isfinite(getattr(args, name)):
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite")
+        value, option = getattr(args, name), f"--{name.replace('_', '-')}"
+        if not math.isfinite(value):
+            raise ConfigError(f"{option} must be finite")
+        if name.startswith("thrust") and value < 0.0:
+            raise ConfigError(f"{option} must be >= 0, got {value}")
     fs = FanState(
         f_front=args.thrust_ff, f_back=args.thrust_fb,
         f_left=args.thrust_fl, f_right=args.thrust_fr,

@@ -10,7 +10,8 @@ at all. SCHEMA below is the one table of keys, and the README's configuration
 table is their one description. scenario_from_config resolves every key
 through its row: one merge, _merged, sets the field (or tuple element) that
 the row names on its consumer's default, so an absent key keeps that default.
-Only the posture label is read by name. The one set of defaults held here is
+Only the posture label is read by name. A check names its fields (FieldError),
+and keyed the keys whose rows set them. The one set of defaults held here is
 the envelope sweep's, EnvelopeSettings, the one check of the sweep settings,
 which envelope_sweep takes from this module too. Every command resolves its
 robot through scenario_from_config, which checks the envelope.* values first,
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .controller import ControlMode, ControllerGains, ThrustRamp
-from .robot import FanLimits, Posture, builtin_posture
+from .robot import FanLimits, FieldError, Posture, builtin_posture
 from .sim import Perturbation, ScenarioConfig
 from .spatial import EulerAngles
 
@@ -32,8 +33,8 @@ SWEEP_PITCH_RANGE = (-math.pi / 6.0, math.pi / 6.0)  # rad, the default envelope
 SWEEP_POINTS = 61
 
 
-class ConfigError(ValueError):
-    """Malformed config file, unknown key, or invalid value."""
+class ConfigError(FieldError):
+    """Malformed config file, unknown key, or invalid value (of fields, if named)."""
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,11 @@ class EnvelopeSettings:
 
     def __post_init__(self):  # a NaN fails each check too
         if not (self.min_vertical_force is None or self.min_vertical_force > 0.0):
-            raise ConfigError("min_vertical_force must be positive")
+            raise ConfigError("min_vertical_force must be positive", "min_vertical_force")
         if not self.n_points >= 2:
-            raise ConfigError("n_points must be >= 2")
+            raise ConfigError("n_points must be >= 2", "n_points")
         if not self.theta_pitch_range[0] <= self.theta_pitch_range[1]:
-            raise ConfigError("theta_pitch_range must be ordered (min, max)")
+            raise ConfigError("theta_pitch_range must be ordered (min, max)", "theta_pitch_range")
 
 
 # key -> (type, consumer, field[, index]): the value sets `field` of the consumer
@@ -154,14 +155,23 @@ def load_config(path) -> tuple[dict, str]:
     return parse_config_text(text, source=str(path)), hashlib.sha256(data).hexdigest()
 
 
-_REQUIRED_GAINS = ["controller.kp_pitch", "controller.kd_pitch",
-                   "controller.kp_yaw", "controller.kd_yaw"]
-_TUNING_KEYS = ["controller.damping_ratio", "controller.natural_freq_pitch_rad_s",
-                "controller.natural_freq_yaw_rad_s"]
+# RobotGeometry's fields that ScenarioConfig.geometry sets from others, by those
+_GEOMETRY_SOURCES = {"com_body": ("com_sagittal", "com_y"),
+                     "fan_foot_x": ("foot_fan",), "fan_foot_z": ("foot_fan",)}
 
 
-def _sets(values: dict, consumer) -> bool:
-    return any(SCHEMA[key][1] is consumer for key in values)
+def keyed(exc: Exception) -> str:
+    """The message of exc, led by the keys whose SCHEMA rows set the fields it
+    names, in SCHEMA order, where exc is a FieldError; other messages as they are."""
+    names = {source for name in getattr(exc, "fields", ())
+             for source in _GEOMETRY_SOURCES.get(name, (name,))}
+    keys = [key for key, row in SCHEMA.items() if row[2] in names]
+    return f"{', '.join(keys)}: {exc}" if keys else str(exc)
+
+
+def _given(values: dict, consumer) -> list[str]:
+    """The fields of consumer that values sets."""
+    return [SCHEMA[key][2] for key in values if SCHEMA[key][1] is consumer]
 
 
 def _merged(values: dict, base):
@@ -197,18 +207,20 @@ def scenario_from_config(values: dict) -> ScenarioConfig:
         if "mode" in values:
             values = values | {"mode": ControlMode.parse(values["mode"])}
         gains = None  # tuned at scenario start
-        if _sets(values, ControllerGains):
-            missing = [k for k in _REQUIRED_GAINS if k not in values]
+        if given := _given(values, ControllerGains):
+            missing = [f.name for f in fields(ControllerGains)
+                       if f.default is MISSING and f.name not in given]
             if missing:
-                raise ConfigError(
-                    f"explicit gains need all of {_REQUIRED_GAINS}; missing {missing}")
-            tuning = [k for k in _TUNING_KEYS if k in values]
+                raise FieldError(f"explicit gains need every kp and kd; missing {missing}",
+                                 *given, *missing)
+            tuning = [name for name in _given(values, ScenarioConfig)
+                      if name in ("zeta", "omega_n_pitch", "omega_n_yaw")]
             if tuning:
-                raise ConfigError(
-                    f"explicit gains are used as given; remove the tuning keys {tuning}")
+                raise FieldError(f"explicit gains are used as given, not tuned by {tuning}",
+                                 *given, *tuning)
             gains = _merged(values, ControllerGains(0.0, 0.0, 0.0, 0.0))  # all four set
         # any perturbation key replaces the standard set
-        perturbation = Perturbation() if _sets(values, Perturbation) else Perturbation.standard()
+        perturbation = Perturbation() if _given(values, Perturbation) else Perturbation.standard()
         return _merged(values, ScenarioConfig(
             gains=gains,
             perturbation=_merged(values, perturbation),
@@ -219,7 +231,7 @@ def scenario_from_config(values: dict) -> ScenarioConfig:
             setpoint=_merged(values, EulerAngles(0.0, 0.0, 0.0)),
         ))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(keyed(exc)) from None
 
 
 def envelope_settings_from_config(values: dict) -> EnvelopeSettings:

@@ -34,10 +34,10 @@ from __future__ import annotations
 import functools
 import math
 import textwrap
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
-from .robot import FanLimits, Posture, RobotGeometry
+from .robot import FanLimits, FieldError, Posture, RobotGeometry
 from .spatial import WRAP, EulerAngles, compile_build
 from .trim import NoTrimError
 from .wrench import pitch_arms
@@ -74,7 +74,7 @@ class ControllerGains:
         for name in ("kp_pitch", "kd_pitch", "kp_yaw", "kd_yaw", "ki_pitch", "ki_yaw"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:  # a NaN fails too
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+                raise FieldError(f"{name} must be finite and >= 0, got {value}", name)
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ class ThrustRamp:
 
     def __post_init__(self):
         if not self.target_per_fan >= 0.0:  # a NaN fails too
-            raise ValueError("target_per_fan must be >= 0")
+            raise FieldError("target_per_fan must be >= 0", "target_per_fan")
         if not self.ramp_time >= 0.0:
-            raise ValueError("ramp_time must be >= 0")
+            raise FieldError("ramp_time must be >= 0", "ramp_time")
 
 
 # the per-fan thrust sched at time {t} >= 0 as source, which the takeoff loop
@@ -110,8 +110,9 @@ def tune_gains(geo: RobotGeometry, hover_thrust_per_fan: float, trim_foot_angle:
     rounded to four significant digits. ScenarioConfig's default natural
     frequency is chosen so the point-mass inertia surrogate holds attitude
     against the standard CoM-offset and joint-bias disturbances with a few
-    degrees of steady-state error. Raises NoTrimError where b <= 0, and
-    ControllerGains' ValueError where a gain overflows a float.
+    degrees of steady-state error. Raises NoTrimError where b <= 0, and a
+    FieldError where a gain overflows a float, naming zeta and the natural
+    frequencies, or geo's fields where I / b overflows whatever the tuning.
     """
     f = hover_thrust_per_fan
     _, _, arm_v, arm_h = pitch_arms(geo, geo.com_body[0], geo.com_body[2])
@@ -128,12 +129,17 @@ def tune_gains(geo: RobotGeometry, hover_thrust_per_fan: float, trim_foot_angle:
     def sig4(v: float) -> float:
         return float(f"{v:.4g}")
 
-    return ControllerGains(  # wn * wn overflows to inf, where wn**2 would raise
-        kp_pitch=sig4(i_yy * (omega_n_pitch * omega_n_pitch) / b_pitch),
-        kd_pitch=sig4(2.0 * zeta * omega_n_pitch * i_yy / b_pitch),
-        kp_yaw=sig4(i_zz * (omega_n_yaw * omega_n_yaw) / b_yaw),
-        kd_yaw=sig4(2.0 * zeta * omega_n_yaw * i_zz / b_yaw),
-    )
+    try:
+        return ControllerGains(  # wn * wn overflows to inf, where wn**2 would raise
+            kp_pitch=sig4(i_yy * (omega_n_pitch * omega_n_pitch) / b_pitch),
+            kd_pitch=sig4(2.0 * zeta * omega_n_pitch * i_yy / b_pitch),
+            kp_yaw=sig4(i_zz * (omega_n_yaw * omega_n_yaw) / b_yaw),
+            kd_yaw=sig4(2.0 * zeta * omega_n_yaw * i_zz / b_yaw),
+        )
+    except FieldError as exc:
+        if math.isfinite(i_yy / b_pitch) and math.isfinite(i_zz / b_yaw):
+            raise FieldError(f"tuned {exc}", "zeta", "omega_n_pitch", "omega_n_yaw") from None
+        raise FieldError(f"tuned {exc}", *(f.name for f in fields(geo) if f.init)) from None
 
 
 # min(hi, max(lo, x)) by comparisons as source, which TICK and the takeoff

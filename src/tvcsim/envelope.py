@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SWEEP_PITCH_RANGE, SWEEP_POINTS, EnvelopeSettings
-from .robot import EnvelopeInfeasibleError, FanLimits, Posture, RobotGeometry, write_text
+from .robot import (EnvelopeInfeasibleError, FanLimits, FieldError, Posture, RobotGeometry,
+                    write_text)
 from .wrench import pitch_arms
 
 _FEAS_TOL = 1e-9
@@ -69,14 +70,12 @@ class EnvelopeConstraint:
         """Constraint for holding weight: vertical thrust >= M g.
 
         The thrust LP's per-fan floor is fixed at 0 N, so limits with a
-        nonzero thrust_min are rejected rather than silently ignored.
+        nonzero thrust_min are refused, a FieldError, rather than silently ignored.
         """
         limits = limits or FanLimits()
         if limits.thrust_min != 0.0:
-            raise ValueError(
-                f"the envelope search fixes the per-fan thrust floor at 0 N; "
-                f"got thrust_min {limits.thrust_min} N"
-            )
+            raise FieldError("the envelope search fixes the per-fan thrust floor at 0 N; "
+                             f"got thrust_min {limits.thrust_min} N", "thrust_min")
         return cls(
             min_vertical_force=geo.weight,
             per_fan_max=limits.thrust_max_per_fan,
@@ -169,7 +168,8 @@ def _rows(arms, theta_pitch, theta_feet):
 def _table(geo, constraint, thetas) -> list[list[float]]:
     """One row per pitch of thetas, from one LP call: (dt_tau_min, dt_tau_max,
     tvc_tau_min, tvc_tau_max) as floats, a pair nan where either direction of
-    its strategy is infeasible; ValueError if an LP value overflows a float.
+    its strategy is infeasible; a FieldError naming the cap and the floor if an
+    LP value overflows a float.
 
     Each direction (tau_max, or tau_min as the maximum of the negated torque)
     is solved at candidate foot angles that hang on the pitch alone: 0 (DT's),
@@ -231,9 +231,10 @@ def _table(geo, constraint, thetas) -> list[list[float]]:
     value[:, kept] = solved.reshape(2, -1)
     value = value.reshape(2, n, m)  # (direction, pitch, candidate)
     if not (value < math.inf).all():  # a NaN fails too
-        raise ValueError(f"the envelope LP overflows a float at a per-fan cap of "
+        raise FieldError(f"the envelope LP overflows a float at a per-fan cap of "
                          f"{constraint.per_fan_max} N and a vertical force floor of "
-                         f"{constraint.min_vertical_force} N")
+                         f"{constraint.min_vertical_force} N",
+                         "thrust_max_per_fan", "min_vertical_force")
     (dt_max, dt_min), (tvc_max, tvc_min) = (
         value[:, :, 0].tolist(),
         (value if lo <= 0.0 <= hi else value[:, :, 1:]).max(axis=2).tolist())

@@ -36,6 +36,14 @@ class UnknownPostureError(ValueError):
     """Raised for a posture label that is not one of the builtins."""
 
 
+class FieldError(ValueError):
+    """A failed check of a dataclass's values, naming the fields it checks."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 class EnvelopeInfeasibleError(Exception):
     """No fan state can meet the vertical-force floor at this attitude.
 
@@ -59,10 +67,9 @@ class Posture:
 
     def __post_init__(self):
         lo, hi = self.foot_pitch_range_deg
-        if not lo < hi:
-            raise ValueError(f"foot pitch range must have min < max, got ({lo}, {hi})")
-        if lo < -90.0 or hi > 90.0:
-            raise ValueError(f"foot pitch range must lie within [-90, 90] deg, got ({lo}, {hi})")
+        if not -90.0 <= lo < hi <= 90.0:  # a NaN fails too
+            raise FieldError(f"foot pitch range must have -90 <= min < max <= 90 deg, got "
+                             f"({lo}, {hi})", "foot_pitch_range_deg")
 
     @property
     def foot_pitch_range(self) -> tuple[float, float]:
@@ -102,14 +109,13 @@ class FanLimits:
 
     def __post_init__(self):
         if not 0.0 <= self.thrust_min < self.thrust_max_per_fan:
-            raise ValueError(
-                f"need 0 <= thrust_min < thrust_max_per_fan, got "
-                f"({self.thrust_min}, {self.thrust_max_per_fan})"
-            )
+            raise FieldError(f"need 0 <= thrust_min < thrust_max_per_fan, got "
+                             f"({self.thrust_min}, {self.thrust_max_per_fan})",
+                             "thrust_min", "thrust_max_per_fan")
         if not self.foot_pitch_rate_max > 0.0:  # a NaN fails too
-            raise ValueError("foot_pitch_rate_max must be positive")
+            raise FieldError("foot_pitch_rate_max must be positive", "foot_pitch_rate_max")
         if not self.thrust_time_constant >= 0.0:
-            raise ValueError("thrust_time_constant must be >= 0")
+            raise FieldError("thrust_time_constant must be >= 0", "thrust_time_constant")
 
 
 @dataclass
@@ -139,11 +145,12 @@ class RobotGeometry:
     def __post_init__(self):
         self.com_body = tuple(map(float, self.com_body))
         if len(self.com_body) != 3:
-            raise ValueError("com_body must hold 3 coordinates")
+            raise FieldError("com_body must hold 3 coordinates", "com_body")
         if not self.mass_total > 0.0:  # a NaN fails too
-            raise ValueError("mass_total must be positive")
+            raise FieldError("mass_total must be positive", "mass_total")
         if not (self.fan_spacing_waist > 0.0 and self.fan_spacing_feet > 0.0):
-            raise ValueError("fan spacings must be positive")
+            raise FieldError("fan spacings must be positive", "fan_spacing_waist",
+                             "fan_spacing_feet")
         self.inertia_body = point_mass_inertia(self)
         self.inertia_inverse = _inverse(self.inertia_body)
 
@@ -164,14 +171,15 @@ def _inverse(rows) -> tuple:
     """The diagonal tensor's inverse as its adjugate's diagonal quotients, and
     its one check, on floats: Sylvester's leading principal minors, the last
     being the determinant the adjugate is divided by. An underflowed minor, a
-    NaN, an overflow or a non-finite inverse fails it."""
+    NaN, an overflow or a non-finite inverse fails it, naming the surrogate's inputs."""
     (a, _, _), (_, e, _), (_, _, i) = rows
     det = a * (e * i)
     if a > 0.0 and a * e > 0.0 and det > 0.0:
         inverse = (e * i / det, a * i / det, a * e / det)
         if all(map(math.isfinite, inverse)):
             return inverse
-    raise ValueError("inertia_body must be finite and positive-definite")
+    raise FieldError("inertia_body must be finite and positive-definite", "fan_mass", "com_body",
+                     "fan_spacing_waist", "fan_foot_x", "fan_foot_z", "fan_spacing_feet")
 
 
 def point_mass_inertia(geo: RobotGeometry) -> tuple:
@@ -184,7 +192,8 @@ def point_mass_inertia(geo: RobotGeometry) -> tuple:
     """
     fan_mass = geo.fan_mass
     if not (fan_mass >= 0.0 and 4.0 * fan_mass <= geo.mass_total):  # a NaN fails too
-        raise ValueError("fan_mass must be >= 0 and four fans must not exceed total mass")
+        raise FieldError("fan_mass must be >= 0 and four fans must not exceed total mass",
+                         "fan_mass", "mass_total")
     x_c, y_c, z_c = geo.com_body
     i_xx = i_yy = i_zz = 0.0
     for px, py, pz in geo.fan_positions():

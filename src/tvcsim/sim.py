@@ -74,6 +74,7 @@ from .robot import (
     DEFAULT_WAIST_FAN_SPACING,
     GRAVITY,
     FanLimits,
+    FieldError,
     Posture,
     RobotGeometry,
     builtin_posture,
@@ -149,17 +150,18 @@ class Perturbation:
         self.com_offset = float_tuple(self.com_offset)
         self.thrust_scale = float_tuple(self.thrust_scale)
         if len(self.com_offset) != 3 or len(self.thrust_scale) != 4:
-            raise ValueError("com_offset needs 3 values and thrust_scale 4")
-        if not abs(self.foot_axis_misalignment_left) <= MAX_FOOT_AXIS_BIAS:  # a NaN fails too
-            raise ValueError("|foot_axis_misalignment_left| must be <= 10 deg")
-        if not abs(self.foot_axis_misalignment_right) <= MAX_FOOT_AXIS_BIAS:
-            raise ValueError("|foot_axis_misalignment_right| must be <= 10 deg")
+            raise FieldError("com_offset needs 3 values and thrust_scale 4",
+                             "com_offset", "thrust_scale")
+        for side in ("left", "right"):
+            name = f"foot_axis_misalignment_{side}"
+            if not abs(getattr(self, name)) <= MAX_FOOT_AXIS_BIAS:  # a NaN fails too
+                raise FieldError(f"|{name}| must be <= 10 deg", name)
         front, back, left, right = self.thrust_scale
         if not (0.8 <= front <= 1.2 and 0.8 <= back <= 1.2 and 0.8 <= left <= 1.2
                 and 0.8 <= right <= 1.2):
-            raise ValueError("thrust_scale factors must lie in [0.8, 1.2]")
+            raise FieldError("thrust_scale factors must lie in [0.8, 1.2]", "thrust_scale")
         if not all(map(math.isfinite, self.com_offset)):
-            raise ValueError("com_offset must be finite")
+            raise FieldError("com_offset must be finite", "com_offset")
 
     @classmethod
     def standard(cls) -> "Perturbation":
@@ -199,29 +201,25 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if not 0.0 < self.dt_s <= MAX_PHYSICS_DT:  # a NaN fails too
-            raise ValueError(f"physics dt must be in (0, {MAX_PHYSICS_DT}] s")
-        self._n_steps = _steps(self.duration_s, self.dt_s, "sim.duration_s")
+            raise FieldError(f"physics dt must be in (0, {MAX_PHYSICS_DT}] s", "dt_s")
+        self._n_steps = _steps(self.duration_s, self.dt_s, "duration_s", "duration_s")
         if self.integrator not in ("euler", "rk4"):
-            raise ValueError("integrator must be 'euler' or 'rk4'")
+            raise FieldError("integrator must be 'euler' or 'rk4'", "integrator")
         if self.seed < 0:  # random.Random(-s) seeds as Random(s): one stream, one seed
-            raise ValueError(f"sim.seed must be >= 0, got {self.seed}")
-        for key, value in (("controller.damping_ratio", self.zeta),
-                           ("controller.natural_freq_pitch_rad_s", self.omega_n_pitch),
-                           ("controller.natural_freq_yaw_rad_s", self.omega_n_yaw),
-                           ("sim.sensor_noise_std", self.sensor_noise_std)):
-            if not value >= 0.0:  # a NaN fails too
-                raise ValueError(f"{key} must be >= 0, got {value:g}")
+            raise FieldError(f"seed must be >= 0, got {self.seed}", "seed")
+        for name in ("zeta", "omega_n_pitch", "omega_n_yaw", "sensor_noise_std"):
+            if not getattr(self, name) >= 0.0:  # a NaN fails too
+                raise FieldError(f"{name} must be >= 0, got {getattr(self, name):g}", name)
         if not abs(self.setpoint.pitch) <= 0.5 * math.pi:  # the Z-Y-X pitch's range; NaN fails
-            raise ValueError("controller.setpoint_pitch_deg must lie in [-90, 90], "
-                             f"got {math.degrees(self.setpoint.pitch):.10g}")
-        for key, rate in (("controller.rate_hz", self.controller_rate),
-                          ("sim.sample_rate_hz", self.sample_rate_hz)):
-            if not rate > 0.0:
-                raise ValueError(f"{key} must be positive, got {rate} Hz")
+            raise FieldError("the setpoint's pitch must lie in [-90, 90] deg, "
+                             f"got {math.degrees(self.setpoint.pitch):.10g}", "pitch")
+        for name in ("controller_rate", "sample_rate_hz"):
+            if not getattr(self, name) > 0.0:
+                raise FieldError(f"{name} must be positive, got {getattr(self, name)} Hz", name)
         self._controller_substeps = _steps(1.0 / self.controller_rate, self.dt_s,
-                                           "the controller.rate_hz period")
+                                           "the controller_rate period", "controller_rate")
         self._sample_substeps = _steps(1.0 / self.sample_rate_hz, self.dt_s,
-                                       "the sim.sample_rate_hz period")
+                                       "the sample_rate_hz period", "sample_rate_hz")
 
     def geometry(self) -> RobotGeometry:
         return geometry_from_posture(
@@ -229,16 +227,18 @@ class ScenarioConfig:
             fan_spacing_feet=self.fan_spacing_feet, fan_mass=self.fan_mass, com_y=self.com_y)
 
 
-def _steps(span: float, dt: float, what: str) -> int:
-    """The whole number of dt steps in span s, from 1 to MAX_STEPS; what names span."""
+def _steps(span: float, dt: float, what: str, name: str) -> int:
+    """The whole number of dt steps in span s, from 1 to MAX_STEPS; what names span, name
+    its field."""
     n = span / dt
     if not n <= MAX_STEPS:  # an overflow or a NaN fails too
-        raise ValueError(f"{what} / sim.dt_s must be at most {MAX_STEPS} steps, "
-                         f"got {span} s / {dt} s")
+        raise FieldError(f"{what} / dt_s must be at most {MAX_STEPS} steps, "
+                         f"got {span} s / {dt} s", name, "dt_s")
     if n < 1.0 - 1e-9:  # -inf too, which round() cannot take
-        raise ValueError(f"{what} {span} s must be at least one sim.dt_s {dt} s step")
+        raise FieldError(f"{what} {span} s must be at least one dt_s {dt} s step", name, "dt_s")
     if abs(n - round(n)) > 1e-9:
-        raise ValueError(f"{what} {span} s must be a whole number of sim.dt_s {dt} s steps")
+        raise FieldError(f"{what} {span} s must be a whole number of dt_s {dt} s steps",
+                         name, "dt_s")
     return round(n)
 
 
@@ -614,16 +614,15 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     that tripped a divergence guard ("diverged", with the guard's message in
     events["divergence_reason"]) or took the CoM below its start height
     ("touchdown", with the step's end in events["touchdown_time_s"]). No log
-    row or event comes from the state that ended the run. Raises ValueError
+    row or event comes from the state that ended the run. Raises FieldError
     if the thrust ramp exceeds the per-fan cap, or if a sensor-noise draw
     overflows a measurement.
     """
     # checked here, not in ScenarioConfig: the ramp is the takeoff run's alone
     if cfg.ramp.target_per_fan > cfg.limits.thrust_max_per_fan:
-        raise ValueError(
-            f"thrust ramp target {cfg.ramp.target_per_fan} N exceeds the "
-            f"{cfg.limits.thrust_max_per_fan} N per-fan limit"
-        )
+        raise FieldError(f"thrust ramp target {cfg.ramp.target_per_fan} N exceeds the "
+                         f"{cfg.limits.thrust_max_per_fan} N per-fan limit",
+                         "target_per_fan", "thrust_max_per_fan")
     geo = cfg.geometry()
     trim_state, _trim_pitch = hover_trim(geo, equal_thrust=True, limits=cfg.limits,
                                          foot_pitch_range=cfg.posture.foot_pitch_range)
@@ -646,12 +645,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
 def _measure(pitch, yaw, wy, wz, cfg, rng):
     """The tick's (pitch, yaw, rate_y, rate_z) under sensor noise: Box-Muller
     on four rng.random() draws, each radius of 1 - u so that log never sees 0.
-    Raises ValueError where a draw overflows a measurement."""
+    Raises FieldError where a draw overflows a measurement."""
     sigma, u = cfg.sensor_noise_std, rng.random
     r1, a1 = sigma * math.sqrt(-2.0 * math.log(1.0 - u())), math.tau * u()
     r2, a2 = sigma * math.sqrt(-2.0 * math.log(1.0 - u())), math.tau * u()
     measured = (pitch + r1 * math.cos(a1), yaw + r1 * math.sin(a1),
                 wy + r2 * math.cos(a2), wz + r2 * math.sin(a2))
     if not all(map(math.isfinite, measured)):
-        raise ValueError(f"sim.sensor_noise_std {sigma:g} drew a non-finite measurement")
+        raise FieldError(f"sensor_noise_std {sigma:g} drew a non-finite measurement",
+                         "sensor_noise_std")
     return measured

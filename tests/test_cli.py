@@ -19,6 +19,7 @@ from tvcsim import cli, envelope
 from tvcsim.config import (
     ConfigError,
     envelope_settings_from_config,
+    keyed,
     load_config,
     scenario_from_config,
 )
@@ -154,7 +155,7 @@ def test_every_command_rejects_a_negative_seed(tmp_path, capsys, command, source
     seed = ["--seed", "-1"] if source == "option" else []
     code, out, err = run_cli([*seed, "--config", str(cfg), "--out", str(tmp_path),
                               *COMMANDS[command]], capsys)
-    assert (code, out, err) == (2, "", "error: sim.seed must be >= 0, got -1\n")
+    assert (code, out, err) == (2, "", "error: sim.seed: seed must be >= 0, got -1\n")
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -341,6 +342,16 @@ def test_wrench_eval_rejects_a_non_finite_option(tmp_path, capsys, option):
     assert not (tmp_path / "wrench_eval_manifest.json").exists()
 
 
+@pytest.mark.parametrize("option", ["--thrust-ff", "--thrust-fb", "--thrust-fl", "--thrust-fr"])
+def test_wrench_eval_names_the_option_of_a_negative_thrust(tmp_path, capsys, option):
+    # the option, not FanState's field, is what the user typed; -0.0 is kept
+    code, out, err = run_cli(["--out", str(tmp_path), "wrench-eval", f"{option}=-5"], capsys)
+    assert (code, out, err) == (2, "", f"error: {option} must be >= 0, got -5.0\n")
+    assert not (tmp_path / "wrench_eval_manifest.json").exists()
+    code, _, err = run_cli(["--out", str(tmp_path), "wrench-eval", f"{option}=-0.0"], capsys)
+    assert (code, err) == (0, "")
+
+
 def test_wrench_eval_rejects_an_overflowing_wrench(tmp_path, capsys):
     # finite options whose thrust sum overflows: no NaN/inf rows and no numpy warning
     with warnings.catch_warnings():
@@ -447,8 +458,8 @@ def test_envelope_out_of_memory_is_one_line_exit_2(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(tvcsim.envelope, "_level_ratio_and_sweep", sweep)
     code, out, err = run_cli(["--out", str(tmp_path), "envelope", "--postures", "P1"], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: out of memory: Unable to allocate 13.4 GiB for an array with " \
-                  "shape (200000000, 9)\n"
+    assert err == "error: envelope.n_points: out of memory: Unable to allocate 13.4 GiB " \
+                  "for an array with shape (200000000, 9)\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -471,7 +482,8 @@ def test_thrust_cap_below_ramp_fails_only_takeoff(tmp_path, capsys):
         assert code == 0
     code, _, err = run_with_config(tmp_path, capsys, text, "takeoff")
     assert code == 2
-    assert err == "error: thrust ramp target 48.0 N exceeds the 47.0 N per-fan limit\n"
+    assert err == ("error: limits.thrust_max_per_fan_n, thrust.target_per_fan_n: thrust ramp "
+                   "target 48.0 N exceeds the 47.0 N per-fan limit\n")
 
 
 def test_trim_without_foot_authority_exit_3(tmp_path, capsys):
@@ -520,7 +532,14 @@ def test_light_robot_with_light_fans_trims(tmp_path, capsys):
     code, out, err = run_with_config(
         tmp_path, capsys, "geometry.mass_kg = 17\ngeometry.fan_mass_kg = 5\n", "trim")
     assert code == 2 and out == ""
-    assert err == "error: fan_mass must be >= 0 and four fans must not exceed total mass\n"
+    assert err == ("error: geometry.mass_kg, geometry.fan_mass_kg: fan_mass must be >= 0 and "
+                   "four fans must not exceed total mass\n")
+
+
+# the keys that set the fields the surrogate inertia reads
+INERTIA_KEYS = ("posture.com_x_m, posture.com_z_m, posture.foot_x_m, posture.foot_z_m, "
+                "geometry.waist_fan_spacing_m, geometry.foot_fan_spacing_m, geometry.fan_mass_kg, "
+                "geometry.com_y_m")
 
 
 def test_overflowing_surrogate_inertia_exit_2(tmp_path, capsys):
@@ -531,7 +550,7 @@ def test_overflowing_surrogate_inertia_exit_2(tmp_path, capsys):
         warnings.simplefilter("error")
         code, out, err = run_with_config(tmp_path, capsys, text, "trim")
     assert code == 2 and out == ""
-    assert err == "error: inertia_body must be finite and positive-definite\n"
+    assert err == f"error: {INERTIA_KEYS}: inertia_body must be finite and positive-definite\n"
 
 
 def test_zero_fan_mass_exit_2(tmp_path, capsys):
@@ -539,7 +558,7 @@ def test_zero_fan_mass_exit_2(tmp_path, capsys):
     for command in COMMANDS:
         code, out, err = run_with_config(tmp_path, capsys, "geometry.fan_mass_kg = 0\n", command)
         assert (code, out) == (2, ""), command
-        assert err == "error: inertia_body must be finite and positive-definite\n"
+        assert err == f"error: {INERTIA_KEYS}: inertia_body must be finite and positive-definite\n"
 
 
 @pytest.mark.parametrize("mode", ["both-on", "pitch-only", "all-off"])
@@ -549,7 +568,8 @@ def test_an_overflowing_noise_draw_exits_2_in_every_mode(tmp_path, capsys, mode)
     text = f"sim.sensor_noise_std = 1e308\nmode = {mode}\n"
     code, out, err = run_with_config(tmp_path, capsys, text, "takeoff")
     assert (code, out) == (2, "")
-    assert err == "error: sim.sensor_noise_std 1e+308 drew a non-finite measurement\n"
+    assert err == ("error: sim.sensor_noise_std: sensor_noise_std 1e+308 drew a non-finite "
+                   "measurement\n")
     assert not list(tmp_path.glob("takeoff/*"))
 
 
@@ -652,7 +672,7 @@ def test_envelope_without_level_hover_exit_3(tmp_path, capsys):
                                   "envelope", "--postures", "P1"], capsys)
         assert out == ""
         if n_points == 1:
-            assert (code, err) == (2, "error: n_points must be >= 2\n")
+            assert (code, err) == (2, "error: envelope.n_points: n_points must be >= 2\n")
         else:
             assert code == 3, n_points
             assert err.startswith("infeasible: vertical force floor") and "with feet up" in err
@@ -711,7 +731,7 @@ def test_envelope_reports_what_the_public_searches_solve_apart(tmp_path, capsys,
             assert (code, out, err) == (3, "", f"infeasible: {exc}\n")
             continue
         except ValueError as exc:
-            assert (code, out, err) == (2, "", f"error: {exc}\n")
+            assert (code, out, err) == (2, "", f"error: {keyed(exc)}\n")
             continue
         assert struct.pack("<2d", *solved[k][0]) == struct.pack("<2d", *ratio)
         rows = [[math.degrees(p.theta_pitch),

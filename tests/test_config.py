@@ -13,12 +13,13 @@ from tvcsim.config import (
     ConfigError,
     EnvelopeSettings,
     envelope_settings_from_config,
+    keyed,
     load_config,
     parse_config_text,
     scenario_from_config,
 )
 from tvcsim.controller import ControlMode, ControllerGains, ThrustRamp
-from tvcsim.robot import FanLimits, Posture, builtin_posture, geometry_from_posture
+from tvcsim.robot import FanLimits, FieldError, Posture, builtin_posture, geometry_from_posture
 from tvcsim.sim import Perturbation, ScenarioConfig, run_scenario
 from tvcsim.spatial import EulerAngles
 
@@ -112,6 +113,43 @@ def test_partial_gains_rejected():
             scenario_from_config(parse_config_text(text))
 
 
+def test_keyed_names_the_keys_that_set_the_fields_a_check_names():
+    thrusts = ", ".join(f"perturbation.thrust_scale_{fan}"
+                        for fan in ("front", "back", "left", "right"))
+    for fields_named, keys in [
+        (("seed",), "sim.seed"),
+        # a check over several fields names every key, in SCHEMA order
+        (("thrust_min", "thrust_max_per_fan"), "limits.thrust_max_per_fan_n, limits.thrust_min_n"),
+        (("thrust_scale",), thrusts),  # a tuple field names each key that sets it
+        (("pitch",), "controller.setpoint_pitch_deg"),
+        # RobotGeometry's com_body and foot fan, by the fields that set them
+        (("com_body", "fan_foot_z"),
+         "posture.com_x_m, posture.com_z_m, posture.foot_x_m, posture.foot_z_m, geometry.com_y_m"),
+    ]:
+        assert keyed(FieldError("checked", *fields_named)) == f"{keys}: checked"
+    # no key sets the field, or no field check raised: the message as it is
+    assert keyed(FieldError("per_fan_max must be positive", "per_fan_max")) == \
+        "per_fan_max must be positive"
+    for exc in (ValueError("unknown control mode 'x'"), ConfigError("--thrust-ff must be finite")):
+        assert keyed(exc) == str(exc)
+    assert keyed(ConfigError("sim.seed: seed must be >= 0, got -1")) == \
+        "sim.seed: seed must be >= 0, got -1"  # a keyed message is keyed once
+
+
+def test_every_schema_field_has_one_consumer():
+    # keyed reads a field's keys by its name alone, so no two consumers share one
+    consumers = {}
+    for key, (_, consumer, name, *_) in SCHEMA.items():
+        assert consumers.setdefault(name, consumer) is consumer, key
+
+
+def test_a_file_that_sets_only_an_i_gain_names_every_gain_key():
+    with pytest.raises(ConfigError, match=r"^controller\.kp_pitch, controller\.kd_pitch, "
+                                          r"controller\.kp_yaw, controller\.kd_yaw, "
+                                          r"controller\.ki_pitch: explicit gains need every "):
+        scenario_from_config({"controller.ki_pitch": 0.1})
+
+
 def test_full_gains_accepted():
     text = "\n".join([
         "controller.kp_pitch = 1.0",
@@ -151,11 +189,15 @@ def test_envelope_settings():
     ("sim.dt_s = 0.01\nenvelope.n_points = 1", "n_points must be >= 2"),  # checked first
 ])
 def test_envelope_settings_are_checked_by_the_one_resolver(text, message):
-    # every command resolves through scenario_from_config, so it refuses them too
+    # every command resolves through scenario_from_config, so it refuses them
+    # too, led by the keys that set the fields the check names
     values = parse_config_text(text)
-    for resolve in (envelope_settings_from_config, scenario_from_config):
-        with pytest.raises(ConfigError, match=f"^{message}$"):
-            resolve(values)
+    with pytest.raises(ConfigError, match=f"^{message}$") as exc:
+        envelope_settings_from_config(values)
+    keys = ", ".join(key for key, row in SCHEMA.items() if row[2] in exc.value.fields)
+    assert keys.startswith("envelope.")
+    with pytest.raises(ConfigError, match=f"^{re.escape(keys)}: {message}$"):
+        scenario_from_config(values)
 
 
 def test_envelope_settings_reject_nan():

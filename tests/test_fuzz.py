@@ -1,6 +1,6 @@
 """Property-based fuzzing of the config files of every `tvcsim` command and of
-the `wrench-eval` fan-state options, and a deterministic sweep of every float
-key over the extremes of the float range.
+the `wrench-eval` fan-state options, and a deterministic sweep of every key
+over the extremes of its type: the float range, counts and a bogus name.
 
 Every input must end in a documented exit code (0 ok, 2 config error,
 3 infeasible, 4 divergence) with a one-line message, never in a traceback,
@@ -216,18 +216,21 @@ def test_wrench_eval_fuzz_ends_in_a_documented_way(values, posture, options, tmp
     check_key_value_report(code, stdout, err, out / "wrench_eval_manifest.json")
 
 
-EXTREME_FLOATS = (1e308, -1e308, 1e200, 1e-200, 1e-308, 5e-324)
+EXTREME_FLOATS = (1e308, -1e308, 1e200, 1e-200, 1e-308, 5e-324, -1.0, 0.0)
+# the int and str keys' counterparts, a count too large to allocate among them
+EXTREMES_BY_TYPE = {float: EXTREME_FLOATS, int: (-1, 0, 1, 10**11), str: ("bogus",)}
 COMMANDS = (["takeoff"], ["trim"], ["wrench-eval"], ["envelope", "--postures", "P1"])
 FLOAT_KEYS = sorted(key for key, (typ, *_) in SCHEMA.items() if typ is float)
+INT_AND_STR_KEYS = sorted(key for key, (typ, *_) in SCHEMA.items() if typ is not float)
 
 
-@pytest.mark.parametrize("key", FLOAT_KEYS)
-def test_extreme_float_values_end_in_a_documented_way(key, tmp_path):
-    # every float key at the edges of the float range, on every command: an
-    # overflow, an underflow or a subnormal ends in a documented exit with one
-    # line and strict outputs, never in a traceback, a warning or a nan
+def check_extreme_values(key, tmp_path):
+    # key at each of its type's extremes, on every command: an overflow, an
+    # underflow, a subnormal or a bad count or name ends in a documented exit
+    # with one line and strict outputs, never in a traceback, a warning or a
+    # nan, and an exit 2 names the key
     failures = []
-    for value, argv in itertools.product(EXTREME_FLOATS, COMMANDS):
+    for value, argv in itertools.product(EXTREMES_BY_TYPE[SCHEMA[key][0]], COMMANDS):
         out = tmp_path / f"{argv[0]}{value!r}"
         out.mkdir()
         base = {"sim.duration_s": 0.05, "envelope.n_points": 3}
@@ -244,6 +247,8 @@ def test_extreme_float_values_end_in_a_documented_way(key, tmp_path):
         problems += ["nan in stdout"] * ("nan" in stdout)
         if code == 2 and outputs:
             problems.append(f"exit 2 left {outputs}")
+        if code == 2 and key not in err:
+            problems.append(f"exit 2 without the key: {err!r}")
         if code in (2, 3) and len(err.strip().splitlines()) != 1:
             problems.append(f"stderr {err!r}")
         for name in outputs:
@@ -257,3 +262,13 @@ def test_extreme_float_values_end_in_a_documented_way(key, tmp_path):
         if problems:
             failures.append((value, argv[0], problems))
     assert failures == []
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_extreme_float_values_end_in_a_documented_way(key, tmp_path):
+    check_extreme_values(key, tmp_path)
+
+
+@pytest.mark.parametrize("key", INT_AND_STR_KEYS)
+def test_extreme_int_and_str_values_end_in_a_documented_way(key, tmp_path):
+    check_extreme_values(key, tmp_path)

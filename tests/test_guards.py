@@ -6,8 +6,8 @@ takeoff loop's and the hover trim's wrench evaluations, rotation-matrix
 builds and fan-state constructions, on the loop's attitude readouts, on the
 takeoff step's one derivative template, the loop's one controller tick and
 the commands that compile them, on the one source of the pitch arms, on the
-envelope solver's batching and point objects and on the one home of the run
-record."""
+envelope solver's batching and point objects, on the one home of the run
+record and on the one home of the config key names."""
 
 import argparse
 import ast
@@ -119,6 +119,35 @@ def test_every_cli_override_names_a_schema_key_and_a_parsed_option():
     options = {action.dest for p in (parser, *commands.choices.values()) for action in p._actions}
     assert set(cli.OVERRIDES.values()) <= set(SCHEMA)
     assert set(cli.OVERRIDES) <= options
+
+
+def test_no_module_spells_a_config_key_outside_schema():
+    # a check names its fields and config.keyed names their keys, so a key is
+    # spelled in SCHEMA's rows and in OVERRIDES' values (tied to SCHEMA above)
+    # alone. Every string constant and f-string piece of src/tvcsim but a
+    # docstring is searched for a dotted key; the undotted mode and posture are
+    # words of messages too, and the posture label is read by name
+    pattern = re.compile("|".join(rf"(?<![\w.]){re.escape(key)}(?!\w)"
+                                  for key in SCHEMA if "." in key))
+    spelled = []
+    for path in sorted((ROOT / "src" / "tvcsim").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                    and ast.get_docstring(node) is not None):
+                allowed.add(id(node.body[0].value))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                if (path.name, names) == ("config.py", {"SCHEMA"}):
+                    allowed |= set(map(id, node.value.keys))
+                elif (path.name, names) == ("cli.py", {"OVERRIDES"}):
+                    allowed |= set(map(id, node.value.values))
+        spelled += [f"{path.name}:{node.lineno}: {key}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in allowed for key in pattern.findall(node.value)]
+    assert spelled == []
 
 
 def _top_level_names(path):

@@ -634,10 +634,10 @@ def test_scenario_config_rejects_an_unreachable_setpoint_pitch():
     # the controller compares the setpoint with a Z-Y-X pitch, which lies in
     # [-90, 90] deg; the range's ends are kept
     for deg in (120.0, -91.0, 90.0 + 1e-9, math.inf):
-        with pytest.raises(ValueError, match=r"^controller\.setpoint_pitch_deg must lie in "
-                                             r"\[-90, 90\], got "):
+        with pytest.raises(ValueError, match=r"^the setpoint's pitch must lie in "
+                                             r"\[-90, 90\] deg, got "):
             ScenarioConfig(setpoint=EulerAngles(0.0, math.radians(deg), 0.0))
-    with pytest.raises(ValueError, match=r"got 120$"):
+    with pytest.raises(ValueError, match=r"^controller\.setpoint_pitch_deg: .* got 120$"):
         scenario_from_config({"controller.setpoint_pitch_deg": 120.0})
     for deg in (90.0, -90.0, 45.0):
         ScenarioConfig(setpoint=EulerAngles(0.0, math.radians(deg), 0.0))
@@ -658,18 +658,20 @@ def test_a_yaw_setpoint_is_flown_modulo_a_turn():
 
 
 def test_scenario_config_rejects_a_negative_seed():
-    with pytest.raises(ValueError, match=r"^sim.seed must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         ScenarioConfig(seed=-1)
+    with pytest.raises(ValueError, match=r"^sim\.seed: seed must be >= 0, got -1$"):
+        scenario_from_config({"sim.seed": -1})
 
 
 def test_scenario_config_rejects_a_negative_noise_sigma():
     # the loop draws noise only for a sigma > 0, so a negative one ran as 0
     for sigma in (-1.0, -1e-12, -math.inf):
-        with pytest.raises(ValueError, match=r"^sim\.sensor_noise_std must be >= 0, got -"):
+        with pytest.raises(ValueError, match=r"^sensor_noise_std must be >= 0, got -"):
             ScenarioConfig(sensor_noise_std=sigma)
-    with pytest.raises(ValueError, match=r"^sim\.sensor_noise_std must be >= 0, got nan$"):
+    with pytest.raises(ValueError, match=r"^sensor_noise_std must be >= 0, got nan$"):
         ScenarioConfig(sensor_noise_std=math.nan)
-    with pytest.raises(ValueError, match=r"got -1$"):
+    with pytest.raises(ValueError, match=r"^sim\.sensor_noise_std: .* got -1$"):
         scenario_from_config({"sim.sensor_noise_std": -1.0})
     ScenarioConfig(sensor_noise_std=0.0)  # zero, the default, is kept
 
@@ -678,28 +680,30 @@ def test_scenario_config_rejects_a_duration_of_partial_steps():
     # the loop runs whole steps, so a rounded step count would run past (or
     # stop short of) the duration and still report it
     for duration, dt in ((1.0016, 1e-3), (1.0014, 1e-3), (0.003, 2e-3), (1.00000001, 1e-3)):
-        with pytest.raises(ValueError, match=r"^sim\.duration_s \S+ s must be a whole number "
-                                             r"of sim\.dt_s \S+ s steps$"):
+        with pytest.raises(ValueError, match=r"^duration_s \S+ s must be a whole number "
+                                             r"of dt_s \S+ s steps$"):
             ScenarioConfig(duration_s=duration, dt_s=dt)
-    with pytest.raises(ValueError, match=r"^sim\.duration_s 1\.0016 s .* sim\.dt_s 0\.001 s"):
+    with pytest.raises(ValueError, match=r"^sim\.duration_s, sim\.dt_s: duration_s 1\.0016 s "
+                                         r".* dt_s 0\.001 s"):
         scenario_from_config({"sim.duration_s": 1.0016})
     for duration in (0.8, 1.2, 1.5, 2.5, 4.0):  # every golden case's duration
         for dt in (5e-4, 1e-3, 2e-3):
             ScenarioConfig(duration_s=duration, dt_s=dt)
     # the step cap is checked first and keeps its message
-    with pytest.raises(ValueError, match=r"^sim\.duration_s / sim\.dt_s must be at most"):
+    with pytest.raises(ValueError, match=r"^duration_s / dt_s must be at most"):
         ScenarioConfig(duration_s=1000.0005)
 
 
 def test_scenario_config_caps_the_step_count():
     # a grounded run leaves its loop only after every step, so an input that
-    # asks for astronomically many steps would never end; both name both keys
+    # asks for astronomically many steps would never end; both name both fields
     for kwargs in ({"dt_s": 1e-300},
                    {"ramp": ThrustRamp(target_per_fan=30.0), "duration_s": 1e9}):
-        with pytest.raises(ValueError, match=r"^sim\.duration_s / sim\.dt_s must be at most "
-                                             r"1000000 steps, got "):
+        with pytest.raises(ValueError, match=r"^duration_s / dt_s must be at most "
+                                             r"1000000 steps, got ") as exc:
             ScenarioConfig(**kwargs)
-    with pytest.raises(ValueError, match="at most 1000000 steps"):
+        assert exc.value.fields == ("duration_s", "dt_s")
+    with pytest.raises(ValueError, match=r"^sim\.duration_s, sim\.dt_s: .* at most 1000000 steps"):
         scenario_from_config({"sim.duration_s": 1000.001})
     ScenarioConfig(duration_s=1000.0)  # exactly the cap is kept (not run here)
 
@@ -707,15 +711,17 @@ def test_scenario_config_caps_the_step_count():
 def test_scenario_config_rejects_negative_pole_placement():
     # kd = 2 zeta wn I / b: a negative zeta and wn together would tune the
     # default gains, and a negative zeta alone would blame kd_pitch
-    for key in ("controller.damping_ratio", "controller.natural_freq_pitch_rad_s",
-                "controller.natural_freq_yaw_rad_s"):
-        with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be >= 0, got -1$"):
+    for key, name in (("controller.damping_ratio", "zeta"),
+                      ("controller.natural_freq_pitch_rad_s", "omega_n_pitch"),
+                      ("controller.natural_freq_yaw_rad_s", "omega_n_yaw")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)}: {name} must be >= 0, got -1$"):
             scenario_from_config({key: -1.0})
-    with pytest.raises(ValueError, match=r"^controller\.damping_ratio must be >= 0, got -0\.7$"):
+    with pytest.raises(ValueError, match=r"^controller\.damping_ratio: zeta must be >= 0, "
+                                         r"got -0\.7$"):
         scenario_from_config({"controller.damping_ratio": -0.7,
                               "controller.natural_freq_pitch_rad_s": -12.0,
                               "controller.natural_freq_yaw_rad_s": -12.0})
-    with pytest.raises(ValueError, match=r"^controller\.natural_freq_yaw_rad_s must be >= 0"):
+    with pytest.raises(ValueError, match=r"^omega_n_yaw must be >= 0"):
         ScenarioConfig(omega_n_yaw=math.nan)
     log = run_scenario(ScenarioConfig(zeta=0.0, duration_s=0.01))  # zero is kept
     assert log.events["config"]["gains_used"]["kd_pitch"] == 0.0
@@ -762,13 +768,14 @@ def test_scenario_config_validation():
         ScenarioConfig(duration_s=1e-4)
     with pytest.raises(ValueError):
         ScenarioConfig(controller_rate=333.0)  # not a multiple of dt
-    with pytest.raises(ValueError, match=r"^controller\.rate_hz must be positive"):
+    with pytest.raises(ValueError, match=r"^controller_rate must be positive"):
         ScenarioConfig(controller_rate=0.0)
-    # a period of more than MAX_STEPS steps, an overflowing one too, names its key
+    # a period of more than MAX_STEPS steps, an overflowing one too, names its field
     for rate in (1e-4, 1e-308, 5e-324):
-        with pytest.raises(ValueError, match=r"^the sim\.sample_rate_hz period / sim\.dt_s "
-                                             r"must be at most 1000000 steps"):
+        with pytest.raises(ValueError, match=r"^the sample_rate_hz period / dt_s "
+                                             r"must be at most 1000000 steps") as exc:
             ScenarioConfig(sample_rate_hz=rate)
+        assert exc.value.fields == ("sample_rate_hz", "dt_s")
     with pytest.raises(ValueError, match="must be at most 1000000 steps"):
         ScenarioConfig(duration_s=1e308)  # finite, but duration / dt overflows
     # the ramp is checked by its one consumer, the takeoff run

@@ -28,10 +28,13 @@ family runs one case list, built once, through each tree:
 - CLI runs through cli.main: the bench takeoff ops of those seeds, both
   integrators, in two blocks, as made and with sensor noise, so that a change
   of the noise stream cannot hide a mismatch among the runs without it; the
-  bench envelope ops in csv and json; each of BAD_ENVELOPE_FILES on all four
+  bench envelope ops in csv and json; bad config files, every config key
+  alone at each extreme of its type that tests/test_fuzz.py sweeps, then
+  TWO_KEY_FILES, which pin the order of the checks, on that sweep's four
   commands; and the CASES of tests/golden/regen.py. Each run works in a fresh
-  directory with relative paths, and is hashed whole: exit code, stdout,
-  stderr and output files.
+  directory with relative paths, and is kept as its exit code, a hash of its
+  stdout and output files, and its stderr, so that a family counts the
+  mismatches of exit code and those of stderr alone apart.
 - generated sources: the source text that spatial.compile_build compiles
   for sim._step_builder's step and run, each integrator,
   wrench.rows_builder and controller.tick_builder, read back from
@@ -94,10 +97,12 @@ def load(root: str, alias: str) -> dict:
 
 
 def change_modules(change_root: str):
-    """change_root's bench/workloads.py and tests/golden/regen.py, importing its tvcsim."""
+    """change_root's bench/workloads.py, tests/golden/regen.py and
+    tests/test_fuzz.py, importing its tvcsim."""
     root = os.path.abspath(change_root)
-    sys.path[:0] = [os.path.join(root, path) for path in ("tests/golden", "bench", "src")]
-    return importlib.import_module("workloads"), importlib.import_module("regen")
+    sys.path[:0] = [os.path.join(root, path)
+                    for path in ("tests/golden", "tests", "bench", "src")]
+    return tuple(map(importlib.import_module, ("workloads", "regen", "test_fuzz")))
 
 
 def attempt(call) -> bytes | str:
@@ -371,15 +376,18 @@ def wrench_api(tree, cases) -> list:
     return [attempt(lambda: evaluate(*case)) for case in cases]
 
 
-BAD_ENVELOPE_FILES = (
-    "envelope.n_points = 1\n",
-    "envelope.theta_pitch_min_deg = 40\n",
-    "envelope.min_vertical_force_n = -5\n",
+TWO_KEY_FILES = (
     "sim.dt_s = 0.01\nenvelope.n_points = 1\n",
     "limits.thrust_max_per_fan_n = 41\nenvelope.n_points = 1\n",  # no level hover
 )
-COMMANDS = (["envelope", "--postures", "P1"], ["takeoff"], ["trim"],
-            ["wrench-eval", "--thrust-fl", "40"])
+
+
+def bad_config_files(fuzz) -> list[str]:
+    """Every key of fuzz's SCHEMA alone at each of fuzz.EXTREMES_BY_TYPE's
+    values of its type, written as fuzz.run_main writes them, then TWO_KEY_FILES."""
+    return [f"{key} = {value!r}\n" if typ is float else f"{key} = {value}\n"
+            for key, (typ, *_) in fuzz.SCHEMA.items()
+            for value in fuzz.EXTREMES_BY_TYPE[typ]] + list(TWO_KEY_FILES)
 
 
 def bench_ops(gen, seed_noise: bool = False, prefix=()) -> list:
@@ -409,21 +417,21 @@ def run_cli(tree, argv) -> tuple:
 
 def cli_runs(tree, cases) -> list:
     """Each (config text or None, argv) case run in a fresh directory as
-    --config case.cfg --out out: the sha256 of its exit code, stdout, stderr
-    and every file in out."""
+    --config case.cfg --out out: its exit code, the sha256 of its stdout and
+    every file in out, and its stderr."""
     def run(config, argv):
         if config is not None:
             Path("case.cfg").write_text(config)
             argv = ["--config", "case.cfg", *argv]
         code, stdout, stderr = run_cli(tree, ["--out", "out", *argv])
-        h = hashlib.sha256(f"{code}\n{stdout}\n{stderr}\n".encode())
+        h = hashlib.sha256(stdout.encode())
         for name in sorted(os.listdir("out")) if os.path.isdir("out") else ():
             with open(os.path.join("out", name), "rb") as fh:
                 data = fh.read()
             if name.endswith("_manifest.json"):  # wall_clock_s differs run to run
                 data = json.dumps(json.loads(data) | {"wall_clock_s": 0}, sort_keys=True).encode()
             h.update(name.encode() + b"\0" + data)
-        return h.digest()
+        return code, h.digest(), stderr
 
     outcomes, home = [], os.getcwd()
     for config, argv in cases:
@@ -454,7 +462,7 @@ def generated_sources(tree, cases) -> list:
     return [attempt(lambda: source(*case)) for case in cases]
 
 
-def battery(workloads, regen) -> list:
+def battery(workloads, regen, fuzz) -> list:
     """(label, unit, family, cases) of every family, each case list built once."""
     step_list = [(integrator, k, *case) for seed, integrator in enumerate(INTEGRATORS, start=41)
                  for k, case in enumerate(step_cases(np.random.default_rng(seed)))]
@@ -475,20 +483,26 @@ def battery(workloads, regen) -> list:
         ("envelopes", "runs", cli_runs,
          [case for seed, fmt in itertools.product(SEEDS, ("csv", "json"))
           for case in bench_ops(workloads.Envelope(seed), prefix=("--format", fmt))]),
-        ("bad envelope settings", "runs", cli_runs,
-         list(itertools.product(BAD_ENVELOPE_FILES, COMMANDS))),
+        ("bad config files", "runs", cli_runs,
+         list(itertools.product(bad_config_files(fuzz), fuzz.COMMANDS))),
         ("golden cases", "runs", cli_runs, list(regen.CASES.values())),
         ("generated sources", "builds", generated_sources, list(BUILDS)),
     ]
 
 
 def compare(label: str, unit: str, cases, parent: list, change: list) -> int:
-    """Print the family's totals, raises and first five mismatches; return the mismatches."""
+    """Print the family's totals, raises and first five mismatches, and of a
+    CLI family's mismatches those of exit code and those of stderr alone;
+    return the mismatches."""
     bad = [i for i, (x, y) in enumerate(zip(parent, change, strict=True)) if x != y]
     for i in bad[:5]:
         print(f"  {label} mismatch: case {i}: {' '.join(repr(cases[i]).split())[:400]}")
     raises = sum(isinstance(x, str) for x in parent)
-    print(f"{label}: {len(cases)} {unit} ({raises} raise), {len(bad)} mismatches")
+    runs = [(parent[i], change[i]) for i in bad
+            if isinstance(parent[i], tuple) and isinstance(change[i], tuple)]
+    split = (f" ({sum(x[0] != y[0] for x, y in runs)} of exit code, "
+             f"{sum(x[:2] == y[:2] for x, y in runs)} of stderr alone)") if runs else ""
+    print(f"{label}: {len(cases)} {unit} ({raises} raise), {len(bad)} mismatches{split}")
     return len(bad)
 
 
@@ -562,9 +576,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     a = load(args.parent_root, "tvcsim_parent")
     b = load(args.change_root, "tvcsim_change")
-    workloads, regen = change_modules(args.change_root)
+    workloads, regen, fuzz = change_modules(args.change_root)
     bad = sum(compare(label, unit, cases, family(a, cases), family(b, cases))
-              for label, unit, family, cases in battery(workloads, regen))
+              for label, unit, family, cases in battery(workloads, regen, fuzz))
     if args.rounds > 0:
         trees = {"parent": a, "change": b, "parent2": load(args.parent_root, "tvcsim_parent2")}
         for label, cases in timed(workloads):

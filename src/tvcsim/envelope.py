@@ -40,7 +40,7 @@ from .robot import (EnvelopeInfeasibleError, FanLimits, FieldError, Posture, Rob
                     write_text)
 from .wrench import pitch_arms
 
-_FEAS_TOL = 1e-9
+_FEAS_TOL = 6e-12  # of the floor: 1.0e-9 N at P1's weight
 
 
 @dataclass(frozen=True)
@@ -105,17 +105,22 @@ def lp_max_covering(c, a, floor, cap):
     """Maximize c.x s.t. a.x >= floor, 0 <= x_i <= cap, for each row. Exact.
 
     c and a are (n, k) float arrays holding one LP per row; floor and cap are
-    floats shared by every row. Returns (value, x): value is -inf on
-    infeasible rows, whose x means nothing, and never -0.0, since the row sums
-    add from +0.0, so equal values have equal bits. With a single covering
-    constraint the optimum is reached by starting from the unconstrained box
-    optimum and buying constraint slack from the variables with the best
-    objective-per-slack ratio, ties to the lower index; at most one variable
-    ends up strictly between its bounds. a and x are gathered into cost
-    order, one array per step, so each row takes the steps a row-by-row loop would.
+    floats shared by every row, and a.x >= floor holds to _tolerance(floor),
+    so a robot scaled by a power of two scales every value bit for bit. Every
+    row meets a floor <= 0, which x = 0 meets, and its x meets the floor up to
+    the rounding of the greedy's sums (a zero floor has no tolerance). Returns
+    (value, x): value is -inf on infeasible rows, whose x means nothing, and
+    never -0.0, since the row sums add from +0.0, so equal values have equal
+    bits. With a single covering constraint the optimum is reached by starting
+    from the unconstrained box optimum and buying constraint slack from the
+    variables with the best objective-per-slack ratio, ties to the lower index;
+    at most one variable ends up strictly between its bounds. a and x are
+    gathered into cost order, one array per step, so each row takes the steps
+    a row-by-row loop would.
     """
     n, m = c.shape
     cols = range(m)
+    tol = _tolerance(floor)
 
     def row_sum(v):  # left to right, as a loop over the variables adds
         return sum(v[:, i] for i in cols)
@@ -134,10 +139,10 @@ def lp_max_covering(c, a, floor, cap):
         movable = up | ((x_s == cap) & (a_s < 0.0))
         slope = np.abs(a_s)
         gain, full = slope * cap, np.where(up, cap, 0.0)
-        buying = gap > _FEAS_TOL
+        buying = gap > tol
         for k in cols:
             move = buying & movable[k]
-            last = move & (gain[k] >= gap - _FEAS_TOL)
+            last = move & (gain[k] >= gap - tol)
             span = gap / slope[k]  # > 0: only rows still buying (gap > tol) use it
             np.copyto(x_s[k], full[k], where=move)
             np.copyto(x_s[k], np.where(up[k], span, cap - span), where=last)
@@ -146,8 +151,14 @@ def lp_max_covering(c, a, floor, cap):
             buying &= ~last
     x.reshape(-1)[by_cost] = x_s  # x is contiguous, so this writes x
     value = row_sum(c * x)
-    feasible = ~(reach < floor - _FEAS_TOL) & ~(gap > _FEAS_TOL)
+    feasible = (floor <= 0.0) | (~(reach < floor - tol) & ~(gap > tol))
     return np.where(feasible, value, -np.inf), x
+
+
+def _tolerance(floor: float) -> float:
+    """The covering constraint's tolerance: _FEAS_TOL of |floor|, so that it
+    scales with the robot, and 0 at an infinite floor, which no row meets."""
+    return _FEAS_TOL * abs(floor) if abs(floor) < math.inf else 0.0
 
 
 def _rows(arms, theta_pitch, theta_feet):
@@ -174,7 +185,7 @@ def _table(geo, constraint, thetas) -> list[list[float]]:
     Each direction (tau_max, or tau_min as the maximum of the negated torque)
     is solved at candidate foot angles that hang on the pitch alone: 0 (DT's),
     the range ends, the angles where both capped feet just meet the floor (and
-    the floor +- _FEAS_TOL) beside 0, 1 or 2 capped waist fans, and the
+    the floor +- its _tolerance) beside 0, 1 or 2 capped waist fans, and the
     stationary angles of the torque with the feet capped while a waist fan of
     torque arm c_w, or none, is fractional. TVC takes the best candidate but 0,
     or any where 0 is in the foot range.
@@ -200,7 +211,7 @@ def _table(geo, constraint, thetas) -> list[list[float]]:
         # a tiny cap sends the acos ratio to +-inf, which the clip takes; a cap or
         # a floor near the float range overflows, which is reported below; the
         # (floor, waist) pairs run floor-major
-        floors = floor + np.array([[-_FEAS_TOL], [0.0], [_FEAS_TOL]])
+        floors = floor + np.array([[-_tolerance(floor)], [0.0], [_tolerance(floor)]])
         waist = cp[:, :, None] * np.array([0.0, cap, 2.0 * cap])
         acos = np.arccos(np.clip((floors - waist) / (2.0 * cap), -1.0, 1.0)).reshape(-1, 9)
         np.subtract(acos, phi, out=feet[:, 3:12])

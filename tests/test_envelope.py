@@ -55,25 +55,27 @@ def lp_oracle(c, a, floor, cap):
 
 
 def greedy_reference(c, a, floor, cap):
-    """The greedy one row at a time in plain floats: (value, x) or None."""
-    n = len(c)
+    """The greedy one row at a time in plain floats: (value, x) or None. The
+    covering constraint holds to 6e-12 of the floor's magnitude, and a floor
+    <= 0, which x = 0 meets, is met by every row."""
+    n, tol = len(c), 6e-12 * abs(floor)
     reach = sum(a[i] * cap for i in range(n) if a[i] > 0.0)
-    if reach < floor - 1e-9:
+    if reach < floor - tol:
         return None
     x = [cap if c[i] > 0.0 or (c[i] == 0.0 and a[i] > 0.0) else 0.0 for i in range(n)]
     gap = floor - sum(a[i] * x[i] for i in range(n))
     moves = sorted((-(c[i] / a[i]), i, 1.0 if x[i] == 0.0 else -1.0) for i in range(n)
                    if (x[i] == 0.0 and a[i] > 0.0) or (x[i] == cap and a[i] < 0.0))
-    for _, i, direction in moves if gap > 1e-9 else ():
+    for _, i, direction in moves if gap > tol else ():
         gain = abs(a[i]) * cap
-        if gain >= gap - 1e-9:
+        if gain >= gap - tol:
             span = max(0.0, gap / abs(a[i]))
             x[i] = span if direction > 0.0 else cap - span
             gap = 0.0
             break
         x[i] = cap if direction > 0.0 else 0.0
         gap -= gain
-    if gap > 1e-9:
+    if gap > tol and floor > 0.0:
         return None
     return sum(c[i] * x[i] for i in range(n)), x
 

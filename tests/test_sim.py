@@ -528,7 +528,10 @@ def test_mass_thrust_scaling_leaves_the_flight_unchanged(mode, integrator):
 
 def test_mass_thrust_scaling_scales_the_envelope_and_keeps_the_trim():
     # the same scaling multiplies every attainable pitch torque by k and so
-    # keeps the TVC/DT ratios; the trim angles stay, the trim thrusts scale
+    # keeps the TVC/DT ratios; the trim angles stay, the trim thrusts scale.
+    # The LP's feasibility tolerance scales with the floor, so at a power of
+    # two every torque scales bit for bit, far from the default mass too
+    powers = [2.0 ** j for j in range(-20, 21) if j]
     for name in ("P1", "P2", "P3"):
         cfg = scenario_from_config({"posture": name} | mass_thrust_scaled(1.0))
         geo = cfg.geometry()
@@ -536,21 +539,22 @@ def test_mass_thrust_scaling_scales_the_envelope_and_keeps_the_trim():
         sweep = envelope_sweep(geo, constraint)
         ratios = [tvc_dt_ratio(geo, constraint, theta) for theta in (-0.3, 0.0, 0.2)]
         trims = [hover_trim(geo, equal_thrust, cfg.limits) for equal_thrust in (True, False)]
-        for k in (0.5, 2.0, 3.0):
+        for k in (*powers, 3.0):
             scaled_cfg = scenario_from_config({"posture": name} | mass_thrust_scaled(k))
             scaled_geo = scaled_cfg.geometry()
             scaled = EnvelopeConstraint.hover(scaled_geo, scaled_cfg.posture, scaled_cfg.limits)
-            # worst deviations seen: 3.2e-10 relative in a torque, 1.3e-10 in a
-            # ratio; the LP's absolute feasibility tolerance does not scale
+            # worst deviations seen at k = 3: 3.2e-10 relative in a torque, 1.3e-10
+            # in a ratio, where k times a value rounds
+            rel = 0.0 if k in powers else 1e-8
             for point, image in zip(sweep, envelope_sweep(scaled_geo, scaled), strict=True):
                 for a, b in ((point.dt, image.dt), (point.tvc, image.tvc)):
                     assert (a is None) == (b is None), (name, k)
                     if a is not None:
                         assert (b.tau_max, b.tau_min) == pytest.approx(
-                            (k * a.tau_max, k * a.tau_min), rel=1e-8, abs=0.0), (name, k)
+                            (k * a.tau_max, k * a.tau_min), rel=rel, abs=0.0), (name, k)
             for theta, ratio in zip((-0.3, 0.0, 0.2), ratios):
                 assert tvc_dt_ratio(scaled_geo, scaled, theta) == pytest.approx(
-                    ratio, rel=0.0, abs=1e-8), (name, k)
+                    ratio, rel=0.0, abs=rel), (name, k)
             for equal_thrust, (fs, pitch) in zip((True, False), trims):
                 scaled_fs, scaled_pitch = hover_trim(scaled_geo, equal_thrust, scaled_cfg.limits)
                 assert (scaled_fs.theta_left, scaled_fs.theta_right, scaled_pitch) == (

@@ -34,7 +34,7 @@ SWEEP_POINTS = 61
 
 
 class ConfigError(FieldError):
-    """Malformed config file, unknown key, or invalid value (of fields, if named)."""
+    """Malformed config file, unknown key, or invalid value (of the fields named)."""
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def load_config(path) -> tuple[dict, str]:
     return parse_config_text(text, source=str(path)), hashlib.sha256(data).hexdigest()
 
 
-# RobotGeometry's fields that ScenarioConfig.geometry sets from others, by those
+# RobotGeometry's fields that ScenarioConfig.geometry builds, by the fields it reads
 _GEOMETRY_SOURCES = {"com_body": ("com_sagittal", "com_y"),
                      "fan_foot_x": ("foot_fan",), "fan_foot_z": ("foot_fan",)}
 

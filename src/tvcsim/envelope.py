@@ -151,7 +151,7 @@ def lp_max_covering(c, a, floor, cap):
             buying &= ~last
     x.reshape(-1)[by_cost] = x_s  # x is contiguous, so this writes x
     value = row_sum(c * x)
-    feasible = (floor <= 0.0) | (~(reach < floor - tol) & ~(gap > tol))
+    feasible = floor <= 0.0 or ~(reach < floor - tol) & ~(gap > tol)
     return np.where(feasible, value, -np.inf), x
 
 

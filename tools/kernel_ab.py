@@ -3,7 +3,8 @@
     python tools/kernel_ab.py PARENT_ROOT CHANGE_ROOT [--rounds N]
 
 Each root is a checkout with src/tvcsim; CHANGE_ROOT also needs the bench/
-generators and tests/golden/'s cases. Both trees are imported here, and each
+generators, tests/golden/'s cases and tests/test_fuzz.py's extremes (which
+import hypothesis). Both trees are imported here, and each
 family runs one case list, built once, through each tree:
 
 - steps: sim.run_kernel's step, both integrators, on P1-P3 and on six drawn

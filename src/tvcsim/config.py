@@ -149,7 +149,7 @@ def load_config(path) -> tuple[dict, str]:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text, source=str(path)), hashlib.sha256(data).hexdigest()
@@ -228,7 +228,7 @@ def scenario_from_config(values: dict) -> ScenarioConfig:
                             else ScenarioConfig.posture),
             ramp=_merged(values, ThrustRamp()),
             limits=_merged(values, FanLimits()),
-            setpoint=_merged(values, EulerAngles(0.0, 0.0, 0.0)),
+            setpoint=_merged(values, ScenarioConfig.setpoint),
         ))
     except ValueError as exc:
         raise ConfigError(keyed(exc)) from None

@@ -22,7 +22,7 @@ A tick runs on floats, (pitch, yaw, rate_y, rate_z) in and (left, right)
 out. It is one source text, TICK: AttitudeController.step compiles it, with
 the gains, mode, trim, setpoint, foot range and ankle rate as closure cells
 (TICK_CONSTANTS) and the previous commands and the integrals as its state
-(TICK_STATE), and the takeoff loop (sim.loop_kernel) writes it out with
+(TICK_STATE), and the takeoff loop (sim._kernel's run) writes it out with
 both as loop locals. CLAMP is the foot chain's one clamp, source that TICK
 writes out for the range clamp and the slew limit, and the takeoff loop for
 the foot slew. RAMP is the thrust ramp, source that the takeoff loop writes

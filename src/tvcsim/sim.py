@@ -22,10 +22,10 @@ compiled per integrator on first use, and read a geometry, perturbation and
 dt, and math's sqrt, sin, cos, asin and atan2, as closure cells. The
 template is written for the one inertia model, the diagonal point-mass
 surrogate, and for a body force with no y row, as no fan pushes sideways.
-run_kernel gives wrench_kernel's rows and the rigid-body step;
-dynamics_step, its public one-step wrapper (as wrench.generalized_wrench_3d
-is of the wrench formula), compiles only that step. loop_kernel gives
-run_scenario's takeoff loop, run, and a takeoff compiles only run. run
+_kernel binds either build to them: run_kernel takes wrench_kernel's rows
+and the rigid-body step; dynamics_step, its public one-step wrapper (as
+wrench.generalized_wrench_3d is of the wrench formula), compiles only that
+step, and run_scenario the takeoff loop, run, and compiles only run. run
 carries plain floats, the 13 of the state and the controller's gains and
 state among them, and writes out each source a step runs as it stands, so a
 step calls only math's functions (those five as locals), abs and the log's
@@ -72,7 +72,6 @@ from .robot import (
     DEFAULT_FOOT_FAN_SPACING,
     DEFAULT_MASS,
     DEFAULT_WAIST_FAN_SPACING,
-    GRAVITY,
     FanLimits,
     FieldError,
     Posture,
@@ -89,7 +88,7 @@ from .spatial import (
     quat_to_matrix,  # not called here; bench/test_bench.py rebinds it through sim
 )
 from .trim import hover_trim
-from .wrench import FOOT_TRIG, LIFT, ROW_CONSTANTS, ROWS, FanState, rows_builder, wrench_constants
+from .wrench import FOOT_TRIG, LIFT, ROW_CONSTANTS, ROWS, FanState, wrench_constants, wrench_kernel
 
 PHASE_GROUND = "GROUND"
 PHASE_AIRBORNE = "AIRBORNE"
@@ -188,7 +187,7 @@ class ScenarioConfig:
     seed: int = 0
     integrator: str = "euler"
     sensor_noise_std: float = 0.0  # rad / rad-per-s, 0 disables the hook
-    setpoint: EulerAngles = field(default_factory=lambda: EulerAngles(0.0, 0.0, 0.0))
+    setpoint: EulerAngles = EulerAngles(0.0, 0.0, 0.0)
     limits: FanLimits = field(default_factory=FanLimits)
     mass_total: float = DEFAULT_MASS
     fan_spacing_waist: float = DEFAULT_WAIST_FAN_SPACING
@@ -268,10 +267,10 @@ def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry
                   integrator: str = "euler") -> RigidBodyState:
     """Advance the free-flying rigid body by one step of run_kernel."""
     wrench, step = run_kernel(geo, perturbation, dt, integrator)
-    fs = fan_state
-    t = state.time + dt
-    x = step(t, *state.position_world, *state.velocity_world, *state.orientation,
-             *state.angular_velocity_body,
+    fs, t, q = fan_state, state.time + dt, state.orientation
+    if sum(map(abs, q)) > 1e150:  # scaled exactly, so that q's squares cannot overflow
+        q = [c * 2.0 ** -600 for c in q]
+    x = step(t, *state.position_world, *state.velocity_world, *q, *state.angular_velocity_body,
              wrench(fs.f_front, fs.f_back, fs.f_left, fs.f_right, fs.theta_left, fs.theta_right))
     return RigidBodyState(x[0:3], x[3:6], x[6:10], x[10:13], t)
 
@@ -325,6 +324,15 @@ wx{n}, wy{n}, wz{n} = wx + {span} * bx{k}, wy + {span} * by{k}, wz + {span} * bz
 qw{n}, qx{n} = qw + {span} * dw{k}, qx + {span} * dx{k}
 qy{n}, qz{n} = qy + {span} * dy{k}, qz + {span} * dz{k}
 """ + _UNIT
+# the divergence guards on the new p and omega ("not <=", so that a NaN trips them too)
+_GUARDS = """\
+if not sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:
+    raise DivergenceError(f"position ({px:.6g}, {py:.6g}, {pz:.6g}) left the "
+                          f"{POSITION_GUARD_M} m guard at t={t:.3f} s")
+if not sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S:
+    raise DivergenceError(f"body rate ({wx:.6g}, {wy:.6g}, {wz:.6g}) exceeded "
+                          f"{RATE_GUARD_RAD_S} rad/s at t={t:.3f} s")
+"""
 _RK4_SUM = """\
 # the (1, 2, 2, 1) / 6 sums keep this order; another one moves last
 # digits of the logs. p before v: the positions read the old v
@@ -342,13 +350,14 @@ qw, qx, qy, qz = (qw + dt * ((dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4) / 6.0),
 wx, wy, wz = (wx + dt * ((bx1 + 2.0 * bx2 + 2.0 * bx3 + bx4) / 6.0),
               wy + dt * ((by1 + 2.0 * by2 + 2.0 * by3 + by4) / 6.0),
               wz + dt * ((bz1 + 2.0 * bz2 + 2.0 * bz3 + bz4) / 6.0))
-"""
+""" + _GUARDS
 _EULER = """\
 ux, uy, uz = vx + ax * dt, vy + ay * dt, vz + az * dt
 px, py, pz = (px + 0.5 * (vx + ux) * dt, py + 0.5 * (vy + uy) * dt,
               pz + 0.5 * (vz + uz) * dt)
 vx, vy, vz = ux, uy, uz
 wx, wy, wz = wx + bx * dt, wy + by * dt, wz + bz * dt
+""" + _GUARDS + """\
 # quat_step(q, omega, dt) written out: q times the exponential-map
 # increment, renormalized (the product of unit quaternions is never 0)
 ex, ey, ez = wx * dt, wy * dt, wz * dt
@@ -366,15 +375,8 @@ qw, qx, qy, qz = (qw * dw - qx * dx - qy * dy - qz * dz,
 n = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
 qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
 """
-# the divergence guards ("not <=", so that a NaN state trips them too), then
 # zyx_angles of R(q)'s entries, each with quat_rotation_rows' expression
-_TAIL = """\
-if not sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M:
-    raise DivergenceError(f"position ({px:.6g}, {py:.6g}, {pz:.6g}) left the "
-                          f"{POSITION_GUARD_M} m guard at t={t:.3f} s")
-if not sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S:
-    raise DivergenceError(f"body rate ({wx:.6g}, {wy:.6g}, {wz:.6g}) exceeded "
-                          f"{RATE_GUARD_RAD_S} rad/s at t={t:.3f} s")
+_READOUT = """\
 sp = -(2.0 * (qx * qz - qw * qy))
 sp = sp if sp > -1.0 else -1.0  # min(1, max(-1, sp)), NaN included
 pitch = asin(sp if sp < 1.0 else 1.0)
@@ -538,7 +540,7 @@ def _step_builder(integrator: str, name: str):
             body += _ADVANCE.format(n=k + 1, k=k, span=span) if span else _RK4_SUM
     else:
         body = _DERIVATIVE.format(s="", k="") + _EULER
-    body = _UNIT.format(n="") + body + _TAIL
+    body = _UNIT.format(n="") + body + _READOUT
     indent = textwrap.indent
     if name == "step":
         text = _STEP.format(step=indent(body, " " * 4))
@@ -560,15 +562,18 @@ def _step_builder(integrator: str, name: str):
                          f"<tvcsim.sim {integrator} {name}>", globals())
 
 
-def _build_args(geo: RobotGeometry, dt: float, integrator: str) -> tuple:
-    """A step build's arguments, bar ROW_CONSTANTS, after the checks of dt and integrator."""
+def _kernel(name: str, geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
+            integrator: str):
+    """_step_builder(integrator, name)'s function, "step" or "run", bound to geo's step
+    constants and wrench_constants, after the checks of dt and integrator."""
     if not 0.0 < dt <= MAX_PHYSICS_DT:  # a NaN fails too
         raise ValueError(f"dt must be in (0, {MAX_PHYSICS_DT}] s")
     if integrator not in ("euler", "rk4"):
         raise ValueError("integrator must be 'euler' or 'rk4'")
     (i00, _, _), (_, i11, _), (_, _, i22) = geo.inertia_body
-    return (geo.mass_total, geo.weight, i00, i11, i22, *geo.inertia_inverse, 0.5 * dt, dt,
-            0.5 * math.pi - GIMBAL_LOCK_MARGIN)
+    return _step_builder(integrator, name)(
+        geo.mass_total, geo.weight, i00, i11, i22, *geo.inertia_inverse, 0.5 * dt, dt,
+        0.5 * math.pi - GIMBAL_LOCK_MARGIN, *wrench_constants(geo, perturbation))
 
 
 def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
@@ -584,25 +589,14 @@ def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
     the body force by its own attitude. 'euler' updates velocities first,
     positions with the velocity midpoint (exact for constant accelerations)
     and the attitude by the exponential map of the new body rate, quat_step
-    written out; 'rk4' is the classic fourth-order step, each stage
-    quaternion renormalized as quat_unit does it. Either way it ends in the
-    divergence guards: a new position beyond POSITION_GUARD_M, a body rate
-    beyond RATE_GUARD_RAD_S, or a NaN in either raises DivergenceError,
-    naming t.
+    written out; 'rk4' is the classic fourth-order step, each stage quaternion
+    renormalized as quat_unit does it. Either way the divergence guards read
+    the final p and omega, euler's before its exponential map: a new position
+    beyond POSITION_GUARD_M, a body rate beyond RATE_GUARD_RAD_S, or a NaN in
+    either raises DivergenceError, naming t.
     """
-    args = _build_args(geo, dt, integrator)
-    consts = wrench_constants(geo, perturbation)  # ROW_CONSTANTS
-    return rows_builder()(*consts), _step_builder(integrator, "step")(*args, *consts)
-
-
-def loop_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
-                integrator: str):
-    """run(cfg, controller, rng, append), run_scenario's loop: the
-    controller's tick with its constants and state as locals, and wrench's
-    rows and step's body written out as they stand.
-    """
-    args = _build_args(geo, dt, integrator)
-    return _step_builder(integrator, "run")(*args, *wrench_constants(geo, perturbation))
+    step = _kernel("step", geo, perturbation, dt, integrator)
+    return wrench_kernel(geo, perturbation), step
 
 
 def run_scenario(cfg: ScenarioConfig) -> SimLog:
@@ -633,7 +627,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimLog:
     controller = AttitudeController(gains, cfg.mode, cfg.posture, cfg.limits, trim_angle,
                                     setpoint=cfg.setpoint)
     rng = random.Random(cfg.seed) if cfg.sensor_noise_std > 0.0 else None  # the noise stream
-    run = loop_kernel(geo, cfg.perturbation, cfg.dt_s, cfg.integrator)
+    run = _kernel("run", geo, cfg.perturbation, cfg.dt_s, cfg.integrator)
     log = SimLog()
     events = run(cfg, controller, rng, log.rows.append)
     log.scenario = asdict(cfg)

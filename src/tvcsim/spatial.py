@@ -39,7 +39,7 @@ Vec3 = Quat = Sequence[float]
 GIMBAL_LOCK_MARGIN = 1e-6  # |pitch| > pi/2 - margin means yaw/roll are not unique
 
 
-@dataclass
+@dataclass(frozen=True)
 class EulerAngles:
     """Z-Y-X intrinsic attitude. pitch in [-pi/2, pi/2], roll/yaw in (-pi, pi]."""
 

@@ -135,6 +135,22 @@ def test_takeoff_divergence_exit_4_keeps_partial_outputs(tmp_path, capsys):
     assert (tmp_path / "takeoff_log.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["1e200", "1e308", "-1e308"])
+@pytest.mark.parametrize("axis", "xyz")
+def test_an_overflowing_body_rate_is_a_divergence_exit_4(tmp_path, capsys, axis, value):
+    # the default 2.5 s run lifts off, and the huge CoM arm overflows omega dt in the
+    # first step aloft: euler's rate guard ends the run before its exponential map
+    cfg = tmp_path / "offset.cfg"
+    cfg.write_text(f"perturbation.com_offset_{axis}_m = {value}\n")
+    code, out, err = run_cli(["--config", str(cfg), "--out", str(tmp_path), "takeoff"],
+                             capsys)
+    assert (code, err) == (4, "")
+    assert out.endswith(" [DIVERGED]\n")
+    events = json.loads((tmp_path / "takeoff_events.json").read_text())
+    assert events["liftoff_time_s"] is not None
+    assert events["divergence_reason"].startswith("body rate (")
+
+
 @pytest.mark.parametrize("command", ["envelope", "takeoff", "trim", "wrench-eval"])
 def test_every_command_records_the_seed_option(tmp_path, capsys, command):
     cfg = tmp_path / "short.cfg"

@@ -190,6 +190,87 @@ def test_every_top_level_name_is_used_outside_the_tests():
     assert unused == []
 
 
+# the functions that neither a command nor an acceptance entry point calls,
+# each with the bench file that pins it or the pinned function that calls it;
+# once the bench drops them, they go and so does this list
+UNREACHED = {
+    "spatial.quat_identity": "bench/test_bench.py",
+    "spatial.quat_to_matrix": "bench/test_bench.py",
+    "spatial.quat_integrate": "bench/tracer.py",
+    "spatial.quat_step": "spatial.quat_integrate",
+    "spatial.quat_to_euler": "bench/tracer.py and bench/test_bench.py",
+    "spatial.zyx_angles": "spatial.quat_to_euler",
+    "wrench.fan_layout": "bench/tracer.py",
+    "envelope.max_pitch_torque_dt": "bench/tracer.py and bench/workloads.py (audit)",
+    "envelope.max_pitch_torque_tvc": "bench/tracer.py and bench/test_bench.py",
+    "envelope._search": "envelope.max_pitch_torque_dt and _tvc",
+    "controller.AttitudeController.step": "bench/tracer.py",
+    "controller.AttitudeController._tick": "controller.AttitudeController.step",
+    "controller.tick_builder": "controller.AttitudeController._tick",
+}
+
+
+def _defined_functions() -> dict[tuple[str, int], str]:
+    """(file, first line) -> module.qualname of every function and lambda that
+    src/tvcsim defines outside oracles.py, as a code object reports them."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                decorators = getattr(child, "decorator_list", [])
+                first = min([child.lineno] + [d.lineno for d in decorators])
+                found[(str(path), first)] = name
+                visit(child, path, name + ".<locals>.")
+            else:
+                visit(child, path, prefix + child.name + "." if isinstance(child, ast.ClassDef)
+                      else prefix)
+
+    for path in sorted(pathlib.Path(sim.__file__).parent.glob("*.py")):  # as imported
+        if path.name != "oracles.py":
+            visit(ast.parse(path.read_text()), path, path.stem + ".")
+    return found
+
+
+def test_every_function_is_reached_by_a_command_or_an_acceptance_entry_point(tmp_path):
+    # the 65 golden cases and one call of each entry point tests/test_acceptance.py
+    # reads, under a call-only trace (no line events), with every functools.cache
+    # emptied first, so that what a build calls is called again
+    from golden.regen import CORPUS, run_case
+
+    defined = _defined_functions()
+    for module in (cli, controller, sim, wrench):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+    called = set()
+
+    def calls(frame, event, arg):
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        for name, case in json.loads(CORPUS.read_text()).items():
+            (tmp_path / name).mkdir()
+            run_case(case["config"], case["argv"], tmp_path / name)
+        p1 = builtin_posture("P1")
+        geo = geometry_from_posture(p1)
+        constraint = envelope.EnvelopeConstraint.hover(geo, p1)
+        envelope.envelope_sweep(geo, constraint)
+        envelope.tvc_dt_ratio(geo, constraint)
+        fans = wrench.FanState.uniform(40.0)
+        held = wrench.generalized_wrench_3d(fans, geo, spatial.quat_normalize([1.0, 0, 0, 0]))
+        assert held.force_world.shape == held.torque_world.shape == (3,)
+        sim.dynamics_step(sim.RigidBodyState(), fans, geo, 1e-3)
+        sim.SimLog().write_events_json(tmp_path / "events.json")
+    finally:
+        sys.settrace(previous)
+    unreached = sorted(name for key, name in defined.items() if key not in called)
+    assert unreached == sorted(UNREACHED)
+
+
 def test_scalar_modules_import_no_numpy():
     # the scalar model runs on floats; numpy stays where arrays pay, and the
     # array helpers of spatial and wrench import it in their bodies
@@ -407,8 +488,11 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
     # or a comprehension and calls only STEP_MATH, the closure cells its build
     # binds to math's functions (and the readout's abs); rk4 calls sqrt for
     # the opening, the three stage and the new quaternions, each followed by
-    # its zero-norm ValueError. The tail, the divergence guards and the
-    # attitude readout, ends every step once. run, compiled apart from the
+    # its zero-norm ValueError. The tail, from the divergence guards on, ends
+    # every step once: rk4's is the guards and the attitude readout, and
+    # euler's runs the guards once omega is final, before the exponential
+    # map's sqrt and sin and the new quaternion's sqrt, so that an overflowing
+    # omega dt trips the rate guard, not sin. run, compiled apart from the
     # same templates, writes step's body once, verbatim, in its airborne
     # branch: no rewrite stands between a template and a build. It writes
     # wrench.ROWS once, in that branch, FOOT_TRIG once per foot before the
@@ -424,12 +508,14 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
     nested = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
               ast.GeneratorExp)
     p1 = geometry_from_posture(builtin_posture("P1"))
-    # (integrator, R(q) rows written, sqrt calls and zero-norm checks before the tail)
-    for integrator, rotations, sqrts, checks in (("euler", 1, 3, 1), ("rk4", 4, 5, 5)):
+    # (integrator, R(q) rows written, sqrt calls and zero-norm checks before the
+    # tail, sqrt and sin calls in the tail)
+    for integrator, rotations, sqrts, checks, tail_sqrts, tail_sins in (
+            ("euler", 1, 1, 1, 4, 1), ("rk4", 4, 5, 5, 2, 0)):
         builds = [sim._step_builder(integrator, name) for name in ("step", "run")]
         sources = [inspect.getsource(build) for build in builds]
         functions = (sim.run_kernel(p1, None, 1e-3, integrator)[1],
-                     sim.loop_kernel(p1, None, 1e-3, integrator))
+                     sim._kernel("run", p1, None, 1e-3, integrator))
         for build, function in zip(builds, functions):
             assert function.__code__ in build.__code__.co_consts, integrator
             # math.f loads as a module attribute, as in sim.py, not as a method
@@ -455,6 +541,9 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
         body, tail = step.body[:guard], step.body[guard:]
         in_body = [node for stmt in body for node in ast.walk(stmt)]
         assert len([node for node in in_body if ast.unparse(node) == "sqrt"]) == sqrts
+        in_tail = [ast.unparse(node) for stmt in tail for node in ast.walk(stmt)]
+        assert [in_tail.count("sqrt"), in_tail.count("sin")] == [tail_sqrts, tail_sins]
+        assert "sin" not in [ast.unparse(node) for node in in_body], integrator
         units = [i for i, stmt in enumerate(body) if ast.unparse(stmt) == unit]
         assert len(units) == checks, integrator
         assert all(ast.unparse(body[i - 1]).startswith("n = sqrt(") for i in units)

@@ -13,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvcsim.config import scenario_from_config
 from tvcsim.controller import (
@@ -26,8 +28,12 @@ from tvcsim.controller import (
 from tvcsim.envelope import EnvelopeConstraint, envelope_sweep, tvc_dt_ratio
 from tvcsim.robot import (
     DEFAULT_FAN_MASS,
+    DEFAULT_FOOT_FAN_SPACING,
+    DEFAULT_FOOT_PITCH_RATE_MAX,
     DEFAULT_MASS,
     DEFAULT_THRUST_MAX,
+    DEFAULT_THRUST_TIME_CONSTANT,
+    DEFAULT_WAIST_FAN_SPACING,
     GRAVITY,
     FanLimits,
     Posture,
@@ -46,9 +52,9 @@ from tvcsim.sim import (
     RigidBodyState,
     ScenarioConfig,
     SimLog,
+    _kernel,
     _measure,
     dynamics_step,
-    loop_kernel,
     run_kernel,
     run_scenario,
 )
@@ -175,6 +181,38 @@ def test_divergence_guards():
                           integrator=integrator)
         with pytest.raises(DivergenceError):
             dynamics_step(nan_rate, ZERO_THRUST, P1, 1e-3, integrator=integrator)
+
+
+# the whole float range a state may hold: both ends of the overflow scale,
+# subnormals, signed zeros, infinities and NaN, and two plain values
+STATE_FLOATS = st.sampled_from([1e308, -1e308, 1e200, -1e200, 5e-324, -5e-324,
+                                2.2250738585072014e-308, 0.0, -0.0, math.inf, -math.inf,
+                                math.nan, 1.0, -0.5])
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@settings(max_examples=250, deadline=None, database=None)
+@given(x=st.lists(STATE_FLOATS, min_size=13, max_size=13),
+       thrusts=st.lists(st.floats(0.0, DEFAULT_THRUST_MAX), min_size=4, max_size=4),
+       feet=st.lists(st.floats(*builtin_posture("P1").foot_pitch_range), min_size=2,
+                     max_size=2))
+def test_any_state_steps_inside_the_guards_or_diverges(integrator, x, thrusts, feet):
+    # an overflow anywhere in a step, the exponential map's included, ends as a
+    # divergence; only a quaternion too small to normalize raises ValueError
+    state = RigidBodyState(x[0:3], x[3:6], x[6:10], x[10:13])
+    try:
+        new = dynamics_step(state, FanState(*thrusts, *feet), P1, 1e-3, integrator=integrator)
+    except DivergenceError:
+        return
+    except ValueError as exc:
+        assert str(exc) == "cannot normalize a zero quaternion"
+        assert math.hypot(*x[6:10]) < 1e-300, x
+        return
+    (px, py, pz), (wx, wy, wz) = new.position_world, new.angular_velocity_body
+    assert all(map(math.isfinite, (*new.position_world, *new.velocity_world, *new.orientation,
+                                   *new.angular_velocity_body))), x
+    assert math.sqrt(px * px + py * py + pz * pz) <= POSITION_GUARD_M
+    assert math.sqrt(wx * wx + wy * wy + wz * wz) <= RATE_GUARD_RAD_S
 
 
 def test_integrator_order_under_dt_halving():
@@ -560,6 +598,90 @@ def test_mass_thrust_scaling_scales_the_envelope_and_keeps_the_trim():
                 assert (scaled_fs.theta_left, scaled_fs.theta_right, scaled_pitch) == (
                     fs.theta_left, fs.theta_right, pitch), (name, k)
                 assert scaled_fs.f_left == pytest.approx(k * fs.f_left, rel=1e-14), (name, k)
+
+
+def length_time_scaled(name, length, time):
+    """The config keys of MIRROR_BASE's run on posture name, with explicit gains,
+    at length times every length and time times every time: each rate at 1/time,
+    each derivative gain at time times and each integral gain at 1/time."""
+    posture = builtin_posture(name)
+    (com_x, com_z), (foot_x, foot_z) = posture.com_sagittal, posture.foot_fan
+    return MIRROR_BASE | {
+        "posture": name, "posture.com_x_m": length * com_x, "posture.com_z_m": length * com_z,
+        "posture.foot_x_m": length * foot_x, "posture.foot_z_m": length * foot_z,
+        "geometry.waist_fan_spacing_m": length * DEFAULT_WAIST_FAN_SPACING,
+        "geometry.foot_fan_spacing_m": length * DEFAULT_FOOT_FAN_SPACING,
+        "geometry.com_y_m": length * 0.0,
+        **{f"perturbation.com_offset_{axis}_m": length * MIRROR_BASE.get(
+            f"perturbation.com_offset_{axis}_m", 0.0) for axis in "xyz"},
+        "sim.dt_s": time * 1e-3, "sim.duration_s": time * MIRROR_BASE["sim.duration_s"],
+        "thrust.ramp_time_s": time * ThrustRamp().ramp_time,
+        "limits.thrust_time_constant_s": time * DEFAULT_THRUST_TIME_CONSTANT,
+        "controller.rate_hz": 250.0 / time, "sim.sample_rate_hz": 250.0 / time,
+        "limits.foot_pitch_rate_max_rad_s": DEFAULT_FOOT_PITCH_RATE_MAX / time,
+        "controller.kp_pitch": 0.9975, "controller.kd_pitch": time * 0.1164,
+        "controller.ki_pitch": 0.5 / time, "controller.kp_yaw": 0.5242,
+        "controller.kd_yaw": time * 0.06115, "controller.ki_yaw": 0.25 / time,
+    }
+
+
+# each log column's factor under length 4 and time 2: positions scale by the
+# length, velocities by length / time, body rates by 1 / time; angles and
+# thrusts keep their values
+LENGTH_TIME_FACTORS = {"time_s": 2.0, "px": 4.0, "py": 4.0, "pz": 4.0, "vx": 2.0, "vy": 2.0,
+                       "vz": 2.0, "wx": 0.5, "wy": 0.5, "wz": 0.5}
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_length_time_scaling_scales_the_flight(mode, integrator):
+    # four times every length and twice every time keep every acceleration
+    # (L / T^2) and every angle, so the run is the same flight at four times
+    # the size, bit for bit: each factor is a power of two. Outside the
+    # relation: tuned gains (rounded to four digits), the altitude sampled at
+    # a fixed 2 s, the guards in m and rad/s, and sensor noise, whose one
+    # sigma serves angles and rates alike
+    options = {"mode": mode.value, "sim.integrator": integrator}
+    log = run_scenario(scenario_from_config(length_time_scaled("P1", 1.0, 1.0) | options))
+    image = run_scenario(scenario_from_config(length_time_scaled("P1", 4.0, 2.0) | options))
+    factors = [LENGTH_TIME_FACTORS.get(name, 1.0) for name in log.header[:-1]]
+    assert [row[-1] for row in image.rows] == [row[-1] for row in log.rows]  # phases
+    assert [repr(row[:-1]) for row in image.rows] == [  # repr keeps a zero's sign
+        repr(tuple(k * cell for k, cell in zip(factors, row[:-1]))) for row in log.rows]
+    times = ["liftoff_time_s", "pitch_exceeds_30deg_time_s", "yaw_exceeds_40deg_time_s",
+             "touchdown_time_s", "final_time_s"]
+    assert log.events["liftoff_time_s"] is not None
+    for key, value in log.events.items():
+        if key in times:
+            assert image.events[key] == (None if value is None else 2.0 * value), key
+        elif key not in ("config", "altitude_at_2s_m"):
+            assert image.events[key] == value, key
+
+
+def test_length_scaling_scales_the_envelope_and_keeps_the_trim():
+    # L times every length multiplies every pitch torque by L, bit for bit at
+    # a power of two, and keeps the TVC/DT ratios, the trim thrusts and angles
+    for name in ("P1", "P2", "P3"):
+        cfg = scenario_from_config(length_time_scaled(name, 1.0, 1.0))
+        geo = cfg.geometry()
+        constraint = EnvelopeConstraint.hover(geo, cfg.posture, cfg.limits)
+        sweep = envelope_sweep(geo, constraint)
+        ratios = [tvc_dt_ratio(geo, constraint, theta) for theta in (-0.3, 0.0, 0.2)]
+        trims = [hover_trim(geo, equal_thrust, cfg.limits) for equal_thrust in (True, False)]
+        for length in (4.0, 2.0 ** -10, 2.0 ** 10):
+            scaled_cfg = scenario_from_config(length_time_scaled(name, length, 1.0))
+            scaled_geo = scaled_cfg.geometry()
+            scaled = EnvelopeConstraint.hover(scaled_geo, scaled_cfg.posture, scaled_cfg.limits)
+            for point, image in zip(sweep, envelope_sweep(scaled_geo, scaled), strict=True):
+                for a, b in ((point.dt, image.dt), (point.tvc, image.tvc)):
+                    assert (a is None) == (b is None), (name, length)
+                    if a is not None:
+                        assert repr((b.tau_max, b.tau_min)) == repr((
+                            length * a.tau_max, length * a.tau_min)), (name, length)
+            assert repr([tvc_dt_ratio(scaled_geo, scaled, theta)
+                         for theta in (-0.3, 0.0, 0.2)]) == repr(ratios), (name, length)
+            assert repr([hover_trim(scaled_geo, equal_thrust, scaled_cfg.limits)
+                         for equal_thrust in (True, False)]) == repr(trims), (name, length)
 
 
 # metamorphic relations of the loop's bookkeeping: two runs of one perturbed
@@ -1371,7 +1493,8 @@ def test_compiled_loop_is_the_python_loop_bit_for_bit(integrator):
 def _loop_locals(cfg, text):
     """run_scenario(cfg)'s log and the compiled run's locals each time a line
     that reads text starts."""
-    filename = loop_kernel(cfg.geometry(), None, cfg.dt_s, cfg.integrator).__code__.co_filename
+    filename = _kernel("run", cfg.geometry(), None, cfg.dt_s,
+                       cfg.integrator).__code__.co_filename
     lines = {n for n, line in enumerate(linecache.getlines(filename), start=1)
              if line.strip() == text}
     assert len(lines) == 1, text

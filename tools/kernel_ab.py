@@ -11,8 +11,10 @@ family runs one case list, built once, through each tree:
   surrogate robots (fan mass and both fan spacings log-uniform, so the
   principal moments span about six decades), each with and without
   Perturbation.standard() at dt 0.2, 1 and 2 ms, on random states and loads
-  over many magnitudes, signed zeros, tiny rates and a NaN in each slot,
-  reported block by block;
+  over many magnitudes, signed zeros, tiny rates, a NaN in each slot and
+  overflows (each component of p, v and omega in turn at +-1e100, +-1e200
+  and +-1e308, which the divergence guards must end), reported block by
+  block;
 - ticks: controller.AttitudeController.step through sequences of drawn
   inputs, every mode, with and without I gains and setpoints, on foot ranges
   that end at +-0.0 too, with signed zeros, NaNs, bad periods, and commands
@@ -32,10 +34,12 @@ family runs one case list, built once, through each tree:
   bench envelope ops in csv and json; bad config files, every config key
   alone at each extreme of its type that tests/test_fuzz.py sweeps, then
   TWO_KEY_FILES, which pin the order of the checks, on that sweep's four
-  commands; and the CASES of tests/golden/regen.py. Each run works in a fresh
-  directory with relative paths, and is kept as its exit code, a hash of its
-  stdout and output files, and its stderr, so that a family counts the
-  mismatches of exit code and those of stderr alone apart.
+  commands, at the default 2.5 s, so that a takeoff lifts off (that sweep
+  runs 0.05 s, on the ground) and a huge perturbation.com_offset_*_m
+  overflows a step aloft; and the CASES of tests/golden/regen.py. Each run
+  works in a fresh directory with relative paths, and is kept as its exit
+  code, a hash of its stdout and output files, and its stderr, so that a
+  family counts the mismatches of exit code and those of stderr alone apart.
 - generated sources: the source text that spatial.compile_build compiles
   for sim._step_builder's step and run, each integrator,
   wrench.rows_builder and controller.tick_builder, read back from
@@ -114,11 +118,11 @@ def attempt(call) -> bytes | str:
         return f"{type(err).__name__}: {err}"
 
 
-STEP_BLOCKS = ("random states", "signed zeros", "tiny rates", "NaNs")
+STEP_BLOCKS = ("random states", "signed zeros", "tiny rates", "NaNs", "overflows")
 
 
 def step_cases(rng):
-    """26,000 (block, state, rows) triples: one of STEP_BLOCKS, 13 state floats
+    """26,054 (block, state, rows) triples: one of STEP_BLOCKS, 13 state floats
     and 7 wrench rows."""
     def draw(n, scale):
         return [x * scale for x in rng.normal(0.0, 1.0, n).tolist()]
@@ -141,6 +145,11 @@ def step_cases(rng):
                   40.0, 170.0, 2.0, -1.0, 0.5, -0.25, 0.1]
         values[slot] = math.nan
         yield "NaNs", values[0:13], tuple(values[13:20])
+    for slot, huge in itertools.product((0, 1, 2, 3, 4, 5, 10, 11, 12),
+                                        (1e100, -1e100, 1e200, -1e200, 1e308, -1e308)):
+        values = [0.1, -0.2, 0.3, 1.0, 0.5, -0.4, 0.9, 0.1, -0.3, 0.2, 0.7, -1.1, 0.4]
+        values[slot] = huge  # a component of p, v or omega
+        yield "overflows", values, (40.0, 170.0, 2.0, -1.0, 0.5, -0.25, 0.1)
 
 
 def step_robots(rng, count: int = 6) -> list:

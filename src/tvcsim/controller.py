@@ -19,14 +19,15 @@ errors. There is no integral term by default; an optional I gain exists but
 ships at zero.
 
 A tick runs on floats, (pitch, yaw, rate_y, rate_z) in and (left, right)
-out. It is one source text, TICK: AttitudeController.step compiles it, with
-the gains, mode, trim, setpoint, foot range and ankle rate as closure cells
-(TICK_CONSTANTS) and the previous commands and the integrals as its state
-(TICK_STATE), and the takeoff loop (sim._kernel's run) writes it out with
-both as loop locals. CLAMP is the foot chain's one clamp, source that TICK
-writes out for the range clamp and the slew limit, and the takeoff loop for
-the foot slew. RAMP is the thrust ramp, source that the takeoff loop writes
-out. tune_gains reads wrench.pitch_arms.
+out. It is one source text, TICK: AttitudeController.step compiles it
+through spatial.compile_build, with the gains, mode, trim, setpoint, foot
+range and ankle rate as closure cells (TICK_CONSTANTS) and the previous
+commands and the integrals as its state (TICK_STATE), and the takeoff loop
+(sim._kernel's run) writes it out with both as loop locals. CLAMP is the
+foot chain's one clamp, source that TICK writes out for the range clamp and
+the slew limit, and the takeoff loop for the foot slew. RAMP is the thrust
+ramp, source that the takeoff loop writes out. tune_gains reads
+wrench.pitch_arms.
 """
 
 from __future__ import annotations
@@ -186,10 +187,9 @@ left, right = mean - delta, mean + delta
 def tick_builder():
     """build(*TICK_CONSTANTS) -> tick(pitch_m, yaw_m, rate_y, rate_z, period,
     *TICK_STATE) -> TICK_STATE, compiled on first use."""
-    body = textwrap.indent(TICK + f"return {TICK_STATE}\n", " " * 8)
-    return compile_build(f"def build({TICK_CONSTANTS}):\n"
-                         f"    def tick(pitch_m, yaw_m, rate_y, rate_z, period, {TICK_STATE}):\n"
-                         f"{body}    return tick\n", "<tvcsim.controller tick>", globals())
+    body = textwrap.indent(TICK + f"return {TICK_STATE}\n", " " * 4)
+    return compile_build("tick", TICK_CONSTANTS, "def tick(pitch_m, yaw_m, rate_y, rate_z, "
+                         f"period, {TICK_STATE}):\n{body}", "<tvcsim.controller tick>", globals())
 
 
 class AttitudeController:

@@ -19,27 +19,27 @@ that spins the uncontrolled robot.
 
 The float kernels come from one template of the equations of motion,
 compiled per integrator on first use, and read a geometry, perturbation and
-dt, and math's sqrt, sin, cos, asin and atan2, as closure cells. The
-template is written for the one inertia model, the diagonal point-mass
-surrogate, and for a body force with no y row, as no fan pushes sideways.
-_kernel binds either build to them: run_kernel takes wrench_kernel's rows
-and the rigid-body step; dynamics_step, its public one-step wrapper (as
-wrench.generalized_wrench_3d is of the wrench formula), compiles only that
-step, and run_scenario the takeoff loop, run, and compiles only run. run
-carries plain floats, the 13 of the state and the controller's gains and
-state among them, and writes out each source a step runs as it stands, so a
-step calls only math's functions (those five as locals), abs and the log's
-append: the controller tick (controller.TICK) every control period, on the
-measured pitch, yaw and body rates about y and z, which _measure draws only
-under sensor noise, from random.Random(seed); the foot slews
-(controller.CLAMP) and the thrust ramp (controller.RAMP), at t = 0 too. Each
-phase does only its own work. A step on the ground runs only ROWS' head
-wrench.LIFT, the held feet's net vertical force, for the liftoff test; the
-held body's attitude, +0.0/-0.0/+0.0, sets no maximum. A step aloft writes
-out the wrench rows (wrench.ROWS) and step's body, guards and attitude
-readout, then updates the attitude maxima; it recomputes a foot's sine and
-cosine (wrench.FOOT_TRIG) only when the foot's angle is a new float object,
-which between ticks it is only while the slew limit binds.
+dt, and those of math's sqrt, sin, cos, asin and atan2 that they call, as
+closure cells (spatial.compile_build). The template is written for the one
+inertia model, the diagonal point-mass surrogate, and for a body force with
+no y row, as no fan pushes sideways. _kernel binds either build to them:
+dynamics_step, the public one-step function (as wrench.generalized_wrench_3d
+is of the wrench formula), runs the rigid-body step under wrench_kernel's
+rows and compiles only that step, and run_scenario the takeoff loop, run,
+and compiles only run. run carries plain floats, the 13 of the state and the
+controller's gains and state among them, and writes out each source a step
+runs as it stands, so a step calls only math's functions (those five as
+locals), abs and the log's append: the controller tick (controller.TICK)
+every control period, on the measured pitch, yaw and body rates about y and
+z, which _measure draws only under sensor noise, from random.Random(seed);
+the foot slews (controller.CLAMP) and the thrust ramp (controller.RAMP), at
+t = 0 too. Each phase does only its own work. A step on the ground runs only
+ROWS' head wrench.LIFT, the held feet's net vertical force, for the liftoff
+test; the held body's attitude, +0.0/-0.0/+0.0, sets no maximum. A step
+aloft writes out the wrench rows (wrench.ROWS) and step's body, guards and
+attitude readout, then updates the attitude maxima; it recomputes a foot's
+sine and cosine (wrench.FOOT_TRIG) only when the foot's angle is a new float
+object, which between ticks it is only while the slew limit binds.
 
 Identical configurations produce bit-identical logs. Python keeps the
 noise's random() stream across versions; Random(-s) repeats Random(s)'s, so
@@ -265,13 +265,14 @@ class SimLog:
 def dynamics_step(state: RigidBodyState, fan_state: FanState, geo: RobotGeometry, dt: float,
                   perturbation: Perturbation | None = None,
                   integrator: str = "euler") -> RigidBodyState:
-    """Advance the free-flying rigid body by one step of run_kernel."""
-    wrench, step = run_kernel(geo, perturbation, dt, integrator)
+    """Advance the free-flying rigid body by one _kernel step under fan_state's wrench rows."""
+    step = _kernel("step", geo, perturbation, dt, integrator)
+    rows = wrench_kernel(geo, perturbation)
     fs, t, q = fan_state, state.time + dt, state.orientation
     if sum(map(abs, q)) > 1e150:  # scaled exactly, so that q's squares cannot overflow
         q = [c * 2.0 ** -600 for c in q]
     x = step(t, *state.position_world, *state.velocity_world, *q, *state.angular_velocity_body,
-             wrench(fs.f_front, fs.f_back, fs.f_left, fs.f_right, fs.theta_left, fs.theta_right))
+             rows(fs.f_front, fs.f_back, fs.f_left, fs.f_right, fs.theta_left, fs.theta_right))
     return RigidBodyState(x[0:3], x[3:6], x[6:10], x[10:13], t)
 
 
@@ -517,22 +518,13 @@ def step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows):
     ty = ty1 + ty2 + ty3
 {step}    return px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, roll, pitch, yaw
 """
-# importing math makes the compiler load run's math.f as sim.py does (LOAD_ATTR, not LOAD_METHOD)
-_BUILD = """\
-import math
-def build(m, weight, i00, i11, i22, j00, j11, j22, h, dt, lock, {constants}):
-    sin, cos, sqrt, asin, atan2 = math.sin, math.cos, math.sqrt, math.asin, math.atan2
-{function}    return {name}
-"""
 
 
 @functools.cache
 def _step_builder(integrator: str, name: str):
-    """name's build(m, weight, i00, i11, i22, j00, j11, j22, h, dt, lock,
-    *ROW_CONSTANTS), name "step" or "run", compiled on first use: run_scenario
-    compiles run alone and dynamics_step step alone, and one rk4 source of both
-    would peak 1.4 MiB of RSS, not 0.5. Each is its templates joined as they
-    stand."""
+    """name's build(m, weight, i00, i11, i22, j00, j11, j22, h, dt, lock, *ROW_CONSTANTS),
+    name "step" or "run", its templates joined as they stand, compiled on first use:
+    one rk4 source of both would peak 1.4 MiB of RSS, not 0.5."""
     if integrator == "rk4":  # stage k's derivative, then stage k + 1's state or the sum
         body = ""
         for k, s, span in ((1, "", "h"), (2, 2, "h"), (3, 3, "dt"), (4, 4, None)):
@@ -549,23 +541,34 @@ def _step_builder(integrator: str, name: str):
         slew = [CLAMP.format(out=f"theta_{side}", x=f"cmd_{side}", lo="lo", hi="hi")
                 for side in "lr"]
         text = _RUN.format(
-            tick_constants=TICK_CONSTANTS, tick_state=TICK_STATE,
-            trig=indent("".join(trig), " " * 4), tick=indent(TICK, " " * 12),
-            lift=indent(LIFT, " " * 12),
+            tick_constants=TICK_CONSTANTS, tick_state=TICK_STATE, tick=indent(TICK, " " * 12),
+            trig=indent("".join(trig), " " * 4), lift=indent(LIFT, " " * 12),
             trig_l=indent(trig[0], " " * 16), trig_r=indent(trig[1], " " * 16),
             rows=indent(ROWS, " " * 12), step=indent(body, " " * 16),
             slew_l=indent(slew[0], " " * 12), slew_r=indent(slew[1], " " * 12),
             ramp_0=indent(RAMP.format(t="0.0"), " " * 8),
             ramp_t=indent(RAMP.format(t="t_end"), " " * 8))
-    return compile_build(_BUILD.format(constants=ROW_CONSTANTS, name=name,
-                                       function=textwrap.indent(text, " " * 4)),
-                         f"<tvcsim.sim {integrator} {name}>", globals())
+    return compile_build(name, "m, weight, i00, i11, i22, j00, j11, j22, h, dt, lock, "
+                         f"{ROW_CONSTANTS}", text, f"<tvcsim.sim {integrator} {name}>", globals())
 
 
 def _kernel(name: str, geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
             integrator: str):
     """_step_builder(integrator, name)'s function, "step" or "run", bound to geo's step
-    constants and wrench_constants, after the checks of dt and integrator."""
+    constants and wrench_constants, after the checks of dt and integrator.
+
+    step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows) advances the
+    free-flying rigid body by dt under wrench_kernel's rows, held over the step, to the
+    state time t: the 13 new state floats (p, v, q, omega), then the new attitude's
+    zyx_angles (roll, pitch, yaw). q is renormalized first, so its squares must not
+    overflow (dynamics_step scales a larger q by 2^-600) and a norm below 1e-300
+    raises ValueError. 'euler' updates v first, p with the velocity midpoint and q by
+    quat_step of the new rate; 'rk4' is the classic fourth-order step, each stage
+    rotating the body force by its own q, renormalized as quat_unit does it. The
+    divergence guards read the final p and omega, euler's before its exponential map:
+    a position beyond POSITION_GUARD_M, a rate beyond RATE_GUARD_RAD_S, or a NaN in
+    either raises DivergenceError, naming t. run is run_scenario's takeoff loop.
+    """
     if not 0.0 < dt <= MAX_PHYSICS_DT:  # a NaN fails too
         raise ValueError(f"dt must be in (0, {MAX_PHYSICS_DT}] s")
     if integrator not in ("euler", "rk4"):
@@ -574,29 +577,6 @@ def _kernel(name: str, geo: RobotGeometry, perturbation: Perturbation | None, dt
     return _step_builder(integrator, name)(
         geo.mass_total, geo.weight, i00, i11, i22, *geo.inertia_inverse, 0.5 * dt, dt,
         0.5 * math.pi - GIMBAL_LOCK_MARGIN, *wrench_constants(geo, perturbation))
-
-
-def run_kernel(geo: RobotGeometry, perturbation: Perturbation | None, dt: float,
-               integrator: str):
-    """The takeoff's one-step float kernel: (wrench, step).
-
-    wrench(f_F, f_B, f_L, f_R, theta_L, theta_R) is wrench_kernel's body rows.
-    step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows) advances
-    the free-flying rigid body by dt under those rows, held over the step, to
-    the state time t, and returns the 13 new state floats (p, v, q, omega)
-    followed by the new attitude's Z-Y-X (roll, pitch, yaw), zyx_angles of
-    its rotation rows. q is renormalized first and every derivative rotates
-    the body force by its own attitude. 'euler' updates velocities first,
-    positions with the velocity midpoint (exact for constant accelerations)
-    and the attitude by the exponential map of the new body rate, quat_step
-    written out; 'rk4' is the classic fourth-order step, each stage quaternion
-    renormalized as quat_unit does it. Either way the divergence guards read
-    the final p and omega, euler's before its exponential map: a new position
-    beyond POSITION_GUARD_M, a body rate beyond RATE_GUARD_RAD_S, or a NaN in
-    either raises DivergenceError, naming t.
-    """
-    step = _kernel("step", geo, perturbation, dt, integrator)
-    return wrench_kernel(geo, perturbation), step
 
 
 def run_scenario(cfg: ScenarioConfig) -> SimLog:

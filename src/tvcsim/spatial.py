@@ -11,12 +11,14 @@ Conventions used across the package:
   helpers (quat_identity, quat_normalize, quat_to_matrix, quat_integrate,
   quat_to_euler) for the oracles and callers that hold arrays, built on
   those kernels. The world-frame wrench calls quat_unit and
-  quat_rotation_rows; the takeoff step (sim.run_kernel) writes quat_unit
+  quat_rotation_rows; the takeoff step (sim._kernel's step) writes quat_unit
   (opening the step and each rk4 stage), R(q)'s entries, euler's quat_step
   and the zyx_angles readout out on floats, and tests pin each copy bit for
   bit to the kernel here. The array helpers import numpy when first called,
   so importing this module, or any command that runs on floats, does not
   load it. quat_from_pitch returns a float tuple that both forms accept.
+* compile_build writes the one build wrapper of the kernels compiled from
+  source: sim's step and run, wrench's rows and controller's tick.
 * Euler angles are Z-Y-X intrinsic (yaw, then pitch, then roll), so "pitch"
   equals the single rotation angle about body y when roll = yaw = 0.
   Positive pitch tips the body x-axis downward (a forward dive).
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import linecache
 import math
+import re
+import textwrap
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -57,8 +61,15 @@ def float_tuple(values: Sequence[float]) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-def compile_build(source: str, filename: str, scope: dict):
-    """source's function build, run in scope; linecache keeps source for tracebacks."""
+def compile_build(name: str, constants: str, function: str, filename: str, scope: dict):
+    """build(constants) -> name, function's source compiled in scope: build binds as locals
+    those of math's sin, cos, sqrt, asin and atan2 it calls by bare name and imports math,
+    so a math.f loads as a module attribute. linecache keeps the source for tracebacks."""
+    calls = set(re.findall(r"(?<![\w.])(\w+)\(", function))
+    bound = [f for f in ("sin", "cos", "sqrt", "asin", "atan2") if f in calls]
+    bind = f"    {', '.join(bound)} = {', '.join('math.' + f for f in bound)}\n" if bound else ""
+    source = (f"import math\ndef build({constants}):\n{bind}"
+              f"{textwrap.indent(function, ' ' * 4)}    return {name}\n")
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
     exec(compile(source, filename, "exec"), scope, namespace)

@@ -5,9 +5,10 @@ oracles import from the package, on the one geometry construction, on the
 takeoff loop's and the hover trim's wrench evaluations, rotation-matrix
 builds and fan-state constructions, on the loop's attitude readouts, on the
 takeoff step's one derivative template, the loop's one controller tick and
-the commands that compile them, on the one source of the pitch arms, on the
-envelope solver's batching and point objects, on the one home of the run
-record and on the one home of the config key names."""
+the commands that compile them, on the one build wrapper and the math
+functions it binds, on the one source of the pitch arms, on the envelope
+solver's batching and point objects, on the one home of the run record and
+on the one home of the config key names."""
 
 import argparse
 import ast
@@ -72,6 +73,30 @@ def test_kernel_ab_compares_the_source_of_every_build():
                 compiling.add((path.stem, node.name))
     assert named == compiling == {("sim", "_step_builder"), ("wrench", "rows_builder"),
                                   ("controller", "tick_builder")}
+
+
+def test_the_build_wrapper_has_one_home():
+    # spatial.compile_build alone writes the wrapper, build(constants), and it
+    # binds as the build's locals the math functions that the function calls
+    # by bare name, no more: euler's step and both runs call all five, rk4's
+    # step neither sin nor cos (it has no exponential map), rows sin and cos
+    # for the feet, and the tick none (its angle wrap calls math.fmod)
+    spelled = [path.name for path in sorted((ROOT / "src" / "tvcsim").glob("*.py"))
+               if "def build(" in path.read_text()]
+    assert spelled == ["spatial.py"]
+    five = {"sin", "cos", "sqrt", "asin", "atan2"}
+    for build, bound in ((sim._step_builder("euler", "step"), five),
+                         (sim._step_builder("rk4", "step"), {"sqrt", "asin", "atan2"}),
+                         (sim._step_builder("euler", "run"), five),
+                         (sim._step_builder("rk4", "run"), five),
+                         (wrench.rows_builder(), {"sin", "cos"}),
+                         (controller.tick_builder(), set())):
+        code = build.__code__
+        assert five & {*code.co_varnames, *code.co_cellvars} == bound, code.co_filename
+        (function,) = [node for node in ast.parse(inspect.getsource(build)).body[0].body
+                       if isinstance(node, ast.FunctionDef)]
+        assert five & {node.func.id for node in ast.walk(function) if isinstance(node, ast.Call)
+                       and isinstance(node.func, ast.Name)} == bound, code.co_filename
 
 
 def _takeoff_record_keys() -> set[str]:
@@ -514,8 +539,7 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
             ("euler", 1, 1, 1, 4, 1), ("rk4", 4, 5, 5, 2, 0)):
         builds = [sim._step_builder(integrator, name) for name in ("step", "run")]
         sources = [inspect.getsource(build) for build in builds]
-        functions = (sim.run_kernel(p1, None, 1e-3, integrator)[1],
-                     sim._kernel("run", p1, None, 1e-3, integrator))
+        functions = [sim._kernel(name, p1, None, 1e-3, integrator) for name in ("step", "run")]
         for build, function in zip(builds, functions):
             assert function.__code__ in build.__code__.co_consts, integrator
             # math.f loads as a module attribute, as in sim.py, not as a method

@@ -55,7 +55,6 @@ from tvcsim.sim import (
     _kernel,
     _measure,
     dynamics_step,
-    run_kernel,
     run_scenario,
 )
 from tvcsim.spatial import (
@@ -69,7 +68,7 @@ from tvcsim.spatial import (
     zyx_angles,
 )
 from tvcsim.trim import hover_trim
-from tvcsim.wrench import FanState, generalized_wrench_3d
+from tvcsim.wrench import FanState, generalized_wrench_3d, wrench_kernel
 
 P1 = geometry_from_posture(builtin_posture("P1"))
 ZERO_THRUST = FanState(0.0, 0.0, 0.0, 0.0)
@@ -157,7 +156,7 @@ def test_dt_guard():
         with pytest.raises(ValueError, match=r"^dt must be in \(0, 0\.002\] s$"):
             dynamics_step(RigidBodyState(), FanState(40.0, 40.0, 40.0, 40.0, 0.0, 0.0), P1,
                           math.nan, integrator=integrator)
-    # run_kernel's own check: the step builder would compile euler for any other name
+    # _kernel's own check: the step builder would compile euler for any other name
     with pytest.raises(ValueError, match="^integrator must be 'euler' or 'rk4'$"):
         dynamics_step(RigidBodyState(), ZERO_THRUST, P1, 1e-3, integrator="rk5")
 
@@ -524,6 +523,57 @@ def test_sagittal_mirror_run_is_the_mirror_image(mode, integrator):
     for name, (partner, sign) in MIRROR_COLUMNS.items():
         np.testing.assert_allclose(column(log, name), sign * column(image, partner),
                                    rtol=0.0, atol=1e-12, err_msg=name)
+
+
+def mirrored_takeoffs(rng, mode, integrator):
+    """The config values of a drawn takeoff and of its left-right mirror, which
+    swaps the feet's axis biases and thrust scales and negates the lateral CoM
+    error and the yaw setpoint. geometry.com_y_m stays 0: the trim refuses an
+    off-plane CoM. Half the draws replace the tuned gains by drawn ones, with
+    integral terms."""
+    shared = {
+        "mode": mode.value, "sim.integrator": integrator, "sim.duration_s": 1.5,
+        "posture": str(rng.choice(["P1", "P2", "P3"])),
+        "sim.dt_s": float(rng.choice([5e-4, 1e-3, 2e-3])),
+        "controller.setpoint_pitch_deg": rng.uniform(-5.0, 5.0),
+        **{f"perturbation.com_offset_{axis}_m": rng.uniform(-0.01, 0.01) for axis in "xz"},
+        **{f"perturbation.thrust_scale_{fan}": rng.uniform(0.95, 1.05)
+           for fan in ("front", "back")},
+    }
+    if rng.random() < 0.5:
+        shared |= {f"controller.{name}": rng.uniform(0.0, hi) for name, hi in (
+            ("kp_pitch", 2.0), ("kd_pitch", 0.25), ("ki_pitch", 1.0), ("kp_yaw", 1.0),
+            ("kd_yaw", 0.12), ("ki_yaw", 0.5))}
+    bias, scale = rng.uniform(-3.0, 3.0, 2).tolist(), rng.uniform(0.95, 1.05, 2).tolist()
+    com_y, yaw = rng.uniform(-0.005, 0.005), rng.uniform(-20.0, 20.0)
+    return [shared | {
+        "perturbation.foot_misalignment_left_deg": bias[k],
+        "perturbation.foot_misalignment_right_deg": bias[1 - k],
+        "perturbation.thrust_scale_left": scale[k],
+        "perturbation.thrust_scale_right": scale[1 - k],
+        "perturbation.com_offset_y_m": sign * com_y, "controller.setpoint_yaw_deg": sign * yaw,
+    } for k, sign in ((0, 1.0), (1, -1.0))]
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_drawn_takeoffs_and_their_left_right_mirrors_fly_mirror_images(mode, integrator):
+    # ten drawn takeoffs per mode and integrator: the mirror negates py, vy,
+    # roll, yaw, wx and wz, swaps the L/R columns and keeps every other cell.
+    # Not bit for bit, as the feet's terms add in the other order; worst
+    # |x - y| / (1 + |x|) seen over the 60 draws: 2.4e-14 (all-off, euler, yaw).
+    # An error that is itself mirror-symmetric, such as a flipped sign of the
+    # y_c terms, keeps the relation
+    rng = np.random.default_rng([list(ControlMode).index(mode),
+                                 ("euler", "rk4").index(integrator)])
+    for _ in range(10):
+        log, image = (run_scenario(scenario_from_config(values))
+                      for values in mirrored_takeoffs(rng, mode, integrator))
+        assert log.events["liftoff_time_s"] is not None
+        assert [row[-1] for row in image.rows] == [row[-1] for row in log.rows]  # phases
+        for name, (partner, sign) in MIRROR_COLUMNS.items():
+            x, y = column(log, name), sign * column(image, partner)
+            assert (abs(x - y) / (1.0 + abs(x))).max() <= 1e-12, name
 
 
 def mass_thrust_scaled(k):
@@ -1022,7 +1072,7 @@ def _cells(step):
 
 
 def _accel(step):
-    """run_kernel's accel as it was written by hand, on the m, weight,
+    """The step's accel as it was written by hand, on the m, weight,
     principal moments i00, i11, i22 and their inverses j00, j11, j22 that
     the flat step closes over: the reference that the step's derivative
     template is pinned to."""
@@ -1048,7 +1098,7 @@ def _accel(step):
 
 
 def _tuple_euler(step):
-    """run_kernel's euler as it was written with accel, quat_unit and
+    """The step's euler as it was written with accel, quat_unit and
     quat_step calls, on the geometry and dt that the flat step closes over."""
     accel, dt = _accel(step), _cells(step)["dt"]
 
@@ -1066,7 +1116,7 @@ def _tuple_euler(step):
 
 
 def _tuple_rk4(step):
-    """run_kernel's rk4 as it was written with accel, deriv, stage and zip
+    """The step's rk4 as it was written with accel, deriv, stage and zip
     sums, on the geometry, dt and h that the flat step closes over."""
     cells = _cells(step)
     accel, dt, h = _accel(step), cells["dt"], cells["h"]
@@ -1112,7 +1162,7 @@ def _bits(state):
 
 def _kernels(integrator):
     """Flat steps over three postures, with and without perturbation, at three dts."""
-    return [run_kernel(geometry_from_posture(builtin_posture(name)), pert, dt, integrator)[1]
+    return [_kernel("step", geometry_from_posture(builtin_posture(name)), pert, dt, integrator)
             for name in ("P1", "P2", "P3") for pert in (None, Perturbation.standard())
             for dt in (2e-4, 1e-3, 2e-3)]
 
@@ -1184,8 +1234,8 @@ def test_integrator_error_falls_with_the_order_of_the_method(integrator, lo, hi)
     # An open-loop tumble under a fixed P1 wrench, against a run at 1/64 of the
     # finest dt; a wrong stage that both rk4 copies shared would fail this
     def final(dt):
-        wrench, step = run_kernel(P1, None, dt, integrator)
-        rows = wrench(45.0, 45.0, 42.0, 48.0, 0.2, -0.1)
+        step = _kernel("step", P1, None, dt, integrator)
+        rows = wrench_kernel(P1)(45.0, 45.0, 42.0, 48.0, 0.2, -0.1)
         state = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.5, -0.8)
         for k in range(round(0.4 / dt)):
             state = step((k + 1) * dt, *state, rows)[:13]
@@ -1203,7 +1253,7 @@ def test_torque_free_rk4_flight_keeps_the_world_angular_momentum():
     # orthogonal to I omega either way) but turns this vector: relative drift
     # measured at most 2.2e-12 over these 2 s, and up to 1.57 with the three
     # signs flipped
-    wrench, step = run_kernel(P1, None, 1e-3, "rk4")
+    step = _kernel("step", P1, None, 1e-3, "rk4")
     rows = (0.0,) * 7
     inertia = np.array(P1.inertia_body)
     state = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.5, -2.0, 3.0)
@@ -1228,7 +1278,7 @@ REST = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 def test_step_tracebacks_show_the_raising_line(integrator):
     # the step is compiled from generated source, which linecache holds, so a
     # traceback from inside it prints the line that raised
-    wrench, step = run_kernel(P1, None, 1e-3, integrator)
+    step = _kernel("step", P1, None, 1e-3, integrator)
     zero_q = (*REST[0:6], 0.0, 0.0, 0.0, 0.0, *REST[10:13])
     for state, rows, error, line in (
             (zero_q, (0.0,) * 7, ValueError,
@@ -1250,7 +1300,7 @@ def test_step_readout_is_the_zyx_split_of_the_rotation_rows(integrator):
     for pitch in (0.5 * math.pi, -0.5 * math.pi, 0.5 * math.pi - 0.5 * GIMBAL_LOCK_MARGIN,
                   -0.5 * math.pi + 2.0 * GIMBAL_LOCK_MARGIN):
         qs += [euler_quat(0.1, pitch, yaw) for yaw in rng.uniform(-3.0, 3.0, 50)]
-    wrench, step = run_kernel(P1, None, 1e-3, integrator)
+    step = _kernel("step", P1, None, 1e-3, integrator)
     rows = (0.0,) * 7
     locked = 0
     for q in qs:
@@ -1270,7 +1320,7 @@ def test_the_log_and_the_step_read_a_negative_zero_pitch_at_the_identity(tmp_pat
     header, first = (tmp_path / "log.csv").read_text().splitlines()[:2]
     assert first.split(",")[header.split(",").index("pitch_deg")] == "-0"
     for integrator in ("euler", "rk4"):
-        wrench, step = run_kernel(P1, None, 1e-3, integrator)
+        step = _kernel("step", P1, None, 1e-3, integrator)
         x = step(1e-3, *REST, (0.0,) * 7)
         assert x[6:10] == (1.0, 0.0, 0.0, 0.0)
         assert struct.pack("<3d", *x[13:16]) == struct.pack("<3d", 0.0, -0.0, 0.0)
@@ -1279,7 +1329,7 @@ def test_the_log_and_the_step_read_a_negative_zero_pitch_at_the_identity(tmp_pat
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
 def test_step_guard_messages(integrator):
     # the messages that the divergence events carry, naming the step's time
-    wrench, step = run_kernel(P1, None, 1e-3, integrator)
+    step = _kernel("step", P1, None, 1e-3, integrator)
     rows = (0.0,) * 7
 
     def raised(*state, rows=rows):
@@ -1291,7 +1341,7 @@ def test_step_guard_messages(integrator):
         "position (100.01, 0, -4.905e-06) left the 100.0 m guard at t=0.501 s")
     assert raised(*REST[:12], 101.0) == (
         "body rate (0, 0, 101) exceeded 100.0 rad/s at t=0.501 s")
-    nan_thrust = wrench(math.nan, 40.0, 40.0, 40.0, 0.0, 0.0)
+    nan_thrust = wrench_kernel(P1)(math.nan, 40.0, 40.0, 40.0, 0.0, 0.0)
     assert raised(*REST, rows=nan_thrust) == (
         "position (nan, nan, nan) left the 100.0 m guard at t=0.501 s")
     # euler's new position reads no rate, rk4's later stages do
@@ -1303,9 +1353,9 @@ def test_step_guard_messages(integrator):
 
 
 def python_loop(cfg):
-    """run_scenario's loop as it was written in Python around run_kernel's
-    wrench and step, before run wrote both out: (log rows, events without
-    the config)."""
+    """run_scenario's loop as it was written in Python around wrench_kernel's
+    rows and _kernel's step, before run wrote both out: (log rows, events
+    without the config)."""
     geo = cfg.geometry()
     trim_state, _ = hover_trim(geo, equal_thrust=True, limits=cfg.limits,
                                foot_pitch_range=cfg.posture.foot_pitch_range)
@@ -1317,7 +1367,8 @@ def python_loop(cfg):
                                     setpoint=cfg.setpoint)
     rng = random.Random(cfg.seed) if cfg.sensor_noise_std > 0.0 else None
     dt = cfg.dt_s
-    wrench, step = run_kernel(geo, cfg.perturbation, dt, cfg.integrator)
+    step = _kernel("step", geo, cfg.perturbation, dt, cfg.integrator)
+    wrench = wrench_kernel(geo, cfg.perturbation)
     weight = geo.weight
 
     px = py = pz = vx = vy = vz = qx = qy = qz = wx = wy = wz = 0.0

@@ -7,7 +7,7 @@ generators, tests/golden/'s cases and tests/test_fuzz.py's extremes (which
 import hypothesis). Both trees are imported here, and each
 family runs one case list, built once, through each tree:
 
-- steps: sim.run_kernel's step, both integrators, on P1-P3 and on six drawn
+- steps: sim._kernel's step, both integrators, on P1-P3 and on six drawn
   surrogate robots (fan mass and both fan spacings log-uniform, so the
   principal moments span about six decades), each with and without
   Perturbation.standard() at dt 0.2, 1 and 2 ms, on random states and loads
@@ -43,7 +43,10 @@ family runs one case list, built once, through each tree:
 - generated sources: the source text that spatial.compile_build compiles
   for sim._step_builder's step and run, each integrator,
   wrench.rows_builder and controller.tick_builder, read back from
-  linecache, where compile_build keeps it.
+  linecache, where compile_build keeps it, and the bytecode of the function
+  each build returns (co_code, co_consts, co_names and co_freevars), so that
+  a change to the build wrapper alone shows as text mismatches with equal
+  bytecode.
 
 An outcome is bytes, or an exception's type name and message, so a str always
 means a raise. Each family prints its totals, raises and first five
@@ -76,6 +79,7 @@ import struct
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -169,8 +173,8 @@ def steps(tree, cases) -> list:
     """Case k of an integrator on the (k mod 54)th of its robots x perturbations x dts."""
     sim, robot = tree["sim"], tree["robot"]
     kernels = {integrator: [
-        sim.run_kernel(robot.geometry_from_posture(robot.builtin_posture(name), **fields), pert,
-                       dt, integrator)[1]
+        sim._kernel("step", robot.geometry_from_posture(robot.builtin_posture(name), **fields),
+                    pert, dt, integrator)
         for name, fields in step_robots(np.random.default_rng(46))
         for pert in (None, sim.Perturbation.standard()) for dt in DTS]
         for integrator in INTEGRATORS}
@@ -460,14 +464,17 @@ BUILDS = (*(("sim", "_step_builder", (integrator, name))
 
 
 def generated_sources(tree, cases) -> list:
-    """Each (module, builder, arguments) case's source text, as compiled.
+    """Each (module, builder, arguments) case's (bytecode, source text), as
+    compiled: the bytecode is that of the one function the build defines.
 
     The builder's cached result would skip compile_build, and both trees
     file a build under one linecache name, so each case builds afresh and
     reads the text back at once."""
     def source(module, builder, args):
         build = getattr(tree[module], builder).__wrapped__(*args)
-        return "".join(linecache.cache[build.__code__.co_filename][2]).encode()
+        (code,) = [c for c in build.__code__.co_consts if isinstance(c, types.CodeType)]
+        return (repr((code.co_code, code.co_consts, code.co_names, code.co_freevars)).encode(),
+                "".join(linecache.cache[build.__code__.co_filename][2]).encode())
 
     return [attempt(lambda: source(*case)) for case in cases]
 
@@ -500,18 +507,26 @@ def battery(workloads, regen, fuzz) -> list:
     ]
 
 
+# the parts of a family's tuple outcomes, by unit: the first, and the last,
+# which can differ alone
+PARTS = {"runs": ("exit code", "stderr"), "builds": ("bytecode", "text")}
+
+
 def compare(label: str, unit: str, cases, parent: list, change: list) -> int:
     """Print the family's totals, raises and first five mismatches, and of a
-    CLI family's mismatches those of exit code and those of stderr alone;
-    return the mismatches."""
+    family with tuple outcomes the mismatches of its first PARTS and those of
+    its last alone; return the mismatches."""
     bad = [i for i, (x, y) in enumerate(zip(parent, change, strict=True)) if x != y]
     for i in bad[:5]:
         print(f"  {label} mismatch: case {i}: {' '.join(repr(cases[i]).split())[:400]}")
     raises = sum(isinstance(x, str) for x in parent)
     runs = [(parent[i], change[i]) for i in bad
             if isinstance(parent[i], tuple) and isinstance(change[i], tuple)]
-    split = (f" ({sum(x[0] != y[0] for x, y in runs)} of exit code, "
-             f"{sum(x[:2] == y[:2] for x, y in runs)} of stderr alone)") if runs else ""
+    split = ""
+    if runs:
+        first, last = PARTS[unit]
+        split = (f" ({sum(x[0] != y[0] for x, y in runs)} of {first}, "
+                 f"{sum(x[:-1] == y[:-1] for x, y in runs)} of {last} alone)")
     print(f"{label}: {len(cases)} {unit} ({raises} raise), {len(bad)} mismatches{split}")
     return len(bad)
 

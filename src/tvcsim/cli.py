@@ -82,7 +82,8 @@ def main(argv=None) -> int:
             "outputs": digests,
             "wall_clock_s": round(time.monotonic() - started, 3),
         }, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        _publish(os.path.join(args.out, f"{name}_manifest.json"), _text_writer(text))
+        _publish(os.path.join(args.out, f"{name}_manifest.json"),
+                 functools.partial(write_text, text=text))
         print("\n".join(report))
         return code
     except ValueError as exc:  # ConfigError, FieldError and UnknownPostureError among them
@@ -161,11 +162,6 @@ def _publish(path: str, write) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _text_writer(text):
-    """A _publish writer of text; binding text here keeps each writer made in a loop its own."""
-    return lambda fh: write_text(fh, text)
-
-
 def _rows_as_json(header, rows) -> str:
     """The table as {"header", "rows"} JSON text; a non-finite float raises ValueError."""
     return json.dumps({"header": list(header), "rows": rows}, indent=2, allow_nan=False) + "\n"
@@ -206,7 +202,7 @@ def cmd_envelope(args, values):
         if args.format == "csv":
             write = functools.partial(write_envelope_csv, rows)
         else:  # an infeasible strategy's nan cells are null in JSON
-            write = _text_writer(_rows_as_json(ENVELOPE_CSV_HEADER, [
+            write = functools.partial(write_text, text=_rows_as_json(ENVELOPE_CSV_HEADER, [
                 [None if x != x else x for x in row] for row in rows]))
         outputs[f"envelope_{name}.{args.format}"] = write
         report += [
@@ -224,8 +220,8 @@ def cmd_takeoff(args, values):
     events = log.events_json() + "\n"  # a non-finite event fails before any file is written
     outputs = {
         f"takeoff_log.{args.format}": log.write_csv if args.format == "csv"
-        else _text_writer(_rows_as_json(log.header, log.rows)),
-        "takeoff_events.json": _text_writer(events),
+        else functools.partial(write_text, text=_rows_as_json(log.header, log.rows)),
+        "takeoff_events.json": functools.partial(write_text, text=events),
     }
 
     ev = log.events

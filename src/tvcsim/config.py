@@ -205,7 +205,7 @@ def scenario_from_config(values: dict) -> ScenarioConfig:
     try:
         envelope_settings_from_config(values)  # every command checks the sweep settings
         if "mode" in values:
-            values = values | {"mode": ControlMode.parse(values["mode"])}
+            values = values | {"mode": ControlMode(values["mode"])}
         gains = None  # tuned at scenario start
         if given := _given(values, ControllerGains):
             missing = [f.name for f in fields(ControllerGains)

@@ -23,11 +23,11 @@ out. It is one source text, TICK: AttitudeController.step compiles it
 through spatial.compile_build, with the gains, mode, trim, setpoint, foot
 range and ankle rate as closure cells (TICK_CONSTANTS) and the previous
 commands and the integrals as its state (TICK_STATE), and the takeoff loop
-(sim._kernel's run) writes it out with both as loop locals. CLAMP is the
-foot chain's one clamp, source that TICK writes out for the range clamp and
-the slew limit, and the takeoff loop for the foot slew. RAMP is the thrust
-ramp, source that the takeoff loop writes out. tune_gains reads
-wrench.pitch_arms.
+(sim._kernel's run) writes it out with both as loop locals. It calls math
+only as module attributes, so it binds no math locals. CLAMP is the foot
+chain's one clamp, source that TICK writes out for the range clamp and the
+slew limit, and the takeoff loop for the foot slew. RAMP is the thrust ramp,
+source that the takeoff loop writes out. tune_gains reads wrench.pitch_arms.
 """
 
 from __future__ import annotations
@@ -50,14 +50,10 @@ class ControlMode(str, Enum):
     ALL_OFF = "all-off"
 
     @classmethod
-    def parse(cls, text: str) -> "ControlMode":
-        for mode in cls:
-            if mode.value == text:
-                return mode
-        raise ValueError(
-            f"unknown control mode {text!r}; expected one of "
-            f"{[m.value for m in cls]}"
-        )
+    def _missing_(cls, value):
+        """ControlMode(text) looks a mode up by its value; an unknown one raises this."""
+        raise ValueError(f"unknown control mode {value!r}; expected one of "
+                         f"{[m.value for m in cls]}")
 
 
 @dataclass(frozen=True)
@@ -197,8 +193,7 @@ class AttitudeController:
     keeps only what a tick reads: TICK_CONSTANTS and TICK_STATE."""
 
     def __init__(self, gains: ControllerGains, mode: ControlMode, posture: Posture,
-                 limits: FanLimits, trim_offset: float, setpoint: EulerAngles | None = None):
-        setpoint = setpoint or EulerAngles(0.0, 0.0, 0.0)
+                 limits: FanLimits, trim_offset: float, setpoint: EulerAngles):
         # the foot range in rad, converted once
         self.constants = (gains.kp_pitch, gains.kd_pitch, gains.ki_pitch, gains.kp_yaw,
                           gains.kd_yaw, gains.ki_yaw, mode is ControlMode.ALL_OFF,

@@ -18,9 +18,9 @@ joint position error, whose left/right asymmetry makes the yaw force couple
 that spins the uncontrolled robot.
 
 The float kernels come from one template of the equations of motion,
-compiled per integrator on first use, and read a geometry, perturbation and
-dt, and those of math's sqrt, sin, cos, asin and atan2 that they call, as
-closure cells (spatial.compile_build). The template is written for the one
+compiled per integrator on first use (spatial.compile_build), and read a
+geometry, perturbation and dt as closure cells, and the math functions they
+call by bare name as their own locals. The template is written for the one
 inertia model, the diagonal point-mass surrogate, and for a body force with
 no y row, as no fan pushes sideways. _kernel binds either build to them:
 dynamics_step, the public one-step function (as wrench.generalized_wrench_3d
@@ -28,15 +28,15 @@ is of the wrench formula), runs the rigid-body step under wrench_kernel's
 rows and compiles only that step, and run_scenario the takeoff loop, run,
 and compiles only run. run carries plain floats, the 13 of the state and the
 controller's gains and state among them, and writes out each source a step
-runs as it stands, so a step calls only math's functions (those five as
-locals), abs and the log's append: the controller tick (controller.TICK)
-every control period, on the measured pitch, yaw and body rates about y and
-z, which _measure draws only under sensor noise, from random.Random(seed);
-the foot slews (controller.CLAMP) and the thrust ramp (controller.RAMP), at
-t = 0 too. Each phase does only its own work. A step on the ground runs only
-ROWS' head wrench.LIFT, the held feet's net vertical force, for the liftoff
-test; the held body's attitude, +0.0/-0.0/+0.0, sets no maximum. A step
-aloft writes out the wrench rows (wrench.ROWS) and step's body, guards and
+runs as it stands, so a step calls only math's functions (as locals), abs
+and the log's append: the controller tick (controller.TICK) every control
+period, on the measured pitch, yaw and body rates about y and z, which
+_measure draws only under sensor noise, from random.Random(seed); the foot
+slews (controller.CLAMP) and the thrust ramp (controller.RAMP), at t = 0
+too. Each phase does only its own work. A step on the ground runs only ROWS'
+head wrench.LIFT, the held feet's net vertical force, for the liftoff test;
+the held body's attitude, +0.0/-0.0/+0.0, sets no maximum. A step aloft
+writes out the wrench rows (wrench.ROWS) and step's body, guards and
 attitude readout, then updates the attitude maxima; it recomputes a foot's
 sine and cosine (wrench.FOOT_TRIG) only when the foot's angle is a new float
 object, which between ticks it is only while the slew limit binds.
@@ -514,6 +514,7 @@ def run(cfg, controller, rng, append):
 """
 _STEP = """\
 def step(t, px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, rows):
+    sqrt, sin, cos, asin, atan2 = math.sqrt, math.sin, math.cos, math.asin, math.atan2
     f_x, f_z, tx, ty1, ty2, ty3, tz = rows
     ty = ty1 + ty2 + ty3
 {step}    return px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, roll, pitch, yaw

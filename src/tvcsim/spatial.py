@@ -18,7 +18,9 @@ Conventions used across the package:
   so importing this module, or any command that runs on floats, does not
   load it. quat_from_pitch returns a float tuple that both forms accept.
 * compile_build writes the one build wrapper of the kernels compiled from
-  source: sim's step and run, wrench's rows and controller's tick.
+  source: sim's step and run, wrench's rows and controller's tick. It binds
+  no math: each function binds the math functions it calls by bare name as
+  its own locals.
 * Euler angles are Z-Y-X intrinsic (yaw, then pitch, then roll), so "pitch"
   equals the single rotation angle about body y when roll = yaw = 0.
   Positive pitch tips the body x-axis downward (a forward dive).
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import linecache
 import math
-import re
 import textwrap
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -62,13 +63,10 @@ def float_tuple(values: Sequence[float]) -> tuple[float, ...]:
 
 
 def compile_build(name: str, constants: str, function: str, filename: str, scope: dict):
-    """build(constants) -> name, function's source compiled in scope: build binds as locals
-    those of math's sin, cos, sqrt, asin and atan2 it calls by bare name and imports math,
-    so a math.f loads as a module attribute. linecache keeps the source for tracebacks."""
-    calls = set(re.findall(r"(?<![\w.])(\w+)\(", function))
-    bound = [f for f in ("sin", "cos", "sqrt", "asin", "atan2") if f in calls]
-    bind = f"    {', '.join(bound)} = {', '.join('math.' + f for f in bound)}\n" if bound else ""
-    source = (f"import math\ndef build({constants}):\n{bind}"
+    """build(constants) -> name, function's source compiled in scope after import math, so a
+    math.f loads as a module attribute; build binds no math, as the function binds those it
+    calls by bare name as locals. linecache keeps the source for tracebacks."""
+    source = (f"import math\ndef build({constants}):\n"
               f"{textwrap.indent(function, ' ' * 4)}    return {name}\n")
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}

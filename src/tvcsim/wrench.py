@@ -19,15 +19,15 @@ Force and torque conventions:
   the body about an off-center CoM, the whole horizontal thrust yaws it.
 
 pitch_arms is the one source of the four sagittal arms of these terms; the
-trims, the envelope LP and the controller gains read them there too.
-ROWS is the one source of the rows, and FOOT_TRIG of the foot angles' sines
-and cosines they read: wrench_kernel compiles both through
-spatial.compile_build and the takeoff loop (sim._kernel's run) writes them
-out, its liftoff test ROWS' head LIFT alone.
-generalized_wrench_3d wraps wrench_kernel for one fan state at one attitude,
-and total_wrench is its pitch-only case. The world-frame rows are floats
-too; numpy is imported only for the array forms of them and by fan_layout,
-which lists the per-fan forces.
+trims, the envelope LP and the controller gains read them there too. ROWS is
+the one source of the rows, and FOOT_TRIG of the foot angles' sines and
+cosines they read: wrench_kernel compiles both through spatial.compile_build
+into rows, which binds math's sin and cos as locals first, and the takeoff
+loop (sim._kernel's run) writes them out, its liftoff test ROWS' head LIFT
+alone. generalized_wrench_3d wraps wrench_kernel for one fan state at one
+attitude, and total_wrench is its pitch-only case. The world-frame rows are
+floats too; numpy is imported only for the array forms of them and by
+fan_layout, which lists the per-fan forces.
 """
 
 from __future__ import annotations
@@ -193,7 +193,8 @@ sin_{s}, cos_{s} = sin(a_{s}), cos(a_{s})
 @functools.cache
 def rows_builder():
     """build(*wrench_constants(geo, perturbation)) -> rows, compiled on first use."""
-    body = textwrap.indent(FOOT_TRIG.format(s="l") + FOOT_TRIG.format(s="r") + ROWS
+    body = textwrap.indent("sin, cos = math.sin, math.cos\n" + FOOT_TRIG.format(s="l")
+                           + FOOT_TRIG.format(s="r") + ROWS
                            + "return f_x, f_z, tx, ty1, ty2, ty3, tz\n", " " * 4)
     return compile_build("rows", ROW_CONSTANTS, "def rows(f_f, f_b, f_l, f_r, theta_l, theta_r):\n"
                          + body, "<tvcsim.wrench rows>", globals())

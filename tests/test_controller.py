@@ -17,7 +17,7 @@ from tvcsim.controller import (
     tune_gains,
 )
 from tvcsim.robot import FanLimits, builtin_posture, geometry_from_posture
-from tvcsim.sim import Perturbation, RigidBodyState, dynamics_step
+from tvcsim.sim import Perturbation, RigidBodyState, ScenarioConfig, dynamics_step
 from tvcsim.spatial import EulerAngles, quat_from_pitch, quat_to_euler
 from tvcsim.trim import hover_trim
 from tvcsim.wrench import FanState, generalized_wrench_3d, total_wrench
@@ -26,13 +26,14 @@ GEO = geometry_from_posture(builtin_posture("P1"))
 POSTURE = builtin_posture("P1")
 LIMITS = FanLimits()
 POLES = {"zeta": 0.7, "omega_n_pitch": 12.0, "omega_n_yaw": 12.0}  # ScenarioConfig's defaults
+LEVEL = ScenarioConfig.setpoint  # the one default setpoint
 
 
 def make_controller(mode=ControlMode.BOTH_ON, trim=0.1, gains=None,
                     rate_max=None):
     gains = gains or ControllerGains(1.0, 0.1, 0.5, 0.06)
     limits = LIMITS if rate_max is None else FanLimits(foot_pitch_rate_max=rate_max)
-    return AttitudeController(gains, mode, POSTURE, limits, trim)
+    return AttitudeController(gains, mode, POSTURE, limits, trim, LEVEL)
 
 
 def test_pd_step_arithmetic():
@@ -40,13 +41,13 @@ def test_pd_step_arithmetic():
     # with e = setpoint - measured; no clamp or slew limit bites here
     fast = FanLimits(foot_pitch_rate_max=1e6)
     ctl = AttitudeController(ControllerGains(2.0, 0.5, 1.5, 0.25), ControlMode.BOTH_ON,
-                             POSTURE, fast, 0.1)
+                             POSTURE, fast, 0.1, LEVEL)
     left, right = ctl.step(-0.1, 0.04, 0.2, -0.08, 0.004)
     mean = 0.1 - (2.0 * 0.1 + 0.5 * -0.2)
     delta = 1.5 * -0.04 + 0.25 * 0.08
     assert (left, right) == pytest.approx((mean - delta, mean + delta), abs=1e-15)
     ctl = AttitudeController(ControllerGains(2.0, 0.5, 1.5, 0.25), ControlMode.BOTH_ON,
-                             POSTURE, fast, 0.1)
+                             POSTURE, fast, 0.1, LEVEL)
     assert ctl.step(0.0, 0.0, 0.0, 0.0, 0.004) == (0.1, 0.1)
 
 
@@ -54,7 +55,7 @@ def test_pd_step_homogeneous():
     # doubling both pitch gains doubles the pitch correction about the trim
     def correction(kp, kd):
         ctl = AttitudeController(ControllerGains(kp, kd, 0.0, 0.0), ControlMode.PITCH_ONLY,
-                                 POSTURE, FanLimits(foot_pitch_rate_max=1e6), 0.0)
+                                 POSTURE, FanLimits(foot_pitch_rate_max=1e6), 0.0, LEVEL)
         return ctl.step(-0.07, 0.0, 0.01, 0.0, 0.004)[0]
 
     assert correction(3.0, 0.6) == pytest.approx(2.0 * correction(1.5, 0.3))
@@ -246,7 +247,7 @@ def test_pitch_feedback_is_restoring():
 
     def torque_at(pitch_dev):
         ctl = AttitudeController(gains, ControlMode.BOTH_ON, POSTURE, LIMITS,
-                                 fs_trim.theta_left)
+                                 fs_trim.theta_left, LEVEL)
         fs = FanState(f, f, f, f, *ctl.step(pitch_dev, 0.0, 0.0, 0.0, 0.004))
         return total_wrench(fs, GEO, trim_pitch + pitch_dev).torque_world[1]
 
@@ -262,7 +263,7 @@ def test_yaw_feedback_is_restoring():
 
     def yaw_torque(yaw):
         ctl = AttitudeController(gains, ControlMode.BOTH_ON, POSTURE, LIMITS,
-                                 fs_trim.theta_left)
+                                 fs_trim.theta_left, LEVEL)
         fs = FanState(f, f, f, f, *ctl.step(0.0, yaw, 0.0, 0.0, 0.004))
         return total_wrench(fs, GEO, 0.0).torque_world[2]
 
@@ -311,7 +312,7 @@ def fly_hover(omega_n, orientation, perturbation=None, seconds=1.0):
     f, trim = HOVER.f_left, HOVER.theta_left
     gains = tune_gains(GEO, hover_thrust_per_fan=f, trim_foot_angle=trim, zeta=0.7,
                        omega_n_pitch=omega_n, omega_n_yaw=omega_n)
-    ctl = AttitudeController(gains, ControlMode.BOTH_ON, POSTURE, LIMITS, trim)
+    ctl = AttitudeController(gains, ControlMode.BOTH_ON, POSTURE, LIMITS, trim, LEVEL)
     state, left, right = RigidBodyState(orientation=orientation), trim, trim
     foot_step = LIMITS.foot_pitch_rate_max * 1e-3
     samples = []
@@ -404,9 +405,9 @@ def test_tune_gains_rejects_degenerate_geometry():
 def test_integral_term_defaults_off_but_works():
     fast = FanLimits(foot_pitch_rate_max=1e6)
     with_i = AttitudeController(ControllerGains(1.0, 0.0, 0.5, 0.06, ki_pitch=0.5),
-                                ControlMode.BOTH_ON, POSTURE, fast, 0.0)
+                                ControlMode.BOTH_ON, POSTURE, fast, 0.0, LEVEL)
     without_i = AttitudeController(ControllerGains(1.0, 0.0, 0.5, 0.06),
-                                   ControlMode.BOTH_ON, POSTURE, fast, 0.0)
+                                   ControlMode.BOTH_ON, POSTURE, fast, 0.0, LEVEL)
     for _ in range(10):
         left_i, _ = with_i.step(0.1, 0.0, 0.0, 0.0, 0.004)
         left_p, _ = without_i.step(0.1, 0.0, 0.0, 0.0, 0.004)
@@ -415,9 +416,20 @@ def test_integral_term_defaults_off_but_works():
     assert left_i > left_p
 
 
-def test_mode_parse():
-    assert ControlMode.parse("both-on") is ControlMode.BOTH_ON
-    assert ControlMode.parse("pitch-only") is ControlMode.PITCH_ONLY
-    assert ControlMode.parse("all-off") is ControlMode.ALL_OFF
-    with pytest.raises(ValueError):
-        ControlMode.parse("sometimes")
+def test_modes_are_looked_up_by_value():
+    for label, mode in (("both-on", ControlMode.BOTH_ON), ("pitch-only", ControlMode.PITCH_ONLY),
+                        ("all-off", ControlMode.ALL_OFF)):
+        assert ControlMode(label) is mode
+        assert ControlMode(mode) is mode
+    for label in ("", "sideways", "Both-On", " both-on", "both_on"):
+        with pytest.raises(ValueError) as raised:
+            ControlMode(label)
+        assert str(raised.value) == (f"unknown control mode {label!r}; expected one of "
+                                     "['both-on', 'pitch-only', 'all-off']")
+
+
+def test_the_scenario_owns_the_default_setpoint():
+    # ScenarioConfig.setpoint is the one default; the controller takes its setpoint as given
+    with pytest.raises(TypeError, match="setpoint"):
+        AttitudeController(ControllerGains(1.0, 0.1, 0.5, 0.06), ControlMode.BOTH_ON, POSTURE,
+                           LIMITS, 0.1)

@@ -6,7 +6,7 @@ takeoff loop's and the hover trim's wrench evaluations, rotation-matrix
 builds and fan-state constructions, on the loop's attitude readouts, on the
 takeoff step's one derivative template, the loop's one controller tick and
 the commands that compile them, on the one build wrapper and the math
-functions it binds, on the one source of the pitch arms, on the envelope
+functions each generated function binds itself, on the one source of the pitch arms, on the envelope
 solver's batching and point objects, on the one home of the run record and
 on the one home of the config key names."""
 
@@ -75,28 +75,50 @@ def test_kernel_ab_compares_the_source_of_every_build():
                                   ("controller", "tick_builder")}
 
 
+# the math functions that a step calls by bare name, and those of run, which
+# adds degrees: each a local that the function binds from math itself
+STEP_MATH = {"sin", "cos", "sqrt", "asin", "atan2"}
+LOCAL_MATH = STEP_MATH | {"degrees"}
+
+
 def test_the_build_wrapper_has_one_home():
     # spatial.compile_build alone writes the wrapper, build(constants), and it
-    # binds as the build's locals the math functions that the function calls
-    # by bare name, no more: euler's step and both runs call all five, rk4's
-    # step neither sin nor cos (it has no exponential map), rows sin and cos
-    # for the feet, and the tick none (its angle wrap calls math.fmod)
+    # binds no math: a generated function binds the math functions it calls by
+    # bare name as its own locals, in one assignment from math's attributes,
+    # the first statement that names one, and closes over none. step and rows
+    # bind in their first statement; run binds before its foot trig and loop,
+    # where it always has, which keeps its code object as it was. euler's step
+    # calls all five of STEP_MATH, rk4's step neither sin nor cos (it has no
+    # exponential map; its template binds them all the same), both runs all of
+    # LOCAL_MATH, rows sin and cos for the feet, and the tick none (its angle
+    # wrap calls math.fmod)
     spelled = [path.name for path in sorted((ROOT / "src" / "tvcsim").glob("*.py"))
                if "def build(" in path.read_text()]
     assert spelled == ["spatial.py"]
-    five = {"sin", "cos", "sqrt", "asin", "atan2"}
-    for build, bound in ((sim._step_builder("euler", "step"), five),
-                         (sim._step_builder("rk4", "step"), {"sqrt", "asin", "atan2"}),
-                         (sim._step_builder("euler", "run"), five),
-                         (sim._step_builder("rk4", "run"), five),
-                         (wrench.rows_builder(), {"sin", "cos"}),
-                         (controller.tick_builder(), set())):
+    for build, called, first in ((sim._step_builder("euler", "step"), STEP_MATH, True),
+                                 (sim._step_builder("rk4", "step"), {"sqrt", "asin", "atan2"},
+                                  True),
+                                 (sim._step_builder("euler", "run"), LOCAL_MATH, False),
+                                 (sim._step_builder("rk4", "run"), LOCAL_MATH, False),
+                                 (wrench.rows_builder(), {"sin", "cos"}, True),
+                                 (controller.tick_builder(), set(), None)):
         code = build.__code__
-        assert five & {*code.co_varnames, *code.co_cellvars} == bound, code.co_filename
+        (inner,) = [c for c in code.co_consts if inspect.iscode(c)]
+        assert not LOCAL_MATH & {*code.co_varnames, *code.co_cellvars, *inner.co_freevars}
         (function,) = [node for node in ast.parse(inspect.getsource(build)).body[0].body
                        if isinstance(node, ast.FunctionDef)]
-        assert five & {node.func.id for node in ast.walk(function) if isinstance(node, ast.Call)
-                       and isinstance(node.func, ast.Name)} == bound, code.co_filename
+        assert LOCAL_MATH & {node.func.id for node in ast.walk(function) if isinstance(
+            node, ast.Call) and isinstance(node.func, ast.Name)} == called, code.co_filename
+        binds = [stmt for stmt in function.body if LOCAL_MATH & _names(stmt)]
+        if first is None:
+            assert not binds, code.co_filename
+            continue
+        (targets,), values = binds[0].targets, binds[0].value
+        names = [target.id for target in targets.elts]
+        assert called <= set(names) <= LOCAL_MATH, code.co_filename
+        assert [ast.unparse(value) for value in values.elts] == [f"math.{n}" for n in names]
+        assert set(names) <= set(inner.co_varnames), code.co_filename
+        assert (function.body.index(binds[0]) == 0) == first, code.co_filename
 
 
 def _takeoff_record_keys() -> set[str]:
@@ -485,12 +507,6 @@ def _names(node):
     return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
 
 
-# the math functions that a step calls by name: the closure cells of the step
-# build, and the locals of run, which adds degrees
-STEP_MATH = {"sin", "cos", "sqrt", "asin", "atan2"}
-LOCAL_MATH = STEP_MATH | {"degrees"}
-
-
 def _blocks(text, function):
     """(node, field) of each statement list of function that holds text's
     statements in a row, once per occurrence."""
@@ -508,23 +524,23 @@ def _blocks(text, function):
 
 def test_step_sources_write_the_equations_of_motion_from_one_template():
     # sim.py holds the equations of motion once, in the derivative template
-    # that _step_builder writes out once for euler and once a stage for rk4;
-    # no accel is left. A generated step hides no stage in a nested function
-    # or a comprehension and calls only STEP_MATH, the closure cells its build
-    # binds to math's functions (and the readout's abs); rk4 calls sqrt for
-    # the opening, the three stage and the new quaternions, each followed by
-    # its zero-norm ValueError. The tail, from the divergence guards on, ends
-    # every step once: rk4's is the guards and the attitude readout, and
-    # euler's runs the guards once omega is final, before the exponential
-    # map's sqrt and sin and the new quaternion's sqrt, so that an overflowing
-    # omega dt trips the rate guard, not sin. run, compiled apart from the
-    # same templates, writes step's body once, verbatim, in its airborne
-    # branch: no rewrite stands between a template and a build. It writes
-    # wrench.ROWS once, in that branch, FOOT_TRIG once per foot before the
-    # loop and once in that branch, ROWS' head LIFT alone for the liftoff test
-    # in the ground branch, controller.TICK once, in the tick's branch, and a
-    # step calls math's functions, abs and the log's append, and _measure
-    # under sensor noise alone
+    # that _step_builder writes out once for euler and once a stage for rk4; no
+    # accel is left. A generated step hides no stage in a nested function or a
+    # comprehension and calls only STEP_MATH, the locals that its first
+    # statement binds to math's functions (and the readout's abs); rk4 calls
+    # sqrt for the opening, the three stage and the new quaternions, each
+    # followed by its zero-norm ValueError. The tail, from the divergence
+    # guards on, ends every step once: rk4's is the guards and the attitude
+    # readout, and euler's runs the guards once omega is final, before the
+    # exponential map's sqrt and sin and the new quaternion's sqrt, so that an
+    # overflowing omega dt trips the rate guard, not sin. run, compiled apart
+    # from the same templates, writes step's body after the bind once,
+    # verbatim, in its airborne branch: no rewrite stands between a template
+    # and a build. It writes wrench.ROWS once, in that branch, FOOT_TRIG once per
+    # foot before the loop and once in that branch, ROWS' head LIFT alone for
+    # the liftoff test in the ground branch, controller.TICK once, in the
+    # tick's branch, and a step calls math's functions, abs and the log's
+    # append, and _measure under sensor noise alone
     text = (ROOT / "src" / "tvcsim" / "sim.py").read_text()
     row = "1.0 - 2.0 * (yy + zz)"  # R(q)'s first entry
     assert not re.search(r"\baccel\b", text)
@@ -555,14 +571,19 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
         for function in (step, run):
             assert not [node for node in list(ast.walk(function))[1:]
                         if isinstance(node, nested)]
+        # the bind, then the equations: math is named in the bind alone
+        bind, *statements = step.body
+        assert _names(bind) == STEP_MATH | {"math"}, integrator
         raised = {id(node.exc) for node in ast.walk(step) if isinstance(node, ast.Raise)}
-        calls = [ast.unparse(node.func) for node in ast.walk(step)
+        calls = [ast.unparse(node.func) for stmt in statements for node in ast.walk(stmt)
                  if isinstance(node, ast.Call) and id(node) not in raised]
-        assert set(calls) <= STEP_MATH | {"abs"} and "math" not in _names(step), calls
-        assert set(calls) - {"abs"} <= set(functions[0].__code__.co_freevars), integrator
-        guard = next(i for i, node in enumerate(step.body)
+        assert set(calls) <= STEP_MATH | {"abs"}, calls
+        assert "math" not in {name for stmt in statements for name in _names(stmt)}
+        code = functions[0].__code__
+        assert set(calls) - {"abs"} <= set(code.co_varnames) - set(code.co_freevars), integrator
+        guard = next(i for i, node in enumerate(statements)
                      if "DivergenceError" in ast.unparse(node))
-        body, tail = step.body[:guard], step.body[guard:]
+        body, tail = statements[:guard], statements[guard:]
         in_body = [node for stmt in body for node in ast.walk(stmt)]
         assert len([node for node in in_body if ast.unparse(node) == "sqrt"]) == sqrts
         in_tail = [ast.unparse(node) for stmt in tail for node in ast.walk(stmt)]
@@ -575,21 +596,21 @@ def test_step_sources_write_the_equations_of_motion_from_one_template():
         # the guards and the readout, in the tail alone; run adds its except clause
         assert sources[0].count("DivergenceError") == 2, integrator
         for name, count in (("DivergenceError", 2), ("asin", 1)):
-            for stmts in (step.body, tail):
+            for stmts in (statements, tail):
                 assert len([node for stmt in stmts for node in ast.walk(stmt)
                             if ast.unparse(node) == name]) == count, (integrator, name)
         assert sources[1].count("DivergenceError") == 3
         assert len([node for node in ast.walk(run) if isinstance(node, ast.Call)
                     and ast.unparse(node.func) == "asin"]) == 1
-        # run: step's body, bar the rows' unpacking and the return, once and
-        # verbatim, as the airborne branch's try body
+        # run: step's body, bar the bind, the rows' unpacking and the return,
+        # once and verbatim, as the airborne branch's try body
         (loop,) = [node for node in ast.walk(run) if isinstance(node, ast.For)]
         branches = {ast.unparse(node.test): node for node in loop.body if isinstance(node, ast.If)}
         tick, ground, airborne = (branches[test] for test in (
             "i % control_every == 0", "not airborne", "airborne"))
         (branch,) = [node for node in ast.walk(run) if isinstance(node, ast.Try)]
         assert branch in airborne.body
-        assert [ast.unparse(stmt) for stmt in step.body[1:-1]] == [
+        assert [ast.unparse(stmt) for stmt in statements[1:-1]] == [
             ast.unparse(stmt) for stmt in branch.body], integrator
         assert ast.unparse(branch.handlers[0].type) == "DivergenceError"
         # ROWS once, aloft; FOOT_TRIG before the loop and aloft for a new angle;

@@ -16,7 +16,9 @@ family runs one case list, built once, through each tree:
   and +-1e308, which the divergence guards must end), reported block by
   block;
 - ticks: controller.AttitudeController.step through sequences of drawn
-  inputs, every mode, with and without I gains and setpoints, on foot ranges
+  inputs, every mode (built as controller.ControlMode(label), which a tree
+  with or without ControlMode.parse accepts), with and without I gains and
+  setpoints (always passed, as the controller has no default), on foot ranges
   that end at +-0.0 too, with signed zeros, NaNs, bad periods, and commands
   that tie the range ends and the slew bounds. An infinite yaw error raises
   math's ValueError, and a sequence ends at it: the parent of the compiled
@@ -46,7 +48,9 @@ family runs one case list, built once, through each tree:
   linecache, where compile_build keeps it, and the bytecode of the function
   each build returns (co_code, co_consts, co_names and co_freevars), so that
   a change to the build wrapper alone shows as text mismatches with equal
-  bytecode.
+  bytecode. A function that binds its math as its own locals, where its
+  build had bound it as closure cells, shows as a bytecode mismatch; one that
+  had bound it itself all along, as run has, as a text mismatch alone.
 
 An outcome is bytes, or an exception's type name and message, so a str always
 means a raise. Each family prints its totals, raises and first five
@@ -225,7 +229,7 @@ def ticks(tree, cases) -> list:
 
     def run(mode, gains, setpoint, rate, trim, foot_range, inputs):
         ctl = controller.AttitudeController(
-            controller.ControllerGains(*gains), controller.ControlMode.parse(mode),
+            controller.ControllerGains(*gains), controller.ControlMode(mode),
             robot.Posture("X", (0.02, -0.24), (0.02, -0.61), foot_range),
             robot.FanLimits(foot_pitch_rate_max=rate), trim,
             setpoint=spatial.EulerAngles(0.0, *setpoint))

@@ -11,7 +11,8 @@ code so the two can be compared:
 * envelope_extrema_grid walks a fixed foot-angle grid and enumerates the
   vertices of the thrust polytope (box corners plus box-edge intersections
   with the vertical-force plane) at every angle, instead of the parametric
-  greedy over closed-form candidate angles, in one numpy array pass.
+  greedy over closed-form candidate angles, in numpy arrays over the grid,
+  one family of vertices at a time.
 * trim_scan exploits the closed force balance of the equal-thrust trim
   (body pitch is minus half the foot angle, thrust follows from the weight)
   and scans the remaining torque equation on a fine angle grid, instead of
@@ -105,9 +106,11 @@ def envelope_extrema_grid(
     For each foot angle on the grid the feasible thrust set is a box cut by
     one half-space, so every candidate optimum is either a feasible box
     corner or the point where the constraint plane crosses a box edge; both
-    families are enumerated exhaustively, 20 candidates at every grid angle
-    in one (candidate, angle) table. DT restricts the grid to the single
-    angle zero.
+    are enumerated exhaustively, the same 20 candidates at every grid angle.
+    Each family (the corners with the feet at 0 and at the cap, the edges
+    with the front, the back or the feet free) yields its feasible objective
+    values, and the extrema are taken over all of them at once. DT restricts
+    the grid to the single angle zero.
     """
     _check_grid("angle_step_deg", angle_step_deg)
     if dt_strategy:
@@ -129,25 +132,36 @@ def envelope_extrema_grid(
     a2 = 2.0 * np.cos(theta_pitch + thetas)
     floor = r - 1e-9
 
-    # one row per candidate, one column per angle: the 8 box corners, then the
-    # box edges, two thrusts pinned at (b1, b2) and the free one solved on the
+    # the feet's share of the constraint and of the objective at f_feet = 0 and u
+    a2_0, a2_u, c2_0, c2_u = a2 * 0.0, a2 * u, c2 * 0.0, c2 * u
+
+    # the box corners (f_front, f_back, f_feet) in {0, u}^3: the waist pair's
+    # share is one scalar per corner, to which the feet's is added. a2 * 0 is
+    # a signed zero (a2 is finite wherever cp is), which moves no sum across
+    # the floor, so a corner with the feet at 0 is feasible at every angle or
+    # at none; its objective keeps c2 * 0, which sets the sign of a zero sum
+    corners = [(cp * fa + cp * fb, c0 * fa + c1 * fb) for fa in (0.0, u) for fb in (0.0, u)]
+    taus = [tau + c2_0 for a, tau in corners if a >= floor]
+    a, tau = np.array(corners).T[:, :, None]
+    taus.append((tau + c2_u)[a + a2_u >= floor])
+    # the box edges: two thrusts pinned at (b1, b2), the free one solved on the
     # plane. Front and back share cp, so their edges cross the plane alike
-    f0, f1, f2 = np.array([(fa, fb, ft) for fa in (0.0, u)
-                           for fb in (0.0, u) for ft in (0.0, u)]).T[:, :, None]
     b1, b2 = np.array([[0.0, 0.0, u, u], [0.0, u, 0.0, u]])[:, :, None]
+    a2_b2, c2_b2 = np.array([a2_0, a2_u, a2_0, a2_u]), np.array([c2_0, c2_u, c2_0, c2_u])
     with np.errstate(divide="ignore", invalid="ignore"):
-        waist = (r - cp * b1 - a2 * b2) / cp  # f_front (f_back) free: the other b1, feet b2
+        waist = (r - cp * b1 - a2_b2) / cp  # f_front (f_back) free: the other b1, feet b2
         feet = (r - cp * b1 - cp * b2) / a2  # f_feet free: front b1, back b2
-    waist_ok = (cp != 0.0) & (-1e-9 <= waist) & (waist <= u + 1e-9)
-    feet_ok = (a2 != 0.0) & (-1e-9 <= feet) & (feet <= u + 1e-9)
-    waist, feet = np.clip(waist, 0.0, u), np.clip(feet, 0.0, u)
-    waist_feasible = waist_ok & (cp * waist + cp * b1 + a2 * b2 >= floor)
-    feasible = np.concatenate([cp * f0 + cp * f1 + a2 * f2 >= floor, waist_feasible,
-                               waist_feasible, feet_ok & (cp * b1 + cp * b2 + a2 * feet >= floor)])
-    if not feasible.any():
+    ok = (cp != 0.0) & (-1e-9 <= waist) & (waist <= u + 1e-9)
+    waist = waist.clip(0.0, u)
+    ok &= cp * waist + cp * b1 + a2_b2 >= floor
+    taus += (c0 * waist + c1 * b1 + c2_b2)[ok], (c0 * b1 + c1 * waist + c2_b2)[ok]
+    ok = (a2 != 0.0) & (-1e-9 <= feet) & (feet <= u + 1e-9)
+    feet = feet.clip(0.0, u)
+    ok &= cp * b1 + cp * b2 + a2 * feet >= floor
+    taus.append((c0 * b1 + c1 * b2 + c2 * feet)[ok])
+    tau = np.concatenate(taus)
+    if not tau.size:
         return None
-    tau = np.concatenate([c0 * f0 + c1 * f1 + c2 * f2, c0 * waist + c1 * b1 + c2 * b2,
-                          c0 * b1 + c1 * waist + c2 * b2, c0 * b1 + c1 * b2 + c2 * feet])[feasible]
     return float(tau.min()), float(tau.max())
 
 

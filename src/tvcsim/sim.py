@@ -174,6 +174,8 @@ class Perturbation:
 
 @dataclass
 class ScenarioConfig:
+    """One takeoff: robot, controller, thrust ramp, disturbances and integration."""
+
     posture: Posture = builtin_posture("P1")
     mode: ControlMode = ControlMode.BOTH_ON
     gains: ControllerGains | None = None  # None -> tuned at scenario start

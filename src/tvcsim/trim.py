@@ -68,7 +68,9 @@ def hover_trim(
     if worst > _THRUST_TOL * geo.weight:
         raise NoTrimError(
             f"trim needs per-fan thrust outside [{limits.thrust_min}, "
-            f"{limits.thrust_max_per_fan}] N (state: {fs})"
+            f"{limits.thrust_max_per_fan}] N (front={fs.f_front:g} N, back={fs.f_back:g} N, "
+            f"left={fs.f_left:g} N, right={fs.f_right:g} N, feet at "
+            f"{math.degrees(fs.theta_left):g} and {math.degrees(fs.theta_right):g} deg)"
         )
     lo, hi = foot_pitch_range or (-math.inf, math.inf)
     if not lo <= fs.theta_left <= hi:

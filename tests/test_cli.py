@@ -539,6 +539,20 @@ def test_trim_foot_angle_outside_the_posture_range_exit_3(tmp_path, capsys):
     assert err.startswith("infeasible: trim foot angle 0.000 deg lies outside")
 
 
+def test_trim_over_the_thrust_limit_reports_newtons_and_degrees(tmp_path, capsys):
+    # the equal-thrust trim needs 41.7 N per fan, over a 30 N limit; the state
+    # reads in the CLI's units, not as a FanState repr in radians
+    text = "limits.thrust_max_per_fan_n = 30\nthrust.target_per_fan_n = 25\n"
+    for command in ("trim", "takeoff"):
+        code, out, err = run_with_config(tmp_path, capsys, text, command)
+        assert code == 3, command
+        assert out == ""
+        assert "FanState(" not in err
+        assert err == ("infeasible: trim needs per-fan thrust outside [0.0, 30.0] N "
+                       "(front=41.7274 N, back=41.7274 N, left=41.7274 N, right=41.7274 N, "
+                       "feet at 4.68619 and 4.68619 deg)\n")
+
+
 def test_light_robot_with_light_fans_trims(tmp_path, capsys):
     # 4 x 0.1 kg fans fit a 1.5 kg robot; four default 0.488 kg fans would not
     text = "geometry.mass_kg = 1.5\ngeometry.fan_mass_kg = 0.1\n"

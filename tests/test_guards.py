@@ -13,6 +13,7 @@ on the one home of the config key names."""
 import argparse
 import ast
 import collections
+import dataclasses
 import dis
 import importlib
 import inspect
@@ -328,6 +329,27 @@ def test_scalar_modules_import_no_numpy():
         imported += [node.module for node in tree.body
                      if isinstance(node, ast.ImportFrom) and node.module]
         assert not [m for m in imported if m.split(".")[0] == "numpy"], name
+
+
+def test_every_dataclass_has_its_own_docstring():
+    # without one, dataclass builds __doc__ from inspect.signature at import,
+    # which reprs every default: about 180 us of each import of sim, once
+    missing = []
+    for path in sorted((ROOT / "src" / "tvcsim").glob("*.py")):
+        module = importlib.import_module(f"tvcsim.{path.stem}")
+        decorated = {}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for d in node.decorator_list:
+                    d = d.func if isinstance(d, ast.Call) else d
+                    if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
+                        decorated[node.name] = ast.get_docstring(node)
+        defined = {name for name, obj in vars(module).items()
+                   if inspect.isclass(obj) and obj.__module__ == module.__name__
+                   and dataclasses.is_dataclass(obj)}
+        assert set(decorated) == defined, path.name
+        missing += [f"{path.stem}.{name}" for name, doc in decorated.items() if not doc]
+    assert missing == []
 
 
 def test_oracles_import_no_production_solver():

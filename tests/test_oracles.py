@@ -139,9 +139,15 @@ def test_envelope_grid_equals_the_scalar_candidate_passes():
             # a vertical floor near, and one beyond, four full fans
             EnvelopeConstraint(rng.uniform(150.0, 210.0), 50.0, hover.foot_angle_range),
             EnvelopeConstraint(250.0, 50.0, hover.foot_angle_range),
+            # a foot range of one angle
+            EnvelopeConstraint(geo.weight, 50.0, (hover.foot_angle_range[0],) * 2),
+            # a floor the feet alone meet with the waist fans pointing sideways or down
+            EnvelopeConstraint(20.0, 50.0, hover.foot_angle_range),
         ]
         for constraint in constraints:
-            for theta_pitch in (0.0, *np.radians(rng.uniform(-60.0, 60.0, 3))):
+            # and pitches at which cos(theta_pitch) is 0 or less
+            for theta_pitch in (0.0, *np.radians(rng.uniform(-60.0, 60.0, 3)),
+                                *np.radians((90.0, -90.0, 100.0, -100.0, 180.0, -180.0))):
                 for dt_strategy in (True, False):
                     got = envelope_extrema_grid(geo, theta_pitch, constraint,
                                                 dt_strategy=dt_strategy)

@@ -30,6 +30,11 @@ family runs one case list, built once, through each tree:
 - wrench API: FanState, Perturbation and generalized_wrench_3d on the states
   of the bench audit ops of seeds 3, 7 and 11, ops 0-14, as the op passes them
   and as plain floats, and on bad thrusts, perturbations and quaternions;
+- oracles: oracles.envelope_extrema_grid, both strategies, on the robots of
+  the envelope searches (overflowing and vanishing caps and floors, foot
+  ranges of one angle) at each one's own pitch and at ORACLE_PITCHES, which
+  put the body at and past 90 deg; oracles.trim_scan on the same geometries;
+  oracles.wrench_brute_force on the wrench API's cases;
 - CLI runs through cli.main: the bench takeoff ops of those seeds, both
   integrators, in two blocks, as made and with sensor noise, so that a change
   of the noise stream cannot hide a mismatch among the runs without it; the
@@ -106,7 +111,7 @@ def load(root: str, alias: str) -> dict:
     spec.loader.exec_module(pkg)
     return {name: importlib.import_module(f"{alias}.{name}")
             for name in ("sim", "robot", "envelope", "cli", "wrench", "config", "controller",
-                         "spatial")}
+                         "spatial", "oracles")}
 
 
 def change_modules(change_root: str):
@@ -318,15 +323,20 @@ def tie_cases():
                    "feet": 0.2, "cap": cap, "floor": 98.1, "pitch": pitch, "sweep": sweep}
 
 
+def case_geometry(robot, case):
+    """The RobotGeometry of an envelope_cases or tie_cases robot."""
+    posture = robot.Posture("X", case["com"], case["foot"], (-90.0, 90.0))
+    return robot.geometry_from_posture(posture, mass_total=case["mass"],
+                                       fan_spacing_waist=case["waist"],
+                                       fan_spacing_feet=case["feet"])
+
+
 def envelope_searches(tree, cases) -> list:
     """Each (robot, search number) case's result repr."""
     robot, env = tree["robot"], tree["envelope"]
 
     def search(case, k):
-        posture = robot.Posture("X", case["com"], case["foot"], (-90.0, 90.0))
-        geo = robot.geometry_from_posture(posture, mass_total=case["mass"],
-                                          fan_spacing_waist=case["waist"],
-                                          fan_spacing_feet=case["feet"])
+        geo = case_geometry(robot, case)
         constraint = env.EnvelopeConstraint(case["floor"], case["cap"], case["range"])
         calls = (lambda: env.max_pitch_torque_dt(geo, case["pitch"], constraint),
                  lambda: env.max_pitch_torque_tvc(geo, case["pitch"], constraint),
@@ -392,6 +402,46 @@ def wrench_api(tree, cases) -> list:
         return got + w.force_world.tobytes() + w.torque_world.tobytes()
 
     return [attempt(lambda: evaluate(*case)) for case in cases]
+
+
+# the body level, at +-90 deg (cos(theta_pitch) about 6e-17), past 90 deg and upside down
+ORACLE_PITCHES = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.radians(100.0),
+                  math.radians(-100.0), math.pi, -math.pi)
+
+
+def oracle_cases(robots: list, wrenches: list) -> list:
+    """(oracle name, arguments) cases: the grid oracle on each robot at its own
+    pitch and at ORACLE_PITCHES, each strategy, then the trim scan on each
+    robot, then the brute-force wrench on each wrench API case."""
+    pitches = [(case, pitch) for case in robots for pitch in (case["pitch"], *ORACLE_PITCHES)]
+    return ([("envelope_extrema_grid", (case, pitch, dt))
+             for case, pitch in pitches for dt in (True, False)]
+            + [("trim_scan", case) for case in robots]
+            + [("wrench_brute_force", case) for case in wrenches])
+
+
+def oracles(tree, cases) -> list:
+    """Each case's result as bytes: the grid oracle's pair (b"none" if
+    infeasible), the trim scan's triple, the brute-force force and torque."""
+    robot, env, orc = tree["robot"], tree["envelope"], tree["oracles"]
+    geos = {name: robot.geometry_from_posture(robot.builtin_posture(name)) for name in POSTURES}
+
+    def call(name, args):
+        if name == "envelope_extrema_grid":
+            case, pitch, dt_strategy = args
+            constraint = env.EnvelopeConstraint(case["floor"], case["cap"], case["range"])
+            got = orc.envelope_extrema_grid(case_geometry(robot, case), pitch, constraint,
+                                            dt_strategy=dt_strategy)
+            return b"none" if got is None else struct.pack("<2d", *got)
+        if name == "trim_scan":
+            return struct.pack("<3d", *orc.trim_scan(case_geometry(robot, args)))
+        posture, fan, q, pert = args
+        p = None if pert is None else tree["sim"].Perturbation(**pert)
+        force, torque = orc.wrench_brute_force(tree["wrench"].FanState(*fan), geos[posture], q, p)
+        return force.tobytes() + torque.tobytes()
+
+    with np.errstate(all="ignore"):  # huge caps overflow alike in both trees
+        return [attempt(lambda: call(*case)) for case in cases]
 
 
 TWO_KEY_FILES = (
@@ -487,6 +537,8 @@ def battery(workloads, regen, fuzz) -> list:
     """(label, unit, family, cases) of every family, each case list built once."""
     step_list = [(integrator, k, *case) for seed, integrator in enumerate(INTEGRATORS, start=41)
                  for k, case in enumerate(step_cases(np.random.default_rng(seed)))]
+    robots = [*envelope_cases(np.random.default_rng(44)), *tie_cases()]
+    wrenches = wrench_cases(workloads)
     return [
         *((f"steps, {block}", "cases", steps, [case for case in step_list if case[2] == block])
           for block in STEP_BLOCKS),
@@ -494,9 +546,9 @@ def battery(workloads, regen, fuzz) -> list:
         ("lp_max_covering", "batches of 3000 rows", lp,
          list(lp_cases(np.random.default_rng(43)))),
         ("envelope searches", "calls", envelope_searches,
-         [(case, k) for case in [*envelope_cases(np.random.default_rng(44)), *tie_cases()]
-          for k in range(4)]),
-        ("wrench API", "cases", wrench_api, wrench_cases(workloads)),
+         [(case, k) for case in robots for k in range(4)]),
+        ("wrench API", "cases", wrench_api, wrenches),
+        ("oracles", "calls", oracles, oracle_cases(robots, wrenches)),
         *((f"takeoffs, {block}", "runs", cli_runs,
            [case for seed, integrator in itertools.product(SEEDS, INTEGRATORS)
             for case in bench_ops(workloads.Takeoff(seed, integrator), noise)])

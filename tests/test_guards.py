@@ -1,14 +1,15 @@
 """Guards on contracts kept outside the package (bench trace targets, the
 events keys the bench reads, the builds kernel_ab compares, README), on code
-that only tests call, on where numpy is imported and loaded, on what the
-oracles import from the package, on the one geometry construction, on the
-takeoff loop's and the hover trim's wrench evaluations, rotation-matrix
-builds and fan-state constructions, on the loop's attitude readouts, on the
-takeoff step's one derivative template, the loop's one controller tick and
-the commands that compile them, on the one build wrapper and the math
-functions each generated function binds itself, on the one source of the pitch arms, on the envelope
-solver's batching and point objects, on the one home of the run record and
-on the one home of the config key names."""
+that only tests call, on where numpy is imported and loaded, on every
+dataclass's own docstring, on what the oracles import from the package, on
+the one geometry construction, on the takeoff loop's and the hover trim's
+wrench evaluations, rotation-matrix builds and fan-state constructions, on
+the loop's attitude readouts, on the takeoff step's one derivative template,
+the loop's one controller tick and the commands that compile them, on the
+one build wrapper and the math functions each generated function binds
+itself, on the one source of the pitch arms, on the envelope solver's
+batching and point objects, on the one home of the run record and on the one
+home of the config key names."""
 
 import argparse
 import ast

@@ -32,8 +32,9 @@ family runs one case list, built once, through each tree:
   and as plain floats, and on bad thrusts, perturbations and quaternions;
 - oracles: oracles.envelope_extrema_grid, both strategies, on the robots of
   the envelope searches (overflowing and vanishing caps and floors, foot
-  ranges of one angle) at each one's own pitch and at ORACLE_PITCHES, which
-  put the body at and past 90 deg; oracles.trim_scan on the same geometries;
+  ranges of one angle) and on oracle_robots, whose caps and floors reach
+  5e-324 and inf, each at its own pitch and at ORACLE_PITCHES, which put the
+  body at and past 90 deg; oracles.trim_scan on the same geometries;
   oracles.wrench_brute_force on the wrench API's cases;
 - CLI runs through cli.main: the bench takeoff ops of those seeds, both
   integrators, in two blocks, as made and with sensor noise, so that a change
@@ -409,6 +410,25 @@ ORACLE_PITCHES = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.radians(100.0),
                   math.radians(-100.0), math.pi, -math.pi)
 
 
+def oracle_robots(rng, count: int = 200):
+    """Robots in the form of envelope_cases for the oracles alone, beyond what
+    the searches accept: caps and floors from 5e-324 to inf, so that a zero
+    corner is feasible and sums overflow to inf and nan, a foot range of one
+    angle in one case of five, and the CoM anywhere from behind the back fan
+    to ahead of the front one."""
+    caps = (30.0, 49.05, 1e-300, 5e-324, 1e308, math.inf)
+    floors = (98.1, 150.0, 1e308, 2e-9, 1e-9, 1e-300, 5e-324)
+    for k in range(count):
+        lo = float(rng.uniform(-90.0, 60.0))
+        hi = lo if k % 5 == 0 else float(rng.uniform(lo, 90.0))
+        yield {"com": tuple(rng.uniform([-0.5, -0.5], [0.5, 0.5]).tolist()),
+               "foot": tuple(rng.uniform([-0.5, -1.2], [0.5, -0.1]).tolist()),
+               "range": (math.radians(lo), math.radians(hi)), "mass": float(rng.uniform(5.0, 25.0)),
+               "waist": float(rng.uniform(0.01, 1.0)), "feet": float(rng.uniform(0.05, 0.5)),
+               "cap": float(rng.choice(caps)), "floor": float(rng.choice(floors)),
+               "pitch": float(rng.uniform(-3.2, 3.2))}
+
+
 def oracle_cases(robots: list, wrenches: list) -> list:
     """(oracle name, arguments) cases: the grid oracle on each robot at its own
     pitch and at ORACLE_PITCHES, each strategy, then the trim scan on each
@@ -548,7 +568,8 @@ def battery(workloads, regen, fuzz) -> list:
         ("envelope searches", "calls", envelope_searches,
          [(case, k) for case in robots for k in range(4)]),
         ("wrench API", "cases", wrench_api, wrenches),
-        ("oracles", "calls", oracles, oracle_cases(robots, wrenches)),
+        ("oracles", "calls", oracles,
+         oracle_cases([*robots, *oracle_robots(np.random.default_rng(49))], wrenches)),
         *((f"takeoffs, {block}", "runs", cli_runs,
            [case for seed, integrator in itertools.product(SEEDS, INTEGRATORS)
             for case in bench_ops(workloads.Takeoff(seed, integrator), noise)])

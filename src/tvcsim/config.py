@@ -37,7 +37,7 @@ class ConfigError(FieldError):
     """Malformed config file, unknown key, or invalid value (of the fields named)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class EnvelopeSettings:
     """The envelope command's sweep and vertical-force floor (None: M g)."""
 

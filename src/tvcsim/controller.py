@@ -56,7 +56,7 @@ class ControlMode(str, Enum):
                          f"{[m.value for m in cls]}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ControllerGains:
     """Foot-angle command per radian of error / per rad/s of rate."""
 
@@ -74,7 +74,7 @@ class ControllerGains:
                 raise FieldError(f"{name} must be finite and >= 0, got {value}", name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ThrustRamp:
     """Equal preplanned per-fan thrust: linear ramp from zero, then hold."""
 

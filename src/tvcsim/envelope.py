@@ -43,7 +43,7 @@ from .wrench import pitch_arms
 _FEAS_TOL = 6e-12  # of the floor: 1.0e-9 N at P1's weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class EnvelopeConstraint:
     """Search bounds: vertical-force floor, per-fan cap, foot angle range."""
 
@@ -52,10 +52,10 @@ class EnvelopeConstraint:
     foot_angle_range: tuple[float, float]
 
     def __post_init__(self):  # a NaN fails each check too
-        if not self.min_vertical_force > 0.0:
-            raise ValueError("min_vertical_force must be positive")
-        if not self.per_fan_max > 0.0:
-            raise ValueError("per_fan_max must be positive")
+        if not 0.0 < self.min_vertical_force < math.inf:
+            raise ValueError("min_vertical_force must be finite and positive")
+        if not 0.0 < self.per_fan_max < math.inf:
+            raise ValueError("per_fan_max must be finite and positive")
         lo, hi = self.foot_angle_range
         if not lo <= hi:
             raise ValueError("foot_angle_range must be ordered (min, max)")
@@ -69,13 +69,16 @@ class EnvelopeConstraint:
     ) -> "EnvelopeConstraint":
         """Constraint for holding weight: vertical thrust >= M g.
 
-        The thrust LP's per-fan floor is fixed at 0 N, so limits with a
-        nonzero thrust_min are refused, a FieldError, rather than silently ignored.
+        The thrust LP's per-fan floor is fixed at 0 N, so limits with a nonzero
+        thrust_min are refused, a FieldError, and so is a mass whose weight overflows.
         """
         limits = limits or FanLimits()
         if limits.thrust_min != 0.0:
             raise FieldError("the envelope search fixes the per-fan thrust floor at 0 N; "
                              f"got thrust_min {limits.thrust_min} N", "thrust_min")
+        if not geo.weight < math.inf:
+            raise FieldError(f"the weight M g overflows a float at a mass of {geo.mass_total} kg",
+                             "mass_total")
         return cls(
             min_vertical_force=geo.weight,
             per_fan_max=limits.thrust_max_per_fan,
@@ -83,7 +86,7 @@ class EnvelopeConstraint:
         )
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class EnvelopePoint:
     """Extremal pitch torques of one strategy at one body pitch angle."""
 
@@ -92,7 +95,7 @@ class EnvelopePoint:
     tau_min: float
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SweepPoint:
     """One sweep abscissa; a strategy entry is None where infeasible."""
 

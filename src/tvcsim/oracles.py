@@ -8,15 +8,15 @@ code so the two can be compared:
   lays the fans out from the geometry and the perturbation and rotates them
   by its own Euler-Rodrigues matrix, so it shares neither wrench's fan model
   nor spatial's rotation with production.
-* envelope_extrema_grid walks a fixed foot-angle grid and enumerates the
-  vertices of the thrust polytope (box corners plus box-edge intersections
-  with the vertical-force plane) at every angle, instead of the parametric
-  greedy over closed-form candidate angles, in numpy arrays over the grid,
-  one family of vertices at a time.
-* trim_scan exploits the closed force balance of the equal-thrust trim
-  (body pitch is minus half the foot angle, thrust follows from the weight)
-  and scans the remaining torque equation on a fine angle grid, instead of
-  solving it in closed form, in one numpy array pass.
+* envelope_extrema_grid walks a fixed foot-angle grid, 0.1 deg apart, and
+  enumerates the vertices of the thrust polytope (box corners plus box-edge
+  intersections with the vertical-force plane) at every angle, instead of
+  the parametric greedy over closed-form candidate angles, in numpy arrays
+  over the grid, one family of vertices at a time.
+* trim_scan exploits the closed force balance of the equal-thrust trim (body
+  pitch is minus half the foot angle, thrust follows from the weight) and
+  scans the remaining torque equation on a fixed grid, 0.01 deg apart over
+  +-45 deg, instead of solving it in closed form, in one numpy array pass.
 
 They are shipped with the package so reported numbers can be re-audited.
 """
@@ -36,9 +36,9 @@ from .spatial import (
 from .wrench import FanState
 
 
-def _check_grid(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+_ANGLE_STEP = math.radians(0.1)  # envelope_extrema_grid's foot-angle step
+# trim_scan's grid as np.linspace arguments: 0.01 deg steps over +-45 deg
+_TRIM_GRID = (-math.radians(45.0), math.radians(45.0), int(round(2.0 * 45.0 / 0.01)) + 1)
 
 
 def wrench_brute_force(
@@ -98,7 +98,6 @@ def envelope_extrema_grid(
     geo: RobotGeometry,
     theta_pitch: float,
     constraint: EnvelopeConstraint,
-    angle_step_deg: float = 0.1,
     dt_strategy: bool = False,
 ) -> tuple[float, float] | None:
     """(tau_min, tau_max) by grid-plus-vertex enumeration; None if infeasible.
@@ -112,12 +111,11 @@ def envelope_extrema_grid(
     values, and the extrema are taken over all of them at once. DT restricts
     the grid to the single angle zero.
     """
-    _check_grid("angle_step_deg", angle_step_deg)
     if dt_strategy:
         thetas = np.array([0.0])
     else:
         lo, hi = constraint.foot_angle_range
-        n = max(2, int(round((hi - lo) / math.radians(angle_step_deg))) + 1)
+        n = max(2, int(round((hi - lo) / _ANGLE_STEP)) + 1)
         thetas = np.linspace(lo, hi, n)
 
     x_c, z_c = geo.com_body[0], geo.com_body[2]
@@ -165,11 +163,7 @@ def envelope_extrema_grid(
     return float(tau.min()), float(tau.max())
 
 
-def trim_scan(
-    geo: RobotGeometry,
-    theta_step_deg: float = 0.01,
-    theta_span_deg: float = 45.0,
-) -> tuple[float, float, float]:
+def trim_scan(geo: RobotGeometry) -> tuple[float, float, float]:
     """(thrust_per_fan, foot_angle, theta_pitch) for the equal-thrust trim.
 
     With all four thrusts equal and both feet at angle t, zero horizontal
@@ -177,12 +171,9 @@ def trim_scan(
     f = M g / (4 cos(t/2)); only the pitch torque equation remains, scanned
     on the grid. The first grid angle of least |torque| wins.
     """
-    _check_grid("theta_step_deg", theta_step_deg)
-    _check_grid("theta_span_deg", theta_span_deg)
     weight = geo.weight
     x_c, z_c = geo.com_body[0], geo.com_body[2]
-    n = int(round(2.0 * theta_span_deg / theta_step_deg)) + 1
-    th = np.linspace(-math.radians(theta_span_deg), math.radians(theta_span_deg), n)
+    th = np.linspace(*_TRIM_GRID)
     f = weight / (4.0 * np.cos(0.5 * th))
     torque = 2.0 * f * (x_c + np.cos(th) * (x_c - geo.fan_foot_x)
                         - np.sin(th) * (z_c - geo.fan_foot_z))

@@ -52,7 +52,7 @@ class EnvelopeInfeasibleError(Exception):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Posture:
     """A fixed takeoff joint configuration, reduced to sagittal geometry.
 
@@ -98,7 +98,7 @@ def builtin_posture(name: str) -> Posture:
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FanLimits:
     """Actuator bounds shared by the envelope search, controller, and sim."""
 
@@ -118,7 +118,7 @@ class FanLimits:
             raise FieldError("thrust_time_constant must be >= 0", "thrust_time_constant")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RobotGeometry:
     """Mass properties and fan placement in the body frame, as plain floats.
 
@@ -140,7 +140,7 @@ class RobotGeometry:
     inertia_body: tuple = field(init=False)
     # the diagonal of inertia_body's inverse as a float 3-tuple, for the float
     # rigid-body step of the takeoff loop
-    inertia_inverse: tuple = field(init=False, repr=False, compare=False)
+    inertia_inverse: tuple = field(init=False)
 
     def __post_init__(self):
         self.com_body = tuple(map(float, self.com_body))

@@ -118,7 +118,7 @@ class DivergenceError(Exception):
     passes it on and run_scenario turns it into its log's divergence events."""
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RigidBodyState:
     """Position and velocity in {W}, attitude {B} -> {W}, body rate in {B}.
 
@@ -133,7 +133,7 @@ class RigidBodyState:
     time: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Perturbation:
     """Disturbance sources applied to the true dynamics, unknown to the trim.
 
@@ -172,7 +172,7 @@ class Perturbation:
         )
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ScenarioConfig:
     """One takeoff: robot, controller, thrust ramp, disturbances and integration."""
 

@@ -44,7 +44,7 @@ Vec3 = Quat = Sequence[float]
 GIMBAL_LOCK_MARGIN = 1e-6  # |pitch| > pi/2 - margin means yaw/roll are not unique
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class EulerAngles:
     """Z-Y-X intrinsic attitude. pitch in [-pi/2, pi/2], roll/yaw in (-pi, pi]."""
 

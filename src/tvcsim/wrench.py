@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .robot import RobotGeometry
 from .spatial import (
@@ -49,7 +49,7 @@ from .spatial import (
 )
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FanState:
     """Commanded or actual thrusts (N) and foot fan pitch angles (rad), as floats."""
 
@@ -63,7 +63,7 @@ class FanState:
     def __post_init__(self):
         thrusts = self.f_front, self.f_back, self.f_left, self.f_right
         for name, f in zip(("f_front", "f_back", "f_left", "f_right"), thrusts):
-            if f < 0.0:  # a NaN passes, for the takeoff's divergence guards
+            if f < 0.0:  # a NaN passes, for dynamics_step's guards and the wrench API
                 raise ValueError(f"{name} must be >= 0, got {f}")
         self.f_front, self.f_back, self.f_left, self.f_right = map(float, thrusts)
         self.theta_left, self.theta_right = float(self.theta_left), float(self.theta_right)
@@ -73,7 +73,7 @@ class FanState:
         return cls(thrust, thrust, thrust, thrust, theta, theta)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Wrench:
     """The fan force/torque in {B} with the pitch decomposition, and the net
     force/torque in {W} at the attitude, computed when the wrench is built.
@@ -89,7 +89,7 @@ class Wrench:
     t_y3: float
     # (F_x, F_y, F_z, tau_x, tau_y, tau_z) in {W}: R(q) rotates the body rows,
     # and the force loses the weight
-    world: tuple = field(repr=False)
+    world: tuple
 
     @property
     def force_world(self):

@@ -3,7 +3,7 @@
 import hashlib
 import math
 import re
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -40,7 +40,7 @@ perturbation.foot_misalignment_right_deg = -1.0
 def test_parse_and_build_scenario():
     values = parse_config_text(SAMPLE)
     cfg = scenario_from_config(values)
-    assert cfg.posture == builtin_posture("P2")
+    assert astuple(cfg.posture) == astuple(builtin_posture("P2"))
     assert cfg.mode is ControlMode.PITCH_ONLY
     assert cfg.ramp.target_per_fan == 45.0
     assert cfg.duration_s == 3.0
@@ -52,11 +52,11 @@ def test_parse_and_build_scenario():
 
 def test_defaults_without_file():
     cfg = scenario_from_config({})
-    assert cfg.posture == builtin_posture("P1")
+    assert astuple(cfg.posture) == astuple(builtin_posture("P1"))
     assert cfg.mode is ControlMode.BOTH_ON
     # absent keys keep the consuming dataclasses' defaults
-    assert cfg.limits == FanLimits()
-    assert cfg.ramp == ThrustRamp()
+    assert astuple(cfg.limits) == astuple(FanLimits())
+    assert astuple(cfg.ramp) == astuple(ThrustRamp())
     default_geo = geometry_from_posture(builtin_posture("P1"))
     np.testing.assert_array_equal(cfg.geometry().inertia_body, default_geo.inertia_body)
     assert cfg.geometry().mass_total == default_geo.mass_total
@@ -175,9 +175,10 @@ def test_invalid_scenario_value_maps_to_config_error():
 def test_envelope_settings():
     settings = envelope_settings_from_config(
         parse_config_text("envelope.n_points = 21\nenvelope.theta_pitch_max_deg = 10"))
-    assert settings == EnvelopeSettings(theta_pitch_range=(-math.pi / 6.0, math.radians(10.0)),
-                                        n_points=21, min_vertical_force=None)
-    assert envelope_settings_from_config({}) == EnvelopeSettings()
+    assert astuple(settings) == astuple(EnvelopeSettings(
+        theta_pitch_range=(-math.pi / 6.0, math.radians(10.0)), n_points=21,
+        min_vertical_force=None))
+    assert astuple(envelope_settings_from_config({})) == astuple(EnvelopeSettings())
 
 
 @pytest.mark.parametrize("text, message", [
@@ -211,8 +212,8 @@ def test_envelope_settings_reject_nan():
 
 
 def test_posture_field_overrides():
-    assert scenario_from_config({}).posture == builtin_posture("P1")
-    assert scenario_from_config({"posture": "P3"}).posture == builtin_posture("P3")
+    assert astuple(scenario_from_config({}).posture) == astuple(builtin_posture("P1"))
+    assert astuple(scenario_from_config({"posture": "P3"}).posture) == astuple(builtin_posture("P3"))
     values = parse_config_text("posture.com_x_m = 0.0\nposture.foot_x_m = 0.0")
     cfg = scenario_from_config(values)
     assert cfg.posture.com_sagittal == (0.0, -0.243)  # z kept from the builtin
@@ -322,7 +323,7 @@ TWO_VALUES = {
 
 
 def _resolved(values):
-    return asdict(scenario_from_config(values)), envelope_settings_from_config(values)
+    return asdict(scenario_from_config(values)), asdict(envelope_settings_from_config(values))
 
 
 @pytest.mark.parametrize("key", sorted(SCHEMA))
@@ -394,4 +395,4 @@ def test_each_indexed_key_changes_exactly_its_own_element(key):
         settings = changed
     else:
         scenario = replace(scenario, **{attribute: changed})
-    assert _resolved({key: value}) == (asdict(scenario), settings)
+    assert _resolved({key: value}) == (asdict(scenario), asdict(settings))

@@ -22,7 +22,8 @@ from tvcsim.envelope import (
     write_envelope_csv,
 )
 from tvcsim.oracles import envelope_extrema_grid
-from tvcsim.robot import GRAVITY, FanLimits, Posture, builtin_posture, geometry_from_posture
+from tvcsim.robot import (GRAVITY, FanLimits, FieldError, Posture, builtin_posture,
+                          geometry_from_posture)
 from tvcsim.wrench import FanState, pitch_arms, total_wrench
 
 P1_POSTURE = builtin_posture("P1")
@@ -413,12 +414,27 @@ def test_constraint_validation():
         EnvelopeConstraint(min_vertical_force=100.0, per_fan_max=50.0,
                            foot_angle_range=(1.0, -1.0))
     # a NaN fails with its field's message, not later in the search
-    with pytest.raises(ValueError, match="^min_vertical_force must be positive$"):
+    with pytest.raises(ValueError, match="^min_vertical_force must be finite and positive$"):
         EnvelopeConstraint(math.nan, 50.0, (-1.0, 1.0))
-    with pytest.raises(ValueError, match="^per_fan_max must be positive$"):
+    with pytest.raises(ValueError, match="^per_fan_max must be finite and positive$"):
         EnvelopeConstraint(P1.weight, math.nan, (-1.0, 1.0))
     with pytest.raises(ValueError, match=r"^foot_angle_range must be ordered \(min, max\)$"):
         EnvelopeConstraint(P1.weight, 50.0, (math.nan, 1.0))
     with pytest.raises(ValueError, match="thrust floor"):
         # the LP's per-fan floor is 0 N; a nonzero one is refused, not ignored
         EnvelopeConstraint.hover(P1, P1_POSTURE, FanLimits(thrust_min=1.0))
+
+
+def test_an_infinite_floor_or_cap_is_refused_before_either_route():
+    # the searches would raise that the LP overflows a float and the grid
+    # oracle would return (nan, nan); the constraint is refused as it is built
+    for floor, cap, name in ((math.inf, 50.0, "min_vertical_force"),
+                             (P1.weight, math.inf, "per_fan_max")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+            EnvelopeConstraint(floor, cap, P1_POSTURE.foot_pitch_range)
+    # hover's floor is M g, so a weight that overflows is refused naming the mass
+    heavy = geometry_from_posture(P1_POSTURE, mass_total=1e308)
+    assert heavy.weight == math.inf
+    with pytest.raises(FieldError, match="^the weight M g overflows a float") as err:
+        EnvelopeConstraint.hover(heavy, P1_POSTURE)
+    assert err.value.fields == ("mass_total",)

@@ -1,15 +1,15 @@
 """Guards on contracts kept outside the package (bench trace targets, the
 events keys the bench reads, the builds kernel_ab compares, README), on code
 that only tests call, on where numpy is imported and loaded, on every
-dataclass's own docstring, on what the oracles import from the package, on
-the one geometry construction, on the takeoff loop's and the hover trim's
-wrench evaluations, rotation-matrix builds and fan-state constructions, on
-the loop's attitude readouts, on the takeoff step's one derivative template,
-the loop's one controller tick and the commands that compile them, on the
-one build wrapper and the math functions each generated function binds
-itself, on the one source of the pitch arms, on the envelope solver's
-batching and point objects, on the one home of the run record and on the one
-home of the config key names."""
+dataclass's own docstring and its lack of generated methods, on what the
+oracles import from the package, on the one geometry construction, on the
+takeoff loop's and the hover trim's wrench evaluations, rotation-matrix
+builds and fan-state constructions, on the loop's attitude readouts, on the
+takeoff step's one derivative template, the loop's one controller tick and
+the commands that compile them, on the one build wrapper and the math
+functions each generated function binds itself, on the one source of the
+pitch arms, on the envelope solver's batching and point objects, on the one
+home of the run record and on the one home of the config key names."""
 
 import argparse
 import ast
@@ -351,6 +351,25 @@ def test_every_dataclass_has_its_own_docstring():
         assert set(decorated) == defined, path.name
         missing += [f"{path.stem}.{name}" for name, doc in decorated.items() if not doc]
     assert missing == []
+
+
+def test_no_dataclass_has_a_generated_eq_repr_or_hash():
+    # nothing compares, prints or hashes a record, so each is declared with
+    # eq=False, repr=False: dataclass writes none of these methods at import,
+    # and no field keeps a repr= or compare= flag that only tuned them
+    records, generated = [], []
+    for path in sorted((ROOT / "src" / "tvcsim").glob("*.py")):
+        module = importlib.import_module(f"tvcsim.{path.stem}")
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and obj.__module__ == module.__name__
+                    and dataclasses.is_dataclass(obj)):
+                records.append(name)
+                generated += [f"{path.stem}.{name}.{method}"
+                              for method in ("__eq__", "__repr__", "__hash__")
+                              if method in vars(obj)]
+                generated += [f"{path.stem}.{name}.{f.name}" for f in dataclasses.fields(obj)
+                              if not (f.repr and f.compare)]
+    assert records and generated == []
 
 
 def test_oracles_import_no_production_solver():

@@ -1,4 +1,4 @@
-"""The oracles against scalar reference loops, and their grid arguments.
+"""The oracles against scalar reference loops on the same fixed grids.
 
 Each ``*_loop`` below is a second form of an oracle: the angle-by-angle trim
 scan, the 20 separate candidate passes of the grid/vertex envelope and the
@@ -12,7 +12,6 @@ with production once the production rotation rows are transposed.
 import math
 
 import numpy as np
-import pytest
 
 from tvcsim import spatial, wrench
 from tvcsim.envelope import EnvelopeConstraint
@@ -37,12 +36,12 @@ def wrench_loop(fs, geo, orientation, perturbation=None):
     return force_w, torque_w
 
 
-def envelope_loop(geo, theta_pitch, constraint, angle_step_deg=0.1, dt_strategy=False):
+def envelope_loop(geo, theta_pitch, constraint, dt_strategy=False):
     if dt_strategy:
         thetas = np.array([0.0])
     else:
         lo, hi = constraint.foot_angle_range
-        n = max(2, int(round((hi - lo) / math.radians(angle_step_deg))) + 1)
+        n = max(2, int(round((hi - lo) / math.radians(0.1))) + 1)
         thetas = np.linspace(lo, hi, n)
     x_c, z_c = geo.com_body[0], geo.com_body[2]
     half_l = 0.5 * geo.fan_spacing_waist
@@ -83,12 +82,11 @@ def envelope_loop(geo, theta_pitch, constraint, angle_step_deg=0.1, dt_strategy=
     return tau_min, tau_max
 
 
-def trim_loop(geo, theta_step_deg=0.01, theta_span_deg=45.0):
+def trim_loop(geo):
     weight = geo.weight
     x_c, z_c = geo.com_body[0], geo.com_body[2]
     best = None
-    n = int(round(2.0 * theta_span_deg / theta_step_deg)) + 1
-    for th in np.linspace(-math.radians(theta_span_deg), math.radians(theta_span_deg), n):
+    for th in np.linspace(-math.radians(45.0), math.radians(45.0), 9001):
         f = weight / (4.0 * math.cos(0.5 * th))
         torque = 2.0 * f * (
             x_c
@@ -122,9 +120,6 @@ def test_trim_scan_equals_the_scalar_scan():
     _, cases = geometries(1, 30)
     for i, (geo, _) in enumerate(cases):
         assert trim_scan(geo) == trim_loop(geo), i
-    geo = cases[0][0]
-    for step, span in ((0.05, 30.0), (0.3, 80.0), (1.0, 1.0)):
-        assert trim_scan(geo, step, span) == trim_loop(geo, step, span), (step, span)
 
 
 def test_envelope_grid_equals_the_scalar_candidate_passes():
@@ -155,9 +150,6 @@ def test_envelope_grid_equals_the_scalar_candidate_passes():
                     assert got == want, (i, constraint, theta_pitch, dt_strategy)
                     seen_none += got is None
                     seen_pair += got is not None
-        step = rng.uniform(0.05, 2.0)
-        assert (envelope_extrema_grid(geo, 0.3, hover, step)
-                == envelope_loop(geo, 0.3, hover, step)), (i, step)
     assert seen_none and seen_pair
 
 
@@ -204,25 +196,3 @@ def test_wrench_oracle_does_not_rotate_through_the_production_rows(monkeypatch):
                                                  wrench_brute_force(fs, geo, q))))
     # 3.3e-3 at the closest of these 63 cases; agreement is 1e-12 or better
     assert min(gaps) > 1e-4
-
-
-BAD_GRID_VALUES = (0.0, -0.01, math.nan, math.inf, -math.inf)
-
-
-@pytest.mark.parametrize("value", BAD_GRID_VALUES)
-def test_trim_scan_rejects_a_bad_grid(value):
-    geo = geometry_from_posture(builtin_posture("P1"))
-    for kwargs in ({"theta_step_deg": value}, {"theta_span_deg": value}):
-        with pytest.raises(ValueError, match=r"must be finite and positive") as err:
-            trim_scan(geo, **kwargs)
-        assert "\n" not in str(err.value)
-
-
-@pytest.mark.parametrize("value", BAD_GRID_VALUES)
-def test_envelope_grid_rejects_a_bad_step(value):
-    posture = builtin_posture("P1")
-    geo = geometry_from_posture(posture)
-    constraint = EnvelopeConstraint.hover(geo, posture)
-    for dt_strategy in (False, True):
-        with pytest.raises(ValueError, match=r"angle_step_deg must be finite and positive"):
-            envelope_extrema_grid(geo, 0.0, constraint, value, dt_strategy)

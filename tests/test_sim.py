@@ -9,7 +9,7 @@ import struct
 import sys
 import textwrap
 import traceback
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -717,7 +717,8 @@ def test_length_scaling_scales_the_envelope_and_keeps_the_trim():
         constraint = EnvelopeConstraint.hover(geo, cfg.posture, cfg.limits)
         sweep = envelope_sweep(geo, constraint)
         ratios = [tvc_dt_ratio(geo, constraint, theta) for theta in (-0.3, 0.0, 0.2)]
-        trims = [hover_trim(geo, equal_thrust, cfg.limits) for equal_thrust in (True, False)]
+        trims = [(astuple(fs), pitch) for fs, pitch in (
+            hover_trim(geo, equal_thrust, cfg.limits) for equal_thrust in (True, False))]
         for length in (4.0, 2.0 ** -10, 2.0 ** 10):
             scaled_cfg = scenario_from_config(length_time_scaled(name, length, 1.0))
             scaled_geo = scaled_cfg.geometry()
@@ -730,8 +731,9 @@ def test_length_scaling_scales_the_envelope_and_keeps_the_trim():
                             length * a.tau_max, length * a.tau_min)), (name, length)
             assert repr([tvc_dt_ratio(scaled_geo, scaled, theta)
                          for theta in (-0.3, 0.0, 0.2)]) == repr(ratios), (name, length)
-            assert repr([hover_trim(scaled_geo, equal_thrust, scaled_cfg.limits)
-                         for equal_thrust in (True, False)]) == repr(trims), (name, length)
+            assert repr([(astuple(fs), pitch) for fs, pitch in (
+                hover_trim(scaled_geo, equal_thrust, scaled_cfg.limits)
+                for equal_thrust in (True, False))]) == repr(trims), (name, length)
 
 
 # metamorphic relations of the loop's bookkeeping: two runs of one perturbed

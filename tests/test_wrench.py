@@ -1,6 +1,7 @@
 """Force/torque model contracts and oracle equivalence."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -234,7 +235,7 @@ def test_fan_state_stores_floats_and_its_wrench_is_the_float_ones_bits():
         for pert in (None, Perturbation.standard()):
             w, ref = (generalized_wrench_3d(state, P1, q, pert)
                       for state in (fs, FanState(*floats)))
-            assert w == ref and w.world == ref.world
+            assert astuple(w) == astuple(ref)  # world among the fields
             assert all(type(x) is float for x in w.world + w.force_body + w.torque_body)
             assert w.force_world.tobytes() == ref.force_world.tobytes()
             assert w.torque_world.tobytes() == ref.torque_world.tobytes()

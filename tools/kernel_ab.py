@@ -26,7 +26,8 @@ family runs one case list, built once, through each tree:
 - lp_max_covering on random, extreme and integer (tie-heavy) rows;
 - envelope searches: max_pitch_torque_dt/_tvc, tvc_dt_ratio and
   envelope_sweep on random robots, infeasible and overflowing ones among them,
-  and on robots whose candidate foot angles tie bit for bit;
+  and on robots whose candidate foot angles tie bit for bit, each result kept
+  as its points' floats packed with struct (None as a marker), not as a repr;
 - wrench API: FanState, Perturbation and generalized_wrench_3d on the states
   of the bench audit ops of seeds 3, 7 and 11, ops 0-14, as the op passes them
   and as plain floats, and on bad thrusts, perturbations and quaternions;
@@ -332,18 +333,31 @@ def case_geometry(robot, case):
                                        fan_spacing_feet=case["feet"])
 
 
+def point_bytes(point) -> bytes:
+    """An EnvelopePoint's or a SweepPoint's floats packed, b"none" for None:
+    read from the fields, so a tree whose records have a repr and one whose
+    records have none encode alike."""
+    if point is None:
+        return b"none"
+    if hasattr(point, "tvc"):
+        return struct.pack("<d", point.theta_pitch) + point_bytes(point.dt) + point_bytes(point.tvc)
+    return struct.pack("<3d", point.theta_pitch, point.tau_max, point.tau_min)
+
+
 def envelope_searches(tree, cases) -> list:
-    """Each (robot, search number) case's result repr."""
+    """Each (robot, search number) case's result as bytes: the point's floats,
+    the ratio pair, or each sweep point's in turn."""
     robot, env = tree["robot"], tree["envelope"]
 
     def search(case, k):
         geo = case_geometry(robot, case)
         constraint = env.EnvelopeConstraint(case["floor"], case["cap"], case["range"])
-        calls = (lambda: env.max_pitch_torque_dt(geo, case["pitch"], constraint),
-                 lambda: env.max_pitch_torque_tvc(geo, case["pitch"], constraint),
-                 lambda: env.tvc_dt_ratio(geo, constraint, case["pitch"]),
-                 lambda: env.envelope_sweep(geo, constraint, *case["sweep"]))
-        return repr(calls[k]()).encode()
+        calls = (lambda: point_bytes(env.max_pitch_torque_dt(geo, case["pitch"], constraint)),
+                 lambda: point_bytes(env.max_pitch_torque_tvc(geo, case["pitch"], constraint)),
+                 lambda: struct.pack("<2d", *env.tvc_dt_ratio(geo, constraint, case["pitch"])),
+                 lambda: b"".join(map(point_bytes,
+                                      env.envelope_sweep(geo, constraint, *case["sweep"]))))
+        return calls[k]()
 
     return [attempt(lambda: search(case, k)) for case, k in cases]
 

@@ -275,12 +275,11 @@ def cmd_wrench_eval(args, values):
         theta_right=math.radians(args.theta_r),
     )
     w = total_wrench(fs, geo, math.radians(args.theta_pitch))
-    # |R v| = |v|: a finite body wrench norm keeps the world rows finite
-    if not all(math.isfinite(math.hypot(*v)) for v in (w.force_body, w.torque_body)):
+    printed = (*w.world, w.t_y1, w.t_y2, w.t_y3)
+    if not all(map(math.isfinite, printed)):
         raise ConfigError("the fan state's wrench overflows a float")
     report = [f"{name}={value:.6f}" for name, value in zip(
-        ("fx", "fy", "fz", "tx", "ty", "tz", "ty1", "ty2", "ty3"),
-        (*w.world, w.t_y1, w.t_y2, w.t_y3))]
+        ("fx", "fy", "fz", "tx", "ty", "tz", "ty1", "ty2", "ty3"), printed)]
     return EXIT_OK, report, {}, [asdict(cfg)], {"fan_state": {
         "f_front": args.thrust_ff, "f_back": args.thrust_fb,
         "f_left": args.thrust_fl, "f_right": args.thrust_fr,

@@ -70,15 +70,12 @@ class EnvelopeConstraint:
         """Constraint for holding weight: vertical thrust >= M g.
 
         The thrust LP's per-fan floor is fixed at 0 N, so limits with a nonzero
-        thrust_min are refused, a FieldError, and so is a mass whose weight overflows.
+        thrust_min are refused, a FieldError; RobotGeometry keeps M g finite.
         """
         limits = limits or FanLimits()
         if limits.thrust_min != 0.0:
             raise FieldError("the envelope search fixes the per-fan thrust floor at 0 N; "
                              f"got thrust_min {limits.thrust_min} N", "thrust_min")
-        if not geo.weight < math.inf:
-            raise FieldError(f"the weight M g overflows a float at a mass of {geo.mass_total} kg",
-                             "mass_total")
         return cls(
             min_vertical_force=geo.weight,
             per_fan_max=limits.thrust_max_per_fan,

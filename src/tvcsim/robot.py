@@ -127,7 +127,8 @@ class RobotGeometry:
     com_body is a float 3-tuple, converted here from any float sequence.
     inertia_body is derived, as three float row tuples: the diagonal
     point-mass surrogate for fan_mass, so dataclasses.replace recomputes it.
-    It is checked once, on floats, as it is inverted.
+    It is checked once, on floats, as it is inverted. A mass whose weight M g
+    overflows a float is refused here, once for every command.
     """
 
     mass_total: float = DEFAULT_MASS
@@ -148,6 +149,9 @@ class RobotGeometry:
             raise FieldError("com_body must hold 3 coordinates", "com_body")
         if not self.mass_total > 0.0:  # a NaN fails too
             raise FieldError("mass_total must be positive", "mass_total")
+        if not self.weight < math.inf:
+            raise FieldError(f"the weight M g overflows a float at a mass of {self.mass_total} kg",
+                             "mass_total")
         if not (self.fan_spacing_waist > 0.0 and self.fan_spacing_feet > 0.0):
             raise FieldError("fan spacings must be positive", "fan_spacing_waist",
                              "fan_spacing_feet")

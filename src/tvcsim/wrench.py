@@ -75,20 +75,13 @@ class FanState:
 
 @dataclass(eq=False, repr=False)
 class Wrench:
-    """The fan force/torque in {B} with the pitch decomposition, and the net
-    force/torque in {W} at the attitude, computed when the wrench is built.
+    """The body pitch torque's three terms, and world: (F_x, F_y, F_z, tau_x,
+    tau_y, tau_z) in {W}, wrench_kernel's body rows rotated by R(q) at the
+    attitude, the force less the weight. Both are built with the wrench."""
 
-    force_body excludes gravity; like torque_body it is a float 3-tuple that
-    does not depend on the attitude.
-    """
-
-    force_body: tuple[float, float, float]
-    torque_body: tuple[float, float, float]
     t_y1: float
     t_y2: float
     t_y3: float
-    # (F_x, F_y, F_z, tau_x, tau_y, tau_z) in {W}: R(q) rotates the body rows,
-    # and the force loses the weight
     world: tuple
 
     @property
@@ -159,11 +152,10 @@ def generalized_wrench_3d(fs: FanState, geo: RobotGeometry, orientation: Quat,
     which R(q) rotates into {W}."""
     f_x, f_z, t_x, t_y1, t_y2, t_y3, t_z = wrench_kernel(geo, perturbation)(
         fs.f_front, fs.f_back, fs.f_left, fs.f_right, fs.theta_left, fs.theta_right)
-    force, torque = (f_x, 0.0, f_z), (t_x, t_y1 + t_y2 + t_y3, t_z)
     rot = quat_rotation_rows(quat_unit(float_tuple(orientation)))
-    w_x, w_y, w_z = _rotate(rot, force)
-    return Wrench(force, torque, t_y1, t_y2, t_y3,
-                  (w_x, w_y, w_z - geo.weight, *_rotate(rot, torque)))
+    w_x, w_y, w_z = _rotate(rot, (f_x, 0.0, f_z))
+    return Wrench(t_y1, t_y2, t_y3,
+                  (w_x, w_y, w_z - geo.weight, *_rotate(rot, (t_x, t_y1 + t_y2 + t_y3, t_z))))
 
 
 # ROWS' head, the net vertical force f_z, which the takeoff loop's liftoff test

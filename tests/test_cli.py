@@ -380,6 +380,16 @@ def test_wrench_eval_rejects_an_overflowing_wrench(tmp_path, capsys):
     assert not (tmp_path / "wrench_eval_manifest.json").exists()
 
 
+def test_wrench_eval_checks_the_values_it_prints(tmp_path, capsys):
+    # the body rows are finite, but upside down the weight takes fz past -1.8e308
+    cfg = tmp_path / "heavy.cfg"
+    cfg.write_text("geometry.mass_kg = 1e307\n")
+    code, out, err = run_cli(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                              "wrench-eval", "--thrust-ff=1e308", "--theta-pitch=180"], capsys)
+    assert (code, out, err) == (2, "", "error: the fan state's wrench overflows a float\n")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_wrench_eval_lateral_com_matches_oracle(tmp_path, capsys):
     # with com_y != 0 the roll and yaw rows carry the lateral CoM arm
     cfg = tmp_path / "com_y.cfg"
@@ -450,6 +460,20 @@ def test_every_command_rejects_a_bad_file_alike(tmp_path, capsys, text):
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert len({err for _, _, err in results.values()}) == 1
+
+
+@pytest.mark.parametrize("floor", ["", "envelope.min_vertical_force_n = 100\n"],
+                         ids=["hover_floor", "floor_override"])
+def test_every_command_refuses_a_weight_that_overflows(tmp_path, capsys, floor):
+    # the robot itself is refused as it is built, before any command's work, so
+    # an envelope floor set apart from M g changes nothing
+    for command in COMMANDS:
+        code, out, err = run_with_config(tmp_path, capsys, "geometry.mass_kg = 1e308\n" + floor,
+                                         command)
+        assert (code, out) == (2, ""), command
+        assert err == ("error: geometry.mass_kg: the weight M g overflows a float at a mass of "
+                       "1e+308 kg\n")
+        assert list((tmp_path / command).iterdir()) == []
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -173,6 +173,17 @@ ROBOT_CONFIGS = st.lists(st.sampled_from(sorted(ROBOT_KEYS)), max_size=5, unique
 POSTURE_LABELS = st.sampled_from(["P1", "P2", "P3", "P4", ""])
 
 
+def non_finite_report_lines(out):
+    """The lines of a trim or wrench-eval report, key=value each, whose value
+    is not a finite number; posture is the one key whose value is a label."""
+    lines = []
+    for line in out.splitlines():
+        key, value = line.split("=")
+        if key != "posture" and not math.isfinite(float(value)):
+            lines.append(line)
+    return lines
+
+
 def check_key_value_report(code, out, err, path):
     """Exit 0 prints finite key=value numbers; exit 2/3 one line; strict manifest."""
     assert code in {0, 2, 3}
@@ -181,9 +192,7 @@ def check_key_value_report(code, out, err, path):
         assert len(err.strip().splitlines()) == 1, err
         return
     assert err == ""
-    for line in out.splitlines():
-        key, value = line.split("=")
-        assert key == "posture" or math.isfinite(float(value)), line
+    assert non_finite_report_lines(out) == []
     strict_json(path)
 
 
@@ -227,8 +236,9 @@ INT_AND_STR_KEYS = sorted(key for key, (typ, *_) in SCHEMA.items() if typ is not
 def check_extreme_values(key, tmp_path):
     # key at each of its type's extremes, on every command: an overflow, an
     # underflow, a subnormal or a bad count or name ends in a documented exit
-    # with one line and strict outputs, never in a traceback, a warning or a
-    # nan, and an exit 2 names the key
+    # with one line and strict outputs, never in a traceback, a warning, a nan
+    # or a non-finite report value, and an exit 2 names the key. envelope may
+    # print a ratio of inf, and an exit 2 may quote an overflowed value
     failures = []
     for value, argv in itertools.product(EXTREMES_BY_TYPE[SCHEMA[key][0]], COMMANDS):
         out = tmp_path / f"{argv[0]}{value!r}"
@@ -245,6 +255,9 @@ def check_extreme_values(key, tmp_path):
         problems = [f"exit {code}"] if code not in DOCUMENTED_EXIT_CODES else []
         problems += [f"warning: {w.message}" for w in caught]
         problems += ["nan in stdout"] * ("nan" in stdout)
+        problems += ["nan in stderr"] * ("nan" in err)
+        if argv[0] in ("trim", "wrench-eval"):
+            problems += [f"non-finite {line}" for line in non_finite_report_lines(stdout)]
         if code == 2 and outputs:
             problems.append(f"exit 2 left {outputs}")
         if code == 2 and key not in err:

@@ -9,6 +9,7 @@ import pytest
 from tvcsim.robot import (
     GRAVITY,
     FanLimits,
+    FieldError,
     Posture,
     RobotGeometry,
     UnknownPostureError,
@@ -116,6 +117,16 @@ def test_geometry_validation():
     # the surrogate overflows: it has no finite float inverse
     with pytest.raises(ValueError, match="finite and positive-definite"):
         RobotGeometry(mass_total=1e300, fan_mass=1e299, fan_foot_z=-1e10)
+
+
+def test_geometry_refuses_a_weight_that_overflows():
+    # M g is every command's trim and envelope floor: the robot is refused as it
+    # is built, naming the mass; a weight of 9.81e307 N is kept
+    with pytest.raises(FieldError, match=r"^the weight M g overflows a float at a mass of "
+                       r"1e\+308 kg$") as err:
+        geometry_from_posture(builtin_posture("P1"), mass_total=1e308)
+    assert err.value.fields == ("mass_total",)
+    assert geometry_from_posture(builtin_posture("P1"), mass_total=1e307).weight == 1e307 * GRAVITY
 
 
 @pytest.mark.parametrize("mass, fan_mass, fits", [

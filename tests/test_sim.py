@@ -985,8 +985,10 @@ def _np_normalize(q):
 def _np_accels(q, omega, fs, geo, pert):
     """Array accelerations: world force through R(q), np.cross and np.linalg.solve."""
     w = generalized_wrench_3d(fs, geo, q, pert)
+    _, _, t_x, t_y1, t_y2, t_y3, t_z = wrench_kernel(geo, pert)(
+        fs.f_front, fs.f_back, fs.f_left, fs.f_right, fs.theta_left, fs.theta_right)
     inertia = np.array(geo.inertia_body)
-    omega_dot = np.linalg.solve(inertia, np.asarray(w.torque_body)
+    omega_dot = np.linalg.solve(inertia, np.array([t_x, t_y1 + t_y2 + t_y3, t_z])
                                 - np.cross(omega, inertia @ omega))
     return w.force_world / geo.mass_total, omega_dot
 

@@ -10,7 +10,7 @@ from tvcsim.oracles import wrench_brute_force
 from tvcsim.robot import GRAVITY, Posture, builtin_posture, geometry_from_posture
 from tvcsim.sim import Perturbation
 from tvcsim.spatial import quat_from_pitch, quat_normalize
-from tvcsim.wrench import FanState, generalized_wrench_3d, total_wrench
+from tvcsim.wrench import FanState, generalized_wrench_3d, total_wrench, wrench_kernel
 
 P1 = geometry_from_posture(builtin_posture("P1"))
 HOVER_THRUST = 17.0 * GRAVITY / 4.0  # 41.6925 N
@@ -236,7 +236,10 @@ def test_fan_state_stores_floats_and_its_wrench_is_the_float_ones_bits():
             w, ref = (generalized_wrench_3d(state, P1, q, pert)
                       for state in (fs, FanState(*floats)))
             assert astuple(w) == astuple(ref)  # world among the fields
-            assert all(type(x) is float for x in w.world + w.force_body + w.torque_body)
+            rows, ref_rows = (wrench_kernel(P1, pert)(*astuple(state))
+                              for state in (fs, FanState(*floats)))
+            assert rows == ref_rows
+            assert all(type(x) is float for x in w.world + rows)
             assert w.force_world.tobytes() == ref.force_world.tobytes()
             assert w.torque_world.tobytes() == ref.torque_world.tobytes()
     with pytest.raises(ValueError, match=r"^f_right must be >= 0, got -3$"):

@@ -28,9 +28,10 @@ family runs one case list, built once, through each tree:
   envelope_sweep on random robots, infeasible and overflowing ones among them,
   and on robots whose candidate foot angles tie bit for bit, each result kept
   as its points' floats packed with struct (None as a marker), not as a repr;
-- wrench API: FanState, Perturbation and generalized_wrench_3d on the states
-  of the bench audit ops of seeds 3, 7 and 11, ops 0-14, as the op passes them
-  and as plain floats, and on bad thrusts, perturbations and quaternions;
+- wrench API: FanState, Perturbation, generalized_wrench_3d and wrench_kernel's
+  body rows on the states of the bench audit ops of seeds 3, 7 and 11, ops
+  0-14, as the op passes them and as plain floats, and on bad thrusts,
+  perturbations and quaternions;
 - oracles: oracles.envelope_extrema_grid, both strategies, on the robots of
   the envelope searches (overflowing and vanishing caps and floors, foot
   ranges of one angle) and on oracle_robots, whose caps and floors reach
@@ -398,7 +399,8 @@ def wrench_cases(workloads) -> list:
 
 
 def wrench_api(tree, cases) -> list:
-    """Each case's FanState and Perturbation fields, then its wrench's values."""
+    """Each case's FanState and Perturbation fields, then its wrench's world rows,
+    wrench_kernel's seven body rows and the wrench's pitch terms."""
     wrench, sim, robot = tree["wrench"], tree["sim"], tree["robot"]
     geos = {name: robot.geometry_from_posture(robot.builtin_posture(name)) for name in POSTURES}
 
@@ -412,8 +414,9 @@ def wrench_api(tree, cases) -> list:
             got += struct.pack("<9d", *p.com_offset, p.foot_axis_misalignment_left,
                                p.foot_axis_misalignment_right, *p.thrust_scale)
         w = wrench.generalized_wrench_3d(fs, geos[name], q, p)
-        got += struct.pack("<15d", *w.world, *w.force_body, *w.torque_body,
-                           w.t_y1, w.t_y2, w.t_y3)
+        rows = wrench.wrench_kernel(geos[name], p)(fs.f_front, fs.f_back, fs.f_left, fs.f_right,
+                                                   fs.theta_left, fs.theta_right)
+        got += struct.pack("<16d", *w.world, *rows, w.t_y1, w.t_y2, w.t_y3)
         return got + w.force_world.tobytes() + w.torque_world.tobytes()
 
     return [attempt(lambda: evaluate(*case)) for case in cases]
